@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -23,21 +24,26 @@ type Ideal struct {
 	deliverFn    noc.DeliveryFunc
 	lat          noc.LatencyStats
 
-	queues   [][]*noc.Packet
+	queues   []ring[*noc.Packet]
+	queued   bitset      // nodes with a packet queued: the only ones Tick visits
 	busyTill []sim.Cycle // per-node serializer availability
+}
+
+func newIdeal(dim, routerCycles, linkCycles int, engine sim.Scheduler) *Ideal {
+	count := dim * dim
+	return &Ideal{dim: dim, routerCycles: routerCycles, linkCycles: linkCycles, injectQueue: 16, engine: engine,
+		queues: make([]ring[*noc.Packet], count), queued: newBitset(count), busyTill: make([]sim.Cycle, count)}
 }
 
 // NewL0 builds the idealized zero-latency network.
 func NewL0(dim int, engine sim.Scheduler) *Ideal {
-	return &Ideal{dim: dim, routerCycles: -1, linkCycles: 0, injectQueue: 16, engine: engine,
-		queues: make([][]*noc.Packet, dim*dim), busyTill: make([]sim.Cycle, dim*dim)}
+	return newIdeal(dim, -1, 0, engine)
 }
 
 // NewLr builds the hop-latency network with the given per-hop router
 // cycles (1 => Lr1, 2 => Lr2).
 func NewLr(dim, routerCycles int, engine sim.Scheduler) *Ideal {
-	return &Ideal{dim: dim, routerCycles: routerCycles, linkCycles: 1, injectQueue: 16, engine: engine,
-		queues: make([][]*noc.Packet, dim*dim), busyTill: make([]sim.Cycle, dim*dim)}
+	return newIdeal(dim, routerCycles, 1, engine)
 }
 
 // Name identifies the configuration.
@@ -60,11 +66,13 @@ func (n *Ideal) SetDelivery(fn noc.DeliveryFunc) { n.deliverFn = fn }
 
 // Send enqueues a packet at its source NIC.
 func (n *Ideal) Send(p *noc.Packet) bool {
-	if len(n.queues[p.Src]) >= n.injectQueue {
+	q := &n.queues[p.Src]
+	if q.n >= n.injectQueue {
 		return false
 	}
 	p.Created = n.engine.Now()
-	n.queues[p.Src] = append(n.queues[p.Src], p)
+	q.push(p, n.injectQueue)
+	n.queued.set(p.Src)
 	return true
 }
 
@@ -83,28 +91,40 @@ func (n *Ideal) hops(a, b int) int {
 }
 
 // Tick serializes at most one packet start per node per cycle and
-// schedules its contention-free delivery.
+// schedules its contention-free delivery. Nodes are served in ascending
+// id order; one with an empty queue has nothing to start.
 func (n *Ideal) Tick(now sim.Cycle) {
-	for node := range n.queues {
-		if len(n.queues[node]) == 0 || n.busyTill[node] > now {
-			continue
+	for w, word := range n.queued {
+		for ; word != 0; word &= word - 1 {
+			n.start(w<<6+bits.TrailingZeros64(word), now)
 		}
-		p := n.queues[node][0]
-		n.queues[node] = n.queues[node][1:]
-		ser := sim.Cycle(p.Type.Flits())
-		n.busyTill[node] = now + ser
-		p.QueuingDelay = int64(now - p.Created)
-		network := ser
-		if n.routerCycles >= 0 {
-			h := n.hops(p.Src, p.Dst)
-			network += sim.Cycle(h * (n.linkCycles + n.routerCycles))
-		}
-		p.NetworkDelay = int64(network)
-		noc.ScheduleAt(n.engine, p.Dst, now+network, func(at sim.Cycle) {
-			n.lat.Record(p)
-			if n.deliverFn != nil {
-				n.deliverFn(p, at)
-			}
-		})
 	}
+}
+
+// start begins serializing node's oldest queued packet if its serializer
+// is free.
+func (n *Ideal) start(node int, now sim.Cycle) {
+	if n.busyTill[node] > now {
+		return
+	}
+	q := &n.queues[node]
+	p := q.front()
+	if q.pop(); q.n == 0 {
+		n.queued.clear(node)
+	}
+	ser := sim.Cycle(p.Type.Flits())
+	n.busyTill[node] = now + ser
+	p.QueuingDelay = int64(now - p.Created)
+	network := ser
+	if n.routerCycles >= 0 {
+		h := n.hops(p.Src, p.Dst)
+		network += sim.Cycle(h * (n.linkCycles + n.routerCycles))
+	}
+	p.NetworkDelay = int64(network)
+	noc.ScheduleAt(n.engine, p.Dst, now+network, func(at sim.Cycle) {
+		n.lat.Record(p)
+		if n.deliverFn != nil {
+			n.deliverFn(p, at)
+		}
+	})
 }

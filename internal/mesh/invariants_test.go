@@ -1,0 +1,160 @@
+package mesh
+
+import (
+	"math/bits"
+	"strings"
+	"testing"
+
+	"fsoi/internal/noc"
+	"fsoi/internal/sim"
+)
+
+// checkInvariants verifies, between cycles, that the occupancy state the
+// tick relies on agrees with the FIFOs, that credits account for every
+// buffer slot, and that no flit has been lost or duplicated. onLink is
+// the number of flits in flight between routers, which the caller knows
+// independently: each is one pending engine event.
+func (n *Network) checkInvariants(t testing.TB, onLink int) {
+	t.Helper()
+	vcs, depth := n.cfg.VCs, n.cfg.BufferFlits
+	buffered, linked := 0, 0
+	for _, r := range n.routers {
+		sum := 0
+		var want [numPorts]uint64
+		holders := make([]int, numPorts*vcs) // input VCs holding (outPort, outVC)
+		for i := range r.inputs {
+			in := &r.inputs[i]
+			sum += in.fifo.n
+			if got := r.occupied>>i&1 == 1; got != (in.fifo.n > 0) {
+				t.Fatalf("router %d vc %d: occupied bit %v with %d flits buffered", r.id, i, got, in.fifo.n)
+			}
+			if in.outPort >= 0 {
+				want[in.outPort] |= 1 << i
+			}
+			if in.outVC >= 0 {
+				holders[in.outPort*vcs+in.outVC]++
+			}
+		}
+		if want != r.want {
+			t.Fatalf("router %d: want masks %x, VC routes say %x", r.id, r.want, want)
+		}
+		if r.buffered != sum {
+			t.Fatalf("router %d: buffered = %d, FIFOs hold %d", r.id, r.buffered, sum)
+		}
+		if got := n.busyRouters[r.id>>6]>>(r.id&63)&1 == 1; got != (sum > 0) {
+			t.Fatalf("router %d: busy bit %v with %d flits buffered", r.id, got, sum)
+		}
+		buffered += sum
+		for v := 0; v < vcs; v++ {
+			if got := n.vcCredits[r.id][v] + r.inputs[portLocal*vcs+v].fifo.n; got != depth {
+				t.Fatalf("router %d local vc %d: credits + occupancy = %d, want %d", r.id, v, got, depth)
+			}
+		}
+		for p := portLocal + 1; p < numPorts; p++ {
+			out := &r.outputs[p]
+			for v := 0; v < vcs; v++ {
+				if held := int(out.held >> v & 1); held != holders[p*vcs+v] {
+					t.Fatalf("router %d out %d vc %d: held = %d but %d input VCs hold it", r.id, p, v, held, holders[p*vcs+v])
+				}
+				down := 0
+				if next := r.neighbor[p]; next != nil {
+					down = next.inputs[r.reverse[p]*vcs+v].fifo.n
+				}
+				flying := depth - out.credits[v] - down
+				if flying < 0 || flying > n.cfg.LinkCycles {
+					t.Fatalf("router %d out %d vc %d: %d credits + %d buffered downstream leave %d on a %d-cycle link",
+						r.id, p, v, out.credits[v], down, flying, n.cfg.LinkCycles)
+				}
+				linked += flying
+			}
+		}
+	}
+	if linked != onLink {
+		t.Fatalf("credits imply %d flits on links, %d are in flight", linked, onLink)
+	}
+	if n.flitsIn != n.flitsOut+int64(buffered+onLink) {
+		t.Fatalf("flits: %d injected != %d ejected + %d buffered + %d on links", n.flitsIn, n.flitsOut, buffered, onLink)
+	}
+	for node := range n.queues {
+		work := n.queues[node].n > 0 || n.inflight[node].pkt != nil ||
+			(n.cfg.BandwidthFrac < 1 && n.bwTokens[node] < 1)
+		if work && n.busyNICs[node>>6]>>(node&63)&1 == 0 {
+			t.Fatalf("node %d has injection work but is not in the busy set", node)
+		}
+	}
+}
+
+// stress drives seeded random traffic through n for cycles cycles, then
+// lets it drain, checking the invariants after every cycle, and returns
+// how many packets were accepted. Nothing else schedules on engine, so
+// its pending events are exactly the flits on links.
+func stress(t *testing.T, n *Network, engine *sim.Engine, delivered *[]*noc.Packet, seed uint64, cycles int, rate float64) int {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	nodes := n.NumNodes()
+	sent := 0
+	step := func() {
+		engine.Run(1)
+		n.checkInvariants(t, engine.Pending())
+	}
+	for cyc := 0; cyc < cycles; cyc++ {
+		step()
+		for node := 0; node < nodes; node++ {
+			if !rng.Bool(rate) {
+				continue
+			}
+			typ := noc.Meta
+			if rng.Bool(0.4) {
+				typ = noc.Data
+			}
+			if n.Send(&noc.Packet{Src: node, Dst: rng.Intn(nodes), Type: typ}) {
+				sent++
+			}
+		}
+	}
+	for i := 0; i < 20000 && len(*delivered) < sent; i++ {
+		step()
+	}
+	return sent
+}
+
+func TestInvariantsHoldUnderStress(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(*Config)
+		rate float64
+	}{
+		{"saturated", func(*Config) {}, 0.5},
+		{"shallow-buffers", func(c *Config) { c.BufferFlits, c.VCs = 2, 2 }, 0.2},
+		{"two-cycle-links", func(c *Config) { c.LinkCycles = 2 }, 0.1},
+		{"throttled", func(c *Config) { c.BandwidthFrac = 0.67 }, 0.1},
+		{"widest-mask", func(c *Config) { c.VCs = maskBits / numPorts }, 0.3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PaperMesh(4)
+			tc.cfg(&cfg)
+			n, engine, delivered := testMesh(t, cfg)
+			sent := stress(t, n, engine, delivered, 5, 1500, tc.rate)
+			if len(*delivered) != sent || sent == 0 {
+				t.Fatalf("delivered %d of %d", len(*delivered), sent)
+			}
+			for _, r := range n.routers {
+				if bits.OnesCount64(r.occupied) != 0 {
+					t.Fatalf("router %d still occupied after the drain", r.id)
+				}
+			}
+		})
+	}
+}
+
+func TestNewRejectsVCsWiderThanMask(t *testing.T) {
+	cfg := PaperMesh(4)
+	cfg.VCs = maskBits/numPorts + 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "occupancy mask") {
+			t.Fatalf("New(%d VCs) = %q, want a panic naming the occupancy mask", cfg.VCs, msg)
+		}
+	}()
+	New(cfg, sim.NewEngine())
+}

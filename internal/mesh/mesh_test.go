@@ -75,24 +75,7 @@ func TestLocalDelivery(t *testing.T) {
 
 func TestAllToAllStressNoLoss(t *testing.T) {
 	n, engine, delivered := testMesh(t, PaperMesh(4))
-	rng := sim.NewRNG(5)
-	sent := 0
-	for cyc := 0; cyc < 2000; cyc++ {
-		engine.Run(1)
-		for node := 0; node < 16; node++ {
-			if rng.Bool(0.08) {
-				dst := rng.Intn(16)
-				typ := noc.Meta
-				if rng.Bool(0.4) {
-					typ = noc.Data
-				}
-				if n.Send(&noc.Packet{Src: node, Dst: dst, Type: typ}) {
-					sent++
-				}
-			}
-		}
-	}
-	engine.Run(20000)
+	sent := stress(t, n, engine, delivered, 5, 2000, 0.08)
 	if len(*delivered) != sent {
 		t.Fatalf("delivered %d of %d under stress", len(*delivered), sent)
 	}

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -35,28 +36,39 @@ type Network struct {
 	lat       noc.LatencyStats
 
 	// Per-node injection state.
-	queues    [][]*noc.Packet
-	inflight  []*injection
+	queues    []ring[*noc.Packet]
+	inflight  []injection
 	vcFree    [][]bool  // whether local input VC v of node i is free for a new packet
 	vcCredits [][]int   // credits toward local input VC buffers
 	flitHops  int64     // flits x hops, for Orion-style energy accounting
 	bwTokens  []float64 // fractional-bandwidth injection credits
+
+	// Tick visits only these: NICs with a packet queued or mid-injection
+	// (or a token bank still filling), and routers buffering a flit.
+	busyNICs    bitset
+	busyRouters bitset
+
+	flitsIn, flitsOut int64 // flits injected at / ejected through local ports
 }
 
 // FlitHops reports accumulated flit-hop activity (router traversals
 // including the ejection hop).
 func (n *Network) FlitHops() int64 { return n.flitHops }
 
-// injection tracks a packet mid-serialization into the local port.
+// injection tracks a packet mid-serialization into the local port; pkt
+// is nil while the NIC is between packets.
 type injection struct {
 	pkt      *noc.Packet
 	vc       int
 	sentFlit int
-	start    sim.Cycle
 }
 
 // New builds a mesh network over the engine.
 func New(cfg Config, engine sim.Scheduler) *Network {
+	if numPorts*cfg.VCs > maskBits {
+		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
+			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
+	}
 	n := &Network{cfg: cfg, engine: engine}
 	count := cfg.Dim * cfg.Dim
 	n.routers = make([]*router, count)
@@ -64,18 +76,17 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 		n.routers[i] = newRouter(i, cfg, n)
 	}
 	dim := cfg.Dim
-	for i, r := range n.routers {
-		x, y := i%dim, i/dim
+	for _, r := range n.routers {
 		connect := func(port int, nx, ny int) {
 			if nx < 0 || nx >= dim || ny < 0 || ny >= dim {
 				return
 			}
 			r.neighbor[port] = n.routers[ny*dim+nx]
 		}
-		connect(portEast, x+1, y)
-		connect(portWest, x-1, y)
-		connect(portSouth, x, y+1)
-		connect(portNorth, x, y-1)
+		connect(portEast, r.x+1, r.y)
+		connect(portWest, r.x-1, r.y)
+		connect(portSouth, r.x, r.y+1)
+		connect(portNorth, r.x, r.y-1)
 		// reverse port mapping: east<->west, north<->south.
 		r.reverse[portEast] = portWest
 		r.reverse[portWest] = portEast
@@ -83,12 +94,14 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 		r.reverse[portSouth] = portNorth
 		r.reverse[portLocal] = portLocal
 	}
+	n.busyNICs = newBitset(count)
+	n.busyRouters = newBitset(count)
 	if n.cfg.BandwidthFrac <= 0 || n.cfg.BandwidthFrac > 1 {
 		n.cfg.BandwidthFrac = 1
 	}
 	n.bwTokens = make([]float64, count)
-	n.queues = make([][]*noc.Packet, count)
-	n.inflight = make([]*injection, count)
+	n.queues = make([]ring[*noc.Packet], count)
+	n.inflight = make([]injection, count)
 	n.vcFree = make([][]bool, count)
 	n.vcCredits = make([][]int, count)
 	for i := 0; i < count; i++ {
@@ -97,6 +110,9 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 		for v := 0; v < cfg.VCs; v++ {
 			n.vcFree[i][v] = true
 			n.vcCredits[i][v] = cfg.BufferFlits
+		}
+		if n.cfg.BandwidthFrac < 1 {
+			n.busyNICs.set(i) // the token bank starts empty and must fill
 		}
 	}
 	return n
@@ -123,22 +139,32 @@ func (n *Network) SetDelivery(fn noc.DeliveryFunc) { n.deliverFn = fn }
 
 // Send enqueues a packet at its source NIC.
 func (n *Network) Send(p *noc.Packet) bool {
-	q := n.queues[p.Src]
-	if len(q) >= n.cfg.InjectQueue {
+	q := &n.queues[p.Src]
+	if q.n >= n.cfg.InjectQueue {
 		return false
 	}
 	p.Created = n.engine.Now()
-	n.queues[p.Src] = append(q, p)
+	q.push(p, n.cfg.InjectQueue)
+	n.busyNICs.set(p.Src)
 	return true
 }
 
-// Tick advances every router and the injection machinery one cycle.
+// Tick advances the injection machinery and every router one cycle.
+// Idle NICs and empty routers are skipped, which is exact: their tick
+// would change nothing. The busy ones run in ascending id order.
 func (n *Network) Tick(now sim.Cycle) {
-	for i := range n.routers {
-		n.injectTick(i, now)
+	for w, word := range n.busyNICs {
+		for ; word != 0; word &= word - 1 {
+			n.injectTick(w<<6+bits.TrailingZeros64(word), now)
+		}
 	}
-	for _, r := range n.routers {
-		r.tick(now)
+	// A router's tick can empty only itself and fills none (flits arrive
+	// by engine event or from injectTick above), so reading each word
+	// once as the walk reaches it misses nothing.
+	for w, word := range n.busyRouters {
+		for ; word != 0; word &= word - 1 {
+			n.routers[w<<6+bits.TrailingZeros64(word)].tick(now)
+		}
 	}
 }
 
@@ -157,12 +183,14 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 			return
 		}
 	}
-	inj := n.inflight[node]
-	if inj == nil {
-		if len(n.queues[node]) == 0 {
+	inj := &n.inflight[node]
+	if inj.pkt == nil {
+		q := &n.queues[node]
+		if q.n == 0 {
+			// Nothing to send and a full token bank: idle until Send.
+			n.busyNICs.clear(node)
 			return
 		}
-		pkt := n.queues[node][0]
 		// Local delivery without entering the network still pays
 		// serialization through the local port, matching the baseline
 		// simulator's treatment of same-node traffic.
@@ -176,10 +204,10 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 		if vc < 0 {
 			return
 		}
-		n.queues[node] = n.queues[node][1:]
+		pkt := q.front()
+		q.pop()
 		n.vcFree[node][vc] = false
-		inj = &injection{pkt: pkt, vc: vc, start: now}
-		n.inflight[node] = inj
+		*inj = injection{pkt: pkt, vc: vc}
 		pkt.QueuingDelay = int64(now - pkt.Created)
 	}
 	if n.vcCredits[node][inj.vc] <= 0 {
@@ -192,6 +220,7 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 		tail: inj.sentFlit == flits-1,
 	}
 	n.vcCredits[node][inj.vc]--
+	n.flitsIn++
 	n.routers[node].acceptFlit(portLocal, inj.vc, f, now)
 	if n.cfg.BandwidthFrac < 1 {
 		n.bwTokens[node]--
@@ -199,7 +228,7 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 	inj.sentFlit++
 	if inj.sentFlit == flits {
 		n.vcFree[node][inj.vc] = true
-		n.inflight[node] = nil
+		*inj = injection{}
 	}
 }
 

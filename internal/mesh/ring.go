@@ -1,0 +1,46 @@
+package mesh
+
+// ring is a fixed-capacity FIFO. Its users bound its length themselves
+// (credits for VC buffers, InjectQueue for NIC queues), so it never
+// grows; the storage is allocated on the first push because most VCs of
+// a run never hold a flit.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the front element
+	n    int // elements queued
+}
+
+func (r *ring[T]) push(x T, capacity int) {
+	if r.buf == nil {
+		r.buf = make([]T, capacity)
+	}
+	if r.n == len(r.buf) {
+		panic("mesh: push to a full ring: the caller's occupancy bound is broken")
+	}
+	slot := r.head + r.n
+	if slot >= len(r.buf) {
+		slot -= len(r.buf)
+	}
+	r.buf[slot] = x
+	r.n++
+}
+
+// front returns the oldest element; the ring must not be empty.
+func (r *ring[T]) front() T { return r.buf[r.head] }
+
+func (r *ring[T]) pop() {
+	var zero T
+	r.buf[r.head] = zero // do not pin a popped packet
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+}
+
+// bitset is a fixed-size set of node ids, walked in ascending order.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }

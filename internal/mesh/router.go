@@ -5,6 +5,8 @@
 package mesh
 
 import (
+	"math/bits"
+
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
 )
@@ -19,6 +21,10 @@ const (
 	numPorts
 )
 
+// maskBits is the width of the occupancy words: a router's numPorts*VCs
+// input VCs must fit one.
+const maskBits = 64
+
 // flit is the unit of buffering and link transfer.
 type flit struct {
 	pkt     *noc.Packet
@@ -27,30 +33,43 @@ type flit struct {
 	readyAt sim.Cycle // cycle at which the router pipeline releases it
 }
 
-// vc is one virtual-channel input FIFO and its wormhole state.
+// vc is one virtual-channel input FIFO (at most BufferFlits deep, which
+// credits enforce) and its wormhole state.
 type vc struct {
-	fifo    []flit
+	fifo    ring[flit]
 	outPort int // routed output for the current packet (-1 = not routed)
 	outVC   int // downstream VC held by the current packet (-1 = none)
 }
 
 // outputState tracks the downstream side of one output port.
 type outputState struct {
-	creditsPerVC []int  // credits available toward the downstream input VC
-	vcHeld       []bool // whether a downstream VC is currently allocated
-	lastVC       int    // round-robin pointer for VC allocation
-	lastInput    int    // round-robin pointer for switch allocation
+	credits   []int  // credits available toward each downstream input VC
+	held      uint64 // bit v set while downstream VC v is allocated
+	lastVC    int    // round-robin pointer for VC allocation
+	lastInput int    // round-robin pointer for switch allocation
 }
 
 // router is a canonical input-queued VC router. The 4-stage pipeline
 // (route computation, VC allocation, switch allocation, switch traversal)
 // is modeled by delaying each flit RouterCycles after arrival before it
 // may traverse, with allocation contention resolved cycle by cycle.
+//
+// Input VCs are indexed port*VCs+lane; the masks below use the same
+// index as bit position, so ascending bit order is the (port, lane)
+// order allocation has always scanned in.
 type router struct {
 	id      int
+	x, y    int
 	cfg     Config
-	inputs  [numPorts][]*vc
-	outputs [numPorts]*outputState
+	inputs  []vc
+	outputs [numPorts]outputState
+	// occupied has bit i set iff inputs[i] buffers a flit; buffered is
+	// the flit total. A router with buffered == 0 has nothing to
+	// allocate and is not ticked.
+	occupied uint64
+	buffered int
+	// want[p] has bit i set iff inputs[i] is routed to output p.
+	want [numPorts]uint64
 	// neighbor[p] is the router on port p, nil at mesh edges / local.
 	neighbor [numPorts]*router
 	// reverse[p] is the port index of this router as seen by neighbor[p].
@@ -59,37 +78,32 @@ type router struct {
 }
 
 func newRouter(id int, cfg Config, net *Network) *router {
-	r := &router{id: id, cfg: cfg, net: net}
-	for p := 0; p < numPorts; p++ {
-		r.inputs[p] = make([]*vc, cfg.VCs)
-		for v := range r.inputs[p] {
-			r.inputs[p][v] = &vc{outPort: -1, outVC: -1}
-		}
-		out := &outputState{
-			creditsPerVC: make([]int, cfg.VCs),
-			vcHeld:       make([]bool, cfg.VCs),
-		}
-		for v := range out.creditsPerVC {
-			out.creditsPerVC[v] = cfg.BufferFlits
-		}
-		r.outputs[p] = out
+	r := &router{id: id, x: id % cfg.Dim, y: id / cfg.Dim, cfg: cfg, net: net}
+	r.inputs = make([]vc, numPorts*cfg.VCs)
+	for i := range r.inputs {
+		r.inputs[i].outPort, r.inputs[i].outVC = -1, -1
+	}
+	credits := make([]int, numPorts*cfg.VCs)
+	for i := range credits {
+		credits[i] = cfg.BufferFlits
+	}
+	for p := range r.outputs {
+		r.outputs[p].credits = credits[p*cfg.VCs : (p+1)*cfg.VCs]
 	}
 	return r
 }
 
 // xyRoute computes the output port for dst under dimension-order routing.
 func (r *router) xyRoute(dst int) int {
-	dim := r.cfg.Dim
-	myX, myY := r.id%dim, r.id/dim
-	dX, dY := dst%dim, dst/dim
+	dX, dY := dst%r.cfg.Dim, dst/r.cfg.Dim
 	switch {
-	case dX > myX:
+	case dX > r.x:
 		return portEast
-	case dX < myX:
+	case dX < r.x:
 		return portWest
-	case dY > myY:
+	case dY > r.y:
 		return portSouth
-	case dY < myY:
+	case dY < r.y:
 		return portNorth
 	default:
 		return portLocal
@@ -99,103 +113,122 @@ func (r *router) xyRoute(dst int) int {
 // acceptFlit buffers a flit arriving on input port p, VC v.
 func (r *router) acceptFlit(p, v int, f flit, now sim.Cycle) {
 	f.readyAt = now + sim.Cycle(r.cfg.RouterCycles)
-	r.inputs[p][v].fifo = append(r.inputs[p][v].fifo, f)
+	idx := p*r.cfg.VCs + v
+	r.inputs[idx].fifo.push(f, r.cfg.BufferFlits)
+	r.occupied |= 1 << idx
+	if r.buffered++; r.buffered == 1 {
+		r.net.busyRouters.set(r.id)
+	}
+}
+
+// pop removes the front flit of input VC idx, returns its buffer slot
+// upstream, and ends the packet's hold on the VC after a tail.
+func (r *router) pop(idx int, tail bool) {
+	in := &r.inputs[idx]
+	if in.fifo.pop(); in.fifo.n == 0 {
+		r.occupied &^= 1 << idx
+	}
+	if r.buffered--; r.buffered == 0 {
+		r.net.busyRouters.clear(r.id)
+	}
+	if tail {
+		r.want[in.outPort] &^= 1 << idx
+		in.outPort, in.outVC = -1, -1
+	}
+	r.returnCredit(idx/r.cfg.VCs, idx%r.cfg.VCs)
 }
 
 // tick performs one cycle of allocation and traversal. Determinism comes
-// from fixed iteration order with rotating round-robin pointers.
+// from fixed iteration order with rotating round-robin pointers. Only
+// occupied VCs are visited: an empty VC takes no part in either stage,
+// and no round-robin pointer moves without a grant.
 func (r *router) tick(now sim.Cycle) {
 	// Stage 1: route computation + VC allocation for head flits at the
 	// front of each input VC.
-	for p := 0; p < numPorts; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			in := r.inputs[p][v]
-			if len(in.fifo) == 0 {
-				continue
-			}
-			f := in.fifo[0]
-			if !f.head || f.readyAt > now {
-				continue
-			}
-			if in.outPort < 0 {
-				in.outPort = r.xyRoute(f.pkt.Dst)
-			}
-			if in.outVC < 0 && in.outPort != portLocal {
-				out := r.outputs[in.outPort]
-				for i := 0; i < r.cfg.VCs; i++ {
-					cand := (out.lastVC + 1 + i) % r.cfg.VCs
-					if !out.vcHeld[cand] {
-						out.vcHeld[cand] = true
-						out.lastVC = cand
-						in.outVC = cand
-						break
-					}
-				}
+	for m := r.occupied; m != 0; m &= m - 1 {
+		idx := bits.TrailingZeros64(m)
+		in := &r.inputs[idx]
+		f := in.fifo.front()
+		if !f.head || f.readyAt > now {
+			continue
+		}
+		if in.outPort < 0 {
+			in.outPort = r.xyRoute(f.pkt.Dst)
+			r.want[in.outPort] |= 1 << idx
+		}
+		if in.outVC < 0 && in.outPort != portLocal {
+			out := &r.outputs[in.outPort]
+			if free := ^out.held & (1<<r.cfg.VCs - 1); free != 0 {
+				cand := firstFrom(free, out.lastVC+1)
+				out.held |= 1 << cand
+				out.lastVC = cand
+				in.outVC = cand
 			}
 		}
 	}
 
 	// Stage 2: switch allocation + traversal. Each output accepts at most
 	// one flit per cycle; each input VC sends at most one flit per cycle.
-	for outPort := 0; outPort < numPorts; outPort++ {
-		out := r.outputs[outPort]
-		claimed := false
-		for i := 0; i < numPorts*r.cfg.VCs && !claimed; i++ {
-			idx := (out.lastInput + 1 + i) % (numPorts * r.cfg.VCs)
-			p, v := idx/r.cfg.VCs, idx%r.cfg.VCs
-			in := r.inputs[p][v]
-			if len(in.fifo) == 0 || in.outPort != outPort {
-				continue
-			}
-			f := in.fifo[0]
-			if f.readyAt > now {
-				continue
-			}
-			if outPort == portLocal {
-				// Ejection: consume the flit; deliver on tail.
-				r.consume(in, p, v, f, now)
-				out.lastInput = idx
-				claimed = true
-				continue
-			}
-			if in.outVC < 0 || out.creditsPerVC[in.outVC] <= 0 {
-				continue
-			}
-			// Traverse switch and link: arrives downstream after link
-			// latency.
-			out.creditsPerVC[in.outVC]--
-			r.forward(in, p, v, f, outPort, now)
-			out.lastInput = idx
-			claimed = true
+	for outPort := range r.outputs {
+		cand := r.want[outPort] & r.occupied
+		if cand == 0 {
+			continue
+		}
+		out := &r.outputs[outPort]
+		// Round-robin from lastInput+1: the bits at or above it, then
+		// the wrap-around below it.
+		below := uint64(1)<<(out.lastInput+1) - 1
+		if !r.grant(outPort, cand&^below, now) {
+			r.grant(outPort, cand&below, now)
 		}
 	}
 }
 
-// consume ejects a flit at the local port.
-func (r *router) consume(in *vc, p, v int, f flit, now sim.Cycle) {
-	in.fifo = in.fifo[1:]
-	r.returnCredit(p, v)
-	if f.tail {
-		in.outPort, in.outVC = -1, -1
-		r.net.deliver(f.pkt, now)
+// grant sends the front flit of the lowest-indexed input VC in cand that
+// can use outPort this cycle, and reports whether one did.
+func (r *router) grant(outPort int, cand uint64, now sim.Cycle) bool {
+	out := &r.outputs[outPort]
+	for ; cand != 0; cand &= cand - 1 {
+		idx := bits.TrailingZeros64(cand)
+		in := &r.inputs[idx]
+		f := in.fifo.front()
+		if f.readyAt > now {
+			continue
+		}
+		if outPort == portLocal {
+			// Ejection: consume the flit; deliver on tail.
+			r.pop(idx, f.tail)
+			r.net.flitsOut++
+			if f.tail {
+				r.net.deliver(f.pkt, now)
+			}
+		} else {
+			if in.outVC < 0 || out.credits[in.outVC] <= 0 {
+				continue
+			}
+			out.credits[in.outVC]--
+			r.forward(idx, f, outPort, now)
+		}
+		out.lastInput = idx
+		return true
 	}
+	return false
 }
 
-// forward moves a flit to the downstream router.
-func (r *router) forward(in *vc, p, v int, f flit, outPort int, now sim.Cycle) {
-	in.fifo = in.fifo[1:]
-	r.returnCredit(p, v)
+// forward moves a flit to the downstream router, which it reaches after
+// the link latency.
+func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
 	next := r.neighbor[outPort]
 	dstPort := r.reverse[outPort]
-	dstVC := in.outVC
+	dstVC := r.inputs[idx].outVC
 	if f.tail {
 		// Release the downstream VC once the tail is in flight; the
 		// downstream hold is released when the tail leaves that buffer,
 		// approximated here by releasing on hand-off, which is safe
 		// because credits still bound buffer occupancy.
-		r.outputs[outPort].vcHeld[dstVC] = false
-		in.outPort, in.outVC = -1, -1
+		r.outputs[outPort].held &^= 1 << dstVC
 	}
+	r.pop(idx, f.tail)
 	// The downstream router may live on another shard: hand the flit to
 	// the engine through the shard-aware router so it lands on the
 	// owner's queue. The link traversal is exactly the Lookahead()
@@ -206,7 +239,9 @@ func (r *router) forward(in *vc, p, v int, f flit, outPort int, now sim.Cycle) {
 	})
 }
 
-// returnCredit gives a buffer slot back to the upstream router.
+// returnCredit gives a buffer slot back to the upstream router. It never
+// wakes that router: a credit only matters to a flit buffered there, and
+// a router with one is already ticking.
 func (r *router) returnCredit(p, v int) {
 	if p == portLocal {
 		r.net.injectCredit(r.id, v)
@@ -216,6 +251,14 @@ func (r *router) returnCredit(p, v int) {
 	if up == nil {
 		return
 	}
-	upPort := r.reverse[p]
-	up.outputs[upPort].creditsPerVC[v]++
+	up.outputs[r.reverse[p]].credits[v]++
+}
+
+// firstFrom returns the lowest set bit of m at or above start, wrapping
+// to the lowest set bit overall; m must be non-zero.
+func firstFrom(m uint64, start int) int {
+	if hi := m &^ (1<<start - 1); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
 }
