@@ -136,9 +136,15 @@ func TestBandwidthThrottleSlowsDelivery(t *testing.T) {
 		return engine.Now()
 	}
 	full := run(1.0)
+	most := run(0.89)
 	half := run(0.5)
 	if half <= full {
 		t.Fatalf("halved bandwidth must slow the burst: full=%d half=%d", full, half)
+	}
+	// The fractional carry must survive a send: a bank capped at one
+	// flit before spending makes every fraction in (0.5, 1) behave as 0.5.
+	if most <= full || most >= half {
+		t.Fatalf("0.89 bandwidth must land strictly between full and half: full=%d 0.89=%d half=%d", full, most, half)
 	}
 }
 

@@ -168,28 +168,42 @@ func (n *Network) Tick(now sim.Cycle) {
 	}
 }
 
-// injectTick pushes at most one flit of the node's current packet into
-// the router's local input port.
+// injectTick gives node's NIC its cycle: at most one flit, and under a
+// BandwidthFrac throttle only as fast as the token bank allows.
 func (n *Network) injectTick(node int, now sim.Cycle) {
+	idle := n.inflight[node].pkt == nil && n.queues[node].n == 0
 	if n.cfg.BandwidthFrac < 1 {
-		// A narrower channel stretches per-flit serialization (1/frac
-		// cycles per flit); the token bank is capped so idle periods do
-		// not accumulate burst credit.
-		n.bwTokens[node] += n.cfg.BandwidthFrac
-		if n.bwTokens[node] > 1 {
-			n.bwTokens[node] = 1
+		// A narrower channel stretches per-flit serialization to 1/frac
+		// cycles: every cycle banks frac of a flit and a flit spends 1,
+		// the remainder carrying over so the long-run rate is frac. A
+		// cycle that sends nothing caps the bank at one flit, so neither
+		// idle nor blocked periods accumulate burst credit.
+		tokens := n.bwTokens[node] + n.cfg.BandwidthFrac
+		switch {
+		case tokens >= 1 && n.injectFlit(node, now):
+			tokens--
+		case tokens > 1:
+			tokens = 1
 		}
-		if n.bwTokens[node] < 1 {
-			return
-		}
+		n.bwTokens[node] = tokens
+		idle = idle && tokens >= 1 // a filling bank still needs its ticks
+	} else if !idle {
+		n.injectFlit(node, now)
 	}
+	if idle {
+		n.busyNICs.clear(node)
+	}
+}
+
+// injectFlit pushes the next flit of node's current packet into the
+// router's local input port, starting the next queued packet if none is
+// in flight, and reports whether a flit went.
+func (n *Network) injectFlit(node int, now sim.Cycle) bool {
 	inj := &n.inflight[node]
 	if inj.pkt == nil {
 		q := &n.queues[node]
 		if q.n == 0 {
-			// Nothing to send and a full token bank: idle until Send.
-			n.busyNICs.clear(node)
-			return
+			return false
 		}
 		// Local delivery without entering the network still pays
 		// serialization through the local port, matching the baseline
@@ -202,7 +216,7 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 			}
 		}
 		if vc < 0 {
-			return
+			return false
 		}
 		pkt := q.front()
 		q.pop()
@@ -211,7 +225,7 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 		pkt.QueuingDelay = int64(now - pkt.Created)
 	}
 	if n.vcCredits[node][inj.vc] <= 0 {
-		return
+		return false
 	}
 	flits := inj.pkt.Type.Flits()
 	f := flit{
@@ -222,14 +236,12 @@ func (n *Network) injectTick(node int, now sim.Cycle) {
 	n.vcCredits[node][inj.vc]--
 	n.flitsIn++
 	n.routers[node].acceptFlit(portLocal, inj.vc, f, now)
-	if n.cfg.BandwidthFrac < 1 {
-		n.bwTokens[node]--
-	}
 	inj.sentFlit++
 	if inj.sentFlit == flits {
 		n.vcFree[node][inj.vc] = true
 		*inj = injection{}
 	}
+	return true
 }
 
 // injectCredit returns a local-port buffer slot for node's VC v.
