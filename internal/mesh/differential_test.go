@@ -24,13 +24,19 @@ type traffic struct {
 	cycles  int
 }
 
-// drive offers the same seeded packet sequence the other implementation
-// gets, runs until the network has drained, and returns the arrivals in
-// delivery order. each runs after every cycle.
-func (tr traffic) drive(t *testing.T, engine *sim.Engine, send func(*noc.Packet) bool, setDelivery func(noc.DeliveryFunc), each func()) []arrival {
+// sender is what drive needs of the mesh and of its reference model.
+type sender interface {
+	Send(*noc.Packet) bool
+	SetDelivery(noc.DeliveryFunc)
+}
+
+// drive offers net the packet sequence tr's seed determines, runs until
+// the network has drained, and returns the arrivals in delivery order.
+// each runs after every cycle. net must be ticked by engine.
+func (tr traffic) drive(t *testing.T, engine *sim.Engine, net sender, each func()) []arrival {
 	t.Helper()
 	var got []arrival
-	setDelivery(func(p *noc.Packet, now sim.Cycle) {
+	net.SetDelivery(func(p *noc.Packet, now sim.Cycle) {
 		got = append(got, arrival{p.ID, p.QueuingDelay, p.NetworkDelay, now})
 	})
 	rng := sim.NewRNG(tr.seed)
@@ -52,7 +58,7 @@ func (tr traffic) drive(t *testing.T, engine *sim.Engine, send func(*noc.Packet)
 				typ = noc.Data
 			}
 			id++
-			if send(&noc.Packet{ID: id, Src: node, Dst: dst, Type: typ}) {
+			if net.Send(&noc.Packet{ID: id, Src: node, Dst: dst, Type: typ}) {
 				sent++
 			}
 		}
@@ -75,12 +81,12 @@ func (tr traffic) matchReference(t *testing.T) {
 	refEngine := sim.NewEngine()
 	ref := newRefNetwork(tr.cfg, refEngine)
 	refEngine.Register(sim.TickFunc(ref.Tick))
-	want := tr.drive(t, refEngine, ref.Send, ref.SetDelivery, func() {})
+	want := tr.drive(t, refEngine, ref, func() {})
 
 	engine := sim.NewEngine()
 	n := New(tr.cfg, engine)
 	engine.Register(sim.TickFunc(n.Tick))
-	got := tr.drive(t, engine, n.Send, n.SetDelivery, func() { n.checkInvariants(t, engine.Pending()) })
+	got := tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Pending()) })
 
 	if len(got) != len(want) {
 		t.Fatalf("delivered %d packets, reference delivered %d", len(got), len(want))

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"math/bits"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -94,11 +93,7 @@ func (n *Ideal) hops(a, b int) int {
 // schedules its contention-free delivery. Nodes are served in ascending
 // id order; one with an empty queue has nothing to start.
 func (n *Ideal) Tick(now sim.Cycle) {
-	for w, word := range n.queued {
-		for ; word != 0; word &= word - 1 {
-			n.start(w<<6+bits.TrailingZeros64(word), now)
-		}
-	}
+	n.queued.each(func(node int) { n.start(node, now) })
 }
 
 // start begins serializing node's oldest queued packet if its serializer
@@ -108,8 +103,8 @@ func (n *Ideal) start(node int, now sim.Cycle) {
 		return
 	}
 	q := &n.queues[node]
-	p := q.front()
-	if q.pop(); q.n == 0 {
+	p := q.pop()
+	if q.n == 0 {
 		n.queued.clear(node)
 	}
 	ser := sim.Cycle(p.Type.Flits())

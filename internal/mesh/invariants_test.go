@@ -1,11 +1,9 @@
 package mesh
 
 import (
-	"math/bits"
 	"strings"
 	"testing"
 
-	"fsoi/internal/noc"
 	"fsoi/internal/sim"
 )
 
@@ -41,7 +39,7 @@ func (n *Network) checkInvariants(t testing.TB, onLink int) {
 		if r.buffered != sum {
 			t.Fatalf("router %d: buffered = %d, FIFOs hold %d", r.id, r.buffered, sum)
 		}
-		if got := n.busyRouters[r.id>>6]>>(r.id&63)&1 == 1; got != (sum > 0) {
+		if got := n.busyRouters.has(r.id); got != (sum > 0) {
 			t.Fatalf("router %d: busy bit %v with %d flits buffered", r.id, got, sum)
 		}
 		buffered += sum
@@ -78,45 +76,22 @@ func (n *Network) checkInvariants(t testing.TB, onLink int) {
 	for node := range n.queues {
 		work := n.queues[node].n > 0 || n.inflight[node].pkt != nil ||
 			(n.cfg.BandwidthFrac < 1 && n.bwTokens[node] < 1)
-		if work && n.busyNICs[node>>6]>>(node&63)&1 == 0 {
+		if work && !n.busyNICs.has(node) {
 			t.Fatalf("node %d has injection work but is not in the busy set", node)
 		}
 	}
 }
 
-// stress drives seeded random traffic through n for cycles cycles, then
-// lets it drain, checking the invariants after every cycle, and returns
-// how many packets were accepted. Nothing else schedules on engine, so
-// its pending events are exactly the flits on links.
-func stress(t *testing.T, n *Network, engine *sim.Engine, delivered *[]*noc.Packet, seed uint64, cycles int, rate float64) int {
+// stress drives tr through n until it drains (drive fails the test if a
+// packet is lost), checking the invariants after every cycle. Nothing
+// else schedules on engine, so its pending events are exactly the flits
+// on links.
+func stress(t *testing.T, n *Network, engine *sim.Engine, tr traffic) {
 	t.Helper()
-	rng := sim.NewRNG(seed)
-	nodes := n.NumNodes()
-	sent := 0
-	step := func() {
-		engine.Run(1)
-		n.checkInvariants(t, engine.Pending())
-	}
-	for cyc := 0; cyc < cycles; cyc++ {
-		step()
-		for node := 0; node < nodes; node++ {
-			if !rng.Bool(rate) {
-				continue
-			}
-			typ := noc.Meta
-			if rng.Bool(0.4) {
-				typ = noc.Data
-			}
-			if n.Send(&noc.Packet{Src: node, Dst: rng.Intn(nodes), Type: typ}) {
-				sent++
-			}
-		}
-	}
-	for i := 0; i < 20000 && len(*delivered) < sent; i++ {
-		step()
-	}
-	return sent
+	tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Pending()) })
 }
+
+func (b bitset) has(i int) bool { return b[i>>6]>>(i&63)&1 == 1 }
 
 func TestInvariantsHoldUnderStress(t *testing.T) {
 	for _, tc := range []struct {
@@ -133,13 +108,10 @@ func TestInvariantsHoldUnderStress(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := PaperMesh(4)
 			tc.cfg(&cfg)
-			n, engine, delivered := testMesh(t, cfg)
-			sent := stress(t, n, engine, delivered, 5, 1500, tc.rate)
-			if len(*delivered) != sent || sent == 0 {
-				t.Fatalf("delivered %d of %d", len(*delivered), sent)
-			}
+			n, engine, _ := testMesh(t, cfg)
+			stress(t, n, engine, traffic{seed: 5, cfg: cfg, rate: tc.rate, cycles: 1500})
 			for _, r := range n.routers {
-				if bits.OnesCount64(r.occupied) != 0 {
+				if r.occupied != 0 {
 					t.Fatalf("router %d still occupied after the drain", r.id)
 				}
 			}

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"math/bits"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -153,19 +152,10 @@ func (n *Network) Send(p *noc.Packet) bool {
 // Idle NICs and empty routers are skipped, which is exact: their tick
 // would change nothing. The busy ones run in ascending id order.
 func (n *Network) Tick(now sim.Cycle) {
-	for w, word := range n.busyNICs {
-		for ; word != 0; word &= word - 1 {
-			n.injectTick(w<<6+bits.TrailingZeros64(word), now)
-		}
-	}
-	// A router's tick can empty only itself and fills none (flits arrive
-	// by engine event or from injectTick above), so reading each word
-	// once as the walk reaches it misses nothing.
-	for w, word := range n.busyRouters {
-		for ; word != 0; word &= word - 1 {
-			n.routers[w<<6+bits.TrailingZeros64(word)].tick(now)
-		}
-	}
+	n.busyNICs.each(func(node int) { n.injectTick(node, now) })
+	// A router's tick can empty only itself and fills none: flits arrive
+	// by engine event or from injectTick above.
+	n.busyRouters.each(func(id int) { n.routers[id].tick(now) })
 }
 
 // injectTick gives node's NIC its cycle: at most one flit, and under a
@@ -218,8 +208,7 @@ func (n *Network) injectFlit(node int, now sim.Cycle) bool {
 		if vc < 0 {
 			return false
 		}
-		pkt := q.front()
-		q.pop()
+		pkt := q.pop()
 		n.vcFree[node][vc] = false
 		*inj = injection{pkt: pkt, vc: vc}
 		pkt.QueuingDelay = int64(now - pkt.Created)

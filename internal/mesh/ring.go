@@ -1,5 +1,7 @@
 package mesh
 
+import "math/bits"
+
 // ring is a fixed-capacity FIFO. Its users bound its length themselves
 // (credits for VC buffers, InjectQueue for NIC queues), so it never
 // grows; the storage is allocated on the first push because most VCs of
@@ -28,13 +30,16 @@ func (r *ring[T]) push(x T, capacity int) {
 // front returns the oldest element; the ring must not be empty.
 func (r *ring[T]) front() T { return r.buf[r.head] }
 
-func (r *ring[T]) pop() {
+// pop removes and returns the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
 	var zero T
+	x := r.buf[r.head]
 	r.buf[r.head] = zero // do not pin a popped packet
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
 	}
 	r.n--
+	return x
 }
 
 // bitset is a fixed-size set of node ids, walked in ascending order.
@@ -44,3 +49,14 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// each calls f on every member in ascending order. It reads a word once,
+// when the walk reaches it, so f may remove any member but must not add
+// one to the word being walked.
+func (b bitset) each(f func(int)) {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+}
