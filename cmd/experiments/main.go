@@ -66,7 +66,7 @@ func (s *fileSink) Close() error {
 }
 
 func main() {
-	run := flag.String("run", "all", "experiment id (table1, fig3..fig11, table4, hints, llsc, corona, frontier, faults) or 'all'")
+	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(exp.IDs(), ", ")+") or 'all'")
 	scale := flag.Float64("scale", 0.5, "workload scale factor (1.0 = full size)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	trials := flag.Int("trials", 30000, "Monte Carlo trials")
@@ -79,8 +79,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range exp.Registry {
-			fmt.Println(e.ID)
+		for _, id := range exp.IDs() {
+			fmt.Println(id)
 		}
 		return
 	}

@@ -13,18 +13,18 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"strings"
 
 	"fsoi/internal/config"
 	"fsoi/internal/core"
 	"fsoi/internal/obs"
-	"fsoi/internal/optnet"
 	"fsoi/internal/system"
 	"fsoi/internal/workload"
 )
 
 func main() {
 	appName := flag.String("app", "jacobi", "application (see -listapps)")
-	netName := flag.String("net", "fsoi", "interconnect: fsoi | mesh | L0 | Lr1 | Lr2 | corona | any optnet topology (matrix, snake, ...)")
+	netName := flag.String("net", "fsoi", "interconnect: "+strings.Join(system.Networks(), " | "))
 	nodes := flag.Int("nodes", 16, "node count (16 or 64)")
 	scale := flag.Float64("scale", 0.5, "workload scale factor")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -54,20 +54,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fsoisim: unknown app %q (use -listapps)\n", *appName)
 		os.Exit(2)
 	}
-	kind, ok := map[string]system.NetworkKind{
-		"fsoi": system.NetFSOI, "mesh": system.NetMesh, "L0": system.NetL0,
-		"Lr1": system.NetLr1, "Lr2": system.NetLr2, "corona": system.NetCorona,
-	}[*netName]
-	cfg := system.Default(*nodes, kind)
-	if !ok {
-		// Fall back to the optical-topology registry (matrix, snake, ...).
-		if _, reg := optnet.Get(*netName); !reg {
-			fmt.Fprintf(os.Stderr, "fsoisim: unknown network %q (optical topologies: %v)\n",
-				*netName, optnet.Names())
-			os.Exit(2)
-		}
-		cfg = system.DefaultOptical(*nodes, *netName)
+	kind, err := system.ParseNetwork(*netName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fsoisim:", err)
+		os.Exit(2)
 	}
+	cfg := system.Default(*nodes, kind)
 	cfg.Seed = *seed
 	cfg.Memory.TotalGBps = *memGBps
 	if *noOpt {
@@ -105,6 +97,10 @@ func main() {
 	}
 	if *par > 0 {
 		cfg.ParWorkers = *par
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "fsoisim:", err)
+		os.Exit(2)
 	}
 	s := system.New(cfg)
 	if *profilePath != "" {

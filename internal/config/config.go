@@ -13,7 +13,6 @@ import (
 	"fsoi/internal/adversary"
 	"fsoi/internal/core"
 	"fsoi/internal/fault"
-	"fsoi/internal/optnet"
 	"fsoi/internal/sim"
 	"fsoi/internal/system"
 	"fsoi/internal/thermal"
@@ -24,7 +23,7 @@ import (
 // network, so a spec needs to mention only what it changes.
 type Spec struct {
 	Nodes   int     `json:"nodes"`           // 16 or 64
-	Network string  `json:"network"`         // fsoi | mesh | L0 | Lr1 | Lr2 | corona | any optnet topology
+	Network string  `json:"network"`         // any system.Networks() name: L0 Lr1 Lr2 corona fsoi matrix mesh snake
 	App     string  `json:"app,omitempty"`   // workload name
 	Scale   float64 `json:"scale,omitempty"` // workload scale factor
 	Seed    uint64  `json:"seed,omitempty"`
@@ -174,12 +173,6 @@ func (f FaultSpec) build() (fault.Config, error) {
 	return cfg, nil
 }
 
-// networkKinds maps spec names to system kinds.
-var networkKinds = map[string]system.NetworkKind{
-	"fsoi": system.NetFSOI, "mesh": system.NetMesh, "L0": system.NetL0,
-	"Lr1": system.NetLr1, "Lr2": system.NetLr2, "corona": system.NetCorona,
-}
-
 // Load reads a Spec from a JSON file.
 func Load(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
@@ -211,16 +204,11 @@ func (s Spec) Build() (system.Config, error) {
 	if netName == "" {
 		netName = "fsoi"
 	}
-	kind, ok := networkKinds[netName]
-	cfg := system.Default(nodes, kind)
-	if !ok {
-		// Optical-topology registry members (matrix, snake, ...) ride the
-		// NetOptical kind.
-		if _, reg := optnet.Get(netName); !reg {
-			return system.Config{}, fmt.Errorf("config: unknown network %q", netName)
-		}
-		cfg = system.DefaultOptical(nodes, netName)
+	kind, err := system.ParseNetwork(netName)
+	if err != nil {
+		return system.Config{}, fmt.Errorf("config: %w", err)
 	}
+	cfg := system.Default(nodes, kind)
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
 	}
@@ -268,9 +256,6 @@ func (s Spec) Build() (system.Config, error) {
 		}
 		cfg.Adversaries = append(cfg.Adversaries, sp)
 	}
-	if err := adversary.Validate(cfg.Adversaries, cfg.Nodes); len(cfg.Adversaries) > 0 && err != nil {
-		return system.Config{}, fmt.Errorf("config: %w", err)
-	}
 	if s.Detect {
 		cfg.Detect = true
 	}
@@ -303,6 +288,9 @@ func (s Spec) Build() (system.Config, error) {
 		cfg.TracePackets = s.TracePackets
 	}
 	if err := cfg.FSOI.Validate(); kind == system.NetFSOI && err != nil {
+		return system.Config{}, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return system.Config{}, err
 	}
 	return cfg, nil

@@ -181,3 +181,46 @@ func TestBuildFaultRejectsBadSections(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSpecBuild pins the CLI contract: no JSON spec panics Parse or
+// Build, and a spec Build accepts is one system.New accepts too — what
+// a user can get wrong is an error, never a stack trace. Seeds are the
+// five specs that used to panic in New plus the specs CI runs.
+func FuzzSpecBuild(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"network":"mesh","par_workers":2}`,
+		`{"nodes":20}`,
+		`{"network":"mesh","adversaries":[{"role":"jammer","node":15,"victims":[0],"intensity":0.9}]}`,
+		`{"network":"fsoi","par_workers":2,"optimizations":{"ack_elision":true}}`,
+		`{"network":"Mesh"}`,
+		`{"nodes":64,"network":"matrix","shards":4}`,
+		`{"nodes":16,"network":"fsoi","app":"mp3d","scale":0.05,"trace_packets":16,
+		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
+		`{"nodes":64,"network":"fsoi","app":"fft","scale":0.01,"trace_packets":16,"shards":8,"par_workers":2,
+		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
+		`{"nodes":16,"network":"fsoi","app":"jacobi","scale":0.1,"detect":true,"adversaries":[
+		  {"role":"jammer","node":15,"victims":[0],"intensity":0.9},
+		  {"role":"jammer","node":14,"victims":[0],"intensity":0.9}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		cfg, err := spec.Build()
+		if err != nil {
+			return
+		}
+		// Keep assembly cheap: these sizes cost memory and goroutines,
+		// not correctness.
+		if cfg.Nodes > 64 || cfg.Shards > 64 || cfg.ParWorkers > 8 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
+			return
+		}
+		if w := system.New(cfg).WindowEngine(); w != nil {
+			w.Close()
+		}
+	})
+}

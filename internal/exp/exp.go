@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fsoi/internal/analytic"
@@ -96,11 +95,15 @@ type Result struct {
 // Runner regenerates one table or figure.
 type Runner func(o Options) Result
 
-// Registry maps experiment ids to runners, in paper order.
-var Registry = []struct {
+// Entry is one row of the Registry.
+type Entry struct {
 	ID     string
 	Runner Runner
-}{
+}
+
+// Registry maps experiment ids to runners: the paper's tables and
+// figures in paper order, then the extensions.
+var Registry = []Entry{
 	{"table1", Table1},
 	{"fig3", Fig3},
 	{"fig4", Fig4},
@@ -117,6 +120,9 @@ var Registry = []struct {
 	{"corona", Corona},
 	{"frontier", Frontier},
 	{"faults", Faults},
+	{"layout", Layout},
+	{"thermal", Thermal},
+	{"resilience", Resilience},
 }
 
 // Lookup finds a runner by id.
@@ -247,9 +253,6 @@ type simJob struct {
 	kind   system.NetworkKind
 	nodes  int
 	mutate func(*system.Config)
-	// tag overrides the network-kind name in trace labels; grids that
-	// multiplex several topologies through one kind (NetOptical) set it.
-	tag string
 }
 
 // runGrid executes the jobs on up to o.Workers goroutines and returns
@@ -267,11 +270,7 @@ func runGrid(o Options, jobs []simJob) []system.Metrics {
 		// the grid or which finished first.
 		for i, m := range ms {
 			j := jobs[i]
-			label := j.kind.String()
-			if j.tag != "" {
-				label = j.tag
-			}
-			o.Trace.WriteRun(fmt.Sprintf("job%03d %s %s n%d", i, j.app.Name, label, j.nodes), m.Obs)
+			o.Trace.WriteRun(fmt.Sprintf("job%03d %s %s n%d", i, j.app.Name, j.kind, j.nodes), m.Obs)
 		}
 	}
 	return ms
@@ -348,7 +347,7 @@ func speedupStudy(o Options, nodes int) (Result, map[string][]float64) {
 		}
 		for _, kind := range kinds[1:] {
 			sp := row[kind].Speedup(base)
-			speed[kind.String()] = append(speed[kind.String()], sp)
+			speed[string(kind)] = append(speed[string(kind)], sp)
 			cells = append(cells, fmt.Sprintf("%.3f", sp))
 		}
 		t.AddRow(cells...)
@@ -358,10 +357,10 @@ func speedupStudy(o Options, nodes int) (Result, map[string][]float64) {
 	b.WriteString("\ngeometric means: ")
 	chart := stats.NewBarChart("\nspeedup over mesh (geomean)", 40)
 	for _, kind := range kinds[1:] {
-		g := stats.GeoMean(speed[kind.String()])
-		vals["geomean_"+kind.String()] = g
+		g := stats.GeoMean(speed[string(kind)])
+		vals["geomean_"+string(kind)] = g
 		fmt.Fprintf(&b, "%s=%.3f  ", kind, g)
-		chart.Add(kind.String(), g)
+		chart.Add(string(kind), g)
 	}
 	b.WriteString("\n")
 	b.WriteString(chart.String())
@@ -767,12 +766,11 @@ func Corona(o Options) Result {
 		Values: map[string]float64{"ratio": stats.GeoMean(ratios)}}
 }
 
-// IDs lists experiment ids in paper order.
+// IDs lists experiment ids in Registry order.
 func IDs() []string {
 	out := make([]string, len(Registry))
 	for i, e := range Registry {
 		out[i] = e.ID
 	}
-	sort.Strings(out)
 	return out
 }

@@ -220,8 +220,8 @@ func TestFrontierScaleHalf(t *testing.T) {
 
 // TestFrontierWorkerEquivalence extends the parallel-vs-serial contract
 // to the topology-zoo grid: the frontier runs every registered topology
-// through the NetOptical path, and its rendered table must be
-// byte-identical at any worker count.
+// by name, and its rendered table must be byte-identical at any worker
+// count.
 func TestFrontierWorkerEquivalence(t *testing.T) {
 	run := func(workers int) Result {
 		o := tiny()

@@ -10,19 +10,6 @@ import (
 	"fsoi/internal/thermal"
 )
 
-func init() {
-	Registry = append(Registry,
-		struct {
-			ID     string
-			Runner Runner
-		}{"layout", Layout},
-		struct {
-			ID     string
-			Runner Runner
-		}{"thermal", Thermal},
-	)
-}
-
 // Layout reproduces the §4.1 hardware-scale arithmetic: VCSEL counts and
 // photonic-layer area for the dedicated (16-node) and phase-arrayed
 // (64-node) configurations.

@@ -60,8 +60,7 @@ func Frontier(o Options) Result {
 	for _, nodes := range simNodes {
 		for _, name := range names {
 			for _, app := range o.suite() {
-				jobs = append(jobs, simJob{app: app, kind: system.NetOptical, nodes: nodes, tag: name,
-					mutate: func(c *system.Config) { c.Optical = name }})
+				jobs = append(jobs, simJob{app: app, kind: system.NetworkKind(name), nodes: nodes})
 			}
 		}
 	}
@@ -111,11 +110,8 @@ func Frontier(o Options) Result {
 		var bigJobs []simJob
 		for _, nodes := range bigNodes {
 			for _, name := range bigNames {
-				bigJobs = append(bigJobs, simJob{app: bigApp, kind: system.NetOptical, nodes: nodes, tag: name,
-					mutate: func(c *system.Config) {
-						c.Optical = name
-						c.Shards = shards
-					}})
+				bigJobs = append(bigJobs, simJob{app: bigApp, kind: system.NetworkKind(name), nodes: nodes,
+					mutate: func(c *system.Config) { c.Shards = shards }})
 			}
 		}
 		bms := runGrid(o, bigJobs)

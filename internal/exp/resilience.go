@@ -10,15 +10,6 @@ import (
 	"fsoi/internal/system"
 )
 
-func init() {
-	Registry = append(Registry,
-		struct {
-			ID     string
-			Runner Runner
-		}{"resilience", Resilience},
-	)
-}
-
 // defaultIntensities spans the hostile duty-cycle range: at 0.3 an
 // attacker still looks like a busy honest node, at 0.9 it saturates its
 // victim's receiver nearly every slot.

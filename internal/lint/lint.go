@@ -96,9 +96,9 @@ func isSimPackage(rel string) bool {
 var concurrencyAllowlist = []string{
 	"internal/parallel",
 	// The sharded event engine is the one simulation package allowed to
-	// touch host concurrency: its epoch runner fans share-nothing shards
+	// touch host concurrency: its window runner fans node-owning shards
 	// out over the internal/parallel pool, and its exact engine must
-	// stay free to adopt primitives as the epoch path grows. Both are
+	// stay free to adopt primitives as the windowed path grows. Both are
 	// covered by shard-count-invariance tests, which is the determinism
 	// argument the ban exists to force everywhere else.
 	"internal/sim/shard",

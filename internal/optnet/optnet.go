@@ -8,9 +8,9 @@
 // The built-in family (see topologies.go): the Corona-style token
 // crossbar, the matrix/λ-router and snake/SWMR WDM crossbars of
 // arXiv:1512.07492, and the paper's beam-steered FSOI as the reference
-// member. internal/system builds registered topologies through the
-// NetOptical network kind, and the exp "frontier" grid sweeps the whole
-// registry across node counts.
+// member. A registered name is a system.NetworkKind: internal/system
+// builds any member it has no Config knobs for straight from Build, and
+// the exp "frontier" grid sweeps the whole registry across node counts.
 package optnet
 
 import (
@@ -24,7 +24,7 @@ import (
 
 // Topology is one member of the optical-baseline family.
 type Topology struct {
-	// Name selects the topology (system.Config.Optical, -net flags).
+	// Name selects the topology (system.NetworkKind, -net flags).
 	Name string
 	// Description is a one-line summary for listings.
 	Description string

@@ -155,3 +155,44 @@ func TestDoAbandonsAfterPanic(t *testing.T) {
 		t.Fatalf("all %d remaining jobs ran after the panic; dispenser did not abandon", n)
 	}
 }
+
+// TestPoolReuse exercises Pool: many Run calls on one pool, panic
+// propagation, and serial-pool semantics.
+func TestPoolReuse(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	for round := 0; round < 50; round++ {
+		out := make([]int, 37)
+		pool.Run(len(out), func(i int) { out[i] = i * round })
+		for i, v := range out {
+			if v != i*round {
+				t.Fatalf("round %d: out[%d] = %d", round, i, v)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			pe, ok := recover().(*PanicError)
+			if !ok {
+				t.Fatal("pool panic did not propagate as *PanicError")
+			}
+			if pe.Job != 3 {
+				t.Errorf("PanicError.Job = %d, want lowest panicking index 3", pe.Job)
+			}
+		}()
+		pool.Run(8, func(i int) {
+			if i >= 3 {
+				panic("boom")
+			}
+		})
+	}()
+	// The pool must still be usable after a panicking run.
+	sum := make([]int, 8)
+	pool.Run(8, func(i int) { sum[i] = 1 })
+	serial := NewPool(1)
+	if serial.Workers() != 1 {
+		t.Errorf("serial pool Workers() = %d", serial.Workers())
+	}
+	serial.Run(4, func(i int) { sum[i]++ })
+	serial.Close()
+}

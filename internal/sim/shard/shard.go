@@ -1,7 +1,6 @@
 // Package shard implements sharded variants of the simulation engine:
-// per-node-group event queues that advance in lockstepped epochs, with
-// cross-shard work handed off at least one lookahead window ahead of
-// the receiving shard's clock.
+// per-node-group event queues, with cross-shard work handed off at
+// least one lookahead window ahead of the receiving shard's clock.
 //
 // Two engines live here, with different contracts:
 //
@@ -15,12 +14,10 @@
 //     discipline) preserves the serial order, and to meter how much of
 //     the event flow crosses shards under the declared lookahead.
 //
-//   - Epochs (epoch.go) is the parallel mode: share-nothing shard
-//     programs advanced by a worker pool in lookahead-sized epochs,
-//     exchanging messages merged in canonical order at epoch
-//     boundaries. It requires models built for it (per-node RNG
-//     streams, integer stats, all interaction through messages) and
-//     powers the 256/1024-node traffic models in internal/bigsim.
+//   - Windows (windows.go) is the parallel mode: the same full CMP
+//     models advance concurrently through lookahead-wide windows on a
+//     worker pool, byte-identical to itself at every shard and worker
+//     count.
 package shard
 
 import (
@@ -49,7 +46,7 @@ type tickerEntry struct {
 // identically under any placement — but it is what lets the engine
 // meter cross-shard traffic and flag handoffs that arrive closer than
 // the declared lookahead, i.e. exactly the events that would stall a
-// parallel epoch run.
+// parallel windowed run.
 type Engine struct {
 	shards    []sim.Queue
 	tickers   []tickerEntry
@@ -168,7 +165,7 @@ func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // UnderLookahead reports how many cross-shard handoffs arrived closer
 // than the declared lookahead window. Zero means the topology's event
-// flow would sustain a parallel epoch run at that window.
+// flow would sustain a parallel windowed run at that window.
 func (e *Engine) UnderLookahead() uint64 { return e.underLA }
 
 // push assigns the next global sequence number and enqueues on shard k.

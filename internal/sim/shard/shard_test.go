@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"fsoi/internal/parallel"
 	"fsoi/internal/sim"
 )
 
@@ -131,176 +130,4 @@ func TestHandoffMetering(t *testing.T) {
 	if e.NodeShard(-1) != 0 || e.NodeShard(99) != 0 {
 		t.Error("out-of-range nodes should map to shard 0")
 	}
-}
-
-// counterProg is a minimal epoch Program: a ring of nodes where each
-// node, once per cycle with per-node RNG probability, posts a token to
-// a drawn destination node; tokens bounce until their hop budget runs
-// out. All state is per-node and integer, all interaction goes through
-// Post (same-shard included), keys encode (dstNode, srcNode), so the
-// result must be invariant across shard and worker counts.
-type counterProg struct {
-	e        *Epochs
-	shard    int
-	nodes    []int // global node ids owned by this shard
-	owner    []int // node -> shard (shared read-only)
-	rng      []*sim.RNG
-	received []int64 // per local node
-	hops     int64
-}
-
-func (p *counterProg) Recv(now sim.Cycle, key uint64, data any) {
-	dst := int(key >> 32)
-	local := dst - p.nodes[0]
-	p.received[local]++
-	p.hops++
-	budget := data.(int)
-	if budget <= 0 {
-		return
-	}
-	next := p.rng[local].Intn(len(p.owner))
-	p.e.Post(p.shard, p.owner[next], now+2, uint64(next)<<32|uint64(dst), budget-1)
-}
-
-func (p *counterProg) Cycle(now sim.Cycle) {
-	for i, node := range p.nodes {
-		if p.rng[i].Bool(0.1) {
-			dst := p.rng[i].Intn(len(p.owner))
-			p.e.Post(p.shard, p.owner[dst], now+2, uint64(dst)<<32|uint64(node), 3)
-		}
-	}
-}
-
-// runCounterModel builds the token-ring model at a shard and worker
-// count and returns its per-node receive counts plus total hops.
-func runCounterModel(t *testing.T, nodes, shards, workers int, cycles sim.Cycle) ([]int64, int64) {
-	t.Helper()
-	owner := make([]int, nodes)
-	for i := range owner {
-		owner[i] = i * shards / nodes
-	}
-	root := sim.NewRNG(99)
-	progs := make([]Program, shards)
-	cps := make([]*counterProg, shards)
-	for s := range progs {
-		cps[s] = &counterProg{shard: s, owner: owner}
-		progs[s] = cps[s]
-	}
-	for node := range owner {
-		cp := cps[owner[node]]
-		cp.nodes = append(cp.nodes, node)
-		cp.rng = append(cp.rng, root.NewStream(fmt.Sprintf("node-%d", node)))
-		cp.received = append(cp.received, 0)
-	}
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	e := NewEpochs(progs, 2, pool)
-	for s := range cps {
-		cps[s].e = e
-	}
-	e.Run(cycles)
-	out := make([]int64, nodes)
-	var hops int64
-	for _, cp := range cps {
-		for i, node := range cp.nodes {
-			out[node] = cp.received[i]
-		}
-		hops += cp.hops
-	}
-	if e.Posted() == 0 {
-		t.Fatal("model posted no messages — test is vacuous")
-	}
-	return out, hops
-}
-
-// TestEpochInvariance runs the same message-passing model at shard
-// counts 1/2/4/8 and worker counts 1/2/4 and requires identical
-// per-node results: the epoch engine's shard- and worker-count
-// invariance contract, end to end.
-func TestEpochInvariance(t *testing.T) {
-	const nodes, cycles = 16, 400
-	want, wantHops := runCounterModel(t, nodes, 1, 1, cycles)
-	if wantHops == 0 {
-		t.Fatal("no hops in reference run")
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 2, 4} {
-			got, hops := runCounterModel(t, nodes, shards, workers, cycles)
-			if hops != wantHops {
-				t.Errorf("shards=%d workers=%d: %d hops, want %d", shards, workers, hops, wantHops)
-			}
-			for n := range want {
-				if got[n] != want[n] {
-					t.Fatalf("shards=%d workers=%d: node %d received %d, want %d",
-						shards, workers, n, got[n], want[n])
-				}
-			}
-		}
-	}
-}
-
-// TestPostUnderLookaheadPanics pins the epoch engine's guard: a post
-// closer than the lookahead floor must panic, not skew results.
-func TestPostUnderLookaheadPanics(t *testing.T) {
-	pool := parallel.NewPool(1)
-	defer pool.Close()
-	bad := &badProg{}
-	e := NewEpochs([]Program{bad}, 4, pool)
-	bad.e = e
-	defer func() {
-		if recover() == nil {
-			t.Fatal("under-lookahead Post did not panic")
-		}
-	}()
-	e.Run(8)
-}
-
-type badProg struct{ e *Epochs }
-
-func (p *badProg) Recv(now sim.Cycle, key uint64, data any) {}
-func (p *badProg) Cycle(now sim.Cycle) {
-	if now == 5 {
-		p.e.Post(0, 0, now+1, 0, nil) // floor is epoch start + 4
-	}
-}
-
-// TestPoolReuse exercises parallel.Pool directly: many Run calls on
-// one pool, panic propagation, and serial-pool semantics.
-func TestPoolReuse(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for round := 0; round < 50; round++ {
-		out := make([]int, 37)
-		pool.Run(len(out), func(i int) { out[i] = i * round })
-		for i, v := range out {
-			if v != i*round {
-				t.Fatalf("round %d: out[%d] = %d", round, i, v)
-			}
-		}
-	}
-	func() {
-		defer func() {
-			pe, ok := recover().(*parallel.PanicError)
-			if !ok {
-				t.Fatal("pool panic did not propagate as *PanicError")
-			}
-			if pe.Job != 3 {
-				t.Errorf("PanicError.Job = %d, want lowest panicking index 3", pe.Job)
-			}
-		}()
-		pool.Run(8, func(i int) {
-			if i >= 3 {
-				panic("boom")
-			}
-		})
-	}()
-	// The pool must still be usable after a panicking run.
-	sum := make([]int, 8)
-	pool.Run(8, func(i int) { sum[i] = 1 })
-	serial := parallel.NewPool(1)
-	if serial.Workers() != 1 {
-		t.Errorf("serial pool Workers() = %d", serial.Workers())
-	}
-	serial.Run(4, func(i int) { sum[i]++ })
-	serial.Close()
 }

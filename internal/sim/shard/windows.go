@@ -7,7 +7,7 @@ import (
 	"fsoi/internal/sim"
 )
 
-// This file implements the third engine in the package: Windows, the
+// This file implements the second engine in the package: Windows, the
 // conservative parallel runner for full CMP simulations. Where the
 // exact Engine proves the sharded schedule preserves the serial order
 // on one goroutine, Windows actually runs the shards concurrently: all
@@ -19,11 +19,11 @@ import (
 //
 // The determinism contract differs from the exact engine's. Exact mode
 // is byte-identical to the *serial* engine; Windows is byte-identical
-// to *itself* at every shard count and every worker count (the epoch
-// contract, now for the real models). Worker-count invariance is
-// structural: within a window shards touch only their own state, their
-// own out-buffers, and their own nodes' sequence counters, and the
-// commit order is invisible because the heap key is a total order.
+// to *itself* at every shard count and every worker count. Worker-count
+// invariance is structural: within a window shards touch only their own
+// state, their own out-buffers, and their own nodes' sequence counters,
+// and the commit order is invisible because the heap key is a total
+// order.
 // Shard-count invariance is a model contract made checkable: every
 // event carries the partition-invariant key (at, schedulingNode,
 // perNodeSeq) — never a shard index, never a global counter — so the

@@ -135,19 +135,27 @@ func TestAdversaryRunsAreDeterministicAndShardEquivalent(t *testing.T) {
 }
 
 func TestAdversaryRosterRejectedAtBuild(t *testing.T) {
-	for _, bad := range [][]adversary.Spec{
-		{{Role: adversary.RoleJammer, Node: 15, Victims: []int{15}, Intensity: 0.5}}, // self-targeting
-		{{Role: adversary.RoleJammer, Node: 99, Victims: []int{0}, Intensity: 0.5}},  // out of range
+	jam := func(node, victim int) adversary.Spec {
+		return adversary.Spec{Role: adversary.RoleJammer, Node: node, Victims: []int{victim}, Intensity: 0.5}
+	}
+	everyone := make([]adversary.Spec, 16)
+	for i := range everyone {
+		everyone[i] = jam(i, (i+1)%16)
+	}
+	for _, c := range []struct {
+		net  NetworkKind
+		bad  []adversary.Spec
+		want string
+	}{
+		{NetFSOI, []adversary.Spec{jam(15, 15)}, "adversary"}, // self-targeting
+		{NetFSOI, []adversary.Spec{jam(99, 0)}, "adversary"},  // out of range
+		{NetFSOI, everyone, "honest node"},
+		{NetMesh, []adversary.Spec{jam(15, 0)}, "FSOI shared medium"},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("invalid roster %+v accepted", bad)
-				}
-			}()
-			cfg := Default(16, NetFSOI)
-			cfg.Adversaries = bad
-			New(cfg)
-		}()
+		cfg := Default(16, c.net)
+		cfg.Adversaries = c.bad
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("roster %+v on %s: Validate() = %v, want an error containing %q", c.bad, c.net, err, c.want)
+		}
 	}
 }

@@ -75,10 +75,10 @@ func TestShardedEquivalence16(t *testing.T) {
 		for _, shards := range []int{2, 3, 4} {
 			canon, trace, _ := shardedRun(t, "mp3d", kind, 16, shards, 0.01, 3_000_000)
 			if canon != wantCanon {
-				diffLines(t, kind.String()+" canonical metrics", wantCanon, canon)
+				diffLines(t, string(kind)+" canonical metrics", wantCanon, canon)
 			}
 			if trace != wantTrace {
-				diffLines(t, kind.String()+" trace JSONL", wantTrace, trace)
+				diffLines(t, string(kind)+" trace JSONL", wantTrace, trace)
 			}
 		}
 	}

@@ -5,13 +5,14 @@
 package system
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
 	"fsoi/internal/core"
-	"fsoi/internal/corona"
 	"fsoi/internal/cpu"
 	"fsoi/internal/fault"
 	"fsoi/internal/memory"
@@ -27,51 +28,55 @@ import (
 	"fsoi/internal/workload"
 )
 
-// NetworkKind selects the interconnect under test.
-type NetworkKind int
+// NetworkKind names the interconnect under test. The name is the kind:
+// the constants below are the networks system.New wires Config fields
+// into, and every other member of the optnet registry is reachable as
+// NetworkKind("matrix") etc. ParseNetwork resolves user input.
+type NetworkKind string
 
-// Interconnect configurations of Figures 6/7.
+// Interconnect configurations of Figures 6/7, and the §7.1 baseline.
 const (
-	NetFSOI    NetworkKind = iota
-	NetMesh                // canonical 4-cycle routers, full contention
-	NetL0                  // idealized: serialization + source queuing only
-	NetLr1                 // 1-cycle routers, contention-free
-	NetLr2                 // 2-cycle routers, contention-free
-	NetCorona              // corona-style token-arbitrated optical crossbar
-	NetOptical             // any member of the optnet registry (Config.Optical)
+	NetFSOI   NetworkKind = "fsoi"
+	NetMesh   NetworkKind = "mesh"   // canonical 4-cycle routers, full contention
+	NetL0     NetworkKind = "L0"     // idealized: serialization + source queuing only
+	NetLr1    NetworkKind = "Lr1"    // 1-cycle routers, contention-free
+	NetLr2    NetworkKind = "Lr2"    // 2-cycle routers, contention-free
+	NetCorona NetworkKind = "corona" // corona-style token-arbitrated optical crossbar
 )
 
-// String names the network kind.
-func (k NetworkKind) String() string {
-	switch k {
-	case NetFSOI:
-		return "fsoi"
-	case NetMesh:
-		return "mesh"
-	case NetL0:
-		return "L0"
-	case NetLr1:
-		return "Lr1"
-	case NetLr2:
-		return "Lr2"
-	case NetCorona:
-		return "corona"
-	case NetOptical:
-		return "optical"
+// electricalNets are the networks built here rather than by optnet:
+// they take Config knobs and have no optical loss model to register.
+var electricalNets = []NetworkKind{NetMesh, NetL0, NetLr1, NetLr2}
+
+// Networks lists every valid network name, sorted: the electrical
+// baselines plus the optnet registry.
+func Networks() []string {
+	out := optnet.Names()
+	for _, k := range electricalNets {
+		out = append(out, string(k))
 	}
-	return fmt.Sprintf("NetworkKind(%d)", int(k))
+	sort.Strings(out)
+	return out
+}
+
+// ParseNetwork resolves a user-supplied name (a -net flag, a JSON spec)
+// to its kind; the error names every valid network.
+func ParseNetwork(name string) (NetworkKind, error) {
+	for _, k := range electricalNets {
+		if string(k) == name {
+			return k, nil
+		}
+	}
+	if _, ok := optnet.Get(name); ok {
+		return NetworkKind(name), nil
+	}
+	return "", fmt.Errorf("unknown network %q (have %v)", name, Networks())
 }
 
 // Config assembles a run.
 type Config struct {
-	Nodes int
-	Net   NetworkKind
-	// Optical names the optnet registry member to build when Net ==
-	// NetOptical. The "fsoi" member is normalized to the NetFSOI path so
-	// it keeps its confirmation channel, packet recycling, and fault
-	// hooks; the registry entry exists for the frontier loss models and
-	// the conformance suite.
-	Optical   string
+	Nodes     int
+	Net       NetworkKind
 	FSOI      core.Config // used when Net == NetFSOI
 	Memory    memory.Config
 	L1        coherence.L1Config
@@ -167,24 +172,6 @@ func Default(nodes int, net NetworkKind) Config {
 		Seed:      1,
 		MaxCycles: 40_000_000,
 	}
-}
-
-// DefaultOptical returns the paper configuration wired to an optnet
-// registry topology by name.
-func DefaultOptical(nodes int, topology string) Config {
-	cfg := Default(nodes, NetOptical)
-	cfg.Optical = topology
-	return cfg
-}
-
-// meshDim returns the mesh edge for a node count (must be square).
-func meshDim(nodes int) int {
-	for d := 1; d*d <= nodes; d++ {
-		if d*d == nodes {
-			return d
-		}
-	}
-	panic(fmt.Sprintf("system: node count %d is not a square", nodes))
 }
 
 // Metrics is the outcome of one run.
@@ -383,28 +370,48 @@ func (t transport) SendBit(from, to int, tag uint64, value bool) {
 	t.s.fsoi.SendConfirmBit(from, to, tag, value)
 }
 
-// New assembles a system.
+// Validate reports why New would refuse the configuration: everything
+// a flag or a JSON spec can get wrong, as an error the CLIs print
+// instead of the stack trace New's panic would give.
+func (cfg Config) Validate() error {
+	if _, err := ParseNetwork(string(cfg.Net)); err != nil {
+		return fmt.Errorf("system: %w", err)
+	}
+	if _, err := optnet.MeshDim(cfg.Nodes); err != nil {
+		return fmt.Errorf("system: %w", err)
+	}
+	if len(cfg.Adversaries) > 0 {
+		if cfg.Net != NetFSOI {
+			return fmt.Errorf("system: adversaries target the FSOI shared medium (got %v)", cfg.Net)
+		}
+		if err := adversary.Validate(cfg.Adversaries, cfg.Nodes); err != nil {
+			return fmt.Errorf("system: %w", err)
+		}
+		if len(cfg.Adversaries) >= cfg.Nodes {
+			return errors.New("system: at least one honest node is required")
+		}
+	}
+	if cfg.ParWorkers > 0 {
+		if cfg.Net != NetFSOI {
+			return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net)
+		}
+		if !cfg.FSOI.Opt.BooleanSubscription || cfg.ForceCoherentSync {
+			return errors.New("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
+		}
+	}
+	return nil
+}
+
+// New assembles a system. It panics with Validate's message on a
+// configuration Validate rejects; callers holding user input check
+// Validate first.
 func New(cfg Config) *System {
-	if cfg.Net == NetOptical && cfg.Optical == "fsoi" {
-		// The FSOI registry member must run through the dedicated path:
-		// its packets stay live until confirmation, which the generic
-		// optical delivery path (recycle at delivery) would violate.
-		cfg.Net = NetFSOI
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Detect {
 		// The detector consumes the lifecycle-event record.
 		cfg.Observe = true
-	}
-	if len(cfg.Adversaries) > 0 {
-		if cfg.Net != NetFSOI {
-			panic(fmt.Sprintf("system: adversaries target the FSOI shared medium (got %v)", cfg.Net))
-		}
-		if err := adversary.Validate(cfg.Adversaries, cfg.Nodes); err != nil {
-			panic(fmt.Sprintf("system: %v", err))
-		}
-		if len(cfg.Adversaries) >= cfg.Nodes {
-			panic("system: at least one honest node is required")
-		}
 	}
 	s := &System{
 		cfg:         cfg,
@@ -422,12 +429,6 @@ func New(cfg Config) *System {
 	}
 	switch {
 	case cfg.ParWorkers > 0:
-		if cfg.Net != NetFSOI {
-			panic(fmt.Sprintf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net))
-		}
-		if !cfg.FSOI.Opt.BooleanSubscription || cfg.ForceCoherentSync {
-			panic("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
-		}
 		k := cfg.Shards
 		if k < 2 {
 			k = cfg.ParWorkers
@@ -442,7 +443,7 @@ func New(cfg Config) *System {
 	default:
 		s.engine = sim.NewEngine()
 	}
-	dim := meshDim(cfg.Nodes)
+	dim, _ := optnet.MeshDim(cfg.Nodes) // Validate checked squareness
 	tr := transport{s}
 	// onShard brackets a node's component construction so tickers and
 	// initial events register on the node's home shard under the exact
@@ -487,16 +488,14 @@ func New(cfg Config) *System {
 		s.net = mesh.NewLr(dim, 1, s.engine)
 	case NetLr2:
 		s.net = mesh.NewLr(dim, 2, s.engine)
-	case NetCorona:
-		s.net = corona.New(corona.PaperCorona(cfg.Nodes), s.engine)
-	case NetOptical:
-		n, err := optnet.Build(cfg.Optical, cfg.Nodes, s.engine, s.rng)
+	default:
+		// Everything that takes no Config field, corona included, is
+		// built by the optnet registry under its own name.
+		n, err := optnet.Build(string(cfg.Net), cfg.Nodes, s.engine, s.rng)
 		if err != nil {
 			panic(fmt.Sprintf("system: %v", err))
 		}
 		s.net = n
-	default:
-		panic("system: unknown network kind")
 	}
 	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
 		s.la = la.Lookahead()
@@ -826,14 +825,9 @@ func (s *System) onCoreFinish(core int, at sim.Cycle) {
 
 // collect assembles the metrics of a finished run.
 func (s *System) collect(app string) Metrics {
-	netName := s.cfg.Net.String()
-	if s.cfg.Net == NetOptical {
-		// Report the concrete topology, not the umbrella kind.
-		netName = s.net.Name()
-	}
 	m := Metrics{
 		App:      app,
-		Net:      netName,
+		Net:      string(s.cfg.Net),
 		Nodes:    s.cfg.Nodes,
 		Cycles:   s.engine.Now(),
 		Finished: s.finished == s.cfg.Nodes,
@@ -928,7 +922,7 @@ func (s *System) collect(app string) Metrics {
 // networks from delivered packet counts and the average hop count of a
 // dim x dim mesh.
 func estimateFlitHops(l *noc.LatencyStats, nodes int) int64 {
-	dim := meshDim(nodes)
+	dim, _ := optnet.MeshDim(nodes) // New validated squareness
 	avgHops := float64(2*dim) / 3
 	flits := float64(l.ByType[noc.Meta].N())*1 + float64(l.ByType[noc.Data].N())*5
 	return int64(flits * (avgHops + 1))

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"fsoi/internal/workload"
@@ -168,25 +170,76 @@ func TestReplyHistogramPopulated(t *testing.T) {
 	}
 }
 
+// TestNetworkKindStrings pins that a kind is its name: the constants
+// spell the names the CLIs accept, and nothing else parses.
 func TestNetworkKindStrings(t *testing.T) {
-	want := map[NetworkKind]string{
-		NetFSOI: "fsoi", NetMesh: "mesh", NetL0: "L0",
-		NetLr1: "Lr1", NetLr2: "Lr2", NetCorona: "corona",
+	for _, k := range []NetworkKind{NetFSOI, NetMesh, NetL0, NetLr1, NetLr2, NetCorona} {
+		if got, err := ParseNetwork(string(k)); err != nil || got != k {
+			t.Errorf("ParseNetwork(%q) = %q, %v", k, got, err)
+		}
 	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q", int(k), k.String())
+	for _, bad := range []string{"", "Mesh", "optical"} {
+		_, err := ParseNetwork(bad)
+		if err == nil {
+			t.Errorf("ParseNetwork(%q) accepted", bad)
+			continue
+		}
+		for _, name := range Networks() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseNetwork(%q) error %q omits %q", bad, err, name)
+			}
 		}
 	}
 }
 
-func TestMeshDimPanicsOnNonSquare(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-square node counts must panic")
+// TestEveryNetworkByName builds each listed network from its name
+// alone: one namespace, one resolver, one way to reach corona.
+func TestEveryNetworkByName(t *testing.T) {
+	names := Networks()
+	if !sort.StringsAreSorted(names) || len(names) < 8 {
+		t.Fatalf("Networks() = %v, want the sorted electrical + optnet names", names)
+	}
+	for _, name := range names {
+		kind, err := ParseNetwork(name)
+		if err != nil || string(kind) != name {
+			t.Fatalf("ParseNetwork(%q) = %q, %v", name, kind, err)
 		}
-	}()
-	meshDim(15)
+		m := runTiny(t, "jacobi", kind, 16, nil)
+		if m.Net != name {
+			t.Errorf("%s: Metrics.Net = %q", name, m.Net)
+		}
+		if name == "corona" {
+			if want := runTiny(t, "jacobi", NetCorona, 16, nil); m.Canonical() != want.Canonical() {
+				diffLines(t, "corona by name vs NetCorona", want.Canonical(), m.Canonical())
+			}
+		}
+	}
+}
+
+// TestNewPanicsWithValidateError pins the split between the two
+// surfaces: Validate names what a flag or JSON spec got wrong, and New —
+// whose signature cannot grow an error — refuses with the same text.
+func TestNewPanicsWithValidateError(t *testing.T) {
+	for want, mutate := range map[string]func(*Config){
+		"unknown network":      func(c *Config) { c.Net = "nope" },
+		"not a perfect square": func(c *Config) { c.Nodes = 15 },
+	} {
+		cfg := Default(16, NetFSOI)
+		mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate() = %v, want an error containing %q", err, want)
+			continue
+		}
+		func() {
+			defer func() {
+				if got := recover(); got != err.Error() {
+					t.Errorf("New panicked with %v, want %q", got, err)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestPacketCountsConsistent(t *testing.T) {

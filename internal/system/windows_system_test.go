@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fsoi/internal/obs"
@@ -149,28 +150,27 @@ func TestWindowedMetersExposed(t *testing.T) {
 
 // TestWindowedRequiresSubscriptionSync pins the construction gate: the
 // coherent ll/sc fabric shares lock tables across nodes, so a windowed
-// run must refuse it loudly instead of racing quietly.
+// run must be refused instead of racing quietly.
 func TestWindowedRequiresSubscriptionSync(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ParWorkers with ForceCoherentSync must panic")
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.ForceCoherentSync = true },
+		func(c *Config) { c.FSOI.Opt.BooleanSubscription = false },
+	} {
+		cfg := Default(16, NetFSOI)
+		cfg.ParWorkers = 2
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "subscription sync fabric") {
+			t.Errorf("ParWorkers without the subscription fabric: Validate() = %v", err)
 		}
-	}()
-	cfg := Default(16, NetFSOI)
-	cfg.ParWorkers = 2
-	cfg.ForceCoherentSync = true
-	New(cfg)
+	}
 }
 
 // TestWindowedRequiresFSOI pins the other gate: only the FSOI model has
 // been restructured into node-owned state.
 func TestWindowedRequiresFSOI(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ParWorkers on the mesh must panic")
-		}
-	}()
 	cfg := Default(16, NetMesh)
 	cfg.ParWorkers = 2
-	New(cfg)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "requires the FSOI network") {
+		t.Errorf("ParWorkers on the mesh: Validate() = %v", err)
+	}
 }
