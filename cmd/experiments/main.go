@@ -5,6 +5,8 @@
 //	experiments -run fig6           # one experiment
 //	experiments -run all            # everything, paper order
 //	experiments -scale 0.25 -run fig7
+//	experiments -run faults -penalties 0,1.5,3 -droop 0.03 -cooling air
+//	experiments -run resilience -roles jammer -intensities 0.9 -nodes 64
 //	experiments -list
 //
 // Scale multiplies workload length: 1.0 is the full-size experiment,
@@ -14,8 +16,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -65,81 +69,154 @@ func (s *fileSink) Close() error {
 	return s.err
 }
 
-func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(exp.IDs(), ", ")+") or 'all'")
-	scale := flag.Float64("scale", 0.5, "workload scale factor (1.0 = full size)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	trials := flag.Int("trials", 30000, "Monte Carlo trials")
-	apps := flag.String("apps", "", "comma-separated app subset (default: all sixteen)")
-	jobs := flag.Int("j", 1, "concurrent simulations (0 = one per CPU); output is identical at any setting")
-	shards := flag.Int("shards", 0, "shard count for the sharded-engine grids (frontier 256/1024 nodes; 0 = 8); output is identical at any setting")
-	tracePath := flag.String("trace", "", "record every run's packet-lifecycle events into this JSONL file (read with cmd/fsoitrace)")
-	profilePath := flag.String("profile", "", "write a host CPU profile (pprof) of the whole invocation")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *list {
-		for _, id := range exp.IDs() {
-			fmt.Println(id)
+// run is the whole command behind a testable seam: it returns the exit
+// code instead of calling os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	inv, code := parse(args, stderr)
+	if inv == nil {
+		return code
+	}
+	return inv.execute(stdout, stderr)
+}
+
+// invocation is one parsed command line.
+type invocation struct {
+	list        bool
+	ids         []string
+	runners     []exp.Runner
+	opts        exp.Options
+	tracePath   string
+	profilePath string
+}
+
+// parse turns the command line into an invocation, or reports why it
+// cannot on stderr and returns nil with the exit code.
+func parse(args []string, stderr io.Writer) (*invocation, int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+
+	// Experiments with inputs of their own register them first, while
+	// every flag on fs is some experiment's: owner remembers whose.
+	owner := map[string]string{}
+	build := map[string]func() (exp.Runner, error){}
+	for _, e := range exp.Registry {
+		if e.Flags == nil {
+			continue
 		}
-		return
+		build[e.ID] = e.Flags(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if _, seen := owner[f.Name]; !seen {
+				owner[f.Name] = e.ID
+			}
+		})
+	}
+	run := fs.String("run", "all", "comma-separated experiment ids ("+strings.Join(exp.IDs(), ", ")+") or 'all'")
+	scale := fs.Float64("scale", 0.5, "workload scale factor (1.0 = full size)")
+	seed := fs.Uint64("seed", 1, "random seed")
+	trials := fs.Int("trials", 30000, "Monte Carlo trials")
+	apps := fs.String("apps", "", "comma-separated app subset (default: all sixteen)")
+	jobs := fs.Int("j", 1, "concurrent simulations (0 = one per CPU); output is identical at any setting")
+	tracePath := fs.String("trace", "", "record every run's packet-lifecycle events into this JSONL file (read with cmd/fsoitrace)")
+	profilePath := fs.String("profile", "", "write a host CPU profile (pprof) of the whole invocation")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+
+	fail := func(format string, a ...any) (*invocation, int) {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", a...)
+		return nil, 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2 // the flag package has printed the error and usage
 	}
 
-	o := exp.Options{Scale: *scale, Seed: *seed, Trials: *trials, Workers: parallel.Workers(*jobs), Shards: *shards}
-	if *apps != "" {
-		o.Apps = strings.Split(*apps, ",")
+	inv := &invocation{
+		list:        *list,
+		opts:        exp.Options{Scale: *scale, Seed: *seed, Trials: *trials, Workers: parallel.Workers(*jobs)},
+		tracePath:   *tracePath,
+		profilePath: *profilePath,
 	}
-	if *tracePath != "" {
-		sink, err := newFileSink(*tracePath)
+	if *apps != "" {
+		inv.opts.Apps = strings.Split(*apps, ",")
+	}
+	inv.ids = exp.IDs()
+	if *run != "all" {
+		inv.ids = strings.Split(*run, ",")
+	}
+	selected := map[string]bool{}
+	for _, id := range inv.ids {
+		selected[id] = true
+	}
+	var stray *flag.Flag
+	fs.Visit(func(f *flag.Flag) {
+		if id, ok := owner[f.Name]; ok && !selected[id] && stray == nil {
+			stray = f
+		}
+	})
+	if stray != nil {
+		return fail("-%s is an input of %q, which -run %s does not select", stray.Name, owner[stray.Name], *run)
+	}
+	for _, id := range inv.ids {
+		r, ok := exp.Lookup(id)
+		if !ok {
+			return fail("unknown experiment %q (use -list)", id)
+		}
+		if b := build[id]; b != nil {
+			var err error
+			if r, err = b(); err != nil {
+				return fail("-run %s: %v", id, err)
+			}
+		}
+		inv.runners = append(inv.runners, r)
+	}
+	return inv, 0
+}
+
+// execute runs the parsed invocation and returns the exit code.
+func (inv *invocation) execute(stdout, stderr io.Writer) (code int) {
+	if inv.list {
+		for _, id := range exp.IDs() {
+			fmt.Fprintln(stdout, id)
+		}
+		return 0
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
+	}
+	o := inv.opts
+	if inv.tracePath != "" {
+		sink, err := newFileSink(inv.tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer func() {
 			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "experiments:", err)
+				code = 1
 			}
 		}()
 		o.Trace = sink
 	}
-	if *profilePath != "" {
-		f, err := os.Create(*profilePath)
+	if inv.profilePath != "" {
+		f, err := os.Create(inv.profilePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
 		defer pprof.StopCPUProfile()
 	}
-
-	var runners []exp.Runner
-	var ids []string
-	if *run == "all" {
-		for _, e := range exp.Registry {
-			runners = append(runners, e.Runner)
-			ids = append(ids, e.ID)
-		}
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			r, ok := exp.Lookup(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
-			}
-			runners = append(runners, r)
-			ids = append(ids, id)
-		}
-	}
-
-	for i, r := range runners {
+	for i, r := range inv.runners {
 		start := time.Now()
 		res := r(o)
-		fmt.Printf("==== %s — %s (%.1fs) ====\n", ids[i], res.Title, time.Since(start).Seconds())
-		fmt.Println(res.Text)
+		fmt.Fprintf(stdout, "==== %s — %s (%.1fs) ====\n", inv.ids[i], res.Title, time.Since(start).Seconds())
+		fmt.Fprintln(stdout, res.Text)
 	}
+	return 0
 }

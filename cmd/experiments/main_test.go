@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestBadInvocationsExitTwoWithOneLine: everything a user can get wrong
+// about experiment ids and sweep inputs is reported before any
+// simulation starts, as one "experiments: ..." line and exit code 2.
+func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args string
+		want string // substring of the one line
+	}{
+		{"unknown id", "-run fig99", `unknown experiment "fig99"`},
+		{"unknown id beside a known one", "-run fig3,nope", `unknown experiment "nope"`},
+		{"penalty not a number", "-run faults -penalties 0,x", "bad -penalties"},
+		{"negative penalty", "-run faults -penalties 0,-1", "negative penalty"},
+		{"intensity outside (0,1)", "-run resilience -intensities 0.5,1.5", "bad -intensities"},
+		{"unknown role", "-run resilience -roles jammer,troll", `unknown role "troll"`},
+		{"non-square node count", "-run resilience -nodes 20", "bad -nodes"},
+		{"unknown cooling", "-run faults -droop 0.03 -cooling lava", `unknown cooling "lava"`},
+		{"thermal flag without -droop", "-run faults -cooling air", "droop"},
+		{"probability out of range", "-run faults -confirm-drop 1.5", "-run faults"},
+		{"faults flag without faults", "-run fig6 -penalties 0,2", `-penalties is an input of "faults"`},
+		{"resilience flag without resilience", "-run faults -roles jammer", `-roles is an input of "resilience"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		msg := stderr.String()
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", tc.name, code, msg)
+		}
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "experiments: ") {
+			t.Errorf("%s: want one \"experiments: ...\" line, got %q", tc.name, msg)
+		}
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: stderr %q does not mention %q", tc.name, msg, tc.want)
+		}
+		if strings.Contains(msg, "goroutine ") {
+			t.Errorf("%s: stack trace on stderr", tc.name)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote %q to stdout before failing", tc.name, stdout.String())
+		}
+	}
+}
+
+// TestSweepFlagsAllowedUnderRunAll: -run all selects every experiment,
+// so every sweep input is in scope.
+func TestSweepFlagsAllowedUnderRunAll(t *testing.T) {
+	inv, code := parse(strings.Fields("-penalties 0,2 -roles jammer -nodes 16"), io.Discard)
+	if inv == nil {
+		t.Fatalf("sweep flags under the default -run all rejected with exit %d", code)
+	}
+}
+
+// docCommand matches one `experiments -flag [value] ...` invocation in
+// prose, a fenced block or a CI step, up to the first shell or markdown
+// delimiter. Tokens may be separated by a line break, because markdown
+// re-wraps long commands; <placeholder> values end the match.
+var docCommand = regexp.MustCompile("experiments((?:\\s+-[a-z-]+(?:\\s+[^-\\s|<>#`)(][^\\s|<>#`)(]*)?)+)")
+
+// TestDocumentedCommandsParse keeps the docs and CI honest: every
+// `experiments ...` command line they show must still be accepted.
+func TestDocumentedCommandsParse(t *testing.T) {
+	total := 0
+	for _, path := range []string{"../../README.md", "../../EXPERIMENTS.md", "../../DESIGN.md", "../../.github/workflows/ci.yml"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// CI's bad-flags step lists commands that must NOT parse.
+		text := string(data)
+		if pre, rest, ok := strings.Cut(text, "- name: bad flags exit 2"); ok {
+			_, post, _ := strings.Cut(rest, "- name:")
+			text = pre + post
+		}
+		for _, m := range docCommand.FindAllStringSubmatch(text, -1) {
+			args := strings.Fields(m[1])
+			if len(args) == 1 && args[0] != "-list" {
+				continue // a mention of one flag ("experiments -trace"), not a command
+			}
+			total++
+			var stderr bytes.Buffer
+			if inv, code := parse(args, &stderr); inv == nil {
+				t.Errorf("%s: `experiments%s` no longer parses (exit %d): %s", path, m[1], code, stderr.String())
+			}
+		}
+	}
+	if total < 30 {
+		t.Fatalf("found only %d documented commands; the extraction regexp has rotted", total)
+	}
+}

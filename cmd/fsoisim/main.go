@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,200 +23,217 @@ import (
 	"fsoi/internal/workload"
 )
 
-func main() {
-	appName := flag.String("app", "jacobi", "application (see -listapps)")
-	netName := flag.String("net", "fsoi", "interconnect: "+strings.Join(system.Networks(), " | "))
-	nodes := flag.Int("nodes", 16, "node count (16 or 64)")
-	scale := flag.Float64("scale", 0.5, "workload scale factor")
-	seed := flag.Uint64("seed", 1, "random seed")
-	memGBps := flag.Float64("membw", 8.8, "total memory bandwidth, GB/s")
-	noOpt := flag.Bool("no-opt", false, "disable all §5 FSOI optimizations")
-	trace := flag.Int("trace", 0, "dump the last N terminated packets")
-	traceFile := flag.String("tracefile", "", "record packet-lifecycle events and write them as JSON Lines (read with cmd/fsoitrace)")
-	chromeTrace := flag.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
-	profilePath := flag.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
-	detect := flag.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
-	shards := flag.Int("shards", 0, "run on the exact sharded engine with N shards (output is byte-identical to serial; 0/1 = serial engine)")
-	par := flag.Int("par", 0, "run on the windowed parallel engine with N workers (FSOI only; byte-identical across worker/shard counts; combine with -shards to set the partition, default N shards)")
-	canonicalPath := flag.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
-	configPath := flag.String("config", "", "JSON spec overriding the flags (see internal/config)")
-	listApps := flag.Bool("listapps", false, "list applications and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind a testable seam: it returns the exit
+// code instead of calling os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsoisim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "jacobi", "application (see -listapps)")
+	netName := fs.String("net", "fsoi", "interconnect: "+strings.Join(system.Networks(), " | "))
+	nodes := fs.Int("nodes", 16, "node count (a perfect square)")
+	scale := fs.Float64("scale", 0.5, "workload scale factor")
+	seed := fs.Uint64("seed", 1, "random seed")
+	memGBps := fs.Float64("membw", 8.8, "total memory bandwidth, GB/s")
+	noOpt := fs.Bool("no-opt", false, "disable all §5 FSOI optimizations")
+	trace := fs.Int("trace", 0, "dump the last N terminated packets")
+	traceFile := fs.String("tracefile", "", "record packet-lifecycle events and write them as JSON Lines (read with cmd/fsoitrace)")
+	chromeTrace := fs.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
+	profilePath := fs.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
+	detect := fs.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
+	shards := fs.Int("shards", 0, "run on the exact sharded engine with N shards (output is byte-identical to serial; 0/1 = serial engine)")
+	par := fs.Int("par", 0, "run on the windowed parallel engine with N workers (FSOI only; byte-identical across worker/shard counts; combine with -shards to set the partition, default N shards)")
+	canonicalPath := fs.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
+	configPath := fs.String("config", "", "JSON spec read before the flags (see internal/config); every flag given beside it overrides the spec's field")
+	listApps := fs.Bool("listapps", false, "list applications and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has printed the error and usage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "fsoisim:", err)
+		return code
+	}
 
 	if *listApps {
 		for _, a := range workload.Suite(1) {
-			fmt.Println(a.Name)
+			fmt.Fprintln(stdout, a.Name)
 		}
-		return
+		return 0
 	}
 
-	app, ok := workload.ByName(*appName, *scale)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "fsoisim: unknown app %q (use -listapps)\n", *appName)
-		os.Exit(2)
-	}
-	kind, err := system.ParseNetwork(*netName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsoisim:", err)
-		os.Exit(2)
-	}
-	cfg := system.Default(*nodes, kind)
-	cfg.Seed = *seed
-	cfg.Memory.TotalGBps = *memGBps
-	if *noOpt {
-		cfg.FSOI.Opt = core.Optimizations{}
-	}
-	cfg.TracePackets = *trace
+	// One input path: the spec file (if any) first, then every flag the
+	// user actually set on top of it. Flags left alone keep the spec's
+	// value, and a spec's zero fields are the flags' defaults.
+	var spec config.Spec
 	if *configPath != "" {
-		spec, err := config.Load(*configPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsoisim:", err)
-			os.Exit(2)
+		var err error
+		if spec, err = config.Load(*configPath); err != nil {
+			return fail(2, err)
 		}
-		cfg, err = spec.Build()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsoisim:", err)
-			os.Exit(2)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "app":
+			spec.App = *appName
+		case "net":
+			spec.Network = *netName
+		case "nodes":
+			spec.Nodes = *nodes
+		case "scale":
+			spec.Scale = *scale
+		case "seed":
+			spec.Seed = *seed
+		case "membw":
+			spec.MemoryGBps = *memGBps
+		case "no-opt":
+			if *noOpt {
+				spec.Optimizations = &config.OptSpec{}
+			}
+		case "trace":
+			spec.TracePackets = *trace
+		case "detect":
+			if *detect {
+				spec.Detect = true
+			}
+		case "shards":
+			spec.Shards = *shards
+		case "par":
+			spec.ParWorkers = *par
 		}
-		name, sc := spec.AppAndScale()
-		if a, ok := workload.ByName(name, sc); ok {
-			app = a
-			*scale = sc
-		} else {
-			fmt.Fprintf(os.Stderr, "fsoisim: unknown app %q in config\n", name)
-			os.Exit(2)
-		}
+	})
+	cfg, err := spec.Build()
+	if err != nil {
+		return fail(2, err)
+	}
+	name, sc := spec.AppAndScale()
+	app, ok := workload.ByName(name, sc)
+	if !ok {
+		return fail(2, fmt.Errorf("unknown app %q (use -listapps)", name))
 	}
 	if *traceFile != "" || *chromeTrace != "" {
-		cfg.Observe = true
+		cfg.Observe = true // recording is an output choice, so it has no spec field
 	}
-	if *detect {
-		cfg.Detect = true
-	}
-	if *shards > 0 {
-		cfg.Shards = *shards
-	}
-	if *par > 0 {
-		cfg.ParWorkers = *par
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "fsoisim:", err)
-		os.Exit(2)
-	}
+
 	s := system.New(cfg)
 	if *profilePath != "" {
 		f, err := os.Create(*profilePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsoisim:", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "fsoisim:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(2, err)
+		}
 		defer pprof.StopCPUProfile()
 	}
 	m := s.Run(app)
 
-	fmt.Printf("app=%s net=%s nodes=%d scale=%.2f\n", app.Name, m.Net, m.Nodes, *scale)
-	fmt.Printf("run time            %d cycles (finished=%v)\n", m.Cycles, m.Finished)
-	q, sc, nw, res := m.Latency.Breakdown()
-	fmt.Printf("packet latency      %.2f cycles = queuing %.2f + scheduling %.2f + network %.2f + resolution %.2f\n",
-		m.Latency.MeanTotal(), q, sc, nw, res)
-	fmt.Printf("traffic             %d meta + %d data packets, %d invalidations (%d acks elided), %d NACKs\n",
+	fmt.Fprintf(stdout, "app=%s net=%s nodes=%d scale=%.2f\n", app.Name, m.Net, m.Nodes, sc)
+	fmt.Fprintf(stdout, "run time            %d cycles (finished=%v)\n", m.Cycles, m.Finished)
+	q, sched, nw, res := m.Latency.Breakdown()
+	fmt.Fprintf(stdout, "packet latency      %.2f cycles = queuing %.2f + scheduling %.2f + network %.2f + resolution %.2f\n",
+		m.Latency.MeanTotal(), q, sched, nw, res)
+	fmt.Fprintf(stdout, "traffic             %d meta + %d data packets, %d invalidations (%d acks elided), %d NACKs\n",
 		m.MetaPackets, m.DataPackets, m.Invalidations, m.ElidedAcks, m.Nacks)
 	if m.FSOI != nil {
-		fmt.Printf("meta lane           p=%.4f collision rate=%.4f\n",
+		fmt.Fprintf(stdout, "meta lane           p=%.4f collision rate=%.4f\n",
 			m.FSOI.TransmissionProbability(core.LaneMeta), m.FSOI.CollisionRate(core.LaneMeta))
-		fmt.Printf("data lane           p=%.4f collision rate=%.4f\n",
+		fmt.Fprintf(stdout, "data lane           p=%.4f collision rate=%.4f\n",
 			m.FSOI.TransmissionProbability(core.LaneData), m.FSOI.CollisionRate(core.LaneData))
-		fmt.Printf("confirmation lane   %d packet confirms + %d boolean pushes\n",
+		fmt.Fprintf(stdout, "confirmation lane   %d packet confirms + %d boolean pushes\n",
 			m.FSOI.ConfirmSignals, m.FSOI.ConfirmBits)
-		fmt.Printf("hints               %d issued, %d correct, %d wrong-winner\n",
+		fmt.Fprintf(stdout, "hints               %d issued, %d correct, %d wrong-winner\n",
 			m.FSOI.HintsIssued, m.FSOI.HintsCorrect, m.FSOI.HintsWrong)
 	}
 	if m.FaultCounters != nil {
-		fmt.Printf("faults              %d bit errors (%d header, %d CRC), %d confirm drops -> %d timeouts, %d VCSELs failed on %d nodes\n",
+		fmt.Fprintf(stdout, "faults              %d bit errors (%d header, %d CRC), %d confirm drops -> %d timeouts, %d VCSELs failed on %d nodes\n",
 			m.FaultCounters.Get("bit_errors"), m.FaultCounters.Get("header_corruptions"),
 			m.FaultCounters.Get("payload_crc_errors"), m.FaultCounters.Get("confirm_drops"),
 			m.FaultCounters.Get("timeout_retransmits"), m.FaultCounters.Get("vcsels_failed"),
 			m.FaultCounters.Get("nodes_degraded"))
 	}
-	fmt.Printf("energy              %.4f J (network %.4f, core+cache %.4f, leakage %.4f), avg power %.1f W\n",
+	fmt.Fprintf(stdout, "energy              %.4f J (network %.4f, core+cache %.4f, leakage %.4f), avg power %.1f W\n",
 		m.Energy.Total(), m.Energy.Network, m.Energy.CoreCache, m.Energy.Leakage, m.AvgPowerW)
 	if bucket, frac := m.ReplyHist.ModeFraction(); m.ReplyHist.Total() > 0 {
-		fmt.Printf("reply latency       mean %.1f cycles, modal bin %d-%d holds %.0f%%\n",
+		fmt.Fprintf(stdout, "reply latency       mean %.1f cycles, modal bin %d-%d holds %.0f%%\n",
 			m.ReplyHist.Mean(), bucket*5, bucket*5+4, frac*100)
 	}
 	if m.DroppedPackets > 0 {
-		fmt.Printf("dropped             %d packets abandoned after retry exhaustion\n", m.DroppedPackets)
+		fmt.Fprintf(stdout, "dropped             %d packets abandoned after retry exhaustion\n", m.DroppedPackets)
 	}
 	if m.AdversaryNodes > 0 {
-		fmt.Printf("adversaries         %d hostile nodes (%d spoofed headers, %d starved confirms), honest cores finished at cycle %d\n",
+		fmt.Fprintf(stdout, "adversaries         %d hostile nodes (%d spoofed headers, %d starved confirms), honest cores finished at cycle %d\n",
 			m.AdversaryNodes, m.FSOI.SpoofedHeaders, m.FSOI.StarvedConfirms, m.HonestFinish)
 	}
-	if *trace > 0 {
-		fmt.Printf("\nlast %d packets:\n%s", *trace, s.Trace().String())
+	if cfg.TracePackets > 0 {
+		fmt.Fprintf(stdout, "\nlast %d packets:\n%s", cfg.TracePackets, s.Trace().String())
 	}
 	if rec := s.Obs(); rec != nil {
-		fmt.Printf("\nlifecycle events    %d recorded", rec.Len())
+		fmt.Fprintf(stdout, "\nlifecycle events    %d recorded", rec.Len())
 		if rec.Lost() > 0 {
-			fmt.Printf(" (%d lost past the cap)", rec.Lost())
+			fmt.Fprintf(stdout, " (%d lost past the cap)", rec.Lost())
 		}
-		fmt.Println()
-		fmt.Println()
-		fmt.Print(s.ObsRegistry().String())
-		writeTrace(*traceFile, rec, obs.WriteJSONL)
-		writeTrace(*chromeTrace, rec, obs.WriteChromeTrace)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, s.ObsRegistry().String())
+		if err := writeTrace(stdout, *traceFile, rec, obs.WriteJSONL); err != nil {
+			return fail(1, err)
+		}
+		if err := writeTrace(stdout, *chromeTrace, rec, obs.WriteChromeTrace); err != nil {
+			return fail(1, err)
+		}
 	}
 	if m.Detection != nil {
-		fmt.Println()
-		fmt.Print(m.Detection.Table())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, m.Detection.Table())
 	}
 	if *profilePath != "" {
 		e := s.Engine()
-		fmt.Printf("\nengine              %d events fired, event-queue high-water mark %d\n",
+		fmt.Fprintf(stdout, "\nengine              %d events fired, event-queue high-water mark %d\n",
 			e.EventsFired(), e.MaxQueueDepth())
-		fmt.Printf("cpu profile         written to %s\n", *profilePath)
+		fmt.Fprintf(stdout, "cpu profile         written to %s\n", *profilePath)
 	}
 	if se := s.ShardEngine(); se != nil {
-		fmt.Printf("shards              %d shards, %d cross-shard handoffs (%d under the %d-cycle lookahead)\n",
+		fmt.Fprintf(stdout, "shards              %d shards, %d cross-shard handoffs (%d under the %d-cycle lookahead)\n",
 			se.Shards(), se.Handoffs(), se.UnderLookahead(), se.Lookahead())
 	}
 	if w := s.WindowEngine(); w != nil {
-		fmt.Printf("parallel            %d shards x %d workers, %d windows of %d cycles, %d cross-shard handoffs (%d tight)\n",
+		fmt.Fprintf(stdout, "parallel            %d shards x %d workers, %d windows of %d cycles, %d cross-shard handoffs (%d tight)\n",
 			w.Shards(), w.Workers(), w.WindowCount(), w.Lookahead(), w.Handoffs(), w.TightHandoffs())
 	}
 	if *canonicalPath != "" {
 		text := m.Canonical()
 		if *canonicalPath == "-" {
-			fmt.Print(text)
+			fmt.Fprint(stdout, text)
 		} else if err := os.WriteFile(*canonicalPath, []byte(text), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "fsoisim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		} else {
-			fmt.Printf("canonical metrics   written to %s\n", *canonicalPath)
+			fmt.Fprintf(stdout, "canonical metrics   written to %s\n", *canonicalPath)
 		}
 	}
+	return 0
 }
 
 // writeTrace exports a recording through the given encoder, or does
 // nothing when no path was requested.
-func writeTrace(path string, rec *obs.Recorder, encode func(w io.Writer, r *obs.Recorder) error) {
+func writeTrace(stdout io.Writer, path string, rec *obs.Recorder, encode func(io.Writer, *obs.Recorder) error) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
-	if err == nil {
-		err = encode(f, rec)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsoisim:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("trace               written to %s\n", path)
+	err = encode(f, rec)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Fprintf(stdout, "trace               written to %s\n", path)
+	}
+	return err
 }

@@ -135,8 +135,10 @@ var coolings = map[string]thermal.Cooling{
 	"diamond-spreader": thermal.DiamondSpreader,
 }
 
-// build converts the spec into a fault configuration.
-func (f FaultSpec) build() (fault.Config, error) {
+// Build converts the spec into a validated fault configuration. It is
+// the one route from user-facing fault knobs (this JSON section, the
+// `experiments -run faults` flags) to fault.Config.
+func (f FaultSpec) Build() (fault.Config, error) {
 	cfg := fault.Config{
 		MarginPenaltyDB: f.MarginPenaltyDB,
 		VCSELFailProb:   f.VCSELFailProb,
@@ -243,7 +245,7 @@ func (s Spec) Build() (system.Config, error) {
 		cfg.FSOI.ConfirmTimeoutSlots = s.ConfirmTimeoutSlots
 	}
 	if s.Faults != nil {
-		fc, err := s.Faults.build()
+		fc, err := s.Faults.Build()
 		if err != nil {
 			return system.Config{}, err
 		}

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
@@ -36,11 +37,6 @@ type Options struct {
 	// its job list in a fixed order, every job owns its own engine and
 	// RNG tree, and results merge by job index, never completion order.
 	Workers int
-	// Shards selects the shard count for grids that run on the exact
-	// sharded engine (the frontier's 256/1024-node half); 0 means 8.
-	// Results are byte-identical at every value — the knob exists so
-	// wall-clock can be measured against shard count.
-	Shards int
 	// Trace, when non-nil, turns on the packet-lifecycle observability
 	// layer for every simulated run and streams each run's recording to
 	// the sink. Sinks are fed strictly in job order after a grid
@@ -55,11 +51,6 @@ type TraceSink interface {
 	// identifies the run within its experiment: job index, application,
 	// network kind, and node count.
 	WriteRun(label string, rec *obs.Recorder)
-}
-
-// DefaultOptions returns full-size settings.
-func DefaultOptions() Options {
-	return Options{Scale: 0.5, Seed: 1, Trials: 30000}
 }
 
 // BenchOptions returns the scaled-down settings used by bench_test.go.
@@ -99,30 +90,63 @@ type Runner func(o Options) Result
 type Entry struct {
 	ID     string
 	Runner Runner
+	// Flags is set on the experiments that take inputs of their own. It
+	// registers them on the command's FlagSet and returns a function
+	// that, called after Parse, yields the runner closed over the parsed
+	// values, or the error a bad value earns. Runner is that same runner
+	// with no flag set.
+	Flags func(fs *flag.FlagSet) func() (Runner, error)
 }
 
 // Registry maps experiment ids to runners: the paper's tables and
 // figures in paper order, then the extensions.
 var Registry = []Entry{
-	{"table1", Table1},
-	{"fig3", Fig3},
-	{"fig4", Fig4},
-	{"fig5", Fig5},
-	{"fig6", Fig6},
-	{"fig7", Fig7},
-	{"table4", Table4},
-	{"fig8", Fig8},
-	{"fig9", Fig9},
-	{"fig10", Fig10},
-	{"fig11", Fig11},
-	{"hints", Hints},
-	{"llsc", LLSC},
-	{"corona", Corona},
-	{"frontier", Frontier},
-	{"faults", Faults},
-	{"layout", Layout},
-	{"thermal", Thermal},
-	{"resilience", Resilience},
+	{ID: "table1", Runner: Table1},
+	{ID: "fig3", Runner: Fig3},
+	{ID: "fig4", Runner: Fig4},
+	{ID: "fig5", Runner: Fig5},
+	{ID: "fig6", Runner: Fig6},
+	{ID: "fig7", Runner: Fig7},
+	{ID: "table4", Runner: Table4},
+	{ID: "fig8", Runner: Fig8},
+	{ID: "fig9", Runner: Fig9},
+	{ID: "fig10", Runner: Fig10},
+	{ID: "fig11", Runner: Fig11},
+	{ID: "hints", Runner: Hints},
+	{ID: "llsc", Runner: LLSC},
+	{ID: "corona", Runner: Corona},
+	{ID: "frontier", Runner: Frontier},
+	{ID: "faults", Runner: Faults, Flags: faultFlags},
+	{ID: "layout", Runner: Layout},
+	{ID: "thermal", Runner: Thermal},
+	{ID: "resilience", Runner: Resilience, Flags: resilienceFlags},
+}
+
+// runAtDefaults runs an Entry.Flags runner with no flag set, so a
+// parameterised experiment states its defaults once, as flag defaults.
+func runAtDefaults(flags func(*flag.FlagSet) func() (Runner, error), o Options) Result {
+	r, err := flags(flag.NewFlagSet("", flag.ContinueOnError))()
+	if err != nil {
+		panic(err) // only a bad compiled-in default can get here
+	}
+	return r(o)
+}
+
+// parseList splits a comma-separated flag value and parses each field;
+// an empty value yields nil, which every sweep reads as "my default".
+func parseList[T any](csv string, parse func(field string) (T, error)) ([]T, error) {
+	if csv == "" {
+		return nil, nil
+	}
+	var out []T
+	for _, f := range strings.Split(csv, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Lookup finds a runner by id.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -197,10 +198,10 @@ func key2(prefix, topo string, nodes int) string {
 	return fmt.Sprintf("%s_%s_%d", prefix, topo, nodes)
 }
 
-// TestFrontierScaleHalf checks the sharded-engine half of the sweep:
-// at scale 0.05 and up, the frontier simulates the two §7.1 contenders
-// at 256 nodes on the exact sharded engine and reports their cycle
-// counts. Skipped under -short (the -race job) for time.
+// TestFrontierScaleHalf checks the scale half of the sweep: at scale
+// 0.05 and up, the frontier simulates the two §7.1 contenders at 256
+// nodes and reports their cycle counts. Skipped under -short (the -race
+// job) for time.
 func TestFrontierScaleHalf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node frontier half runs only without -short")
@@ -210,10 +211,10 @@ func TestFrontierScaleHalf(t *testing.T) {
 	res := Frontier(o)
 	for _, topo := range []string{"fsoi", "corona"} {
 		if res.Values[key2("cycles", topo, 256)] <= 0 {
-			t.Fatalf("missing 256-node sharded cycles for %s", topo)
+			t.Fatalf("missing 256-node cycles for %s", topo)
 		}
 	}
-	if !strings.Contains(res.Text, "Scale frontier on the sharded engine") {
+	if !strings.Contains(res.Text, "Scale frontier (jacobi @ 0.002)") {
 		t.Fatal("scale-half table missing from frontier text")
 	}
 }
@@ -233,16 +234,34 @@ func TestFrontierWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestFaultSweepWorkerEquivalence covers the sweep grid the faultsweep
-// CLI exposes: the mesh baselines and every (penalty, app) point run
-// through the same pool and must be invisible to the output.
+// TestFaultSweepWorkerEquivalence covers the sweep grid `experiments
+// -run faults` exposes: the mesh baselines and every (penalty, app)
+// point run through the same pool and must be invisible to the output,
+// and the sweep built from explicit flags at the default values (tiny
+// scale sweeps 0/2/3.5 dB) is the registered experiment.
 func TestFaultSweepWorkerEquivalence(t *testing.T) {
-	run := func(workers int) Result {
-		o := tiny()
-		o.Workers = workers
-		return Faults(o)
+	fs := flag.NewFlagSet("faults", flag.ContinueOnError)
+	build := faultFlags(fs)
+	if err := fs.Parse([]string{"-penalties", "0,2,3.5", "-confirm-drop", "0.01", "-vcsel-fail", "0.02"}); err != nil {
+		t.Fatal(err)
 	}
-	if a, b := run(1), run(8); a.Text != b.Text {
-		t.Fatalf("faults text diverges between workers=1 and workers=8:\n%s\n---\n%s", a.Text, b.Text)
+	flagBuilt, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Faults(tiny())
+	for _, tc := range []struct {
+		name    string
+		runner  Runner
+		workers int
+	}{
+		{"registered, workers=8", Faults, 8},
+		{"flag-built at the default values", flagBuilt, 1},
+	} {
+		o := tiny()
+		o.Workers = tc.workers
+		if got := tc.runner(o); got.Text != want.Text {
+			t.Fatalf("%s diverges from the registered serial sweep:\n%s\n---\n%s", tc.name, want.Text, got.Text)
+		}
 	}
 }

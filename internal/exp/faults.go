@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
+	"fsoi/internal/config"
 	"fsoi/internal/core"
 	"fsoi/internal/fault"
 	"fsoi/internal/stats"
@@ -20,25 +23,54 @@ var defaultPenalties = []float64{0, 1, 2, 2.5, 3, 3.5}
 
 // Faults is the registered "faults" experiment: a margin-penalty sweep
 // with a small background of VCSEL aging and confirmation drops, FSOI
-// against the fault-immune mesh baseline.
-func Faults(o Options) Result {
-	penalties := defaultPenalties
-	if o.Scale < 0.2 {
-		penalties = []float64{0, 2, 3.5} // benches skip the dense middle
+// against the fault-immune mesh baseline. It is faultFlags' runner with
+// no flag set.
+func Faults(o Options) Result { return runAtDefaults(faultFlags, o) }
+
+// faultFlags is the "faults" entry's Flags: the penalties to sweep and
+// the background fault configuration every point shares. The background
+// flags fill a config.FaultSpec, so cooling names and thermal defaults
+// are the JSON schema's.
+func faultFlags(fs *flag.FlagSet) func() (Runner, error) {
+	penalties := fs.String("penalties", "", "faults: margin penalties to sweep, dB (default 0,1,2,2.5,3,3.5; 0,2,3.5 below -scale 0.2)")
+	var spec config.FaultSpec
+	fs.Float64Var(&spec.ConfirmDropProb, "confirm-drop", 0.01, "faults: confirmation-beam drop probability")
+	fs.Float64Var(&spec.VCSELFailProb, "vcsel-fail", 0.02, "faults: per-VCSEL start-of-life failure probability")
+	fs.Float64Var(&spec.DroopDBPerK, "droop", 0, "faults: thermal droop coefficient, dB/K (0 = off)")
+	fs.StringVar(&spec.ThermalCooling, "cooling", "", "faults: cooling for the droop model: air | microchannel | diamond-spreader (needs -droop; default air)")
+	fs.Float64Var(&spec.ThermalPowerW, "power", 0, "faults: per-node power fed to the thermal solver, W (needs -droop; default 4)")
+	fs.Float64Var(&spec.ThermalTauCycles, "tau", 0, "faults: thermal ramp time constant, cycles (needs -droop; default 100000)")
+	return func() (Runner, error) {
+		pens, err := parseList(*penalties, func(f string) (float64, error) {
+			v, err := strconv.ParseFloat(f, 64)
+			if err == nil && v < 0 {
+				err = fmt.Errorf("negative penalty %g", v)
+			}
+			return v, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bad -penalties: %v", err)
+		}
+		base, err := spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		return func(o Options) Result { return faultSweep(o, pens, base) }, nil
 	}
-	base := fault.Config{
-		VCSELFailProb:   0.02,
-		ConfirmDropProb: 0.01,
-	}
-	return FaultSweep(o, penalties, base)
 }
 
-// FaultSweep runs the FSOI system under the base fault configuration at
+// faultSweep runs the FSOI system under the base fault configuration at
 // each margin penalty and reports speedup over the (fault-immune) mesh,
 // collision rates, the retransmission overhead, and the raw fault
 // census. The same mesh baseline serves every penalty point: electrical
-// wires do not lose link margin.
-func FaultSweep(o Options, penalties []float64, base fault.Config) Result {
+// wires do not lose link margin. No penalties means defaultPenalties.
+func faultSweep(o Options, penalties []float64, base fault.Config) Result {
+	if penalties == nil {
+		penalties = defaultPenalties
+		if o.Scale < 0.2 {
+			penalties = []float64{0, 2, 3.5} // benches skip the dense middle
+		}
+	}
 	apps := o.suite()
 	// One grid covers the whole sweep: the per-app mesh baselines first,
 	// then every (penalty, app) FSOI point, all mutually independent.

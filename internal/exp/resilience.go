@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/obs"
+	"fsoi/internal/optnet"
 	"fsoi/internal/stats"
 	"fsoi/internal/system"
 )
@@ -14,9 +17,6 @@ import (
 // attacker still looks like a busy honest node, at 0.9 it saturates its
 // victim's receiver nearly every slot.
 var defaultIntensities = []float64{0.3, 0.6, 0.9}
-
-// resilienceRoles are swept in declaration order.
-var resilienceRoles = []adversary.Role{adversary.RoleJammer, adversary.RoleSpoofer, adversary.RoleStarver}
 
 // attackers places two hostile nodes at the top of the id range:
 // nodes-1 and nodes-2 have different parities, so between them they
@@ -48,21 +48,75 @@ func truePositive(link obs.Link, hostile map[int]bool, victims map[int]bool) boo
 // adversary role x intensity x node count, measuring honest-traffic
 // degradation against an attack-free control and the detector's
 // precision and latency. The control run doubles as the false-positive
-// gate: with no attacker present the detector must flag nothing.
-func Resilience(o Options) Result {
-	nodeCounts := []int{16, 64}
-	intensities := defaultIntensities
-	if o.Scale < 0.2 {
-		nodeCounts = []int{16} // benches skip the 64-node half
-		intensities = []float64{0.3, 0.9}
+// gate: with no attacker present the detector must flag nothing. It is
+// resilienceFlags' runner with no flag set.
+func Resilience(o Options) Result { return runAtDefaults(resilienceFlags, o) }
+
+// resilienceFlags is the "resilience" entry's Flags: the three axes of
+// the grid.
+func resilienceFlags(fs *flag.FlagSet) func() (Runner, error) {
+	roles := fs.String("roles", "", "resilience: comma-separated adversary roles to sweep (default jammer,spoofer,starver)")
+	intensities := fs.String("intensities", "", "resilience: comma-separated attack intensities in (0,1) (default 0.3,0.6,0.9; 0.3,0.9 below -scale 0.2)")
+	nodes := fs.String("nodes", "", "resilience: comma-separated node counts (default 16,64; 16 below -scale 0.2)")
+	return func() (Runner, error) {
+		rs, err := parseList(*roles, func(f string) (adversary.Role, error) {
+			r, ok := adversary.ParseRole(f)
+			if !ok {
+				return r, fmt.Errorf("unknown role %q", f)
+			}
+			return r, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bad -roles: %v", err)
+		}
+		is, err := parseList(*intensities, func(f string) (float64, error) {
+			v, err := strconv.ParseFloat(f, 64)
+			if err == nil && (v <= 0 || v >= 1) {
+				err = fmt.Errorf("intensity %g outside (0,1)", v)
+			}
+			return v, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bad -intensities: %v", err)
+		}
+		ns, err := parseList(*nodes, func(f string) (int, error) {
+			v, err := strconv.Atoi(f)
+			if err == nil && v < 4 {
+				err = fmt.Errorf("node count %d too small", v)
+			}
+			if err == nil {
+				_, err = optnet.MeshDim(v)
+			}
+			return v, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bad -nodes: %v", err)
+		}
+		return func(o Options) Result { return resilienceSweep(o, rs, is, ns) }, nil
 	}
-	return ResilienceSweep(o, resilienceRoles, intensities, nodeCounts)
 }
 
-// ResilienceSweep runs the resilience grid over the given roles,
-// intensities, and node counts (cmd/resilience parameterizes them). The
-// honest workload is the first app of the selected suite.
-func ResilienceSweep(o Options, roles []adversary.Role, intensities []float64, nodeCounts []int) Result {
+// resilienceSweep runs the resilience grid over the given roles,
+// intensities, and node counts; a nil axis means its default, thinned
+// at bench scale. The honest workload is the first app of the selected
+// suite.
+func resilienceSweep(o Options, roles []adversary.Role, intensities []float64, nodeCounts []int) Result {
+	bench := o.Scale < 0.2
+	if roles == nil {
+		roles = []adversary.Role{adversary.RoleJammer, adversary.RoleSpoofer, adversary.RoleStarver}
+	}
+	if intensities == nil {
+		intensities = defaultIntensities
+		if bench {
+			intensities = []float64{0.3, 0.9}
+		}
+	}
+	if nodeCounts == nil {
+		nodeCounts = []int{16, 64}
+		if bench {
+			nodeCounts = []int{16} // benches skip the 64-node half
+		}
+	}
 	app := o.suite()[0]
 
 	// Job list: per node count, one attack-free control then the full

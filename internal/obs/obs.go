@@ -222,7 +222,3 @@ func (r *Recorder) CountByKind() [numKinds]int64 {
 	}
 	return out
 }
-
-// NumKinds reports how many event kinds exist (the length of
-// CountByKind's result).
-func NumKinds() int { return int(numKinds) }

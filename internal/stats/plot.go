@@ -62,136 +62,3 @@ func (c *BarChart) String() string {
 	}
 	return b.String()
 }
-
-// StackedBar renders one bar split into named segments (the Figure 6a
-// latency-breakdown style).
-type StackedBar struct {
-	width    int
-	segments []string
-	glyphs   []byte
-}
-
-// NewStackedBar builds a renderer; segments name the components in
-// order, each drawn with a distinct glyph.
-func NewStackedBar(width int, segments ...string) *StackedBar {
-	if width <= 0 {
-		width = 50
-	}
-	glyphs := []byte{'#', '=', '+', '.', '~', '%'}
-	return &StackedBar{width: width, segments: segments, glyphs: glyphs}
-}
-
-// Render draws one labeled stacked bar for the given component values,
-// scaled so that total==scaleMax fills the width.
-func (s *StackedBar) Render(label string, scaleMax float64, values ...float64) string {
-	var bar strings.Builder
-	for i, v := range values {
-		if i >= len(s.segments) {
-			break
-		}
-		n := 0
-		if scaleMax > 0 {
-			n = int(math.Round(v / scaleMax * float64(s.width)))
-		}
-		bar.WriteString(strings.Repeat(string(s.glyphs[i%len(s.glyphs)]), n))
-	}
-	total := 0.0
-	for _, v := range values {
-		total += v
-	}
-	return fmt.Sprintf("%-12s %-*s %.1f", label, s.width+2, bar.String(), total)
-}
-
-// Legend describes the glyphs.
-func (s *StackedBar) Legend() string {
-	parts := make([]string, 0, len(s.segments))
-	for i, name := range s.segments {
-		parts = append(parts, fmt.Sprintf("%c=%s", s.glyphs[i%len(s.glyphs)], name))
-	}
-	return strings.Join(parts, "  ")
-}
-
-// Heatmap renders a 2-D grid of values with a density ramp — the text
-// analogue of the Figure 4 surface plot.
-type Heatmap struct {
-	rowLabels []string
-	colLabels []string
-	cells     [][]float64
-}
-
-// NewHeatmap builds a heatmap from row/column labels and values
-// (cells[row][col]).
-func NewHeatmap(rowLabels, colLabels []string, cells [][]float64) *Heatmap {
-	return &Heatmap{rowLabels: rowLabels, colLabels: colLabels, cells: cells}
-}
-
-// ramp maps a normalized value to a density glyph (low = sparse).
-var ramp = []byte(" .:-=+*#%@")
-
-// String renders the heatmap with the numeric minimum marked.
-func (h *Heatmap) String() string {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	var minR, minC int
-	for r := range h.cells {
-		for c, v := range h.cells[r] {
-			if v < lo {
-				lo, minR, minC = v, r, c
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	var b strings.Builder
-	labW := 0
-	for _, l := range h.rowLabels {
-		if len(l) > labW {
-			labW = len(l)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s ", labW, "")
-	for _, cl := range h.colLabels {
-		fmt.Fprintf(&b, "%4s", cl)
-	}
-	b.WriteString("\n")
-	for r := range h.cells {
-		fmt.Fprintf(&b, "%-*s ", labW, h.rowLabels[r])
-		for c, v := range h.cells[r] {
-			g := ramp[int((v-lo)/span*float64(len(ramp)-1))]
-			mark := byte(' ')
-			if r == minR && c == minC {
-				mark = '<'
-			}
-			fmt.Fprintf(&b, " %c%c%c", g, g, mark)
-		}
-		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "min %.3g at (%s, %s); max %.3g\n", lo, h.rowLabels[minR], h.colLabels[minC], hi)
-	return b.String()
-}
-
-// Sparkline renders a one-line graph of a series (for distributions).
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	for _, v := range values {
-		b.WriteRune(levels[int((v-lo)/span*float64(len(levels)-1))])
-	}
-	return b.String()
-}

@@ -35,51 +35,3 @@ func TestBarChartEmptyAndZero(t *testing.T) {
 		t.Fatal("zero bars still show labels")
 	}
 }
-
-func TestStackedBar(t *testing.T) {
-	s := NewStackedBar(20, "queue", "net")
-	row := s.Render("app", 10, 5, 5)
-	if !strings.Contains(row, "##########") || !strings.Contains(row, "==========") {
-		t.Fatalf("segments missing: %q", row)
-	}
-	if !strings.Contains(row, "10.0") {
-		t.Fatalf("total missing: %q", row)
-	}
-	leg := s.Legend()
-	if !strings.Contains(leg, "#=queue") || !strings.Contains(leg, "==net") {
-		t.Fatalf("legend wrong: %q", leg)
-	}
-}
-
-func TestHeatmapMarksMinimum(t *testing.T) {
-	h := NewHeatmap([]string{"r0", "r1"}, []string{"c0", "c1"},
-		[][]float64{{5, 3}, {9, 7}})
-	out := h.String()
-	if !strings.Contains(out, "min 3 at (r0, c1)") {
-		t.Fatalf("minimum not located:\n%s", out)
-	}
-	if !strings.Contains(out, "max 9") {
-		t.Fatalf("maximum missing:\n%s", out)
-	}
-}
-
-func TestHeatmapUniform(t *testing.T) {
-	h := NewHeatmap([]string{"r"}, []string{"c"}, [][]float64{{2}})
-	if out := h.String(); !strings.Contains(out, "min 2") {
-		t.Fatalf("uniform heatmap: %s", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("want 4 glyphs, got %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty series renders empty")
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	if len([]rune(flat)) != 3 {
-		t.Fatal("flat series still renders")
-	}
-}
