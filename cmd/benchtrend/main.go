@@ -87,6 +87,7 @@ type scaleBench struct {
 type snapshot struct {
 	Index       int                    `json:"index"`
 	GoVersion   string                 `json:"go_version"`
+	Host        string                 `json:"host,omitempty"` // GOOS/GOARCH and CPU count; absent before BENCH_3
 	GOMAXPROCS  int                    `json:"gomaxprocs"`
 	Workers     int                    `json:"workers"`
 	Engine      map[string]engineBench `json:"engine"`
@@ -193,6 +194,7 @@ func main() {
 	snap := snapshot{
 		Index:      n,
 		GoVersion:  runtime.Version(),
+		Host:       fmt.Sprintf("%s/%s, %d CPUs", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    parallel.Workers(*jobs),
 		Engine: map[string]engineBench{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strconv"
 
 	"fsoi/internal/noc"
@@ -80,6 +81,7 @@ type nodeState struct {
 	notBefore map[*noc.Packet]sim.Cycle // scheduling holds (spacing, writeback split)
 	retries   [numLanes][]*transmission
 	lastDst   [numLanes]int
+	heldDsts  []int // startSlot scratch: destinations behind a held packet
 
 	// arr accumulates the transmissions that landed on each of this
 	// node's receivers during the slot ending now; the node's own tick
@@ -102,7 +104,7 @@ type Stats struct {
 	Collided       [numLanes]int64 // attempts that ended in a collision
 	Collisions     [numLanes]int64 // collision events (>= 2 attempts each)
 	Delivered      [numLanes]int64
-	SlotsObserved  [numLanes]int64 // node-slots elapsed
+	SlotsObserved  [numLanes]int64 // node-slots elapsed (filled by Network.Stats from the cycle count)
 	DataByKind     [numCollisionKinds]int64
 	HintsIssued    int64
 	HintsCorrect   int64
@@ -138,7 +140,6 @@ func (s *Stats) add(o *Stats) {
 		s.Collided[l] += o.Collided[l]
 		s.Collisions[l] += o.Collisions[l]
 		s.Delivered[l] += o.Delivered[l]
-		s.SlotsObserved[l] += o.SlotsObserved[l]
 		s.Dropped[l] += o.Dropped[l]
 		if o.MaxBackoffDepth[l] > s.MaxBackoffDepth[l] {
 			s.MaxBackoffDepth[l] = o.MaxBackoffDepth[l]
@@ -203,6 +204,7 @@ func (s *Stats) RetransmissionRate(l Lane) float64 {
 // and the windowed parallel engine.
 type Network struct {
 	cfg       Config
+	slotLen   [numLanes]int64 // cfg.SlotCycles per lane, computed once
 	engine    sim.Scheduler   // setup and end-of-run reporting only
 	scheds    []sim.Scheduler // per-node view of the engine (shard proxies when windowed)
 	nrng      []*sim.RNG      // per-node random streams, derived in node order
@@ -214,6 +216,7 @@ type Network struct {
 	lat       []noc.LatencyStats
 	stats     []Stats
 	nodes     []*nodeState
+	busy      *sim.BusySet // nodes with a packet queued, in retry, or arriving
 	conf      *confLane
 	ber       float64        // per-bit error probability on the signaling chain
 	fault     FaultModel     // nil unless an injector is attached
@@ -234,6 +237,10 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 		engine: engine,
 		conf:   newConfLane(cfg.Nodes, cfg.BitsPerCycle),
 		ber:    1e-10,
+		busy:   sim.NewBusySet(sim.Blocks(engine, cfg.Nodes)),
+	}
+	for l := range n.slotLen {
+		n.slotLen[l] = int64(cfg.SlotCycles(Lane(l)))
 	}
 	base := rng.NewStream("fsoi")
 	n.scheds = make([]sim.Scheduler, cfg.Nodes)
@@ -289,21 +296,26 @@ func (n *Network) Lookahead() sim.Cycle {
 	// A transmission's arrival handoff has exactly one slot of slack, so
 	// a lane with slots shorter than the confirmation delay (an unusual
 	// but legal lane-width choice) caps the window.
-	if s := sim.Cycle(n.cfg.SlotCycles(LaneMeta)); s < la {
-		la = s
-	}
-	if s := sim.Cycle(n.cfg.SlotCycles(LaneData)); s < la {
-		la = s
+	for _, s := range n.slotLen {
+		if sim.Cycle(s) < la {
+			la = sim.Cycle(s)
+		}
 	}
 	return la
 }
 
 // Stats merges the per-node counters, in node order, into a fresh
-// aggregate.
+// aggregate. Every node sees every slot boundary whether or not it had
+// work there, so SlotsObserved is the boundaries in [0, now) times the
+// node count rather than a tally.
 func (n *Network) Stats() *Stats {
 	out := &Stats{}
 	for i := range n.stats {
 		out.add(&n.stats[i])
+	}
+	now := int64(n.engine.Now())
+	for l, slotLen := range n.slotLen {
+		out.SlotsObserved[l] = int64(n.cfg.Nodes) * ((now + slotLen - 1) / slotLen)
 	}
 	return out
 }
@@ -387,6 +399,7 @@ func (n *Network) Send(p *noc.Packet) bool {
 	p.Created = sched.Now()
 	n.schedulePacket(ns, p, lane)
 	ns.queue[lane] = append(ns.queue[lane], p)
+	n.busy.Mark(p.Src)
 	return true
 }
 
@@ -395,7 +408,7 @@ func (n *Network) Send(p *noc.Packet) bool {
 func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) {
 	now := n.scheds[p.Src].Now()
 	cd := sim.Cycle(n.cfg.ConfirmDelay)
-	dataSlot := int64(n.cfg.SlotCycles(LaneData))
+	dataSlot := n.slotLen[LaneData]
 	switch {
 	case lane == LaneMeta && p.ExpectsDataReply && n.cfg.Opt.ReceiverScheduling:
 		// Reserve the most likely reply slot at our own receiver; if it
@@ -444,8 +457,7 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) {
 // writeback split reserves at the *home* node — so the expiry fires on
 // the shard owning that node, not on whichever shard ran the sender.
 func (n *Network) expireReservation(node int, ns *nodeState, slot int64, now sim.Cycle) {
-	dataSlot := int64(n.cfg.SlotCycles(LaneData))
-	end := sim.Cycle((slot + 2) * dataSlot)
+	end := sim.Cycle((slot + 2) * n.slotLen[LaneData])
 	if end <= now {
 		end = now + 1
 	}
@@ -483,25 +495,46 @@ func (n *Network) ConfirmationUtilization() float64 {
 	return n.conf.Utilization(n.engine.Now(), n.cfg.Nodes)
 }
 
-// Tick advances the whole network one cycle on a single-threaded engine
-// by ticking every node in node order. Partitioned engines register
-// TickNode per node instead and never call this.
+// Tick advances the whole network one cycle on a single-threaded engine:
+// every block's sweep, in block (hence node) order.
 func (n *Network) Tick(now sim.Cycle) {
-	for id := range n.nodes {
-		n.TickNode(id, now)
+	for k := 0; k < n.busy.Blocks(); k++ {
+		n.TickBlock(k, now)
 	}
 }
 
-// TickNode advances one node one cycle. At each lane's slot boundary the
-// node first resolves the slot that just ended on each of its receivers
+// TickBlock advances block k's nodes one cycle. The network is
+// relay-free and unarbitrated, so a node with nothing queued, nothing in
+// backoff and nothing arriving has no work at a slot boundary, and no
+// node has any between boundaries: only the busy nodes are ticked, in
+// ascending id order, and only on a cycle that opens a slot on some lane.
+func (n *Network) TickBlock(k int, now sim.Cycle) {
+	if int64(now)%n.slotLen[LaneMeta] != 0 && int64(now)%n.slotLen[LaneData] != 0 {
+		return
+	}
+	n.busy.Each(k, func(id int) { n.tickNode(id, now) })
+}
+
+// TickNode advances one node one cycle, for drivers that tick node by
+// node; calling it for every node every cycle is equivalent to Tick. An
+// idle node returns at once.
+func (n *Network) TickNode(id int, now sim.Cycle) {
+	if n.busy.Has(id) {
+		n.tickNode(id, now)
+	}
+}
+
+// tickNode is the per-node body. At each lane's slot boundary the node
+// first resolves the slot that just ended on each of its receivers
 // (delivering clean transmissions, adjudicating collisions, handing
 // failures back to their senders), then its lane serializer picks the
 // next transmission for the opening slot. Only state owned by node id is
-// touched.
-func (n *Network) TickNode(id int, now sim.Cycle) {
+// touched, its busy bit included: the bit is dropped once the tick
+// leaves nothing queued, in retry or arriving.
+func (n *Network) tickNode(id int, now sim.Cycle) {
 	ns := n.nodes[id]
 	for l := Lane(0); l < numLanes; l++ {
-		slotLen := int64(n.cfg.SlotCycles(l))
+		slotLen := n.slotLen[l]
 		if int64(now)%slotLen != 0 {
 			continue
 		}
@@ -516,9 +549,27 @@ func (n *Network) TickNode(id int, now sim.Cycle) {
 			ns.arr[l][rcv] = ns.arr[l][rcv][:0]
 			n.resolveGroup(id, l, slot-1, group, now)
 		}
-		n.stats[id].SlotsObserved[l]++
 		n.startSlot(id, ns, l, slot, now)
 	}
+	if ns.idle() {
+		n.busy.Clear(id)
+	}
+}
+
+// idle reports that the node has no per-cycle work: nothing queued,
+// nothing awaiting retransmission and nothing landed on a receiver.
+func (ns *nodeState) idle() bool {
+	for l := range ns.queue {
+		if len(ns.queue[l]) > 0 || len(ns.retries[l]) > 0 {
+			return false
+		}
+		for _, group := range ns.arr[l] {
+			if len(group) > 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // startSlot picks at most one transmission for node id on lane l in the
@@ -549,14 +600,14 @@ func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.C
 	// Fresh packet from the queue, respecting scheduling holds. A held
 	// packet blocks only packets to the same destination, preserving
 	// point-to-point order.
-	blocked := make(map[int]bool)
+	ns.heldDsts = ns.heldDsts[:0]
 	for i, p := range ns.queue[l] {
 		nb, held := ns.notBefore[p]
 		if held && nb > now {
-			blocked[p.Dst] = true
+			ns.heldDsts = append(ns.heldDsts, p.Dst)
 			continue
 		}
-		if blocked[p.Dst] {
+		if slices.Contains(ns.heldDsts, p.Dst) {
 			continue
 		}
 		ns.queue[l] = append(ns.queue[l][:i], ns.queue[l][i+1:]...)
@@ -615,11 +666,12 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 	// The arrival belongs to the destination node's shard; a slot is at
 	// least ConfirmDelay (2) cycles long, so the handoff clears the
 	// lookahead window.
-	slotEnd := sim.Cycle((slot + 1) * int64(n.cfg.SlotCycles(l)))
+	slotEnd := sim.Cycle((slot + 1) * n.slotLen[l])
 	dst := p.Dst
 	noc.ScheduleAt(n.scheds[id], dst, slotEnd, func(sim.Cycle) {
 		d := n.nodes[dst]
 		d.arr[l][rcv] = append(d.arr[l][rcv], tx)
+		n.busy.Mark(dst)
 	})
 }
 
@@ -805,7 +857,6 @@ func (n *Network) failBack(from int, tx *transmission, l Lane, slot int64, now s
 // is outstanding, in which case dropping would desynchronize sender and
 // receiver.
 func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, isWinner bool) {
-	ns := n.nodes[tx.src]
 	if n.cfg.MaxRetries > 0 && tx.attempt > n.cfg.MaxRetries && !tx.delivered {
 		n.drop(tx, l, now)
 		return
@@ -821,7 +872,7 @@ func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, i
 	}
 	if isWinner {
 		tx.retrySlot = slot + 2
-		ns.retries[l] = append(ns.retries[l], tx)
+		n.parkRetry(tx, l)
 		if n.obs != nil {
 			n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 		}
@@ -849,10 +900,19 @@ func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, i
 		base = slot + 3
 	}
 	tx.retrySlot = base + d - 1
-	ns.retries[l] = append(ns.retries[l], tx)
+	n.parkRetry(tx, l)
 	if n.obs != nil {
 		n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 	}
+}
+
+// parkRetry puts tx on its sender's retry list for lane l, in the
+// sender's context, and keeps the sender in the busy set until the
+// retry slot comes round.
+func (n *Network) parkRetry(tx *transmission, l Lane) {
+	ns := n.nodes[tx.src]
+	ns.retries[l] = append(ns.retries[l], tx)
+	n.busy.Mark(tx.src)
 }
 
 // drop abandons a transmission after retry exhaustion, in the sender's
@@ -892,8 +952,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 	if tx.delivered {
 		st.DuplicateDeliveries++
 	} else {
-		slotLen := int64(n.cfg.SlotCycles(l))
-		p.NetworkDelay = slotLen + int64(extra)
+		p.NetworkDelay = n.slotLen[l] + int64(extra)
 		if tx.firstSlotEnd != 0 {
 			p.ResolutionDelay = int64(now - tx.firstSlotEnd)
 		}
@@ -931,9 +990,8 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 		if n.obs != nil {
 			n.observe(dst, obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
 		}
-		src := tx.src
-		noc.ScheduleAt(n.scheds[dst], src, now+sim.Cycle(n.cfg.ConfirmDelay), func(sim.Cycle) {
-			n.nodes[src].retries[l] = append(n.nodes[src].retries[l], tx)
+		noc.ScheduleAt(n.scheds[dst], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), func(sim.Cycle) {
+			n.parkRetry(tx, l)
 		})
 		return
 	}

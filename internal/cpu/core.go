@@ -89,12 +89,15 @@ type Core struct {
 	storeWait func(now sim.Cycle) // resume when a store drains
 	done      bool
 	onFinish  func(core int, now sim.Cycle)
+	finishFn  func(now sim.Cycle) // c.finish, bound once: the drain poll reschedules it every cycle
 }
 
 // New builds a core; onFinish fires once when the stream is exhausted and
 // all stores have drained.
 func New(id int, cfg Config, engine sim.Scheduler, l1 *coherence.L1, stream Stream, sync SyncFabric, onFinish func(int, sim.Cycle)) *Core {
-	return &Core{id: id, cfg: cfg, engine: engine, l1: l1, stream: stream, sync: sync, onFinish: onFinish}
+	c := &Core{id: id, cfg: cfg, engine: engine, l1: l1, stream: stream, sync: sync, onFinish: onFinish}
+	c.finishFn = c.finish
+	return c
 }
 
 // Stats exposes the counters.
@@ -192,7 +195,7 @@ func (c *Core) drainThen(now sim.Cycle, fn func(now sim.Cycle)) {
 // finish completes the thread once stores drain.
 func (c *Core) finish(now sim.Cycle) {
 	if c.storesOut > 0 {
-		c.engine.After(1, c.finish)
+		c.engine.After(1, c.finishFn)
 		return
 	}
 	if c.done {

@@ -1,0 +1,100 @@
+package system
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"fsoi/internal/adversary"
+	"fsoi/internal/workload"
+)
+
+// The per-block busy-node sweeps replaced 3·N per-cycle tickers on all
+// three engines. These hashes are the Canonical() of each run at the
+// commit before that change (5ec3599): the sweep must not move a
+// single metric. The serial and exact-sharded engines share a hash by
+// the exact engine's contract; the windowed engine runs its own
+// schedule, identical at every shard and worker count.
+const (
+	goldenFaulty64   = "b51c347dc80de9171f0406bcd2bf963ac40d5cee78aaa61a40a2737c0667ae63"
+	goldenWindowed64 = "7da6f22834b56b4ce7369bf810224928a4f0a75711a465c324a99bfc1aee67ed"
+	goldenPlain256   = "b54a3dc0c06f911378a251f2a7e13242e2fac4dd2dbb03682d3e94c1fa9f893e"
+	goldenWindow256  = "68b41a309a1ec470f55847bbafb37ad2a70c9390073b8c28f82c134162b95442"
+)
+
+// goldenRun hashes the canonical metrics of one run. The 64-node runs
+// switch on everything that reaches the FSOI tick path: faults, a
+// jammer/spoofer/starver roster, observation and the detector.
+func goldenRun(t *testing.T, nodes, shards, workers int) string {
+	t.Helper()
+	cfg := Default(nodes, NetFSOI)
+	cfg.MaxCycles = 3_000_000
+	cfg.Shards = shards
+	cfg.ParWorkers = workers
+	name, scale := "jacobi", 0.002
+	if nodes == 64 {
+		name, scale = "mp3d", 0.01
+		faultyConfig(&cfg)
+		cfg.Detect = true
+		cfg.TracePackets = 16
+		cfg.Adversaries = []adversary.Spec{
+			{Role: adversary.RoleJammer, Node: 63, Victims: []int{0}, Intensity: 0.9},
+			{Role: adversary.RoleSpoofer, Node: 62, Victims: []int{1}, Intensity: 0.5},
+			{Role: adversary.RoleStarver, Node: 5, Victims: []int{2}, Intensity: 0.3},
+		}
+	}
+	app, ok := workload.ByName(name, scale)
+	if !ok {
+		t.Fatalf("unknown app %s", name)
+	}
+	s := New(cfg)
+	m := s.Run(app)
+	if !m.Finished {
+		t.Fatalf("%d nodes, %d shards, %d workers did not finish:\n%s", nodes, shards, workers, s.Diagnose())
+	}
+	sum := sha256.Sum256([]byte(m.Canonical()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSweepGoldenSerialAndSharded pins the serial engine (one block)
+// and the exact engine at 8 shards (8 blocks) to the parent's output.
+func TestSweepGoldenSerialAndSharded(t *testing.T) {
+	for _, c := range []struct {
+		nodes, shards int
+		want          string
+	}{
+		{64, 0, goldenFaulty64},
+		{64, 8, goldenFaulty64},
+		{256, 0, goldenPlain256},
+		{256, 8, goldenPlain256},
+	} {
+		if c.nodes == 256 && testing.Short() {
+			continue
+		}
+		if got := goldenRun(t, c.nodes, c.shards, 0); got != c.want {
+			t.Errorf("%d nodes, %d shards: canonical sha256 %s, parent commit had %s", c.nodes, c.shards, got, c.want)
+		}
+	}
+}
+
+// TestWindowedSweepGolden pins the windowed engine. Eight shards of a
+// 64-node system are 8-node blocks, so every block's busy bits would
+// share one word if the set were not laid out per block: the CI race
+// step (-run TestWindow) catches that here.
+func TestWindowedSweepGolden(t *testing.T) {
+	for _, c := range []struct {
+		nodes, shards, workers int
+		want                   string
+	}{
+		{64, 8, 2, goldenWindowed64},
+		{64, 2, 2, goldenWindowed64},
+		{256, 2, 2, goldenWindow256},
+	} {
+		if c.nodes == 256 && testing.Short() {
+			continue
+		}
+		if got := goldenRun(t, c.nodes, c.shards, c.workers); got != c.want {
+			t.Errorf("%d nodes, %d shards, %d workers: canonical sha256 %s, parent commit had %s", c.nodes, c.shards, c.workers, got, c.want)
+		}
+	}
+}

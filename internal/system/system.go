@@ -278,6 +278,10 @@ type System struct {
 	// in-flight message per (src, dst, line); the rest wait here.
 	ordInFlight []map[ordKey]bool
 	ordQueue    []map[ordKey][]coherence.Msg
+
+	// backlogged holds the nodes whose L1 or directory outbox may be
+	// non-empty; an outbox only ever grows when transport.Send refuses.
+	backlogged *sim.BusySet
 }
 
 // ordKey identifies one ordered message stream within its source node.
@@ -348,6 +352,9 @@ func (t transport) Send(m coherence.Msg) bool {
 	p := t.packetFor(m)
 	if !s.net.Send(p) {
 		s.recycle(p)
+		// The refused message goes to its sender's outbox (or a retry
+		// event): the node joins the per-cycle outbox drain.
+		s.backlogged.Mark(m.From)
 		return false
 	}
 	s.observeInject(p)
@@ -508,21 +515,23 @@ func New(cfg Config) *System {
 	if s.winEng != nil {
 		s.winEng.SetLookahead(s.la)
 	}
+	// Per-node per-cycle work is registered once per block of nodes
+	// sharing a shard, not once per node: a sweep over the block's busy
+	// nodes in id order, through the block's first node's scheduler, so
+	// it ticks in that shard's context on every engine. The serial engine
+	// has one block.
+	blocks := sim.Blocks(s.engine, cfg.Nodes)
+	sweepPerBlock := func(sweep func(k int, now sim.Cycle)) {
+		for k, blk := range blocks {
+			k := k
+			onShard(blk.Lo)
+			s.sched(blk.Lo).Register(sim.TickFunc(func(now sim.Cycle) { sweep(k, now) }))
+		}
+	}
 	if s.fsoi != nil {
-		// FSOI has no global tick sweep: each node's slice of the network
-		// ticks in that node's own shard context, in node order, so the
-		// sweep is the serial Tick loop with accurate shard accounting —
-		// required by the windowed engine (whose scheduling surface is
-		// per-node proxies) and kept on the serial and exact engines so
-		// all three run the same registration sequence.
-		for i := 0; i < cfg.Nodes; i++ {
-			onShard(i)
-			id := i
-			s.sched(i).Register(sim.TickFunc(func(now sim.Cycle) { s.fsoi.TickNode(id, now) }))
-		}
-		if s.shardEng != nil {
-			s.shardEng.SetShard(0)
-		}
+		// FSOI has no global tick: every node's slice of the network
+		// ticks in that node's own shard context.
+		sweepPerBlock(s.fsoi.TickBlock)
 	} else {
 		// The electrical and crossbar networks tick globally; on the
 		// exact engine the tick runs on shard 0 and hands per-node events
@@ -537,13 +546,21 @@ func New(cfg Config) *System {
 
 	for i := 0; i < cfg.Nodes; i++ {
 		onShard(i)
-		l1 := coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home)
-		s.l1s = append(s.l1s, l1)
-		s.sched(i).Register(l1)
-		dir := coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode)
-		s.dirs = append(s.dirs, dir)
-		s.sched(i).Register(dir)
+		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home))
+		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode))
 	}
+	// The controllers' only per-cycle work is re-offering an outbox the
+	// network pushed back on, after every network tick of the cycle: l1
+	// then directory, in node order, for the nodes transport.Send refused.
+	s.backlogged = sim.NewBusySet(blocks)
+	sweepPerBlock(func(k int, now sim.Cycle) {
+		s.backlogged.Each(k, func(i int) {
+			// Cleared first: a Send refused again during the drain re-marks.
+			s.backlogged.Clear(i)
+			s.l1s[i].Tick(now)
+			s.dirs[i].Tick(now)
+		})
+	})
 	for c := 0; c < cfg.Memory.Channels; c++ {
 		node := attach[c]
 		if _, dup := s.mems[node]; dup {
