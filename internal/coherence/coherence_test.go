@@ -23,6 +23,7 @@ type rig struct {
 	inFlight map[[3]uint64]bool
 	queued   map[[3]uint64][]Msg
 	sent     []Msg
+	sentAt   []sim.Cycle // the cycle each entry of sent left its controller
 	bits     []bitEvent
 	blockNet bool // force Send to fail (backpressure tests)
 }
@@ -42,6 +43,7 @@ func (r *rig) Send(m Msg) bool {
 		return false
 	}
 	r.sent = append(r.sent, m)
+	r.sentAt = append(r.sentAt, r.engine.Now())
 	k := key(m)
 	if r.inFlight[k] {
 		r.queued[k] = append(r.queued[k], m)

@@ -135,7 +135,6 @@ type DirStats struct {
 	Evictions  int64
 	SyncOps    int64
 	BitPushes  int64
-	MsgsSent   *stats.CounterSet
 	StallDepth stats.Summary
 }
 
@@ -158,8 +157,21 @@ type Directory struct {
 	// pipeline must not let a short tag access (Inv, 4 cycles) overtake
 	// an earlier data access (Data(M), 15 cycles) to the same node about
 	// the same line, or the §4.4 ordering the network provides would be
-	// broken before the message ever reaches it.
+	// broken before the message ever reaches it. It holds only the sends
+	// still in the pipeline: see delayedSend.fire.
 	lastSend map[[2]uint64]sim.Cycle
+	// sendFree recycles delayedSend records, last in first out.
+	sendFree []*delayedSend
+}
+
+// delayedSend is one message in the L2 pipeline. The record carries the
+// message and a callback bound once, when the record is first allocated,
+// so a delayed send schedules no closure of its own; the directory runs
+// in its node's context only, so the free list needs no guard.
+type delayedSend struct {
+	d      *Directory
+	m      Msg
+	fireFn func(now sim.Cycle)
 }
 
 // NewDirectory builds the home slice for node id.
@@ -173,7 +185,6 @@ func NewDirectory(id int, cfg DirConfig, engine sim.Scheduler, tr Transport, mem
 		entries:  make(map[cache.LineAddr]*dirEntry),
 		lastSend: make(map[[2]uint64]sim.Cycle),
 	}
-	d.stats.MsgsSent = stats.NewCounterSet()
 	d.sync = newSyncManager(d)
 	return d
 }
@@ -186,22 +197,51 @@ func (d *Directory) Sync() *SyncAPI { return &SyncAPI{m: d.sync} }
 
 // send queues a message with backpressure via the outbox.
 func (d *Directory) send(m Msg) {
-	d.stats.MsgsSent.Inc(m.Type.String(), 1)
 	if !d.tr.Send(m) {
 		d.outbox = append(d.outbox, m)
 	}
 }
 
+// sendKey names m's serialized (destination, line) stream in lastSend.
+func sendKey(m Msg) [2]uint64 { return [2]uint64{uint64(m.To), uint64(m.Addr)} }
+
 // sendAfter sends m after an L2 access delay, preserving per-(dst, line)
 // issue order across differing pipeline depths.
 func (d *Directory) sendAfter(delay int, m Msg) {
 	at := d.engine.Now() + sim.Cycle(delay)
-	k := [2]uint64{uint64(m.To), uint64(m.Addr)}
+	k := sendKey(m)
 	if prev, ok := d.lastSend[k]; ok && at <= prev {
 		at = prev + 1
 	}
 	d.lastSend[k] = at
-	d.engine.At(at, func(sim.Cycle) { d.send(m) })
+	var ds *delayedSend
+	if n := len(d.sendFree); n > 0 {
+		ds = d.sendFree[n-1]
+		d.sendFree = d.sendFree[:n-1]
+	} else {
+		ds = &delayedSend{d: d}
+		ds.fireFn = ds.fire
+	}
+	ds.m = m
+	d.engine.At(at, ds.fireFn)
+}
+
+// fire leaves the pipeline: the record is recycled, the stream's
+// lastSend entry retired, and the message sent. An entry only ever moves
+// a send that would land at or before it, and a send lands its access
+// latency after the cycle it is issued in: with both latencies nonzero
+// (PaperDir's are 15 and 4) nothing issued from this cycle on can land as
+// early as now, so an entry that still reads now is dead and lastSend
+// stays as small as the pipeline. With a zero latency a send issued later
+// this cycle could still land on now; then entries are kept.
+func (ds *delayedSend) fire(now sim.Cycle) {
+	d, m := ds.d, ds.m
+	ds.m = Msg{}
+	d.sendFree = append(d.sendFree, ds)
+	if k := sendKey(m); d.lastSend[k] == now && d.cfg.DataCycles > 0 && d.cfg.TagCycles > 0 {
+		delete(d.lastSend, k)
+	}
+	d.send(m)
 }
 
 // Tick drains the outbox.

@@ -79,7 +79,6 @@ type L1Stats struct {
 	Writebacks    int64
 	Nacks         int64
 	ElidedAcks    int64
-	MsgsSent      *stats.CounterSet
 	MissLatency   stats.Summary    // request issue -> completion, cycles
 	MissHist      *stats.Histogram // reply-latency distribution (Figure 5)
 }
@@ -114,7 +113,6 @@ func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transpor
 		home:   home,
 		watch:  make(map[cache.LineAddr][]func(now sim.Cycle)),
 	}
-	l.stats.MsgsSent = stats.NewCounterSet()
 	l.stats.MissHist = stats.NewHistogram(5, 60)
 	return l
 }
@@ -145,7 +143,6 @@ func (l *L1) Outstanding() int { return len(l.trans) }
 
 // send queues m, falling back to the outbox under backpressure.
 func (l *L1) send(m Msg) {
-	l.stats.MsgsSent.Inc(m.Type.String(), 1)
 	if !l.tr.Send(m) {
 		l.outbox = append(l.outbox, m)
 	}
@@ -180,7 +177,7 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 			line.State = cache.Modified // E->M silent upgrade
 		}
 		l.stats.Hits++
-		l.engine.At(now+sim.Cycle(l.cfg.HitCycles), func(at sim.Cycle) { done(at) })
+		l.engine.At(now+sim.Cycle(l.cfg.HitCycles), done)
 		return true
 	}
 	if l.mshr.Full() {
@@ -305,10 +302,10 @@ func (l *L1) complete(addr cache.LineAddr, p *l1Pending, now sim.Cycle) {
 		w := w
 		switch {
 		case !w.write:
-			l.engine.At(at, func(c sim.Cycle) { w.done(c) })
+			l.engine.At(at, w.done)
 		case line != nil && (line.State == cache.Exclusive || line.State == cache.Modified):
 			line.State = cache.Modified
-			l.engine.At(at, func(c sim.Cycle) { w.done(c) })
+			l.engine.At(at, w.done)
 		default:
 			// Write waiter on a shared fill: re-access to upgrade.
 			l.engine.At(at, func(c sim.Cycle) { l.AccessRetry(addr, true, w.done) })

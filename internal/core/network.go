@@ -59,19 +59,93 @@ type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
 // attempt is handed back to the source node (a scheduled event on the
 // source's shard) before the source touches it again. No two nodes ever
 // hold it in the same cycle window.
+//
+// Records are recycled through the source node's free list
+// (nodeState.txFree): acquired in startSlot, released exactly once, by
+// the confirmation event or by drop, all three in the source's context.
+// A lost confirmation keeps the record live until the duplicate's
+// confirmation. Every event in a packet's life is one of the callbacks
+// below, bound when the record is first allocated and reading its
+// arguments from the record: an attempt schedules no closure. Only a
+// pipelined delivery is ever pending beside another event. It fires
+// ConfirmDelay or more before its own confirmation; had that been lost,
+// the duplicate's confirmation is a timeout, a slot and the same
+// degradation pipeline further out, which a steering delay of a cycle or
+// so (PhaseSetup) never outlasts.
 type transmission struct {
 	pkt          *noc.Packet
 	src          int
+	lane         Lane
+	rcv          int       // receiver the beam lands on at the destination
 	attempt      int       // 0 on the first transmission
 	firstSlotEnd sim.Cycle // end of the first attempted slot
-	readyCycle   sim.Cycle // when it became eligible to transmit
 	steerExtra   int       // phase-array retarget penalty this attempt
 	degradeExtra int       // VCSEL-failure serialization penalty this attempt
 	ber          float64   // per-bit error probability, sampled at launch
 	winner       bool      // selected by a retransmission hint
+	failedSlot   int64     // slot of the attempt being handed back
 	retrySlot    int64     // earliest slot index for the next attempt
 	delivered    bool      // payload landed but the confirmation was lost
+
+	n         *Network
+	arriveFn  func(now sim.Cycle) // the beam lands on the destination's receiver
+	deliverFn func(now sim.Cycle) // the payload leaves a steering or degradation pipeline
+	backoffFn func(now sim.Cycle) // a failed attempt is back at its sender
+	confirmFn func(now sim.Cycle) // the confirmation beam reaches the sender
+	requeueFn func(now sim.Cycle) // the sender's confirmation timeout
 }
+
+// acquire takes a scrubbed transmission from node id's free list, or
+// allocates one and binds its callbacks. Sender's context only.
+func (n *Network) acquire(id int, ns *nodeState) *transmission {
+	if k := len(ns.txFree); k > 0 {
+		tx := ns.txFree[k-1]
+		ns.txFree = ns.txFree[:k-1]
+		return tx
+	}
+	tx := &transmission{n: n, src: id, rcv: id % n.cfg.Receivers}
+	tx.arriveFn, tx.deliverFn, tx.backoffFn, tx.confirmFn, tx.requeueFn = tx.arrive, tx.deliver, tx.backoff, tx.confirm, tx.requeue
+	return tx
+}
+
+// release scrubs tx down to what it was born with and returns it to its
+// source's free list. Sender's context only; the caller holds the last
+// reference.
+func (n *Network) release(tx *transmission) {
+	*tx = transmission{
+		n: n, src: tx.src, rcv: tx.rcv,
+		arriveFn: tx.arriveFn, deliverFn: tx.deliverFn, backoffFn: tx.backoffFn, confirmFn: tx.confirmFn, requeueFn: tx.requeueFn,
+	}
+	ns := n.nodes[tx.src]
+	ns.txFree = append(ns.txFree, tx)
+}
+
+// arrive lands the beam on the destination's receiver at the end of the
+// slot, in the destination's context.
+func (tx *transmission) arrive(sim.Cycle) {
+	dst := tx.pkt.Dst
+	d := tx.n.nodes[dst]
+	d.arr[tx.lane][tx.rcv] = append(d.arr[tx.lane][tx.rcv], tx)
+	tx.n.busy.Mark(dst)
+}
+
+// deliver hands over a payload held back by a pipeline, in the
+// destination's context.
+func (tx *transmission) deliver(now sim.Cycle) { tx.n.deliver(tx.pkt, now) }
+
+// confirm is the confirmation's arrival at the sender: the record's
+// last event.
+func (tx *transmission) confirm(now sim.Cycle) {
+	n, p := tx.n, tx.pkt
+	n.release(tx)
+	if n.confirmFn != nil {
+		n.confirmFn(p, now)
+	}
+}
+
+// requeue parks a delivered-but-unconfirmed transmission for its
+// timeout retransmission, in the sender's context.
+func (tx *transmission) requeue(sim.Cycle) { tx.n.parkRetry(tx) }
 
 // nodeState is the per-node transmit machinery. Everything in here is
 // touched only from events and ticks executing on the owning node, so a
@@ -80,6 +154,7 @@ type nodeState struct {
 	queue     [numLanes][]*noc.Packet
 	notBefore map[*noc.Packet]sim.Cycle // scheduling holds (spacing, writeback split)
 	retries   [numLanes][]*transmission
+	txFree    []*transmission // retired records, reused last in first out
 	lastDst   [numLanes]int
 	heldDsts  []int // startSlot scratch: destinations behind a held packet
 
@@ -612,7 +687,8 @@ func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.C
 		}
 		ns.queue[l] = append(ns.queue[l][:i], ns.queue[l][i+1:]...)
 		delete(ns.notBefore, p)
-		tx := &transmission{pkt: p, src: id, readyCycle: now}
+		tx := n.acquire(id, ns)
+		tx.pkt, tx.lane = p, l
 		// Split the wait between intentional scheduling (the hold we
 		// installed) and plain queuing.
 		wait := int64(now - p.Created)
@@ -654,7 +730,6 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 	if n.fault != nil {
 		tx.ber = n.fault.BitErrorRate(id, now)
 	}
-	rcv := id % n.cfg.Receivers
 	n.stats[id].Attempts[l]++
 	if n.obs != nil {
 		kind := obs.KindTxStart
@@ -667,12 +742,7 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 	// least ConfirmDelay (2) cycles long, so the handoff clears the
 	// lookahead window.
 	slotEnd := sim.Cycle((slot + 1) * n.slotLen[l])
-	dst := p.Dst
-	noc.ScheduleAt(n.scheds[id], dst, slotEnd, func(sim.Cycle) {
-		d := n.nodes[dst]
-		d.arr[l][rcv] = append(d.arr[l][rcv], tx)
-		n.busy.Mark(dst)
-	})
+	noc.ScheduleAt(n.scheds[id], p.Dst, slotEnd, tx.arriveFn)
 }
 
 // resolveGroup adjudicates one receiver slot at its end, in the
@@ -719,7 +789,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 			if tx.firstSlotEnd == 0 {
 				tx.firstSlotEnd = now
 			}
-			n.failBack(dst, tx, l, slot, now, false)
+			n.failBack(dst, tx, slot, now, false)
 			return
 		}
 		// A spoofer's arrival carries a forged PID/~PID header: the match
@@ -746,7 +816,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 			if tx.firstSlotEnd == 0 {
 				tx.firstSlotEnd = now
 			}
-			n.failBack(dst, tx, l, slot, now, false)
+			n.failBack(dst, tx, slot, now, false)
 			return
 		}
 		n.deliverClean(dst, tx, l, slot, now)
@@ -775,7 +845,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 		if tx.firstSlotEnd == 0 {
 			tx.firstSlotEnd = now
 		}
-		n.failBack(dst, tx, l, slot, now, winnerPicked && tx.winner)
+		n.failBack(dst, tx, slot, now, winnerPicked && tx.winner)
 	}
 }
 
@@ -839,12 +909,12 @@ func (n *Network) issueHint(dst int, group []*transmission) bool {
 // failBack returns a failed transmission to its sender: physically, the
 // sender learns of the failure when no confirmation arrives, slot end +
 // ConfirmDelay — which is exactly the engine's lookahead, so the
-// handback is a legal cross-shard event. The backoff draw then runs in
-// the sender's context, on the sender's stream.
-func (n *Network) failBack(from int, tx *transmission, l Lane, slot int64, now sim.Cycle, isWinner bool) {
-	noc.ScheduleAt(n.scheds[from], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), func(at sim.Cycle) {
-		n.backoff(tx, l, slot, at, isWinner)
-	})
+// handback is a legal cross-shard event. The failed slot and the hint
+// verdict ride on the record; the backoff draw then runs in the sender's
+// context, on the sender's stream.
+func (n *Network) failBack(from int, tx *transmission, slot int64, now sim.Cycle, isWinner bool) {
+	tx.failedSlot, tx.winner = slot, isWinner
+	noc.ScheduleAt(n.scheds[from], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), tx.backoffFn)
 }
 
 // backoff schedules a retransmission, in the sender's context. The
@@ -856,9 +926,10 @@ func (n *Network) failBack(from int, tx *transmission, l Lane, slot int64, now s
 // instead — unless its payload actually landed and only the confirmation
 // is outstanding, in which case dropping would desynchronize sender and
 // receiver.
-func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, isWinner bool) {
+func (tx *transmission) backoff(now sim.Cycle) {
+	n, l, slot := tx.n, tx.lane, tx.failedSlot
 	if n.cfg.MaxRetries > 0 && tx.attempt > n.cfg.MaxRetries && !tx.delivered {
-		n.drop(tx, l, now)
+		n.drop(tx, now)
 		return
 	}
 	// Backoff-depth metering, in the sender's context: the deepest
@@ -870,15 +941,14 @@ func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, i
 	if n.linkObs != nil {
 		n.linkObs[tx.src].NoteBackoff(tx.src, tx.pkt.Dst, tx.attempt)
 	}
-	if isWinner {
+	if tx.winner {
 		tx.retrySlot = slot + 2
-		n.parkRetry(tx, l)
+		n.parkRetry(tx)
 		if n.obs != nil {
 			n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 		}
 		return
 	}
-	tx.winner = false
 	w := n.cfg.WindowW * math.Pow(n.cfg.BackoffB, float64(tx.attempt-1))
 	if w < 1 {
 		w = 1
@@ -900,31 +970,33 @@ func (n *Network) backoff(tx *transmission, l Lane, slot int64, now sim.Cycle, i
 		base = slot + 3
 	}
 	tx.retrySlot = base + d - 1
-	n.parkRetry(tx, l)
+	n.parkRetry(tx)
 	if n.obs != nil {
 		n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 	}
 }
 
-// parkRetry puts tx on its sender's retry list for lane l, in the
-// sender's context, and keeps the sender in the busy set until the
-// retry slot comes round.
-func (n *Network) parkRetry(tx *transmission, l Lane) {
+// parkRetry puts tx on its sender's retry list, in the sender's context,
+// and keeps the sender in the busy set until the retry slot comes round.
+func (n *Network) parkRetry(tx *transmission) {
 	ns := n.nodes[tx.src]
-	ns.retries[l] = append(ns.retries[l], tx)
+	ns.retries[tx.lane] = append(ns.retries[tx.lane], tx)
 	n.busy.Mark(tx.src)
 }
 
 // drop abandons a transmission after retry exhaustion, in the sender's
 // context: the terminal lifecycle event fires, the lane's drop counter
-// advances, and the DropFunc (if any) takes ownership of the packet.
-func (n *Network) drop(tx *transmission, l Lane, now sim.Cycle) {
-	n.stats[tx.src].Dropped[l]++
+// advances, the record is released, and the DropFunc (if any) takes
+// ownership of the packet.
+func (n *Network) drop(tx *transmission, now sim.Cycle) {
+	n.stats[tx.src].Dropped[tx.lane]++
 	if n.obs != nil {
-		n.observe(tx.src, obs.KindDrop, tx, l, now, int64(tx.pkt.Retries))
+		n.observe(tx.src, obs.KindDrop, tx, tx.lane, now, int64(tx.pkt.Retries))
 	}
+	p := tx.pkt
+	n.release(tx)
 	if n.dropFn != nil {
-		n.dropFn(tx.pkt, now)
+		n.dropFn(p, now)
 	}
 }
 
@@ -963,9 +1035,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 			// must run inline — an event at `now` would slip a cycle.
 			n.deliver(p, now)
 		} else {
-			noc.ScheduleAt(n.scheds[dst], p.Dst, deliverAt, func(at sim.Cycle) {
-				n.deliver(p, at)
-			})
+			noc.ScheduleAt(n.scheds[dst], p.Dst, deliverAt, tx.deliverFn)
 		}
 	}
 	lost := n.fault != nil && n.fault.DropConfirm(tx.src, p.Dst, now)
@@ -990,9 +1060,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 		if n.obs != nil {
 			n.observe(dst, obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
 		}
-		noc.ScheduleAt(n.scheds[dst], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), func(sim.Cycle) {
-			n.parkRetry(tx, l)
-		})
+		noc.ScheduleAt(n.scheds[dst], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), tx.requeueFn)
 		return
 	}
 	st.ConfirmSignals++
@@ -1001,11 +1069,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 	confExtra := n.conf.sendDelay(p.Dst, deliverAt, 4)
 	// The confirmation informs the sender, at least ConfirmDelay ahead:
 	// the handoff back to the source's shard clears the window exactly.
-	noc.ScheduleAt(n.scheds[dst], p.Src, deliverAt+sim.Cycle(n.cfg.ConfirmDelay)+confExtra, func(at sim.Cycle) {
-		if n.confirmFn != nil {
-			n.confirmFn(p, at)
-		}
-	})
+	noc.ScheduleAt(n.scheds[dst], p.Src, deliverAt+sim.Cycle(n.cfg.ConfirmDelay)+confExtra, tx.confirmFn)
 }
 
 // noteReplyArrival updates the requester's reply-latency estimate used by

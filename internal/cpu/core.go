@@ -89,14 +89,24 @@ type Core struct {
 	storeWait func(now sim.Cycle) // resume when a store drains
 	done      bool
 	onFinish  func(core int, now sim.Cycle)
-	finishFn  func(now sim.Cycle) // c.finish, bound once: the drain poll reschedules it every cycle
+
+	loadStart sim.Cycle // issue cycle of the one outstanding (blocking) load
+	finishing bool      // the stream is exhausted; stores are still draining
+	finishAt  sim.Cycle // the cycle finish found them outstanding (the engine's, not step's nominal one)
+
+	// Method values bound once: every op schedules one of these, and a
+	// fresh c.step per op would be a heap allocation per op.
+	stepFn      func(now sim.Cycle)
+	finishFn    func(now sim.Cycle)
+	loadDoneFn  func(now sim.Cycle)
+	storeDoneFn func(now sim.Cycle)
 }
 
 // New builds a core; onFinish fires once when the stream is exhausted and
 // all stores have drained.
 func New(id int, cfg Config, engine sim.Scheduler, l1 *coherence.L1, stream Stream, sync SyncFabric, onFinish func(int, sim.Cycle)) *Core {
 	c := &Core{id: id, cfg: cfg, engine: engine, l1: l1, stream: stream, sync: sync, onFinish: onFinish}
-	c.finishFn = c.finish
+	c.stepFn, c.finishFn, c.loadDoneFn, c.storeDoneFn = c.step, c.finish, c.loadDone, c.storeDone
 	return c
 }
 
@@ -108,7 +118,7 @@ func (c *Core) Done() bool { return c.done }
 
 // Start begins execution at the current cycle.
 func (c *Core) Start() {
-	c.engine.After(0, func(now sim.Cycle) { c.step(now) })
+	c.engine.After(0, c.stepFn)
 }
 
 // step executes the next operation.
@@ -122,15 +132,11 @@ func (c *Core) step(now sim.Cycle) {
 	switch op.Kind {
 	case OpCompute:
 		c.stats.ComputeCyc += int64(op.Cycles)
-		c.engine.After(sim.Cycle(op.Cycles), c.step)
+		c.engine.After(sim.Cycle(op.Cycles), c.stepFn)
 	case OpLoad:
 		c.stats.Loads++
-		start := now
-		c.l1.AccessRetry(op.Addr, false, func(at sim.Cycle) {
-			c.stats.StallLoad += int64(at - start)
-			c.stats.LoadLatency.Add(float64(at - start))
-			c.step(at)
-		})
+		c.loadStart = now
+		c.l1.AccessRetry(op.Addr, false, c.loadDoneFn)
 	case OpStore:
 		c.stats.Stores++
 		if c.storesOut >= c.cfg.StoreBuffer {
@@ -144,7 +150,7 @@ func (c *Core) step(now sim.Cycle) {
 			return
 		}
 		c.issueStore(op.Addr, now)
-		c.engine.After(1, c.step)
+		c.engine.After(1, c.stepFn)
 	case OpLockAcquire:
 		c.stats.LockAcquires++
 		c.drainThen(now, func(at sim.Cycle) {
@@ -156,7 +162,7 @@ func (c *Core) step(now sim.Cycle) {
 		})
 	case OpLockRelease:
 		c.drainThen(now, func(at sim.Cycle) {
-			c.sync.Release(c.id, op.ID, c.step)
+			c.sync.Release(c.id, op.ID, c.stepFn)
 		})
 	case OpBarrier:
 		c.stats.Barriers++
@@ -170,16 +176,35 @@ func (c *Core) step(now sim.Cycle) {
 	}
 }
 
+// loadDone resumes the core when its blocking load commits.
+func (c *Core) loadDone(at sim.Cycle) {
+	c.stats.StallLoad += int64(at - c.loadStart)
+	c.stats.LoadLatency.Add(float64(at - c.loadStart))
+	c.step(at)
+}
+
 // issueStore fires a non-blocking store through the L1.
 func (c *Core) issueStore(addr cache.LineAddr, now sim.Cycle) {
 	c.storesOut++
-	c.l1.AccessRetry(addr, true, func(at sim.Cycle) {
-		c.storesOut--
-		if w := c.storeWait; w != nil && c.storesOut < c.cfg.StoreBuffer {
-			c.storeWait = nil
-			w(at)
+	c.l1.AccessRetry(addr, true, c.storeDoneFn)
+}
+
+// storeDone retires one store: it unblocks a core stalled on a full
+// store buffer, and wakes a finishing core when the last store drains.
+func (c *Core) storeDone(at sim.Cycle) {
+	c.storesOut--
+	if w := c.storeWait; w != nil && c.storesOut < c.cfg.StoreBuffer {
+		c.storeWait = nil
+		w(at)
+	}
+	if c.finishing && c.storesOut == 0 {
+		c.finishing = false
+		if at > c.finishAt {
+			c.finish(at)
+		} else {
+			c.engine.After(1, c.finishFn)
 		}
-	})
+	}
 }
 
 // drainThen waits for the store buffer to empty (release consistency at
@@ -192,10 +217,25 @@ func (c *Core) drainThen(now sim.Cycle, fn func(now sim.Cycle)) {
 	c.engine.After(1, func(at sim.Cycle) { c.drainThen(at, fn) })
 }
 
-// finish completes the thread once stores drain.
+// finish completes the thread once stores drain. With stores still
+// outstanding it notes the cycle and returns; storeDone calls back when
+// the last one retires. The thread finishes in exactly the cycle a poll
+// repeated every cycle from here would have finished it in:
+//
+//   - A store retires in an event its L1 scheduled HitCycles earlier; the
+//     poll for a cycle would have been scheduled the cycle before. With
+//     HitCycles >= 2 (PaperL1's value, the only one non-test code uses)
+//     the poll of any later cycle therefore runs after that cycle's
+//     retirements, and the thread finishes in the cycle its last store
+//     retires.
+//   - Only in this very cycle can a retirement come after the check; the
+//     first poll to see it would be the next cycle's.
+//
+// Where inside the cycle the thread finishes is not observable: onFinish
+// only counts, a lookahead later.
 func (c *Core) finish(now sim.Cycle) {
 	if c.storesOut > 0 {
-		c.engine.After(1, c.finishFn)
+		c.finishing, c.finishAt = true, c.engine.Now()
 		return
 	}
 	if c.done {

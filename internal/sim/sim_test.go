@@ -244,30 +244,43 @@ func TestEngineStop(t *testing.T) {
 }
 
 // TestEngineSteadyStateZeroAllocs pins the slab design down: once the
-// event queue has grown to its working depth, scheduling and firing
-// events must not allocate at all. (The callback itself is hoisted to a
-// variable so the measurement sees only the queue, not closure capture.)
+// wheel's node slab and the far heap have grown to their working depth,
+// scheduling and firing events must not allocate at all, near or far.
+// (The callback itself is hoisted to a variable so the measurement sees
+// only the queue, not closure capture.)
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func(Cycle) {}
 	for i := 0; i < 1024; i++ {
 		e.After(Cycle(i%17), fn)
 	}
-	e.Run(32)
+	for i := 0; i < 16; i++ {
+		e.After(wheelSize+Cycle(i), fn)
+	}
+	e.Run(wheelSize + 32)
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending after warm-up", e.Pending())
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			e.After(Cycle(i%5+1), fn)
 		}
-		e.Run(8)
+		for i := 0; i < 8; i++ {
+			e.After(wheelSize+Cycle(i), fn)
+		}
+		e.Run(wheelSize + 8) // the far events fire inside the run: the heap never outgrows its warm-up depth
 	})
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending after the measured runs", e.Pending())
+	}
 	if allocs != 0 {
 		t.Fatalf("steady-state event scheduling allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestEngineSlabRetainedAcrossRun guards the capacity-retention fix: a
-// drained queue keeps its backing slab, so a second burst of the same
-// depth reuses it instead of re-growing.
+// TestEngineSlabRetainedAcrossRun guards capacity retention: a drained
+// wheel keeps its node slab (every node back on the free list), so a
+// second burst of the same depth reuses it instead of re-growing.
 func TestEngineSlabRetainedAcrossRun(t *testing.T) {
 	e := NewEngine()
 	fn := func(Cycle) {}
@@ -278,8 +291,19 @@ func TestEngineSlabRetainedAcrossRun(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("%d events still pending after drain", e.Pending())
 	}
-	if got := cap(e.events.a); got < 512 {
-		t.Fatalf("slab capacity %d after drain, want >= 512 retained", got)
+	// 512 events plus the sentinel at index 0.
+	if got := len(e.nodes); got != 513 {
+		t.Fatalf("slab holds %d nodes after drain, want 513 retained", got)
+	}
+	free := 0
+	for i := e.free; i != 0; i = e.nodes[i].next {
+		if e.nodes[i].fn != nil {
+			t.Fatalf("free node %d still pins a callback", i)
+		}
+		free++
+	}
+	if free != 512 {
+		t.Fatalf("free list holds %d nodes after drain, want all 512", free)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 512; i++ {
@@ -289,6 +313,9 @@ func TestEngineSlabRetainedAcrossRun(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("refilling a drained queue allocates %.1f objects, want 0", allocs)
+	}
+	if got := len(e.nodes); got != 513 {
+		t.Fatalf("slab grew to %d nodes on refill, want 513", got)
 	}
 }
 

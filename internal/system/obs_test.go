@@ -87,31 +87,43 @@ func TestObserveByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRecycleResetsPacketState pins the free-list audit: a packet
-// retired with retry counts and cycle stamps must come back from the
-// free-list fully scrubbed, not carrying the previous life's state.
+// TestRecycleResetsPacketState pins the free-list audit: a wire packet
+// retired with retry counts, cycle stamps and its message must come back
+// from the free-list fully scrubbed, not carrying the previous life's
+// state, and a reused record must point its Payload back at itself.
 func TestRecycleResetsPacketState(t *testing.T) {
 	s := New(Default(16, NetFSOI))
-	p := &noc.Packet{
-		ID: 99, Src: 1, Dst: 2, Type: noc.Data, Retries: 7,
-		QueuingDelay: 11, SchedulingDelay: 13, NetworkDelay: 17, ResolutionDelay: 19,
-		IsReply: true, IsWriteback: true, IsMemory: true, ExpectsDataReply: true,
-		Payload: "stale",
+	tr := transport{s}
+	p := tr.packetFor(coherence.Msg{Type: coherence.WriteBack, Addr: 77, From: 1, To: 2, HasData: true, Requester: 1})
+	if wireOf(&p.Packet) != p {
+		t.Fatal("a wire packet's Payload must lead back to its record")
 	}
+	p.Retries = 7
+	p.QueuingDelay, p.SchedulingDelay, p.NetworkDelay, p.ResolutionDelay = 11, 13, 17, 19
+	p.IsReply, p.IsMemory, p.ExpectsDataReply = true, true, true
 	s.recycle(p)
-	if *p != (noc.Packet{}) {
+	if *p != (wirePacket{}) {
 		t.Fatalf("recycle left state behind: %+v", *p)
 	}
-	tr := transport{s}
-	// Free-lists are per source node: the retired packet went onto node
+	// Free-lists are per source node: the retired record went onto node
 	// 1's list (its Src), so node 1's next injection must reuse it.
-	reused := tr.packetFor(coherence.Msg{Type: coherence.ReqSh, From: 1, To: 4})
+	m := coherence.Msg{Type: coherence.ReqSh, From: 1, To: 4}
+	reused := tr.packetFor(m)
 	if reused != p {
-		t.Fatal("free-list did not hand back the recycled packet (LIFO reuse)")
+		t.Fatal("free-list did not hand back the recycled record (LIFO reuse)")
 	}
-	if reused.Retries != 0 || reused.QueuingDelay != 0 || reused.NetworkDelay != 0 {
-		t.Fatalf("reused packet carries a previous life: %+v", *reused)
+	if reused.Retries != 0 || reused.QueuingDelay != 0 || reused.NetworkDelay != 0 || reused.IsWriteback || reused.Type != noc.Meta {
+		t.Fatalf("reused packet carries a previous life: %+v", reused.Packet)
 	}
+	if reused.msg != m || wireOf(&reused.Packet) != reused {
+		t.Fatalf("reused record carries message %+v, want %+v behind its own Payload", reused.msg, m)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a packet the transport did not wrap must be refused, not misread")
+		}
+	}()
+	s.deliver(&noc.Packet{Src: 1, Dst: 2, Payload: "foreign"}, 0)
 }
 
 // TestObserveLimitLosesLoudly: a capped recorder reports how much it

@@ -262,7 +262,7 @@ type System struct {
 	// node's own injection history, so IDs are identical at every shard
 	// and worker count.
 	pktSeq []uint64
-	// pktFree recycles retired noc.Packets per source node, so the
+	// pktFree recycles retired wire packets per source node, so the
 	// transport's steady state allocates nothing per message. Plain
 	// slices, deliberately NOT sync.Pools: pool reuse order depends on
 	// the Go scheduler and GC, which would let host-machine timing leak
@@ -272,7 +272,7 @@ type System struct {
 	// node's context (a rejected send, a confirmation, a drop) except
 	// the electrical networks' delivery-time retirement, which only ever
 	// runs single-threaded.
-	pktFree [][]*noc.Packet
+	pktFree [][]*wirePacket
 
 	// Point-to-point ordering state (§4.4), indexed by source node: one
 	// in-flight message per (src, dst, line); the rest wait here.
@@ -297,25 +297,44 @@ func (s *System) sched(node int) sim.Scheduler { return sim.SchedulerFor(s.engin
 // transport adapts the system to coherence.Transport.
 type transport struct{ s *System }
 
+// wirePacket is a packet pooled together with the protocol message it
+// carries. Payload points back at the record, so wrapping a message for
+// the wire boxes nothing, and the network (which only ever sees the
+// embedded *noc.Packet) hands the message back with it.
+type wirePacket struct {
+	noc.Packet
+	msg coherence.Msg
+}
+
+// wireOf recovers the record behind a packet the network hands back.
+func wireOf(p *noc.Packet) *wirePacket {
+	w, ok := p.Payload.(*wirePacket)
+	if !ok {
+		panic("system: foreign payload on the interconnect")
+	}
+	return w
+}
+
 // packetFor wraps a protocol message for the wire, reusing a retired
-// packet from the source node's free-list when one is available.
-func (t transport) packetFor(m coherence.Msg) *noc.Packet {
+// record from the source node's free-list when one is available.
+func (t transport) packetFor(m coherence.Msg) *wirePacket {
 	s := t.s
 	src := m.From
 	s.pktSeq[src]++
-	var p *noc.Packet
+	var p *wirePacket
 	if free := s.pktFree[src]; len(free) > 0 {
 		n := len(free) - 1
 		p = free[n]
 		free[n] = nil
 		s.pktFree[src] = free[:n]
 	} else {
-		p = new(noc.Packet)
+		p = new(wirePacket)
 	}
 	p.ID = uint64(src) + 1 + uint64(s.cfg.Nodes)*s.pktSeq[src]
 	p.Src = m.From
 	p.Dst = m.To
-	p.Payload = m
+	p.msg = m
+	p.Payload = p
 	if m.HasData {
 		p.Type = noc.Data
 	}
@@ -350,14 +369,14 @@ func (t transport) Send(m coherence.Msg) bool {
 		return true
 	}
 	p := t.packetFor(m)
-	if !s.net.Send(p) {
+	if !s.net.Send(&p.Packet) {
 		s.recycle(p)
 		// The refused message goes to its sender's outbox (or a retry
 		// event): the node joins the per-cycle outbox drain.
 		s.backlogged.Mark(m.From)
 		return false
 	}
-	s.observeInject(p)
+	s.observeInject(&p.Packet)
 	s.ordInFlight[m.From][key] = true
 	return true
 }
@@ -426,7 +445,7 @@ func New(cfg Config) *System {
 		mems:        make(map[int]*memory.Controller),
 		la:          1,
 		pktSeq:      make([]uint64, cfg.Nodes),
-		pktFree:     make([][]*noc.Packet, cfg.Nodes),
+		pktFree:     make([][]*wirePacket, cfg.Nodes),
 		ordInFlight: make([]map[ordKey]bool, cfg.Nodes),
 		ordQueue:    make([]map[ordKey][]coherence.Msg, cfg.Nodes),
 	}
@@ -656,8 +675,8 @@ func (s *System) orderedDone(m coherence.Msg) {
 
 func (s *System) launchOrdered(m coherence.Msg) {
 	p := (transport{s}).packetFor(m)
-	if s.net.Send(p) {
-		s.observeInject(p)
+	if s.net.Send(&p.Packet) {
+		s.observeInject(&p.Packet)
 		return
 	}
 	s.recycle(p)
@@ -679,20 +698,19 @@ func (s *System) observeInject(p *noc.Packet) {
 	})
 }
 
-// recycle retires a packet to its source node's free-list. Callers must
-// guarantee the network holds no further reference: a rejected Send, a
-// non-FSOI delivery (the networks' last touch), or an FSOI confirmation
+// recycle retires a wire packet to its source node's free-list. Callers
+// must guarantee the network holds no further reference: a rejected Send,
+// a non-FSOI delivery (the networks' last touch), or an FSOI confirmation
 // (which fires strictly after delivery, exactly once per packet — a
 // duplicate re-delivery only ever re-confirms when the earlier
 // confirmation beam was dropped, and that earlier confirmation never ran
-// this callback). Packets are scrubbed here, at retirement, not lazily
-// at reuse: zeroing only in packetFor would leave the Payload Msg pinned
-// for the whole idle period and would let any new reuse path that forgot
-// the reset hand out a packet still carrying the previous message's
-// retry count and cycle stamps.
-func (s *System) recycle(p *noc.Packet) {
+// this callback). Records are scrubbed here, at retirement, not lazily
+// at reuse: zeroing only in packetFor would let any new reuse path that
+// forgot the reset hand out a packet still carrying the previous
+// message's retry count and cycle stamps.
+func (s *System) recycle(p *wirePacket) {
 	src := p.Src
-	*p = noc.Packet{}
+	*p = wirePacket{}
 	s.pktFree[src] = append(s.pktFree[src], p)
 }
 
@@ -701,10 +719,8 @@ func (s *System) recycle(p *noc.Packet) {
 // tracer ring, recorder, registry, the controller itself — is the
 // destination's own.
 func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
-	m, ok := p.Payload.(coherence.Msg)
-	if !ok {
-		panic("system: foreign payload on the interconnect")
-	}
+	w := wireOf(p)
+	m := w.msg
 	if s.fsoi == nil {
 		// Electrical networks have no confirmation; delivery is the
 		// moment the ordered stream releases (deterministic routing
@@ -744,7 +760,7 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 	if s.fsoi == nil {
 		// Electrical networks never touch a packet after delivery; FSOI
 		// packets stay live until their confirmation callback.
-		s.recycle(p)
+		s.recycle(w)
 	}
 }
 
@@ -753,13 +769,13 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 // ack, and the confirmation is the sender's proof of delivery that
 // releases the packet's ordered (src, dst, line) stream.
 func (s *System) onConfirm(p *noc.Packet, now sim.Cycle) {
-	if m, ok := p.Payload.(coherence.Msg); ok {
-		if m.Type == coherence.Inv && m.Value {
-			s.dirs[m.From].OnInvConfirm(m.Addr, now)
-		}
-		s.orderedDone(m)
+	w := wireOf(p)
+	m := w.msg
+	if m.Type == coherence.Inv && m.Value {
+		s.dirs[m.From].OnInvConfirm(m.Addr, now)
 	}
-	s.recycle(p)
+	s.orderedDone(m)
+	s.recycle(w)
 }
 
 // onDrop handles the FSOI network permanently giving up on a packet
@@ -771,13 +787,12 @@ func (s *System) onConfirm(p *noc.Packet, now sim.Cycle) {
 // design; a run with drops may legitimately report Finished=false,
 // which is exactly the resilience signal the fault experiments measure.
 func (s *System) onDrop(p *noc.Packet, now sim.Cycle) {
-	if m, ok := p.Payload.(coherence.Msg); ok {
-		s.orderedDone(m)
-	}
+	w := wireOf(p)
+	s.orderedDone(w.msg)
 	if s.tracer != nil {
 		s.tracer.For(p.Src).RecordStatus(p, now, noc.StatusDropped)
 	}
-	s.recycle(p)
+	s.recycle(w)
 }
 
 // onBit routes confirmation-lane booleans to the sync fabric; it runs

@@ -126,7 +126,8 @@ type Stream struct {
 	zipf    *sim.Zipf
 	step    int
 	barrier int
-	queue   []cpu.Op // pending ops emitted ahead (critical sections)
+	queue   []cpu.Op // ops emitted ahead (critical sections); refilled only when consumed
+	head    int      // next unconsumed op in queue
 }
 
 // NewStream builds the operation stream for thread `node` of `nodes`.
@@ -220,15 +221,16 @@ func (s *Stream) sharedAddr() cache.LineAddr {
 
 // Next implements cpu.Stream.
 func (s *Stream) Next() (cpu.Op, bool) {
-	if len(s.queue) > 0 {
-		op := s.queue[0]
-		s.queue = s.queue[1:]
+	if s.head < len(s.queue) {
+		op := s.queue[s.head]
+		s.head++
 		return op, true
 	}
 	if s.step >= s.app.Steps {
 		return cpu.Op{}, false
 	}
 	s.step++
+	s.queue = s.queue[:0] // every op was consumed: the array is reused
 	// Barriers fire at identical step counts on every thread.
 	if s.app.BarrierEvery > 0 && s.step%s.app.BarrierEvery == 0 {
 		s.barrier++
@@ -276,9 +278,8 @@ func (s *Stream) Next() (cpu.Op, bool) {
 	} else {
 		s.push(cpu.Op{Kind: cpu.OpStore, Addr: addr})
 	}
-	op := s.queue[0]
-	s.queue = s.queue[1:]
-	return op, true
+	s.head = 1
+	return s.queue[0], true
 }
 
 func (s *Stream) push(op cpu.Op) { s.queue = append(s.queue, op) }

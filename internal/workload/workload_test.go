@@ -284,3 +284,25 @@ func TestComputeOpsPresent(t *testing.T) {
 		t.Fatal("no compute ops emitted")
 	}
 }
+
+// TestStreamNextSteadyStateZeroAllocs: Next consumes its look-ahead queue
+// by index and refills the same array, so once the array has held a
+// step's longest burst (a critical section, compute, access) the stream
+// allocates nothing.
+func TestStreamNextSteadyStateZeroAllocs(t *testing.T) {
+	app, _ := ByName("barnes", 1) // locks, barriers and compute
+	s := NewStream(app, 3, 16, 1)
+	next := func() {
+		for i := 0; i < 500; i++ {
+			if _, ok := s.Next(); !ok {
+				t.Fatal("stream ran dry inside the measurement")
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // a dozen critical sections in
+		next()
+	}
+	if allocs := testing.AllocsPerRun(20, next); allocs != 0 {
+		t.Fatalf("Next allocates %.2f objects per 500 ops at steady state, want 0", allocs)
+	}
+}
