@@ -1,17 +1,17 @@
 // Command benchtrend snapshots the repository's performance trajectory.
-// Each invocation measures the engine hot path with testing.Benchmark,
-// times a representative slice of the experiment registry at bench
-// scale, and times one fsoilint pass over the module (load and
-// analysis separately), then writes BENCH_<n>.json next to the
-// previous snapshots so the ns/op, allocs/op, and wall-clock history
-// is machine-readable across PRs.
+// Each invocation measures the engine hot path with testing.Benchmark
+// (the fastest of three runs per row), times a representative slice of
+// the experiment registry at bench scale, and times one fsoilint pass
+// over the module (load and analysis separately), then writes
+// BENCH_<n>.json next to the previous snapshots so the ns/op, allocs/op,
+// and wall-clock history is machine-readable across PRs.
 //
 // Usage:
 //
 //	benchtrend              # writes BENCH_<next>.json in the cwd
 //	benchtrend -n 0 -dir .  # explicit index and directory
 //	benchtrend -j 4         # experiment timings with 4 workers
-//	benchtrend -check BENCH_4.json   # regression gate, writes nothing
+//	benchtrend -check BENCH_5.json   # regression gate, writes nothing
 //
 // Engine numbers are scheduler-independent; experiment wall-clock
 // depends on -j and the host, so snapshots record both alongside
@@ -192,15 +192,12 @@ func main() {
 	}
 
 	snap := snapshot{
-		Index:      n,
-		GoVersion:  runtime.Version(),
-		Host:       fmt.Sprintf("%s/%s, %d CPUs", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    parallel.Workers(*jobs),
-		Engine: map[string]engineBench{
-			"schedule": record(testing.Benchmark(benchSchedule)),
-			"churn":    record(testing.Benchmark(benchChurn)),
-		},
+		Index:       n,
+		GoVersion:   runtime.Version(),
+		Host:        fmt.Sprintf("%s/%s, %d CPUs", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Workers:     parallel.Workers(*jobs),
+		Engine:      measureEngine(),
 		Experiments: make(map[string]expBench, len(trackedExperiments)),
 	}
 
@@ -323,8 +320,8 @@ func timeLint(workers int) (*lintBench, error) {
 // checkEngine is the CI regression gate: it re-measures the engine hot
 // path and fails when the schedule or churn benchmark regressed past
 // the tolerance. Allocation counts are machine-independent and must
-// never grow; ns/op is compared with the fractional tolerance to
-// absorb host-to-host variance.
+// not grow on any run; the fastest run's ns/op is compared with the
+// fractional tolerance to absorb host-to-host variance.
 func checkEngine(baselinePath string, tolerance float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -334,10 +331,7 @@ func checkEngine(baselinePath string, tolerance float64) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	fresh := map[string]engineBench{
-		"schedule": record(testing.Benchmark(benchSchedule)),
-		"churn":    record(testing.Benchmark(benchChurn)),
-	}
+	fresh := measureEngine()
 	failed := false
 	for _, name := range []string{"schedule", "churn"} {
 		want, ok := base.Engine[name]
@@ -380,6 +374,46 @@ func checkEngine(baselinePath string, tolerance float64) error {
 		}
 	}
 	return nil
+}
+
+// engineRuns is how many times each engine row is measured. This host's
+// clock moves 10-40 % for minutes at a time (`schedule` read 9.7-16.8 ns
+// in one session), so one reading against one reading flakes at any
+// useful tolerance; the fastest of a few is the reading least disturbed.
+const engineRuns = 3
+
+// measureEngine measures the engine rows of a snapshot, which are also
+// the rows -check gates.
+func measureEngine() map[string]engineBench {
+	rows := make(map[string]engineBench)
+	for _, row := range []struct {
+		name  string
+		bench func(*testing.B)
+	}{{"schedule", benchSchedule}, {"churn", benchChurn}} {
+		runs := make([]engineBench, engineRuns)
+		for i := range runs {
+			runs[i] = record(testing.Benchmark(row.bench))
+		}
+		rows[row.name] = fastest(runs)
+	}
+	return rows
+}
+
+// fastest folds repeated measurements of one row into the run with the
+// lowest ns/op, carrying the highest allocs/op any run showed:
+// allocation counts do not depend on the clock, so one run allocating
+// more is a regression whichever run was fastest.
+func fastest(runs []engineBench) engineBench {
+	best := runs[0]
+	allocs := best.AllocsPerOp
+	for _, r := range runs[1:] {
+		if r.NsPerOp < best.NsPerOp {
+			best = r
+		}
+		allocs = max(allocs, r.AllocsPerOp)
+	}
+	best.AllocsPerOp = allocs
+	return best
 }
 
 // record converts a testing.BenchmarkResult to the snapshot schema.

@@ -94,11 +94,16 @@ func analyze(r io.Reader, keepEvents bool) (*analysis, error) {
 		if l.Dst > a.maxNode {
 			a.maxNode = l.Dst
 		}
+		class := obs.ClassMeta
+		if l.Class == "data" {
+			class = obs.ClassData
+		}
 		if keepEvents {
 			if k, ok := obs.ParseKind(l.Ev); ok {
 				a.events = append(a.events, obs.Event{
 					At: sim.Cycle(l.At), Kind: k, ID: l.ID, Aux: l.Aux,
 					Src: int32(l.Src), Dst: int32(l.Dst), Attempt: int32(l.Attempt),
+					Class: class, Lane: laneOf(l.Lane),
 				})
 			}
 		}
@@ -107,16 +112,23 @@ func analyze(r io.Reader, keepEvents bool) (*analysis, error) {
 			a.collisions[pair{l.Src, l.Dst}]++
 		case "deliver":
 			a.retries[l.Attempt]++
-			class := obs.ClassMeta
-			if l.Class == "data" {
-				class = obs.ClassData
-			}
 			a.reg.Observe(class, l.Src, l.Dst, l.Aux)
 		case "drop":
 			a.drops++
 		}
 	}
 	return a, sc.Err()
+}
+
+// laneOf inverts obs.LaneName.
+func laneOf(name string) int8 {
+	switch name {
+	case "meta":
+		return 0
+	case "data":
+		return 1
+	}
+	return obs.LaneNone
 }
 
 // kindOrder lists event kinds in lifecycle order for the counts table;

@@ -1,30 +1,102 @@
 package obs
 
 import (
-	"fmt"
+	"bufio"
 	"io"
+	"strconv"
 )
 
-// WriteJSONL writes the recorder's events as JSON Lines, one event per
-// line, sorted by cycle. The encoder is hand-rolled fmt so field order
-// is fixed by construction; two identical runs produce byte-identical
-// files at any worker count. A truncated recording ends with an explicit
-// marker line instead of silently looking complete.
-func WriteJSONL(w io.Writer, r *Recorder) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintf(w,
-			`{"at":%d,"ev":%q,"id":%d,"src":%d,"dst":%d,"class":%q,"lane":%q,"attempt":%d,"aux":%d}`+"\n",
-			int64(e.At), e.Kind.String(), e.ID, e.Src, e.Dst,
-			ClassName(e.Class), LaneName(e.Lane), e.Attempt, e.Aux); err != nil {
-			return err
-		}
-	}
-	if r.Lost() > 0 {
-		if _, err := fmt.Fprintf(w, `{"ev":"truncated","aux":%d}`+"\n", r.Lost()); err != nil {
-			return err
-		}
+// An export writes through a bufio.Writer of blockBytes and appends each
+// record straight into its free space (AvailableBuffer) with strconv, so
+// it allocates that buffer and nothing per event, and the destination
+// sees one Write per block instead of one per event: for a bare *os.File,
+// one system call instead of thousands. Field order is fixed by the order
+// of the appends, so two identical runs produce byte-identical files at
+// any worker count.
+const (
+	blockBytes = 32 << 10
+	// maxRecord is longer than any one record (every field is a bounded
+	// integer or one of a closed set of names). A block is flushed once
+	// less than this is free, so a record never outgrows the free space
+	// and spills into an allocation.
+	maxRecord = 512
+)
+
+// makeRoom flushes the block when the next record might not fit. A write
+// error is sticky in bw, so this is also where a failing destination
+// stops an export early.
+func makeRoom(bw *bufio.Writer) error {
+	if bw.Available() < maxRecord {
+		return bw.Flush()
 	}
 	return nil
+}
+
+// quotedKind holds the JSON string literal of every known kind name.
+var quotedKind = func() (q [numKinds]string) {
+	for k := range q {
+		q[k] = strconv.Quote(Kind(k).String())
+	}
+	return q
+}()
+
+// appendKind appends a kind name as a JSON string. Unknown kinds take
+// the general quoting path (the one fmt's %q uses).
+func appendKind(b []byte, k Kind) []byte {
+	if k < numKinds {
+		return append(b, quotedKind[k]...)
+	}
+	return strconv.AppendQuote(b, k.String())
+}
+
+// appendName appends a class or lane name as a JSON string. ClassName and
+// LaneName return one of three literals, none of which needs escaping.
+func appendName(b []byte, name string) []byte {
+	b = append(b, '"')
+	b = append(b, name...)
+	return append(b, '"')
+}
+
+// WriteJSONL writes the recorder's events as JSON Lines, one event per
+// line, sorted by cycle. A truncated recording ends with an explicit
+// marker line instead of silently looking complete.
+func WriteJSONL(w io.Writer, r *Recorder) error {
+	bw := bufio.NewWriterSize(w, blockBytes)
+	for _, ev := range r.Events() {
+		if err := makeRoom(bw); err != nil {
+			return err
+		}
+		bw.Write(appendJSONL(bw.AvailableBuffer(), ev)) // Flush reports the error
+	}
+	if r.Lost() > 0 {
+		b := append(bw.AvailableBuffer(), `{"ev":"truncated","aux":`...)
+		b = strconv.AppendInt(b, r.Lost(), 10)
+		bw.Write(append(b, "}\n"...))
+	}
+	return bw.Flush()
+}
+
+// appendJSONL appends one event's line.
+func appendJSONL(b []byte, ev Event) []byte {
+	b = append(b, `{"at":`...)
+	b = strconv.AppendInt(b, int64(ev.At), 10)
+	b = append(b, `,"ev":`...)
+	b = appendKind(b, ev.Kind)
+	b = append(b, `,"id":`...)
+	b = strconv.AppendUint(b, ev.ID, 10)
+	b = append(b, `,"src":`...)
+	b = strconv.AppendInt(b, int64(ev.Src), 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(ev.Dst), 10)
+	b = append(b, `,"class":`...)
+	b = appendName(b, ClassName(ev.Class))
+	b = append(b, `,"lane":`...)
+	b = appendName(b, LaneName(ev.Lane))
+	b = append(b, `,"attempt":`...)
+	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
+	b = append(b, `,"aux":`...)
+	b = strconv.AppendInt(b, ev.Aux, 10)
+	return append(b, "}\n"...)
 }
 
 // WriteChromeTrace writes the events in Chrome trace-event JSON (open in
@@ -34,52 +106,85 @@ func WriteJSONL(w io.Writer, r *Recorder) error {
 // instant ("i") events. Timestamps are simulated cycles, not
 // microseconds: the viewer's time axis reads directly in cycles.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
+	bw := bufio.NewWriterSize(w, blockBytes)
+	bw.WriteString(`{"traceEvents":[`)
 	// injectAt pairs each packet's injection with its terminal event; it
 	// is only ever indexed, never iterated, so map order cannot leak.
 	injectAt := make(map[uint64]int64)
-	first := true
-	emit := func(format string, args ...any) error {
-		if !first {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
+	sep := "" // a comma before every record but the first
+	for _, ev := range r.Events() {
+		if err := makeRoom(bw); err != nil {
+			return err
 		}
-		first = false
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	for _, e := range r.Events() {
-		switch e.Kind {
+		b := append(bw.AvailableBuffer(), sep...)
+		switch ev.Kind {
 		case KindInject:
-			injectAt[e.ID] = int64(e.At)
+			injectAt[ev.ID] = int64(ev.At)
+			continue
 		case KindDeliver, KindDrop:
-			start, ok := injectAt[e.ID]
+			start, ok := injectAt[ev.ID]
 			if !ok {
-				start = int64(e.At)
+				start = int64(ev.At)
 			}
-			delete(injectAt, e.ID)
-			status := "delivered"
-			if e.Kind == KindDrop {
-				status = "dropped"
-			}
-			if err := emit(
-				`{"name":"%s %d->%d","cat":"packet","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"id":%d,"status":%q,"retries":%d,"aux":%d}}`,
-				ClassName(e.Class), e.Src, e.Dst, start, int64(e.At)-start,
-				e.Src, e.ID, status, e.Attempt, e.Aux); err != nil {
-				return err
-			}
+			delete(injectAt, ev.ID)
+			b = appendSpan(b, ev, start)
 		case KindCollision, KindBackoff, KindConfirmDrop, KindFault:
-			if err := emit(
-				`{"name":%q,"cat":"event","ph":"i","ts":%d,"pid":0,"tid":%d,"s":"t","args":{"id":%d,"dst":%d,"lane":%q,"attempt":%d,"aux":%d}}`,
-				e.Kind.String(), int64(e.At), e.Src, e.ID, e.Dst,
-				LaneName(e.Lane), e.Attempt, e.Aux); err != nil {
-				return err
-			}
+			b = appendInstant(b, ev)
+		default:
+			continue
 		}
+		bw.Write(b) // Flush reports the error
+		sep = ","
 	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
+	bw.WriteString("]}\n")
+	return bw.Flush()
+}
+
+// appendSpan appends the complete ("X") span of a packet injected at
+// start whose terminal event (deliver or drop) is ev.
+func appendSpan(b []byte, ev Event, start int64) []byte {
+	b = append(b, `{"name":"`...)
+	b = append(b, ClassName(ev.Class)...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(ev.Src), 10)
+	b = append(b, "->"...)
+	b = strconv.AppendInt(b, int64(ev.Dst), 10)
+	b = append(b, `","cat":"packet","ph":"X","ts":`...)
+	b = strconv.AppendInt(b, start, 10)
+	b = append(b, `,"dur":`...)
+	b = strconv.AppendInt(b, int64(ev.At)-start, 10)
+	b = append(b, `,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(ev.Src), 10)
+	b = append(b, `,"args":{"id":`...)
+	b = strconv.AppendUint(b, ev.ID, 10)
+	if ev.Kind == KindDrop {
+		b = append(b, `,"status":"dropped","retries":`...)
+	} else {
+		b = append(b, `,"status":"delivered","retries":`...)
+	}
+	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
+	b = append(b, `,"aux":`...)
+	b = strconv.AppendInt(b, ev.Aux, 10)
+	return append(b, "}}"...)
+}
+
+// appendInstant appends the instant ("i") event of a mid-life event.
+func appendInstant(b []byte, ev Event) []byte {
+	b = append(b, `{"name":`...)
+	b = appendKind(b, ev.Kind)
+	b = append(b, `,"cat":"event","ph":"i","ts":`...)
+	b = strconv.AppendInt(b, int64(ev.At), 10)
+	b = append(b, `,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(ev.Src), 10)
+	b = append(b, `,"s":"t","args":{"id":`...)
+	b = strconv.AppendUint(b, ev.ID, 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(ev.Dst), 10)
+	b = append(b, `,"lane":`...)
+	b = appendName(b, LaneName(ev.Lane))
+	b = append(b, `,"attempt":`...)
+	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
+	b = append(b, `,"aux":`...)
+	b = strconv.AppendInt(b, ev.Aux, 10)
+	return append(b, "}}"...)
 }

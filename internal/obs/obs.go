@@ -15,8 +15,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fsoi/internal/sim"
 )
@@ -201,13 +202,18 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	if !r.sorted {
-		sort.SliceStable(r.events, func(i, j int) bool {
-			return r.events[i].At < r.events[j].At
-		})
+		// An engine-driven caller emits in cycle order already, so the
+		// usual cost is this one linear check.
+		if !slices.IsSortedFunc(r.events, byCycle) {
+			slices.SortStableFunc(r.events, byCycle)
+		}
 		r.sorted = true
 	}
 	return r.events
 }
+
+// byCycle orders events by cycle alone, leaving ties to a stable sort.
+func byCycle(a, b Event) int { return cmp.Compare(a.At, b.At) }
 
 // CountByKind tallies events per kind in kind order.
 func (r *Recorder) CountByKind() [numKinds]int64 {

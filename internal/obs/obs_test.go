@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -173,6 +174,62 @@ func TestRegistryLinkTableTruncationAnnounced(t *testing.T) {
 	out := g.LinkTable(3)
 	if !strings.Contains(out, "(5 quieter links omitted)") {
 		t.Fatalf("truncation must be announced:\n%s", out)
+	}
+}
+
+// tableLinks returns the link column of a rendered table, in row order.
+func tableLinks(table string) []string {
+	var links []string
+	for _, row := range strings.Split(table, "\n") {
+		if f := strings.Fields(row); len(f) > 0 && strings.Contains(f[0], "->") {
+			links = append(links, f[0])
+		}
+	}
+	return links
+}
+
+// TestRegistryTablesRankWithTies: heaviest first, and equal weights fall
+// back to (src, dst) order whatever order the links were observed in;
+// the cut keeps the head of that order.
+func TestRegistryTablesRankWithTies(t *testing.T) {
+	g := NewRegistry()
+	for _, l := range []struct{ src, dst, n int }{
+		{9, 1, 2}, {3, 4, 2}, {3, 2, 2}, {0, 7, 1}, {10, 0, 3}, {2, 9, 2}, {0, 1, 1},
+	} {
+		for i := 0; i < l.n; i++ {
+			g.Observe(ClassMeta, l.src, l.dst, 10)
+		}
+	}
+	want := []string{"10->0", "2->9", "3->2", "3->4", "9->1", "0->1", "0->7"}
+	if got := tableLinks(g.LinkTable(0)); !slices.Equal(got, want) {
+		t.Fatalf("link table order = %v, want %v", got, want)
+	}
+	out := g.LinkTable(4)
+	if got := tableLinks(out); !slices.Equal(got, want[:4]) || !strings.Contains(out, "(3 quieter links omitted)") {
+		t.Fatalf("cut link table = %v, want %v and 3 omitted:\n%s", got, want[:4], out)
+	}
+
+	// Contention: collisions rank, a link with only a backoff record
+	// counts as zero collisions and still appears.
+	for _, l := range []struct{ src, dst, n int }{{5, 6, 2}, {1, 2, 2}, {7, 0, 4}, {1, 1, 1}} {
+		for i := 0; i < l.n; i++ {
+			g.NoteCollision(l.src, l.dst)
+		}
+	}
+	g.NoteBackoff(8, 3, 5)
+	g.NoteBackoff(0, 3, 2)
+	g.NoteBackoff(1, 2, 3)
+	want = []string{"7->0", "1->2", "5->6", "1->1", "0->3", "8->3"}
+	out = g.ContentionTable(0)
+	if got := tableLinks(out); !slices.Equal(got, want) {
+		t.Fatalf("contention table order = %v, want %v", got, want)
+	}
+	if row := strings.Fields(strings.Split(out, "\n")[3]); !slices.Equal(row, []string{"1->2", "2", "3"}) {
+		t.Fatalf("contention row = %v, want [1->2 2 3]", row)
+	}
+	out = g.ContentionTable(5)
+	if got := tableLinks(out); !slices.Equal(got, want[:5]) || !strings.Contains(out, "(1 quieter links omitted)") {
+		t.Fatalf("cut contention table = %v, want %v and 1 omitted:\n%s", got, want[:5], out)
 	}
 }
 

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"fsoi/internal/stats"
@@ -142,66 +143,46 @@ func (g *Registry) ClassTable() string {
 	return t.String()
 }
 
-// links returns the observed links in sorted (src, dst) order, so every
-// rendering is independent of map iteration order.
-func (g *Registry) links() []Link {
-	keys := make([]Link, 0, len(g.byLink))
-	for k := range g.byLink {
-		keys = append(keys, k)
+// rankedLink is a link with the count a table ranks it by. The count is
+// read from its map once, when the row is built, so that ranking every
+// link of a 64-node run to print sixteen compares integers instead of
+// hashing links.
+type rankedLink struct {
+	Link
+	n int64
+}
+
+// heaviestFirst orders ranked links by descending count, ties broken by
+// (src, dst). Links are distinct, so the order is total.
+func heaviestFirst(a, b rankedLink) int {
+	return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// cutTop keeps at most top rows (top <= 0 means all of them) and returns
+// the line that announces what it cut, empty when it cut nothing: a
+// truncation is stated, never silent.
+func cutTop(rows []rankedLink, top int) (kept []rankedLink, note string) {
+	if top <= 0 || len(rows) <= top {
+		return rows, ""
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	return keys
+	return rows[:top], fmt.Sprintf("(%d quieter links omitted)\n", len(rows)-top)
 }
 
 // LinkTable renders the per-link percentile table, busiest links first
 // (ties broken by src, dst), truncated to at most top rows (top <= 0
 // means every link). The truncation is announced, never silent.
 func (g *Registry) LinkTable(top int) string {
-	keys := g.links()
-	sort.SliceStable(keys, func(i, j int) bool {
-		return g.byLink[keys[i]].Total() > g.byLink[keys[j]].Total()
-	})
-	truncated := 0
-	if top > 0 && len(keys) > top {
-		truncated = len(keys) - top
-		keys = keys[:top]
+	rows := make([]rankedLink, 0, len(g.byLink))
+	for k, h := range g.byLink {
+		rows = append(rows, rankedLink{k, h.Total()})
 	}
+	slices.SortFunc(rows, heaviestFirst)
+	rows, note := cutTop(rows, top)
 	t := stats.NewTable("link", "n", "mean", "p50", "p90", "p99", "p999")
-	for _, k := range keys {
-		addRow(t, fmt.Sprintf("%d->%d", k.Src, k.Dst), g.byLink[k])
+	for _, r := range rows {
+		addRow(t, fmt.Sprintf("%d->%d", r.Src, r.Dst), g.byLink[r.Link])
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	if truncated > 0 {
-		fmt.Fprintf(&b, "(%d quieter links omitted)\n", truncated)
-	}
-	return b.String()
-}
-
-// contentionLinks returns every link with a collision or backoff record
-// in sorted (src, dst) order.
-func (g *Registry) contentionLinks() []Link {
-	keys := make([]Link, 0, len(g.collByLink))
-	for k := range g.collByLink {
-		keys = append(keys, k)
-	}
-	for k := range g.depthByLink {
-		if _, dup := g.collByLink[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	return keys
+	return t.String() + note
 }
 
 // LinkCollisions reports the collision-event count recorded for one link.
@@ -210,31 +191,28 @@ func (g *Registry) LinkCollisions(k Link) int64 { return g.collByLink[k] }
 // LinkDepth reports the deepest backoff attempt recorded for one link.
 func (g *Registry) LinkDepth(k Link) int64 { return g.depthByLink[k] }
 
-// ContentionTable renders the per-link contention table, most-collided
-// links first (ties broken by src, dst), truncated to at most top rows
-// (top <= 0 means every link). The truncation is announced, never
-// silent.
+// ContentionTable renders the per-link contention table over every link
+// with a collision or backoff record, most-collided links first (ties
+// broken by src, dst), truncated to at most top rows (top <= 0 means
+// every link). The truncation is announced, never silent.
 func (g *Registry) ContentionTable(top int) string {
-	keys := g.contentionLinks()
-	sort.SliceStable(keys, func(i, j int) bool {
-		return g.collByLink[keys[i]] > g.collByLink[keys[j]]
-	})
-	truncated := 0
-	if top > 0 && len(keys) > top {
-		truncated = len(keys) - top
-		keys = keys[:top]
+	rows := make([]rankedLink, 0, len(g.collByLink))
+	for k, n := range g.collByLink {
+		rows = append(rows, rankedLink{k, n})
 	}
+	for k := range g.depthByLink {
+		if _, dup := g.collByLink[k]; !dup {
+			rows = append(rows, rankedLink{k, 0})
+		}
+	}
+	slices.SortFunc(rows, heaviestFirst)
+	rows, note := cutTop(rows, top)
 	t := stats.NewTable("link", "collisions", "max-backoff")
-	for _, k := range keys {
-		t.AddRow(fmt.Sprintf("%d->%d", k.Src, k.Dst),
-			fmt.Sprintf("%d", g.collByLink[k]), fmt.Sprintf("%d", g.depthByLink[k]))
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%d->%d", r.Src, r.Dst),
+			fmt.Sprintf("%d", r.n), fmt.Sprintf("%d", g.depthByLink[r.Link]))
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	if truncated > 0 {
-		fmt.Fprintf(&b, "(%d quieter links omitted)\n", truncated)
-	}
-	return b.String()
+	return t.String() + note
 }
 
 // String renders every table (the contention table only once something

@@ -101,12 +101,18 @@ func (s *Summary) Merge(other *Summary) {
 // Histogram counts observations into fixed-width integer buckets
 // [0,w), [w,2w), ...; values at or beyond the last bucket accumulate in an
 // overflow bucket.
+//
+// The backing slice is sized by what the histogram holds, not by what it
+// declares: it grows to the highest bucket touched, and every bucket
+// past its end reads as zero. A per-link latency table declares 400
+// buckets and touches the first few dozen, and there is one per link.
 type Histogram struct {
-	width   int64
-	buckets []int64
-	over    int64
-	total   int64
-	sum     int64
+	width    int64
+	nbuckets int
+	buckets  []int64 // len <= nbuckets; buckets[len:nbuckets] are implicitly zero
+	over     int64
+	total    int64
+	sum      int64
 }
 
 // NewHistogram builds a histogram with nbuckets buckets of the given
@@ -115,7 +121,7 @@ func NewHistogram(width int64, nbuckets int) *Histogram {
 	if width <= 0 || nbuckets <= 0 {
 		panic("stats: invalid histogram shape")
 	}
-	return &Histogram{width: width, buckets: make([]int64, nbuckets)}
+	return &Histogram{width: width, nbuckets: nbuckets}
 }
 
 // Add records one observation. Negative values clamp to bucket 0.
@@ -129,11 +135,19 @@ func (h *Histogram) AddN(v, n int64) {
 		v = 0
 	}
 	i := v / h.width
-	if i >= int64(len(h.buckets)) {
+	if i >= int64(h.nbuckets) {
 		h.over += n
 		return
 	}
+	if i >= int64(len(h.buckets)) {
+		h.grow(int(i) + 1)
+	}
 	h.buckets[i] += n
+}
+
+// grow extends the backing slice to n zero-filled buckets.
+func (h *Histogram) grow(n int) {
+	h.buckets = append(h.buckets, make([]int64, n-len(h.buckets))...)
 }
 
 // Total reports the number of observations.
@@ -147,27 +161,38 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
+// Bucket reports the count in bucket i. It panics when i is outside
+// [0, NumBuckets).
+func (h *Histogram) Bucket(i int) int64 {
+	if i < 0 || i >= h.nbuckets {
+		panic(fmt.Sprintf("stats: histogram bucket %d out of range [0,%d)", i, h.nbuckets))
+	}
+	if i >= len(h.buckets) {
+		return 0
+	}
+	return h.buckets[i]
+}
 
 // Overflow reports the count beyond the last bucket.
 func (h *Histogram) Overflow() int64 { return h.over }
 
 // NumBuckets reports the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
+func (h *Histogram) NumBuckets() int { return h.nbuckets }
 
 // Fraction reports bucket i's share of all observations.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.buckets[i]) / float64(h.total)
+	return float64(h.Bucket(i)) / float64(h.total)
 }
 
 // ModeFraction reports the largest single-bucket share, as in the paper's
-// Figure 5 annotation ("41%" concentrated at the modal latency).
+// Figure 5 annotation ("41%" concentrated at the modal latency). The
+// first of several equally full buckets wins; a histogram holding only
+// overflow reports (0, 0).
 func (h *Histogram) ModeFraction() (bucket int, frac float64) {
-	best := int64(-1)
+	var best int64 // bucket 0, touched or not, is the mode until a fuller one is seen
 	for i, c := range h.buckets {
 		if c > best {
 			best = c
@@ -210,7 +235,8 @@ func (h *Histogram) PercentileBound(frac float64) (bound int64, overflow bool) {
 			return int64(i+1) * h.width, false
 		}
 	}
-	return int64(len(h.buckets)) * h.width, true
+	// Untouched buckets add nothing to seen: what is left is overflow.
+	return int64(h.nbuckets) * h.width, true
 }
 
 // Merge folds other into h. Both histograms must share a shape (width
@@ -218,8 +244,11 @@ func (h *Histogram) PercentileBound(frac float64) (bound int64, overflow bool) {
 // merged results are independent of merge order. It panics on a shape
 // mismatch rather than resample.
 func (h *Histogram) Merge(other *Histogram) {
-	if h.width != other.width || len(h.buckets) != len(other.buckets) {
+	if h.width != other.width || h.nbuckets != other.nbuckets {
 		panic("stats: histogram shape mismatch in Merge")
+	}
+	if len(other.buckets) > len(h.buckets) {
+		h.grow(len(other.buckets))
 	}
 	for i, c := range other.buckets {
 		h.buckets[i] += c
