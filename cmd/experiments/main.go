@@ -28,6 +28,7 @@ import (
 	"fsoi/internal/exp"
 	"fsoi/internal/obs"
 	"fsoi/internal/parallel"
+	"fsoi/internal/workload"
 )
 
 // fileSink streams every simulated run's lifecycle recording to one
@@ -139,8 +140,20 @@ func parse(args []string, stderr io.Writer) (*invocation, int) {
 		tracePath:   *tracePath,
 		profilePath: *profilePath,
 	}
+	if *trials < 1 {
+		return fail("-trials %d: a Monte Carlo estimate needs at least one trial", *trials)
+	}
 	if *apps != "" {
 		inv.opts.Apps = strings.Split(*apps, ",")
+		for _, name := range inv.opts.Apps {
+			if _, ok := workload.ByName(name, 1); !ok {
+				var valid []string
+				for _, a := range workload.Suite(1) {
+					valid = append(valid, a.Name)
+				}
+				return fail("unknown app %q in -apps (valid: %s)", name, strings.Join(valid, ", "))
+			}
+		}
 	}
 	inv.ids = exp.IDs()
 	if *run != "all" {

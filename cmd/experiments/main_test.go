@@ -30,6 +30,12 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"probability out of range", "-run faults -confirm-drop 1.5", "-run faults"},
 		{"faults flag without faults", "-run fig6 -penalties 0,2", `-penalties is an input of "faults"`},
 		{"resilience flag without resilience", "-run faults -roles jammer", `-roles is an input of "resilience"`},
+		{"no trials (fig4 used to panic)", "-run fig4 -trials 0", "-trials 0"},
+		{"no trials (fig3 used to print 0.0000)", "-run fig3 -trials 0", "at least one trial"},
+		{"negative trials", "-run fig3 -trials -5", "-trials -5"},
+		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
+		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},
+		{"empty app name", "-run fig6 -apps jacobi,", `unknown app ""`},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

@@ -248,3 +248,26 @@ func TestResolutionDelaySurfaceShape(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimatorsRejectNonPositiveTrials: a mean over no trials is 0/0.
+// Both estimators refuse it the same way; cmd/experiments turns a bad
+// -trials away before either is reached.
+func TestEstimatorsRejectNonPositiveTrials(t *testing.T) {
+	for name, estimate := range map[string]func(trials int){
+		"MonteCarloCollision": func(trials int) {
+			MonteCarloCollision(CollisionParams{N: 16, R: 2, P: 0.1}, sim.NewRNG(1), trials, 1)
+		},
+		"MeanResolutionDelay": func(trials int) { PaperBackoff(0.01).MeanResolutionDelay(sim.NewRNG(1), trials, 1) },
+	} {
+		for _, trials := range []int{0, -3} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted %d trials", name, trials)
+					}
+				}()
+				estimate(trials)
+			}()
+		}
+	}
+}

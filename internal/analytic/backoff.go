@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"slices"
 
 	"fsoi/internal/parallel"
 	"fsoi/internal/sim"
@@ -40,18 +41,182 @@ func (m BackoffModel) window(r int) float64 {
 	return w
 }
 
-// drawWait picks the retry wait: a continuous point in (0, W_r] rounded up
-// to a whole slot, so a window of 2.7 picks slot 3 with probability 0.7/2.7.
-func (m BackoffModel) drawWait(rng *sim.RNG, retry int) int {
-	w := m.window(retry)
-	return int(math.Ceil(rng.Float64() * w))
-}
-
 // contender is one packet working through backoff.
 type contender struct {
-	nextTx int // slot index of the next transmission attempt
-	retry  int // number of retries performed so far
-	born   int // slot whose collision created this contender
+	next  int // slot of its next attempt; read back only for a contender parked in far
+	retry int // number of retries performed so far
+	born  int // slot whose collision created this contender
+}
+
+// ringSlots is the span of an episodeRunner's ring, and bucketCap what
+// each bucket holds before it grows on its own. In the stable part of the
+// Figure 4 grid a wait is a few slots and a bucket holds one or two
+// packets; only the unstable corner (small W, B near 1, G = 10%), a
+// doubling base and the 64-node burst reach past either.
+const (
+	ringSlots = 256
+	bucketCap = 8
+)
+
+// episodeRunner plays the episodes of one model. It owns everything an
+// episode needs (contender slab, window table, schedule) and keeps it
+// between episodes, so a shard of episodes allocates once; and it files
+// each contender under the slot it will transmit in, so a slot costs its
+// transmitters rather than a scan of everyone still backing off.
+//
+// The draws an episode makes, in order, are its contract (DESIGN section
+// 8, "Monte Carlo kernels"): one wait per initial collider; then per
+// slot, while any contender is undelivered, one Bool(G) once the slot's
+// transmitters are known (none when there is no background traffic to
+// model), one wait per collided transmitter in creation order, and last
+// the wait of the background packet that joined the collision.
+type episodeRunner struct {
+	m       BackoffModel
+	windows []float64          // windows[r-1] == m.window(r), filled on demand
+	cs      []contender        // this episode's contenders, indexed in creation order
+	live    int                // contenders not yet delivered, scheduled or not
+	ring    [ringSlots][]int32 // ring[s%ringSlots]: ids transmitting in slot s, s under ringSlots ahead
+	far     []int32            // ids transmitting ringSlots or more ahead
+}
+
+// newEpisodeRunner sizes the runner for a stable cell's episodes (a few
+// contenders, a dozen retries), which then never allocate; anything
+// larger grows what it needs once and keeps it.
+func newEpisodeRunner(m BackoffModel) *episodeRunner {
+	r := &episodeRunner{m: m, windows: make([]float64, 0, 32), cs: make([]contender, 0, 16)}
+	backing := make([]int32, ringSlots*bucketCap)
+	for i := range r.ring {
+		r.ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	}
+	return r
+}
+
+// drawWait picks the retry wait: a continuous point in (0, W_r] rounded up
+// to a whole slot, so a window of 2.7 picks slot 3 with probability 0.7/2.7.
+// The table holds m.window(r) itself: a running product w *= B rounds
+// differently from W * Pow(B, r-1) and would move the estimates.
+func (r *episodeRunner) drawWait(rng *sim.RNG, retry int) int {
+	for len(r.windows) < retry {
+		r.windows = append(r.windows, r.m.window(len(r.windows)+1))
+	}
+	return int(math.Ceil(rng.Float64() * r.windows[retry-1]))
+}
+
+// schedule files contender id, at slot now, to transmit in slot next. A
+// slot that is not ahead of now (a wait that drew exactly 0 with no
+// detection delay) or is past maxSlots never comes: the contender stays
+// live, in no list, and keeps the episode running to its horizon.
+func (r *episodeRunner) schedule(id int32, now, next, maxSlots int) {
+	switch {
+	case next <= now || next > maxSlots:
+	case next-now < ringSlots:
+		r.ring[next%ringSlots] = append(r.ring[next%ringSlots], id)
+	default:
+		r.cs[id].next = next
+		r.far = append(r.far, id)
+	}
+}
+
+// pullFar moves what has come within the ring's span into it. play calls
+// it at every slot that is a multiple of ringSlots, before reading that
+// slot's bucket: an id parked at slot s for slot t >= s+ringSlots meets
+// such a slot in (s, t], by which time t is under ringSlots ahead.
+func (r *episodeRunner) pullFar(now int) {
+	keep := r.far[:0]
+	for _, id := range r.far {
+		if next := r.cs[id].next; next-now < ringSlots {
+			r.ring[next%ringSlots] = append(r.ring[next%ringSlots], id)
+		} else {
+			keep = append(keep, id)
+		}
+	}
+	r.far = keep
+}
+
+// admit creates the contender born of a collision in slot born and
+// schedules its first retry.
+func (r *episodeRunner) admit(rng *sim.RNG, born, maxSlots int) {
+	id := int32(len(r.cs))
+	r.cs = append(r.cs, contender{retry: 1, born: born})
+	r.live++
+	r.schedule(id, born, born+r.m.DetectSlot+r.drawWait(rng, 1), maxSlots)
+}
+
+// play simulates one collision episode with k initial colliders on rng
+// and returns the summed per-packet resolution delay in cycles, the
+// number of packets resolved within maxSlots, and the slot and retry
+// count of the last delivery. With burst set it is Pathological's
+// all-to-one burst instead: no background traffic is modelled (G is not
+// drawn) and the episode ends at the first clean delivery.
+func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCycles float64, resolved, lastSlot, lastRetry int) {
+	if r.live > 0 { // the previous episode ended with contenders still filed
+		for i := range r.ring {
+			r.ring[i] = r.ring[i][:0]
+		}
+		r.far = r.far[:0]
+	}
+	r.cs, r.live = r.cs[:0], 0
+	for i := 0; i < k; i++ {
+		r.admit(rng, 0, maxSlots)
+	}
+	for slot := 1; slot <= maxSlots && r.live > 0; slot++ {
+		if slot%ringSlots == 0 {
+			r.pullFar(slot)
+		}
+		// A bucket gathers ids filed in several earlier slots; sorting
+		// puts them back in creation order, the order of the redraws.
+		txs := r.ring[slot%ringSlots]
+		r.ring[slot%ringSlots] = txs[:0] // nothing files into the current slot
+		if len(txs) > 1 {
+			slices.Sort(txs)
+		}
+		background := !burst && rng.Bool(r.m.G)
+		switch {
+		case len(txs) == 1 && !background:
+			// Clean delivery: measure from end of the birth slot to the
+			// end of this slot.
+			c := r.cs[txs[0]]
+			totalCycles += float64((slot - c.born) * r.m.SlotCycles)
+			resolved++
+			r.live--
+			lastSlot, lastRetry = slot, c.retry
+			if burst {
+				return totalCycles, resolved, lastSlot, lastRetry
+			}
+		case len(txs) > 0:
+			// Collision (with each other and/or background). Everyone
+			// transmitting backs off again; a colliding background packet
+			// becomes a new contender.
+			for _, id := range txs {
+				c := &r.cs[id]
+				c.retry++
+				r.schedule(id, slot, slot+r.m.DetectSlot+r.drawWait(rng, c.retry), maxSlots)
+			}
+			if background {
+				r.admit(rng, slot, maxSlots)
+			}
+		}
+	}
+	return totalCycles, resolved, lastSlot, lastRetry
+}
+
+// delayTally holds one shard's partial sums.
+type delayTally struct {
+	total    float64 // summed resolution delay, cycles
+	resolved int     // packets that delay is summed over
+}
+
+// delayShard plays one shard's episodes on its own stream, all on one
+// runner.
+func (m BackoffModel) delayShard(rng *sim.RNG, trials int) delayTally {
+	run := newEpisodeRunner(m)
+	var p delayTally
+	for t := 0; t < trials; t++ {
+		d, n, _, _ := run.play(rng, 2, 1<<14, false)
+		p.total += d
+		p.resolved += n
+	}
+	return p
 }
 
 // MeanResolutionDelay estimates, by Monte Carlo over trials independent
@@ -66,20 +231,10 @@ func (m BackoffModel) MeanResolutionDelay(rng *sim.RNG, trials, workers int) flo
 	if trials <= 0 {
 		panic("analytic: trials must be positive")
 	}
-	type part struct {
-		total    float64
-		resolved int
-	}
 	counts := shardCounts(trials)
 	streams := shardStreams(rng, len(counts))
-	parts := parallel.Map(len(counts), workers, func(i int) part {
-		var p part
-		for t := 0; t < counts[i]; t++ {
-			d, n := m.episode(streams[i], 2, 1<<14)
-			p.total += d
-			p.resolved += n
-		}
-		return p
+	parts := parallel.Map(len(counts), workers, func(i int) delayTally {
+		return m.delayShard(streams[i], counts[i])
 	})
 	total := 0.0
 	resolved := 0
@@ -91,60 +246,6 @@ func (m BackoffModel) MeanResolutionDelay(rng *sim.RNG, trials, workers int) flo
 		return math.Inf(1)
 	}
 	return total / float64(resolved)
-}
-
-// episode simulates one collision episode with k initial colliders and
-// returns the summed per-packet resolution delay in cycles and the number
-// of packets resolved within maxSlots.
-func (m BackoffModel) episode(rng *sim.RNG, k, maxSlots int) (totalCycles float64, resolved int) {
-	var active []*contender
-	for i := 0; i < k; i++ {
-		c := &contender{born: 0, retry: 1}
-		c.nextTx = m.DetectSlot + m.drawWait(rng, 1)
-		active = append(active, c)
-	}
-	for slot := 1; slot <= maxSlots && len(active) > 0; slot++ {
-		var txs []*contender
-		for _, c := range active {
-			if c.nextTx == slot {
-				txs = append(txs, c)
-			}
-		}
-		background := rng.Bool(m.G)
-		switch {
-		case len(txs) == 1 && !background:
-			// Clean delivery: measure from end of the birth slot to the
-			// end of this slot.
-			c := txs[0]
-			totalCycles += float64((slot - c.born) * m.SlotCycles)
-			resolved++
-			active = remove(active, c)
-		case len(txs) > 0:
-			// Collision (with each other and/or background). Everyone
-			// transmitting backs off again; a colliding background packet
-			// becomes a new contender.
-			for _, c := range txs {
-				c.retry++
-				c.nextTx = slot + m.DetectSlot + m.drawWait(rng, c.retry)
-			}
-			if background {
-				nc := &contender{born: slot, retry: 1}
-				nc.nextTx = slot + m.DetectSlot + m.drawWait(rng, 1)
-				active = append(active, nc)
-			}
-		}
-	}
-	return totalCycles, resolved
-}
-
-func remove(cs []*contender, target *contender) []*contender {
-	out := cs[:0]
-	for _, c := range cs {
-		if c != target {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // ResolutionDelaySurface evaluates MeanResolutionDelay over a (W, B) grid,
@@ -214,8 +315,8 @@ func (m BackoffModel) Pathological(rng *sim.RNG, nodes, receivers, trials, horiz
 		ok             bool
 	}
 	outcomes := parallel.Map(trials, workers, func(t int) outcome {
-		slots, retries, ok := m.firstSuccess(subs[t], perReceiver, horizonSlots)
-		return outcome{slots, retries, ok}
+		_, delivered, slots, retries := newEpisodeRunner(m).play(subs[t], perReceiver, horizonSlots, true)
+		return outcome{slots, retries, delivered == 1}
 	})
 	for _, o := range outcomes { // trial order keeps float addition stable
 		if o.ok {
@@ -232,32 +333,4 @@ func (m BackoffModel) Pathological(rng *sim.RNG, nodes, receivers, trials, horiz
 		MeanCyclesFirst:  sumCycles / float64(succeeded),
 		Resolved:         true,
 	}
-}
-
-// firstSuccess runs one all-to-one episode until the first clean delivery
-// and returns the slot of that delivery and the retry count of the winning
-// packet.
-func (m BackoffModel) firstSuccess(rng *sim.RNG, k, horizon int) (slots, retries int, ok bool) {
-	active := make([]*contender, k)
-	for i := range active {
-		c := &contender{retry: 1}
-		c.nextTx = m.DetectSlot + m.drawWait(rng, 1)
-		active[i] = c
-	}
-	for slot := 1; slot <= horizon; slot++ {
-		var txs []*contender
-		for _, c := range active {
-			if c.nextTx == slot {
-				txs = append(txs, c)
-			}
-		}
-		if len(txs) == 1 {
-			return slot, txs[0].retry, true
-		}
-		for _, c := range txs {
-			c.retry++
-			c.nextTx = slot + m.DetectSlot + m.drawWait(rng, c.retry)
-		}
-	}
-	return 0, 0, false
 }

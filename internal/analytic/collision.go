@@ -137,6 +137,9 @@ func MonteCarloCollision(c CollisionParams, rng *sim.RNG, trials, workers int) (
 	if c.N < 2 || c.R < 1 {
 		panic("analytic: need N >= 2 and R >= 1")
 	}
+	if trials <= 0 {
+		panic("analytic: trials must be positive")
+	}
 	counts := shardCounts(trials)
 	streams := shardStreams(rng, len(counts))
 	shards := parallel.Map(len(counts), workers, func(i int) collisionTally {
@@ -158,18 +161,18 @@ func MonteCarloCollision(c CollisionParams, rng *sim.RNG, trials, workers int) (
 	return perPacket, perNode
 }
 
-// collisionShard runs one shard's slots on its own stream.
+// collisionShard runs one shard's slots on its own stream. Senders are
+// counted per (dst, receiver) cell in one dense array; the cells a slot
+// touched are listed as it goes, and walking that list both tallies the
+// slot and clears it, so a slot costs its senders and allocates nothing.
+// The draws are Bool(P) for each node in node order, then Intn(N-1) for
+// a node that transmits; the tally is a pure function of that sequence.
 func collisionShard(c CollisionParams, rng *sim.RNG, trials int) collisionTally {
-	var sent, collided, nodeSlots, nodeCollisions int
-	// receiverOf maps a sender to the receiver index it uses at any
-	// destination: senders are statically divided among receivers.
-	load := make(map[[2]int][]int) // (dst, receiver) -> senders this slot
-	for t := 0; t < trials; t++ {
-		for k := range load {
-			delete(load, k)
-		}
-		type tx struct{ src, dst, rcv int }
-		var txs []tx
+	var sent, collided, nodeCollisions int
+	count := make([]int32, c.N*c.R)  // senders this slot at cell dst*R + receiver
+	touched := make([]int32, 0, c.N) // cells with count > 0 this slot
+	hitSlot := make([]int, c.N)      // last slot (counted from 1) in which the node saw a collision
+	for t := 1; t <= trials; t++ {
 		for s := 0; s < c.N; s++ {
 			if !rng.Bool(c.P) {
 				continue
@@ -178,25 +181,25 @@ func collisionShard(c CollisionParams, rng *sim.RNG, trials int) collisionTally 
 			if d >= s {
 				d++
 			}
-			r := s % c.R
-			txs = append(txs, tx{s, d, r})
-			key := [2]int{d, r}
-			load[key] = append(load[key], s)
-		}
-		sent += len(txs)
-		for _, x := range txs {
-			if len(load[[2]int{x.dst, x.rcv}]) > 1 {
-				collided++
+			// Senders are statically divided among a node's receivers.
+			cell := int32(d*c.R + s%c.R)
+			if count[cell] == 0 {
+				touched = append(touched, cell)
 			}
+			count[cell]++
+			sent++
 		}
-		nodeSlots += c.N
-		seen := make(map[int]bool)
-		for key, senders := range load {
-			if len(senders) > 1 && !seen[key[0]] {
-				seen[key[0]] = true
-				nodeCollisions++
+		for _, cell := range touched {
+			if n := int(count[cell]); n > 1 {
+				collided += n
+				if d := int(cell) / c.R; hitSlot[d] != t {
+					hitSlot[d] = t
+					nodeCollisions++
+				}
 			}
+			count[cell] = 0
 		}
+		touched = touched[:0]
 	}
-	return collisionTally{sent, collided, nodeSlots, nodeCollisions}
+	return collisionTally{sent, collided, trials * c.N, nodeCollisions}
 }

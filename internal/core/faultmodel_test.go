@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"fsoi/internal/noc"
@@ -170,6 +171,34 @@ func TestBackoffCapAndTimeoutDefaults(t *testing.T) {
 	} {
 		if bad.Validate() == nil {
 			t.Fatal("negative cap/timeout must fail validation")
+		}
+	}
+}
+
+// TestCorruptionProbMemoMissesOnAnyChange: the remembered value is
+// returned only for the exact (BER, size, lane) it was computed for. A
+// fault model hands every launch its own BER, so a stale hit would move
+// the corruption draw's argument and with it every canonical byte.
+func TestCorruptionProbMemoMissesOnAnyChange(t *testing.T) {
+	ns := &nodeState{}
+	direct := func(ber float64, bits int) float64 { return 1 - math.Pow(1-ber, float64(bits)) }
+	steps := []struct {
+		lane Lane
+		ber  float64
+		bits int
+	}{
+		{LaneMeta, 1e-10, 72},
+		{LaneMeta, 1e-10, 72},                    // hit
+		{LaneMeta, math.Nextafter(1e-10, 1), 72}, // one ulp away: miss
+		{LaneMeta, 1e-10, 72},                    // back again: miss
+		{LaneData, 1e-10, 360},                   // other lane, its own slot
+		{LaneMeta, 1e-10, 360},                   // same BER, other size
+		{LaneData, 0.02, 360},
+		{LaneData, 1e-10, 360},
+	}
+	for i, s := range steps {
+		if got, want := ns.corruptionProb(s.lane, s.ber, s.bits), direct(s.ber, s.bits); got != want {
+			t.Fatalf("step %d %+v: corruptionProb = %v, direct formula %v", i, s, got, want)
 		}
 	}
 }

@@ -171,6 +171,32 @@ type nodeState struct {
 	// to estimate reply timing and to generate collision hints.
 	expecting map[int][]sim.Cycle
 	replyEWMA float64
+
+	// corrupt is the last packet-corruption probability this node worked
+	// out as a receiver, per lane. A lane carries one packet size and,
+	// without a fault model, every launch one BER, so nearly every clean
+	// slot asks for the value just computed.
+	corrupt [numLanes]corruptMemo
+}
+
+// corruptMemo is one remembered 1-(1-ber)^bits, keyed by the BER's bit
+// pattern and the packet size so that a hit is two integer compares.
+type corruptMemo struct {
+	berBits uint64
+	bits    int
+	p       float64
+}
+
+// corruptionProb returns the probability that independent bit errors at
+// rate ber corrupt a packet of the given size on lane l. A BER that
+// differs at all from the last one (a fault model samples it per sender
+// and per launch) is computed afresh.
+func (ns *nodeState) corruptionProb(l Lane, ber float64, bits int) float64 {
+	m := &ns.corrupt[l]
+	if key := math.Float64bits(ber); m.berBits != key || m.bits != bits {
+		*m = corruptMemo{key, bits, 1 - math.Pow(1-ber, float64(bits))}
+	}
+	return m.p
 }
 
 // Stats carries FSOI-specific measurements beyond noc.LatencyStats.
@@ -758,7 +784,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 		// sender (no confirmation) and is retried the same way. The
 		// probability was sampled at launch (tx.ber); the corruption draw
 		// happens here, on the receiver's stream.
-		if tx.ber > 0 && n.nrng[dst].Bool(1-math.Pow(1-tx.ber, float64(tx.pkt.Type.Bits()))) {
+		if tx.ber > 0 && n.nrng[dst].Bool(n.nodes[dst].corruptionProb(l, tx.ber, tx.pkt.Type.Bits())) {
 			st.BitErrors++
 			if n.fault != nil {
 				// Locate the corruption: header errors break the PID/~PID

@@ -124,18 +124,18 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf returns a value in [0, n) drawn from a Zipf-like distribution with
-// exponent s, using inverse-CDF over a precomputed table when called via
-// NewZipf; this direct method is O(n) and intended for small n.
-type Zipf struct {
+// ZipfTable is the cumulative distribution of a Zipf-like law over [0, n)
+// with exponent s. Building it costs one math.Pow per entry; it is never
+// written afterwards, so any number of samplers, on any goroutines, may
+// share one.
+type ZipfTable struct {
 	cdf []float64
-	rng *RNG
 }
 
-// NewZipf builds a Zipf(n, s) sampler drawing from rng.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
+// NewZipfTable builds the Zipf(n, s) table.
+func NewZipfTable(n int, s float64) *ZipfTable {
 	if n <= 0 {
-		panic("sim: NewZipf called with non-positive n")
+		panic("sim: NewZipfTable called with non-positive n")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -146,7 +146,19 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	return &ZipfTable{cdf: cdf}
+}
+
+// Sampler returns a sampler over the table drawing from rng.
+func (t *ZipfTable) Sampler(rng *RNG) *Zipf {
+	return &Zipf{cdf: t.cdf, rng: rng}
+}
+
+// Zipf draws values in [0, n) from a ZipfTable by inverse-CDF binary
+// search, one Float64 per sample.
+type Zipf struct {
+	cdf []float64
+	rng *RNG
 }
 
 // Next draws the next sample.

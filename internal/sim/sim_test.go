@@ -147,7 +147,7 @@ func TestPermIsPermutation(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(31)
-	z := NewZipf(r, 100, 1.0)
+	z := NewZipfTable(100, 1.0).Sampler(r)
 	counts := make([]int, 100)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++

@@ -817,15 +817,16 @@ func (s *System) Run(app workload.App) Metrics {
 	}
 	s.sync.setBarrierTarget(0, honest)
 
+	// One call, so the streams share the app's Zipf table; a hostile
+	// node's entry goes unused.
+	honestStreams := workload.NewStreams(app, s.cfg.Nodes, s.cfg.Seed)
 	for i := 0; i < s.cfg.Nodes; i++ {
 		if s.shardEng != nil {
 			s.shardEng.SetShard(s.shardEng.NodeShard(i))
 		}
-		var stream cpu.Stream
+		var stream cpu.Stream = honestStreams[i]
 		if sp, hostile := advBy[i]; hostile {
 			stream = workload.NewAdversaryStream(sp, app, s.cfg.Nodes, s.cfg.Seed, s.sched(i).Now)
-		} else {
-			stream = workload.NewStream(app, i, s.cfg.Nodes, s.cfg.Seed)
 		}
 		c := cpu.New(i, s.cfg.Core, s.sched(i), s.l1s[i], stream, s.sync, s.onCoreFinish)
 		s.cores = append(s.cores, c)

@@ -138,11 +138,39 @@ type Stream struct {
 // metric shifts relative to pre-fix runs; determinism is still checked
 // run-against-run (see system.TestCrossRunDeterminismByteIdentical).
 func NewStream(app App, node, nodes int, seed uint64) *Stream {
+	return newStream(app, node, nodes, seed, zipfTable(app))
+}
+
+// NewStreams builds the streams of all `nodes` threads of one run. Each
+// is what NewStream returns for its node; the one thing they share is
+// the application's Zipf table, read-only, which is the same for every
+// node and costs SharedLines math.Pow calls to build.
+func NewStreams(app App, nodes int, seed uint64) []*Stream {
+	table := zipfTable(app)
+	streams := make([]*Stream, nodes)
+	for node := range streams {
+		streams[node] = newStream(app, node, nodes, seed, table)
+	}
+	return streams
+}
+
+// zipfTable returns the table behind the app's skewed shared accesses,
+// nil for an app without skew.
+func zipfTable(app App) *sim.ZipfTable {
+	if app.Zipf > 0 {
+		return sim.NewZipfTable(app.SharedLines, app.Zipf)
+	}
+	return nil
+}
+
+// newStream builds one thread's stream over a Zipf table that may be
+// shared (nil for an app without skew).
+func newStream(app App, node, nodes int, seed uint64, table *sim.ZipfTable) *Stream {
 	assertLayout(app, node, nodes)
 	rng := sim.NewRNG(seed).NewStream(app.Name).NewStream(strconv.Itoa(node))
 	s := &Stream{app: app, node: node, nodes: nodes, rng: rng}
-	if app.Zipf > 0 {
-		s.zipf = sim.NewZipf(rng.NewStream("zipf"), app.SharedLines, app.Zipf)
+	if table != nil {
+		s.zipf = table.Sampler(rng.NewStream("zipf"))
 	}
 	return s
 }

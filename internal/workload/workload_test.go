@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"fsoi/internal/cache"
@@ -73,6 +74,49 @@ func TestStreamDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("op %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestNewStreamsMatchesNewStream: the streams of a run share one Zipf
+// table, and each is still op for op the stream NewStream builds alone,
+// when drained in step with its siblings (each draws from its own "zipf"
+// sub-stream, never from the table's owner).
+func TestNewStreamsMatchesNewStream(t *testing.T) {
+	for _, name := range []string{"raytrace", "tsp", "mp3d"} { // Zipf 0.8, 0.9 and none
+		app, _ := ByName(name, 0.02)
+		const nodes = 4
+		shared := NewStreams(app, nodes, 42)
+		alone := make([]*Stream, nodes)
+		for node := range alone {
+			alone[node] = NewStream(app, node, nodes, 42)
+		}
+		for live := nodes; live > 0; { // round-robin, as cores interleave
+			live = 0
+			for node := range shared {
+				a, okA := shared[node].Next()
+				b, okB := alone[node].Next()
+				if a != b || okA != okB {
+					t.Fatalf("%s node %d: shared-table stream gave %+v/%v, NewStream %+v/%v", name, node, a, okA, b, okB)
+				}
+				if okA {
+					live++
+				}
+			}
+		}
+	}
+}
+
+// TestNewStreamsBuildsOneZipfTable: sixteen raytrace streams cost one
+// 4096-entry table (32 KB), not sixteen.
+func TestNewStreamsBuildsOneZipfTable(t *testing.T) {
+	app, _ := ByName("raytrace", 0.02)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	streams := NewStreams(app, 16, 42)
+	runtime.ReadMemStats(&after)
+	table := uint64(app.SharedLines) * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*table {
+		t.Fatalf("NewStreams allocated %d bytes for %d streams; one Zipf table is %d", got, len(streams), table)
 	}
 }
 
