@@ -11,7 +11,7 @@
 //	benchtrend              # writes BENCH_<next>.json in the cwd
 //	benchtrend -n 0 -dir .  # explicit index and directory
 //	benchtrend -j 4         # experiment timings with 4 workers
-//	benchtrend -check BENCH_6.json   # regression gate, writes nothing
+//	benchtrend -check BENCH_7.json   # regression gate, writes nothing
 //
 // Engine numbers are scheduler-independent; experiment wall-clock
 // depends on -j and the host, so snapshots record both alongside
@@ -142,8 +142,9 @@ func benchChurn(b *testing.B) {
 // cheap analytic table, the two figures that are Monte Carlo estimates
 // (fig3's collision kernel, fig4's backoff episodes), one
 // simulation-light figure, and the heavy app×network grids that the
-// parallel layer exists to accelerate.
-var trackedExperiments = []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig8", "faults"}
+// parallel layer exists to accelerate, fig7 being the 64-node headline
+// whose time the mesh baseline sets.
+var trackedExperiments = []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "faults"}
 
 // nextIndex scans dir for BENCH_<n>.json files and returns max+1 (0 on
 // a clean directory).

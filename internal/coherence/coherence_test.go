@@ -358,6 +358,39 @@ func TestMergedWaitersOnOneMiss(t *testing.T) {
 	}
 }
 
+// TestPendingRecordsRecycle: a completed transaction's record, waiters
+// capacity included, serves the controller's next miss, and while it
+// waits on the free list it pins no waiter's callback.
+func TestPendingRecordsRecycle(t *testing.T) {
+	r := newRig(t, 2)
+	l := r.l1s[1]
+	completed := 0
+	done := func(sim.Cycle) { completed++ }
+	l.AccessRetry(line, false, done)
+	l.AccessRetry(line, false, done) // merges: two waiters on one record
+	first := l.trans[line]
+	r.run(5000)
+	l.AccessRetry(line+1, true, done)
+	if l.trans[line+1] != first {
+		t.Fatal("the second miss did not take the first one's record")
+	}
+	if first.state != tIMD || len(first.waiters) != 1 || !first.waiters[0].write {
+		t.Fatalf("reused record = %+v, want one write waiter in I.MD", *first)
+	}
+	r.run(5000)
+	if completed != 3 {
+		t.Fatalf("%d of 3 accesses completed", completed)
+	}
+	if len(l.free) != 1 || l.free[0] != first || len(first.waiters) != 0 || cap(first.waiters) < 2 {
+		t.Fatalf("free list %v, record %+v: want the one record back with its two-waiter capacity", l.free, *first)
+	}
+	for i, w := range first.waiters[:cap(first.waiters)] {
+		if w.done != nil {
+			t.Fatalf("released record still pins waiter %d's callback", i)
+		}
+	}
+}
+
 func TestWriteWaiterUpgradesAfterSharedFill(t *testing.T) {
 	// A write merging behind a read miss must upgrade once the shared
 	// fill lands.

@@ -50,10 +50,15 @@ type waiter struct {
 }
 
 // l1Pending is the controller-side record of one transient line.
+// Records are recycled through L1.free with their waiters capacity:
+// Access takes one, complete returns it. Between the two the only
+// holders are trans, install's retry closure, which ends in complete,
+// and onNack's, which only asks whether the transaction is still the one
+// it was refused for.
 type l1Pending struct {
 	state   transKind
 	waiters []waiter
-	issued  sim.Cycle // when the current request was sent (for stats)
+	issued  sim.Cycle // when the request was first sent (for stats)
 }
 
 // L1Config sizes an L1 controller.
@@ -97,6 +102,7 @@ type L1 struct {
 	stats  L1Stats
 	outbox []Msg
 	watch  map[cache.LineAddr][]func(now sim.Cycle)
+	free   []*l1Pending // completed records, reused last in first out
 }
 
 // NewL1 builds a controller for node id.
@@ -187,7 +193,14 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 	if write {
 		l.stats.WriteMisses++
 	}
-	p := &l1Pending{issued: now, waiters: []waiter{{write: write, done: done}}}
+	var p *l1Pending
+	if k := len(l.free); k > 0 {
+		p, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		p = new(l1Pending)
+	}
+	p.issued = now
+	p.waiters = append(p.waiters, waiter{write: write, done: done})
 	var req MsgType
 	switch {
 	case line != nil && line.State == cache.Shared && write:
@@ -311,6 +324,10 @@ func (l *L1) complete(addr cache.LineAddr, p *l1Pending, now sim.Cycle) {
 			l.engine.At(at, func(c sim.Cycle) { l.AccessRetry(addr, true, w.done) })
 		}
 	}
+	// Cleared so the free list pins no done callback.
+	clear(p.waiters)
+	*p = l1Pending{waiters: p.waiters[:0]}
+	l.free = append(l.free, p)
 }
 
 // AccessRetry is Access but retries every cycle while the MSHR is full.
@@ -396,8 +413,11 @@ func (l *L1) onNack(m Msg, now sim.Cycle) {
 		req = ReqUpg
 	}
 	delay := sim.Cycle(8 + l.rng.Intn(24))
+	// A record is recycled, so the pointer alone no longer names the
+	// transaction; a later one on the same record was issued later.
+	issued := p.issued
 	l.engine.At(now+delay, func(sim.Cycle) {
-		if l.trans[m.Addr] == p {
+		if l.trans[m.Addr] == p && p.issued == issued {
 			l.send(l.request(req, m.Addr))
 		}
 	})

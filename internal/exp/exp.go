@@ -412,17 +412,21 @@ func Fig7(o Options) Result {
 func Table4(o Options) Result {
 	t := stats.NewTable("system", "bandwidth", "FSOI", "L0", "Lr1", "Lr2")
 	vals := map[string]float64{}
-	// The job list mirrors the consumption loops below exactly, so the
-	// replay (including the carried-over mesh baseline) reproduces the
-	// serial table byte for byte.
+	kinds := []system.NetworkKind{system.NetMesh, system.NetFSOI, system.NetL0, system.NetLr1, system.NetLr2}
+	apps := o.suite()
+	sizes := []int{16, 64}
+	if o.Scale < 0.2 {
+		// Benches skip the 64-node half for time.
+		sizes = sizes[:1]
+	}
+	bws := []float64{8.8, 52.8}
+	// One block of len(kinds)*len(apps) jobs per table row, kind-major,
+	// the mesh first: a block's first len(apps) runs are its baselines.
 	var jobs []simJob
-	for _, nodes := range []int{16, 64} {
-		if nodes == 64 && o.Scale < 0.2 {
-			continue
-		}
-		for _, bw := range []float64{8.8, 52.8} {
-			for _, kind := range []system.NetworkKind{system.NetMesh, system.NetFSOI, system.NetL0, system.NetLr1, system.NetLr2} {
-				for _, app := range o.suite() {
+	for _, nodes := range sizes {
+		for _, bw := range bws {
+			for _, kind := range kinds {
+				for _, app := range apps {
 					jobs = append(jobs, simJob{app: app, kind: kind, nodes: nodes,
 						mutate: func(c *system.Config) { c.Memory.TotalGBps = bw }})
 				}
@@ -430,31 +434,24 @@ func Table4(o Options) Result {
 		}
 	}
 	ms := runGrid(o, jobs)
-	idx := 0
-	for _, nodes := range []int{16, 64} {
-		if nodes == 64 && o.Scale < 0.2 {
-			// Benches skip the 64-node half for time.
-			continue
-		}
-		for _, bw := range []float64{8.8, 52.8} {
-			speed := map[system.NetworkKind]float64{}
-			var base system.Metrics
-			for _, kind := range []system.NetworkKind{system.NetMesh, system.NetFSOI, system.NetL0, system.NetLr1, system.NetLr2} {
-				var sum []float64
-				for range o.suite() {
-					m := ms[idx]
-					idx++
-					if kind == system.NetMesh {
-						base = m
-					}
-					sum = append(sum, m.Speedup(base))
+	for _, nodes := range sizes {
+		for _, bw := range bws {
+			block := ms[:len(kinds)*len(apps)]
+			ms = ms[len(block):]
+			cells := []string{fmt.Sprintf("%d-core", nodes), fmt.Sprintf("%.1fGB/s", bw)}
+			for ki, kind := range kinds[1:] {
+				// Each app against its own mesh run.
+				speedups := make([]float64, len(apps))
+				for ai := range apps {
+					speedups[ai] = block[(ki+1)*len(apps)+ai].Speedup(block[ai])
 				}
-				speed[kind] = stats.GeoMean(sum)
+				g := stats.GeoMean(speedups)
+				cells = append(cells, fmt.Sprintf("%.3f", g))
+				if kind == system.NetFSOI {
+					vals[fmt.Sprintf("fsoi_%d_%.1f", nodes, bw)] = g
+				}
 			}
-			t.AddRow(fmt.Sprintf("%d-core", nodes), fmt.Sprintf("%.1fGB/s", bw),
-				fmt.Sprintf("%.3f", speed[system.NetFSOI]), fmt.Sprintf("%.3f", speed[system.NetL0]),
-				fmt.Sprintf("%.3f", speed[system.NetLr1]), fmt.Sprintf("%.3f", speed[system.NetLr2]))
-			vals[fmt.Sprintf("fsoi_%d_%.1f", nodes, bw)] = speed[system.NetFSOI]
+			t.AddRow(cells...)
 		}
 	}
 	return Result{ID: "table4", Title: "Table 4: memory-bandwidth sensitivity", Text: t.String(), Values: vals}

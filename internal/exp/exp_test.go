@@ -3,8 +3,12 @@ package exp
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"fsoi/internal/stats"
+	"fsoi/internal/system"
 )
 
 // tiny returns the cheapest possible options for registry smoke tests.
@@ -85,6 +89,25 @@ func TestFig6Ordering(t *testing.T) {
 	}
 	if l0 < lr2*0.93 {
 		t.Fatalf("L0 (%.3f) must not lose badly to Lr2 (%.3f)", l0, lr2)
+	}
+}
+
+// TestTable4DividesEachAppByItsOwnMesh: radix is the shortest app of the
+// suite at this scale and raytrace the longest (1.4x apart on the mesh),
+// so dividing both by one app's mesh run, as Table4 once did with the
+// last app's, moves the geomean by 18%.
+func TestTable4DividesEachAppByItsOwnMesh(t *testing.T) {
+	o := tiny()
+	o.Apps = []string{"radix", "raytrace"}
+	got := Table4(o).Values["fsoi_16_8.8"]
+	var speedups []float64
+	for _, app := range o.suite() {
+		bw := func(c *system.Config) { c.Memory.TotalGBps = 8.8 }
+		mesh := runOne(o, app, system.NetMesh, 16, bw)
+		speedups = append(speedups, runOne(o, app, system.NetFSOI, 16, bw).Speedup(mesh))
+	}
+	if want := stats.GeoMean(speedups); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("Table 4 FSOI speedup at 16 cores, 8.8 GB/s = %.4f, per-app mesh baselines give %.4f", got, want)
 	}
 }
 

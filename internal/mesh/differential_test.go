@@ -75,7 +75,9 @@ func (tr traffic) drive(t *testing.T, engine *sim.Engine, net sender, each func(
 
 // matchReference runs tr on the mesh and on the full-scan reference
 // model and requires the same per-packet delays and delivery cycles in
-// the same order, and the same allocator state at the end.
+// the same order, the same allocator state at the end, and as many link
+// transfers as the reference scheduled events (one per flit-hop, its
+// only events) with none of the mesh's own.
 func (tr traffic) matchReference(t *testing.T) {
 	t.Helper()
 	refEngine := sim.NewEngine()
@@ -86,7 +88,15 @@ func (tr traffic) matchReference(t *testing.T) {
 	engine := sim.NewEngine()
 	n := New(tr.cfg, engine)
 	engine.Register(sim.TickFunc(n.Tick))
-	got := tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Pending()) })
+	transfers := uint64(0)
+	got := tr.drive(t, engine, n, func() {
+		now := engine.Now() - 1
+		n.checkInvariants(t, now)
+		// What the cycle put on links is what arrives a full hop later.
+		for i := n.links.n - 1; i >= 0 && n.links.at(i).arrival == now+n.hop; i-- {
+			transfers++
+		}
+	})
 
 	if len(got) != len(want) {
 		t.Fatalf("delivered %d packets, reference delivered %d", len(got), len(want))
@@ -96,9 +106,9 @@ func (tr traffic) matchReference(t *testing.T) {
 			t.Fatalf("arrival %d: got %+v, reference %+v", i, got[i], want[i])
 		}
 	}
-	if engine.Now() != refEngine.Now() || engine.EventsFired() != refEngine.EventsFired() {
-		t.Fatalf("drained at cycle %d after %d events, reference at %d after %d",
-			engine.Now(), engine.EventsFired(), refEngine.Now(), refEngine.EventsFired())
+	if engine.Now() != refEngine.Now() || transfers != refEngine.EventsFired() || engine.EventsFired() != 0 {
+		t.Fatalf("drained at cycle %d after %d link transfers and %d events, reference at %d after %d events",
+			engine.Now(), transfers, engine.EventsFired(), refEngine.Now(), refEngine.EventsFired())
 	}
 	for i, r := range n.routers {
 		rr := ref.routers[i]
@@ -142,15 +152,17 @@ func TestMatchesReferenceModel(t *testing.T) {
 // FuzzMatchesReferenceModel lets the fuzzer pick the seed, the shape of
 // the mesh and the load; `go test` runs the corpus below.
 func FuzzMatchesReferenceModel(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(12), uint8(10), false)
-	f.Add(uint64(7), uint8(8), uint8(2), uint8(2), uint8(3), uint8(40), true)
-	f.Add(uint64(9), uint8(3), uint8(1), uint8(12), uint8(1), uint8(90), false)
-	f.Add(uint64(11), uint8(5), uint8(0), uint8(1), uint8(5), uint8(25), true)
-	f.Fuzz(func(t *testing.T, seed uint64, dim, routerCycles, vcs, depth, ratePct uint8, hotspot bool) {
+	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(12), uint8(1), uint8(75), uint8(10), false)
+	f.Add(uint64(7), uint8(8), uint8(2), uint8(2), uint8(3), uint8(2), uint8(42), uint8(40), true)
+	f.Add(uint64(9), uint8(3), uint8(1), uint8(12), uint8(1), uint8(3), uint8(75), uint8(90), false)
+	f.Add(uint64(11), uint8(5), uint8(0), uint8(1), uint8(5), uint8(0), uint8(25), uint8(25), true)
+	f.Fuzz(func(t *testing.T, seed uint64, dim, routerCycles, vcs, depth, linkCycles, bwPct, ratePct uint8, hotspot bool) {
 		cfg := PaperMesh(2 + int(dim)%7)
 		cfg.RouterCycles = int(routerCycles) % 5
 		cfg.VCs = 1 + int(vcs)%(maskBits/numPorts)
 		cfg.BufferFlits = 1 + int(depth)%12
+		cfg.LinkCycles = int(linkCycles) % 4
+		cfg.BandwidthFrac = float64(25+bwPct%76) / 100 // 0.25 .. 1.00, the last unthrottled
 		tr := traffic{seed: seed, cfg: cfg, hotspot: hotspot, rate: float64(1+ratePct%100) / 200, cycles: 300}
 		tr.matchReference(t)
 	})

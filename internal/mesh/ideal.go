@@ -26,6 +26,30 @@ type Ideal struct {
 	queues   []ring[*noc.Packet]
 	queued   bitset      // nodes with a packet queued: the only ones Tick visits
 	busyTill []sim.Cycle // per-node serializer availability
+	free     []*delivery // retired records, reused last in first out
+}
+
+// delivery is one packet on its contention-free way. It stays an engine
+// event, unlike a mesh flit's hop: it runs the destination's coherence
+// handlers and so must keep its (cycle, schedule order) place among the
+// cycle's other events. Records are recycled through Ideal.free, and
+// fire is bound when a record is first allocated, so a packet schedules
+// no closure.
+type delivery struct {
+	n    *Ideal
+	pkt  *noc.Packet
+	fire func(now sim.Cycle)
+}
+
+// arrive retires the record and hands its packet over.
+func (d *delivery) arrive(now sim.Cycle) {
+	n, p := d.n, d.pkt
+	d.pkt = nil
+	n.free = append(n.free, d)
+	n.lat.Record(p)
+	if n.deliverFn != nil {
+		n.deliverFn(p, now)
+	}
 }
 
 func newIdeal(dim, routerCycles, linkCycles int, engine sim.Scheduler) *Ideal {
@@ -116,10 +140,13 @@ func (n *Ideal) start(node int, now sim.Cycle) {
 		network += sim.Cycle(h * (n.linkCycles + n.routerCycles))
 	}
 	p.NetworkDelay = int64(network)
-	noc.ScheduleAt(n.engine, p.Dst, now+network, func(at sim.Cycle) {
-		n.lat.Record(p)
-		if n.deliverFn != nil {
-			n.deliverFn(p, at)
-		}
-	})
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		d = &delivery{n: n}
+		d.fire = d.arrive
+	}
+	d.pkt = p
+	noc.ScheduleAt(n.engine, p.Dst, now+network, d.fire)
 }

@@ -1,19 +1,29 @@
 package mesh
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"fsoi/internal/sim"
 )
 
-// checkInvariants verifies, between cycles, that the occupancy state the
-// tick relies on agrees with the FIFOs, that credits account for every
-// buffer slot, and that no flit has been lost or duplicated. onLink is
-// the number of flits in flight between routers, which the caller knows
-// independently: each is one pending engine event.
-func (n *Network) checkInvariants(t testing.TB, onLink int) {
+// checkInvariants verifies, between cycle now and the next, that the
+// occupancy state the tick relies on agrees with the FIFOs, that credits
+// account for every buffer slot, that no flit has been lost or
+// duplicated, that the link queue is in the order Tick drains it, and
+// that no router sleeps past a flit it could move.
+func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
 	t.Helper()
+	onLink := n.links.n
+	for i, last := 0, now; i < onLink; i++ {
+		at := n.links.at(i).arrival
+		if at < last || at <= now || at > now+n.hop {
+			t.Fatalf("link queue entry %d of %d arrives at cycle %d, the one before at %d: want non-decreasing within (%d, %d]",
+				i, onLink, at, last, now, now+n.hop)
+		}
+		last = at
+	}
 	vcs, depth := n.cfg.VCs, n.cfg.BufferFlits
 	buffered, linked := 0, 0
 	for _, r := range n.routers {
@@ -42,6 +52,19 @@ func (n *Network) checkInvariants(t testing.TB, onLink int) {
 		if got := n.busyRouters.has(r.id); got != (sum > 0) {
 			t.Fatalf("router %d: busy bit %v with %d flits buffered", r.id, got, sum)
 		}
+		if sum > 0 {
+			// Wake honesty: the router ticks again no later than the
+			// first cycle a front flit is out of the pipeline.
+			due := sim.Cycle(math.MaxInt64)
+			for i := range r.inputs {
+				if in := &r.inputs[i]; in.fifo.n > 0 {
+					due = min(due, in.fifo.front().readyAt)
+				}
+			}
+			if due = max(due, now+1); r.wake > due {
+				t.Fatalf("router %d: sleeps until cycle %d with a front flit ready at %d", r.id, r.wake, due)
+			}
+		}
 		buffered += sum
 		for v := 0; v < vcs; v++ {
 			if got := n.vcCredits[r.id][v] + r.inputs[portLocal*vcs+v].fifo.n; got != depth {
@@ -59,16 +82,16 @@ func (n *Network) checkInvariants(t testing.TB, onLink int) {
 					down = next.inputs[r.reverse[p]*vcs+v].fifo.n
 				}
 				flying := depth - out.credits[v] - down
-				if flying < 0 || flying > n.cfg.LinkCycles {
+				if flying < 0 || flying > int(n.hop) {
 					t.Fatalf("router %d out %d vc %d: %d credits + %d buffered downstream leave %d on a %d-cycle link",
-						r.id, p, v, out.credits[v], down, flying, n.cfg.LinkCycles)
+						r.id, p, v, out.credits[v], down, flying, n.hop)
 				}
 				linked += flying
 			}
 		}
 	}
 	if linked != onLink {
-		t.Fatalf("credits imply %d flits on links, %d are in flight", linked, onLink)
+		t.Fatalf("credits imply %d flits on links, the link queue holds %d", linked, onLink)
 	}
 	if n.flitsIn != n.flitsOut+int64(buffered+onLink) {
 		t.Fatalf("flits: %d injected != %d ejected + %d buffered + %d on links", n.flitsIn, n.flitsOut, buffered, onLink)
@@ -83,13 +106,14 @@ func (n *Network) checkInvariants(t testing.TB, onLink int) {
 }
 
 // stress drives tr through n until it drains (drive fails the test if a
-// packet is lost), checking the invariants after every cycle. Nothing
-// else schedules on engine, so its pending events are exactly the flits
-// on links.
+// packet is lost), checking the invariants after every cycle.
 func stress(t *testing.T, n *Network, engine *sim.Engine, tr traffic) {
 	t.Helper()
-	tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Pending()) })
+	tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Now()-1) })
 }
+
+// at returns the i-th oldest element.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
 
 func (b bitset) has(i int) bool { return b[i>>6]>>(i&63)&1 == 1 }
 
@@ -102,6 +126,7 @@ func TestInvariantsHoldUnderStress(t *testing.T) {
 		{"saturated", func(*Config) {}, 0.5},
 		{"shallow-buffers", func(c *Config) { c.BufferFlits, c.VCs = 2, 2 }, 0.2},
 		{"two-cycle-links", func(c *Config) { c.LinkCycles = 2 }, 0.1},
+		{"zero-cycle-links", func(c *Config) { c.LinkCycles, c.RouterCycles = 0, 0 }, 0.1},
 		{"throttled", func(c *Config) { c.BandwidthFrac = 0.67 }, 0.1},
 		{"widest-mask", func(c *Config) { c.VCs = maskBits / numPorts }, 0.3},
 	} {

@@ -42,6 +42,13 @@ type Network struct {
 	flitHops  int64     // flits x hops, for Orion-style energy accounting
 	bwTokens  []float64 // fractional-bandwidth injection credits
 
+	// links holds the flits between routers, oldest first. Every link
+	// takes the same hop cycles, so push order is arrival order. hop is
+	// LinkCycles, and at least one: a flit granted in one tick cannot be
+	// buffered downstream before the next.
+	links ring[transfer]
+	hop   sim.Cycle
+
 	// Tick visits only these: NICs with a packet queued or mid-injection
 	// (or a token bank still filling), and routers buffering a flit.
 	busyNICs    bitset
@@ -68,7 +75,7 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
 			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
 	}
-	n := &Network{cfg: cfg, engine: engine}
+	n := &Network{cfg: cfg, engine: engine, hop: sim.Cycle(max(cfg.LinkCycles, 1))}
 	count := cfg.Dim * cfg.Dim
 	n.routers = make([]*router, count)
 	for i := range n.routers {
@@ -126,12 +133,7 @@ func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 // Lookahead declares the mesh's conservative cross-shard window: a
 // flit takes at least one link cycle between adjacent routers, so no
 // cross-node interaction lands sooner than that.
-func (n *Network) Lookahead() sim.Cycle {
-	if n.cfg.LinkCycles < 1 {
-		return 1
-	}
-	return sim.Cycle(n.cfg.LinkCycles)
-}
+func (n *Network) Lookahead() sim.Cycle { return n.hop }
 
 // SetDelivery installs the destination callback.
 func (n *Network) SetDelivery(fn noc.DeliveryFunc) { n.deliverFn = fn }
@@ -148,14 +150,25 @@ func (n *Network) Send(p *noc.Packet) bool {
 	return true
 }
 
-// Tick advances the injection machinery and every router one cycle.
-// Idle NICs and empty routers are skipped, which is exact: their tick
-// would change nothing. The busy ones run in ascending id order.
+// Tick advances the links, the injection machinery and every router one
+// cycle. Idle NICs, empty routers and routers whose front flits are all
+// still in the pipeline are skipped, which is exact: their tick would
+// change nothing. The busy ones run in ascending id order.
 func (n *Network) Tick(now sim.Cycle) {
+	// Flits whose link traversal ends this cycle are buffered before
+	// anything else moves, as if each had been an event of the cycle.
+	for n.links.n > 0 && n.links.front().arrival <= now {
+		t := n.links.pop()
+		t.to.acceptFlit(t.port, t.vc, t.f, now)
+	}
 	n.busyNICs.each(func(node int) { n.injectTick(node, now) })
 	// A router's tick can empty only itself and fills none: flits arrive
-	// by engine event or from injectTick above.
-	n.busyRouters.each(func(id int) { n.routers[id].tick(now) })
+	// from the links and from injectTick above.
+	n.busyRouters.each(func(id int) {
+		if r := n.routers[id]; r.wake <= now {
+			r.tick(now)
+		}
+	})
 }
 
 // injectTick gives node's NIC its cycle: at most one flit, and under a

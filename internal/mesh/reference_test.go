@@ -8,9 +8,10 @@ import (
 // The reference model is the mesh as it stood before it became
 // activity-driven: every router scans all of its input VCs in both
 // allocation stages on every cycle, VCs are heap-allocated FIFOs grown
-// by append, and every NIC is polled every cycle. It is kept, unedited
-// in behaviour, only for differential_test.go to compare against; it
-// does not model the BandwidthFrac throttle.
+// by append, every NIC is polled every cycle (under a BandwidthFrac
+// throttle every token bank accrues every cycle), and every flit-hop is
+// one engine event. It is kept, unedited in behaviour, only for
+// differential_test.go to compare against.
 
 type refVC struct {
 	fifo    []flit
@@ -51,6 +52,7 @@ type refNetwork struct {
 	inflight  []*refInjection
 	vcFree    [][]bool
 	vcCredits [][]int
+	bwTokens  []float64
 }
 
 func newRefNetwork(cfg Config, engine sim.Scheduler) *refNetwork {
@@ -95,6 +97,7 @@ func newRefNetwork(cfg Config, engine sim.Scheduler) *refNetwork {
 	n.inflight = make([]*refInjection, count)
 	n.vcFree = make([][]bool, count)
 	n.vcCredits = make([][]int, count)
+	n.bwTokens = make([]float64, count)
 	for i := 0; i < count; i++ {
 		n.vcFree[i] = make([]bool, cfg.VCs)
 		n.vcCredits[i] = make([]int, cfg.VCs)
@@ -119,19 +122,32 @@ func (n *refNetwork) Send(p *noc.Packet) bool {
 }
 
 func (n *refNetwork) Tick(now sim.Cycle) {
+	frac := n.cfg.BandwidthFrac
 	for i := range n.routers {
-		n.injectTick(i, now)
+		if frac <= 0 || frac >= 1 {
+			n.injectTick(i, now)
+			continue
+		}
+		tokens := n.bwTokens[i] + frac
+		switch {
+		case tokens >= 1 && n.injectTick(i, now):
+			tokens--
+		case tokens > 1:
+			tokens = 1
+		}
+		n.bwTokens[i] = tokens
 	}
 	for _, r := range n.routers {
 		r.tick(now)
 	}
 }
 
-func (n *refNetwork) injectTick(node int, now sim.Cycle) {
+// injectTick reports whether a flit went.
+func (n *refNetwork) injectTick(node int, now sim.Cycle) bool {
 	inj := n.inflight[node]
 	if inj == nil {
 		if len(n.queues[node]) == 0 {
-			return
+			return false
 		}
 		pkt := n.queues[node][0]
 		vc := -1
@@ -142,7 +158,7 @@ func (n *refNetwork) injectTick(node int, now sim.Cycle) {
 			}
 		}
 		if vc < 0 {
-			return
+			return false
 		}
 		n.queues[node] = n.queues[node][1:]
 		n.vcFree[node][vc] = false
@@ -151,7 +167,7 @@ func (n *refNetwork) injectTick(node int, now sim.Cycle) {
 		pkt.QueuingDelay = int64(now - pkt.Created)
 	}
 	if n.vcCredits[node][inj.vc] <= 0 {
-		return
+		return false
 	}
 	flits := inj.pkt.Type.Flits()
 	f := flit{pkt: inj.pkt, head: inj.sentFlit == 0, tail: inj.sentFlit == flits-1}
@@ -162,6 +178,7 @@ func (n *refNetwork) injectTick(node int, now sim.Cycle) {
 		n.vcFree[node][inj.vc] = true
 		n.inflight[node] = nil
 	}
+	return true
 }
 
 func (n *refNetwork) deliver(p *noc.Packet, now sim.Cycle) {

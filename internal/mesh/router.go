@@ -5,6 +5,7 @@
 package mesh
 
 import (
+	"math"
 	"math/bits"
 
 	"fsoi/internal/noc"
@@ -31,6 +32,14 @@ type flit struct {
 	head    bool
 	tail    bool
 	readyAt sim.Cycle // cycle at which the router pipeline releases it
+}
+
+// transfer is a flit on the link between two routers.
+type transfer struct {
+	arrival  sim.Cycle // cycle whose Network.Tick buffers it downstream
+	to       *router
+	port, vc int // input port and VC of to
+	f        flit
 }
 
 // vc is one virtual-channel input FIFO (at most BufferFlits deep, which
@@ -68,6 +77,11 @@ type router struct {
 	// allocate and is not ticked.
 	occupied uint64
 	buffered int
+	// wake is the earliest cycle a tick can change anything while the
+	// router buffers a flit: no front flit is out of the pipeline before
+	// it, and neither stage touches one that is not. Stale when
+	// buffered == 0; acceptFlit sets it afresh.
+	wake sim.Cycle
 	// want[p] has bit i set iff inputs[i] is routed to output p.
 	want [numPorts]uint64
 	// neighbor[p] is the router on port p, nil at mesh edges / local.
@@ -110,7 +124,10 @@ func (r *router) xyRoute(dst int) int {
 	}
 }
 
-// acceptFlit buffers a flit arriving on input port p, VC v.
+// acceptFlit buffers a flit arriving on input port p, VC v. Only the
+// first flit into an empty router sets the wake-up: the pipeline is
+// equally deep for every flit, so a later arrival is ready no sooner
+// than any flit already here.
 func (r *router) acceptFlit(p, v int, f flit, now sim.Cycle) {
 	f.readyAt = now + sim.Cycle(r.cfg.RouterCycles)
 	idx := p*r.cfg.VCs + v
@@ -118,6 +135,7 @@ func (r *router) acceptFlit(p, v int, f flit, now sim.Cycle) {
 	r.occupied |= 1 << idx
 	if r.buffered++; r.buffered == 1 {
 		r.net.busyRouters.set(r.id)
+		r.wake = f.readyAt
 	}
 }
 
@@ -141,7 +159,9 @@ func (r *router) pop(idx int, tail bool) {
 // tick performs one cycle of allocation and traversal. Determinism comes
 // from fixed iteration order with rotating round-robin pointers. Only
 // occupied VCs are visited: an empty VC takes no part in either stage,
-// and no round-robin pointer moves without a grant.
+// and no round-robin pointer moves without a grant. Network.Tick calls
+// it only from cycle wake on: before that every front flit is still in
+// the pipeline and both stages would pass over all of them.
 func (r *router) tick(now sim.Cycle) {
 	// Stage 1: route computation + VC allocation for head flits at the
 	// front of each input VC.
@@ -182,6 +202,15 @@ func (r *router) tick(now sim.Cycle) {
 			r.grant(outPort, cand&below, now)
 		}
 	}
+
+	// The next tick that can matter: the cycle the earliest front flit
+	// leaves the pipeline, or the next one when a flit is ready now and
+	// blocked (on a VC, a credit or the switch), which retries per cycle.
+	wake := sim.Cycle(math.MaxInt64)
+	for m := r.occupied; m != 0 && wake > now+1; m &= m - 1 {
+		wake = min(wake, r.inputs[bits.TrailingZeros64(m)].fifo.front().readyAt)
+	}
+	r.wake = max(wake, now+1)
 }
 
 // grant sends the front flit of the lowest-indexed input VC in cand that
@@ -215,11 +244,9 @@ func (r *router) grant(outPort int, cand uint64, now sim.Cycle) bool {
 	return false
 }
 
-// forward moves a flit to the downstream router, which it reaches after
-// the link latency.
+// forward puts a flit on the link to the downstream router, which
+// Network.Tick hands it to after the link latency.
 func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
-	next := r.neighbor[outPort]
-	dstPort := r.reverse[outPort]
 	dstVC := r.inputs[idx].outVC
 	if f.tail {
 		// Release the downstream VC once the tail is in flight; the
@@ -229,13 +256,12 @@ func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
 		r.outputs[outPort].held &^= 1 << dstVC
 	}
 	r.pop(idx, f.tail)
-	// The downstream router may live on another shard: hand the flit to
-	// the engine through the shard-aware router so it lands on the
-	// owner's queue. The link traversal is exactly the Lookahead()
-	// window, so the hand-off always clears the epoch horizon.
-	arrival := now + sim.Cycle(r.cfg.LinkCycles)
-	noc.ScheduleAt(r.net.engine, next.id, arrival, func(at sim.Cycle) {
-		next.acceptFlit(dstPort, dstVC, f, at)
+	r.net.links.pushGrow(transfer{
+		arrival: now + r.net.hop,
+		to:      r.neighbor[outPort],
+		port:    r.reverse[outPort],
+		vc:      dstVC,
+		f:       f,
 	})
 }
 

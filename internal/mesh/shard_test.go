@@ -31,26 +31,31 @@ func meshTraffic(t *testing.T, engine sim.Scheduler, run func(sim.Cycle) sim.Cyc
 	return delivered
 }
 
-// TestForwardRoutesThroughOwnerShard is the regression test for the
-// forward() hazard fsoilint's shardsafety pass flagged: flits crossing
-// to a downstream router used to be scheduled with a bare engine.At
-// wrapper, which never handed them to the shard owning the receiving
-// router. Forward now routes through noc.ScheduleAt, so a sharded run
-// must (a) record cross-shard handoffs and (b) stay byte-identical to
-// the serial engine in delivery order and per-packet latency.
+// TestForwardRoutesThroughOwnerShard began as the regression test for a
+// forward() that scheduled a flit's arrival on the wrong shard's queue.
+// Forward now schedules nothing: a flit crosses a link inside the
+// mesh's own tick, so on either engine the mesh must hand the engine no
+// flit at all (no event, no cross-shard handoff), and a sharded run
+// must still match the serial engine in delivery order and per-packet
+// latency.
 func TestForwardRoutesThroughOwnerShard(t *testing.T) {
 	serialEngine := sim.NewEngine()
 	serial := meshTraffic(t, serialEngine, serialEngine.Run, serialEngine.Register)
 	if len(serial) != 32 {
 		t.Fatalf("serial run delivered %d of 32", len(serial))
 	}
+	if serialEngine.EventsFired() != 0 || serialEngine.Pending() != 0 {
+		t.Fatalf("serial: the mesh scheduled %d events (%d pending), want none",
+			serialEngine.EventsFired(), serialEngine.Pending())
+	}
 
 	for _, shards := range []int{2, 4} {
 		e := shard.New(shards)
 		e.AssignNodes(16)
 		sharded := meshTraffic(t, e, e.Run, e.Register)
-		if e.Handoffs() == 0 {
-			t.Fatalf("%d shards: no handoffs recorded — forward() is bypassing noc.ScheduleAt again", shards)
+		if e.Handoffs() != 0 || e.EventsFired() != 0 || e.Pending() != 0 {
+			t.Fatalf("%d shards: the mesh handed the engine %d handoffs and %d events (%d pending), want none",
+				shards, e.Handoffs(), e.EventsFired(), e.Pending())
 		}
 		if len(sharded) != len(serial) {
 			t.Fatalf("%d shards: delivered %d packets, serial delivered %d", shards, len(sharded), len(serial))
