@@ -1,8 +1,8 @@
-// Package cache provides the set-associative cache arrays and miss
-// tracking used by the L1 controllers and L2 slices. Lines are tracked at
-// 64-byte granularity (the paper's L2 line size; the 32-byte L1 lines of
-// Table 3 are unified to 64 bytes here to avoid sub-line coherence —
-// recorded as a substitution in DESIGN.md).
+// Package cache provides the set-associative cache arrays used by the L1
+// controllers; misses are tracked by the controller's own transaction
+// table. Lines are tracked at 64-byte granularity (the paper's L2 line
+// size; the 32-byte L1 lines of Table 3 are unified to 64 bytes here to
+// avoid sub-line coherence — recorded as a substitution in DESIGN.md).
 package cache
 
 import "fmt"
@@ -148,49 +148,3 @@ func (c *Cache) Invalidate(addr LineAddr) State {
 	}
 	return Invalid
 }
-
-// MSHR tracks outstanding misses and merges requests to the same line.
-type MSHR struct {
-	entries map[LineAddr]*MSHREntry
-	max     int
-}
-
-// MSHREntry is one outstanding miss.
-type MSHREntry struct {
-	Addr     LineAddr
-	ForWrite bool
-	Waiters  int // merged accesses waiting on this fill
-}
-
-// NewMSHR builds a miss-status file with max entries.
-func NewMSHR(max int) *MSHR {
-	return &MSHR{entries: make(map[LineAddr]*MSHREntry), max: max}
-}
-
-// Lookup returns the entry for addr, if any.
-func (m *MSHR) Lookup(addr LineAddr) *MSHREntry { return m.entries[addr] }
-
-// Full reports whether a new miss can be accepted.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.max }
-
-// Allocate registers a new outstanding miss. It panics if addr is already
-// present or the file is full; callers check first.
-func (m *MSHR) Allocate(addr LineAddr, forWrite bool) *MSHREntry {
-	if m.Full() {
-		panic("cache: MSHR overflow")
-	}
-	if m.entries[addr] != nil {
-		panic("cache: duplicate MSHR allocation")
-	}
-	e := &MSHREntry{Addr: addr, ForWrite: forWrite, Waiters: 1}
-	m.entries[addr] = e
-	return e
-}
-
-// Release removes the entry for addr.
-func (m *MSHR) Release(addr LineAddr) {
-	delete(m.entries, addr)
-}
-
-// Outstanding reports the number of active entries.
-func (m *MSHR) Outstanding() int { return len(m.entries) }

@@ -131,47 +131,3 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestMSHRBasics(t *testing.T) {
-	m := NewMSHR(2)
-	if m.Full() {
-		t.Fatal("fresh MSHR should not be full")
-	}
-	e := m.Allocate(10, true)
-	if e.Addr != 10 || !e.ForWrite || e.Waiters != 1 {
-		t.Fatalf("entry: %+v", e)
-	}
-	if m.Lookup(10) != e {
-		t.Fatal("lookup should find the entry")
-	}
-	m.Allocate(11, false)
-	if !m.Full() {
-		t.Fatal("2-entry MSHR should be full")
-	}
-	m.Release(10)
-	if m.Outstanding() != 1 || m.Lookup(10) != nil {
-		t.Fatal("release failed")
-	}
-}
-
-func TestMSHRDuplicatePanics(t *testing.T) {
-	m := NewMSHR(4)
-	m.Allocate(1, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate allocation must panic")
-		}
-	}()
-	m.Allocate(1, true)
-}
-
-func TestMSHROverflowPanics(t *testing.T) {
-	m := NewMSHR(1)
-	m.Allocate(1, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflow must panic")
-		}
-	}()
-	m.Allocate(2, false)
-}

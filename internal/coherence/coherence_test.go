@@ -358,6 +358,59 @@ func TestMergedWaitersOnOneMiss(t *testing.T) {
 	}
 }
 
+// TestNinthOutstandingMissIsRefusedAndRetried: the transaction table is the
+// miss-status file. With cfg.MSHRs distinct lines mid-transaction a miss
+// on another line is refused outright (nothing counted, nothing sent) and
+// AccessRetry gets it in once a transaction completes, while an access to
+// a line already outstanding merges into its transaction however full the
+// file is.
+func TestNinthOutstandingMissIsRefusedAndRetried(t *testing.T) {
+	r := newRig(t, 2)
+	r.memLat = 300
+	l := r.l1s[1]
+	mshrs := l.cfg.MSHRs
+	completed := 0
+	done := func(sim.Cycle) { completed++ }
+	for i := 0; i < mshrs; i++ {
+		if !l.Access(line+cache.LineAddr(i), false, done) {
+			t.Fatalf("miss %d of %d refused", i+1, mshrs)
+		}
+	}
+	if l.Outstanding() != mshrs {
+		t.Fatalf("%d transactions outstanding, want %d", l.Outstanding(), mshrs)
+	}
+	if !l.Access(line+3, true, done) {
+		t.Fatal("an access to an outstanding line must merge, not be refused")
+	}
+	if got := len(l.pending(line + 3).waiters); got != 2 || l.Outstanding() != mshrs {
+		t.Fatalf("after the merge: %d waiters on the line, %d transactions; want 2 and %d", got, l.Outstanding(), mshrs)
+	}
+	ninth := line + cache.LineAddr(mshrs)
+	sent := len(r.sent)
+	if l.Access(ninth, false, done) {
+		t.Fatalf("miss %d accepted with %d transactions outstanding", mshrs+1, mshrs)
+	}
+	if l.Outstanding() != mshrs || l.pending(ninth) != nil || int(l.stats.Misses) != mshrs || len(r.sent) != sent {
+		t.Fatalf("the refused miss left a trace: %d transactions, %d misses counted, %d messages sent", l.Outstanding(), l.stats.Misses, len(r.sent)-sent)
+	}
+	l.AccessRetry(ninth, false, done)
+	r.run(300)
+	if l.pending(ninth) != nil || completed != 0 {
+		t.Fatalf("cycle %d: the retried miss got in (%v) with none of the first %d complete (%d)", r.engine.Now(), l.pending(ninth) != nil, mshrs, completed)
+	}
+	r.run(20000)
+	if completed != mshrs+2 || l.Outstanding() != 0 {
+		t.Fatalf("%d of %d accesses completed, %d transactions left", completed, mshrs+2, l.Outstanding())
+	}
+	if st := l.HasLine(ninth); st != cache.Exclusive {
+		t.Fatalf("the retried miss left its line %v, want E", st)
+	}
+	// The merged write rode its line's exclusive fill: no miss of its own.
+	if st := l.HasLine(line + 3); st != cache.Modified || int(l.stats.Misses) != mshrs+1 {
+		t.Fatalf("merged write left its line %v with %d misses counted, want M and %d", st, l.stats.Misses, mshrs+1)
+	}
+}
+
 // TestPendingRecordsRecycle: a completed transaction's record, waiters
 // capacity included, serves the controller's next miss, and while it
 // waits on the free list it pins no waiter's callback.
@@ -368,10 +421,10 @@ func TestPendingRecordsRecycle(t *testing.T) {
 	done := func(sim.Cycle) { completed++ }
 	l.AccessRetry(line, false, done)
 	l.AccessRetry(line, false, done) // merges: two waiters on one record
-	first := l.trans[line]
+	first := l.pending(line)
 	r.run(5000)
 	l.AccessRetry(line+1, true, done)
-	if l.trans[line+1] != first {
+	if l.pending(line+1) != first {
 		t.Fatal("the second miss did not take the first one's record")
 	}
 	if first.state != tIMD || len(first.waiters) != 1 || !first.waiters[0].write {

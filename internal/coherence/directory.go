@@ -1,19 +1,21 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"fsoi/internal/cache"
 	"fsoi/internal/sim"
 	"fsoi/internal/stats"
+	"fsoi/internal/table"
 )
 
 // dirState enumerates the Table 2 directory states. Transients are named
 // previous.next with the superscript encoded: D = waiting for data,
 // A = waiting for acks only, DA = waiting for acks then sending data.
-type dirState int
+type dirState uint8
 
 const (
 	sDI     dirState = iota // not present
@@ -49,38 +51,49 @@ func (s dirState) stable() bool { return s <= sDM }
 // (1<<n is 0 in Go for shifts >= 64): a node past 63 was never
 // recorded, its upgrade requests were forever reinterpreted as
 // exclusive reads, and 256-node runs wedged with cores ≡ k (mod 64)
-// spinning on misses that could not complete.
-type sharerSet []uint64
+// spinning on misses that could not complete. The first word is inline,
+// so up to 64 nodes a set owns no memory of its own.
+type sharerSet struct {
+	lo uint64   // nodes 0..63
+	hi []uint64 // nodes 64 and up: hi[w-1] holds nodes 64w..64w+63
+}
 
 // has reports membership.
-func (s sharerSet) has(n int) bool {
+func (s *sharerSet) has(n int) bool {
 	w := n >> 6
-	return w < len(s) && s[w]&(1<<uint(n&63)) != 0
+	if w == 0 {
+		return s.lo&(1<<uint(n)) != 0
+	}
+	return w <= len(s.hi) && s.hi[w-1]&(1<<uint(n&63)) != 0
 }
 
-// add returns the set with node n included, growing in place when the
-// backing array allows.
-func (s sharerSet) add(n int) sharerSet {
+// add includes node n, growing in place when the backing array allows.
+func (s *sharerSet) add(n int) {
 	w := n >> 6
-	for len(s) <= w {
-		s = append(s, 0)
+	if w == 0 {
+		s.lo |= 1 << uint(n)
+		return
 	}
-	s[w] |= 1 << uint(n&63)
-	return s
+	for len(s.hi) < w {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[w-1] |= 1 << uint(n&63)
 }
 
-// clearAll empties the set, retaining the backing array for reuse.
-func (s sharerSet) clearAll() sharerSet {
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+// clear empties the set, retaining the backing array for reuse.
+func (s *sharerSet) clear() {
+	s.lo = 0
+	clear(s.hi)
 }
 
 // forEach visits members in ascending node order — the same
 // deterministic order the old 0..63 scan used.
-func (s sharerSet) forEach(fn func(n int)) {
-	for w, word := range s {
+func (s *sharerSet) forEach(fn func(n int)) {
+	for w := 0; w <= len(s.hi); w++ {
+		word := s.lo
+		if w > 0 {
+			word = s.hi[w-1]
+		}
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -89,26 +102,22 @@ func (s sharerSet) forEach(fn func(n int)) {
 	}
 }
 
-// low64 returns the first 64 bits, for the Sharers introspection API.
-func (s sharerSet) low64() uint64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return s[0]
-}
-
 // dirEntry is the directory's record for one line homed at this slice.
+// Records live in the directory's slab and are found through its table;
+// node ids are int32 and the flags bytes, which with the inline sharer
+// word keeps a record under a hundred bytes.
 type dirEntry struct {
 	addr      cache.LineAddr
-	state     dirState
-	sharers   sharerSet // nodes with S copies
-	owner     int       // valid in sDM and DM transients
-	dirty     bool      // L2 copy newer than memory
-	requester int       // requester of the in-flight transaction
-	wantExc   bool      // in DI transients: exclusive-mode fetch
-	acks      int       // outstanding InvAcks
-	pending   []Msg     // "z"-stalled requests, FIFO
 	lru       uint64
+	sharers   sharerSet // nodes with S copies
+	pending   []Msg     // "z"-stalled requests, FIFO
+	owner     int32     // valid in sDM and DM transients
+	requester int32     // requester of the in-flight transaction
+	acks      int32     // outstanding InvAcks
+	state     dirState
+	dirty     bool // L2 copy newer than memory
+	wantExc   bool // in DI transients: exclusive-mode fetch
+	live      bool // holds a line (false: on the slab's free list, or never used)
 }
 
 // DirConfig sizes a directory/L2 slice.
@@ -147,7 +156,15 @@ type Directory struct {
 	engine  sim.Scheduler
 	tr      Transport
 	memNode func(home int) int // memory-controller attach point
-	entries map[cache.LineAddr]*dirEntry
+	// entries finds a line's record: the value locates it in slab as
+	// chunk<<chunkBits | offset. The slab's chunks never move, so a
+	// *dirEntry stays good while its line is in the directory; chunk sizes
+	// double from minChunk to 1<<chunkBits records, so a slice that homes
+	// a handful of lines pays for a handful. freed lists the records L2
+	// evictions gave back, reused last in first out.
+	entries table.Table[int32]
+	slab    [][]dirEntry
+	freed   []int32
 	lruTick uint64
 	stalled int
 	stats   DirStats
@@ -158,10 +175,25 @@ type Directory struct {
 	// an earlier data access (Data(M), 15 cycles) to the same node about
 	// the same line, or the §4.4 ordering the network provides would be
 	// broken before the message ever reaches it. It holds only the sends
-	// still in the pipeline: see delayedSend.fire.
-	lastSend map[[2]uint64]sim.Cycle
+	// still in the pipeline (see delayedSend.fire), a handful, so it is a
+	// slice searched linearly and an entry leaves by swap-remove.
+	lastSend []sendStamp
 	// sendFree recycles delayedSend records, last in first out.
 	sendFree []*delayedSend
+}
+
+// Slab chunk sizing, in records.
+const (
+	minChunk  = 4
+	chunkBits = 6
+)
+
+// sendStamp is the cycle the latest send of one (destination, line) stream
+// leaves the L2 pipeline.
+type sendStamp struct {
+	to   int
+	addr cache.LineAddr
+	at   sim.Cycle
 }
 
 // delayedSend is one message in the L2 pipeline. The record carries the
@@ -177,13 +209,11 @@ type delayedSend struct {
 // NewDirectory builds the home slice for node id.
 func NewDirectory(id int, cfg DirConfig, engine sim.Scheduler, tr Transport, memNode func(int) int) *Directory {
 	d := &Directory{
-		id:       id,
-		cfg:      cfg,
-		engine:   engine,
-		tr:       tr,
-		memNode:  memNode,
-		entries:  make(map[cache.LineAddr]*dirEntry),
-		lastSend: make(map[[2]uint64]sim.Cycle),
+		id:      id,
+		cfg:     cfg,
+		engine:  engine,
+		tr:      tr,
+		memNode: memNode,
 	}
 	d.sync = newSyncManager(d)
 	return d
@@ -202,18 +232,29 @@ func (d *Directory) send(m Msg) {
 	}
 }
 
-// sendKey names m's serialized (destination, line) stream in lastSend.
-func sendKey(m Msg) [2]uint64 { return [2]uint64{uint64(m.To), uint64(m.Addr)} }
+// stamp returns the index of m's (destination, line) stream in lastSend,
+// or -1.
+func (d *Directory) stamp(m Msg) int {
+	for i := range d.lastSend {
+		if st := &d.lastSend[i]; st.to == m.To && st.addr == m.Addr {
+			return i
+		}
+	}
+	return -1
+}
 
 // sendAfter sends m after an L2 access delay, preserving per-(dst, line)
 // issue order across differing pipeline depths.
 func (d *Directory) sendAfter(delay int, m Msg) {
 	at := d.engine.Now() + sim.Cycle(delay)
-	k := sendKey(m)
-	if prev, ok := d.lastSend[k]; ok && at <= prev {
-		at = prev + 1
+	if i := d.stamp(m); i >= 0 {
+		if st := &d.lastSend[i]; at <= st.at {
+			at = st.at + 1
+		}
+		d.lastSend[i].at = at
+	} else {
+		d.lastSend = append(d.lastSend, sendStamp{to: m.To, addr: m.Addr, at: at})
 	}
-	d.lastSend[k] = at
 	var ds *delayedSend
 	if n := len(d.sendFree); n > 0 {
 		ds = d.sendFree[n-1]
@@ -238,60 +279,99 @@ func (ds *delayedSend) fire(now sim.Cycle) {
 	d, m := ds.d, ds.m
 	ds.m = Msg{}
 	d.sendFree = append(d.sendFree, ds)
-	if k := sendKey(m); d.lastSend[k] == now && d.cfg.DataCycles > 0 && d.cfg.TagCycles > 0 {
-		delete(d.lastSend, k)
+	if i := d.stamp(m); i >= 0 && d.lastSend[i].at == now && d.cfg.DataCycles > 0 && d.cfg.TagCycles > 0 {
+		last := len(d.lastSend) - 1
+		d.lastSend[i] = d.lastSend[last]
+		d.lastSend = d.lastSend[:last]
 	}
 	d.send(m)
 }
 
-// Tick drains the outbox.
+// Tick drains the outbox, which most cycles is empty.
 func (d *Directory) Tick(now sim.Cycle) {
-	for len(d.outbox) > 0 {
-		if !d.tr.Send(d.outbox[0]) {
-			return
-		}
-		d.outbox = d.outbox[1:]
+	if len(d.outbox) > 0 {
+		d.outbox = drain(d.outbox, d.tr)
 	}
+}
+
+// at resolves a table value to its record.
+func (d *Directory) at(ref int32) *dirEntry {
+	return &d.slab[ref>>chunkBits][ref&(1<<chunkBits-1)]
+}
+
+// lookup returns the record for addr, or nil when the line is not in the
+// directory.
+func (d *Directory) lookup(addr cache.LineAddr) *dirEntry {
+	if ref := d.entries.Ref(uint64(addr)); ref != nil {
+		return d.at(*ref)
+	}
+	return nil
+}
+
+// alloc returns the slab position of a blank record: the last one an L2
+// eviction gave back, else the next of the slab's last chunk, opening a
+// chunk twice that one's size (up to 1<<chunkBits) when it is full.
+func (d *Directory) alloc() int32 {
+	if n := len(d.freed); n > 0 {
+		ref := d.freed[n-1]
+		d.freed = d.freed[:n-1]
+		return ref
+	}
+	c := len(d.slab) - 1
+	if c < 0 || len(d.slab[c]) == cap(d.slab[c]) {
+		size := minChunk
+		if c >= 0 {
+			size = min(2*cap(d.slab[c]), 1<<chunkBits)
+		}
+		d.slab = append(d.slab, make([]dirEntry, 0, size))
+		c++
+	}
+	d.slab[c] = d.slab[c][:len(d.slab[c])+1]
+	return int32(c<<chunkBits | (len(d.slab[c]) - 1))
+}
+
+// remove takes e's line out of the directory and recycles the record.
+func (d *Directory) remove(e *dirEntry) {
+	d.freed = append(d.freed, *d.entries.Ref(uint64(e.addr)))
+	d.entries.Delete(uint64(e.addr))
+	*e = dirEntry{}
 }
 
 // entry fetches or creates the record for addr, evicting a victim when
 // the slice is at capacity.
-func (d *Directory) entry(addr cache.LineAddr, create bool) *dirEntry {
-	e := d.entries[addr]
-	if e == nil && create {
-		e = &dirEntry{addr: addr, state: sDI, owner: -1}
-		d.entries[addr] = e
+func (d *Directory) entry(addr cache.LineAddr) *dirEntry {
+	e := d.lookup(addr)
+	if e == nil {
+		ref := d.alloc()
+		*d.entries.Put(uint64(addr)) = ref
+		e = d.at(ref)
+		e.addr, e.state, e.owner, e.live = addr, sDI, -1, true
 		d.maybeEvict(addr)
 	}
-	if e != nil {
-		d.lruTick++
-		e.lru = d.lruTick
-	}
+	d.lruTick++
+	e.lru = d.lruTick
 	return e
 }
 
 // maybeEvict enforces slice capacity by starting the Repl flow on the
 // least-recently-used stable entry (Table 2's Repl column).
 func (d *Directory) maybeEvict(exclude cache.LineAddr) {
-	if len(d.entries) <= d.cfg.SliceLines {
+	if d.entries.Len() <= d.cfg.SliceLines {
 		return
 	}
-	// Walk candidates in address order: the LRU scan must not let map
-	// iteration order pick among equal-lru entries, or two identical runs
-	// can evict different lines.
-	addrs := make([]cache.LineAddr, 0, len(d.entries))
-	for a := range d.entries {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// Every record's lru is the tick of its own last access, so the least
+	// is unique and the choice does not depend on where the slab happens
+	// to keep its records.
 	var victim *dirEntry
-	for _, a := range addrs {
-		e := d.entries[a]
-		if e.addr == exclude || !e.state.stable() || len(e.pending) > 0 {
-			continue
-		}
-		if victim == nil || e.lru < victim.lru {
-			victim = e
+	for _, chunk := range d.slab {
+		for i := range chunk {
+			e := &chunk[i]
+			if !e.live || e.addr == exclude || !e.state.stable() || len(e.pending) > 0 {
+				continue
+			}
+			if victim == nil || e.lru < victim.lru {
+				victim = e
+			}
 		}
 	}
 	if victim == nil {
@@ -300,12 +380,12 @@ func (d *Directory) maybeEvict(exclude cache.LineAddr) {
 	d.stats.Evictions++
 	switch victim.state {
 	case sDI:
-		delete(d.entries, victim.addr)
+		d.remove(victim)
 	case sDV:
 		d.evictFinish(victim)
 	case sDS:
 		victim.state = tDSDIA
-		victim.acks = d.invalidateSharers(victim, -1)
+		victim.acks = int32(d.invalidateSharers(victim, -1))
 		if victim.acks == 0 {
 			d.evictFinish(victim)
 		}
@@ -321,7 +401,7 @@ func (d *Directory) evictFinish(e *dirEntry) {
 		d.stats.MemWrites++
 		d.send(Msg{Type: MemWrite, Addr: e.addr, From: d.id, To: d.memNode(d.id), HasData: true})
 	}
-	delete(d.entries, e.addr)
+	d.remove(e)
 }
 
 // invalidateSharers sends Inv to every sharer but except (pass -1 to
@@ -339,10 +419,10 @@ func (d *Directory) invalidateSharers(e *dirEntry, except int) int {
 		d.stats.InvSent++
 		d.sendAfter(d.cfg.TagCycles, Msg{
 			Type: Inv, Addr: e.addr, From: d.id, To: n,
-			Requester: e.requester, Value: elide,
+			Requester: int(e.requester), Value: elide,
 		})
 	})
-	e.sharers = e.sharers.clearAll()
+	e.sharers.clear()
 	return count
 }
 
@@ -350,18 +430,13 @@ func (d *Directory) invalidateSharers(e *dirEntry, except int) int {
 // real InvAck (with data when dirty), so no elision flag is set.
 func (d *Directory) sendInvOwner(e *dirEntry) {
 	d.stats.InvSent++
-	d.sendAfter(d.cfg.TagCycles, Msg{Type: Inv, Addr: e.addr, From: d.id, To: e.owner, Requester: e.requester})
+	d.sendAfter(d.cfg.TagCycles, Msg{Type: Inv, Addr: e.addr, From: d.id, To: int(e.owner), Requester: int(e.requester)})
 }
 
 // Handle processes one incoming message.
 func (d *Directory) Handle(m Msg, now sim.Cycle) {
 	if TraceAddr != 0 && m.Addr == TraceAddr {
-		e := d.entries[m.Addr]
-		st := "DI"
-		if e != nil {
-			st = e.state.String()
-		}
-		trace("@%d dir%d <- %v from %d (data=%v) state=%s", now, d.id, m.Type, m.From, m.HasData, st)
+		trace("@%d dir%d <- %v from %d (data=%v) state=%s", now, d.id, m.Type, m.From, m.HasData, d.EntryState(m.Addr))
 	}
 	if m.Type == SyncReq {
 		d.sync.handle(m, now)
@@ -371,7 +446,7 @@ func (d *Directory) Handle(m Msg, now sim.Cycle) {
 		d.onMemAck(m, now)
 		return
 	}
-	e := d.entry(m.Addr, true)
+	e := d.entry(m.Addr)
 	switch m.Type {
 	case ReqSh, ReqEx, ReqUpg:
 		d.stats.Requests++
@@ -394,7 +469,7 @@ func (d *Directory) Handle(m Msg, now sim.Cycle) {
 // OnInvConfirm is called by the system layer when the network confirms
 // delivery of an elided-ack Inv: the confirmation is the ack (§5.1).
 func (d *Directory) OnInvConfirm(addr cache.LineAddr, now sim.Cycle) {
-	e := d.entries[addr]
+	e := d.lookup(addr)
 	if e == nil {
 		return
 	}
@@ -434,7 +509,7 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 	}
 	switch e.state {
 	case sDI:
-		e.requester = m.From
+		e.requester = int32(m.From)
 		e.wantExc = req != ReqSh
 		e.state = tDIDSD
 		if e.wantExc {
@@ -451,19 +526,19 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 	case sDS:
 		switch req {
 		case ReqSh:
-			e.sharers = e.sharers.add(m.From)
+			e.sharers.add(m.From)
 			d.sendAfter(d.cfg.DataCycles, Msg{Type: DataS, Addr: e.addr, From: d.id, To: m.From, HasData: true})
 		case ReqEx:
-			e.requester = m.From
-			e.acks = d.invalidateSharers(e, m.From)
+			e.requester = int32(m.From)
+			e.acks = int32(d.invalidateSharers(e, m.From))
 			if e.acks == 0 {
 				d.grant(e, m.From, DataM, now)
 			} else {
 				e.state = tDSDMDA
 			}
 		case ReqUpg:
-			e.requester = m.From
-			e.acks = d.invalidateSharers(e, m.From)
+			e.requester = int32(m.From)
+			e.acks = int32(d.invalidateSharers(e, m.From))
 			if e.acks == 0 {
 				d.grantUpgrade(e, m.From)
 				d.resume(e, now)
@@ -472,17 +547,17 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 			}
 		}
 	case sDM:
-		if m.From == e.owner {
+		if m.From == int(e.owner) {
 			// The owner's request crossed with its own writeback; wait
 			// for the writeback to land, then reprocess.
 			d.stall(e, m)
 			return
 		}
-		e.requester = m.From
+		e.requester = int32(m.From)
 		if req == ReqSh {
 			e.state = tDMDSD
 			d.stats.DwgSent++
-			d.sendAfter(d.cfg.TagCycles, Msg{Type: Dwg, Addr: e.addr, From: d.id, To: e.owner, Requester: m.From})
+			d.sendAfter(d.cfg.TagCycles, Msg{Type: Dwg, Addr: e.addr, From: d.id, To: int(e.owner), Requester: m.From})
 		} else {
 			e.state = tDMDMD
 			d.sendInvOwner(e)
@@ -495,8 +570,8 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 // grant sends a data reply making the requester the owner.
 func (d *Directory) grant(e *dirEntry, to int, t MsgType, now sim.Cycle) {
 	e.state = sDM
-	e.owner = to
-	e.sharers = e.sharers.clearAll()
+	e.owner = int32(to)
+	e.sharers.clear()
 	d.sendAfter(d.cfg.DataCycles, Msg{Type: t, Addr: e.addr, From: d.id, To: to, HasData: true})
 	d.resume(e, now)
 }
@@ -504,8 +579,8 @@ func (d *Directory) grant(e *dirEntry, to int, t MsgType, now sim.Cycle) {
 // grantUpgrade sends ExcAck making the requester the owner.
 func (d *Directory) grantUpgrade(e *dirEntry, to int) {
 	e.state = sDM
-	e.owner = to
-	e.sharers = e.sharers.clearAll()
+	e.owner = int32(to)
+	e.sharers.clear()
 	d.sendAfter(d.cfg.TagCycles, Msg{Type: ExcAck, Addr: e.addr, From: d.id, To: to})
 }
 
@@ -518,7 +593,7 @@ func (d *Directory) onWriteBack(e *dirEntry, m Msg, now sim.Cycle) {
 	case sDM:
 		// save/DV. A writeback from anyone but the current owner is a
 		// relic of an earlier epoch and is absorbed as data only.
-		if m.From != e.owner {
+		if m.From != int(e.owner) {
 			return
 		}
 		e.state = sDV
@@ -550,19 +625,19 @@ func (d *Directory) onInvAck(e *dirEntry, m Msg, now sim.Cycle) {
 	case tDSDMDA:
 		e.acks--
 		if e.acks <= 0 {
-			d.grant(e, e.requester, DataM, now)
+			d.grant(e, int(e.requester), DataM, now)
 		}
 	case tDSDMA:
 		e.acks--
 		if e.acks <= 0 {
-			d.grantUpgrade(e, e.requester)
+			d.grantUpgrade(e, int(e.requester))
 			d.resume(e, now)
 		}
 	case tDMDMD:
 		// save & fwd/DM: the owner's dirty data goes to the new owner.
-		d.grant(e, e.requester, DataM, now)
+		d.grant(e, int(e.requester), DataM, now)
 	case tDMDMA:
-		d.grant(e, e.requester, DataM, now)
+		d.grant(e, int(e.requester), DataM, now)
 	case tDMDID:
 		// save & evict/DI.
 		d.evictFinish(e)
@@ -582,14 +657,16 @@ func (d *Directory) onDwgAck(e *dirEntry, m Msg, now sim.Cycle) {
 		// prints /DM here; the L1 side has downgraded to S, so the
 		// consistent directory state is DS — see DESIGN.md.)
 		e.state = sDS
-		e.sharers = e.sharers.clearAll().add(e.owner).add(e.requester)
+		e.sharers.clear()
+		e.sharers.add(int(e.owner))
+		e.sharers.add(int(e.requester))
 		e.owner = -1
-		d.sendAfter(d.cfg.DataCycles, Msg{Type: DataS, Addr: e.addr, From: d.id, To: e.requester, HasData: true})
+		d.sendAfter(d.cfg.DataCycles, Msg{Type: DataS, Addr: e.addr, From: d.id, To: int(e.requester), HasData: true})
 		d.resume(e, now)
 	case tDMDSA:
 		// Data(E)/DM: the owner wrote back first, so the requester gets
 		// an exclusive copy.
-		d.grant(e, e.requester, DataE, now)
+		d.grant(e, int(e.requester), DataE, now)
 	default:
 		// Stale downgrade ack: ignore.
 	}
@@ -597,15 +674,15 @@ func (d *Directory) onDwgAck(e *dirEntry, m Msg, now sim.Cycle) {
 
 // onMemAck implements the MemAck column: "repl & fwd/DM".
 func (d *Directory) onMemAck(m Msg, now sim.Cycle) {
-	e := d.entries[m.Addr]
+	e := d.lookup(m.Addr)
 	if e == nil {
 		return
 	}
 	switch e.state {
 	case tDIDSD:
-		d.grant(e, e.requester, DataE, now)
+		d.grant(e, int(e.requester), DataE, now)
 	case tDIDMD:
-		d.grant(e, e.requester, DataM, now)
+		d.grant(e, int(e.requester), DataM, now)
 	default:
 		// Memory data racing a faster resolution: keep the L2 copy.
 		if e.state == sDI {
@@ -615,27 +692,29 @@ func (d *Directory) onMemAck(m Msg, now sim.Cycle) {
 	}
 }
 
-// DumpTransients lists entries stuck in transient states (diagnostics).
+// DumpTransients lists entries stuck in transient states, in address
+// order (diagnostics).
 func (d *Directory) DumpTransients(prefix string) string {
-	addrs := make([]cache.LineAddr, 0, len(d.entries))
-	for a := range d.entries {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	out := ""
-	for _, a := range addrs {
-		e := d.entries[a]
-		if !e.state.stable() || len(e.pending) > 0 {
-			out += fmt.Sprintf("%s line %x: %v acks=%d pending=%d owner=%d sharers=%x req=%d\n",
-				prefix, uint64(e.addr), e.state, e.acks, len(e.pending), e.owner, e.sharers, e.requester)
+	var stuck []*dirEntry
+	for _, chunk := range d.slab {
+		for i := range chunk {
+			if e := &chunk[i]; e.live && (!e.state.stable() || len(e.pending) > 0) {
+				stuck = append(stuck, e)
+			}
 		}
+	}
+	slices.SortFunc(stuck, func(a, b *dirEntry) int { return cmp.Compare(a.addr, b.addr) })
+	out := ""
+	for _, e := range stuck {
+		out += fmt.Sprintf("%s line %x: %v acks=%d pending=%d owner=%d sharers=%x req=%d\n",
+			prefix, uint64(e.addr), e.state, e.acks, len(e.pending), e.owner, append([]uint64{e.sharers.lo}, e.sharers.hi...), e.requester)
 	}
 	return out
 }
 
 // EntryState reports the directory state for addr (tests).
 func (d *Directory) EntryState(addr cache.LineAddr) string {
-	if e := d.entries[addr]; e != nil {
+	if e := d.lookup(addr); e != nil {
 		return e.state.String()
 	}
 	return "DI"
@@ -643,8 +722,8 @@ func (d *Directory) EntryState(addr cache.LineAddr) string {
 
 // Sharers reports the sharer bitset and owner for addr (tests).
 func (d *Directory) Sharers(addr cache.LineAddr) (sharers uint64, owner int) {
-	if e := d.entries[addr]; e != nil {
-		return e.sharers.low64(), e.owner
+	if e := d.lookup(addr); e != nil {
+		return e.sharers.lo, int(e.owner)
 	}
 	return 0, -1
 }

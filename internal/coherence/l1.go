@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"fsoi/internal/cache"
 	"fsoi/internal/sim"
 	"fsoi/internal/stats"
@@ -49,13 +51,14 @@ type waiter struct {
 	done  func(now sim.Cycle)
 }
 
-// l1Pending is the controller-side record of one transient line.
-// Records are recycled through L1.free with their waiters capacity:
-// Access takes one, complete returns it. Between the two the only
-// holders are trans, install's retry closure, which ends in complete,
-// and onNack's, which only asks whether the transaction is still the one
-// it was refused for.
+// l1Pending is the controller-side record of one transient line: an
+// entry of the miss-status file. Records are recycled through L1.free
+// with their waiters capacity: Access takes one, complete returns it.
+// Between the two the only holders are trans, install's retry closure,
+// which ends in complete, and onNack's, which only asks whether the
+// transaction is still the one it was refused for.
 type l1Pending struct {
+	addr    cache.LineAddr
 	state   transKind
 	waiters []waiter
 	issued  sim.Cycle // when the request was first sent (for stats)
@@ -95,8 +98,10 @@ type L1 struct {
 	engine sim.Scheduler
 	rng    *sim.RNG
 	array  *cache.Cache
-	mshr   *cache.MSHR
-	trans  map[cache.LineAddr]*l1Pending
+	// trans is the miss-status file: the lines mid-transaction, at most
+	// cfg.MSHRs of them, searched linearly; a completed one leaves by
+	// swap-remove.
+	trans  []*l1Pending
 	tr     Transport
 	home   func(cache.LineAddr) int
 	stats  L1Stats
@@ -113,8 +118,6 @@ func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transpor
 		engine: engine,
 		rng:    rng.NewStream("l1"),
 		array:  cache.New(cfg.Lines, cfg.Ways),
-		mshr:   cache.NewMSHR(cfg.MSHRs),
-		trans:  make(map[cache.LineAddr]*l1Pending),
 		tr:     tr,
 		home:   home,
 		watch:  make(map[cache.LineAddr][]func(now sim.Cycle)),
@@ -134,6 +137,9 @@ func (l *L1) OnInvalidate(addr cache.LineAddr, fn func(now sim.Cycle)) {
 }
 
 func (l *L1) fireWatch(addr cache.LineAddr, now sim.Cycle) {
+	if len(l.watch) == 0 {
+		return // nobody spins: no lookup on the invalidation path
+	}
 	fns := l.watch[addr]
 	if len(fns) == 0 {
 		return
@@ -147,6 +153,16 @@ func (l *L1) fireWatch(addr cache.LineAddr, now sim.Cycle) {
 // Outstanding reports in-flight transactions (used to drain at barriers).
 func (l *L1) Outstanding() int { return len(l.trans) }
 
+// pending returns addr's transaction, or nil when the line is stable.
+func (l *L1) pending(addr cache.LineAddr) *l1Pending {
+	for _, p := range l.trans {
+		if p.addr == addr {
+			return p
+		}
+	}
+	return nil
+}
+
 // send queues m, falling back to the outbox under backpressure.
 func (l *L1) send(m Msg) {
 	if !l.tr.Send(m) {
@@ -154,23 +170,31 @@ func (l *L1) send(m Msg) {
 	}
 }
 
-// Tick drains the outbox.
+// drain re-offers an outbox's messages to the transport, in order, until
+// one is refused, and returns what is left, moved to the front so the slice
+// keeps its capacity.
+func drain(outbox []Msg, tr Transport) []Msg {
+	sent := 0
+	for sent < len(outbox) && tr.Send(outbox[sent]) {
+		sent++
+	}
+	return outbox[:copy(outbox, outbox[sent:])]
+}
+
+// Tick drains the outbox, which most cycles is empty.
 func (l *L1) Tick(now sim.Cycle) {
-	for len(l.outbox) > 0 {
-		if !l.tr.Send(l.outbox[0]) {
-			return
-		}
-		l.outbox = l.outbox[1:]
+	if len(l.outbox) > 0 {
+		l.outbox = drain(l.outbox, l.tr)
 	}
 }
 
 // Access performs a load (write=false) or store (write=true) on behalf of
 // the core; done fires when the access commits. It returns false only
-// when the miss could not even be registered (MSHR full) — the core
-// retries next cycle.
+// when the miss could not even be registered (cfg.MSHRs transactions
+// already outstanding) — the core retries next cycle.
 func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) bool {
 	now := l.engine.Now()
-	if p, busy := l.trans[addr]; busy {
+	if p := l.pending(addr); p != nil {
 		// "z": the line is mid-transaction; merge.
 		p.waiters = append(p.waiters, waiter{write: write, done: done})
 		return true
@@ -186,7 +210,7 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 		l.engine.At(now+sim.Cycle(l.cfg.HitCycles), done)
 		return true
 	}
-	if l.mshr.Full() {
+	if len(l.trans) >= l.cfg.MSHRs {
 		return false
 	}
 	l.stats.Misses++
@@ -199,7 +223,7 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 	} else {
 		p = new(l1Pending)
 	}
-	p.issued = now
+	p.addr, p.issued = addr, now
 	p.waiters = append(p.waiters, waiter{write: write, done: done})
 	var req MsgType
 	switch {
@@ -215,8 +239,7 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 		p.state = tISD
 		req = ReqSh
 	}
-	l.trans[addr] = p
-	l.mshr.Allocate(addr, write)
+	l.trans = append(l.trans, p)
 	l.send(l.request(req, addr))
 	return true
 }
@@ -230,7 +253,7 @@ func (l *L1) request(t MsgType, addr cache.LineAddr) Msg {
 func (l *L1) Handle(m Msg, now sim.Cycle) {
 	if TraceAddr != 0 && m.Addr == TraceAddr {
 		st := l.HasLine(m.Addr).String()
-		if p := l.trans[m.Addr]; p != nil {
+		if p := l.pending(m.Addr); p != nil {
 			st += "/" + p.state.String()
 		}
 		trace("@%d l1-%d <- %v from %d (data=%v) state=%s", now, l.id, m.Type, m.From, m.HasData, st)
@@ -256,7 +279,7 @@ func (l *L1) Handle(m Msg, now sim.Cycle) {
 
 // onData installs a fill ("save & read/S or E", "save & write/M").
 func (l *L1) onData(m Msg, now sim.Cycle) {
-	p := l.trans[m.Addr]
+	p := l.pending(m.Addr)
 	if p == nil {
 		// A stale fill after Nack-retry races; drop it.
 		return
@@ -278,7 +301,7 @@ func (l *L1) onData(m Msg, now sim.Cycle) {
 // few cycles later.
 func (l *L1) install(addr cache.LineAddr, st cache.State, p *l1Pending, now sim.Cycle) {
 	victim := l.array.Victim(addr)
-	if _, busy := l.trans[victim.Addr]; busy && victim.State != cache.Invalid {
+	if victim.State != cache.Invalid && l.pending(victim.Addr) != nil {
 		l.engine.At(now+4, func(at sim.Cycle) { l.install(addr, st, p, at) })
 		return
 	}
@@ -305,8 +328,9 @@ func (l *L1) evict(old cache.Line) {
 // complete finishes a transaction: waiters run in order; a write waiter
 // finding insufficient permission re-enters Access (starting an upgrade).
 func (l *L1) complete(addr cache.LineAddr, p *l1Pending, now sim.Cycle) {
-	delete(l.trans, addr)
-	l.mshr.Release(addr)
+	last := len(l.trans) - 1
+	l.trans[slices.Index(l.trans, p)] = l.trans[last]
+	l.trans = l.trans[:last]
 	l.stats.MissLatency.Add(float64(now - p.issued))
 	l.stats.MissHist.Add(int64(now - p.issued))
 	line := l.array.Peek(addr)
@@ -330,7 +354,8 @@ func (l *L1) complete(addr cache.LineAddr, p *l1Pending, now sim.Cycle) {
 	l.free = append(l.free, p)
 }
 
-// AccessRetry is Access but retries every cycle while the MSHR is full.
+// AccessRetry is Access but retries every cycle while the miss-status
+// file is full.
 func (l *L1) AccessRetry(addr cache.LineAddr, write bool, done func(now sim.Cycle)) {
 	if !l.Access(addr, write, done) {
 		l.engine.After(1, func(sim.Cycle) { l.AccessRetry(addr, write, done) })
@@ -339,7 +364,7 @@ func (l *L1) AccessRetry(addr cache.LineAddr, write bool, done func(now sim.Cycl
 
 // onExcAck grants an upgrade ("do write/M").
 func (l *L1) onExcAck(m Msg, now sim.Cycle) {
-	p := l.trans[m.Addr]
+	p := l.pending(m.Addr)
 	if p == nil || p.state != tSMA {
 		return
 	}
@@ -363,7 +388,7 @@ func (l *L1) onInv(m Msg, now sim.Cycle) {
 	case cache.Exclusive:
 		l.send(ack)
 	default:
-		if p := l.trans[m.Addr]; p != nil && p.state == tSMA {
+		if p := l.pending(m.Addr); p != nil && p.state == tSMA {
 			// S.MA + Inv: the upgrade lost a race; it now needs data
 			// (I.MD). The directory reinterprets the queued upgrade.
 			p.state = tIMD
@@ -398,7 +423,7 @@ func (l *L1) onDwg(m Msg, now sim.Cycle) {
 // onNack retries the original request after a short randomized delay
 // (Table 2's Retry column; NACKs probabilistically avoid fetch deadlock).
 func (l *L1) onNack(m Msg, now sim.Cycle) {
-	p := l.trans[m.Addr]
+	p := l.pending(m.Addr)
 	if p == nil {
 		return
 	}
@@ -417,7 +442,7 @@ func (l *L1) onNack(m Msg, now sim.Cycle) {
 	// transaction; a later one on the same record was issued later.
 	issued := p.issued
 	l.engine.At(now+delay, func(sim.Cycle) {
-		if l.trans[m.Addr] == p && p.issued == issued {
+		if l.pending(m.Addr) == p && p.issued == issued {
 			l.send(l.request(req, m.Addr))
 		}
 	})

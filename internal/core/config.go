@@ -152,6 +152,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BitsPerCycle must be positive")
 	case c.Receivers < 1:
 		return fmt.Errorf("core: need at least one receiver per lane")
+	case c.ConfirmDelay < 1:
+		return fmt.Errorf("core: the confirmation must take at least one cycle")
 	case c.WindowW < 1:
 		return fmt.Errorf("core: backoff window below one slot")
 	case c.BackoffB < 1:

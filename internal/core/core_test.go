@@ -64,6 +64,7 @@ func TestConfigValidate(t *testing.T) {
 		func() Config { c := PaperConfig(16); c.WindowW = 0.5; return c }(),
 		func() Config { c := PaperConfig(16); c.BackoffB = 0.9; return c }(),
 		func() Config { c := PaperConfig(16); c.OutQueue = 0; return c }(),
+		func() Config { c := PaperConfig(16); c.ConfirmDelay = 0; return c }(),
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -61,8 +61,9 @@ type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
 // hold it in the same cycle window.
 //
 // Records are recycled through the source node's free list
-// (nodeState.txFree): acquired in startSlot, released exactly once, by
-// the confirmation event or by drop, all three in the source's context.
+// (nodeState.txFree): acquired in startSlot (in Send, by a packet to its
+// own node), released exactly once, by the confirmation event or by drop,
+// all three in the source's context.
 // A lost confirmation keeps the record live until the duplicate's
 // confirmation. Every event in a packet's life is one of the callbacks
 // below, bound when the record is first allocated and reading its
@@ -151,25 +152,25 @@ func (tx *transmission) requeue(sim.Cycle) { tx.n.parkRetry(tx) }
 // touched only from events and ticks executing on the owning node, so a
 // partitioned engine never sees two shards in the same nodeState.
 type nodeState struct {
-	queue     [numLanes][]*noc.Packet
-	notBefore map[*noc.Packet]sim.Cycle // scheduling holds (spacing, writeback split)
-	retries   [numLanes][]*transmission
-	txFree    []*transmission // retired records, reused last in first out
-	lastDst   [numLanes]int
-	heldDsts  []int // startSlot scratch: destinations behind a held packet
+	queue    [numLanes][]queued // outgoing packets, each with its scheduling hold
+	retries  [numLanes][]*transmission
+	txFree   []*transmission // retired records, reused last in first out
+	wbFree   []*wbSplit      // likewise, the writeback split's
+	lastDst  [numLanes]int
+	heldDsts []int // startSlot scratch: destinations behind a held packet
 
 	// arr accumulates the transmissions that landed on each of this
 	// node's receivers during the slot ending now; the node's own tick
 	// resolves and clears each group at the slot boundary.
 	arr [numLanes][][]*transmission
 
-	// Receiver-side reservation table for the data lane: slot index ->
-	// reservations (receiver scheduling + writeback split).
-	reserved map[int64]int
+	// reserved is the receiver-side reservation table for the data lane
+	// (receiver scheduling + writeback split).
+	reserved slotWindow
 
-	// Outstanding requests expecting data replies, per responder, used
-	// to estimate reply timing and to generate collision hints.
-	expecting map[int][]sim.Cycle
+	// expecting logs the outstanding requests expecting data replies, per
+	// responder, to estimate reply timing.
+	expecting replyLog
 	replyEWMA float64
 
 	// corrupt is the last packet-corruption probability this node worked
@@ -352,12 +353,7 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 	for i := range n.nodes {
 		n.scheds[i] = sim.SchedulerFor(engine, i)
 		n.nrng[i] = base.NewStream("node-" + strconv.Itoa(i))
-		ns := &nodeState{
-			notBefore: make(map[*noc.Packet]sim.Cycle),
-			reserved:  make(map[int64]int),
-			expecting: make(map[int][]sim.Cycle),
-			replyEWMA: 30,
-		}
+		ns := &nodeState{replyEWMA: 30}
 		for l := range ns.lastDst {
 			ns.lastDst[l] = -1
 			ns.arr[l] = make([][]*transmission, cfg.Receivers)
@@ -476,20 +472,16 @@ func (n *Network) Send(p *noc.Packet) bool {
 	if p.Src == p.Dst {
 		// Same-node traffic short-circuits through the local port in one
 		// cycle; the optical layer is never involved, but the sender
-		// still sees a (trivially successful) confirmation.
+		// still sees a (trivially successful) confirmation. The two
+		// events ride a transmission record's bound callbacks; a node
+		// never logs a request to itself, so deliver's reply-timing step
+		// finds nothing.
 		p.Created = sched.Now()
 		p.NetworkDelay = 1
-		sched.After(1, func(now sim.Cycle) {
-			n.lat[p.Dst].Record(p)
-			if n.deliverFn != nil {
-				n.deliverFn(p, now)
-			}
-		})
-		sched.After(1+sim.Cycle(n.cfg.ConfirmDelay), func(now sim.Cycle) {
-			if n.confirmFn != nil {
-				n.confirmFn(p, now)
-			}
-		})
+		tx := n.acquire(p.Src, n.nodes[p.Src])
+		tx.pkt = p
+		sched.After(1, tx.deliverFn)
+		sched.After(1+sim.Cycle(n.cfg.ConfirmDelay), tx.confirmFn)
 		return true
 	}
 	lane := laneFor(p)
@@ -498,78 +490,49 @@ func (n *Network) Send(p *noc.Packet) bool {
 		return false
 	}
 	p.Created = sched.Now()
-	n.schedulePacket(ns, p, lane)
-	ns.queue[lane] = append(ns.queue[lane], p)
+	ns.queue[lane] = append(ns.queue[lane], n.schedulePacket(ns, p, lane))
 	n.busy.Mark(p.Src)
 	return true
 }
 
-// schedulePacket applies the §5.2 scheduling optimizations, possibly
-// recording a not-before cycle for the packet.
-func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) {
+// schedulePacket applies the §5.2 scheduling optimizations and returns the
+// packet's queue entry, with a not-before cycle when one of them holds it.
+func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued {
+	q := queued{pkt: p}
 	now := n.scheds[p.Src].Now()
-	cd := sim.Cycle(n.cfg.ConfirmDelay)
 	dataSlot := n.slotLen[LaneData]
 	switch {
 	case lane == LaneMeta && p.ExpectsDataReply && n.cfg.Opt.ReceiverScheduling:
 		// Reserve the most likely reply slot at our own receiver; if it
 		// is taken, delay the request until the estimate lands free.
-		est := int64(now) + int64(ns.replyEWMA)
-		slot := est / dataSlot
-		hold := sim.Cycle(0)
-		for i := 0; ns.reserved[slot] > 0 && i < 4; i++ {
-			slot++
-			hold += sim.Cycle(dataSlot)
-		}
-		ns.reserved[slot]++
-		n.expireReservation(p.Src, ns, slot, now)
-		if hold > 0 {
-			ns.notBefore[p] = now + hold
+		first := (int64(now) + int64(ns.replyEWMA)) / dataSlot
+		slot := ns.reserved.reserve(first, int64(now)/dataSlot)
+		if slot > first {
+			q.notBefore, q.held = now+sim.Cycle((slot-first)*dataSlot), true
 			n.stats[p.Src].ScheduledHolds++
 		}
-		ns.expecting[p.Dst] = append(ns.expecting[p.Dst], now)
+		ns.expecting.push(p.Dst, now)
 	case lane == LaneData && p.IsWriteback && n.cfg.Opt.WritebackSplit:
 		// Split transaction: a meta-sized announcement rides to the home
 		// node (the 2-cycle handshake), the home node picks a free slot
 		// at its receiver, and the grant rides back; the writeback itself
 		// is held until the granted slot opens. Both legs are ordinary
-		// node-to-node events, so the reservation is made and expired
-		// entirely in the home node's context.
-		ns.notBefore[p] = now + 2*cd // provisional: released by the grant
+		// node-to-node events, so the reservation is made entirely in the
+		// home node's context.
+		cd := sim.Cycle(n.cfg.ConfirmDelay)
+		q.notBefore, q.held = now+2*cd, true // provisional: the grant, landing then, sets the real one
 		n.stats[p.Src].ScheduledHolds++
-		src := p.Src
-		noc.ScheduleAt(n.scheds[src], p.Dst, now+cd, func(at sim.Cycle) {
-			home := n.nodes[p.Dst]
-			slot := (int64(at)+int64(cd))/dataSlot + 1
-			for i := 0; home.reserved[slot] > 0 && i < 4; i++ {
-				slot++
-			}
-			home.reserved[slot]++
-			n.expireReservation(p.Dst, home, slot, at)
-			noc.ScheduleAt(n.scheds[p.Dst], src, at+cd, func(sim.Cycle) {
-				n.nodes[src].notBefore[p] = sim.Cycle(slot * dataSlot)
-			})
-		})
-	}
-}
-
-// expireReservation drops a reservation shortly after its slot passes.
-// It must be called from the context of the node owning ns — the
-// writeback split reserves at the *home* node — so the expiry fires on
-// the shard owning that node, not on whichever shard ran the sender.
-func (n *Network) expireReservation(node int, ns *nodeState, slot int64, now sim.Cycle) {
-	end := sim.Cycle((slot + 2) * n.slotLen[LaneData])
-	if end <= now {
-		end = now + 1
-	}
-	noc.ScheduleAt(n.scheds[node], node, end, func(sim.Cycle) {
-		if ns.reserved[slot] > 0 {
-			ns.reserved[slot]--
-			if ns.reserved[slot] == 0 {
-				delete(ns.reserved, slot)
-			}
+		var wb *wbSplit
+		if k := len(ns.wbFree); k > 0 {
+			wb, ns.wbFree = ns.wbFree[k-1], ns.wbFree[:k-1]
+		} else {
+			wb = &wbSplit{n: n}
+			wb.announceFn, wb.grantFn = wb.announce, wb.grant
 		}
-	})
+		wb.pkt = p
+		noc.ScheduleAt(n.scheds[p.Src], p.Dst, now+cd, wb.announceFn)
+	}
+	return q
 }
 
 // SendConfirmBit transmits one boolean over a reserved confirmation
@@ -702,9 +665,9 @@ func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.C
 	// packet blocks only packets to the same destination, preserving
 	// point-to-point order.
 	ns.heldDsts = ns.heldDsts[:0]
-	for i, p := range ns.queue[l] {
-		nb, held := ns.notBefore[p]
-		if held && nb > now {
+	for i, q := range ns.queue[l] {
+		p := q.pkt
+		if q.held && q.notBefore > now {
 			ns.heldDsts = append(ns.heldDsts, p.Dst)
 			continue
 		}
@@ -712,14 +675,13 @@ func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.C
 			continue
 		}
 		ns.queue[l] = append(ns.queue[l][:i], ns.queue[l][i+1:]...)
-		delete(ns.notBefore, p)
 		tx := n.acquire(id, ns)
 		tx.pkt, tx.lane = p, l
 		// Split the wait between intentional scheduling (the hold we
 		// installed) and plain queuing.
 		wait := int64(now - p.Created)
-		if held {
-			hold := int64(nb - p.Created)
+		if q.held {
+			hold := int64(q.notBefore - p.Created)
 			if hold > wait {
 				hold = wait
 			}
@@ -1105,12 +1067,7 @@ func (n *Network) noteReplyArrival(p *noc.Packet, now sim.Cycle) {
 		return
 	}
 	ns := n.nodes[p.Dst]
-	pend := ns.expecting[p.Src]
-	if len(pend) == 0 {
-		return
+	if sent, ok := ns.expecting.pop(p.Src); ok {
+		ns.replyEWMA = 0.875*ns.replyEWMA + 0.125*float64(now-sent)
 	}
-	sent := pend[0]
-	ns.expecting[p.Src] = pend[1:]
-	obs := float64(now - sent)
-	ns.replyEWMA = 0.875*ns.replyEWMA + 0.125*obs
 }

@@ -8,14 +8,18 @@ import (
 	"fsoi/internal/sim/shard"
 )
 
-// TestWritebackReservationExpiresOnHomeShard is the regression test for
-// the expireReservation hazard fsoilint's shardsafety pass flagged: the
-// §5.2 writeback split reserves a data slot in the *home* node's
-// receiver state, and the expiry event used to be scheduled with a bare
-// engine.At — running it on whichever shard processed the sender
-// instead of the shard owning the home node. The expiry now routes
-// through noc.ScheduleAt, so on a sharded engine it must be a recorded
-// handoff and must still release the reservation.
+// liveReservations counts node's reservations for the data slot containing
+// the engine's present cycle or a later one: the only ones a lookup can
+// still read.
+func liveReservations(n *Network, e sim.Scheduler, node int) int {
+	return n.nodes[node].reserved.live(int64(e.Now()) / n.slotLen[LaneData])
+}
+
+// TestWritebackReservationExpiresOnHomeShard: the §5.2 writeback split
+// reserves a data slot in the *home* node's receiver state, so the
+// announcement that makes the reservation must run on the shard owning the
+// home node (a recorded handoff on a sharded engine), and the reservation
+// must be dead once its slot has passed.
 func TestWritebackReservationExpiresOnHomeShard(t *testing.T) {
 	cfg := PaperConfig(16)
 	cfg.Opt = Optimizations{WritebackSplit: true}
@@ -40,23 +44,24 @@ func TestWritebackReservationExpiresOnHomeShard(t *testing.T) {
 	// The announcement rides to the home node (ConfirmDelay cycles);
 	// only then does the home node's own context make the reservation.
 	e.Run(4)
-	hs := n.nodes[home]
-	if len(hs.reserved) == 0 {
+	if liveReservations(n, e, home) != 1 {
 		t.Fatal("writeback announce did not reserve a slot at the home node")
 	}
+	if liveReservations(n, e, src) != 0 {
+		t.Fatal("the writeback reserved a slot at its sender")
+	}
 	e.Run(5000)
-	if len(hs.reserved) != 0 {
-		t.Fatalf("home-node reservation never expired: %v", hs.reserved)
+	if live := liveReservations(n, e, home); live != 0 {
+		t.Fatalf("home-node reservation still live after its slot: %d in %v", live, n.nodes[home].reserved.slots)
 	}
 	if e.Handoffs() == before {
-		t.Fatal("no cross-shard handoffs recorded — expireReservation is bypassing noc.ScheduleAt again")
+		t.Fatal("no cross-shard handoffs recorded: the announcement is bypassing noc.ScheduleAt")
 	}
 }
 
 // TestReceiverSchedulingReservationExpires covers the sibling path: a
 // request with receiver scheduling reserves the reply slot at its own
-// node, and the expiry routed through noc.ScheduleAt with the source
-// node must still clean it up on the local shard.
+// node, and that reservation too is dead once its slot has passed.
 func TestReceiverSchedulingReservationExpires(t *testing.T) {
 	cfg := PaperConfig(16)
 	cfg.Opt = Optimizations{ReceiverScheduling: true}
@@ -72,12 +77,11 @@ func TestReceiverSchedulingReservationExpires(t *testing.T) {
 	if !n.Send(&noc.Packet{Src: src, Dst: 11, Type: noc.Meta, ExpectsDataReply: true}) {
 		t.Fatal("request send rejected")
 	}
-	ss := n.nodes[src]
-	if len(ss.reserved) == 0 {
+	if liveReservations(n, e, src) != 1 {
 		t.Fatal("receiver scheduling did not reserve the reply slot")
 	}
 	e.Run(5000)
-	if len(ss.reserved) != 0 {
-		t.Fatalf("reply-slot reservation never expired: %v", ss.reserved)
+	if live := liveReservations(n, e, src); live != 0 {
+		t.Fatalf("reply-slot reservation still live after its slot: %d in %v", live, n.nodes[src].reserved.slots)
 	}
 }

@@ -62,19 +62,34 @@ type Stats struct {
 
 // Controller is one memory channel attached to a node.
 type Controller struct {
-	node     int
-	cfg      Config
-	engine   sim.Scheduler
-	send     func(coherence.Msg)
-	nextFree sim.Cycle
-	stats    Stats
-	queued   int
+	node      int
+	cfg       Config
+	occupancy sim.Cycle // cfg.LineOccupancyCycles(), computed once
+	engine    sim.Scheduler
+	send      func(coherence.Msg)
+	nextFree  sim.Cycle
+	stats     Stats
+	// reads are the line reads in progress, oldest first. A read completes
+	// a fixed time after its transfer starts and transfers start in arrival
+	// order, so completions come in arrival order too: each schedules the
+	// one replyFn, which answers reads[head].
+	reads   []read
+	head    int
+	replyFn func(now sim.Cycle)
+}
+
+// read is one ReqMem awaiting its MemAck.
+type read struct {
+	home int
+	addr cache.LineAddr
 }
 
 // NewController builds a channel controller at the given node. send
 // injects reply messages into the interconnect.
 func NewController(node int, cfg Config, engine sim.Scheduler, send func(coherence.Msg)) *Controller {
-	return &Controller{node: node, cfg: cfg, engine: engine, send: send}
+	c := &Controller{node: node, cfg: cfg, occupancy: cfg.LineOccupancyCycles(), engine: engine, send: send}
+	c.replyFn = c.reply
+	return c
 }
 
 // Node reports the attach point.
@@ -86,30 +101,40 @@ func (c *Controller) Stats() *Stats { return &c.stats }
 // Handle services a ReqMem (line read, replied with MemAck) or MemWrite
 // (line write, no reply).
 func (c *Controller) Handle(m coherence.Msg, now sim.Cycle) {
-	occupancy := c.cfg.LineOccupancyCycles()
 	start := now
 	if c.nextFree > start {
 		start = c.nextFree
 	}
 	c.stats.QueueWait.Add(float64(start - now))
-	c.nextFree = start + occupancy
-	c.stats.Busy += occupancy
+	c.nextFree = start + c.occupancy
+	c.stats.Busy += c.occupancy
 	switch m.Type {
 	case coherence.ReqMem:
 		c.stats.Reads++
-		done := start + occupancy + sim.Cycle(c.cfg.LatencyCycles)
-		home := m.From
-		addr := m.Addr
-		c.engine.At(done, func(sim.Cycle) {
-			c.send(coherence.Msg{
-				Type: coherence.MemAck, Addr: addr,
-				From: c.node, To: home, HasData: true,
-			})
-		})
+		if c.head > 0 && c.head >= len(c.reads)/2 && len(c.reads) == cap(c.reads) {
+			// Full, and at least half of it already answered: move the
+			// rest to the front instead of growing.
+			c.reads = c.reads[:copy(c.reads, c.reads[c.head:])]
+			c.head = 0
+		}
+		c.reads = append(c.reads, read{home: m.From, addr: m.Addr})
+		c.engine.At(c.nextFree+sim.Cycle(c.cfg.LatencyCycles), c.replyFn)
 	case coherence.MemWrite:
 		c.stats.Writes++
 		// Writes complete silently once the channel transfer is done.
 	default:
 		panic("memory: controller received " + m.Type.String())
 	}
+}
+
+// reply answers the oldest read in progress.
+func (c *Controller) reply(sim.Cycle) {
+	r := c.reads[c.head]
+	if c.head++; c.head == len(c.reads) {
+		c.reads, c.head = c.reads[:0], 0
+	}
+	c.send(coherence.Msg{
+		Type: coherence.MemAck, Addr: r.addr,
+		From: c.node, To: r.home, HasData: true,
+	})
 }

@@ -3,6 +3,7 @@ package memory
 import (
 	"testing"
 
+	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
 	"fsoi/internal/sim"
 )
@@ -128,4 +129,64 @@ func TestUnknownMessagePanics(t *testing.T) {
 		}
 	}()
 	ctl.Handle(coherence.Msg{Type: coherence.ReqSh}, 0)
+}
+
+// TestRepliesMatchPerReadSchedule: reads in progress are a FIFO answered by
+// one callback, which is right only because completions come in arrival
+// order. Against the per-read schedule computed independently (start when
+// the channel frees, occupancy, then latency), every reply must carry its
+// own read's home and line at its own cycle, through bursts that fill the
+// FIFO, lulls that drain it, and the compaction in between.
+func TestRepliesMatchPerReadSchedule(t *testing.T) {
+	cfg := PaperMemory(8)
+	cfg.TotalGBps = 52.8 // 32 cycles a line: a burst of reads queues 6 deep under the 200-cycle latency
+	occ, lat := cfg.LineOccupancyCycles(), sim.Cycle(cfg.LatencyCycles)
+	engine := sim.NewEngine()
+	type reply struct {
+		at   sim.Cycle
+		home int
+		addr uint64
+	}
+	var got, want []reply
+	ctl := NewController(5, cfg, engine, func(m coherence.Msg) {
+		if m.Type != coherence.MemAck || m.From != 5 || !m.HasData {
+			t.Fatalf("reply %+v is not a MemAck with data from node 5", m)
+		}
+		got = append(got, reply{engine.Now(), m.To, uint64(m.Addr)})
+	})
+	rng := sim.NewRNG(11)
+	free, maxDepth := sim.Cycle(0), 0
+	for i := 0; i < 3000; i++ {
+		if rng.Intn(10) == 0 {
+			engine.Run(sim.Cycle(rng.Intn(2000))) // a lull: the FIFO drains
+		} else {
+			engine.Run(sim.Cycle(rng.Intn(40)))
+		}
+		now := engine.Now()
+		m := coherence.Msg{Type: coherence.ReqMem, Addr: cache.LineAddr(1000 + i), From: rng.Intn(64)}
+		if rng.Intn(4) == 0 {
+			m.Type = coherence.MemWrite
+		}
+		free = max(free, now) + occ
+		if m.Type == coherence.ReqMem {
+			want = append(want, reply{free + lat, m.From, uint64(m.Addr)})
+		}
+		ctl.Handle(m, now)
+		maxDepth = max(maxDepth, len(ctl.reads)-ctl.head)
+	}
+	engine.Run(10000)
+	if maxDepth < 4 {
+		t.Fatalf("at most %d reads were ever in progress: the script never queues", maxDepth)
+	}
+	if len(ctl.reads) != 0 || ctl.head != 0 || cap(ctl.reads) > 4*maxDepth {
+		t.Fatalf("drained controller holds %d reads (head %d, capacity %d) after at most %d in progress", len(ctl.reads), ctl.head, cap(ctl.reads), maxDepth)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d replies for %d reads", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reply %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }

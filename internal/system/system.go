@@ -248,7 +248,7 @@ type System struct {
 	meshNet  *mesh.Network
 	l1s      []*coherence.L1
 	dirs     []*coherence.Directory
-	mems     map[int]*memory.Controller
+	mems     []*memory.Controller // by attach node; nil where none is attached
 	cores    []*cpu.Core
 	sync     syncFabric
 	injector *fault.Injector
@@ -275,19 +275,33 @@ type System struct {
 	pktFree [][]*wirePacket
 
 	// Point-to-point ordering state (§4.4), indexed by source node: one
-	// in-flight message per (src, dst, line); the rest wait here.
-	ordInFlight []map[ordKey]bool
-	ordQueue    []map[ordKey][]coherence.Msg
+	// in-flight message per (src, dst, line); the rest wait here. A node
+	// has one stream per packet it has in flight, a handful, so each
+	// node's streams are a slice searched linearly.
+	ord [][]ordStream
 
 	// backlogged holds the nodes whose L1 or directory outbox may be
 	// non-empty; an outbox only ever grows when transport.Send refuses.
 	backlogged *sim.BusySet
 }
 
-// ordKey identifies one ordered message stream within its source node.
-type ordKey struct {
+// ordStream is one ordered (dst, line) message stream of its source node
+// with a message in flight, and the messages queued behind that one,
+// oldest first.
+type ordStream struct {
 	dst  int
 	addr cache.LineAddr
+	wait []coherence.Msg
+}
+
+// stream returns the index of m's stream among its source's, or -1.
+func (s *System) stream(m coherence.Msg) int {
+	for i := range s.ord[m.From] {
+		if st := &s.ord[m.From][i]; st.dst == m.To && st.addr == m.Addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // sched resolves the scheduling surface for one node: the node's proxy
@@ -363,9 +377,9 @@ func (t transport) packetFor(m coherence.Msg) *wirePacket {
 // channels and releases at delivery.
 func (t transport) Send(m coherence.Msg) bool {
 	s := t.s
-	key := ordKey{dst: m.To, addr: m.Addr}
-	if s.ordInFlight[m.From][key] {
-		s.ordQueue[m.From][key] = append(s.ordQueue[m.From][key], m)
+	if i := s.stream(m); i >= 0 {
+		st := &s.ord[m.From][i]
+		st.wait = append(st.wait, m)
 		return true
 	}
 	p := t.packetFor(m)
@@ -377,7 +391,7 @@ func (t transport) Send(m coherence.Msg) bool {
 		return false
 	}
 	s.observeInject(&p.Packet)
-	s.ordInFlight[m.From][key] = true
+	s.ord[m.From] = append(s.ord[m.From], ordStream{dst: m.To, addr: m.Addr})
 	return true
 }
 
@@ -440,18 +454,13 @@ func New(cfg Config) *System {
 		cfg.Observe = true
 	}
 	s := &System{
-		cfg:         cfg,
-		rng:         sim.NewRNG(cfg.Seed),
-		mems:        make(map[int]*memory.Controller),
-		la:          1,
-		pktSeq:      make([]uint64, cfg.Nodes),
-		pktFree:     make([][]*wirePacket, cfg.Nodes),
-		ordInFlight: make([]map[ordKey]bool, cfg.Nodes),
-		ordQueue:    make([]map[ordKey][]coherence.Msg, cfg.Nodes),
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		s.ordInFlight[i] = make(map[ordKey]bool)
-		s.ordQueue[i] = make(map[ordKey][]coherence.Msg)
+		cfg:     cfg,
+		rng:     sim.NewRNG(cfg.Seed),
+		mems:    make([]*memory.Controller, cfg.Nodes),
+		la:      1,
+		pktSeq:  make([]uint64, cfg.Nodes),
+		pktFree: make([][]*wirePacket, cfg.Nodes),
+		ord:     make([][]ordStream, cfg.Nodes),
 	}
 	switch {
 	case cfg.ParWorkers > 0:
@@ -582,7 +591,7 @@ func New(cfg Config) *System {
 	})
 	for c := 0; c < cfg.Memory.Channels; c++ {
 		node := attach[c]
-		if _, dup := s.mems[node]; dup {
+		if s.mems[node] != nil {
 			continue
 		}
 		onShard(node)
@@ -661,15 +670,22 @@ func (s *System) retrySend(m coherence.Msg) {
 // It must run in the source node's context: at the confirmation or drop
 // on FSOI, at delivery (single-threaded by construction) elsewhere.
 func (s *System) orderedDone(m coherence.Msg) {
-	key := ordKey{dst: m.To, addr: m.Addr}
-	q := s.ordQueue[m.From][key]
-	if len(q) == 0 {
-		delete(s.ordInFlight[m.From], key)
-		delete(s.ordQueue[m.From], key)
+	i := s.stream(m)
+	if i < 0 {
 		return
 	}
-	next := q[0]
-	s.ordQueue[m.From][key] = q[1:]
+	ss := s.ord[m.From]
+	st := &ss[i]
+	if len(st.wait) == 0 {
+		last := len(ss) - 1
+		ss[i], ss[last] = ss[last], ordStream{}
+		s.ord[m.From] = ss[:last]
+		return
+	}
+	// Shift down rather than re-slice: the queue keeps its capacity for
+	// the stream's next waiter.
+	next := st.wait[0]
+	st.wait = st.wait[:copy(st.wait, st.wait[1:])]
 	s.launchOrdered(next)
 }
 

@@ -1,0 +1,133 @@
+// Package table provides the one hash table the simulator's per-packet
+// paths use where the key space is not bounded by a handful of live items:
+// open addressing over integer keys, sized by what is stored.
+//
+// A Go map would do the same job; this is here because those paths run a
+// lookup per packet and the built-in pays for generality they do not need
+// (a hash function chosen at run time, control-byte groups, a header per
+// map), and because a table whose slots hold no pointers is skipped by the
+// garbage collector. The map stays the reference: table_test.go drives
+// both with one script.
+package table
+
+import "math/bits"
+
+// Table maps uint64 keys to values of type V. The zero value is an empty
+// table that owns no memory: the first Put allocates minSlots slots and
+// the table doubles whenever it would pass three quarters full, so a table
+// that stays small stays cheap and nothing is paid up front.
+//
+// Keys are spread by a multiply-shift (Fibonacci) hash, collisions resolved
+// by linear probing, and Delete closes the gap by shifting the run's later
+// entries back, so there are no tombstones and a lookup's cost depends only
+// on what is stored now.
+//
+// Pointer stability: the pointer Put and Ref return addresses a slot. It is
+// valid until the next Put (the table may grow) or Delete (entries may
+// shift) on the same table, and not after; callers that need a stable
+// record store an index or pointer to it as the value.
+type Table[V any] struct {
+	slots []slot[V]
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+type slot[V any] struct {
+	key  uint64
+	used bool
+	val  V
+}
+
+const minSlots = 4
+
+// Len reports the number of keys stored.
+func (t *Table[V]) Len() int { return t.n }
+
+// home is key's preferred slot.
+func (t *Table[V]) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the index of key's slot, or -1 when key is absent. The
+// table is never full, so a probe always ends at an empty slot.
+func (t *Table[V]) find(key uint64) int {
+	if t.n == 0 {
+		return -1
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if !s.used {
+			return -1
+		}
+		if s.key == key {
+			return i
+		}
+	}
+}
+
+// Ref returns a pointer to key's value, or nil when key is absent.
+func (t *Table[V]) Ref(key uint64) *V {
+	if i := t.find(key); i >= 0 {
+		return &t.slots[i].val
+	}
+	return nil
+}
+
+// Put returns a pointer to key's value, inserting the zero value first
+// when key is absent.
+func (t *Table[V]) Put(key uint64) *V {
+	if p := t.Ref(key); p != nil {
+		return p
+	}
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
+	}
+	i := t.free(key)
+	t.slots[i].key, t.slots[i].used = key, true
+	t.n++
+	return &t.slots[i].val
+}
+
+// free returns the first empty slot of an absent key's probe.
+func (t *Table[V]) free(key uint64) int {
+	i := t.home(key)
+	for t.slots[i].used {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// grow doubles the table (from empty, to minSlots) and reinserts every
+// entry.
+func (t *Table[V]) grow() {
+	old := t.slots
+	size := max(minSlots, 2*len(old))
+	t.slots = make([]slot[V], size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for k := range old {
+		if old[k].used {
+			t.slots[t.free(old[k].key)] = old[k]
+		}
+	}
+}
+
+// Delete removes key and reports whether it was present.
+func (t *Table[V]) Delete(key uint64) bool {
+	i := t.find(key)
+	if i < 0 {
+		return false
+	}
+	// Backward shift: an entry further along the run moves into the gap
+	// unless that would put it ahead of its home slot.
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].used; j = (j + 1) & mask {
+		if h := t.home(t.slots[j].key); (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = slot[V]{}
+	t.n--
+	return true
+}
