@@ -11,7 +11,7 @@
 //	benchtrend              # writes BENCH_<next>.json in the cwd
 //	benchtrend -n 0 -dir .  # explicit index and directory
 //	benchtrend -j 4         # experiment timings with 4 workers
-//	benchtrend -check BENCH_8.json   # regression gate, writes nothing
+//	benchtrend -check BENCH_9.json   # regression gate, writes nothing
 //
 // Engine numbers are scheduler-independent; experiment wall-clock
 // depends on -j and the host, so snapshots record both alongside

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -87,6 +88,11 @@ func analyze(r io.Reader, keepEvents bool) (*analysis, error) {
 			a.truncated += l.Aux
 			continue
 		}
+		// obs keys a link by its two ids packed into 32 bits each: an id
+		// beyond that would be counted as some other link's.
+		if !isNodeID(l.Src) || !isNodeID(l.Dst) {
+			return nil, fmt.Errorf("line %d: node id out of range (src %d, dst %d; want -1 to %d)", a.lines, l.Src, l.Dst, math.MaxInt32)
+		}
 		a.byKind[l.Ev]++
 		if l.Src > a.maxNode {
 			a.maxNode = l.Src
@@ -119,6 +125,10 @@ func analyze(r io.Reader, keepEvents bool) (*analysis, error) {
 	}
 	return a, sc.Err()
 }
+
+// isNodeID reports whether id is a node number a trace can hold: what an
+// obs.Event's int32 endpoints take, -1 standing for "none".
+func isNodeID(id int) bool { return id >= -1 && id <= math.MaxInt32 }
 
 // laneOf inverts obs.LaneName.
 func laneOf(name string) int8 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"fsoi/internal/adversary"
@@ -107,4 +108,80 @@ func TestOfflineDetectionMatchesOnline(t *testing.T) {
 	if !slices.Equal(a.events, m.Obs.Events()) {
 		t.Fatal("rebuilt events differ from the run's recording")
 	}
+}
+
+// TestAnalyzeRejectsNodeIDsOutOfRange: an id that does not fit an
+// obs.Event would alias another link in the registry and the detector;
+// it is refused with its line number, like a malformed line.
+func TestAnalyzeRejectsNodeIDsOutOfRange(t *testing.T) {
+	ok := `{"at":1,"ev":"deliver","id":1,"src":-1,"dst":2147483647,"class":"meta","lane":"-","attempt":0,"aux":4}` + "\n"
+	if a, err := analyze(strings.NewReader(ok), true); err != nil || len(a.events) != 1 || a.reg.Links() != 1 {
+		t.Fatalf("ids at the edges of the range must pass: %v", err)
+	}
+	for _, bad := range []string{
+		`{"at":2,"ev":"deliver","id":2,"src":4294967296,"dst":1,"aux":4}`, // 1<<32: would alias src 0
+		`{"at":2,"ev":"collision","id":2,"src":0,"dst":2147483648}`,
+		`{"at":2,"ev":"tx-start","id":2,"src":-2,"dst":1}`,
+		`{"at":2,"ev":"some-future-kind","src":0,"dst":-4294967295}`,
+	} {
+		for _, keep := range []bool{false, true} {
+			_, err := analyze(strings.NewReader(ok+"\n"+bad+"\n"), keep)
+			if err == nil || !strings.HasPrefix(err.Error(), "line 2: node id out of range") {
+				t.Fatalf("%s (detect %v): error %v, want line 2 refused", bad, keep, err)
+			}
+		}
+	}
+	// Lines that carry no endpoints are not events.
+	if _, err := analyze(strings.NewReader(`{"run":"x","src":-9}`+"\n"+`{"ev":"truncated","aux":3,"dst":-9}`+"\n"), true); err != nil {
+		t.Fatalf("separator and marker lines have no node ids to check: %v", err)
+	}
+}
+
+// FuzzAnalyze feeds the JSONL reader arbitrary bytes. It must return an
+// error or an analysis, never panic; every table must render; and what it
+// rebuilt must survive the trip back through obs.WriteJSONL, which is
+// also what holds obs.ParseKind to Kind.String.
+func FuzzAnalyze(f *testing.F) {
+	r := obs.NewRecorder(6)
+	for i, k := range []obs.Kind{obs.KindFault, obs.KindInject, obs.KindTxStart, obs.KindCollision, obs.KindBackoff, obs.KindDeliver, obs.KindDrop} {
+		r.Emit(obs.Event{At: sim.Cycle(3 * i), Kind: k, ID: uint64(i), Aux: int64(i), Src: int32(i % 3), Dst: int32(i%2) - 1, Attempt: int32(i), Class: uint8(i % 2), Lane: int8(i%3) - 1})
+	}
+	var file bytes.Buffer
+	file.WriteString("{\"run\":\"fig9 jacobi fsoi\"}\n\n")
+	if err := obs.WriteJSONL(&file, r); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file.Bytes())
+	f.Add([]byte(`{"at":2,"ev":"deliver","src":4294967296,"dst":1}`))
+	f.Add([]byte(`{"at":9,"ev":"Kind(200)","src":20,"dst":3,"attempt":-1,"lane":"?","class":"data"}` + "\n" + `{"at":"x"}`))
+	f.Add([]byte("{\"ev\":\"collision\",\"src\":1,\"dst\":1}\n{\"ev\":\"collision\",\"src\":17}\nnot json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := analyze(bytes.NewReader(data), true)
+		if err != nil {
+			return
+		}
+		_ = a.countsTable() + a.heatMap(4) + a.retryCDF() + a.reg.ClassTable() + a.reg.LinkTable(4)
+		again := obs.NewRecorder(0)
+		for _, e := range a.events {
+			if e.Src < -1 || e.Dst < -1 {
+				t.Fatalf("rebuilt event with a node id below -1: %+v", e)
+			}
+			if k, ok := obs.ParseKind(e.Kind.String()); !ok || k != e.Kind {
+				t.Fatalf("ParseKind(%q) = %v, %v", e.Kind.String(), k, ok)
+			}
+			again.Emit(e)
+		}
+		var out bytes.Buffer
+		if err := obs.WriteJSONL(&out, again); err != nil {
+			t.Fatal(err)
+		}
+		b, err := analyze(&out, true)
+		if err != nil {
+			t.Fatalf("a trace written by WriteJSONL was refused: %v", err)
+		}
+		if !slices.Equal(b.events, again.Events()) {
+			t.Fatalf("round trip changed the events:\n got %+v\nwant %+v", b.events, again.Events())
+		}
+		obs.Detect(b.events, obs.DetectorConfig{})
+	})
 }

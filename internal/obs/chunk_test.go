@@ -1,0 +1,153 @@
+package obs
+
+import (
+	"slices"
+	"testing"
+
+	"fsoi/internal/sim"
+)
+
+// emitCounts emits counts[node] events into each node's recorder, all
+// nodes in step, one cycle every four events: cycles tie within a node
+// and across nodes, and every run is sorted.
+func emitCounts(counts ...int) func(*Sharded) {
+	return func(s *Sharded) {
+		id := uint64(0)
+		for i := 0; i < slices.Max(counts); i++ {
+			for node, n := range counts {
+				if i < n {
+					s.For(node).Emit(Event{At: sim.Cycle(i / 4), ID: id, Src: int32(node)})
+					id++
+				}
+			}
+		}
+	}
+}
+
+// TestMergedAtChunkEdges: runs that end just before, on and just after a
+// chunk boundary, alone and beside each other, whole and cut by a limit
+// that falls inside a chunk.
+func TestMergedAtChunkEdges(t *testing.T) {
+	const c = chunkEvents
+	sizes := []int{0, 1, c - 1, c, c + 1, 3 * c}
+	for _, n := range sizes {
+		mergedMatchesReference(t, 1, 0, emitCounts(n))
+		mergedMatchesReference(t, 3, 0, emitCounts(n, 0, n))
+		for _, m := range sizes {
+			mergedMatchesReference(t, 2, 0, emitCounts(n, m))
+		}
+	}
+	for _, limit := range []int{1, c - 1, c, c + 1, c + c/2, 3 * c, 6*c + 1} {
+		mergedMatchesReference(t, 3, limit, emitCounts(3*c, c+1, 3*c))
+	}
+}
+
+// TestUnsortedRunAcrossChunks: a run whose clock steps back at a chunk
+// boundary is still stable-sorted, in Events and in Merged.
+func TestUnsortedRunAcrossChunks(t *testing.T) {
+	emit := func(s *Sharded) {
+		for i := 0; i < chunkEvents+5; i++ {
+			at := sim.Cycle(100 + i)
+			if i >= chunkEvents {
+				at = sim.Cycle(50 + i%2) // below everything in the first chunk
+			}
+			s.For(0).Emit(Event{At: at, ID: uint64(i)})
+			s.For(1).Emit(Event{At: sim.Cycle(i), ID: uint64(1000 + i), Src: 1})
+		}
+	}
+	mergedMatchesReference(t, 2, 0, emit)
+	mergedMatchesReference(t, 2, chunkEvents, emit)
+	s := NewSharded(2, 0)
+	emit(s)
+	run := s.For(0).Events()
+	if !slices.IsSortedFunc(run, byCycle) || len(run) != chunkEvents+5 {
+		t.Fatalf("%d events, sorted %v", len(run), slices.IsSortedFunc(run, byCycle))
+	}
+	if ids := []uint64{run[0].ID, run[1].ID, run[2].ID, run[3].ID, run[4].ID, run[5].ID}; !slices.Equal(ids,
+		[]uint64{chunkEvents, chunkEvents + 2, chunkEvents + 4, chunkEvents + 1, chunkEvents + 3, 0}) {
+		t.Fatalf("head of the sorted run = %v: ties must keep emission order", ids)
+	}
+}
+
+// TestEventsFlattensOnce: a standalone recorder's Events is its emission
+// order in one slice, the same slice on a second call, and still right
+// after more emissions land behind it.
+func TestEventsFlattensOnce(t *testing.T) {
+	r := NewRecorder(0)
+	emit := func(from, to int) {
+		for i := from; i < to; i++ {
+			r.Emit(Event{At: sim.Cycle(i / 3), ID: uint64(i)})
+		}
+	}
+	inOrder := func(evs []Event, n int) {
+		t.Helper()
+		if len(evs) != n || r.Len() != n {
+			t.Fatalf("%d events (Len %d), want %d", len(evs), r.Len(), n)
+		}
+		for i, e := range evs {
+			if e.ID != uint64(i) {
+				t.Fatalf("event %d has id %d", i, e.ID)
+			}
+		}
+	}
+	emit(0, 2*chunkEvents+7)
+	first := r.Events()
+	inOrder(first, 2*chunkEvents+7)
+	if again := r.Events(); &again[0] != &first[0] || len(again) != len(first) {
+		t.Fatal("a second Events must return the first one's slice")
+	}
+	if n := testing.AllocsPerRun(10, func() { r.Events() }); n != 0 {
+		t.Fatalf("a repeated Events allocated %v times", n)
+	}
+	emit(2*chunkEvents+7, 3*chunkEvents+9)
+	if counts := r.CountByKind(); counts[KindInject] != int64(3*chunkEvents+9) {
+		t.Fatalf("CountByKind saw %d events across the slice and the chunks", counts[KindInject])
+	}
+	inOrder(r.Events(), 3*chunkEvents+9)
+
+	// The same recorder as one node of a family: Merged reads the slice,
+	// then the chunks behind it.
+	emit(3*chunkEvents+9, 4*chunkEvents+9)
+	s := &Sharded{recs: []*Recorder{r}}
+	inOrder(s.Merged().Events(), 4*chunkEvents+9)
+}
+
+// TestEmitAllocatesOneChunkPerChunkEvents: recording allocates once per
+// chunkEvents emissions, nothing at construction, and an event once
+// stored is never moved.
+func TestEmitAllocatesOneChunkPerChunkEvents(t *testing.T) {
+	r := NewRecorder(0)
+	if r.head != nil || r.flat != nil {
+		t.Fatal("a new recorder holds no storage")
+	}
+	id := uint64(0)
+	fill := func() {
+		for i := 0; i < chunkEvents; i++ {
+			r.Emit(Event{At: sim.Cycle(id), ID: id})
+			id++
+		}
+	}
+	if n := testing.AllocsPerRun(20, fill); n != 1 {
+		t.Fatalf("%d emissions allocated %v times, want 1", chunkEvents, n)
+	}
+	first := r.head
+	r.Emit(Event{At: sim.Cycle(id), ID: id})
+	if r.head != first || first.ev[0].ID != 0 || first.ev[chunkEvents-1].ID != chunkEvents-1 {
+		t.Fatal("the first chunk moved or changed")
+	}
+	chunks := 0
+	for c := r.head; c != nil; c = c.next {
+		chunks++
+	}
+	if want := 21 + 1; chunks != want || r.Len() != 21*chunkEvents+1 {
+		t.Fatalf("%d chunks for %d events, want %d", chunks, r.Len(), want)
+	}
+	// A limit inside a chunk: the chunk is allocated, the excess counted.
+	capped := NewRecorder(chunkEvents + 3)
+	for i := 0; i < 2*chunkEvents; i++ {
+		capped.Emit(Event{At: sim.Cycle(i)})
+	}
+	if capped.Len() != chunkEvents+3 || capped.Lost() != chunkEvents-3 || len(capped.Events()) != chunkEvents+3 {
+		t.Fatalf("capped: len %d lost %d events %d", capped.Len(), capped.Lost(), len(capped.Events()))
+	}
+}

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"fsoi/internal/stats"
@@ -155,6 +156,7 @@ type Report struct {
 
 // linkAcc accumulates one link's signals during an event scan.
 type linkAcc struct {
+	key       uint64 // linkKey of the link
 	att       int64
 	attWindow int64
 	attIn     int64
@@ -166,30 +168,64 @@ type linkAcc struct {
 	depth     int64
 	confirms  int64
 	flaggedAt int64
-	reasons   []string
+	reasons   reason
 }
 
-// noteAttempt folds one transmission attempt into the windows.
-func (a *linkAcc) noteAttempt(at, windowCycles int64) {
-	a.att++
-	if w := at / windowCycles; w != a.attWindow {
-		a.attWindow, a.attIn = w, 0
+// reason is the set of rules a link crossed, one bit each.
+type reason uint8
+
+const (
+	reasonFlood reason = 1 << iota
+	reasonRate
+	reasonDepth
+	reasonConfirm
+)
+
+// reasonNames lists the rules in bit order, the order a verdict names them.
+var reasonNames = [...]string{"flood", "rate", "depth", "confirm"}
+
+// String joins the names of the rules in the set with "+".
+func (r reason) String() string {
+	var b []byte
+	for i, name := range reasonNames {
+		if r&(1<<i) == 0 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, name...)
 	}
-	a.attIn++
-	if a.attIn > a.attPeak {
-		a.attPeak = a.attIn
-	}
+	return string(b)
 }
 
-// noteCollision folds one collision event into the windows.
-func (a *linkAcc) noteCollision(at, windowCycles int64) {
-	a.coll++
-	if w := at / windowCycles; w != a.window {
-		a.window, a.inWindow = w, 0
-	}
-	a.inWindow++
-	if a.inWindow > a.peak {
-		a.peak = a.inWindow
+// note folds one event into its link's counts and windows.
+func (a *linkAcc) note(e Event, windowCycles int64) {
+	switch e.Kind {
+	case KindTxStart, KindRetransmit:
+		a.att++
+		if w := int64(e.At) / windowCycles; w != a.attWindow {
+			a.attWindow, a.attIn = w, 0
+		}
+		a.attIn++
+		if a.attIn > a.attPeak {
+			a.attPeak = a.attIn
+		}
+	case KindCollision:
+		a.coll++
+		if w := int64(e.At) / windowCycles; w != a.window {
+			a.window, a.inWindow = w, 0
+		}
+		a.inWindow++
+		if a.inWindow > a.peak {
+			a.peak = a.inWindow
+		}
+	case KindBackoff:
+		if d := int64(e.Attempt); d > a.depth {
+			a.depth = d
+		}
+	case KindConfirmDrop:
+		a.confirms++
 	}
 }
 
@@ -200,67 +236,38 @@ func (a *linkAcc) noteCollision(at, windowCycles int64) {
 // byte-identical across engines yields a byte-identical report.
 func Detect(events []Event, cfg DetectorConfig) *Report {
 	cfg = cfg.withDefaults()
-	acc := make(map[Link]*linkAcc)
-	at := func(e Event) (*linkAcc, bool) {
-		if e.Src < 0 || e.Dst < 0 {
-			return nil, false
-		}
-		k := Link{Src: int(e.Src), Dst: int(e.Dst)}
-		a := acc[k]
-		if a == nil {
-			a = &linkAcc{attWindow: -1, window: -1, flaggedAt: -1}
-			acc[k] = a
-		}
-		return a, true
-	}
+	var links linkSlab[linkAcc]
 	warmCycles := cfg.WarmupWindows * cfg.WindowCycles
 	var lastAt int64
 	for _, e := range events {
 		if v := int64(e.At); v > lastAt {
 			lastAt = v
 		}
-		if int64(e.At) < warmCycles {
+		if int64(e.At) < warmCycles || e.Src < 0 || e.Dst < 0 || !detectKind(e.Kind) {
 			continue
 		}
-		switch e.Kind {
-		case KindTxStart, KindRetransmit:
-			if a, ok := at(e); ok {
-				a.noteAttempt(int64(e.At), cfg.WindowCycles)
-			}
-		case KindCollision:
-			if a, ok := at(e); ok {
-				a.noteCollision(int64(e.At), cfg.WindowCycles)
-			}
-		case KindBackoff:
-			a, ok := at(e)
-			if !ok {
-				continue
-			}
-			if d := int64(e.Attempt); d > a.depth {
-				a.depth = d
-			}
-		case KindConfirmDrop:
-			if a, ok := at(e); ok {
-				a.confirms++
-			}
+		key := linkKey(e.Src, e.Dst)
+		a, fresh := links.at(key)
+		if fresh {
+			*a = linkAcc{key: key, attWindow: -1, window: -1, flaggedAt: -1}
 		}
+		a.note(e, cfg.WindowCycles)
 	}
+	accs := links.recs
 
-	keys := make([]Link, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+	// order lists the slab in (src, dst) order.
+	order := make([]int32, len(accs))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
+	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(accs[i].key, accs[j].key) })
 
 	// Percentile-derived baselines over the per-link distributions.
-	var attPeaks, peaks, confirms []int64
-	for _, k := range keys {
-		a := acc[k]
+	attPeaks := make([]int64, 0, len(accs))
+	peaks := make([]int64, 0, len(accs))
+	confirms := make([]int64, 0, len(accs))
+	for i := range accs {
+		a := &accs[i]
 		if a.att > 0 {
 			attPeaks = append(attPeaks, a.attPeak)
 		}
@@ -291,105 +298,103 @@ func Detect(events []Event, cfg DetectorConfig) *Report {
 		int64(math.Ceil(cfg.ConfirmFactor*float64(r.ConfirmBaseline))))
 
 	// Verdicts.
-	for _, k := range keys {
-		a := acc[k]
+	flagged := 0
+	for i := range accs {
+		a := &accs[i]
 		busy := a.attPeak >= r.VolumeThreshold
 		if a.attPeak >= r.FloodThreshold {
-			a.reasons = append(a.reasons, "flood")
+			a.reasons |= reasonFlood
 		}
 		if busy && a.peak >= r.RateThreshold {
-			a.reasons = append(a.reasons, "rate")
+			a.reasons |= reasonRate
 		}
 		if busy && a.depth >= cfg.DepthLimit && a.peak >= cfg.DepthMinPeak {
-			a.reasons = append(a.reasons, "depth")
+			a.reasons |= reasonDepth
 		}
 		if a.confirms >= r.ConfirmThreshold {
-			a.reasons = append(a.reasons, "confirm")
+			a.reasons |= reasonConfirm
+		}
+		if a.reasons != 0 {
+			flagged++
 		}
 	}
 
 	// Second scan: the cycle each flagged link first crossed its
-	// thresholds, the detection-latency numerator.
-	run := make(map[Link]*linkAcc, len(acc))
-	for _, e := range events {
-		if e.Src < 0 || e.Dst < 0 || int64(e.At) < warmCycles {
-			continue
+	// thresholds, the detection-latency numerator. It looks only at
+	// flagged links, so a run with none skips it.
+	if flagged > 0 {
+		// again[i] replays link i's counts from the start of the run.
+		again := make([]linkAcc, len(accs))
+		for i := range again {
+			again[i].attWindow, again[i].window = -1, -1
 		}
-		k := Link{Src: int(e.Src), Dst: int(e.Dst)}
-		a := acc[k]
-		if a == nil || len(a.reasons) == 0 || a.flaggedAt >= 0 {
-			continue
-		}
-		s := run[k]
-		if s == nil {
-			s = &linkAcc{attWindow: -1, window: -1}
-			run[k] = s
-		}
-		switch e.Kind {
-		case KindTxStart, KindRetransmit:
-			s.noteAttempt(int64(e.At), cfg.WindowCycles)
-		case KindCollision:
-			s.noteCollision(int64(e.At), cfg.WindowCycles)
-		case KindBackoff:
-			if d := int64(e.Attempt); d > s.depth {
-				s.depth = d
+		for _, e := range events {
+			if e.Src < 0 || e.Dst < 0 || int64(e.At) < warmCycles {
+				continue
 			}
-		case KindConfirmDrop:
-			s.confirms++
-		}
-		busy := s.attPeak >= r.VolumeThreshold
-		switch {
-		case hasReason(a, "flood") && s.attIn >= r.FloodThreshold,
-			hasReason(a, "rate") && busy && s.inWindow >= r.RateThreshold,
-			hasReason(a, "depth") && busy && s.depth >= cfg.DepthLimit && s.peak >= cfg.DepthMinPeak,
-			hasReason(a, "confirm") && s.confirms >= r.ConfirmThreshold:
-			a.flaggedAt = int64(e.At)
+			i := links.index.Ref(linkKey(e.Src, e.Dst))
+			if i == nil {
+				continue
+			}
+			a := &accs[*i]
+			if a.reasons == 0 || a.flaggedAt >= 0 {
+				continue
+			}
+			s := &again[*i]
+			s.note(e, cfg.WindowCycles)
+			busy := s.attPeak >= r.VolumeThreshold
+			switch {
+			case a.reasons&reasonFlood != 0 && s.attIn >= r.FloodThreshold,
+				a.reasons&reasonRate != 0 && busy && s.inWindow >= r.RateThreshold,
+				a.reasons&reasonDepth != 0 && busy && s.depth >= cfg.DepthLimit && s.peak >= cfg.DepthMinPeak,
+				a.reasons&reasonConfirm != 0 && s.confirms >= r.ConfirmThreshold:
+				a.flaggedAt = int64(e.At)
+			}
 		}
 	}
 
-	for _, k := range keys {
-		a := acc[k]
+	if len(accs) > 0 {
+		r.Links = make([]LinkProfile, 0, len(accs))
+	}
+	if flagged > 0 {
+		r.Flagged = make([]LinkProfile, 0, flagged)
+	}
+	for _, i := range order {
+		a := &accs[i]
 		p := LinkProfile{
-			Link: k, Attempts: a.att, PeakAttempts: a.attPeak,
+			Link:     Link{Src: int(a.key >> 32), Dst: int(uint32(a.key))},
+			Attempts: a.att, PeakAttempts: a.attPeak,
 			Collisions: a.coll, PeakWindow: a.peak,
 			MaxDepth: a.depth, ConfirmDrops: a.confirms,
-			FlaggedAt: a.flaggedAt, Reason: strings.Join(a.reasons, "+"),
+			FlaggedAt: a.flaggedAt, Reason: a.reasons.String(),
 		}
 		r.Links = append(r.Links, p)
-		if p.Reason != "" {
+		if a.reasons != 0 {
 			r.Flagged = append(r.Flagged, p)
 		}
 	}
 	return r
 }
 
-func hasReason(a *linkAcc, want string) bool {
-	for _, r := range a.reasons {
-		if r == want {
-			return true
-		}
+// detectKind reports whether the detector counts events of kind k.
+func detectKind(k Kind) bool {
+	switch k {
+	case KindTxStart, KindRetransmit, KindCollision, KindBackoff, KindConfirmDrop:
+		return true
 	}
 	return false
 }
 
 // quantileInt returns the q-quantile of vs by the nearest-rank method
-// (0 for an empty sample). Integer in, integer out: no float compare
-// ambiguity enters the byte surface.
+// (0 for an empty sample), sorting vs to find it. Integer in, integer
+// out: no float compare ambiguity enters the byte surface.
 func quantileInt(vs []int64, q float64) int64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	sorted := make([]int64, len(vs))
-	copy(sorted, vs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	slices.Sort(vs)
+	idx := int(math.Ceil(q*float64(len(vs)))) - 1
+	return vs[min(max(idx, 0), len(vs)-1)]
 }
 
 func maxInt64(a, b int64) int64 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,6 +170,5 @@ func TestQuantileIntNearestRank(t *testing.T) {
 
 // sortEvents re-establishes the non-decreasing At order Detect requires.
 func sortEvents(events []Event) {
-	r := &Recorder{events: events}
-	r.Events()
+	slices.SortStableFunc(events, byCycle)
 }

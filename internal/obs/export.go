@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"io"
 	"strconv"
+
+	"fsoi/internal/table"
 )
 
 // An export writes through a bufio.Writer of blockBytes and appends each
@@ -108,9 +110,9 @@ func appendJSONL(b []byte, ev Event) []byte {
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriterSize(w, blockBytes)
 	bw.WriteString(`{"traceEvents":[`)
-	// injectAt pairs each packet's injection with its terminal event; it
-	// is only ever indexed, never iterated, so map order cannot leak.
-	injectAt := make(map[uint64]int64)
+	// injectAt pairs each packet's injection with its terminal event, by
+	// packet id.
+	var injectAt table.Table[int64]
 	sep := "" // a comma before every record but the first
 	for _, ev := range r.Events() {
 		if err := makeRoom(bw); err != nil {
@@ -119,14 +121,14 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		b := append(bw.AvailableBuffer(), sep...)
 		switch ev.Kind {
 		case KindInject:
-			injectAt[ev.ID] = int64(ev.At)
+			*injectAt.Put(ev.ID) = int64(ev.At)
 			continue
 		case KindDeliver, KindDrop:
-			start, ok := injectAt[ev.ID]
-			if !ok {
-				start = int64(ev.At)
+			start := int64(ev.At)
+			if at := injectAt.Ref(ev.ID); at != nil {
+				start = *at
+				injectAt.Delete(ev.ID)
 			}
-			delete(injectAt, ev.ID)
 			b = appendSpan(b, ev, start)
 		case KindCollision, KindBackoff, KindConfirmDrop, KindFault:
 			b = appendInstant(b, ev)

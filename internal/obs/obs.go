@@ -8,10 +8,13 @@
 //
 // The package obeys the same determinism rules as the simulation
 // packages (fsoilint's detsource/maporder analyzers enforce them):
-// events are appended in simulated-time order, never stamped with host
-// time, and every map-backed aggregation iterates in sorted key order.
+// events are recorded in simulated-time order, never stamped with host
+// time, and every per-link aggregation lives in a slab behind an
+// internal/table index, walked in slab order or sorted by (src, dst):
+// the package holds no Go map whose iteration order could leak.
 // A nil *Recorder is the disabled state — every emission site guards
-// with a single nil check and the hot path allocates nothing.
+// with a single nil check and the hot path allocates once per
+// chunkEvents emissions.
 package obs
 
 import (
@@ -151,13 +154,36 @@ type Event struct {
 // invariant with a stable sort so exports are deterministically ordered
 // even if a caller violates it.
 //
+// Emissions land in fixed-size chunks the recorder allocates as it fills
+// them, so recording n events allocates n/chunkEvents times and never
+// copies an event already held. What the recorder holds is flat followed
+// by the chunks: Events folds the chunks into flat (one copy, on the
+// standalone path only; Sharded.Merged reads the chunks where they lie),
+// and a merged recorder is all flat from the start.
+//
 // The zero of *Recorder (nil) is the disabled state: emission sites
 // guard with a nil check and pay nothing else.
 type Recorder struct {
-	events []Event
-	limit  int
-	lost   int64
-	sorted bool
+	flat       []Event
+	head, tail *chunk // emissions since flat was last built; nil when none
+	fill       int    // events in tail
+	n          int    // events held, flat and chunks together
+	last       sim.Cycle
+	unsorted   bool // some event was emitted below its predecessor's cycle
+	limit      int
+	lost       int64
+}
+
+// chunkEvents is the capacity of one chunk: 10 KB of events, small enough
+// that a node with a handful of events wastes little and large enough
+// that a busy node allocates once per few hundred emissions.
+const chunkEvents = 256
+
+// chunk is one link of a recorder's emission list. next comes first so
+// that the garbage collector's scan of a chunk ends after one word.
+type chunk struct {
+	next *chunk
+	ev   [chunkEvents]Event
 }
 
 // NewRecorder builds a recorder holding at most limit events; limit <= 0
@@ -169,12 +195,58 @@ func NewRecorder(limit int) *Recorder {
 
 // Emit appends one event.
 func (r *Recorder) Emit(e Event) {
-	if r.limit > 0 && len(r.events) >= r.limit {
+	if r.limit > 0 && r.n >= r.limit {
 		r.lost++
 		return
 	}
-	r.sorted = false
-	r.events = append(r.events, e)
+	if e.At < r.last {
+		r.unsorted = true
+	}
+	r.last = e.At
+	if r.tail == nil || r.fill == chunkEvents {
+		c := new(chunk)
+		if r.tail == nil {
+			r.head = c
+		} else {
+			r.tail.next = c
+		}
+		r.tail, r.fill = c, 0
+	}
+	r.tail.ev[r.fill] = e
+	r.fill++
+	r.n++
+}
+
+// run walks a recorder's events a segment at a time: flat, then each
+// chunk. cur is the segment being read, empty once the walk is over.
+type run struct {
+	cur  []Event
+	next *chunk
+	fill int // events in the last chunk, the only one not full
+}
+
+// run starts a walk at the recorder's first event.
+func (r *Recorder) run() run {
+	w := run{cur: r.flat, next: r.head, fill: r.fill}
+	if len(w.cur) == 0 {
+		w.advance()
+	}
+	return w
+}
+
+// advance moves to the next segment. No chunk is empty: Emit allocates
+// one only to store into it.
+func (w *run) advance() {
+	c := w.next
+	if c == nil {
+		w.cur = nil
+		return
+	}
+	w.next = c.next
+	w.cur = c.ev[:]
+	if c.next == nil {
+		w.cur = c.ev[:w.fill]
+	}
 }
 
 // Len reports the number of recorded events.
@@ -182,7 +254,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
 // Lost reports how many events the limit discarded.
@@ -196,20 +268,26 @@ func (r *Recorder) Lost() int64 {
 // Events returns the recorded events sorted by cycle, with emission
 // order breaking ties (the sort is stable and emission order is itself
 // deterministic under the engine, so the result is byte-stable across
-// runs and worker counts).
+// runs and worker counts). The slice is the recorder's own: it stays
+// valid, and a second call returns it again, until the next Emit.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if !r.sorted {
-		// An engine-driven caller emits in cycle order already, so the
-		// usual cost is this one linear check.
-		if !slices.IsSortedFunc(r.events, byCycle) {
-			slices.SortStableFunc(r.events, byCycle)
+	if r.head != nil {
+		flat := make([]Event, 0, r.n)
+		for w := r.run(); len(w.cur) > 0; w.advance() {
+			flat = append(flat, w.cur...)
 		}
-		r.sorted = true
+		r.flat, r.head, r.tail, r.fill = flat, nil, nil, 0
 	}
-	return r.events
+	if r.unsorted {
+		// An engine-driven caller emits in cycle order already and never
+		// gets here.
+		slices.SortStableFunc(r.flat, byCycle)
+		r.last, r.unsorted = r.flat[len(r.flat)-1].At, false
+	}
+	return r.flat
 }
 
 // byCycle orders events by cycle alone, leaving ties to a stable sort.
@@ -221,9 +299,11 @@ func (r *Recorder) CountByKind() [numKinds]int64 {
 	if r == nil {
 		return out
 	}
-	for _, e := range r.events {
-		if int(e.Kind) < len(out) {
-			out[e.Kind]++
+	for w := r.run(); len(w.cur) > 0; w.advance() {
+		for _, e := range w.cur {
+			if int(e.Kind) < len(out) {
+				out[e.Kind]++
+			}
 		}
 	}
 	return out

@@ -7,11 +7,46 @@ import (
 	"strings"
 
 	"fsoi/internal/stats"
+	"fsoi/internal/table"
 )
 
 // Link identifies one directed src->dst packet stream.
 type Link struct {
 	Src, Dst int
+}
+
+// linkKey packs a link into one table key. It is one-to-one over int32
+// node ids, and over non-negative ids the integer order of keys is the
+// (src, dst) order of links.
+func linkKey(src, dst int32) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(dst))
+}
+
+// linkSlab keeps one T per link: the records in first-seen order, and the
+// table that finds a link's position among them. It owns no memory until
+// a link is added, and its table's slots hold no pointer.
+type linkSlab[T any] struct {
+	index table.Table[int32]
+	recs  []T
+}
+
+// find returns key's record, nil when the link was never added.
+func (s *linkSlab[T]) find(key uint64) *T {
+	if i := s.index.Ref(key); i != nil {
+		return &s.recs[*i]
+	}
+	return nil
+}
+
+// at returns key's record, adding a zero one (fresh reports it) on first
+// sight. The pointer is good until the next call.
+func (s *linkSlab[T]) at(key uint64) (rec *T, fresh bool) {
+	if r := s.find(key); r != nil {
+		return r, false
+	}
+	*s.index.Put(key) = int32(len(s.recs))
+	s.recs = append(s.recs, *new(T))
+	return &s.recs[len(s.recs)-1], true
 }
 
 // registry histogram shape: 5-cycle buckets out to 2000 cycles covers
@@ -27,15 +62,27 @@ const (
 // per packet class and per src->dst link, extending the Figure 5
 // distribution reporting with the tail statistics (p50/p90/p99/p999)
 // a production observability layer reports.
+//
+// Everything kept per link is one linkRec; nothing is allocated until a
+// link is noted.
 type Registry struct {
-	byClass [2]*stats.Histogram
-	byLink  map[Link]*stats.Histogram
-
-	// Contention tracking for the detection layer (core.LinkObserver):
-	// collision-event counts and deepest backoff attempt per link.
-	collByLink  map[Link]int64
-	depthByLink map[Link]int64
+	byClass  [2]*stats.Histogram
+	links    linkSlab[linkRec]
+	observed int // records with a latency histogram
 }
+
+// linkRec is what the registry knows of one link: its delivered-packet
+// latencies, and for the detection layer (core.LinkObserver) its
+// collision events and deepest backoff attempt.
+type linkRec struct {
+	Link
+	hist  *stats.Histogram // nil until a delivery is observed
+	coll  int64
+	depth int64
+}
+
+// contended reports whether the link has a contention record.
+func (r *linkRec) contended() bool { return r.coll > 0 || r.depth > 0 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
@@ -44,22 +91,42 @@ func NewRegistry() *Registry {
 			stats.NewHistogram(registryWidth, registryBuckets),
 			stats.NewHistogram(registryWidth, registryBuckets),
 		},
-		byLink:      make(map[Link]*stats.Histogram),
-		collByLink:  make(map[Link]int64),
-		depthByLink: make(map[Link]int64),
 	}
+}
+
+// find returns k's record, nil when the link was never noted.
+func (g *Registry) find(k Link) *linkRec {
+	return g.links.find(linkKey(int32(k.Src), int32(k.Dst)))
+}
+
+// rec returns k's record, adding an empty one on first sight. The pointer
+// is good until the next call.
+func (g *Registry) rec(k Link) *linkRec {
+	r, fresh := g.links.at(linkKey(int32(k.Src), int32(k.Dst)))
+	if fresh {
+		r.Link = k
+	}
+	return r
+}
+
+// latencies returns the record's histogram, building it on first use.
+func (g *Registry) latencies(r *linkRec) *stats.Histogram {
+	if r.hist == nil {
+		r.hist = stats.NewHistogram(registryWidth, registryBuckets)
+		g.observed++
+	}
+	return r.hist
 }
 
 // NoteCollision counts one collision event on src->dst.
 func (g *Registry) NoteCollision(src, dst int) {
-	g.collByLink[Link{Src: src, Dst: dst}]++
+	g.rec(Link{Src: src, Dst: dst}).coll++
 }
 
 // NoteBackoff tracks the deepest backoff attempt seen on src->dst.
 func (g *Registry) NoteBackoff(src, dst, attempt int) {
-	key := Link{Src: src, Dst: dst}
-	if int64(attempt) > g.depthByLink[key] {
-		g.depthByLink[key] = int64(attempt)
+	if r := g.rec(Link{Src: src, Dst: dst}); int64(attempt) > r.depth {
+		r.depth = int64(attempt)
 	}
 }
 
@@ -69,13 +136,7 @@ func (g *Registry) Observe(class uint8, src, dst int, latency int64) {
 		class = ClassMeta
 	}
 	g.byClass[class].Add(latency)
-	key := Link{Src: src, Dst: dst}
-	h := g.byLink[key]
-	if h == nil {
-		h = stats.NewHistogram(registryWidth, registryBuckets)
-		g.byLink[key] = h
-	}
-	h.Add(latency)
+	g.latencies(g.rec(Link{Src: src, Dst: dst})).Add(latency)
 }
 
 // Merge folds other into g. Histogram merges are exact bucket
@@ -86,21 +147,14 @@ func (g *Registry) Merge(other *Registry) {
 	for c := range g.byClass {
 		g.byClass[c].Merge(other.byClass[c])
 	}
-	for k, h := range other.byLink { // additive per-key merge: iteration order is immaterial
-		mine := g.byLink[k]
-		if mine == nil {
-			mine = stats.NewHistogram(registryWidth, registryBuckets)
-			g.byLink[k] = mine
+	for i := range other.links.recs {
+		theirs := &other.links.recs[i]
+		mine := g.rec(theirs.Link)
+		if theirs.hist != nil {
+			g.latencies(mine).Merge(theirs.hist)
 		}
-		mine.Merge(h)
-	}
-	for k, v := range other.collByLink { // additive per-key merge
-		g.collByLink[k] += v
-	}
-	for k, v := range other.depthByLink { // per-key max merge: order-independent
-		if v > g.depthByLink[k] {
-			g.depthByLink[k] = v
-		}
+		mine.coll += theirs.coll
+		mine.depth = max(mine.depth, theirs.depth)
 	}
 }
 
@@ -143,12 +197,10 @@ func (g *Registry) ClassTable() string {
 	return t.String()
 }
 
-// rankedLink is a link with the count a table ranks it by. The count is
-// read from its map once, when the row is built, so that ranking every
-// link of a 64-node run to print sixteen compares integers instead of
-// hashing links.
+// rankedLink is one row of a ranked table: a link's record and the count
+// the table ranks it by.
 type rankedLink struct {
-	Link
+	*linkRec
 	n int64
 }
 
@@ -172,37 +224,46 @@ func cutTop(rows []rankedLink, top int) (kept []rankedLink, note string) {
 // (ties broken by src, dst), truncated to at most top rows (top <= 0
 // means every link). The truncation is announced, never silent.
 func (g *Registry) LinkTable(top int) string {
-	rows := make([]rankedLink, 0, len(g.byLink))
-	for k, h := range g.byLink {
-		rows = append(rows, rankedLink{k, h.Total()})
+	rows := make([]rankedLink, 0, g.observed)
+	for i := range g.links.recs {
+		if r := &g.links.recs[i]; r.hist != nil {
+			rows = append(rows, rankedLink{r, r.hist.Total()})
+		}
 	}
 	slices.SortFunc(rows, heaviestFirst)
 	rows, note := cutTop(rows, top)
 	t := stats.NewTable("link", "n", "mean", "p50", "p90", "p99", "p999")
 	for _, r := range rows {
-		addRow(t, fmt.Sprintf("%d->%d", r.Src, r.Dst), g.byLink[r.Link])
+		addRow(t, fmt.Sprintf("%d->%d", r.Src, r.Dst), r.hist)
 	}
 	return t.String() + note
 }
 
 // LinkCollisions reports the collision-event count recorded for one link.
-func (g *Registry) LinkCollisions(k Link) int64 { return g.collByLink[k] }
+func (g *Registry) LinkCollisions(k Link) int64 {
+	if r := g.find(k); r != nil {
+		return r.coll
+	}
+	return 0
+}
 
 // LinkDepth reports the deepest backoff attempt recorded for one link.
-func (g *Registry) LinkDepth(k Link) int64 { return g.depthByLink[k] }
+func (g *Registry) LinkDepth(k Link) int64 {
+	if r := g.find(k); r != nil {
+		return r.depth
+	}
+	return 0
+}
 
 // ContentionTable renders the per-link contention table over every link
 // with a collision or backoff record, most-collided links first (ties
 // broken by src, dst), truncated to at most top rows (top <= 0 means
 // every link). The truncation is announced, never silent.
 func (g *Registry) ContentionTable(top int) string {
-	rows := make([]rankedLink, 0, len(g.collByLink))
-	for k, n := range g.collByLink {
-		rows = append(rows, rankedLink{k, n})
-	}
-	for k := range g.depthByLink {
-		if _, dup := g.collByLink[k]; !dup {
-			rows = append(rows, rankedLink{k, 0})
+	rows := make([]rankedLink, 0, len(g.links.recs))
+	for i := range g.links.recs {
+		if r := &g.links.recs[i]; r.contended() {
+			rows = append(rows, rankedLink{r, r.coll})
 		}
 	}
 	slices.SortFunc(rows, heaviestFirst)
@@ -210,7 +271,7 @@ func (g *Registry) ContentionTable(top int) string {
 	t := stats.NewTable("link", "collisions", "max-backoff")
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d->%d", r.Src, r.Dst),
-			fmt.Sprintf("%d", r.n), fmt.Sprintf("%d", g.depthByLink[r.Link]))
+			fmt.Sprintf("%d", r.n), fmt.Sprintf("%d", r.depth))
 	}
 	return t.String() + note
 }
@@ -223,7 +284,7 @@ func (g *Registry) String() string {
 	b.WriteString(g.ClassTable())
 	b.WriteString("\nlatency percentiles by link (cycles)\n")
 	b.WriteString(g.LinkTable(16))
-	if len(g.collByLink)+len(g.depthByLink) > 0 {
+	if slices.ContainsFunc(g.links.recs, func(r linkRec) bool { return r.contended() }) {
 		b.WriteString("\nlink contention (collision events, deepest backoff)\n")
 		b.WriteString(g.ContentionTable(16))
 	}
@@ -231,7 +292,7 @@ func (g *Registry) String() string {
 }
 
 // Links reports how many distinct src->dst links were observed.
-func (g *Registry) Links() int { return len(g.byLink) }
+func (g *Registry) Links() int { return g.observed }
 
 // Class exposes one class histogram (tests, fsoitrace).
 func (g *Registry) Class(c uint8) *stats.Histogram {

@@ -1,0 +1,284 @@
+package obs
+
+// Registry as it stood before one slab replaced its three Go maps, kept
+// word for word as the reference of TestRegistryMatchesReference.
+// addRow, fmtQuantile and the quantile list are shared with the live
+// code: PR 22 did not touch them.
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"fsoi/internal/sim"
+	"fsoi/internal/stats"
+)
+
+// refRegistry accumulates delivered-packet latencies into percentile tables
+// per packet class and per src->dst link, extending the Figure 5
+// distribution reporting with the tail statistics (p50/p90/p99/p999)
+// a production observability layer reports.
+type refRegistry struct {
+	byClass [2]*stats.Histogram
+	byLink  map[Link]*stats.Histogram
+
+	// Contention tracking for the detection layer (core.LinkObserver):
+	// collision-event counts and deepest backoff attempt per link.
+	collByLink  map[Link]int64
+	depthByLink map[Link]int64
+}
+
+// newRefRegistry builds an empty registry.
+func newRefRegistry() *refRegistry {
+	return &refRegistry{
+		byClass: [2]*stats.Histogram{
+			stats.NewHistogram(registryWidth, registryBuckets),
+			stats.NewHistogram(registryWidth, registryBuckets),
+		},
+		byLink:      make(map[Link]*stats.Histogram),
+		collByLink:  make(map[Link]int64),
+		depthByLink: make(map[Link]int64),
+	}
+}
+
+// NoteCollision counts one collision event on src->dst.
+func (g *refRegistry) NoteCollision(src, dst int) {
+	g.collByLink[Link{Src: src, Dst: dst}]++
+}
+
+// NoteBackoff tracks the deepest backoff attempt seen on src->dst.
+func (g *refRegistry) NoteBackoff(src, dst, attempt int) {
+	key := Link{Src: src, Dst: dst}
+	if int64(attempt) > g.depthByLink[key] {
+		g.depthByLink[key] = int64(attempt)
+	}
+}
+
+// Observe folds one delivered packet into the tables.
+func (g *refRegistry) Observe(class uint8, src, dst int, latency int64) {
+	if class > ClassData {
+		class = ClassMeta
+	}
+	g.byClass[class].Add(latency)
+	key := Link{Src: src, Dst: dst}
+	h := g.byLink[key]
+	if h == nil {
+		h = stats.NewHistogram(registryWidth, registryBuckets)
+		g.byLink[key] = h
+	}
+	h.Add(latency)
+}
+
+// Merge folds other into g. Histogram merges are exact bucket
+// addition, so the result is independent of merge order; per-node
+// registries merged in node order therefore aggregate identically at
+// every shard and worker count.
+func (g *refRegistry) Merge(other *refRegistry) {
+	for c := range g.byClass {
+		g.byClass[c].Merge(other.byClass[c])
+	}
+	for k, h := range other.byLink { // additive per-key merge: iteration order is immaterial
+		mine := g.byLink[k]
+		if mine == nil {
+			mine = stats.NewHistogram(registryWidth, registryBuckets)
+			g.byLink[k] = mine
+		}
+		mine.Merge(h)
+	}
+	for k, v := range other.collByLink { // additive per-key merge
+		g.collByLink[k] += v
+	}
+	for k, v := range other.depthByLink { // per-key max merge: order-independent
+		if v > g.depthByLink[k] {
+			g.depthByLink[k] = v
+		}
+	}
+}
+
+// ClassTable renders the per-packet-class percentile table.
+func (g *refRegistry) ClassTable() string {
+	t := stats.NewTable("class", "n", "mean", "p50", "p90", "p99", "p999")
+	addRow(t, "meta", g.byClass[ClassMeta])
+	addRow(t, "data", g.byClass[ClassData])
+	return t.String()
+}
+
+// refRankedLink is a link with the count a table ranks it by. The count is
+// read from its map once, when the row is built, so that ranking every
+// link of a 64-node run to print sixteen compares integers instead of
+// hashing links.
+type refRankedLink struct {
+	Link
+	n int64
+}
+
+// refHeaviestFirst orders ranked links by descending count, ties broken by
+// (src, dst). Links are distinct, so the order is total.
+func refHeaviestFirst(a, b refRankedLink) int {
+	return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// refCutTop keeps at most top rows (top <= 0 means all of them) and returns
+// the line that announces what it cut, empty when it cut nothing: a
+// truncation is stated, never silent.
+func refCutTop(rows []refRankedLink, top int) (kept []refRankedLink, note string) {
+	if top <= 0 || len(rows) <= top {
+		return rows, ""
+	}
+	return rows[:top], fmt.Sprintf("(%d quieter links omitted)\n", len(rows)-top)
+}
+
+// LinkTable renders the per-link percentile table, busiest links first
+// (ties broken by src, dst), truncated to at most top rows (top <= 0
+// means every link). The truncation is announced, never silent.
+func (g *refRegistry) LinkTable(top int) string {
+	rows := make([]refRankedLink, 0, len(g.byLink))
+	for k, h := range g.byLink {
+		rows = append(rows, refRankedLink{k, h.Total()})
+	}
+	slices.SortFunc(rows, refHeaviestFirst)
+	rows, note := refCutTop(rows, top)
+	t := stats.NewTable("link", "n", "mean", "p50", "p90", "p99", "p999")
+	for _, r := range rows {
+		addRow(t, fmt.Sprintf("%d->%d", r.Src, r.Dst), g.byLink[r.Link])
+	}
+	return t.String() + note
+}
+
+// LinkCollisions reports the collision-event count recorded for one link.
+func (g *refRegistry) LinkCollisions(k Link) int64 { return g.collByLink[k] }
+
+// LinkDepth reports the deepest backoff attempt recorded for one link.
+func (g *refRegistry) LinkDepth(k Link) int64 { return g.depthByLink[k] }
+
+// ContentionTable renders the per-link contention table over every link
+// with a collision or backoff record, most-collided links first (ties
+// broken by src, dst), truncated to at most top rows (top <= 0 means
+// every link). The truncation is announced, never silent.
+func (g *refRegistry) ContentionTable(top int) string {
+	rows := make([]refRankedLink, 0, len(g.collByLink))
+	for k, n := range g.collByLink {
+		rows = append(rows, refRankedLink{k, n})
+	}
+	for k := range g.depthByLink {
+		if _, dup := g.collByLink[k]; !dup {
+			rows = append(rows, refRankedLink{k, 0})
+		}
+	}
+	slices.SortFunc(rows, refHeaviestFirst)
+	rows, note := refCutTop(rows, top)
+	t := stats.NewTable("link", "collisions", "max-backoff")
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%d->%d", r.Src, r.Dst),
+			fmt.Sprintf("%d", r.n), fmt.Sprintf("%d", g.depthByLink[r.Link]))
+	}
+	return t.String() + note
+}
+
+// String renders every table (the contention table only once something
+// was recorded into it).
+func (g *refRegistry) String() string {
+	var b strings.Builder
+	b.WriteString("latency percentiles by packet class (cycles)\n")
+	b.WriteString(g.ClassTable())
+	b.WriteString("\nlatency percentiles by link (cycles)\n")
+	b.WriteString(g.LinkTable(16))
+	if len(g.collByLink)+len(g.depthByLink) > 0 {
+		b.WriteString("\nlink contention (collision events, deepest backoff)\n")
+		b.WriteString(g.ContentionTable(16))
+	}
+	return b.String()
+}
+
+// Links reports how many distinct src->dst links were observed.
+func (g *refRegistry) Links() int { return len(g.byLink) }
+
+// Class exposes one class histogram (tests, fsoitrace).
+func (g *refRegistry) Class(c uint8) *stats.Histogram {
+	if c > ClassData {
+		c = ClassMeta
+	}
+	return g.byClass[c]
+}
+
+// linkObserver is what the registry and its reference both are to the
+// script that drives them.
+type linkObserver interface {
+	NoteCollision(src, dst int)
+	NoteBackoff(src, dst, attempt int)
+	Observe(class uint8, src, dst int, latency int64)
+}
+
+// observeRun feeds one node's recorded events to that node's registry the
+// way internal/system wires them: collisions, backoffs and deliveries.
+func observeRun(g linkObserver, run []Event) {
+	for _, e := range run {
+		switch e.Kind {
+		case KindCollision:
+			g.NoteCollision(int(e.Src), int(e.Dst))
+		case KindBackoff:
+			g.NoteBackoff(int(e.Src), int(e.Dst), int(e.Attempt))
+		case KindDeliver:
+			g.Observe(e.Class, int(e.Src), int(e.Dst), e.Aux)
+		}
+	}
+}
+
+// registryMatchesReference replays an emission script into per-node
+// registries of both kinds, folds each family in node order, and compares
+// everything a registry can be asked. Each registry also sees the first
+// half of the next node's run, so that Merge meets links two registries
+// both know, with different counts and depths.
+func registryMatchesReference(t *testing.T, nodes int, script []byte) {
+	t.Helper()
+	s := NewSharded(nodes, 0)
+	emitScript(nodes, script)(s)
+	got, want := NewRegistry(), newRefRegistry()
+	for node := 0; node < nodes; node++ {
+		g, w := NewRegistry(), newRefRegistry()
+		run, next := s.For(node).Events(), s.For((node+1)%nodes).Events()
+		for _, r := range [][]Event{run, next[:len(next)/2]} {
+			observeRun(g, r)
+			observeRun(w, r)
+		}
+		got.Merge(g)
+		want.Merge(w)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("nodes %d: String differs\n got:\n%s\nwant:\n%s", nodes, got, want)
+	}
+	if got.LinkTable(0) != want.LinkTable(0) || got.ContentionTable(0) != want.ContentionTable(0) {
+		t.Fatalf("nodes %d: uncut tables differ\n got:\n%s%s\nwant:\n%s%s", nodes,
+			got.LinkTable(0), got.ContentionTable(0), want.LinkTable(0), want.ContentionTable(0))
+	}
+	if got.Links() != want.Links() {
+		t.Fatalf("nodes %d: Links = %d, reference %d", nodes, got.Links(), want.Links())
+	}
+	for src := -1; src <= nodes; src++ {
+		for dst := -1; dst <= nodes; dst++ {
+			k := Link{Src: src, Dst: dst}
+			if got.LinkCollisions(k) != want.LinkCollisions(k) || got.LinkDepth(k) != want.LinkDepth(k) {
+				t.Fatalf("nodes %d: link %v collisions/depth = %d/%d, reference %d/%d", nodes, k,
+					got.LinkCollisions(k), got.LinkDepth(k), want.LinkCollisions(k), want.LinkDepth(k))
+			}
+		}
+	}
+}
+
+// TestRegistryMatchesReference holds the slab registry to the three-map
+// one over random scripts from the shared generator, which reach links
+// with every mix of latency, collision and backoff records (a backoff
+// at attempt 0 and a destination of -1 among them).
+func TestRegistryMatchesReference(t *testing.T) {
+	registryMatchesReference(t, 4, nil)
+	rng := sim.NewRNG(2203)
+	for trial := 0; trial < 200; trial++ {
+		nodes := 1 + rng.Intn(9)
+		if trial%10 == 0 {
+			nodes = 64
+		}
+		registryMatchesReference(t, nodes, randomScript(rng, 800, true))
+	}
+}

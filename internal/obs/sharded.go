@@ -49,22 +49,32 @@ func (s *Sharded) For(node int) *Recorder {
 // produces. All three keys are partition-invariant, so the merged
 // stream is byte-identical at every shard and worker count. Lost events
 // are summed, plus whatever the truncation leaves unmerged.
+//
+// The runs are read where the recorders hold them, chunk by chunk, and
+// left as they were: a second Merged returns an equal recorder.
 func (s *Sharded) Merged() *Recorder {
 	if s == nil {
 		return nil
 	}
-	out := &Recorder{limit: s.limit, sorted: true}
+	out := &Recorder{limit: s.limit}
 	// heads is a binary min-heap over the non-empty runs, ordered by each
 	// run's next unmerged event. No two runs share a node, so (at, node)
-	// never ties.
+	// never ties. It holds values only; where each run has got to is in
+	// runs, indexed by node, which no sift ever moves.
+	runs := make([]run, len(s.recs))
 	heads := make([]runHead, 0, len(s.recs))
 	total := 0
 	for node, r := range s.recs {
 		out.lost += r.lost
-		if run := r.Events(); len(run) > 0 {
-			total += len(run)
-			heads = append(heads, runHead{at: run[0].At, node: node, rest: run})
+		if r.n == 0 {
+			continue
 		}
+		if r.unsorted {
+			r.Events()
+		}
+		total += r.n
+		runs[node] = r.run()
+		heads = append(heads, runHead{at: runs[node].cur[0].At, node: int32(node)})
 	}
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
@@ -74,29 +84,58 @@ func (s *Sharded) Merged() *Recorder {
 		keep = s.limit
 	}
 	out.lost += int64(total - keep)
-	if keep > 0 {
-		out.events = make([]Event, 0, keep)
+	if keep == 0 {
+		return out
 	}
-	for len(out.events) < keep {
-		h := &heads[0]
-		out.events = append(out.events, h.rest[0])
-		if h.rest = h.rest[1:]; len(h.rest) > 0 {
-			h.at = h.rest[0].At
+	out.flat, out.n = make([]Event, keep), keep
+	for done := 0; done < keep; {
+		// The head run gives up events for as long as its key stays below
+		// its smaller child's, which is every other run's lower bound: the
+		// heap is sifted once per change of run, not once per event.
+		w := &runs[heads[0].node]
+		bound, alone := runHead{}, len(heads) == 1
+		if !alone {
+			bound = heads[1]
+			if len(heads) > 2 && heads[2].before(bound) {
+				bound = heads[2]
+			}
+		}
+		tie := heads[0].node < bound.node // an equal cycle still precedes bound
+		for {
+			seg, k := w.cur, 0
+			for k < len(seg) && (alone || seg[k].At < bound.at || tie && seg[k].At == bound.at) {
+				k++
+			}
+			done += copy(out.flat[done:], seg[:k]) // out.flat is keep long: the copy stops at the limit
+			if w.cur = w.cur[k:]; len(w.cur) > 0 {
+				break
+			}
+			if w.advance(); len(w.cur) == 0 || done == keep {
+				break
+			}
+		}
+		if len(w.cur) > 0 {
+			heads[0].at = w.cur[0].At
 		} else {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}
 		siftDown(heads, 0)
 	}
+	out.last = out.flat[keep-1].At
 	return out
 }
 
-// runHead is one per-node run inside Merged's heap: the events of the
-// node not yet merged, and the key of the first of them.
+// runHead is one per-node run inside Merged's heap: the key of the first
+// event of the node not yet merged.
 type runHead struct {
 	at   sim.Cycle
-	node int
-	rest []Event
+	node int32
+}
+
+// before orders run heads by (at, node).
+func (h runHead) before(o runHead) bool {
+	return h.at < o.at || h.at == o.at && h.node < o.node
 }
 
 // siftDown restores the min-heap order of heads below index i.
@@ -104,8 +143,7 @@ func siftDown(heads []runHead, i int) {
 	for {
 		least := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(heads); c++ {
-			if heads[c].at < heads[least].at ||
-				heads[c].at == heads[least].at && heads[c].node < heads[least].node {
+			if heads[c].before(heads[least]) {
 				least = c
 			}
 		}

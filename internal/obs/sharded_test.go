@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"slices"
 	"sort"
 	"testing"
@@ -14,23 +15,23 @@ import (
 func refMerged(s *Sharded) *Recorder {
 	out := &Recorder{limit: s.limit}
 	for _, r := range s.recs {
-		out.events = append(out.events, r.Events()...)
+		out.flat = append(out.flat, r.Events()...)
 		out.lost += r.lost
 	}
-	sort.SliceStable(out.events, func(i, j int) bool {
-		return out.events[i].At < out.events[j].At
+	sort.SliceStable(out.flat, func(i, j int) bool {
+		return out.flat[i].At < out.flat[j].At
 	})
-	if s.limit > 0 && len(out.events) > s.limit {
-		out.lost += int64(len(out.events) - s.limit)
-		out.events = out.events[:s.limit]
+	if s.limit > 0 && len(out.flat) > s.limit {
+		out.lost += int64(len(out.flat) - s.limit)
+		out.flat = out.flat[:s.limit]
 	}
-	out.sorted = true
+	out.n = len(out.flat)
 	return out
 }
 
 // mergedMatchesReference builds the same per-node recording twice (Events
-// sorts a run in place, so the two merges must not share recorders) and
-// compares the merge with the reference: events, order, Lost and Len.
+// folds a run into one slice, so the two merges must not share recorders)
+// and compares the merge with the reference: events, order, Lost and Len.
 func mergedMatchesReference(t *testing.T, nodes, limit int, emit func(*Sharded)) {
 	t.Helper()
 	a, b := NewSharded(nodes, limit), NewSharded(nodes, limit)
@@ -41,40 +42,72 @@ func mergedMatchesReference(t *testing.T, nodes, limit int, emit func(*Sharded))
 		t.Fatalf("nodes %d limit %d: merged len/lost = %d/%d, reference %d/%d",
 			nodes, limit, got.Len(), got.Lost(), want.Len(), want.Lost())
 	}
+	if got.head != nil || got.unsorted {
+		t.Fatalf("nodes %d limit %d: the merged recorder is not one sorted slice", nodes, limit)
+	}
 	if !slices.Equal(got.Events(), want.Events()) {
-		for i := range got.events {
-			if got.events[i] != want.events[i] {
-				t.Fatalf("nodes %d limit %d: event %d = %+v, reference %+v", nodes, limit, i, got.events[i], want.events[i])
+		for i := range got.flat {
+			if got.flat[i] != want.flat[i] {
+				t.Fatalf("nodes %d limit %d: event %d = %+v, reference %+v", nodes, limit, i, got.flat[i], want.flat[i])
 			}
 		}
 	}
-	if !slices.IsSortedFunc(got.events, byCycle) {
+	if !slices.IsSortedFunc(got.flat, byCycle) {
 		t.Fatalf("nodes %d limit %d: merged events out of cycle order", nodes, limit)
 	}
-	if again := a.Merged(); !slices.Equal(again.events, got.events) || again.Lost() != got.Lost() {
+	if again := a.Merged(); !slices.Equal(again.flat, got.flat) || again.Lost() != got.Lost() {
 		t.Fatalf("nodes %d limit %d: a second Merged differs from the first", nodes, limit)
 	}
 }
 
-// emitScript replays a byte script into per-node recorders. Each pair of
-// bytes is one event: the first picks the node, the second advances that
-// node's clock by 0-3 cycles (so cycles tie heavily within and across
-// nodes) or, on its top bit, steps the clock back, which leaves the run
-// unsorted. The event's ID is its position in the script, so any
-// reordering of equal-cycle events shows.
+// scriptBytes is the length of one event in an emission script.
+const scriptBytes = 4
+
+// emitScript replays a byte script into per-node recorders: the one
+// generator behind the merge, detector and registry differential tests.
+// Four bytes make one event, see scriptEvent. The event's ID is its
+// position in the script, so any reordering of equal-cycle events shows.
 func emitScript(nodes int, script []byte) func(*Sharded) {
 	return func(s *Sharded) {
 		clock := make([]sim.Cycle, nodes)
-		for i := 0; i+1 < len(script); i += 2 {
-			node, step := int(script[i])%nodes, script[i+1]
+		for i := 0; i+scriptBytes <= len(script); i += scriptBytes {
+			node, step, dst, detail := int(script[i])%nodes, script[i+1], script[i+2], script[i+3]
 			if step&0x80 != 0 {
 				clock[node] -= sim.Cycle(step & 3)
 			} else {
 				clock[node] += sim.Cycle(step & 3)
 			}
-			s.For(node).Emit(Event{At: clock[node], ID: uint64(i / 2), Src: int32(node), Kind: Kind(step>>2) % numKinds})
+			s.For(node).Emit(Event{
+				At: clock[node], ID: uint64(i / scriptBytes), Kind: Kind(step>>2) % numKinds,
+				Src: int32(node), Dst: int32(dst)%int32(nodes+1) - 1, // -1: no destination
+				Attempt: int32(detail & 31), Aux: int64(detail) * 9, Class: detail >> 7,
+			})
 		}
 	}
+}
+
+// scriptEvent encodes one event of an emission script: the emitting node
+// (taken modulo the node count), the kind, the 0-3 cycles the node's clock
+// advances first, the destination (dst+1 modulo nodes+1, so -1 is "none")
+// and a detail byte that gives the attempt (low five bits), the latency
+// (nine times it) and the class (top bit). Setting bit 7 of the second
+// byte by hand steps the clock back instead, which leaves the run
+// unsorted.
+func scriptEvent(node int, kind Kind, advance, dst int, detail byte) []byte {
+	return []byte{byte(node), byte(kind)<<2 | byte(advance&3), byte(dst + 1), detail}
+}
+
+// randomScript draws an emission script of up to maxEvents events. With
+// sorted, no event steps its node's clock back.
+func randomScript(rng *sim.RNG, maxEvents int, sorted bool) []byte {
+	script := make([]byte, scriptBytes*rng.Intn(maxEvents))
+	for i := range script {
+		script[i] = byte(rng.Intn(256))
+		if i%scriptBytes == 1 && sorted {
+			script[i] &^= 0x80
+		}
+	}
+	return script
 }
 
 func TestShardedMergedMatchesStableSort(t *testing.T) {
@@ -84,19 +117,13 @@ func TestShardedMergedMatchesStableSort(t *testing.T) {
 		if trial%10 == 0 {
 			nodes = 64
 		}
-		script := make([]byte, 2*rng.Intn(400))
-		for i := range script {
-			script[i] = byte(rng.Intn(256))
-			if i%2 == 1 && trial%3 != 0 {
-				script[i] &^= 0x80 // two trials in three keep every run sorted
-			}
-		}
+		script := randomScript(rng, 400, trial%3 != 0) // two trials in three keep every run sorted
 		if trial%4 == 0 {
-			for i := 0; i < len(script); i += 2 {
+			for i := 0; i < len(script); i += scriptBytes {
 				script[i] = byte(int(script[i]) % nodes / 2 * 2) // odd nodes stay empty
 			}
 		}
-		total := len(script) / 2
+		total := len(script) / scriptBytes
 		for _, limit := range []int{0, 1, total / 2, total - 1, total, total + 1} {
 			if limit < 0 {
 				continue
@@ -154,10 +181,11 @@ func TestShardedMergedEdges(t *testing.T) {
 // FuzzShardedMerged holds the k-way merge to the concatenate-and-stable-
 // sort reference over arbitrary emission scripts, node counts and limits.
 func FuzzShardedMerged(f *testing.F) {
-	f.Add(uint8(4), uint8(0), []byte{0, 1, 1, 1, 0, 0, 3, 2, 1, 0x81, 2, 3})
-	f.Add(uint8(64), uint8(5), []byte{9, 0, 8, 0, 7, 0, 9, 0, 8, 0, 7, 0, 9, 1})
-	f.Add(uint8(1), uint8(2), []byte{0, 3, 0, 0x83, 0, 0, 0, 2})
+	f.Add(uint8(4), uint8(0), []byte{0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 3, 2, 0, 0, 1, 0x81, 0, 0, 2, 3, 0, 0})
+	f.Add(uint8(64), uint8(5), []byte{9, 0, 1, 0, 8, 0, 1, 0, 7, 0, 1, 0, 9, 0, 2, 0, 8, 0, 2, 0, 7, 0, 2, 0, 9, 1, 3, 0})
+	f.Add(uint8(1), uint8(2), []byte{0, 3, 0, 0, 0, 0x83, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0})
 	f.Add(uint8(3), uint8(200), []byte{})
+	f.Add(uint8(2), uint8(0), bytes.Repeat(scriptEvent(1, KindTxStart, 1, 0, 0), chunkEvents+1))
 	f.Fuzz(func(t *testing.T, nodes, limit uint8, script []byte) {
 		n := int(nodes)%64 + 1
 		mergedMatchesReference(t, n, int(limit), emitScript(n, script))

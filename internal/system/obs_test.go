@@ -147,3 +147,35 @@ func TestObserveLimitLosesLoudly(t *testing.T) {
 		t.Fatal("truncated export must end with the marker line")
 	}
 }
+
+// TestObsAccessorsKeepWhatRunMerged: after Run, Obs and ObsRegistry hand
+// back the recorder and registry already in Metrics instead of merging
+// the per-node ones again (fsoisim calls both); before Run they still
+// merge on demand.
+func TestObsAccessorsKeepWhatRunMerged(t *testing.T) {
+	cfg := Default(16, NetFSOI)
+	cfg.MaxCycles = 3_000_000
+	cfg.Observe = true
+	s := New(cfg)
+	if a, b := s.Obs(), s.Obs(); a == nil || a == b || a.Len() != 0 {
+		t.Fatal("before Run, Obs merges on each call and holds nothing yet")
+	}
+	if a, b := s.ObsRegistry(), s.ObsRegistry(); a == nil || a == b || a.Links() != 0 {
+		t.Fatal("before Run, ObsRegistry folds on each call")
+	}
+	m := s.Run(tinyApp(t, "jacobi"))
+	if m.Obs.Len() == 0 || m.ObsRegistry.Links() == 0 {
+		t.Fatal("the run recorded nothing")
+	}
+	if s.Obs() != m.Obs || s.ObsRegistry() != m.ObsRegistry {
+		t.Fatal("after Run, the accessors must return what Metrics holds")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Obs(); s.ObsRegistry() }); n != 0 {
+		t.Fatalf("the accessors allocated %v times after Run", n)
+	}
+	off := New(Default(16, NetFSOI))
+	off.Run(tinyApp(t, "jacobi"))
+	if off.Obs() != nil || off.ObsRegistry() != nil {
+		t.Fatal("with Observe off both accessors stay nil")
+	}
+}

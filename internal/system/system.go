@@ -256,6 +256,10 @@ type System struct {
 	tracer   *noc.ShardedTracer
 	obsRec   *obs.Sharded
 	obsReg   []*obs.Registry // per destination node; merged in collect
+	// What collect merged them into, kept so the accessors do not merge
+	// again; nil until Run returns.
+	obsMerged    *obs.Recorder
+	obsRegMerged *obs.Registry
 
 	// pktSeq counts packets injected per source node; a packet's ID is
 	// src+1 + nodes*seq — unique, nonzero, and a pure function of that
@@ -886,8 +890,8 @@ func (s *System) collect(app string) Metrics {
 		m.FSOI = s.fsoi.Stats()
 		m.DroppedPackets = m.FSOI.Dropped[core.LaneMeta] + m.FSOI.Dropped[core.LaneData]
 	}
-	m.Obs = s.obsRec.Merged()
-	m.ObsRegistry = s.ObsRegistry()
+	s.obsMerged, s.obsRegMerged = s.obsRec.Merged(), s.ObsRegistry()
+	m.Obs, m.ObsRegistry = s.obsMerged, s.obsRegMerged
 	if len(s.cfg.Adversaries) > 0 {
 		m.AdversaryNodes = len(s.cfg.Adversaries)
 		hostile := make(map[int]bool, m.AdversaryNodes)
@@ -1030,12 +1034,22 @@ func (s *System) Trace() *noc.Tracer {
 }
 
 // Obs exposes the lifecycle-event recorder, merged across nodes in
-// canonical order (nil unless Config.Observe).
-func (s *System) Obs() *obs.Recorder { return s.obsRec.Merged() }
+// canonical order (nil unless Config.Observe). After Run it is the
+// recorder Run merged, Metrics.Obs; before, it is merged on each call.
+func (s *System) Obs() *obs.Recorder {
+	if s.obsMerged != nil {
+		return s.obsMerged
+	}
+	return s.obsRec.Merged()
+}
 
 // ObsRegistry exposes the percentile latency registry, merged across
-// nodes (nil unless Config.Observe).
+// nodes (nil unless Config.Observe). After Run it is the registry Run
+// folded, Metrics.ObsRegistry; before, it is folded on each call.
 func (s *System) ObsRegistry() *obs.Registry {
+	if s.obsRegMerged != nil {
+		return s.obsRegMerged
+	}
 	if s.obsReg == nil {
 		return nil
 	}
