@@ -12,6 +12,7 @@
 //	benchtrend -n 0 -dir .  # explicit index and directory
 //	benchtrend -j 4         # experiment timings with 4 workers
 //	benchtrend -check BENCH_9.json   # regression gate, writes nothing
+//	benchtrend -ab ../parent -workload mesh64-mp3d   # fsoibench A/B against a parent checkout (ab.go)
 //
 // Engine numbers are scheduler-independent; experiment wall-clock
 // depends on -j and the host, so snapshots record both alongside
@@ -175,7 +176,28 @@ func main() {
 	check := flag.String("check", "", "regression-gate mode: re-measure the engine hot path, compare against this snapshot, exit 1 on regression; writes nothing")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown in -check mode (allocs/op must never grow)")
 	noScale := flag.Bool("noscale", false, "skip the 1024-node scale measurement (about two serial minutes of simulation)")
+	ab := flag.String("ab", "", "A/B mode: run fsoibench in this checkout of the parent commit and in the cwd, in alternating pairs, and print each end-to-end metric's medians, quartile distances, ratio and wins; exit 1 on a failed repetition or unequal canonical_sha256; writes nothing")
+	abWorkload := flag.String("workload", "", "-ab: the BENCHMARK.json workload to measure (default: every one, in turn)")
+	abPairs := flag.Int("pairs", 10, "-ab: parent/change pairs per workload")
+	abSeed := flag.Uint64("seed", 1, "-ab: pair i runs both sides on seed+i")
 	flag.Parse()
+
+	if *ab != "" {
+		if *abPairs < 1 {
+			fmt.Fprintf(os.Stderr, "benchtrend: -pairs %d: want at least 1\n", *abPairs)
+			os.Exit(2)
+		}
+		sound, err := runAB(os.Stdout, *ab, *abWorkload, *abPairs, *abSeed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchtrend: %v\n", err)
+			os.Exit(1)
+		}
+		if !sound {
+			fmt.Fprintln(os.Stderr, "benchtrend: a repetition failed or a pair's canonical_sha256 differs")
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *check != "" {
 		if err := checkEngine(*check, *tolerance); err != nil {

@@ -230,6 +230,12 @@ func (inv *invocation) execute(stdout, stderr io.Writer) (code int) {
 		res := r(o)
 		fmt.Fprintf(stdout, "==== %s — %s (%.1fs) ====\n", inv.ids[i], res.Title, time.Since(start).Seconds())
 		fmt.Fprintln(stdout, res.Text)
+		// A job that hit MaxCycles is an error, not a divisor: the table
+		// above is printed for the diagnosis, then named as wrong.
+		for _, job := range res.Unfinished {
+			fmt.Fprintf(stderr, "experiments: %s: %s did not finish (hit MaxCycles); figures derived from it are wrong\n", inv.ids[i], job)
+			code = 1
+		}
 	}
-	return 0
+	return code
 }

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"fsoi/internal/exp"
 )
 
 // TestBadInvocationsExitTwoWithOneLine: everything a user can get wrong
@@ -64,6 +66,27 @@ func TestSweepFlagsAllowedUnderRunAll(t *testing.T) {
 	inv, code := parse(strings.Fields("-penalties 0,2 -roles jammer -nodes 16"), io.Discard)
 	if inv == nil {
 		t.Fatalf("sweep flags under the default -run all rejected with exit %d", code)
+	}
+}
+
+// TestUnfinishedJobExitsOneAfterTheTable: the table still goes to stdout
+// (it is the diagnosis), then every job that hit MaxCycles is one stderr
+// line and the exit code is 1.
+func TestUnfinishedJobExitsOneAfterTheTable(t *testing.T) {
+	wedged := func(exp.Options) exp.Result {
+		return exp.Result{Title: "T", Text: "table", Unfinished: []string{"lu on L0, 64 nodes", "ocean on L0, 64 nodes"}}
+	}
+	fine := func(exp.Options) exp.Result { return exp.Result{Title: "U", Text: "other"} }
+	inv := &invocation{ids: []string{"fig7", "fig8"}, runners: []exp.Runner{wedged, fine}}
+	var stdout, stderr bytes.Buffer
+	code := inv.execute(&stdout, &stderr)
+	out, msg := stdout.String(), stderr.String()
+	if code != 1 || !strings.Contains(out, "table\n") || !strings.Contains(out, "other\n") {
+		t.Fatalf("exit %d, stdout %q: want exit 1 with both tables printed", code, out)
+	}
+	if strings.Count(msg, "\n") != 2 || !strings.HasPrefix(msg, "experiments: fig7: lu on L0, 64 nodes did not finish") ||
+		!strings.Contains(msg, "\nexperiments: fig7: ocean on L0, 64 nodes did not finish") {
+		t.Fatalf("stderr %q: want one line per unfinished job, naming fig7", msg)
 	}
 }
 

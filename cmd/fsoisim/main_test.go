@@ -72,6 +72,9 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-app", "nope"},
 		{"-config", writeSpec(t, `{"network": "fsoi"}`), "-net", "nope"},
 		{"-config", filepath.Join(t.TempDir(), "missing.json")},
+		{"-config", writeSpec(t, `{"network": "mesh", "mesh_bandwidth_frac": 1.5}`)},
+		{"-config", writeSpec(t, `{"network": "mesh", "mesh_bandwidth_frac": -0.5}`)},
+		{"-config", writeSpec(t, `{"network": "mesh", "router_cycles": -1}`)},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

@@ -280,12 +280,10 @@ func (s Spec) Build() (system.Config, error) {
 	if s.Channels > 0 {
 		cfg.Memory.Channels = s.Channels
 	}
-	if s.MeshBandwidthFrac > 0 {
-		cfg.MeshBandwidthFrac = s.MeshBandwidthFrac
-	}
-	if s.RouterCycles > 0 {
-		cfg.MeshRouterCycles = s.RouterCycles
-	}
+	// Zero is "unset" for both, which is what Default leaves; anything
+	// out of range goes through for Validate below to name.
+	cfg.MeshBandwidthFrac = s.MeshBandwidthFrac
+	cfg.MeshRouterCycles = s.RouterCycles
 	if s.TracePackets > 0 {
 		cfg.TracePackets = s.TracePackets
 	}

@@ -84,6 +84,25 @@ func TestBuildRejectsBadNetwork(t *testing.T) {
 	}
 }
 
+// TestBuildHandsMeshOptionsToValidate: the spec no longer drops a
+// non-positive mesh option on the floor; what is out of range is an
+// error, and what is in range arrives.
+func TestBuildHandsMeshOptionsToValidate(t *testing.T) {
+	cfg, err := Spec{Network: "mesh", MeshBandwidthFrac: 0.75, RouterCycles: 2}.Build()
+	if err != nil || cfg.MeshBandwidthFrac != 0.75 || cfg.MeshRouterCycles != 2 {
+		t.Fatalf("Build() = frac %v cycles %d, %v", cfg.MeshBandwidthFrac, cfg.MeshRouterCycles, err)
+	}
+	for _, s := range []Spec{
+		{Network: "mesh", MeshBandwidthFrac: 1.5},
+		{Network: "mesh", MeshBandwidthFrac: -0.5},
+		{Network: "mesh", RouterCycles: -1},
+	} {
+		if _, err := s.Build(); err == nil {
+			t.Errorf("%+v must error", s)
+		}
+	}
+}
+
 func TestBuildValidatesFSOI(t *testing.T) {
 	s := Spec{Network: "fsoi", WindowW: 0.1} // below one slot
 	if _, err := s.Build(); err == nil {

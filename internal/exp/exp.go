@@ -81,6 +81,12 @@ type Result struct {
 	Title  string
 	Text   string             // formatted table(s)
 	Values map[string]float64 // key metrics for tests/EXPERIMENTS.md
+	// Unfinished names every simulation of the grid that hit MaxCycles
+	// ("app on net, n nodes"): its cycle count is the cap, not a runtime,
+	// so any figure derived from it is wrong and the caller must say so.
+	// Only faults leaves it empty by design: a dropped packet may wedge a
+	// run legitimately, and its table prints finished_p<penalty> itself.
+	Unfinished []string
 }
 
 // Runner regenerates one table or figure.
@@ -280,14 +286,20 @@ type simJob struct {
 }
 
 // runGrid executes the jobs on up to o.Workers goroutines and returns
-// their metrics in job order. Every runner builds its job list in the
-// same order its formatting loop consumes results, so the rendered
-// tables are byte-for-byte those of the old serial loops.
-func runGrid(o Options, jobs []simJob) []system.Metrics {
-	ms := parallel.Map(len(jobs), o.Workers, func(i int) system.Metrics {
+// their metrics in job order, and the jobs that did not finish for
+// Result.Unfinished. Every runner builds its job list in the same order
+// its formatting loop consumes results, so the rendered tables are
+// byte-for-byte those of the old serial loops.
+func runGrid(o Options, jobs []simJob) (ms []system.Metrics, unfinished []string) {
+	ms = parallel.Map(len(jobs), o.Workers, func(i int) system.Metrics {
 		j := jobs[i]
 		return runOne(o, j.app, j.kind, j.nodes, j.mutate)
 	})
+	for i, m := range ms {
+		if j := jobs[i]; !m.Finished {
+			unfinished = append(unfinished, fmt.Sprintf("%s on %s, %d nodes", j.app.Name, j.kind, j.nodes))
+		}
+	}
 	if o.Trace != nil {
 		// Drain the per-run recorders by job index after the barrier: the
 		// sink sees the same sequence regardless of how many workers ran
@@ -297,7 +309,7 @@ func runGrid(o Options, jobs []simJob) []system.Metrics {
 			o.Trace.WriteRun(fmt.Sprintf("job%03d %s %s n%d", i, j.app.Name, j.kind, j.nodes), m.Obs)
 		}
 	}
-	return ms
+	return ms, unfinished
 }
 
 // Fig5 regenerates the read-miss reply-latency distribution on the
@@ -309,7 +321,8 @@ func Fig5(o Options) Result {
 	for i, app := range apps {
 		jobs[i] = simJob{app: app, kind: system.NetFSOI, nodes: 16}
 	}
-	for _, m := range runGrid(o, jobs) {
+	ms, wedged := runGrid(o, jobs)
+	for _, m := range ms {
 		for i := 0; i < hist.NumBuckets(); i++ {
 			hist.AddN(int64(i)*5, m.ReplyHist.Bucket(i))
 		}
@@ -335,6 +348,7 @@ func Fig5(o Options) Result {
 			"mode_cycles": float64(bucket * 5),
 			"mean":        hist.Mean(),
 		},
+		Unfinished: wedged,
 	}
 }
 
@@ -351,7 +365,7 @@ func speedupStudy(o Options, nodes int) (Result, map[string][]float64) {
 			jobs = append(jobs, simJob{app: app, kind: kind, nodes: nodes})
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai, app := range apps {
 		var base system.Metrics
 		row := map[system.NetworkKind]system.Metrics{}
@@ -393,7 +407,7 @@ func speedupStudy(o Options, nodes int) (Result, map[string][]float64) {
 	if nodes == 64 {
 		id, title = "fig7", "Figure 7: 64-node latency and speedups"
 	}
-	return Result{ID: id, Title: title, Text: b.String(), Values: vals}, speed
+	return Result{ID: id, Title: title, Text: b.String(), Values: vals, Unfinished: wedged}, speed
 }
 
 // Fig6 is the 16-node performance study.
@@ -433,7 +447,7 @@ func Table4(o Options) Result {
 			}
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for _, nodes := range sizes {
 		for _, bw := range bws {
 			block := ms[:len(kinds)*len(apps)]
@@ -454,7 +468,7 @@ func Table4(o Options) Result {
 			t.AddRow(cells...)
 		}
 	}
-	return Result{ID: "table4", Title: "Table 4: memory-bandwidth sensitivity", Text: t.String(), Values: vals}
+	return Result{ID: "table4", Title: "Table 4: memory-bandwidth sensitivity", Text: t.String(), Values: vals, Unfinished: wedged}
 }
 
 // Fig8 compares energy relative to the mesh baseline.
@@ -470,7 +484,7 @@ func Fig8(o Options) Result {
 			simJob{app: app, kind: system.NetMesh, nodes: 16},
 			simJob{app: app, kind: system.NetFSOI, nodes: 16})
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai, app := range apps {
 		mMesh, mFsoi := ms[2*ai], ms[2*ai+1]
 		baseTotal := mMesh.Energy.Total()
@@ -496,7 +510,7 @@ func Fig8(o Options) Result {
 		avgSaving*100, netRatio)
 	vals["avg_saving"] = avgSaving
 	vals["net_ratio"] = netRatio
-	return Result{ID: "fig8", Title: "Figure 8: energy relative to mesh baseline", Text: b.String(), Values: vals}
+	return Result{ID: "fig8", Title: "Figure 8: energy relative to mesh baseline", Text: b.String(), Values: vals, Unfinished: wedged}
 }
 
 // Fig9 shows the meta-lane collision rate vs transmission probability
@@ -512,7 +526,7 @@ func Fig9(o Options) Result {
 				mutate: func(c *system.Config) { c.FSOI.Opt.AckElision = false }},
 			simJob{app: app, kind: system.NetFSOI, nodes: 16})
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai, app := range apps {
 		off, on := ms[2*ai], ms[2*ai+1]
 		pb := off.FSOI.TransmissionProbability(core.LaneMeta)
@@ -534,7 +548,7 @@ func Fig9(o Options) Result {
 	fmt.Fprintf(&b, "\nack elision cuts meta traffic by %.1f%% and meta collisions by %.1f%% (paper: 5.1%% traffic, 31.5%% collisions)\n",
 		trafficCut*100, collCut*100)
 	return Result{ID: "fig9", Title: "Figure 9: meta collision rate vs transmission probability",
-		Text: b.String(), Values: map[string]float64{"traffic_cut": trafficCut, "collision_cut": collCut}}
+		Text: b.String(), Values: map[string]float64{"traffic_cut": trafficCut, "collision_cut": collCut}, Unfinished: wedged}
 }
 
 // Fig10 breaks down data-lane collisions by kind with and without the
@@ -556,7 +570,7 @@ func Fig10(o Options) Result {
 				}})
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	idx := 0
 	for _, app := range apps {
 		for _, on := range []bool{false, true} {
@@ -592,7 +606,7 @@ func Fig10(o Options) Result {
 	fmt.Fprintf(&b, "\ndata collision rate %.2f%% -> %.2f%%: %.0f%% of collisions avoided (paper: 9.4%% -> 5.8%%, ~38%% avoided)\n",
 		mean(rateOff)*100, mean(rateOn)*100, avoided*100)
 	return Result{ID: "fig10", Title: "Figure 10: data-lane collision breakdown",
-		Text: b.String(), Values: map[string]float64{"rate_off": mean(rateOff), "rate_on": mean(rateOn), "avoided": avoided}}
+		Text: b.String(), Values: map[string]float64{"rate_off": mean(rateOff), "rate_on": mean(rateOn), "avoided": avoided}, Unfinished: wedged}
 }
 
 func mean(xs []float64) float64 {
@@ -634,7 +648,7 @@ func Fig11(o Options) Result {
 				mutate: func(c *system.Config) { c.MeshBandwidthFrac = mf }})
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	// geo reduces one app-block of results to its geomean cycle count.
 	geo := func(start int) float64 {
 		var cycles []float64
@@ -663,7 +677,7 @@ func Fig11(o Options) Result {
 	var b strings.Builder
 	b.WriteString(t.String())
 	b.WriteString("\nboth networks degrade as bandwidth shrinks; FSOI shows less sensitivity (paper Figure 11)\n")
-	return Result{ID: "fig11", Title: "Figure 11: performance vs relative bandwidth", Text: b.String(), Values: vals}
+	return Result{ID: "fig11", Title: "Figure 11: performance vs relative bandwidth", Text: b.String(), Values: vals, Unfinished: wedged}
 }
 
 // Hints measures the §5.2 retransmission-hint effectiveness.
@@ -678,7 +692,7 @@ func Hints(o Options) Result {
 			simJob{app: app, kind: system.NetFSOI, nodes: 64,
 				mutate: func(c *system.Config) { c.FSOI.Opt.RetransmitHints = false }})
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai := range apps {
 		on, off := ms[2*ai], ms[2*ai+1]
 		correct += on.FSOI.HintsCorrect
@@ -694,7 +708,7 @@ func Hints(o Options) Result {
 			"mean data resolution delay with hints %.1f vs without %.1f cycles (paper: 29 vs 41)\n",
 		acc*100, wrongFrac*100, mean(resWith), mean(resWithout))
 	return Result{ID: "hints", Title: "§7.3: retransmission hint effectiveness", Text: text,
-		Values: map[string]float64{"accuracy": acc, "wrong": wrongFrac, "res_with": mean(resWith), "res_without": mean(resWithout)}}
+		Values: map[string]float64{"accuracy": acc, "wrong": wrongFrac, "res_with": mean(resWith), "res_without": mean(resWithout)}, Unfinished: wedged}
 }
 
 func max64(a, b int64) int64 {
@@ -723,7 +737,7 @@ func LLSC(o Options) Result {
 			simJob{app: app, kind: system.NetFSOI, nodes: 64,
 				mutate: func(c *system.Config) { c.ForceCoherentSync = true }})
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai, app := range apps {
 		with, without := ms[2*ai], ms[2*ai+1]
 		sp := float64(without.Cycles) / float64(with.Cycles)
@@ -739,7 +753,7 @@ func LLSC(o Options) Result {
 	fmt.Fprintf(&b, "\ngeomean speedup %.3f (paper: 1.07); meta packets cut %.1f%% (paper: 11%%), data cut %.1f%% (paper: 8%%)\n",
 		stats.GeoMean(speedups), mean(metaCut)*100, mean(dataCut)*100)
 	return Result{ID: "llsc", Title: "§7.3: ll/sc over the confirmation channel", Text: b.String(),
-		Values: map[string]float64{"speedup": stats.GeoMean(speedups), "meta_cut": mean(metaCut), "data_cut": mean(dataCut)}}
+		Values: map[string]float64{"speedup": stats.GeoMean(speedups), "meta_cut": mean(metaCut), "data_cut": mean(dataCut)}, Unfinished: wedged}
 }
 
 func intersect(a, b []string) []string {
@@ -773,7 +787,7 @@ func Corona(o Options) Result {
 			simJob{app: app, kind: system.NetFSOI, nodes: 64},
 			simJob{app: app, kind: system.NetCorona, nodes: 64})
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	for ai, app := range apps {
 		f, c := ms[2*ai], ms[2*ai+1]
 		r := float64(c.Cycles) / float64(f.Cycles)
@@ -784,7 +798,7 @@ func Corona(o Options) Result {
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\ngeomean: FSOI is %.3fx the corona-style design (paper: 1.06x)\n", stats.GeoMean(ratios))
 	return Result{ID: "corona", Title: "§7.1: FSOI vs corona-style crossbar (64 nodes)", Text: b.String(),
-		Values: map[string]float64{"ratio": stats.GeoMean(ratios)}}
+		Values: map[string]float64{"ratio": stats.GeoMean(ratios)}, Unfinished: wedged}
 }
 
 // IDs lists experiment ids in Registry order.

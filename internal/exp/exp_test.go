@@ -4,11 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"fsoi/internal/stats"
 	"fsoi/internal/system"
+	"fsoi/internal/workload"
 )
 
 // tiny returns the cheapest possible options for registry smoke tests.
@@ -108,6 +110,30 @@ func TestTable4DividesEachAppByItsOwnMesh(t *testing.T) {
 	}
 	if want := stats.GeoMean(speedups); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Table 4 FSOI speedup at 16 cores, 8.8 GB/s = %.4f, per-app mesh baselines give %.4f", got, want)
+	}
+}
+
+// TestUnfinishedJobIsReportedNotDivided: a run cut off at MaxCycles is
+// named on the Result, so no caller mistakes the cap for a runtime (the
+// L0 speedups of 0.016 that fig7 once printed).
+func TestUnfinishedJobIsReportedNotDivided(t *testing.T) {
+	app, ok := workload.ByName("jacobi", 0.02)
+	if !ok {
+		t.Fatal("no jacobi")
+	}
+	jobs := []simJob{
+		{app: app, kind: system.NetMesh, nodes: 16},
+		{app: app, kind: system.NetL0, nodes: 16, mutate: func(c *system.Config) { c.MaxCycles = 500 }},
+	}
+	ms, unfinished := runGrid(tiny(), jobs)
+	if !ms[0].Finished || ms[1].Finished || ms[1].Cycles > 500 {
+		t.Fatalf("finished %v/%v after %d cycles, want the capped job alone cut off at 500", ms[0].Finished, ms[1].Finished, ms[1].Cycles)
+	}
+	if want := []string{"jacobi on L0, 16 nodes"}; !slices.Equal(unfinished, want) {
+		t.Fatalf("unfinished = %q, want %q", unfinished, want)
+	}
+	if r := Fig6(tiny()); len(r.Unfinished) != 0 {
+		t.Fatalf("fig6 at test scale reports unfinished jobs %q", r.Unfinished)
 	}
 }
 

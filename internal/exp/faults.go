@@ -86,7 +86,9 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 				mutate: func(c *system.Config) { c.Fault = fc }})
 		}
 	}
-	ms := runGrid(o, jobs)
+	// Not Result.Unfinished: a dropped packet can wedge a run for good,
+	// which is a finding here, printed below as finished_p<penalty>.
+	ms, _ := runGrid(o, jobs)
 	meshCycles := make(map[string]system.Metrics, len(apps))
 	for i, app := range apps {
 		meshCycles[app.Name] = ms[i]

@@ -64,7 +64,7 @@ func Frontier(o Options) Result {
 			}
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 	st := stats.NewTable("topology", "nodes", "geomean cycles", "mean pkt latency", "energy/bit pJ")
 	cyc := map[string]float64{}
 	idx := 0
@@ -106,7 +106,8 @@ func Frontier(o Options) Result {
 				bigJobs = append(bigJobs, simJob{app: bigApp, kind: system.NetworkKind(name), nodes: nodes})
 			}
 		}
-		bms := runGrid(o, bigJobs)
+		bms, bigWedged := runGrid(o, bigJobs)
+		wedged = append(wedged, bigWedged...)
 		bt := stats.NewTable("topology", "nodes", "cycles", "mean pkt latency", "delivered")
 		idx := 0
 		for _, nodes := range bigNodes {
@@ -133,9 +134,10 @@ func Frontier(o Options) Result {
 		ratio, refNodes)
 
 	return Result{
-		ID:     "frontier",
-		Title:  "Frontier: optical-topology loss/energy/latency sweep",
-		Text:   b.String(),
-		Values: vals,
+		ID:         "frontier",
+		Title:      "Frontier: optical-topology loss/energy/latency sweep",
+		Text:       b.String(),
+		Values:     vals,
+		Unfinished: wedged,
 	}
 }

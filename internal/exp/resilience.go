@@ -136,7 +136,7 @@ func resilienceSweep(o Options, roles []adversary.Role, intensities []float64, n
 			}
 		}
 	}
-	ms := runGrid(o, jobs)
+	ms, wedged := runGrid(o, jobs)
 
 	t := stats.NewTable("nodes", "role", "intensity", "honest slowdown",
 		"lat ratio", "flagged", "precision", "detect@")
@@ -197,9 +197,10 @@ func resilienceSweep(o Options, roles []adversary.Role, intensities []float64, n
 	b.WriteString("honest slowdown = honest finish cycle / attack-free run length; detect@ is the\n")
 	b.WriteString("first cycle a true-positive link crossed a detection threshold (- = missed).\n")
 	return Result{
-		ID:     "resilience",
-		Title:  "Resilience: honest-traffic degradation and attack detection",
-		Text:   b.String(),
-		Values: vals,
+		ID:         "resilience",
+		Title:      "Resilience: honest-traffic degradation and attack detection",
+		Text:       b.String(),
+		Values:     vals,
+		Unfinished: wedged,
 	}
 }

@@ -60,8 +60,8 @@ func BenchmarkMeshLoaded(b *testing.B) {
 
 // TestWarmedNetworksAllocateNothing holds the baselines to what the FSOI
 // packet lifecycle already promises: once the VC rings a load uses, the
-// link queue, the delivery records and the engine's slab have grown to
-// that load, a packet costs no allocation on the mesh or on L0/Lr.
+// delivery records and the engine's slab have grown to that load, a
+// packet costs no allocation on the mesh or on L0/Lr.
 func TestWarmedNetworksAllocateNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -5,31 +5,28 @@ import (
 	"strings"
 	"testing"
 
+	"fsoi/internal/noc"
 	"fsoi/internal/sim"
 )
 
 // checkInvariants verifies, between cycle now and the next, that the
 // occupancy state the tick relies on agrees with the FIFOs, that credits
-// account for every buffer slot, that no flit has been lost or
-// duplicated, that the link queue is in the order Tick drains it, and
-// that no router sleeps past a flit it could move.
-func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
+// account for every buffer slot (a flit still on a link already fills
+// its slot downstream), that no flit has been lost or duplicated, that
+// every FIFO is in arrival order with no stamp further ahead than a link
+// is long, and that no router sleeps past a flit it could move. It
+// returns how many flits cycle now forwarded: those still a whole link
+// traversal from arriving.
+func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 	t.Helper()
-	onLink := n.links.n
-	for i, last := 0, now; i < onLink; i++ {
-		at := n.links.at(i).arrival
-		if at < last || at <= now || at > now+n.hop {
-			t.Fatalf("link queue entry %d of %d arrives at cycle %d, the one before at %d: want non-decreasing within (%d, %d]",
-				i, onLink, at, last, now, now+n.hop)
-		}
-		last = at
-	}
 	vcs, depth := n.cfg.VCs, n.cfg.BufferFlits
-	buffered, linked := 0, 0
+	pipeline := sim.Cycle(n.cfg.RouterCycles)
+	buffered := 0
 	for _, r := range n.routers {
 		sum := 0
 		var want [numPorts]uint64
 		holders := make([]int, numPorts*vcs) // input VCs holding (outPort, outVC)
+		due := sim.Cycle(math.MaxInt64)      // earliest front readyAt
 		for i := range r.inputs {
 			in := &r.inputs[i]
 			sum += in.fifo.n
@@ -42,6 +39,26 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
 			if in.outVC >= 0 {
 				holders[in.outPort*vcs+in.outVC]++
 			}
+			if in.fifo.n > 0 {
+				due = min(due, in.fifo.front().readyAt)
+			}
+			for j, last := 0, sim.Cycle(math.MinInt64); j < in.fifo.n; j++ {
+				f := in.fifo.at(j)
+				if f.readyAt < last {
+					t.Fatalf("router %d vc %d: flit %d of %d ready at cycle %d behind one ready at %d",
+						r.id, i, j, in.fifo.n, f.readyAt, last)
+				}
+				last = f.readyAt
+				// A flit is on a link iff it arrives after now.
+				switch arrival := f.readyAt - pipeline; {
+				case arrival <= now:
+				case i/vcs == portLocal || arrival > now+n.hop:
+					t.Fatalf("router %d vc %d: flit %d arrives at cycle %d, want within (%d, %d] and never on the local port",
+						r.id, i, j, arrival, now, now+n.hop)
+				case arrival == now+n.hop:
+					forwarded++
+				}
+			}
 		}
 		if want != r.want {
 			t.Fatalf("router %d: want masks %x, VC routes say %x", r.id, r.want, want)
@@ -52,18 +69,13 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
 		if got := n.busyRouters.has(r.id); got != (sum > 0) {
 			t.Fatalf("router %d: busy bit %v with %d flits buffered", r.id, got, sum)
 		}
-		if sum > 0 {
-			// Wake honesty: the router ticks again no later than the
-			// first cycle a front flit is out of the pipeline.
-			due := sim.Cycle(math.MaxInt64)
-			for i := range r.inputs {
-				if in := &r.inputs[i]; in.fifo.n > 0 {
-					due = min(due, in.fifo.front().readyAt)
-				}
-			}
-			if due = max(due, now+1); r.wake > due {
-				t.Fatalf("router %d: sleeps until cycle %d with a front flit ready at %d", r.id, r.wake, due)
-			}
+		// Wake honesty: the router ticks again no later than the first
+		// cycle a front flit is out of the pipeline. And no sooner: a
+		// flit forwarded to it must not get it ticked for nothing.
+		if due = max(due, now+1); sum > 0 && r.wake > due {
+			t.Fatalf("router %d: sleeps until cycle %d with a front flit ready at %d", r.id, r.wake, due)
+		} else if sum > 0 && r.wake < due {
+			t.Fatalf("router %d: wakes at cycle %d with no front flit ready before %d", r.id, r.wake, due)
 		}
 		buffered += sum
 		for v := 0; v < vcs; v++ {
@@ -81,20 +93,15 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
 				if next := r.neighbor[p]; next != nil {
 					down = next.inputs[r.reverse[p]*vcs+v].fifo.n
 				}
-				flying := depth - out.credits[v] - down
-				if flying < 0 || flying > int(n.hop) {
-					t.Fatalf("router %d out %d vc %d: %d credits + %d buffered downstream leave %d on a %d-cycle link",
-						r.id, p, v, out.credits[v], down, flying, n.hop)
+				if out.credits[v]+down != depth {
+					t.Fatalf("router %d out %d vc %d: %d credits + %d buffered downstream, want %d",
+						r.id, p, v, out.credits[v], down, depth)
 				}
-				linked += flying
 			}
 		}
 	}
-	if linked != onLink {
-		t.Fatalf("credits imply %d flits on links, the link queue holds %d", linked, onLink)
-	}
-	if n.flitsIn != n.flitsOut+int64(buffered+onLink) {
-		t.Fatalf("flits: %d injected != %d ejected + %d buffered + %d on links", n.flitsIn, n.flitsOut, buffered, onLink)
+	if n.flitsIn != n.flitsOut+int64(buffered) {
+		t.Fatalf("flits: %d injected != %d ejected + %d buffered", n.flitsIn, n.flitsOut, buffered)
 	}
 	for node := range n.queues {
 		work := n.queues[node].n > 0 || n.inflight[node].pkt != nil ||
@@ -103,6 +110,7 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) {
 			t.Fatalf("node %d has injection work but is not in the busy set", node)
 		}
 	}
+	return forwarded
 }
 
 // stress drives tr through n until it drains (drive fails the test if a
@@ -144,6 +152,33 @@ func TestInvariantsHoldUnderStress(t *testing.T) {
 	}
 }
 
+// TestLocalFlitLowersWakeSetByLinkFlit pins the one case in which a
+// later acceptFlit is ready sooner than a flit already buffered: over a
+// three-cycle link a forwarded flit is stamped three cycles ahead, and
+// a flit injected locally the cycle after beats it out of the pipeline.
+func TestLocalFlitLowersWakeSetByLinkFlit(t *testing.T) {
+	cfg := PaperMesh(4)
+	cfg.LinkCycles = 3
+	n, engine, delivered := testMesh(t, cfg)
+	n.Send(&noc.Packet{ID: 1, Src: 0, Dst: 2, Type: noc.Meta})
+	r := n.routers[1]
+	for r.buffered == 0 {
+		engine.Run(1)
+	}
+	linkWake := r.wake // the flit router 0 forwarded is all router 1 holds
+	n.Send(&noc.Packet{ID: 2, Src: 1, Dst: 1, Type: noc.Meta})
+	engine.Run(1)
+	n.checkInvariants(t, engine.Now()-1)
+	if r.buffered != 2 || r.wake >= linkWake {
+		t.Fatalf("router 1 holds %d flits and wakes at cycle %d, want 2 flits and a wake before the link flit's %d",
+			r.buffered, r.wake, linkWake)
+	}
+	engine.Run(50)
+	if len(*delivered) != 2 || (*delivered)[0].ID != 2 {
+		t.Fatalf("delivered %d packets, first %+v: want the local packet first of 2", len(*delivered), (*delivered)[0])
+	}
+}
+
 func TestNewRejectsVCsWiderThanMask(t *testing.T) {
 	cfg := PaperMesh(4)
 	cfg.VCs = maskBits/numPorts + 1
@@ -154,4 +189,25 @@ func TestNewRejectsVCsWiderThanMask(t *testing.T) {
 		}
 	}()
 	New(cfg, sim.NewEngine())
+}
+
+// TestNewRejectsBandwidthFracOutsideUnitInterval: New no longer clamps a
+// fraction it cannot mean to full rate; zero stays "unset, full rate".
+func TestNewRejectsBandwidthFracOutsideUnitInterval(t *testing.T) {
+	cfg := PaperMesh(4)
+	if n := New(cfg, sim.NewEngine()); n.cfg.BandwidthFrac != 1 {
+		t.Fatalf("an unset BandwidthFrac became %v, want 1", n.cfg.BandwidthFrac)
+	}
+	for _, frac := range []float64{1.5, -0.5, math.NaN()} {
+		cfg.BandwidthFrac = frac
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "BandwidthFrac") {
+					t.Errorf("New(BandwidthFrac %v) = %q, want a panic naming BandwidthFrac", frac, msg)
+				}
+			}()
+			New(cfg, sim.NewEngine())
+		}()
+	}
 }

@@ -15,9 +15,9 @@ type Config struct {
 	RouterCycles int // router pipeline depth (baseline: 4)
 	LinkCycles   int // link traversal (1)
 	InjectQueue  int // packets buffered at the source NIC
-	// BandwidthFrac (0 < f <= 1, default 1) throttles injection to model
-	// the Figure 11 bandwidth sweep: narrower channels inject flits at a
-	// fractional rate.
+	// BandwidthFrac (0 < f <= 1; 0 is unset and means 1) throttles
+	// injection to model the Figure 11 bandwidth sweep: narrower channels
+	// inject flits at a fractional rate.
 	BandwidthFrac float64
 }
 
@@ -42,12 +42,10 @@ type Network struct {
 	flitHops  int64     // flits x hops, for Orion-style energy accounting
 	bwTokens  []float64 // fractional-bandwidth injection credits
 
-	// links holds the flits between routers, oldest first. Every link
-	// takes the same hop cycles, so push order is arrival order. hop is
-	// LinkCycles, and at least one: a flit granted in one tick cannot be
-	// buffered downstream before the next.
-	links ring[transfer]
-	hop   sim.Cycle
+	// hop is the link traversal a forwarded flit is charged: LinkCycles,
+	// and at least one, so a flit granted in one tick is never ready
+	// downstream before the next.
+	hop sim.Cycle
 
 	// Tick visits only these: NICs with a packet queued or mid-injection
 	// (or a token bank still filling), and routers buffering a flit.
@@ -74,6 +72,12 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 	if numPorts*cfg.VCs > maskBits {
 		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
 			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
+	}
+	if f := cfg.BandwidthFrac; !(f >= 0 && f <= 1) {
+		panic(fmt.Sprintf("mesh: BandwidthFrac %v is not a fraction in (0, 1] (0 = unset, full rate)", f))
+	}
+	if cfg.BandwidthFrac <= 0 { // unset
+		cfg.BandwidthFrac = 1
 	}
 	n := &Network{cfg: cfg, engine: engine, hop: sim.Cycle(max(cfg.LinkCycles, 1))}
 	count := cfg.Dim * cfg.Dim
@@ -102,9 +106,6 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 	}
 	n.busyNICs = newBitset(count)
 	n.busyRouters = newBitset(count)
-	if n.cfg.BandwidthFrac <= 0 || n.cfg.BandwidthFrac > 1 {
-		n.cfg.BandwidthFrac = 1
-	}
 	n.bwTokens = make([]float64, count)
 	n.queues = make([]ring[*noc.Packet], count)
 	n.inflight = make([]injection, count)
@@ -150,20 +151,16 @@ func (n *Network) Send(p *noc.Packet) bool {
 	return true
 }
 
-// Tick advances the links, the injection machinery and every router one
-// cycle. Idle NICs, empty routers and routers whose front flits are all
-// still in the pipeline are skipped, which is exact: their tick would
-// change nothing. The busy ones run in ascending id order.
+// Tick advances the injection machinery and every router one cycle.
+// Idle NICs, empty routers and routers whose front flits are all still
+// in the pipeline or on a link are skipped, which is exact: their tick
+// would change nothing. The busy ones run in ascending id order.
 func (n *Network) Tick(now sim.Cycle) {
-	// Flits whose link traversal ends this cycle are buffered before
-	// anything else moves, as if each had been an event of the cycle.
-	for n.links.n > 0 && n.links.front().arrival <= now {
-		t := n.links.pop()
-		t.to.acceptFlit(t.port, t.vc, t.f, now)
-	}
 	n.busyNICs.each(func(node int) { n.injectTick(node, now) })
-	// A router's tick can empty only itself and fills none: flits arrive
-	// from the links and from injectTick above.
+	// A router's tick can empty only itself, and can fill a neighbour
+	// with a flit that arrives after now. If that adds the neighbour to
+	// the set mid-walk, its wake is that flit's readyAt, in the future,
+	// so it is passed over whether or not the walk reaches it.
 	n.busyRouters.each(func(id int) {
 		if r := n.routers[id]; r.wake <= now {
 			r.tick(now)

@@ -2,11 +2,10 @@ package mesh
 
 import "math/bits"
 
-// ring is a FIFO over one circular buffer. Most users bound its length
-// themselves (credits for VC buffers, InjectQueue for NIC queues) and
-// push, which never grows it; the storage is allocated on the first push
-// because most VCs of a run never hold a flit. The link queue has no
-// such bound and uses pushGrow.
+// ring is a FIFO over one circular buffer. Its users bound its length
+// themselves (credits for VC buffers, InjectQueue for NIC queues), so
+// it never grows; the storage is allocated on the first push because
+// most VCs of a run never hold a flit.
 type ring[T any] struct {
 	buf  []T
 	head int // index of the front element
@@ -26,18 +25,6 @@ func (r *ring[T]) push(x T, capacity int) {
 	}
 	r.buf[slot] = x
 	r.n++
-}
-
-// pushGrow is push for a FIFO with no occupancy bound: a full ring
-// doubles, so a run stops allocating once it has seen its peak.
-func (r *ring[T]) pushGrow(x T) {
-	if r.n == len(r.buf) {
-		buf := make([]T, max(2*len(r.buf), 64))
-		k := copy(buf, r.buf[r.head:])
-		copy(buf[k:], r.buf[:r.head])
-		r.buf, r.head = buf, 0
-	}
-	r.push(x, len(r.buf))
 }
 
 // front returns the oldest element; the ring must not be empty.
@@ -64,8 +51,9 @@ func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
 
 // each calls f on every member in ascending order. It reads a word once,
-// when the walk reaches it, so f may remove any member but must not add
-// one to the word being walked.
+// when the walk reaches it, so f may remove any member; one that f adds
+// is visited only if it lies in a later word, so f's effect must not
+// depend on whether it is.
 func (b bitset) each(f func(int)) {
 	for w, word := range b {
 		for ; word != 0; word &= word - 1 {

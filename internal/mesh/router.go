@@ -26,20 +26,15 @@ const (
 // input VCs must fit one.
 const maskBits = 64
 
-// flit is the unit of buffering and link transfer.
+// flit is the unit of buffering and link transfer. A buffered flit is
+// inert until readyAt: neither allocation stage looks at it sooner, so a
+// flit still on the link into a router can already sit in that router's
+// FIFO, stamped with the cycle it will have arrived and left the pipeline.
 type flit struct {
 	pkt     *noc.Packet
 	head    bool
 	tail    bool
-	readyAt sim.Cycle // cycle at which the router pipeline releases it
-}
-
-// transfer is a flit on the link between two routers.
-type transfer struct {
-	arrival  sim.Cycle // cycle whose Network.Tick buffers it downstream
-	to       *router
-	port, vc int // input port and VC of to
-	f        flit
+	readyAt sim.Cycle // arrival + RouterCycles: the pipeline releases it then
 }
 
 // vc is one virtual-channel input FIFO (at most BufferFlits deep, which
@@ -80,7 +75,8 @@ type router struct {
 	// wake is the earliest cycle a tick can change anything while the
 	// router buffers a flit: no front flit is out of the pipeline before
 	// it, and neither stage touches one that is not. Stale when
-	// buffered == 0; acceptFlit sets it afresh.
+	// buffered == 0; acceptFlit sets it afresh, and lowers it for a flit
+	// ready sooner than the ones already here.
 	wake sim.Cycle
 	// want[p] has bit i set iff inputs[i] is routed to output p.
 	want [numPorts]uint64
@@ -124,17 +120,20 @@ func (r *router) xyRoute(dst int) int {
 	}
 }
 
-// acceptFlit buffers a flit arriving on input port p, VC v. Only the
-// first flit into an empty router sets the wake-up: the pipeline is
-// equally deep for every flit, so a later arrival is ready no sooner
-// than any flit already here.
-func (r *router) acceptFlit(p, v int, f flit, now sim.Cycle) {
-	f.readyAt = now + sim.Cycle(r.cfg.RouterCycles)
+// acceptFlit buffers a flit that arrives on input port p, VC v at cycle
+// arrival: now for the local port, a link traversal ahead for the
+// others, whose sender calls it at grant time. The wake-up follows the
+// earliest flit: a local flit can be ready before one already stamped
+// from a link of two or more cycles.
+func (r *router) acceptFlit(p, v int, f flit, arrival sim.Cycle) {
+	f.readyAt = arrival + sim.Cycle(r.cfg.RouterCycles)
 	idx := p*r.cfg.VCs + v
 	r.inputs[idx].fifo.push(f, r.cfg.BufferFlits)
 	r.occupied |= 1 << idx
 	if r.buffered++; r.buffered == 1 {
 		r.net.busyRouters.set(r.id)
+		r.wake = f.readyAt
+	} else if f.readyAt < r.wake {
 		r.wake = f.readyAt
 	}
 }
@@ -244,8 +243,11 @@ func (r *router) grant(outPort int, cand uint64, now sim.Cycle) bool {
 	return false
 }
 
-// forward puts a flit on the link to the downstream router, which
-// Network.Tick hands it to after the link latency.
+// forward sends a flit down the link on outPort by buffering it in the
+// downstream router at once, stamped with its arrival a link traversal
+// from now. The credit that grant took reserves the slot, the flit is inert
+// there until it would have arrived, and this output port is the only
+// feeder of that input VC, so its FIFO order is arrival order.
 func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
 	dstVC := r.inputs[idx].outVC
 	if f.tail {
@@ -256,13 +258,7 @@ func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
 		r.outputs[outPort].held &^= 1 << dstVC
 	}
 	r.pop(idx, f.tail)
-	r.net.links.pushGrow(transfer{
-		arrival: now + r.net.hop,
-		to:      r.neighbor[outPort],
-		port:    r.reverse[outPort],
-		vc:      dstVC,
-		f:       f,
-	})
+	r.neighbor[outPort].acceptFlit(r.reverse[outPort], dstVC, f, now+r.net.hop)
 }
 
 // returnCredit gives a buffer slot back to the upstream router. It never

@@ -113,9 +113,11 @@ type Config struct {
 	// ForceCoherentSync disables the §5.1 confirmation-channel sync path
 	// even when the network supports it (for the ll/sc ablation).
 	ForceCoherentSync bool
-	// MeshBandwidthFrac throttles mesh injection bandwidth (Figure 11).
+	// MeshBandwidthFrac throttles mesh injection bandwidth (Figure 11):
+	// a fraction in (0, 1], or 0 for unset, which is full rate.
 	MeshBandwidthFrac float64
-	// MeshRouterCycles overrides the 4-stage router depth when positive.
+	// MeshRouterCycles overrides the 4-stage router depth when positive;
+	// 0 is unset.
 	MeshRouterCycles int
 	// TracePackets, when positive, keeps the last N delivered packets in
 	// a ring buffer exposed through Trace().
@@ -434,6 +436,12 @@ func (cfg Config) Validate() error {
 		if len(cfg.Adversaries) >= cfg.Nodes {
 			return errors.New("system: at least one honest node is required")
 		}
+	}
+	if f := cfg.MeshBandwidthFrac; !(f >= 0 && f <= 1) {
+		return fmt.Errorf("system: MeshBandwidthFrac %v is not a fraction in (0, 1] (0 = unset, full rate)", f)
+	}
+	if cfg.MeshRouterCycles < 0 {
+		return fmt.Errorf("system: MeshRouterCycles %d is negative (0 = unset, the 4-stage router)", cfg.MeshRouterCycles)
 	}
 	if cfg.ParWorkers > 0 {
 		if cfg.Net != NetFSOI {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -212,6 +213,32 @@ func TestEveryNetworkByName(t *testing.T) {
 			if want := runTiny(t, "jacobi", NetCorona, 16, nil); m.Canonical() != want.Canonical() {
 				diffLines(t, "corona by name vs NetCorona", want.Canonical(), m.Canonical())
 			}
+		}
+	}
+}
+
+// TestValidateRejectsOutOfRangeMeshOptions: a bandwidth fraction outside
+// (0, 1] or a negative router depth used to run silently at the paper's
+// full-rate 4-stage mesh; zero stays "unset".
+func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
+	for _, c := range []struct {
+		frac   float64
+		cycles int
+		want   string // "" = valid
+	}{
+		{0, 0, ""},
+		{0.5, 2, ""},
+		{1, 4, ""},
+		{1.5, 0, "MeshBandwidthFrac 1.5"},
+		{-0.5, 0, "MeshBandwidthFrac -0.5"},
+		{math.NaN(), 0, "MeshBandwidthFrac NaN"},
+		{0, -1, "MeshRouterCycles -1"},
+	} {
+		cfg := Default(16, NetMesh)
+		cfg.MeshBandwidthFrac, cfg.MeshRouterCycles = c.frac, c.cycles
+		err := cfg.Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
+			t.Errorf("frac %v, cycles %d: Validate() = %v, want one line containing %q", c.frac, c.cycles, err, c.want)
 		}
 	}
 }
