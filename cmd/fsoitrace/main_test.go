@@ -105,6 +105,27 @@ func TestOfflineDetectionMatchesOnline(t *testing.T) {
 	if got, want := offline.Table(), m.Detection.Table(); got != want {
 		t.Fatalf("offline detection differs from the run's own\noffline:\n%s\nonline:\n%s", got, want)
 	}
+	// The verdict is explained, offline as online: the jammer's link into
+	// its victim crossed the flood rule, and the row says by how much.
+	explained := false
+	_, why, _ := strings.Cut(offline.Table(), "\nwhy (")
+	for _, line := range strings.Split(why, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 6 || f[0] != "15->0" || f[1] != "flood" {
+			continue
+		}
+		var peak, threshold, margin int64
+		if _, err := fmt.Sscan(f[3]+" "+f[4]+" "+strings.TrimPrefix(f[len(f)-2], "+"), &peak, &threshold, &margin); err != nil {
+			t.Fatalf("unreadable explanation row %q: %v", line, err)
+		}
+		if f[2] != "peak-att" || threshold != offline.FloodThreshold || margin != peak-threshold || margin < 0 || !strings.Contains(line, "p75=") {
+			t.Fatalf("explanation row %q: want peak-att, threshold %d, the p75 baseline and margin = observed - threshold", line, offline.FloodThreshold)
+		}
+		explained = true
+	}
+	if !explained {
+		t.Fatalf("no row explains why 15->0 was flagged for flooding:\n%s", offline.Table())
+	}
 	if !slices.Equal(a.events, m.Obs.Events()) {
 		t.Fatal("rebuilt events differ from the run's recording")
 	}

@@ -34,8 +34,9 @@ type LinkObserver interface {
 	NoteBackoff(src, dst, attempt int)
 }
 
-// SetLinkObservers attaches one contention sink per node; observations
-// are always recorded into the executing node's own sink, so per-node
-// sinks merged in node order aggregate identically at every shard and
-// worker count. Passing nil detaches tracking.
+// SetLinkObservers attaches one contention sink per node (the nodes of
+// one engine block may share theirs); observations are always recorded
+// into the executing node's sink, and the sinks' tallies merge exactly,
+// so they aggregate identically at every shard and worker count. Passing
+// nil detaches tracking.
 func (n *Network) SetLinkObservers(sinks []LinkObserver) { n.linkObs = sinks }

@@ -18,7 +18,7 @@ func TestMaxRetriesDropsPacket(t *testing.T) {
 	cfg.MaxRetries = 3
 	n, engine, delivered, _ := testNet(t, cfg)
 	n.SetBitErrorRate(1)
-	sh := obs.NewSharded(cfg.Nodes, 0)
+	sh := obs.NewSharded([]sim.Block{{Hi: cfg.Nodes}}, 0)
 	n.SetObserver(sh)
 	var dropped []*noc.Packet
 	var droppedAt sim.Cycle

@@ -432,12 +432,12 @@ func (n *Network) SetBitDelivery(fn BitFunc) { n.bitFn = fn }
 // the network's bookkeeping (the Dropped counters still tally them).
 func (n *Network) SetDropDelivery(fn DropFunc) { n.dropFn = fn }
 
-// SetObserver attaches a per-node family of lifecycle-event recorders.
+// SetObserver attaches a family of per-node lifecycle-event recorders.
 // Passing nil detaches it; with no recorder attached every emission site
 // is a single nil check and the transmit path allocates nothing extra.
 func (n *Network) SetObserver(r *obs.Sharded) { n.obs = r }
 
-// observe emits one lifecycle event into the recorder owned by the node
+// observe emits one lifecycle event through the handle of the node
 // whose context is executing (source for launch/backoff/drop events,
 // destination for resolution events).
 func (n *Network) observe(node int, kind obs.Kind, tx *transmission, l Lane, at sim.Cycle, aux int64) {

@@ -156,7 +156,7 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	models := &noisyModels{rng: sim.NewRNG(11)}
 	n.SetFaultModel(models)
 	n.SetAdversaryModel(models)
-	rec := obs.NewSharded(cfg.Nodes, 0)
+	rec := obs.NewSharded([]sim.Block{{Hi: cfg.Nodes}}, 0)
 	n.SetObserver(rec)
 	sinks := make([]LinkObserver, cfg.Nodes)
 	for i := range sinks {

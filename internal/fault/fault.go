@@ -307,8 +307,8 @@ func (inj *Injector) DegradedNodes() int {
 // afflicted (node, lane), so a trace file is self-describing about the
 // physical state the packets flew through. Nodes are walked in index
 // order and lanes meta-then-data, so the annotation order is
-// deterministic, and each annotation lands in the afflicted node's own
-// recorder. A nil recorder family is a no-op.
+// deterministic, and each annotation is emitted through the afflicted
+// node's own handle. A nil recorder family is a no-op.
 func (inj *Injector) AnnotateTrace(rec *obs.Sharded) {
 	if rec == nil {
 		return

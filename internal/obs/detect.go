@@ -234,24 +234,33 @@ func (a *linkAcc) note(e Event, windowCycles int64) {
 // Recorder.Events and the JSONL export both guarantee it — and the
 // result is a pure function of the event sequence, so a run that is
 // byte-identical across engines yields a byte-identical report.
-func Detect(events []Event, cfg DetectorConfig) *Report {
+func Detect(events []Event, cfg DetectorConfig) *Report { return detect(run{cur: events}, cfg) }
+
+// Detect is the detector over the recorder's events, read where the log
+// holds them.
+func (r *Recorder) Detect(cfg DetectorConfig) *Report { return detect(r.run(), cfg) }
+
+// detect scans the events twice, each time from where start stands.
+func detect(start run, cfg DetectorConfig) *Report {
 	cfg = cfg.withDefaults()
 	var links linkSlab[linkAcc]
 	warmCycles := cfg.WarmupWindows * cfg.WindowCycles
 	var lastAt int64
-	for _, e := range events {
-		if v := int64(e.At); v > lastAt {
-			lastAt = v
+	for w := start; len(w.cur) > 0; w.advance() {
+		for _, e := range w.cur {
+			if v := int64(e.At); v > lastAt {
+				lastAt = v
+			}
+			if int64(e.At) < warmCycles || e.Src < 0 || e.Dst < 0 || !detectKind(e.Kind) {
+				continue
+			}
+			key := linkKey(e.Src, e.Dst)
+			a, fresh := links.at(key)
+			if fresh {
+				*a = linkAcc{key: key, attWindow: -1, window: -1, flaggedAt: -1}
+			}
+			a.note(e, cfg.WindowCycles)
 		}
-		if int64(e.At) < warmCycles || e.Src < 0 || e.Dst < 0 || !detectKind(e.Kind) {
-			continue
-		}
-		key := linkKey(e.Src, e.Dst)
-		a, fresh := links.at(key)
-		if fresh {
-			*a = linkAcc{key: key, attWindow: -1, window: -1, flaggedAt: -1}
-		}
-		a.note(e, cfg.WindowCycles)
 	}
 	accs := links.recs
 
@@ -328,27 +337,29 @@ func Detect(events []Event, cfg DetectorConfig) *Report {
 		for i := range again {
 			again[i].attWindow, again[i].window = -1, -1
 		}
-		for _, e := range events {
-			if e.Src < 0 || e.Dst < 0 || int64(e.At) < warmCycles {
-				continue
-			}
-			i := links.index.Ref(linkKey(e.Src, e.Dst))
-			if i == nil {
-				continue
-			}
-			a := &accs[*i]
-			if a.reasons == 0 || a.flaggedAt >= 0 {
-				continue
-			}
-			s := &again[*i]
-			s.note(e, cfg.WindowCycles)
-			busy := s.attPeak >= r.VolumeThreshold
-			switch {
-			case a.reasons&reasonFlood != 0 && s.attIn >= r.FloodThreshold,
-				a.reasons&reasonRate != 0 && busy && s.inWindow >= r.RateThreshold,
-				a.reasons&reasonDepth != 0 && busy && s.depth >= cfg.DepthLimit && s.peak >= cfg.DepthMinPeak,
-				a.reasons&reasonConfirm != 0 && s.confirms >= r.ConfirmThreshold:
-				a.flaggedAt = int64(e.At)
+		for w := start; len(w.cur) > 0; w.advance() {
+			for _, e := range w.cur {
+				if e.Src < 0 || e.Dst < 0 || int64(e.At) < warmCycles {
+					continue
+				}
+				i := links.index.Ref(linkKey(e.Src, e.Dst))
+				if i == nil {
+					continue
+				}
+				a := &accs[*i]
+				if a.reasons == 0 || a.flaggedAt >= 0 {
+					continue
+				}
+				s := &again[*i]
+				s.note(e, cfg.WindowCycles)
+				busy := s.attPeak >= r.VolumeThreshold
+				switch {
+				case a.reasons&reasonFlood != 0 && s.attIn >= r.FloodThreshold,
+					a.reasons&reasonRate != 0 && busy && s.inWindow >= r.RateThreshold,
+					a.reasons&reasonDepth != 0 && busy && s.depth >= cfg.DepthLimit && s.peak >= cfg.DepthMinPeak,
+					a.reasons&reasonConfirm != 0 && s.confirms >= r.ConfirmThreshold:
+					a.flaggedAt = int64(e.At)
+				}
 			}
 		}
 	}
@@ -413,7 +424,8 @@ func (r *Report) FlaggedLinks() []Link {
 	return out
 }
 
-// Table renders the verdicts: thresholds first, then the flagged links.
+// Table renders the verdicts: thresholds first, then the flagged links,
+// then why each was flagged.
 func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "detector: %d windows of %d cycles over %d links (first %d windows are warm-up)\n",
@@ -426,15 +438,55 @@ func (r *Report) Table() string {
 		return b.String()
 	}
 	t := stats.NewTable("link", "reason", "attempts", "peak-att", "collisions", "peak-coll", "max-backoff", "confirm-drops", "flagged-at")
+	why := stats.NewTable("link", "rule", "observed", "threshold", "baseline", "margin")
 	for _, p := range r.Flagged {
-		t.AddRow(fmt.Sprintf("%d->%d", p.Src, p.Dst), p.Reason,
+		link := fmt.Sprintf("%d->%d", p.Src, p.Dst)
+		t.AddRow(link, p.Reason,
 			fmt.Sprintf("%d", p.Attempts), fmt.Sprintf("%d", p.PeakAttempts),
 			fmt.Sprintf("%d", p.Collisions), fmt.Sprintf("%d", p.PeakWindow),
 			fmt.Sprintf("%d", p.MaxDepth), fmt.Sprintf("%d", p.ConfirmDrops),
 			fmt.Sprintf("%d", p.FlaggedAt))
+		for _, rule := range strings.Split(p.Reason, "+") {
+			c := r.crossing(rule, p)
+			why.AddRow(link, rule, fmt.Sprintf("%s %d", c.what, c.observed), fmt.Sprintf("%d", c.threshold), c.baseline,
+				fmt.Sprintf("+%d (%.2fx)", c.observed-c.threshold, float64(c.observed)/float64(c.threshold)))
+		}
 	}
 	b.WriteString(t.String())
+	b.WriteString("\nwhy (each rule that fired: what the link reached, the threshold it met, the baseline quantile that was scaled from)\n")
+	b.WriteString(why.String())
 	return b.String()
+}
+
+// crossing is one rule's case against one link: the count the rule looks
+// at, the threshold it reached and where the threshold came from.
+type crossing struct {
+	what                string // the LinkProfile count, named as Table's columns name it
+	observed, threshold int64
+	baseline            string // "4x p75=8": the factor, and the quantile of the per-link distribution it scaled
+}
+
+// crossing explains why rule (a name from reasonNames) flagged p. The
+// rate and depth rules also needed the link past the volume gate, which
+// the thresholds line states.
+func (r *Report) crossing(rule string, p LinkProfile) crossing {
+	scaled := func(factor float64, baseline, floor int64) string {
+		s := fmt.Sprintf("%gx p%g=%d", factor, 100*r.Cfg.Quantile, baseline)
+		if int64(math.Ceil(factor*float64(baseline))) < floor {
+			return "floor, above " + s
+		}
+		return s
+	}
+	c := r.Cfg
+	switch rule {
+	case "flood":
+		return crossing{"peak-att", p.PeakAttempts, r.FloodThreshold, scaled(c.FloodFactor, r.VolumeBaseline, c.MinFloodAttempts)}
+	case "rate":
+		return crossing{"peak-coll", p.PeakWindow, r.RateThreshold, scaled(c.RateFactor, r.RateBaseline, c.MinWindowCollisions)}
+	case "depth":
+		return crossing{"max-backoff", p.MaxDepth, c.DepthLimit, "fixed"}
+	}
+	return crossing{"confirm-drops", p.ConfirmDrops, r.ConfirmThreshold, scaled(c.ConfirmFactor, r.ConfirmBaseline, c.MinConfirmDrops)}
 }
 
 // CanonicalLines serializes the report for the canonical-metrics byte

@@ -264,10 +264,14 @@ var tightDetector = DetectorConfig{
 // both link lists (FlaggedAt and Reason included) and both renderings.
 func detectMatchesReference(t *testing.T, nodes int, script []byte, cfg DetectorConfig) *Report {
 	t.Helper()
-	s := NewSharded(nodes, 0)
-	emitScript(nodes, script)(s)
-	events := s.Merged().Events()
+	s := NewSharded(blocksOf(nodes, 1+len(script)%3), 0)
+	emitScript(nodes, script, false)(s.emit)
+	merged := s.Merged()
+	events := merged.Events()
 	got, want := Detect(events, cfg), refDetect(events, cfg)
+	if inPlace := merged.Detect(cfg); !slices.Equal(inPlace.CanonicalLines(), got.CanonicalLines()) || inPlace.Table() != got.Table() {
+		t.Fatalf("nodes %d: the detector reads the log's chunks and its slice differently\n%s\n%s", nodes, inPlace.Table(), got.Table())
+	}
 	if !slices.Equal(got.Links, want.Links) {
 		t.Fatalf("nodes %d: links differ\n got %+v\nwant %+v", nodes, got.Links, want.Links)
 	}

@@ -172,3 +172,45 @@ func TestQuantileIntNearestRank(t *testing.T) {
 func sortEvents(events []Event) {
 	slices.SortStableFunc(events, byCycle)
 }
+
+// TestTableExplainsEachRuleThatFired: below the flagged links, Table says
+// of every rule that flagged one what the link reached, the threshold it
+// met, the factor and baseline quantile (or the floor, or the fixed
+// limit) that threshold came from, and the margin; a clean report has no
+// such section, and the canonical lines carry none of it.
+func TestTableExplainsEachRuleThatFired(t *testing.T) {
+	var script []byte
+	for _, rule := range detectRules {
+		script = append(script, flaggingScript(rule)...)
+	}
+	s := NewSharded(blocksOf(8, 1), 0)
+	emitScript(8, script, false)(s.emit)
+	r := s.Merged().Detect(tightDetector)
+	_, why, found := strings.Cut(r.Table(), "\nwhy (")
+	if !found {
+		t.Fatalf("no explanation below the flagged links:\n%s", r.Table())
+	}
+	var rows []string
+	for _, line := range strings.Split(why, "\n") {
+		if strings.HasPrefix(line, "1->0") {
+			rows = append(rows, strings.Join(strings.Fields(line), " "))
+		}
+	}
+	want := []string{
+		"1->0 flood peak-att 8 6 6x p75=1 +2 (1.33x)",
+		"1->0 rate peak-coll 4 4 4x p75=1 +0 (1.00x)",
+		"1->0 depth max-backoff 5 5 fixed +0 (1.00x)",
+		"1->0 confirm confirm-drops 3 3 floor, above 4x p75=0 +0 (1.00x)",
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("explanation rows:\n%s\nwant:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
+	}
+	for _, line := range r.CanonicalLines() {
+		if strings.Contains(line, "p75") || strings.Contains(line, "why") {
+			t.Fatalf("the explanation leaked into the canonical surface: %q", line)
+		}
+	}
+	if clean := Detect(nil, tightDetector).Table(); strings.Contains(clean, "why") || !strings.HasSuffix(clean, "no anomalous links\n") {
+		t.Fatalf("a report that flags nothing explains nothing:\n%s", clean)
+	}
+}

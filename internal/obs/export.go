@@ -64,11 +64,13 @@ func appendName(b []byte, name string) []byte {
 // marker line instead of silently looking complete.
 func WriteJSONL(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriterSize(w, blockBytes)
-	for _, ev := range r.Events() {
-		if err := makeRoom(bw); err != nil {
-			return err
+	for evs := r.run(); len(evs.cur) > 0; evs.advance() {
+		for _, ev := range evs.cur {
+			if err := makeRoom(bw); err != nil {
+				return err
+			}
+			bw.Write(appendJSONL(bw.AvailableBuffer(), ev)) // Flush reports the error
 		}
-		bw.Write(appendJSONL(bw.AvailableBuffer(), ev)) // Flush reports the error
 	}
 	if r.Lost() > 0 {
 		b := append(bw.AvailableBuffer(), `{"ev":"truncated","aux":`...)
@@ -114,29 +116,31 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	// packet id.
 	var injectAt table.Table[int64]
 	sep := "" // a comma before every record but the first
-	for _, ev := range r.Events() {
-		if err := makeRoom(bw); err != nil {
-			return err
-		}
-		b := append(bw.AvailableBuffer(), sep...)
-		switch ev.Kind {
-		case KindInject:
-			*injectAt.Put(ev.ID) = int64(ev.At)
-			continue
-		case KindDeliver, KindDrop:
-			start := int64(ev.At)
-			if at := injectAt.Ref(ev.ID); at != nil {
-				start = *at
-				injectAt.Delete(ev.ID)
+	for evs := r.run(); len(evs.cur) > 0; evs.advance() {
+		for _, ev := range evs.cur {
+			if err := makeRoom(bw); err != nil {
+				return err
 			}
-			b = appendSpan(b, ev, start)
-		case KindCollision, KindBackoff, KindConfirmDrop, KindFault:
-			b = appendInstant(b, ev)
-		default:
-			continue
+			b := append(bw.AvailableBuffer(), sep...)
+			switch ev.Kind {
+			case KindInject:
+				*injectAt.Put(ev.ID) = int64(ev.At)
+				continue
+			case KindDeliver, KindDrop:
+				start := int64(ev.At)
+				if at := injectAt.Ref(ev.ID); at != nil {
+					start = *at
+					injectAt.Delete(ev.ID)
+				}
+				b = appendSpan(b, ev, start)
+			case KindCollision, KindBackoff, KindConfirmDrop, KindFault:
+				b = appendInstant(b, ev)
+			default:
+				continue
+			}
+			bw.Write(b) // Flush reports the error
+			sep = ","
 		}
-		bw.Write(b) // Flush reports the error
-		sep = ","
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()

@@ -148,111 +148,177 @@ type Event struct {
 	Lane int8
 }
 
-// Recorder accumulates lifecycle events for one simulation run. Events
-// must be emitted in non-decreasing simulated time, which every caller
-// driven by a sim.Engine does naturally; Events re-establishes the
-// invariant with a stable sort so exports are deterministically ordered
-// even if a caller violates it.
-//
-// Emissions land in fixed-size chunks the recorder allocates as it fills
-// them, so recording n events allocates n/chunkEvents times and never
-// copies an event already held. What the recorder holds is flat followed
-// by the chunks: Events folds the chunks into flat (one copy, on the
-// standalone path only; Sharded.Merged reads the chunks where they lie),
-// and a merged recorder is all flat from the start.
-//
-// The zero of *Recorder (nil) is the disabled state: emission sites
-// guard with a nil check and pay nothing else.
+// Recorder is a handle on an event log: what an emission site holds and
+// what the exports read. NewRecorder's has a log to itself; a Sharded
+// family's share one per engine block, each appending with its own node
+// as the event's owner, and reading through any reads the whole log. A
+// nil *Recorder is the disabled state: one nil check at an emission site.
 type Recorder struct {
-	flat       []Event
-	head, tail *chunk // emissions since flat was last built; nil when none
-	fill       int    // events in tail
-	n          int    // events held, flat and chunks together
-	last       sim.Cycle
-	unsorted   bool // some event was emitted below its predecessor's cycle
-	limit      int
-	lost       int64
+	*eventLog
+	owner uint16 // the node this handle emits for
 }
 
-// chunkEvents is the capacity of one chunk: 10 KB of events, small enough
-// that a node with a handful of events wastes little and large enough
-// that a busy node allocates once per few hundred emissions.
+// eventLog holds lifecycle events in fixed-size chunks it allocates as
+// it fills them: recording n events allocates n/chunkEvents times and
+// copies none already held. Events arrive in the order the engine fires
+// them, non-decreasing in cycle but arbitrary among one cycle's nodes;
+// settle restores the canonical order (cycle, owner, that owner's
+// emission order) in place, and every reader settles first.
+// A limit bounds what is held, not only what is read: the log admits
+// events until limit are held, then only those of the cycle the limit was
+// reached in (any may be among the canonical first limit, which is what
+// readers see); the rest, held or not, is Lost.
+type eventLog struct {
+	head, tail *chunk
+	n          int       // events held; the tail chunk holds the last (n-1)%chunkEvents+1
+	last       sim.Cycle // cycle of the last event admitted
+	unsorted   bool      // some event was admitted below its predecessor's cycle
+	settled    int       // n when settle last ran
+	flat       []Event   // Events' copy of the log as it read with flatN events held
+	flatN      int
+	limit      int
+	lost       int64 // events refused
+}
+
+// chunkEvents is the capacity of one chunk: 10.5 KB, little to waste on a
+// short log and an allocation per few hundred emissions on a busy one.
 const chunkEvents = 256
 
-// chunk is one link of a recorder's emission list. next comes first so
-// that the garbage collector's scan of a chunk ends after one word.
+// MaxNodes is how many nodes a recording tells apart: an owner is 16 bits.
+const MaxNodes = 1 << 16
+
+// chunk is one link of a log. The links come first so that the garbage
+// collector's scan of a chunk ends after two words. owner[i] is the node
+// that emitted ev[i]: beside the event, so that Event stays as it is, and
+// narrow, so that a chunk stays in the size class its events put it in.
 type chunk struct {
-	next *chunk
-	ev   [chunkEvents]Event
+	next, prev *chunk
+	ev         [chunkEvents]Event
+	owner      [chunkEvents]uint16
 }
 
-// NewRecorder builds a recorder holding at most limit events; limit <= 0
-// means unbounded. Once full, further events are counted in Lost rather
-// than silently vanishing.
+// NewRecorder builds a recorder over a log of its own, reading at most
+// limit events (<= 0 means unbounded); the rest are counted in Lost.
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit}
+	return &Recorder{eventLog: &eventLog{limit: limit}}
 }
 
 // Emit appends one event.
 func (r *Recorder) Emit(e Event) {
-	if r.limit > 0 && r.n >= r.limit {
-		r.lost++
+	l := r.eventLog
+	if l.limit > 0 && l.n >= l.limit && e.At != l.last {
+		l.lost++
 		return
 	}
-	if e.At < r.last {
-		r.unsorted = true
+	if e.At < l.last {
+		l.unsorted = true
 	}
-	r.last = e.At
-	if r.tail == nil || r.fill == chunkEvents {
-		c := new(chunk)
-		if r.tail == nil {
-			r.head = c
+	l.last = e.At
+	i := l.n % chunkEvents
+	if i == 0 {
+		c := &chunk{prev: l.tail}
+		if l.tail == nil {
+			l.head = c
 		} else {
-			r.tail.next = c
+			l.tail.next = c
 		}
-		r.tail, r.fill = c, 0
+		l.tail = c
 	}
-	r.tail.ev[r.fill] = e
-	r.fill++
-	r.n++
+	l.tail.ev[i], l.tail.owner[i] = e, r.owner
+	l.n++
 }
 
-// run walks a recorder's events a segment at a time: flat, then each
-// chunk. cur is the segment being read, empty once the walk is over.
+// each visits every event held, with its owner, in the order they lie in.
+func (l *eventLog) each(visit func(c *chunk, i int)) {
+	for c, left := l.head, l.n; c != nil; c, left = c.next, left-chunkEvents {
+		for i := range c.ev[:min(left, chunkEvents)] {
+			visit(c, i)
+		}
+	}
+}
+
+// settle puts the log in canonical order: one pass that moves each event
+// down past the events of its own cycle with a higher owner, across chunk
+// edges as within them (a stable insertion sort: a cycle's events are few
+// and each node's arrive in order). Settling twice moves nothing.
+func (l *eventLog) settle() {
+	if l.settled == l.n {
+		return
+	}
+	l.settled = l.n
+	if l.unsorted {
+		l.sortAll()
+		return
+	}
+	l.each(func(c *chunk, i int) {
+		e, o := c.ev[i], c.owner[i]
+		for moved := false; ; moved = true {
+			below, j := c, i-1
+			if j < 0 {
+				below, j = c.prev, chunkEvents-1
+			}
+			if below == nil || below.ev[j].At != e.At || below.owner[j] <= o {
+				if moved {
+					c.ev[i], c.owner[i] = e, o
+				}
+				return
+			}
+			c.ev[i], c.owner[i], c, i = below.ev[j], below.owner[j], below, j
+		}
+	})
+}
+
+// sortAll settles a log not emitted in cycle order, which an engine's
+// never is: a stable sort of everything held by (cycle, owner).
+func (l *eventLog) sortAll() {
+	type owned struct {
+		Event
+		owner uint16
+	}
+	all := make([]owned, 0, l.n)
+	l.each(func(c *chunk, i int) { all = append(all, owned{c.ev[i], c.owner[i]}) })
+	slices.SortStableFunc(all, func(a, b owned) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.owner, b.owner))
+	})
+	l.each(func(c *chunk, i int) { c.ev[i], c.owner[i], all = all[0].Event, all[0].owner, all[1:] })
+}
+
+// run walks events a segment at a time. cur is the segment being read,
+// empty once the walk is over; copying a run forks the walk.
 type run struct {
 	cur  []Event
 	next *chunk
-	fill int // events in the last chunk, the only one not full
+	left int // events still to come after cur
 }
 
-// run starts a walk at the recorder's first event.
+// run settles the log and starts a walk at its first event.
 func (r *Recorder) run() run {
-	w := run{cur: r.flat, next: r.head, fill: r.fill}
-	if len(w.cur) == 0 {
-		w.advance()
+	if r == nil {
+		return run{}
 	}
+	r.settle()
+	w := run{next: r.head, left: r.Len()}
+	w.advance()
 	return w
 }
 
-// advance moves to the next segment. No chunk is empty: Emit allocates
-// one only to store into it.
+// advance moves to the next segment.
 func (w *run) advance() {
-	c := w.next
-	if c == nil {
+	m := min(w.left, chunkEvents)
+	if m == 0 {
 		w.cur = nil
 		return
 	}
-	w.next = c.next
-	w.cur = c.ev[:]
-	if c.next == nil {
-		w.cur = c.ev[:w.fill]
-	}
+	w.cur, w.next, w.left = w.next.ev[:m], w.next.next, w.left-m
 }
 
 // Len reports the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
+	}
+	if r.limit > 0 && r.n > r.limit {
+		return r.limit
 	}
 	return r.n
 }
@@ -262,43 +328,29 @@ func (r *Recorder) Lost() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.lost
+	return r.lost + int64(r.n-r.Len())
 }
 
-// Events returns the recorded events sorted by cycle, with emission
-// order breaking ties (the sort is stable and emission order is itself
-// deterministic under the engine, so the result is byte-stable across
-// runs and worker counts). The slice is the recorder's own: it stays
-// valid, and a second call returns it again, until the next Emit.
+// Events returns the recorded events in canonical order as one slice, a
+// copy the log keeps: it stays valid, and a second call returns it again,
+// until the next Emit. The exports and the detector read the chunks.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.head != nil {
-		flat := make([]Event, 0, r.n)
+	if r.flatN != r.n {
+		flat := make([]Event, 0, r.Len())
 		for w := r.run(); len(w.cur) > 0; w.advance() {
 			flat = append(flat, w.cur...)
 		}
-		r.flat, r.head, r.tail, r.fill = flat, nil, nil, 0
-	}
-	if r.unsorted {
-		// An engine-driven caller emits in cycle order already and never
-		// gets here.
-		slices.SortStableFunc(r.flat, byCycle)
-		r.last, r.unsorted = r.flat[len(r.flat)-1].At, false
+		r.flat, r.flatN = flat, r.n
 	}
 	return r.flat
 }
 
-// byCycle orders events by cycle alone, leaving ties to a stable sort.
-func byCycle(a, b Event) int { return cmp.Compare(a.At, b.At) }
-
 // CountByKind tallies events per kind in kind order.
 func (r *Recorder) CountByKind() [numKinds]int64 {
 	var out [numKinds]int64
-	if r == nil {
-		return out
-	}
 	for w := r.run(); len(w.cur) > 0; w.advance() {
 		for _, e := range w.cur {
 			if int(e.Kind) < len(out) {

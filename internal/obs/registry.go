@@ -140,8 +140,8 @@ func (g *Registry) Observe(class uint8, src, dst int, latency int64) {
 }
 
 // Merge folds other into g. Histogram merges are exact bucket
-// addition, so the result is independent of merge order; per-node
-// registries merged in node order therefore aggregate identically at
+// addition, so the result is independent of merge order; per-block
+// registries merged in block order therefore aggregate identically at
 // every shard and worker count.
 func (g *Registry) Merge(other *Registry) {
 	for c := range g.byClass {

@@ -233,8 +233,8 @@ func observeRun(g linkObserver, run []Event) {
 // both know, with different counts and depths.
 func registryMatchesReference(t *testing.T, nodes int, script []byte) {
 	t.Helper()
-	s := NewSharded(nodes, 0)
-	emitScript(nodes, script)(s)
+	s := newRefSharded(nodes, 0)
+	emitScript(nodes, script, false)(s.emit)
 	got, want := NewRegistry(), newRefRegistry()
 	for node := 0; node < nodes; node++ {
 		g, w := NewRegistry(), newRefRegistry()

@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"fsoi/internal/coherence"
@@ -148,20 +149,68 @@ func TestObserveLimitLosesLoudly(t *testing.T) {
 	}
 }
 
+// TestObserveLimitKeepsTheHeadOfTheRun: under a limit every engine
+// exports the first limit events of the unlimited recording, in the same
+// order, and Len + Lost is everything that was emitted. The limit falls
+// in the middle of a cycle of eight events or more, which no engine fires
+// in node order: cutting the recording as it is emitted would keep other
+// events of that cycle. (That each block also holds little more than the
+// limit is internal/obs' TestObserveLimitBoundsHeldEvents.)
+func TestObserveLimitKeepsTheHeadOfTheRun(t *testing.T) {
+	app := tinyApp(t, "mp3d")
+	app.Steps = 40
+	observed := func(limit, shards, par int) Metrics {
+		cfg := Default(64, NetFSOI)
+		cfg.Observe, cfg.ObserveLimit = true, limit
+		cfg.Fault.MarginPenaltyDB = 2
+		cfg.Shards, cfg.ParWorkers = shards, par
+		return New(cfg).Run(app)
+	}
+	all := observed(0, 0, 0).Obs.Events()
+	limit := 0
+	for i, from := 5000, 5000; limit == 0 && i < len(all); i++ {
+		if all[i].At != all[from].At {
+			if i-from >= 8 {
+				limit = from + (i-from)/2
+			}
+			from = i
+		}
+	}
+	if limit == 0 || len(all) < 2*limit {
+		t.Fatalf("the unlimited run recorded %d events with no wide cycle past the 5000th: nothing for a limit to cut", len(all))
+	}
+	for _, engine := range []struct{ shards, par int }{{0, 0}, {4, 0}, {2, 2}} {
+		m := observed(limit, engine.shards, engine.par)
+		if m.Obs.Len() != limit || m.Obs.Len()+int(m.Obs.Lost()) != len(all) || !slices.Equal(m.Obs.Events(), all[:limit]) {
+			t.Fatalf("%+v: exported %d events and lost %d of %d, want the first %d", engine, m.Obs.Len(), m.Obs.Lost(), len(all), limit)
+		}
+	}
+}
+
 // TestObsAccessorsKeepWhatRunMerged: after Run, Obs and ObsRegistry hand
 // back the recorder and registry already in Metrics instead of merging
-// the per-node ones again (fsoisim calls both); before Run they still
-// merge on demand.
+// the per-block ones again (fsoisim calls both); before Run they still
+// merge on demand, which on the serial engine's one block is no merge:
+// the registry is the block's own.
 func TestObsAccessorsKeepWhatRunMerged(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Observe = true
-	s := New(cfg)
-	if a, b := s.Obs(), s.Obs(); a == nil || a == b || a.Len() != 0 {
+	sharded := cfg
+	sharded.Shards = 4
+	k := New(sharded)
+	if a, b := k.Obs(), k.Obs(); a == nil || a == b || a.Len() != 0 {
 		t.Fatal("before Run, Obs merges on each call and holds nothing yet")
 	}
-	if a, b := s.ObsRegistry(), s.ObsRegistry(); a == nil || a == b || a.Links() != 0 {
-		t.Fatal("before Run, ObsRegistry folds on each call")
+	if a, b := k.ObsRegistry(), k.ObsRegistry(); a == nil || a == b || a.Links() != 0 {
+		t.Fatal("before Run, ObsRegistry folds the blocks on each call")
+	}
+	s := New(cfg)
+	if a := s.Obs(); a == nil || a.Len() != 0 {
+		t.Fatal("before Run, Obs holds nothing yet")
+	}
+	if a, b := s.ObsRegistry(), s.ObsRegistry(); a == nil || a != b || a.Links() != 0 {
+		t.Fatal("on one block, ObsRegistry is the block's own registry")
 	}
 	m := s.Run(tinyApp(t, "jacobi"))
 	if m.Obs.Len() == 0 || m.ObsRegistry.Links() == 0 {

@@ -131,7 +131,9 @@ type Config struct {
 	Observe bool
 	// ObserveLimit caps the recorded event count when Observe is on;
 	// zero or negative means unbounded. Past the cap, events are counted
-	// as lost, never silently discarded.
+	// as lost, never silently discarded. It bounds what a run holds as
+	// well as what it exports: each engine block keeps at most the limit
+	// plus the events of the one cycle in which it was reached.
 	ObserveLimit int
 	// Fault selects the physical-fault models to inject (FSOI only; the
 	// mesh baselines have no optical layer to degrade). The zero value
@@ -257,7 +259,8 @@ type System struct {
 	finished int // owned by node 0: finish notices ride handbacks there
 	tracer   *noc.ShardedTracer
 	obsRec   *obs.Sharded
-	obsReg   []*obs.Registry // per destination node; merged in collect
+	obsReg   []*obs.Registry // per engine block: the registry of the nodes the block holds
+	obsBlock []int32         // node -> its block's index in obsReg
 	// What collect merged them into, kept so the accessors do not merge
 	// again; nil until Run returns.
 	obsMerged    *obs.Recorder
@@ -443,6 +446,9 @@ func (cfg Config) Validate() error {
 	if cfg.MeshRouterCycles < 0 {
 		return fmt.Errorf("system: MeshRouterCycles %d is negative (0 = unset, the 4-stage router)", cfg.MeshRouterCycles)
 	}
+	if (cfg.Observe || cfg.Detect) && cfg.Nodes > obs.MaxNodes {
+		return fmt.Errorf("system: Observe tells at most %d nodes apart (got %d)", obs.MaxNodes, cfg.Nodes)
+	}
 	if cfg.ParWorkers > 0 {
 		if cfg.Net != NetFSOI {
 			return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net)
@@ -624,15 +630,21 @@ func New(cfg Config) *System {
 		s.tracer = noc.NewShardedTracer(cfg.Nodes, cfg.TracePackets)
 	}
 	if cfg.Observe {
-		s.obsRec = obs.NewSharded(cfg.Nodes, cfg.ObserveLimit)
-		s.obsReg = make([]*obs.Registry, cfg.Nodes)
-		for i := range s.obsReg {
-			s.obsReg[i] = obs.NewRegistry()
+		// One event log and one registry per block: a block's nodes run
+		// on one shard, so nothing recorded is touched from two.
+		s.obsRec = obs.NewSharded(blocks, cfg.ObserveLimit)
+		s.obsReg = make([]*obs.Registry, len(blocks))
+		s.obsBlock = make([]int32, cfg.Nodes)
+		for k, blk := range blocks {
+			s.obsReg[k] = obs.NewRegistry()
+			for i := blk.Lo; i < blk.Hi; i++ {
+				s.obsBlock[i] = int32(k)
+			}
 		}
 		// Any network exposing an observer hook gets the recorder: FSOI
-		// emits the full per-attempt lifecycle into per-node recorders,
+		// emits the full per-attempt lifecycle through per-node handles,
 		// the crossbar family (single-threaded by construction) emits
-		// tx-start at arbitration grant into node 0's.
+		// tx-start at arbitration grant through node 0's.
 		switch o := s.net.(type) {
 		case interface{ SetObserver(r *obs.Sharded) }:
 			o.SetObserver(s.obsRec)
@@ -644,10 +656,10 @@ func New(cfg Config) *System {
 		}
 		if s.fsoi != nil {
 			// Per-link contention tracking for the detection layer: every
-			// observation lands in the executing node's own registry.
+			// observation lands in the registry of the executing node's block.
 			sinks := make([]core.LinkObserver, cfg.Nodes)
 			for i := range sinks {
-				sinks[i] = s.obsReg[i]
+				sinks[i] = s.obsReg[s.obsBlock[i]]
 			}
 			s.fsoi.SetLinkObservers(sinks)
 		}
@@ -744,8 +756,8 @@ func (s *System) recycle(p *wirePacket) {
 
 // deliver routes an arriving packet to its destination controller. It
 // runs in the destination node's context; everything it touches —
-// tracer ring, recorder, registry, the controller itself — is the
-// destination's own.
+// tracer ring, event log, registry, the controller itself — is the
+// destination's own or its block's.
 func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 	w := wireOf(p)
 	m := w.msg
@@ -766,7 +778,7 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 			Src: int32(p.Src), Dst: int32(p.Dst), Attempt: int32(p.Retries),
 			Class: uint8(p.Type), Lane: obs.LaneNone,
 		})
-		s.obsReg[p.Dst].Observe(uint8(p.Type), p.Src, p.Dst, lat)
+		s.obsReg[s.obsBlock[p.Dst]].Observe(uint8(p.Type), p.Src, p.Dst, lat)
 	}
 	switch m.Type {
 	case coherence.ReqMem, coherence.MemWrite:
@@ -913,7 +925,7 @@ func (s *System) collect(app string) Metrics {
 		}
 	}
 	if s.cfg.Detect {
-		m.Detection = obs.Detect(m.Obs.Events(), obs.DetectorConfig{WindowCycles: s.cfg.DetectWindow})
+		m.Detection = m.Obs.Detect(obs.DetectorConfig{WindowCycles: s.cfg.DetectWindow})
 	}
 	if s.injector != nil {
 		m.FaultCounters = s.injector.Counters()
@@ -1041,8 +1053,8 @@ func (s *System) Trace() *noc.Tracer {
 	return s.tracer.Merged()
 }
 
-// Obs exposes the lifecycle-event recorder, merged across nodes in
-// canonical order (nil unless Config.Observe). After Run it is the
+// Obs exposes the lifecycle-event recorder, merged across engine blocks
+// in canonical order (nil unless Config.Observe). After Run it is the
 // recorder Run merged, Metrics.Obs; before, it is merged on each call.
 func (s *System) Obs() *obs.Recorder {
 	if s.obsMerged != nil {
@@ -1051,15 +1063,18 @@ func (s *System) Obs() *obs.Recorder {
 	return s.obsRec.Merged()
 }
 
-// ObsRegistry exposes the percentile latency registry, merged across
-// nodes (nil unless Config.Observe). After Run it is the registry Run
-// folded, Metrics.ObsRegistry; before, it is folded on each call.
+// ObsRegistry exposes the percentile latency registry (nil unless
+// Config.Observe): the one block's own on the serial engine, the blocks'
+// folded together otherwise. After Run it is the registry Run folded,
+// Metrics.ObsRegistry; before, it is folded on each call.
 func (s *System) ObsRegistry() *obs.Registry {
-	if s.obsRegMerged != nil {
+	switch {
+	case s.obsRegMerged != nil:
 		return s.obsRegMerged
-	}
-	if s.obsReg == nil {
+	case s.obsReg == nil:
 		return nil
+	case len(s.obsReg) == 1:
+		return s.obsReg[0]
 	}
 	out := obs.NewRegistry()
 	for _, g := range s.obsReg {
