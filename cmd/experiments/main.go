@@ -143,6 +143,9 @@ func parse(args []string, stderr io.Writer) (*invocation, int) {
 	if *trials < 1 {
 		return fail("-trials %d: a Monte Carlo estimate needs at least one trial", *trials)
 	}
+	if !(*scale > 0) {
+		return fail("-scale %v: a workload needs a positive scale factor", *scale)
+	}
 	if *apps != "" {
 		inv.opts.Apps = strings.Split(*apps, ",")
 		for _, name := range inv.opts.Apps {

@@ -35,6 +35,8 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"no trials (fig4 used to panic)", "-run fig4 -trials 0", "-trials 0"},
 		{"no trials (fig3 used to print 0.0000)", "-run fig3 -trials 0", "at least one trial"},
 		{"negative trials", "-run fig3 -trials -5", "-trials -5"},
+		{"negative scale (used to exit 0)", "-run table1 -scale -1", "-scale -1"},
+		{"zero scale (used to exit 0)", "-run table1 -scale 0", "-scale 0"},
 		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
 		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},
 		{"empty app name", "-run fig6 -apps jacobi,", `unknown app ""`},

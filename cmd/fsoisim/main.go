@@ -29,7 +29,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // code instead of calling os.Exit.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsoisim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	// A bad flag is one fail line like any other bad input; only -h
+	// prints the usage.
+	fs.SetOutput(io.Discard)
 	appName := fs.String("app", "jacobi", "application (see -listapps)")
 	netName := fs.String("net", "fsoi", "interconnect: "+strings.Join(system.Networks(), " | "))
 	nodes := fs.Int("nodes", 16, "node count (a perfect square)")
@@ -42,20 +44,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chromeTrace := fs.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
 	profilePath := fs.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
 	detect := fs.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
-	shards := fs.Int("shards", 0, "run on the exact sharded engine with N shards (output is byte-identical to serial; 0/1 = serial engine)")
-	par := fs.Int("par", 0, "run on the windowed parallel engine with N workers (FSOI only; byte-identical across worker/shard counts; combine with -shards to set the partition, default N shards)")
+	par := fs.Int("par", 0, "run on the windowed parallel engine with N workers on N shards (FSOI only; byte-identical at every worker count, a different schedule from the serial engine's)")
 	canonicalPath := fs.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
 	configPath := fs.String("config", "", "JSON spec read before the flags (see internal/config); every flag given beside it overrides the spec's field")
 	listApps := fs.Bool("listapps", false, "list applications and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2 // the flag package has printed the error and usage
-	}
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "fsoisim:", err)
 		return code
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		return fail(2, err)
 	}
 
 	if *listApps {
@@ -99,8 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *detect {
 				spec.Detect = true
 			}
-		case "shards":
-			spec.Shards = *shards
 		case "par":
 			spec.ParWorkers = *par
 		}
@@ -196,10 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nengine              %d events fired, event-queue high-water mark %d\n",
 			e.EventsFired(), e.MaxQueueDepth())
 		fmt.Fprintf(stdout, "cpu profile         written to %s\n", *profilePath)
-	}
-	if se := s.ShardEngine(); se != nil {
-		fmt.Fprintf(stdout, "shards              %d shards, %d cross-shard handoffs (%d under the %d-cycle lookahead)\n",
-			se.Shards(), se.Handoffs(), se.UnderLookahead(), se.Lookahead())
 	}
 	if w := s.WindowEngine(); w != nil {
 		fmt.Fprintf(stdout, "parallel            %d shards x %d workers, %d windows of %d cycles, %d cross-shard handoffs (%d tight)\n",

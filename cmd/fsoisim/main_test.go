@@ -75,6 +75,15 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-config", writeSpec(t, `{"network": "mesh", "mesh_bandwidth_frac": 1.5}`)},
 		{"-config", writeSpec(t, `{"network": "mesh", "mesh_bandwidth_frac": -0.5}`)},
 		{"-config", writeSpec(t, `{"network": "mesh", "router_cycles": -1}`)},
+		// Negative numbers used to run (-scale) or run the default.
+		{"-scale", "-1"},
+		{"-membw", "-5"},
+		{"-trace", "-3"},
+		{"-par", "-1"},
+		{"-config", writeSpec(t, `{"receivers": -2}`)},
+		// The exact sharded engine is withdrawn, and its knob with it.
+		{"-shards", "2"},
+		{"-config", writeSpec(t, `{"shards": 4}`)},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

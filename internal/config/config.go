@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/core"
@@ -63,15 +65,11 @@ type Spec struct {
 	// Diagnostics.
 	TracePackets int `json:"trace_packets,omitempty"`
 
-	// Shards > 1 selects the exact sharded engine (internal/sim/shard);
-	// results are byte-identical to the serial engine at any value.
-	Shards int `json:"shards,omitempty"`
-
 	// ParWorkers > 0 selects the windowed parallel engine (FSOI only):
-	// shards advance concurrently through lookahead-wide windows on
-	// ParWorkers OS threads. Results are byte-identical across worker
-	// and shard counts but run a conservatively windowed schedule, so
-	// they are not comparable cycle-for-cycle with the serial engine.
+	// ParWorkers shards advance concurrently through lookahead-wide
+	// windows on as many OS threads. Results are byte-identical at every
+	// worker count but run a conservatively windowed schedule, so they
+	// are not comparable cycle-for-cycle with the serial engine.
 	ParWorkers int `json:"par_workers,omitempty"`
 }
 
@@ -196,8 +194,33 @@ func Parse(data []byte) (Spec, error) {
 	return s, nil
 }
 
+// checkSigns rejects a negative (or NaN) number in any top-level field,
+// naming its JSON key: zero means "default" throughout the spec, and a
+// negative value used to run the default without a word.
+func (s Spec) checkSigns() error {
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		ok := true
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			ok = f.Int() >= 0
+		case reflect.Float64:
+			ok = f.Float() >= 0
+		}
+		if !ok {
+			key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			return fmt.Errorf("config: %s is %v; want a number >= 0 (0 = default)", key, f)
+		}
+	}
+	return nil
+}
+
 // Build converts the spec into a runnable system configuration.
 func (s Spec) Build() (system.Config, error) {
+	if err := s.checkSigns(); err != nil {
+		return system.Config{}, err
+	}
 	nodes := s.Nodes
 	if nodes == 0 {
 		nodes = 16
@@ -213,9 +236,6 @@ func (s Spec) Build() (system.Config, error) {
 	cfg := system.Default(nodes, kind)
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
-	}
-	if s.Shards > 0 {
-		cfg.Shards = s.Shards
 	}
 	if s.ParWorkers > 0 {
 		cfg.ParWorkers = s.ParWorkers
@@ -296,7 +316,8 @@ func (s Spec) Build() (system.Config, error) {
 	return cfg, nil
 }
 
-// AppAndScale returns the workload selection with defaults applied.
+// AppAndScale returns the workload selection with defaults applied; a
+// negative scale is Build's error.
 func (s Spec) AppAndScale() (string, float64) {
 	app := s.App
 	if app == "" {

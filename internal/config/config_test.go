@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsoi/internal/system"
@@ -30,6 +31,32 @@ func TestParseDefaults(t *testing.T) {
 func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"nodse": 16}`)); err == nil {
 		t.Fatal("typos must fail loudly")
+	}
+	// The exact sharded engine's knob is withdrawn: "shards" is a typo now.
+	if _, err := Parse([]byte(`{"shards": 4}`)); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Fatalf(`{"shards": 4}: Parse() = %v, want an unknown-field error`, err)
+	}
+}
+
+// TestBuildRejectsNegativeNumbers: zero is "default" in every numeric
+// field, and a negative one used to run the default (or, for scale,
+// a negative workload) without a word. Each is one line naming its key.
+func TestBuildRejectsNegativeNumbers(t *testing.T) {
+	for _, js := range []string{
+		`{"nodes": -16}`, `{"scale": -1}`, `{"meta_vcsels": -1}`, `{"data_vcsels": -1}`,
+		`{"receivers": -2}`, `{"window_w": -2.7}`, `{"backoff_b": -1.1}`, `{"out_queue": -8}`,
+		`{"max_backoff_slots": -1}`, `{"confirm_timeout_slots": -1}`, `{"detect_window": -5}`,
+		`{"memory_gbps": -5}`, `{"memory_channels": -4}`, `{"router_cycles": -1}`,
+		`{"mesh_bandwidth_frac": -0.5}`, `{"trace_packets": -3}`, `{"par_workers": -1}`,
+	} {
+		s, err := Parse([]byte(js))
+		if err != nil {
+			t.Fatalf("%s: %v", js, err)
+		}
+		key, _, _ := strings.Cut(js[2:], `"`)
+		if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), key+" is -") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: Build() = %v, want one line naming %q", js, err, key)
+		}
 	}
 }
 
@@ -213,10 +240,11 @@ func FuzzSpecBuild(f *testing.F) {
 		`{"network":"mesh","adversaries":[{"role":"jammer","node":15,"victims":[0],"intensity":0.9}]}`,
 		`{"network":"fsoi","par_workers":2,"optimizations":{"ack_elision":true}}`,
 		`{"network":"Mesh"}`,
-		`{"nodes":64,"network":"matrix","shards":4}`,
+		`{"nodes":64,"network":"matrix"}`,
+		`{"scale":-1}`, `{"memory_gbps":-5}`, `{"trace_packets":-3}`, `{"par_workers":-1}`,
 		`{"nodes":16,"network":"fsoi","app":"mp3d","scale":0.05,"trace_packets":16,
 		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
-		`{"nodes":64,"network":"fsoi","app":"fft","scale":0.01,"trace_packets":16,"shards":8,"par_workers":2,
+		`{"nodes":64,"network":"fsoi","app":"fft","scale":0.01,"trace_packets":16,"par_workers":2,
 		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
 		`{"nodes":16,"network":"fsoi","app":"jacobi","scale":0.1,"detect":true,"adversaries":[
 		  {"role":"jammer","node":15,"victims":[0],"intensity":0.9},
@@ -235,7 +263,7 @@ func FuzzSpecBuild(f *testing.F) {
 		}
 		// Keep assembly cheap: these sizes cost memory and goroutines,
 		// not correctness.
-		if cfg.Nodes > 64 || cfg.Shards > 64 || cfg.ParWorkers > 8 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
+		if cfg.Nodes > 64 || cfg.ParWorkers > 8 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
 			return
 		}
 		if w := system.New(cfg).WindowEngine(); w != nil {

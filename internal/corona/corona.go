@@ -233,10 +233,10 @@ func (n *Network) arm(ch *channel) {
 	grant := start + sim.Cycle(wait+0.9999)
 	ch.armed = true
 	// A channel is the shared arbitration medium itself, not any node's
-	// state: it has no owning shard for ScheduleAt to route to. The
-	// exact engine serializes every event by global (cycle, seq), so
-	// arm/grant ordering is identical at any shard count.
-	n.engine.At(grant, func(at sim.Cycle) { //lint:allow shardsafety channel arbitration state is the shared medium, serialized by the exact engine's global order
+	// state: it has no owning shard for ScheduleAt to route to. Corona
+	// runs only on the serial engine (Validate refuses ParWorkers off
+	// FSOI), which fires every event in one global order.
+	n.engine.At(grant, func(at sim.Cycle) { //lint:allow shardsafety channel arbitration state is the shared medium; corona runs only on the serial engine
 		ch.armed = false
 		n.grant(ch, at)
 	})

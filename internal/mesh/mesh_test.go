@@ -73,11 +73,17 @@ func TestLocalDelivery(t *testing.T) {
 	}
 }
 
+// TestAllToAllStressNoLoss also pins that a forward schedules nothing:
+// a granted flit is buffered in the next router at once, so the mesh
+// hands the engine no event and leaves none pending.
 func TestAllToAllStressNoLoss(t *testing.T) {
 	n, engine, _ := testMesh(t, PaperMesh(4))
 	stress(t, n, engine, traffic{seed: 5, cfg: PaperMesh(4), rate: 0.08, cycles: 2000})
 	if n.FlitHops() == 0 {
 		t.Fatal("flit-hop accounting missing")
+	}
+	if engine.EventsFired() != 0 || engine.Pending() != 0 {
+		t.Fatalf("the mesh scheduled %d engine events (%d pending), want none", engine.EventsFired(), engine.Pending())
 	}
 }
 

@@ -14,9 +14,6 @@
 //     restores per-line order above it);
 //   - deterministic replay: two runs from the same seed produce
 //     identical delivery transcripts, cycle for cycle;
-//   - shard invariance: when Shards is set, the same run on the exact
-//     sharded engine (internal/sim/shard) reproduces the serial
-//     transcript byte for byte at every shard count;
 //   - windowed invariance: when Windowed is set, the same run on the
 //     windowed parallel engine (shard.Windows) reproduces its own
 //     1-worker replay byte for byte at every worker and shard count.
@@ -42,10 +39,6 @@ type Harness struct {
 	Build func(engine sim.Scheduler, rng *sim.RNG) noc.Network
 	// Nodes is the endpoint count packets are addressed within.
 	Nodes int
-	// Shards lists sharded-engine shard counts to replay the run at.
-	// Each must reproduce the serial transcript exactly — the sharded
-	// engine's whole contract. Nil checks the serial engine only.
-	Shards []int
 	// Windowed lists windowed-engine worker counts to replay the run
 	// at. The windowed engine executes a conservatively windowed
 	// schedule — legally different from the serial one — so its
@@ -86,8 +79,8 @@ type transcript struct {
 }
 
 // run executes one seeded traffic pattern against a fresh network on
-// the serial engine (shards <= 1) or the exact sharded engine.
-func (h Harness) run(t *testing.T, shards int) transcript {
+// the serial engine.
+func (h Harness) run(t *testing.T) transcript {
 	t.Helper()
 	packets := h.Packets
 	if packets == 0 {
@@ -97,20 +90,8 @@ func (h Harness) run(t *testing.T, shards int) transcript {
 	if drain == 0 {
 		drain = 200000
 	}
-	var engine sim.Driver
-	if shards > 1 {
-		se := shard.New(shards)
-		se.AssignNodes(h.Nodes)
-		engine = se
-	} else {
-		engine = sim.NewEngine()
-	}
+	engine := sim.NewEngine()
 	net := h.Build(engine, sim.NewRNG(h.Seed))
-	if la, ok := net.(noc.Lookaheader); ok {
-		if se, isShard := engine.(*shard.Engine); isShard {
-			se.SetLookahead(la.Lookahead())
-		}
-	}
 	tr := transcript{sendOrder: map[[2]int][]uint64{}}
 	net.SetDelivery(func(p *noc.Packet, now sim.Cycle) {
 		tr.deliveries = append(tr.deliveries, delivery{
@@ -261,16 +242,13 @@ func (h Harness) runWindowed(t *testing.T, shards, workers int) transcript {
 func (h Harness) Run(t *testing.T) {
 	t.Helper()
 	t.Run(h.Name, func(t *testing.T) {
-		first := h.run(t, 1)
+		first := h.run(t)
 		h.checkExactlyOnce(t, first)
 		h.checkLatencyAccounting(t, first)
 		if h.Ordered {
 			h.checkInOrder(t, first)
 		}
 		h.checkReplay(t, first)
-		for _, k := range h.Shards {
-			h.checkShardInvariance(t, first, k)
-		}
 		if len(h.Windowed) > 0 {
 			h.checkWindowedInvariance(t)
 		}
@@ -365,16 +343,8 @@ func (h Harness) checkInOrder(t *testing.T, tr transcript) {
 // transcript exactly.
 func (h Harness) checkReplay(t *testing.T, first transcript) {
 	t.Helper()
-	second := h.run(t, 1)
+	second := h.run(t)
 	h.compareTranscripts(t, "replay", first, second)
-}
-
-// checkShardInvariance verifies the same run on the exact sharded
-// engine at the given shard count reproduces the serial transcript.
-func (h Harness) checkShardInvariance(t *testing.T, first transcript, shards int) {
-	t.Helper()
-	sharded := h.run(t, shards)
-	h.compareTranscripts(t, fmt.Sprintf("%d-shard run", shards), first, sharded)
 }
 
 // compareTranscripts fails on the first delivery where two transcripts

@@ -21,7 +21,7 @@ func jammerRoster(role adversary.Role, nodes int, intensity float64) []adversary
 
 // runAttack executes one detection-enabled 16-node run at a scale large
 // enough for the windowed detector to see past its warm-up exclusion.
-func runAttack(t *testing.T, shards int, specs []adversary.Spec) Metrics {
+func runAttack(t *testing.T, specs []adversary.Spec) Metrics {
 	t.Helper()
 	app, ok := workload.ByName("jacobi", 0.1)
 	if !ok {
@@ -30,7 +30,6 @@ func runAttack(t *testing.T, shards int, specs []adversary.Spec) Metrics {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Detect = true
-	cfg.Shards = shards
 	cfg.Adversaries = specs
 	m := New(cfg).Run(app)
 	if !m.Finished {
@@ -40,7 +39,7 @@ func runAttack(t *testing.T, shards int, specs []adversary.Spec) Metrics {
 }
 
 func TestJammerDegradesHonestTrafficAndIsDetected(t *testing.T) {
-	control := runAttack(t, 1, nil)
+	control := runAttack(t, nil)
 	if n := len(control.Detection.Flagged); n != 0 {
 		t.Fatalf("attack-free control flagged %d links: %+v", n, control.Detection.Flagged)
 	}
@@ -48,7 +47,7 @@ func TestJammerDegradesHonestTrafficAndIsDetected(t *testing.T) {
 		t.Fatal("adversary metrics must stay zero without a roster")
 	}
 
-	m := runAttack(t, 1, jammerRoster(adversary.RoleJammer, 16, 0.9))
+	m := runAttack(t, jammerRoster(adversary.RoleJammer, 16, 0.9))
 	if m.AdversaryNodes != 2 {
 		t.Fatalf("want 2 adversary nodes, got %d", m.AdversaryNodes)
 	}
@@ -87,7 +86,7 @@ func TestJammerDegradesHonestTrafficAndIsDetected(t *testing.T) {
 }
 
 func TestSpooferAndStarverTouchTheOpticalLayer(t *testing.T) {
-	sp := runAttack(t, 1, jammerRoster(adversary.RoleSpoofer, 16, 0.3))
+	sp := runAttack(t, jammerRoster(adversary.RoleSpoofer, 16, 0.3))
 	if sp.FSOI.SpoofedHeaders == 0 {
 		t.Fatal("spoofer forged no headers")
 	}
@@ -95,7 +94,7 @@ func TestSpooferAndStarverTouchTheOpticalLayer(t *testing.T) {
 		t.Fatal("spoofer must not starve confirmations")
 	}
 
-	st := runAttack(t, 1, jammerRoster(adversary.RoleStarver, 16, 0.6))
+	st := runAttack(t, jammerRoster(adversary.RoleStarver, 16, 0.6))
 	if st.FSOI.StarvedConfirms == 0 {
 		t.Fatal("starver suppressed no confirmations")
 	}
@@ -121,16 +120,12 @@ func hasReasonPart(f obs.LinkProfile, want string) bool {
 	return false
 }
 
-func TestAdversaryRunsAreDeterministicAndShardEquivalent(t *testing.T) {
+func TestAdversaryRunsAreDeterministic(t *testing.T) {
 	roster := jammerRoster(adversary.RoleJammer, 16, 0.9)
-	serial := runAttack(t, 1, roster)
-	again := runAttack(t, 1, roster)
-	if a, b := serial.Canonical(), again.Canonical(); a != b {
+	first := runAttack(t, roster)
+	again := runAttack(t, roster)
+	if a, b := first.Canonical(), again.Canonical(); a != b {
 		diffLines(t, "same-seed adversary canonical", a, b)
-	}
-	sharded := runAttack(t, 2, roster)
-	if a, b := serial.Canonical(), sharded.Canonical(); a != b {
-		diffLines(t, "serial-vs-sharded adversary canonical", a, b)
 	}
 }
 

@@ -159,14 +159,14 @@ func TestObserveLimitLosesLoudly(t *testing.T) {
 func TestObserveLimitKeepsTheHeadOfTheRun(t *testing.T) {
 	app := tinyApp(t, "mp3d")
 	app.Steps = 40
-	observed := func(limit, shards, par int) Metrics {
+	observed := func(limit, par int) Metrics {
 		cfg := Default(64, NetFSOI)
 		cfg.Observe, cfg.ObserveLimit = true, limit
 		cfg.Fault.MarginPenaltyDB = 2
-		cfg.Shards, cfg.ParWorkers = shards, par
+		cfg.ParWorkers = par
 		return New(cfg).Run(app)
 	}
-	all := observed(0, 0, 0).Obs.Events()
+	all := observed(0, 0).Obs.Events()
 	limit := 0
 	for i, from := 5000, 5000; limit == 0 && i < len(all); i++ {
 		if all[i].At != all[from].At {
@@ -179,10 +179,10 @@ func TestObserveLimitKeepsTheHeadOfTheRun(t *testing.T) {
 	if limit == 0 || len(all) < 2*limit {
 		t.Fatalf("the unlimited run recorded %d events with no wide cycle past the 5000th: nothing for a limit to cut", len(all))
 	}
-	for _, engine := range []struct{ shards, par int }{{0, 0}, {4, 0}, {2, 2}} {
-		m := observed(limit, engine.shards, engine.par)
+	for _, par := range []int{0, 2} {
+		m := observed(limit, par)
 		if m.Obs.Len() != limit || m.Obs.Len()+int(m.Obs.Lost()) != len(all) || !slices.Equal(m.Obs.Events(), all[:limit]) {
-			t.Fatalf("%+v: exported %d events and lost %d of %d, want the first %d", engine, m.Obs.Len(), m.Obs.Lost(), len(all), limit)
+			t.Fatalf("ParWorkers %d: exported %d events and lost %d of %d, want the first %d", par, m.Obs.Len(), m.Obs.Lost(), len(all), limit)
 		}
 	}
 }
@@ -196,9 +196,10 @@ func TestObsAccessorsKeepWhatRunMerged(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Observe = true
-	sharded := cfg
-	sharded.Shards = 4
-	k := New(sharded)
+	windowed := cfg
+	windowed.ParWorkers = 4
+	k := New(windowed)
+	defer k.WindowEngine().Close()
 	if a, b := k.Obs(), k.Obs(); a == nil || a == b || a.Len() != 0 {
 		t.Fatal("before Run, Obs merges on each call and holds nothing yet")
 	}

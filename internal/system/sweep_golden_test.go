@@ -12,9 +12,8 @@ import (
 // The per-block busy-node sweeps replaced 3·N per-cycle tickers on all
 // three engines. These hashes are the Canonical() of each run at the
 // commit before that change (5ec3599): the sweep must not move a
-// single metric. The serial and exact-sharded engines share a hash by
-// the exact engine's contract; the windowed engine runs its own
-// schedule, identical at every shard and worker count.
+// single metric. The windowed engine runs its own schedule, identical
+// at every shard and worker count.
 const (
 	goldenFaulty64   = "b51c347dc80de9171f0406bcd2bf963ac40d5cee78aaa61a40a2737c0667ae63"
 	goldenWindowed64 = "7da6f22834b56b4ce7369bf810224928a4f0a75711a465c324a99bfc1aee67ed"
@@ -56,23 +55,21 @@ func goldenRun(t *testing.T, nodes, shards, workers int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestSweepGoldenSerialAndSharded pins the serial engine (one block)
-// and the exact engine at 8 shards (8 blocks) to the parent's output.
-func TestSweepGoldenSerialAndSharded(t *testing.T) {
+// TestSweepGoldenSerial pins the serial engine (one block) to the
+// parent's output.
+func TestSweepGoldenSerial(t *testing.T) {
 	for _, c := range []struct {
-		nodes, shards int
-		want          string
+		nodes int
+		want  string
 	}{
-		{64, 0, goldenFaulty64},
-		{64, 8, goldenFaulty64},
-		{256, 0, goldenPlain256},
-		{256, 8, goldenPlain256},
+		{64, goldenFaulty64},
+		{256, goldenPlain256},
 	} {
 		if c.nodes == 256 && testing.Short() {
 			continue
 		}
-		if got := goldenRun(t, c.nodes, c.shards, 0); got != c.want {
-			t.Errorf("%d nodes, %d shards: canonical sha256 %s, parent commit had %s", c.nodes, c.shards, got, c.want)
+		if got := goldenRun(t, c.nodes, 0, 0); got != c.want {
+			t.Errorf("%d nodes: canonical sha256 %s, parent commit had %s", c.nodes, got, c.want)
 		}
 	}
 }
@@ -80,7 +77,10 @@ func TestSweepGoldenSerialAndSharded(t *testing.T) {
 // TestWindowedSweepGolden pins the windowed engine. Eight shards of a
 // 64-node system are 8-node blocks, so every block's busy bits would
 // share one word if the set were not laid out per block: the CI race
-// step (-run TestWindow) catches that here.
+// step (-run TestWindow) catches that here. It is also what holds FSOI's
+// declared lookahead honest: shard.Windows panics on a cross-shard
+// handoff inside the current window, so a network that overstated its
+// bound fails these runs (and every TestWindowed* beside them).
 func TestWindowedSweepGolden(t *testing.T) {
 	for _, c := range []struct {
 		nodes, shards, workers int

@@ -85,16 +85,10 @@ type Config struct {
 	Power     power.Params
 	Seed      uint64
 	MaxCycles sim.Cycle
-	// Shards, when > 1, runs the simulation on the exact sharded engine
-	// (internal/sim/shard): per-node-group event queues popped in the
-	// serial engine's global (cycle, seq) order, so metrics and traces
-	// stay byte-identical to Shards <= 1 at any shard count. Components
-	// register on their node's home shard and networks hand cross-node
-	// events to the owning shard inside the topology's declared
-	// lookahead discipline, which the engine meters.
-	//
-	// With ParWorkers > 0, Shards instead sets the windowed engine's
-	// shard count (defaulting to ParWorkers when left <= 1).
+	// Shards sets the windowed engine's partition when ParWorkers > 0;
+	// <= 1 means one shard per worker. Every partition gives the same
+	// bytes, and without ParWorkers it is an error: there is no serial
+	// sharded schedule.
 	Shards int
 	// ParWorkers, when > 0, runs the simulation on the windowed parallel
 	// engine (internal/sim/shard.Windows): shards advance concurrently
@@ -238,12 +232,11 @@ func (m Metrics) Speedup(baseline Metrics) float64 {
 // Every piece of per-packet mutable state — the ordering tables, the
 // packet free-lists, the packet-ID counters, the observability sinks —
 // is indexed by the node whose execution context touches it, so the
-// assembly runs unchanged on the serial engine, the exact sharded
-// engine, and the windowed parallel engine.
+// assembly runs unchanged on the serial engine and the windowed
+// parallel engine.
 type System struct {
 	cfg      Config
 	engine   sim.Driver
-	shardEng *shard.Engine  // non-nil when cfg.Shards > 1 without ParWorkers
 	winEng   *shard.Windows // non-nil when cfg.ParWorkers > 0
 	la       sim.Cycle      // cross-node handback delay (the network's lookahead)
 	rng      *sim.RNG
@@ -449,6 +442,9 @@ func (cfg Config) Validate() error {
 	if (cfg.Observe || cfg.Detect) && cfg.Nodes > obs.MaxNodes {
 		return fmt.Errorf("system: Observe tells at most %d nodes apart (got %d)", obs.MaxNodes, cfg.Nodes)
 	}
+	if cfg.Shards > 1 && cfg.ParWorkers <= 0 {
+		return fmt.Errorf("system: Shards %d partitions the windowed engine and needs ParWorkers > 0", cfg.Shards)
+	}
 	if cfg.ParWorkers > 0 {
 		if cfg.Net != NetFSOI {
 			return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net)
@@ -480,8 +476,7 @@ func New(cfg Config) *System {
 		pktFree: make([][]*wirePacket, cfg.Nodes),
 		ord:     make([][]ordStream, cfg.Nodes),
 	}
-	switch {
-	case cfg.ParWorkers > 0:
+	if cfg.ParWorkers > 0 {
 		k := cfg.Shards
 		if k < 2 {
 			k = cfg.ParWorkers
@@ -489,24 +484,11 @@ func New(cfg Config) *System {
 		s.winEng = shard.NewWindows(k, cfg.ParWorkers)
 		s.winEng.AssignNodes(cfg.Nodes)
 		s.engine = s.winEng
-	case cfg.Shards > 1:
-		s.shardEng = shard.New(cfg.Shards)
-		s.shardEng.AssignNodes(cfg.Nodes)
-		s.engine = s.shardEng
-	default:
+	} else {
 		s.engine = sim.NewEngine()
 	}
 	dim, _ := optnet.MeshDim(cfg.Nodes) // Validate checked squareness
 	tr := transport{s}
-	// onShard brackets a node's component construction so tickers and
-	// initial events register on the node's home shard under the exact
-	// engine; the windowed engine routes through per-node proxies
-	// (s.sched) instead, and serially both are no-ops.
-	onShard := func(node int) {
-		if s.shardEng != nil {
-			s.shardEng.SetShard(s.shardEng.NodeShard(node))
-		}
-	}
 
 	switch cfg.Net {
 	case NetFSOI:
@@ -553,24 +535,18 @@ func New(cfg Config) *System {
 	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
 		s.la = la.Lookahead()
 	}
-	if s.shardEng != nil {
-		if la, ok := s.net.(noc.Lookaheader); ok {
-			s.shardEng.SetLookahead(la.Lookahead())
-		}
-	}
 	if s.winEng != nil {
 		s.winEng.SetLookahead(s.la)
 	}
 	// Per-node per-cycle work is registered once per block of nodes
 	// sharing a shard, not once per node: a sweep over the block's busy
 	// nodes in id order, through the block's first node's scheduler, so
-	// it ticks in that shard's context on every engine. The serial engine
-	// has one block.
+	// it ticks in that shard's context on the windowed engine. The serial
+	// engine has one block.
 	blocks := sim.Blocks(s.engine, cfg.Nodes)
 	sweepPerBlock := func(sweep func(k int, now sim.Cycle)) {
 		for k, blk := range blocks {
 			k := k
-			onShard(blk.Lo)
 			s.sched(blk.Lo).Register(sim.TickFunc(func(now sim.Cycle) { sweep(k, now) }))
 		}
 	}
@@ -579,10 +555,8 @@ func New(cfg Config) *System {
 		// ticks in that node's own shard context.
 		sweepPerBlock(s.fsoi.TickBlock)
 	} else {
-		// The electrical and crossbar networks tick globally; on the
-		// exact engine the tick runs on shard 0 and hands per-node events
-		// to their owning shards through noc.ScheduleAt. The declared
-		// lookahead sizes the engine's cross-shard window.
+		// The electrical and crossbar networks tick globally; they run
+		// only on the serial engine (Validate refuses ParWorkers off FSOI).
 		s.engine.Register(sim.TickFunc(s.net.Tick))
 	}
 
@@ -591,7 +565,6 @@ func New(cfg Config) *System {
 	memNode := func(h int) int { return attach[h%cfg.Memory.Channels] }
 
 	for i := 0; i < cfg.Nodes; i++ {
-		onShard(i)
 		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home))
 		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode))
 	}
@@ -612,7 +585,6 @@ func New(cfg Config) *System {
 		if s.mems[node] != nil {
 			continue
 		}
-		onShard(node)
 		ctl := memory.NewController(node, cfg.Memory, s.sched(node), func(m coherence.Msg) {
 			if !tr.Send(m) {
 				// Memory replies retry through the engine until the NIC
@@ -621,9 +593,6 @@ func New(cfg Config) *System {
 			}
 		})
 		s.mems[node] = ctl
-	}
-	if s.shardEng != nil {
-		s.shardEng.SetShard(0)
 	}
 
 	if cfg.TracePackets > 0 {
@@ -861,9 +830,6 @@ func (s *System) Run(app workload.App) Metrics {
 	// node's entry goes unused.
 	honestStreams := workload.NewStreams(app, s.cfg.Nodes, s.cfg.Seed)
 	for i := 0; i < s.cfg.Nodes; i++ {
-		if s.shardEng != nil {
-			s.shardEng.SetShard(s.shardEng.NodeShard(i))
-		}
 		var stream cpu.Stream = honestStreams[i]
 		if sp, hostile := advBy[i]; hostile {
 			stream = workload.NewAdversaryStream(sp, app, s.cfg.Nodes, s.cfg.Seed, s.sched(i).Now)
@@ -871,9 +837,6 @@ func (s *System) Run(app workload.App) Metrics {
 		c := cpu.New(i, s.cfg.Core, s.sched(i), s.l1s[i], stream, s.sync, s.onCoreFinish)
 		s.cores = append(s.cores, c)
 		c.Start()
-	}
-	if s.shardEng != nil {
-		s.shardEng.SetShard(0)
 	}
 	s.engine.Run(s.cfg.MaxCycles)
 	if s.winEng != nil {
@@ -1031,10 +994,6 @@ func (s *System) Engine() sim.Driver { return s.engine }
 // for its own scheduling (the finish-notice handbacks): the network's
 // declared lookahead, floor 1.
 func (s *System) Lookahead() sim.Cycle { return s.la }
-
-// ShardEngine exposes the exact sharded engine when Config.Shards > 1
-// selected it, for the handoff/lookahead meters; nil serially.
-func (s *System) ShardEngine() *shard.Engine { return s.shardEng }
 
 // WindowEngine exposes the windowed parallel engine when
 // Config.ParWorkers > 0 selected it, for the window/handoff/stall

@@ -19,6 +19,18 @@ func tinyApp(t *testing.T, name string) workload.App {
 	return app
 }
 
+// diffLines reports the first line where two multiline strings diverge.
+func diffLines(t *testing.T, label, want, got string) {
+	t.Helper()
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < min(len(wl), len(gl)); i++ {
+		if wl[i] != gl[i] {
+			t.Fatalf("%s diverges at line %d:\n  want: %s\n  got:  %s", label, i+1, wl[i], gl[i])
+		}
+	}
+	t.Fatalf("%s diverges in length: %d vs %d lines", label, len(wl), len(gl))
+}
+
 func runTiny(t *testing.T, name string, kind NetworkKind, nodes int, mutate func(*Config)) Metrics {
 	t.Helper()
 	cfg := Default(nodes, kind)
@@ -239,6 +251,26 @@ func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
 		err := cfg.Validate()
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
 			t.Errorf("frac %v, cycles %d: Validate() = %v, want one line containing %q", c.frac, c.cycles, err, c.want)
+		}
+	}
+}
+
+// TestValidateRejectsShardsWithoutWorkers: Shards only partitions the
+// windowed engine. Asking for shards without workers used to select the
+// exact sharded engine, withdrawn since; it must not run serial quietly.
+func TestValidateRejectsShardsWithoutWorkers(t *testing.T) {
+	for _, c := range []struct {
+		shards, workers int
+		ok              bool
+	}{
+		{0, 0, true}, {1, 0, true}, {2, 0, false}, {8, 0, false},
+		{8, 2, true}, {0, 2, true},
+	} {
+		cfg := Default(16, NetFSOI)
+		cfg.Shards, cfg.ParWorkers = c.shards, c.workers
+		err := cfg.Validate()
+		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "needs ParWorkers > 0") {
+			t.Errorf("Shards %d, ParWorkers %d: Validate() = %v", c.shards, c.workers, err)
 		}
 	}
 }
