@@ -47,9 +47,10 @@ type Line struct {
 	lru   uint64
 }
 
-// Cache is a set-associative array with LRU replacement.
+// Cache is a set-associative array with LRU replacement. All sets share
+// one backing array: set s is lines[s*ways : (s+1)*ways].
 type Cache struct {
-	sets    [][]Line
+	lines   []Line
 	ways    int
 	setMask uint64
 	clock   uint64
@@ -65,25 +66,23 @@ func New(lines, ways int) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", nsets))
 	}
-	c := &Cache{ways: ways, setMask: uint64(nsets - 1)}
-	c.sets = make([][]Line, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]Line, ways)
-	}
-	return c
+	return &Cache{lines: make([]Line, lines), ways: ways, setMask: uint64(nsets - 1)}
 }
 
 // NumLines reports the total capacity in lines.
-func (c *Cache) NumLines() int { return len(c.sets) * c.ways }
+func (c *Cache) NumLines() int { return len(c.lines) }
 
+// set returns the ways addr maps to, in way order.
 func (c *Cache) set(addr LineAddr) []Line {
-	return c.sets[uint64(addr)&c.setMask]
+	lo := int(uint64(addr)&c.setMask) * c.ways
+	return c.lines[lo : lo+c.ways : lo+c.ways]
 }
 
 // Lookup returns the resident line for addr, or nil. It refreshes LRU.
 func (c *Cache) Lookup(addr LineAddr) *Line {
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
+	set := c.set(addr)
+	for i := range set {
+		l := &set[i]
 		if l.State != Invalid && l.Addr == addr {
 			c.clock++
 			l.lru = c.clock
@@ -95,8 +94,9 @@ func (c *Cache) Lookup(addr LineAddr) *Line {
 
 // Peek returns the resident line without touching LRU.
 func (c *Cache) Peek(addr LineAddr) *Line {
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
+	set := c.set(addr)
+	for i := range set {
+		l := &set[i]
 		if l.State != Invalid && l.Addr == addr {
 			return l
 		}

@@ -131,3 +131,12 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocatesOneLineArray pins the layout: every set is a range of
+// one backing array, so a cache costs the struct and that array however
+// many sets it has (it used to cost one allocation per set).
+func TestNewAllocatesOneLineArray(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New(512, 8) }); n != 2 {
+		t.Fatalf("New(512, 8) makes %v allocations, want 2", n)
+	}
+}
