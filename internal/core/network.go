@@ -123,11 +123,11 @@ func (n *Network) release(tx *transmission) {
 
 // arrive lands the beam on the destination's receiver at the end of the
 // slot, in the destination's context.
-func (tx *transmission) arrive(sim.Cycle) {
+func (tx *transmission) arrive(now sim.Cycle) {
 	dst := tx.pkt.Dst
 	d := tx.n.nodes[dst]
 	d.arr[tx.lane][tx.rcv] = append(d.arr[tx.lane][tx.rcv], tx)
-	tx.n.busy.Mark(dst)
+	tx.n.join(dst, now, true) // the slot ends, and the next opens, now
 }
 
 // deliver hands over a payload held back by a pipeline, in the
@@ -146,7 +146,7 @@ func (tx *transmission) confirm(now sim.Cycle) {
 
 // requeue parks a delivered-but-unconfirmed transmission for its
 // timeout retransmission, in the sender's context.
-func (tx *transmission) requeue(sim.Cycle) { tx.n.parkRetry(tx) }
+func (tx *transmission) requeue(now sim.Cycle) { tx.n.parkRetry(tx, now) }
 
 // nodeState is the per-node transmit machinery. Everything in here is
 // touched only from events and ticks executing on the owning node, so a
@@ -319,6 +319,9 @@ type Network struct {
 	stats     []Stats
 	nodes     []*nodeState
 	busy      *sim.BusySet // nodes with a packet queued, in retry, or arriving
+	blocks    []sim.Block  // the engine's blocks of nodes, one busy-node sweep each
+	blockOf   []int32      // node -> its block
+	sweeps    []sim.Wake   // per block: its sweep's alarm (zero until RegisterSweeps)
 	conf      *confLane
 	ber       float64        // per-bit error probability on the signaling chain
 	fault     FaultModel     // nil unless an injector is attached
@@ -334,12 +337,21 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	blocks := sim.Blocks(engine, cfg.Nodes)
 	n := &Network{
-		cfg:    cfg,
-		engine: engine,
-		conf:   newConfLane(cfg.Nodes, cfg.BitsPerCycle),
-		ber:    1e-10,
-		busy:   sim.NewBusySet(sim.Blocks(engine, cfg.Nodes)),
+		cfg:     cfg,
+		engine:  engine,
+		conf:    newConfLane(cfg.Nodes, cfg.BitsPerCycle),
+		ber:     1e-10,
+		busy:    sim.NewBusySet(blocks),
+		blocks:  blocks,
+		blockOf: make([]int32, cfg.Nodes),
+		sweeps:  make([]sim.Wake, len(blocks)),
+	}
+	for k, blk := range blocks {
+		for i := blk.Lo; i < blk.Hi; i++ {
+			n.blockOf[i] = int32(k)
+		}
 	}
 	for l := range n.slotLen {
 		n.slotLen[l] = int64(cfg.SlotCycles(Lane(l)))
@@ -491,7 +503,7 @@ func (n *Network) Send(p *noc.Packet) bool {
 	}
 	p.Created = sched.Now()
 	ns.queue[lane] = append(ns.queue[lane], n.schedulePacket(ns, p, lane))
-	n.busy.Mark(p.Src)
+	n.join(p.Src, p.Created, false)
 	return true
 }
 
@@ -562,9 +574,22 @@ func (n *Network) ConfirmationUtilization() float64 {
 // Tick advances the whole network one cycle on a single-threaded engine:
 // every block's sweep, in block (hence node) order.
 func (n *Network) Tick(now sim.Cycle) {
-	for k := 0; k < n.busy.Blocks(); k++ {
+	for k := range n.blocks {
 		n.TickBlock(k, now)
 	}
+}
+
+// RegisterSweeps puts the network's per-cycle work on the engine it was
+// built over: one TickBlock sweep per block of nodes, registered through
+// the block's first node's scheduler so that it ticks in that shard's
+// context. Each sweep sleeps until its block has work at a slot
+// boundary: a node joining the busy set wakes it, and it re-arms itself
+// while a node stays busy. It returns the sweeps' alarms in block order.
+func (n *Network) RegisterSweeps() []sim.Wake {
+	for k, blk := range n.blocks {
+		n.sweeps[k] = sim.Sleeper(n.scheds[blk.Lo], sim.TickFunc(func(now sim.Cycle) { n.TickBlock(k, now) }))
+	}
+	return n.sweeps
 }
 
 // TickBlock advances block k's nodes one cycle. The network is
@@ -572,11 +597,64 @@ func (n *Network) Tick(now sim.Cycle) {
 // backoff and nothing arriving has no work at a slot boundary, and no
 // node has any between boundaries: only the busy nodes are ticked, in
 // ascending id order, and only on a cycle that opens a slot on some lane.
+// While a node stays busy the block's sweep re-arms for the next such
+// cycle.
 func (n *Network) TickBlock(k int, now sim.Cycle) {
-	if int64(now)%n.slotLen[LaneMeta] != 0 && int64(now)%n.slotLen[LaneData] != 0 {
-		return
+	slot, opens, next := n.slotsAt(now)
+	if opens {
+		n.busy.Each(k, func(id int) { n.tickNode(id, slot, now) })
 	}
-	n.busy.Each(k, func(id int) { n.tickNode(id, now) })
+	if n.busy.Any(k) {
+		n.sweeps[k].At(next)
+	}
+}
+
+// slotsAt reports, per lane, the slot that opens at cycle now (-1 where
+// none does), whether any does, and the first cycle after now that opens
+// one.
+func (n *Network) slotsAt(now sim.Cycle) (slot [numLanes]int64, opens bool, next sim.Cycle) {
+	next = math.MaxInt64
+	for l, slotLen := range n.slotLen {
+		q, r := int64(now)/slotLen, int64(now)%slotLen
+		slot[l] = -1
+		if r == 0 {
+			slot[l], opens = q, true
+		}
+		next = min(next, now+sim.Cycle(slotLen-r))
+	}
+	return slot, opens, next
+}
+
+// NextSweep reports the first cycle from now on in which block k's sweep
+// has work: the next slot boundary on either lane, while a node of the
+// block is busy.
+func (n *Network) NextSweep(k int, now sim.Cycle) (sim.Cycle, bool) {
+	if !n.busy.Any(k) {
+		return 0, false
+	}
+	return n.nextBoundary(now), true
+}
+
+// nextBoundary returns the first cycle from now on that opens a slot on
+// some lane.
+func (n *Network) nextBoundary(now sim.Cycle) sim.Cycle {
+	if _, opens, next := n.slotsAt(now); !opens {
+		return next
+	}
+	return now
+}
+
+// join adds node id to the busy set, in its own context at cycle now. A
+// node that was not busy wakes its block's sweep for the first slot
+// boundary from now on, which is now when the caller says so; one that
+// was already has it armed.
+func (n *Network) join(id int, now sim.Cycle, boundary bool) {
+	if n.busy.Mark(id) {
+		if !boundary {
+			now = n.nextBoundary(now)
+		}
+		n.sweeps[n.blockOf[id]].At(now)
+	}
 }
 
 // TickNode advances one node one cycle, for drivers that tick node by
@@ -584,25 +662,26 @@ func (n *Network) TickBlock(k int, now sim.Cycle) {
 // idle node returns at once.
 func (n *Network) TickNode(id int, now sim.Cycle) {
 	if n.busy.Has(id) {
-		n.tickNode(id, now)
+		slot, _, _ := n.slotsAt(now)
+		n.tickNode(id, slot, now)
 	}
 }
 
-// tickNode is the per-node body. At each lane's slot boundary the node
-// first resolves the slot that just ended on each of its receivers
-// (delivering clean transmissions, adjudicating collisions, handing
-// failures back to their senders), then its lane serializer picks the
-// next transmission for the opening slot. Only state owned by node id is
-// touched, its busy bit included: the bit is dropped once the tick
-// leaves nothing queued, in retry or arriving.
-func (n *Network) tickNode(id int, now sim.Cycle) {
+// tickNode is the per-node body, given the slot each lane opens now (-1
+// for none). At each lane's slot boundary the node first resolves the
+// slot that just ended on each of its receivers (delivering clean
+// transmissions, adjudicating collisions, handing failures back to their
+// senders), then its lane serializer picks the next transmission for the
+// opening slot. Only state owned by node id is touched, its busy bit
+// included: the bit is dropped once the tick leaves nothing queued, in
+// retry or arriving.
+func (n *Network) tickNode(id int, slots [numLanes]int64, now sim.Cycle) {
 	ns := n.nodes[id]
 	for l := Lane(0); l < numLanes; l++ {
-		slotLen := n.slotLen[l]
-		if int64(now)%slotLen != 0 {
+		slot := slots[l]
+		if slot < 0 {
 			continue
 		}
-		slot := int64(now) / slotLen
 		for rcv := range ns.arr[l] {
 			group := ns.arr[l][rcv]
 			if len(group) == 0 {
@@ -931,7 +1010,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 	}
 	if tx.winner {
 		tx.retrySlot = slot + 2
-		n.parkRetry(tx)
+		n.parkRetry(tx, now)
 		if n.obs != nil {
 			n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 		}
@@ -958,7 +1037,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 		base = slot + 3
 	}
 	tx.retrySlot = base + d - 1
-	n.parkRetry(tx)
+	n.parkRetry(tx, now)
 	if n.obs != nil {
 		n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
 	}
@@ -966,10 +1045,10 @@ func (tx *transmission) backoff(now sim.Cycle) {
 
 // parkRetry puts tx on its sender's retry list, in the sender's context,
 // and keeps the sender in the busy set until the retry slot comes round.
-func (n *Network) parkRetry(tx *transmission) {
+func (n *Network) parkRetry(tx *transmission, now sim.Cycle) {
 	ns := n.nodes[tx.src]
 	ns.retries[tx.lane] = append(ns.retries[tx.lane], tx)
-	n.busy.Mark(tx.src)
+	n.join(tx.src, now, false)
 }
 
 // drop abandons a transmission after retry exhaustion, in the sender's

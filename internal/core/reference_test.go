@@ -67,6 +67,7 @@ const (
 	tickReference                 // refTicker
 	tickPerNode                   // TickNode registered per node, as bench/drivers.go does
 	tickSharded                   // Network.Tick over three uneven blocks on the exact sharded engine
+	tickSleeping                  // RegisterSweeps: the sweep asleep until woken, as system.New registers it, and Run jumping idle cycles
 )
 
 // noisyModels is a FaultModel and AdversaryModel that exercises every
@@ -173,10 +174,15 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 			id := i
 			engine.Register(sim.TickFunc(func(now sim.Cycle) { n.TickNode(id, now) }))
 		}
+	case tickSleeping:
+		n.RegisterSweeps()
 	default:
 		engine.Register(sim.TickFunc(n.Tick))
 	}
-	if mode != tickReference {
+	// An always-on checker would keep Run from jumping; the sleeping
+	// sweep's arming is checked whole-system (system's
+	// TestNoSleeperSleepsPastItsWork).
+	if mode != tickReference && mode != tickSleeping {
 		engine.Register(sim.TickFunc(func(now sim.Cycle) {
 			if err := checkBusyInvariant(n); err != nil {
 				t.Fatalf("after cycle %d: %v", now, err)
@@ -290,8 +296,8 @@ func sameOutcome(t *testing.T, what string, got, want outcome) {
 }
 
 // TestSweepMatchesReference is the differential test: the busy-set
-// sweep, the per-node TickNode drive and the multi-block sweep must all
-// reproduce the every-node reference exactly — stats (with the
+// sweep, the per-node TickNode drive, the multi-block sweep and the
+// sleeping sweep must all reproduce the every-node reference exactly — stats (with the
 // arithmetic SlotsObserved against the counted one), latency, delivery
 // order, lifecycle events and engine event count — with faults,
 // adversaries and observers attached.
@@ -315,7 +321,7 @@ func TestSweepMatchesReference(t *testing.T) {
 			for _, m := range []struct {
 				mode  tickMode
 				label string
-			}{{tickSweep, "sweep"}, {tickPerNode, "per-node TickNode"}, {tickSharded, "three-block sweep"}} {
+			}{{tickSweep, "sweep"}, {tickPerNode, "per-node TickNode"}, {tickSharded, "three-block sweep"}, {tickSleeping, "sleeping sweep"}} {
 				got := runOps(t, cfg, m.mode, ops, cycles)
 				sameOutcome(t, fmt.Sprintf("%s seed %d %s", name, seed, m.label), got, want)
 			}
@@ -361,7 +367,7 @@ func TestBusyInvariantCatchesUnmarkedArrival(t *testing.T) {
 }
 
 // FuzzBusySetMatchesReference drives random Send / SendConfirmBit
-// schedules through the sweep and the reference. Five bytes make one
+// schedules through the sweep, the sleeping sweep and the reference. Five bytes make one
 // call: cycle delta, source, destination, kind and flags.
 func FuzzBusySetMatchesReference(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 2, 0, 0})
@@ -390,6 +396,8 @@ func FuzzBusySetMatchesReference(f *testing.F) {
 		cycles := at + 801
 		want := runOps(t, cfg, tickReference, ops, cycles)
 		want.stats.SlotsObserved = want.refSlots
-		sameOutcome(t, fmt.Sprintf("%d ops over %d cycles", len(ops), cycles), runOps(t, cfg, tickSweep, ops, cycles), want)
+		what := fmt.Sprintf("%d ops over %d cycles", len(ops), cycles)
+		sameOutcome(t, what, runOps(t, cfg, tickSweep, ops, cycles), want)
+		sameOutcome(t, what+" asleep", runOps(t, cfg, tickSleeping, ops, cycles), want)
 	})
 }

@@ -138,6 +138,30 @@ type allow struct {
 
 const allowPrefix = "//lint:allow"
 
+// parseAllow reads one comment as a //lint:allow directive: the prefix,
+// whitespace, a known analyzer's name, whitespace and a reason. A
+// comment that does not start with the prefix is not a directive (ok is
+// false). Every one that does is: either well formed, with the analyzer
+// and the reason (its words joined by single spaces), or malformed, with
+// problem saying why. Text run on to the prefix, as in
+// "//lint:allowfloateq x", is malformed: it names no analyzer.
+func parseAllow(comment string, known map[string]bool) (analyzer, reason, problem string, ok bool) {
+	text, ok := strings.CutPrefix(comment, allowPrefix)
+	if !ok {
+		return "", "", "", false
+	}
+	fields := strings.Fields(text)
+	switch {
+	case len(fields) == 0 || text[0] != ' ' && text[0] != '\t':
+		return "", "", "malformed suppression: want //lint:allow <analyzer> <reason>", true
+	case !known[fields[0]]:
+		return "", "", fmt.Sprintf("suppression names unknown analyzer %q", fields[0]), true
+	case len(fields) < 2:
+		return "", "", fmt.Sprintf("suppression of %q has no reason: a justification is mandatory", fields[0]), true
+	}
+	return fields[0], strings.Join(fields[1:], " "), "", true
+}
+
 // collectAllows parses every //lint:allow directive in the package.
 // Malformed directives (missing analyzer or missing reason) are
 // reported immediately as findings from the pseudo-analyzer "lint".
@@ -145,39 +169,16 @@ func collectAllows(p *Package, known map[string]bool) (allows []*allow, bad []Fi
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, allowPrefix)
+				analyzer, reason, problem, ok := parseAllow(c.Text, known)
 				if !ok {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				fields := strings.Fields(text)
-				if len(fields) == 0 {
-					bad = append(bad, Finding{
-						Analyzer: "lint", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-						Message: "malformed suppression: want //lint:allow <analyzer> <reason>",
-					})
+				if problem != "" {
+					bad = append(bad, Finding{Analyzer: "lint", File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: problem})
 					continue
 				}
-				if !known[fields[0]] {
-					bad = append(bad, Finding{
-						Analyzer: "lint", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-						Message: fmt.Sprintf("suppression names unknown analyzer %q", fields[0]),
-					})
-					continue
-				}
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Analyzer: "lint", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-						Message: fmt.Sprintf("suppression of %q has no reason: a justification is mandatory", fields[0]),
-					})
-					continue
-				}
-				allows = append(allows, &allow{
-					analyzer: fields[0],
-					reason:   strings.Join(fields[1:], " "),
-					file:     pos.Filename,
-					line:     pos.Line,
-				})
+				allows = append(allows, &allow{analyzer: analyzer, reason: reason, file: pos.Filename, line: pos.Line})
 			}
 		}
 	}

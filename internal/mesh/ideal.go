@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -27,6 +28,7 @@ type Ideal struct {
 	queued   bitset      // nodes with a packet queued: the only ones Tick visits
 	busyTill []sim.Cycle // per-node serializer availability
 	free     []*delivery // retired records, reused last in first out
+	wake     sim.Wake    // Tick's alarm (zero, a no-op, unless RegisterTick)
 }
 
 // delivery is one packet on its contention-free way. It stays an engine
@@ -87,7 +89,8 @@ func (n *Ideal) Lookahead() sim.Cycle { return 1 }
 // SetDelivery installs the destination callback.
 func (n *Ideal) SetDelivery(fn noc.DeliveryFunc) { n.deliverFn = fn }
 
-// Send enqueues a packet at its source NIC.
+// Send enqueues a packet at its source NIC. A node whose queue was empty
+// wakes the tick for the cycle its serializer frees.
 func (n *Ideal) Send(p *noc.Packet) bool {
 	q := &n.queues[p.Src]
 	if q.n >= n.injectQueue {
@@ -95,7 +98,10 @@ func (n *Ideal) Send(p *noc.Packet) bool {
 	}
 	p.Created = n.engine.Now()
 	q.push(p, n.injectQueue)
-	n.queued.set(p.Src)
+	if q.n == 1 {
+		n.queued.set(p.Src)
+		n.wake.At(max(p.Created, n.busyTill[p.Src]))
+	}
 	return true
 }
 
@@ -113,11 +119,32 @@ func (n *Ideal) hops(a, b int) int {
 	return dx + dy
 }
 
+// RegisterTick registers Tick on the engine the network was built over,
+// asleep until a cycle in which a queued packet's serializer is free,
+// and returns its alarm.
+func (n *Ideal) RegisterTick() sim.Wake {
+	n.wake = sim.Sleeper(n.engine, sim.TickFunc(n.Tick))
+	return n.wake
+}
+
 // Tick serializes at most one packet start per node per cycle and
 // schedules its contention-free delivery. Nodes are served in ascending
-// id order; one with an empty queue has nothing to start.
+// id order; one with an empty queue has nothing to start. While packets
+// stay queued the tick re-arms for the first cycle one can start.
 func (n *Ideal) Tick(now sim.Cycle) {
 	n.queued.each(func(node int) { n.start(node, now) })
+	if at, ok := n.NextTick(now + 1); ok {
+		n.wake.At(at)
+	}
+}
+
+// NextTick reports the first cycle from now on in which Tick has work:
+// the earliest a queued node's serializer is free, if any node has a
+// packet queued.
+func (n *Ideal) NextTick(now sim.Cycle) (sim.Cycle, bool) {
+	at, ok := sim.Cycle(math.MaxInt64), false
+	n.queued.each(func(node int) { at, ok = min(at, n.busyTill[node]), true })
+	return max(at, now), ok
 }
 
 // start begins serializing node's oldest queued packet if its serializer

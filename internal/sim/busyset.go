@@ -62,13 +62,14 @@ func NewBusySet(blocks []Block) *BusySet {
 	return b
 }
 
-// Blocks reports the number of blocks.
-func (b *BusySet) Blocks() int { return len(b.blocks) }
-
-// Mark adds a node.
-func (b *BusySet) Mark(node int) {
+// Mark adds a node and reports whether it joined: false if it was
+// already in the set.
+func (b *BusySet) Mark(node int) bool {
 	i := b.slot[node]
-	b.words[i>>6] |= 1 << (i & 63)
+	w, bit := &b.words[i>>6], uint64(1)<<(i&63)
+	joined := *w&bit == 0
+	*w |= bit
+	return joined
 }
 
 // Clear removes a node.
@@ -81,6 +82,17 @@ func (b *BusySet) Clear(node int) {
 func (b *BusySet) Has(node int) bool {
 	i := b.slot[node]
 	return b.words[i>>6]&(1<<(i&63)) != 0
+}
+
+// Any reports whether block k has a member.
+func (b *BusySet) Any(k int) bool {
+	blk := b.blocks[k]
+	for _, w := range b.words[blk.w0:blk.w1] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Each calls f on every member of block k in ascending id order. It

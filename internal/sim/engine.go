@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle int64
 
@@ -180,10 +182,11 @@ type wheelNode struct {
 	next int32
 }
 
-// Engine drives a cycle-accurate simulation: every registered Ticker runs
-// once per cycle, and timed events fire at the start of their cycle,
-// before tickers, in (cycle, schedule order). The zero value is not
-// usable; construct with NewEngine.
+// Engine drives a cycle-accurate simulation: timed events fire at the
+// start of their cycle in (cycle, schedule order), then the tickers run
+// in registration order, each added with Register every cycle and each
+// added with Sleeper only on the cycles it has been woken for. The zero
+// value is not usable; construct with NewEngine.
 //
 // Events are kept on a calendar queue. One slab of wheelNodes, threaded
 // into a per-cycle FIFO for each of the next wheelSize cycles plus a
@@ -204,9 +207,15 @@ type wheelNode struct {
 // bucket has already drained) fires at the start of the next cycle,
 // before that cycle's own events, as it would from a heap; it waits in
 // the far heap, which orders it ahead of everything due a cycle later.
+//
+// A cycle with no event due and no ticker due does nothing but advance
+// the clock, so when no always-on ticker is registered Run jumps over a
+// run of them in one step (Step never does).
 type Engine struct {
 	now     Cycle
-	tickers []Ticker
+	tickers []tickerSlot
+	always  int // tickers added with Register: while any is, Run never jumps
+	turn    int // index of the ticker running in the tick phase
 
 	// nodes[0] is a sentinel: index 0 means "none", so the zero head and
 	// tail arrays are a wheel of empty buckets.
@@ -232,12 +241,83 @@ func NewEngine() *Engine {
 // Engine is the reference Driver implementation.
 var _ Driver = (*Engine)(nil)
 
+// never is the due cycle of a sleeper no one has woken.
+const never = Cycle(math.MaxInt64)
+
+// tickerSlot is one registered ticker and the first cycle it is due in:
+// math.MinInt64 for an always-on ticker, whose due cycle never moves,
+// and never for a sleeper until it is woken.
+type tickerSlot struct {
+	t      Ticker
+	due    Cycle
+	sleeps bool
+}
+
 // Now reports the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Register adds a ticker. Tickers run in registration order each cycle.
+// Register adds a ticker that runs every cycle. Tickers, sleepers
+// included, run in registration order.
 func (e *Engine) Register(t Ticker) {
-	e.tickers = append(e.tickers, t)
+	e.tickers = append(e.tickers, tickerSlot{t: t, due: math.MinInt64})
+	e.always++
+}
+
+// Wake is the alarm of a ticker registered with Sleeper. The zero Wake
+// belongs to a ticker its engine could not put to sleep, which runs
+// every cycle anyway: waking it does nothing.
+type Wake struct {
+	e *Engine
+	i int
+}
+
+// Sleeper registers t on s to run only on the cycles it is woken for
+// (Wake.At says which), and returns its alarm. The sleeper takes its
+// turn among the tickers in registration order and is asleep again when
+// Tick is called: whoever gives it work re-arms it, Tick included. On a
+// scheduler other than *Engine t is registered with Register and runs
+// every cycle, which is the same schedule with no cycle skipped; the
+// Wake returned is the zero one.
+func Sleeper(s Scheduler, t Ticker) Wake {
+	e, ok := s.(*Engine)
+	if !ok {
+		s.Register(t)
+		return Wake{}
+	}
+	e.tickers = append(e.tickers, tickerSlot{t: t, due: never, sleeps: true})
+	return Wake{e: e, i: len(e.tickers) - 1}
+}
+
+// At wakes the sleeper for cycle at. A sleeper woken for several cycles
+// runs in the earliest; each run consumes every wake it had. A cycle at
+// or before now means the current cycle if the sleeper's turn in the
+// tick phase is still to come, and the next cycle if it has come: that
+// is the first cycle in which a ticker called every cycle would find the
+// work.
+func (w Wake) At(at Cycle) {
+	e := w.e
+	if e == nil {
+		return
+	}
+	if at <= e.now {
+		at = e.now
+		if e.ticking && e.turn >= w.i {
+			at++
+		}
+	}
+	if s := &e.tickers[w.i]; at < s.due {
+		s.due = at
+	}
+}
+
+// Due reports the first cycle the sleeper is due in: math.MaxInt64
+// while no one has woken it, and math.MinInt64 for the zero Wake, whose
+// ticker runs every cycle.
+func (w Wake) Due() Cycle {
+	if w.e == nil {
+		return math.MinInt64
+	}
+	return w.e.tickers[w.i].due
 }
 
 // At schedules fn to run at cycle at. Scheduling in the past panics:
@@ -287,7 +367,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Step advances one cycle: fires due events, then ticks all tickers.
+// Step advances one cycle: fires due events, then runs the tickers due.
 func (e *Engine) Step() {
 	for len(e.far.a) > 0 && e.far.a[0].at <= e.now {
 		ev := e.far.pop()
@@ -313,21 +393,67 @@ func (e *Engine) Step() {
 		fn(e.now)
 	}
 	e.ticking = true
-	for _, t := range e.tickers {
-		t.Tick(e.now)
+	for i := range e.tickers {
+		s := &e.tickers[i]
+		if s.due > e.now {
+			continue
+		}
+		if s.sleeps {
+			s.due = never
+		}
+		e.turn = i
+		s.t.Tick(e.now)
 	}
 	e.ticking = false
 	e.now++
 }
 
 // Run executes up to maxCycles cycles, stopping early if Stop is called.
-// It returns the number of cycles actually executed.
+// It returns the number of cycles actually executed. With no always-on
+// ticker registered, it jumps from a cycle with nothing due straight to
+// the next that has something (an event or a sleeper), or to its limit;
+// the skipped cycles would each have done nothing but advance the clock.
 func (e *Engine) Run(maxCycles Cycle) Cycle {
 	start := e.now
-	for e.now-start < maxCycles && !e.stopped {
+	end := start + min(maxCycles, never-start)
+	for e.now < end && !e.stopped {
+		if e.always == 0 && e.head[e.now&wheelMask] == 0 {
+			if e.now = e.nextDue(end); e.now == end {
+				break
+			}
+		}
 		e.Step()
 	}
 	return e.now - start
+}
+
+// nextDue returns the first cycle from now on in which an event or a
+// ticker is due, or end if none is before it. The current cycle's
+// bucket is empty.
+func (e *Engine) nextDue(end Cycle) Cycle {
+	now := e.now
+	if len(e.far.a) > 0 && e.far.a[0].at <= now {
+		return now
+	}
+	next := end
+	if len(e.far.a) > 0 {
+		next = min(next, e.far.a[0].at)
+	}
+	for i := range e.tickers {
+		next = min(next, e.tickers[i].due)
+	}
+	if next <= now {
+		return now
+	}
+	// Every wheel event is due within one revolution.
+	if e.near > 0 {
+		for c := now + 1; c < next; c++ {
+			if e.head[c&wheelMask] != 0 {
+				return c
+			}
+		}
+	}
+	return next
 }
 
 // Pending reports the number of unfired events; useful in tests.

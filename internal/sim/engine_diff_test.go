@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -328,5 +329,328 @@ func TestEngineTickerPhaseEvent(t *testing.T) {
 	want := []string{"late-1", "late-2", "far", "near", "outside"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("firing order %v, want %v", order, want)
+	}
+}
+
+// everyCycle is the engine before sleepers: heapEngine with Run and
+// Stop, calling every ticker on every cycle. It runs a sleeper as an
+// always-on ticker that does its work only when a wake is pending, which
+// is the schedule the sleeper rules promise, and is the reference the
+// sleeper scripts hold Engine to.
+type everyCycle struct {
+	heapEngine
+	stopped bool
+}
+
+func (e *everyCycle) Stop() { e.stopped = true }
+
+func (e *everyCycle) Run(maxCycles Cycle) Cycle {
+	start := e.now
+	for e.now-start < maxCycles && !e.stopped {
+		e.Step()
+	}
+	return e.now - start
+}
+
+func (e *everyCycle) sleeper(t Ticker) func(Cycle) {
+	pending := never
+	e.Register(TickFunc(func(now Cycle) {
+		if pending <= now {
+			pending = never
+			t.Tick(now)
+		}
+	}))
+	return func(at Cycle) { pending = min(pending, at) }
+}
+
+// sleepyEngine is the Engine under test, with Sleeper as a method so the
+// two engines drive alike.
+type sleepyEngine struct{ *Engine }
+
+func (e sleepyEngine) sleeper(t Ticker) func(Cycle) { return Sleeper(e.Engine, t).At }
+
+// sleepScripted is what a sleeper script drives.
+type sleepScripted interface {
+	scriptedEngine
+	Run(maxCycles Cycle) Cycle
+	Stop()
+	sleeper(t Ticker) func(Cycle)
+}
+
+// The situations the sleeper seed scripts exist to reach.
+const (
+	caseWakeFromEvent  = "a sleeper woken from an event"
+	caseWakeBeforeTurn = "a sleeper woken for now by a ticker before its turn"
+	caseWakeAfterTurn  = "a sleeper woken for now by a ticker at or after its turn"
+	caseStopInRun      = "Stop inside Run"
+	caseRunLimit       = "Run ending at its limit with nothing due there"
+	caseJump           = "Run crossing idle cycles with no always-on ticker"
+)
+
+// sleepRun is everything observable about one sleeper script.
+type sleepRun struct {
+	log               []firing // id < 0: sleeper -id-1 ran
+	runs              []Cycle  // what each Run returned
+	now               Cycle
+	pending, maxDepth int
+	fired             uint64
+	reached           map[string]bool
+	alwaysOnTicker    int
+}
+
+// runSleepScript interprets script against e. The first byte sets up the
+// tickers: one to three sleepers and, when bit 2 is set, an always-on
+// ticker at a position the next byte picks. Then, until the script runs
+// out, the outer loop reads a byte per round: Run with a limit decoded from
+// it, or Step, after waking a sleeper or scheduling an event from
+// outside. A firing event logs itself and reads a byte: wake a sleeper
+// for a delay decoded from the next byte, schedule a child, or Stop. A
+// sleeper's work logs itself and reads a byte: wake a sleeper (itself
+// included) for a decoded delay, or schedule an event.
+func runSleepScript(e sleepScripted, script []byte) *sleepRun {
+	if len(script) > 256 {
+		script = script[:256]
+	}
+	r := &sleepRun{reached: map[string]bool{}}
+	pos := 0
+	next := func() (byte, bool) {
+		if pos >= len(script) {
+			return 0, false
+		}
+		c := script[pos]
+		pos++
+		return c, true
+	}
+	setup, _ := next()
+	nSleepers := 1 + int(setup%3)
+	always := setup&4 != 0
+	where, _ := next()
+	wakes := make([]func(Cycle), nSleepers)
+	turn := make([]int, nSleepers) // each sleeper's index among the tickers
+	ids, position := 0, 0
+	running := -1 // the ticker whose turn it is, -1 outside the tick phase
+	var event func() func(Cycle)
+	wake := func(from string, c byte) {
+		k := int(c) % nSleepers
+		d, ok := next()
+		if !ok {
+			return
+		}
+		delay := scriptDelay(d)
+		switch {
+		case from == "event":
+			r.reached[caseWakeFromEvent] = true
+		case from == "ticker" && delay == 0 && running < turn[k]:
+			r.reached[caseWakeBeforeTurn] = true
+		case from == "ticker" && delay == 0:
+			r.reached[caseWakeAfterTurn] = true
+		}
+		wakes[k](e.Now() + delay)
+	}
+	schedule := func() {
+		if d, ok := next(); ok {
+			e.At(e.Now()+scriptDelay(d), event())
+		}
+	}
+	event = func() func(Cycle) {
+		id := ids
+		ids++
+		return func(now Cycle) {
+			r.log = append(r.log, firing{id: id, at: now, pending: e.Pending()})
+			c, ok := next()
+			if !ok {
+				return
+			}
+			switch c % 8 {
+			case 0, 1, 2:
+				wake("event", c>>3)
+			case 3, 4:
+				schedule()
+			case 5:
+				e.Stop()
+			}
+		}
+	}
+	register := func() {
+		if always && position == int(where)%(nSleepers+1) {
+			always = false
+			r.alwaysOnTicker++
+			at := position
+			e.Register(TickFunc(func(Cycle) { running = at }))
+			position++
+		}
+	}
+	for k := range wakes {
+		register()
+		k, at := k, position
+		turn[k] = at
+		wakes[k] = e.sleeper(TickFunc(func(now Cycle) {
+			running = at
+			r.log = append(r.log, firing{id: -k - 1, at: now, pending: e.Pending()})
+			if c, ok := next(); ok {
+				switch c % 4 {
+				case 0, 1:
+					wake("ticker", c>>2)
+				case 2:
+					schedule()
+				}
+			}
+		}))
+		position++
+	}
+	register()
+	for rounds := 0; rounds < 64; rounds++ {
+		c, ok := next()
+		if !ok {
+			break
+		}
+		switch c % 3 {
+		case 0:
+			wake("outside", c>>2)
+		case 1:
+			schedule()
+		}
+		running = -1
+		if c&0x80 != 0 {
+			e.Step()
+			continue
+		}
+		limit := Cycle(c>>2&0x1f) * 67
+		logged, from := len(r.log), e.Now()
+		ran := e.Run(limit)
+		r.runs = append(r.runs, ran)
+		if ran < limit {
+			r.reached[caseStopInRun] = true
+		}
+		last := from - 1
+		for _, f := range r.log[logged:] {
+			if f.at > last+1 && r.alwaysOnTicker == 0 {
+				r.reached[caseJump] = true
+			}
+			last = f.at
+		}
+		if ran == limit && ran > 0 && last < e.Now()-1 && r.alwaysOnTicker == 0 {
+			r.reached[caseRunLimit] = true
+		}
+	}
+	r.now, r.pending, r.maxDepth, r.fired = e.Now(), e.Pending(), e.MaxQueueDepth(), e.EventsFired()
+	return r
+}
+
+// checkSleepScript runs one script through Engine and the every-cycle
+// reference, compares, and returns the situations the script reached.
+func checkSleepScript(t *testing.T, script []byte) map[string]bool {
+	t.Helper()
+	got, want := runSleepScript(sleepyEngine{NewEngine()}, script), runSleepScript(&everyCycle{}, script)
+	for i := 0; i < len(got.log) && i < len(want.log); i++ {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("script %v: step %d of the work log is %+v, calling every ticker every cycle gives %+v", script, i, got.log[i], want.log[i])
+		}
+	}
+	if len(got.log) != len(want.log) {
+		t.Fatalf("script %v: %d log entries, calling every ticker every cycle gives %d", script, len(got.log), len(want.log))
+	}
+	if !reflect.DeepEqual(got.runs, want.runs) {
+		t.Fatalf("script %v: Run returned %v, calling every ticker every cycle gives %v", script, got.runs, want.runs)
+	}
+	if got.now != want.now || got.pending != want.pending || got.maxDepth != want.maxDepth || got.fired != want.fired {
+		t.Fatalf("script %v: (now, pending, max depth, fired) = (%d, %d, %d, %d), calling every ticker every cycle gives (%d, %d, %d, %d)", script,
+			got.now, got.pending, got.maxDepth, got.fired, want.now, want.pending, want.maxDepth, want.fired)
+	}
+	return got.reached
+}
+
+// sleepSeedScripts are the hand-written cases, keyed by the situation
+// each must reach; each is also a fuzz seed.
+var sleepSeedScripts = map[string][]byte{
+	caseWakeFromEvent:  {210, 162, 109, 186, 232, 55},
+	caseWakeBeforeTurn: {154, 117, 75, 223, 77, 192},
+	caseWakeAfterTurn:  {210, 138, 75, 120, 108, 184},
+	caseStopInRun:      {41, 98, 85, 99, 173},
+	caseRunLimit:       {96, 143, 103, 46},
+	caseJump:           {73, 115, 121, 234},
+}
+
+// TestSleepersMatchAlwaysOn holds sleeping tickers and Run's jump to the
+// every-cycle engine: the same work in the same cycles and order, the
+// same Run results and the same counters, over the seed cases and a few
+// thousand random scripts.
+func TestSleepersMatchAlwaysOn(t *testing.T) {
+	for name, script := range sleepSeedScripts {
+		if reached := checkSleepScript(t, script); !reached[name] {
+			t.Errorf("seed script %v does not reach %q (reached %v)", script, name, reached)
+		}
+	}
+	rng := NewRNG(2027)
+	n := 3000
+	if testing.Short() {
+		n = 300
+	}
+	reached := map[string]int{}
+	for i := 0; i < n; i++ {
+		script := make([]byte, 8+rng.Intn(120))
+		for j := range script {
+			script[j] = byte(rng.Intn(256))
+		}
+		for name := range checkSleepScript(t, script) {
+			reached[name]++
+		}
+	}
+	for name := range sleepSeedScripts {
+		if reached[name] == 0 {
+			t.Errorf("no random script reached %q", name)
+		}
+	}
+}
+
+// FuzzSleepersMatchAlwaysOn lets the fuzzer write the sleeper script.
+func FuzzSleepersMatchAlwaysOn(f *testing.F) {
+	for _, script := range sleepSeedScripts {
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { checkSleepScript(t, script) })
+}
+
+// TestSleeperWakeRules pins the rules by example. Sleeper a is
+// registered before b. A wake for now from b's turn (after a's) runs a
+// next cycle; from a's turn (before b's) it runs b this cycle. A wake
+// from an event or from outside Step runs the sleeper in the cycle asked
+// for, a past one meaning now; each run consumes every wake pending, and
+// a sleeper runs nowhere else. Run jumps the idle cycles and returns the
+// cycles elapsed, its limit included.
+func TestSleeperWakeRules(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	var a, b Wake
+	a = Sleeper(e, TickFunc(func(now Cycle) {
+		log = append(log, fmt.Sprintf("a@%d", now))
+		if now == 6 {
+			b.At(now)
+		}
+	}))
+	b = Sleeper(e, TickFunc(func(now Cycle) {
+		log = append(log, fmt.Sprintf("b@%d", now))
+		if now == 5 {
+			a.At(now - 3)
+		}
+	}))
+	b.At(5)
+	e.At(10, func(Cycle) { a.At(12); a.At(14) })
+	if ran := e.Run(13); ran != 13 {
+		t.Fatalf("Run(13) returned %d", ran)
+	}
+	a.At(0)
+	if ran := e.Run(1000); ran != 1000 {
+		t.Fatalf("Run(1000) returned %d", ran)
+	}
+	want := []string{"b@5", "a@6", "b@6", "a@12", "a@13"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("work log %v, want %v", log, want)
+	}
+	if d := a.Due(); d != never {
+		t.Fatalf("a is due at %d after its runs, want asleep", d)
+	}
+	if e.Now() != 1013 {
+		t.Fatalf("now = %d, want 1013", e.Now())
 	}
 }

@@ -253,7 +253,7 @@ type System struct {
 	tracer   *noc.ShardedTracer
 	obsRec   *obs.Sharded
 	obsReg   []*obs.Registry // per engine block: the registry of the nodes the block holds
-	obsBlock []int32         // node -> its block's index in obsReg
+	blockOf  []int32         // node -> its engine block's index
 	// What collect merged them into, kept so the accessors do not merge
 	// again; nil until Run returns.
 	obsMerged    *obs.Recorder
@@ -285,6 +285,12 @@ type System struct {
 	// backlogged holds the nodes whose L1 or directory outbox may be
 	// non-empty; an outbox only ever grows when transport.Send refuses.
 	backlogged *sim.BusySet
+
+	// The alarms of the tickers that sleep until woken: per block, the
+	// FSOI busy-node sweep and the outbox drain; the ideal networks' tick.
+	sweeps, drains []sim.Wake
+	netWake        sim.Wake
+	ideal          *mesh.Ideal // the network, when it is L0, Lr1 or Lr2
 }
 
 // ordStream is one ordered (dst, line) message stream of its source node
@@ -388,8 +394,11 @@ func (t transport) Send(m coherence.Msg) bool {
 	if !s.net.Send(&p.Packet) {
 		s.recycle(p)
 		// The refused message goes to its sender's outbox (or a retry
-		// event): the node joins the per-cycle outbox drain.
-		s.backlogged.Mark(m.From)
+		// event): the node joins the outbox drain, waking it for this
+		// cycle's turn, or the next cycle's once this one's has come.
+		if s.backlogged.Mark(m.From) {
+			s.drains[s.blockOf[m.From]].At(s.engine.Now())
+		}
 		return false
 	}
 	s.observeInject(&p.Packet)
@@ -518,11 +527,14 @@ func New(cfg Config) *System {
 		s.meshNet = mesh.New(mc, s.engine)
 		s.net = s.meshNet
 	case NetL0:
-		s.net = mesh.NewL0(dim, s.engine)
+		s.ideal = mesh.NewL0(dim, s.engine)
+		s.net = s.ideal
 	case NetLr1:
-		s.net = mesh.NewLr(dim, 1, s.engine)
+		s.ideal = mesh.NewLr(dim, 1, s.engine)
+		s.net = s.ideal
 	case NetLr2:
-		s.net = mesh.NewLr(dim, 2, s.engine)
+		s.ideal = mesh.NewLr(dim, 2, s.engine)
+		s.net = s.ideal
 	default:
 		// Everything that takes no Config field, corona included, is
 		// built by the optnet registry under its own name.
@@ -542,19 +554,24 @@ func New(cfg Config) *System {
 	// sharing a shard, not once per node: a sweep over the block's busy
 	// nodes in id order, through the block's first node's scheduler, so
 	// it ticks in that shard's context on the windowed engine. The serial
-	// engine has one block.
+	// engine has one block. The sweeps sleep until their work wakes them,
+	// as does the ideal networks' tick (the windowed engine runs them
+	// every cycle instead); the mesh and the crossbars tick every cycle.
 	blocks := sim.Blocks(s.engine, cfg.Nodes)
-	sweepPerBlock := func(sweep func(k int, now sim.Cycle)) {
-		for k, blk := range blocks {
-			k := k
-			s.sched(blk.Lo).Register(sim.TickFunc(func(now sim.Cycle) { sweep(k, now) }))
+	s.blockOf = make([]int32, cfg.Nodes)
+	for k, blk := range blocks {
+		for i := blk.Lo; i < blk.Hi; i++ {
+			s.blockOf[i] = int32(k)
 		}
 	}
-	if s.fsoi != nil {
+	switch {
+	case s.fsoi != nil:
 		// FSOI has no global tick: every node's slice of the network
 		// ticks in that node's own shard context.
-		sweepPerBlock(s.fsoi.TickBlock)
-	} else {
+		s.sweeps = s.fsoi.RegisterSweeps()
+	case s.ideal != nil:
+		s.netWake = s.ideal.RegisterTick()
+	default:
 		// The electrical and crossbar networks tick globally; they run
 		// only on the serial engine (Validate refuses ParWorkers off FSOI).
 		s.engine.Register(sim.TickFunc(s.net.Tick))
@@ -571,15 +588,19 @@ func New(cfg Config) *System {
 	// The controllers' only per-cycle work is re-offering an outbox the
 	// network pushed back on, after every network tick of the cycle: l1
 	// then directory, in node order, for the nodes transport.Send refused.
+	// A block's drain sleeps until a refusal there wakes it.
 	s.backlogged = sim.NewBusySet(blocks)
-	sweepPerBlock(func(k int, now sim.Cycle) {
-		s.backlogged.Each(k, func(i int) {
-			// Cleared first: a Send refused again during the drain re-marks.
-			s.backlogged.Clear(i)
-			s.l1s[i].Tick(now)
-			s.dirs[i].Tick(now)
-		})
-	})
+	for k, blk := range blocks {
+		s.drains = append(s.drains, sim.Sleeper(s.sched(blk.Lo), sim.TickFunc(func(now sim.Cycle) {
+			s.backlogged.Each(k, func(i int) {
+				// Cleared first: a Send refused again during the drain
+				// re-marks the node and wakes the drain for next cycle.
+				s.backlogged.Clear(i)
+				s.l1s[i].Tick(now)
+				s.dirs[i].Tick(now)
+			})
+		})))
+	}
 	for c := 0; c < cfg.Memory.Channels; c++ {
 		node := attach[c]
 		if s.mems[node] != nil {
@@ -603,12 +624,8 @@ func New(cfg Config) *System {
 		// on one shard, so nothing recorded is touched from two.
 		s.obsRec = obs.NewSharded(blocks, cfg.ObserveLimit)
 		s.obsReg = make([]*obs.Registry, len(blocks))
-		s.obsBlock = make([]int32, cfg.Nodes)
-		for k, blk := range blocks {
+		for k := range blocks {
 			s.obsReg[k] = obs.NewRegistry()
-			for i := blk.Lo; i < blk.Hi; i++ {
-				s.obsBlock[i] = int32(k)
-			}
 		}
 		// Any network exposing an observer hook gets the recorder: FSOI
 		// emits the full per-attempt lifecycle through per-node handles,
@@ -628,7 +645,7 @@ func New(cfg Config) *System {
 			// observation lands in the registry of the executing node's block.
 			sinks := make([]core.LinkObserver, cfg.Nodes)
 			for i := range sinks {
-				sinks[i] = s.obsReg[s.obsBlock[i]]
+				sinks[i] = s.obsReg[s.blockOf[i]]
 			}
 			s.fsoi.SetLinkObservers(sinks)
 		}
@@ -747,7 +764,7 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 			Src: int32(p.Src), Dst: int32(p.Dst), Attempt: int32(p.Retries),
 			Class: uint8(p.Type), Lane: obs.LaneNone,
 		})
-		s.obsReg[s.obsBlock[p.Dst]].Observe(uint8(p.Type), p.Src, p.Dst, lat)
+		s.obsReg[s.blockOf[p.Dst]].Observe(uint8(p.Type), p.Src, p.Dst, lat)
 	}
 	switch m.Type {
 	case coherence.ReqMem, coherence.MemWrite:
@@ -813,6 +830,16 @@ func (s *System) onBit(src, dst int, tag uint64, value bool, now sim.Cycle) {
 // Run executes one application to completion (or MaxCycles) and gathers
 // metrics.
 func (s *System) Run(app workload.App) Metrics {
+	s.start(app)
+	s.engine.Run(s.cfg.MaxCycles)
+	if s.winEng != nil {
+		s.winEng.Close()
+	}
+	return s.collect(app.Name)
+}
+
+// start sets every core running its thread of app.
+func (s *System) start(app workload.App) {
 	// Barrier target: every honest core participates in barrier 0.
 	// Hostile streams emit no barriers, so counting the attackers would
 	// wedge every honest thread at its first barrier.
@@ -838,11 +865,6 @@ func (s *System) Run(app workload.App) Metrics {
 		s.cores = append(s.cores, c)
 		c.Start()
 	}
-	s.engine.Run(s.cfg.MaxCycles)
-	if s.winEng != nil {
-		s.winEng.Close()
-	}
-	return s.collect(app.Name)
 }
 
 // onCoreFinish counts thread completions and stops the engine when the
