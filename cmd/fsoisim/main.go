@@ -25,6 +25,11 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// adjust edits the configuration just before the run. Only the tests set
+// it: they cut a run off after a few thousand cycles, not MaxCycles' 40
+// million, to reach the unfinished-run exit.
+var adjust = func(*system.Config) {}
+
 // run is the whole command behind a testable seam: it returns the exit
 // code instead of calling os.Exit.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -118,6 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceFile != "" || *chromeTrace != "" {
 		cfg.Observe = true // recording is an output choice, so it has no spec field
 	}
+	adjust(&cfg)
 
 	s := system.New(cfg)
 	if *profilePath != "" {
@@ -211,6 +217,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintf(stdout, "canonical metrics   written to %s\n", *canonicalPath)
 		}
+	}
+	// A run cut off at MaxCycles measured nothing: every output above is
+	// written for the diagnosis, and the exit status says so.
+	if !m.Finished {
+		fmt.Fprintf(stderr, "fsoisim: run did not finish: stopped at cycle %d of MaxCycles %d; its metrics are not a result\n", m.Cycles, cfg.MaxCycles)
+		return 1
 	}
 	return 0
 }

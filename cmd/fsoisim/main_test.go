@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fsoi/internal/system"
 )
 
 // sim runs the command in-process and fails the test unless it exits 0.
@@ -81,6 +83,8 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-trace", "-3"},
 		{"-par", "-1"},
 		{"-config", writeSpec(t, `{"receivers": -2}`)},
+		// A one-slot backoff cap retries colliding senders in lockstep.
+		{"-config", writeSpec(t, `{"max_backoff_slots": 1}`)},
 		// The exact sharded engine is withdrawn, and its knob with it.
 		{"-shards", "2"},
 		{"-config", writeSpec(t, `{"shards": 4}`)},
@@ -91,5 +95,26 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		if code != 2 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "fsoisim: ") {
 			t.Errorf("fsoisim %v: exit %d, stderr %q; want exit 2 and one fsoisim: line", args, code, msg)
 		}
+	}
+}
+
+// TestUnfinishedRunExitsOne: a run cut off at MaxCycles still prints its
+// metrics and writes its files, then names on one stderr line the cycle it
+// reached and the limit, and exits 1.
+func TestUnfinishedRunExitsOne(t *testing.T) {
+	defer func(old func(*system.Config)) { adjust = old }(adjust)
+	adjust = func(cfg *system.Config) { cfg.MaxCycles = 2000 }
+	canon := filepath.Join(t.TempDir(), "run.canon")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-app", "jacobi", "-scale", "0.02", "-canonical", canon}, &stdout, &stderr)
+	msg := stderr.String()
+	if code != 1 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "fsoisim: run did not finish: stopped at cycle 2000 of MaxCycles 2000") {
+		t.Fatalf("exit %d, stderr %q: want exit 1 and one line naming cycle 2000 and MaxCycles 2000", code, msg)
+	}
+	if !strings.Contains(stdout.String(), "(finished=false)") || !strings.Contains(stdout.String(), "canonical metrics   written to") {
+		t.Fatalf("stdout lacks the metrics or the canonical file:\n%s", stdout.String())
+	}
+	if text, err := os.ReadFile(canon); err != nil || len(text) == 0 {
+		t.Fatalf("canonical file: %d bytes, %v", len(text), err)
 	}
 }

@@ -45,79 +45,48 @@ func (s dirState) String() string { return dirStateNames[s] }
 // stable reports whether the state accepts new requests directly.
 func (s dirState) stable() bool { return s <= sDM }
 
-// sharerSet is a growable bitset of node ids holding S copies. The
-// zero value is empty. It replaces the former single-uint64 mask,
-// whose 64-node capacity silently dropped sharers at larger systems
-// (1<<n is 0 in Go for shifts >= 64): a node past 63 was never
-// recorded, its upgrade requests were forever reinterpreted as
-// exclusive reads, and 256-node runs wedged with cores ≡ k (mod 64)
-// spinning on misses that could not complete. The first word is inline,
-// so up to 64 nodes a set owns no memory of its own.
-type sharerSet struct {
-	lo uint64   // nodes 0..63
-	hi []uint64 // nodes 64 and up: hi[w-1] holds nodes 64w..64w+63
-}
-
-// has reports membership.
-func (s *sharerSet) has(n int) bool {
-	w := n >> 6
-	if w == 0 {
-		return s.lo&(1<<uint(n)) != 0
-	}
-	return w <= len(s.hi) && s.hi[w-1]&(1<<uint(n&63)) != 0
-}
-
-// add includes node n, growing in place when the backing array allows.
-func (s *sharerSet) add(n int) {
-	w := n >> 6
-	if w == 0 {
-		s.lo |= 1 << uint(n)
-		return
-	}
-	for len(s.hi) < w {
-		s.hi = append(s.hi, 0)
-	}
-	s.hi[w-1] |= 1 << uint(n&63)
-}
-
-// clear empties the set, retaining the backing array for reuse.
-func (s *sharerSet) clear() {
-	s.lo = 0
-	clear(s.hi)
-}
-
-// forEach visits members in ascending node order — the same
-// deterministic order the old 0..63 scan used.
-func (s *sharerSet) forEach(fn func(n int)) {
-	for w := 0; w <= len(s.hi); w++ {
-		word := s.lo
-		if w > 0 {
-			word = s.hi[w-1]
-		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			fn(w<<6 | b)
-		}
-	}
-}
-
-// dirEntry is the directory's record for one line homed at this slice.
-// Records live in the directory's slab and are found through its table;
-// node ids are int32 and the flags bytes, which with the inline sharer
-// word keeps a record under a hundred bytes.
+// dirEntry is the directory's record for one line homed at this slice:
+// 40 bytes and no pointers, so the slab that holds the records is never
+// scanned by the garbage collector. What does not fit lives out of line in
+// the Directory, found through the record: its stall queue by the stall
+// index, its sharers past node 63 by the record's slab position (see
+// wideWords).
+//
+// The sharer set is a bitset of every node id, not a single 64-bit mask:
+// a mask's 64-node capacity silently dropped sharers at larger systems
+// (1<<n is 0 in Go for shifts >= 64), so a node past 63 was never
+// recorded, its upgrade requests were forever reinterpreted as exclusive
+// reads, and 256-node runs wedged with cores ≡ k (mod 64) spinning on
+// misses that could not complete. Its first word is inline, so up to 64
+// nodes a line's sharers cost nothing out of line.
 type dirEntry struct {
 	addr      cache.LineAddr
 	lru       uint64
-	sharers   sharerSet // nodes with S copies
-	pending   []Msg     // "z"-stalled requests, FIFO
-	owner     int32     // valid in sDM and DM transients
-	requester int32     // requester of the in-flight transaction
-	acks      int32     // outstanding InvAcks
+	sharers   uint64 // nodes 0..63 with S copies
+	owner     int32  // valid in sDM and DM transients
+	requester int32  // requester of the in-flight transaction
+	acks      int32  // outstanding InvAcks
+	stall     uint16 // 1 + the index of the line's stall queue, 0 when none
 	state     dirState
-	dirty     bool // L2 copy newer than memory
-	wantExc   bool // in DI transients: exclusive-mode fetch
-	live      bool // holds a line (false: on the slab's free list, or never used)
+	flags     uint8 // fDirty, fLive
+}
+
+// dirEntry flags.
+const (
+	fDirty uint8 = 1 << iota // L2 copy newer than memory
+	fLive                    // holds a line (clear: on the slab's free list, or never used)
+)
+
+// maxStalled is how many requests one line may hold stalled ("z") before
+// the next is NACKed.
+const maxStalled = 8
+
+// rec is a record together with its slab position, which locates the
+// record's out-of-line sharer words. The embedded pointer makes a rec read
+// like the record itself.
+type rec struct {
+	*dirEntry
+	ref int32
 }
 
 // DirConfig sizes a directory/L2 slice.
@@ -165,11 +134,22 @@ type Directory struct {
 	entries table.Table[int32]
 	slab    [][]dirEntry
 	freed   []int32
-	lruTick uint64
-	stalled int
-	stats   DirStats
-	outbox  []Msg
-	sync    *syncManager
+	// wide holds the sharer words past a record's inline one, stride per
+	// record in slab order (slabPos). It stays empty until a sharer past
+	// node 63 is added, and stride grows to the widest sharer seen.
+	wide   []uint64
+	stride int
+	// queues holds the stall queues, FIFO each; a record with stalled
+	// requests names one. A drained queue goes on queueFree, keeping its
+	// backing array, so a slice allocates only as many queues as it ever
+	// had lines with stalled requests at once, at most QueueEntries.
+	queues    [][]Msg
+	queueFree []uint16
+	lruTick   uint64
+	stalled   int
+	stats     DirStats
+	outbox    []Msg
+	sync      *syncManager
 	// lastSend serializes delayed sends per (destination, line): the L2
 	// pipeline must not let a short tag access (Inv, 4 cycles) overtake
 	// an earlier data access (Data(M), 15 cycles) to the same node about
@@ -182,11 +162,24 @@ type Directory struct {
 	sendFree []*delayedSend
 }
 
-// Slab chunk sizing, in records.
+// Slab chunk sizing, in records: chunk c holds min(minChunk<<c,
+// 1<<chunkBits).
 const (
-	minChunk  = 4
-	chunkBits = 6
+	minChunkBits = 2
+	minChunk     = 1 << minChunkBits
+	chunkBits    = 6
 )
+
+// slabPos numbers the record at ref densely in slab order: the first
+// chunkBits-minChunkBits chunks double in size, the rest are full.
+func slabPos(ref int32) int {
+	const ramp = chunkBits - minChunkBits
+	c, o := int(ref>>chunkBits), int(ref&(1<<chunkBits-1))
+	if c < ramp {
+		return minChunk*(1<<c-1) + o
+	}
+	return minChunk*(1<<ramp-1) + (c-ramp)<<chunkBits + o
+}
 
 // sendStamp is the cycle the latest send of one (destination, line) stream
 // leaves the L2 pipeline.
@@ -295,17 +288,17 @@ func (d *Directory) Tick(now sim.Cycle) {
 }
 
 // at resolves a table value to its record.
-func (d *Directory) at(ref int32) *dirEntry {
-	return &d.slab[ref>>chunkBits][ref&(1<<chunkBits-1)]
+func (d *Directory) at(ref int32) rec {
+	return rec{&d.slab[ref>>chunkBits][ref&(1<<chunkBits-1)], ref}
 }
 
-// lookup returns the record for addr, or nil when the line is not in the
-// directory.
-func (d *Directory) lookup(addr cache.LineAddr) *dirEntry {
+// lookup returns the record for addr, with a nil dirEntry when the line is
+// not in the directory.
+func (d *Directory) lookup(addr cache.LineAddr) rec {
 	if ref := d.entries.Ref(uint64(addr)); ref != nil {
 		return d.at(*ref)
 	}
-	return nil
+	return rec{}
 }
 
 // alloc returns the slab position of a blank record: the last one an L2
@@ -331,21 +324,27 @@ func (d *Directory) alloc() int32 {
 }
 
 // remove takes e's line out of the directory and recycles the record.
-func (d *Directory) remove(e *dirEntry) {
-	d.freed = append(d.freed, *d.entries.Ref(uint64(e.addr)))
+// Requests still stalled on the line are dropped with it, and stay
+// counted in stalled.
+func (d *Directory) remove(e rec) {
+	d.freed = append(d.freed, e.ref)
 	d.entries.Delete(uint64(e.addr))
-	*e = dirEntry{}
+	d.clearSharers(e)
+	if e.stall != 0 {
+		d.freeQueue(e)
+	}
+	*e.dirEntry = dirEntry{}
 }
 
 // entry fetches or creates the record for addr, evicting a victim when
 // the slice is at capacity.
-func (d *Directory) entry(addr cache.LineAddr) *dirEntry {
+func (d *Directory) entry(addr cache.LineAddr) rec {
 	e := d.lookup(addr)
-	if e == nil {
+	if e.dirEntry == nil {
 		ref := d.alloc()
 		*d.entries.Put(uint64(addr)) = ref
 		e = d.at(ref)
-		e.addr, e.state, e.owner, e.live = addr, sDI, -1, true
+		e.addr, e.state, e.owner, e.flags = addr, sDI, -1, fLive
 		d.maybeEvict(addr)
 	}
 	d.lruTick++
@@ -362,19 +361,19 @@ func (d *Directory) maybeEvict(exclude cache.LineAddr) {
 	// Every record's lru is the tick of its own last access, so the least
 	// is unique and the choice does not depend on where the slab happens
 	// to keep its records.
-	var victim *dirEntry
-	for _, chunk := range d.slab {
+	var victim rec
+	for c, chunk := range d.slab {
 		for i := range chunk {
 			e := &chunk[i]
-			if !e.live || e.addr == exclude || !e.state.stable() || len(e.pending) > 0 {
+			if e.flags&fLive == 0 || e.addr == exclude || !e.state.stable() || e.stall != 0 {
 				continue
 			}
-			if victim == nil || e.lru < victim.lru {
-				victim = e
+			if victim.dirEntry == nil || e.lru < victim.lru {
+				victim = rec{e, int32(c<<chunkBits | i)}
 			}
 		}
 	}
-	if victim == nil {
+	if victim.dirEntry == nil {
 		return // all transient: allow transient over-capacity
 	}
 	d.stats.Evictions++
@@ -396,8 +395,8 @@ func (d *Directory) maybeEvict(exclude cache.LineAddr) {
 }
 
 // evictFinish completes an L2 eviction: dirty data goes to memory.
-func (d *Directory) evictFinish(e *dirEntry) {
-	if e.dirty {
+func (d *Directory) evictFinish(e rec) {
+	if e.flags&fDirty != 0 {
 		d.stats.MemWrites++
 		d.send(Msg{Type: MemWrite, Addr: e.addr, From: d.id, To: d.memNode(d.id), HasData: true})
 	}
@@ -408,27 +407,99 @@ func (d *Directory) evictFinish(e *dirEntry) {
 // spare none) and returns the count, emptying the set. Sharer
 // invalidations are elidable: the network confirmation of each Inv
 // serves as the ack when the transport supports it.
-func (d *Directory) invalidateSharers(e *dirEntry, except int) int {
+func (d *Directory) invalidateSharers(e rec, except int) int {
 	count := 0
 	elide := d.tr.ConfirmationElision()
-	e.sharers.forEach(func(n int) {
-		if n == except {
-			return
+	wide := d.wideWords(e.ref)
+	// Ascending node order: the inline word, then the out-of-line ones.
+	for w := 0; w <= len(wide); w++ {
+		word := e.sharers
+		if w > 0 {
+			word = wide[w-1]
 		}
-		count++
-		d.stats.InvSent++
-		d.sendAfter(d.cfg.TagCycles, Msg{
-			Type: Inv, Addr: e.addr, From: d.id, To: n,
-			Requester: int(e.requester), Value: elide,
-		})
-	})
-	e.sharers.clear()
+		for ; word != 0; word &= word - 1 {
+			n := w<<6 | bits.TrailingZeros64(word)
+			if n == except {
+				continue
+			}
+			count++
+			d.stats.InvSent++
+			d.sendAfter(d.cfg.TagCycles, Msg{
+				Type: Inv, Addr: e.addr, From: d.id, To: n,
+				Requester: int(e.requester), Value: elide,
+			})
+		}
+	}
+	d.clearSharers(e)
 	return count
+}
+
+// wideWords returns the out-of-line sharer words of the record at ref, for
+// nodes 64 and up (word w-1 holds nodes 64w..64w+63), or nil when none
+// were ever allocated for it.
+func (d *Directory) wideWords(ref int32) []uint64 {
+	if d.stride == 0 {
+		return nil
+	}
+	base := slabPos(ref) * d.stride
+	if base >= len(d.wide) {
+		return nil
+	}
+	return d.wide[base : base+d.stride]
+}
+
+// hasSharer reports whether node n holds an S copy of e's line.
+func (d *Directory) hasSharer(e rec, n int) bool {
+	w := n >> 6
+	if w == 0 {
+		return e.sharers&(1<<uint(n)) != 0
+	}
+	wide := d.wideWords(e.ref)
+	return w <= len(wide) && wide[w-1]&(1<<uint(n&63)) != 0
+}
+
+// addSharer records node n as holding an S copy of e's line, allocating
+// out-of-line words up to e's own when n is past 63.
+func (d *Directory) addSharer(e rec, n int) {
+	w := n >> 6
+	if w == 0 {
+		e.sharers |= 1 << uint(n)
+		return
+	}
+	if w > d.stride {
+		d.restride(w)
+	}
+	base := slabPos(e.ref) * d.stride
+	if end := base + d.stride; end > len(d.wide) {
+		// Past the old length the backing array was never written: zero.
+		d.wide = slices.Grow(d.wide, end-len(d.wide))[:end]
+	}
+	d.wide[base+w-1] |= 1 << uint(n&63)
+}
+
+// restride widens every record's out-of-line words to w. A slice restrides
+// at most once per 64 nodes of the system.
+func (d *Directory) restride(w int) {
+	if d.stride > 0 {
+		recs := len(d.wide) / d.stride
+		wide := make([]uint64, recs*w)
+		for r := range recs {
+			copy(wide[r*w:], d.wide[r*d.stride:(r+1)*d.stride])
+		}
+		d.wide = wide
+	}
+	d.stride = w
+}
+
+// clearSharers empties e's sharer set, in line and out.
+func (d *Directory) clearSharers(e rec) {
+	e.sharers = 0
+	clear(d.wideWords(e.ref))
 }
 
 // sendInvOwner invalidates the current owner; owners always return a
 // real InvAck (with data when dirty), so no elision flag is set.
-func (d *Directory) sendInvOwner(e *dirEntry) {
+func (d *Directory) sendInvOwner(e rec) {
 	d.stats.InvSent++
 	d.sendAfter(d.cfg.TagCycles, Msg{Type: Inv, Addr: e.addr, From: d.id, To: int(e.owner), Requester: int(e.requester)})
 }
@@ -470,49 +541,78 @@ func (d *Directory) Handle(m Msg, now sim.Cycle) {
 // delivery of an elided-ack Inv: the confirmation is the ack (§5.1).
 func (d *Directory) OnInvConfirm(addr cache.LineAddr, now sim.Cycle) {
 	e := d.lookup(addr)
-	if e == nil {
+	if e.dirEntry == nil {
 		return
 	}
 	d.onInvAck(e, Msg{Type: InvAck, Addr: addr, To: d.id}, now)
 }
 
+// queue returns the requests stalled on e's line, oldest first.
+func (d *Directory) queue(e rec) []Msg {
+	if e.stall == 0 {
+		return nil
+	}
+	return d.queues[e.stall-1]
+}
+
+// freeQueue empties e's stall queue and puts it on the free list.
+func (d *Directory) freeQueue(e rec) {
+	i := e.stall - 1
+	d.queues[i] = d.queues[i][:0]
+	d.queueFree = append(d.queueFree, i)
+	e.stall = 0
+}
+
 // stall queues a request on a busy line ("z"), or NACKs when queues are
 // full (fetch-deadlock avoidance).
-func (d *Directory) stall(e *dirEntry, m Msg) {
-	if d.stalled >= d.cfg.QueueEntries || len(e.pending) >= 8 {
+func (d *Directory) stall(e rec, m Msg) {
+	if d.stalled >= d.cfg.QueueEntries || len(d.queue(e)) >= maxStalled {
 		d.stats.Nacks++
 		d.send(Msg{Type: Nack, Addr: m.Addr, From: d.id, To: m.From})
 		return
 	}
 	d.stalled++
-	e.pending = append(e.pending, m)
-	d.stats.StallDepth.Add(float64(len(e.pending)))
+	if e.stall == 0 {
+		if n := len(d.queueFree); n > 0 {
+			e.stall = d.queueFree[n-1] + 1
+			d.queueFree = d.queueFree[:n-1]
+		} else {
+			d.queues = append(d.queues, nil)
+			e.stall = uint16(len(d.queues))
+		}
+	}
+	q := append(d.queues[e.stall-1], m)
+	d.queues[e.stall-1] = q
+	d.stats.StallDepth.Add(float64(len(q)))
 }
 
 // resume processes the oldest stalled request once the line is stable.
-func (d *Directory) resume(e *dirEntry, now sim.Cycle) {
-	for e.state.stable() && len(e.pending) > 0 {
-		m := e.pending[0]
-		e.pending = e.pending[1:]
+func (d *Directory) resume(e rec, now sim.Cycle) {
+	for e.state.stable() && e.stall != 0 {
+		q := d.queues[e.stall-1]
+		m := q[0]
+		d.queues[e.stall-1] = q[:copy(q, q[1:])]
+		if len(q) == 1 {
+			d.freeQueue(e)
+		}
 		d.stalled--
 		d.handleRequest(e, m, now)
 	}
 }
 
 // handleRequest implements the stable-state request columns.
-func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
+func (d *Directory) handleRequest(e rec, m Msg, now sim.Cycle) {
 	req := m.Type
 	// Upgrade from a node the directory no longer counts as a sharer is
 	// reinterpreted as an exclusive read ("(Req(Ex))").
-	if req == ReqUpg && (e.state != sDS || !e.sharers.has(m.From)) {
+	if req == ReqUpg && (e.state != sDS || !d.hasSharer(e, m.From)) {
 		req = ReqEx
 	}
 	switch e.state {
 	case sDI:
 		e.requester = int32(m.From)
-		e.wantExc = req != ReqSh
 		e.state = tDIDSD
-		if e.wantExc {
+		if req != ReqSh {
 			e.state = tDIDMD
 		}
 		d.stats.MemReads++
@@ -526,7 +626,7 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 	case sDS:
 		switch req {
 		case ReqSh:
-			e.sharers.add(m.From)
+			d.addSharer(e, m.From)
 			d.sendAfter(d.cfg.DataCycles, Msg{Type: DataS, Addr: e.addr, From: d.id, To: m.From, HasData: true})
 		case ReqEx:
 			e.requester = int32(m.From)
@@ -568,26 +668,26 @@ func (d *Directory) handleRequest(e *dirEntry, m Msg, now sim.Cycle) {
 }
 
 // grant sends a data reply making the requester the owner.
-func (d *Directory) grant(e *dirEntry, to int, t MsgType, now sim.Cycle) {
+func (d *Directory) grant(e rec, to int, t MsgType, now sim.Cycle) {
 	e.state = sDM
 	e.owner = int32(to)
-	e.sharers.clear()
+	d.clearSharers(e)
 	d.sendAfter(d.cfg.DataCycles, Msg{Type: t, Addr: e.addr, From: d.id, To: to, HasData: true})
 	d.resume(e, now)
 }
 
 // grantUpgrade sends ExcAck making the requester the owner.
-func (d *Directory) grantUpgrade(e *dirEntry, to int) {
+func (d *Directory) grantUpgrade(e rec, to int) {
 	e.state = sDM
 	e.owner = int32(to)
-	e.sharers.clear()
+	d.clearSharers(e)
 	d.sendAfter(d.cfg.TagCycles, Msg{Type: ExcAck, Addr: e.addr, From: d.id, To: to})
 }
 
 // onWriteBack implements the WriteBack column.
-func (d *Directory) onWriteBack(e *dirEntry, m Msg, now sim.Cycle) {
+func (d *Directory) onWriteBack(e rec, m Msg, now sim.Cycle) {
 	if m.HasData {
-		e.dirty = true
+		e.flags |= fDirty
 	}
 	switch e.state {
 	case sDM:
@@ -612,9 +712,9 @@ func (d *Directory) onWriteBack(e *dirEntry, m Msg, now sim.Cycle) {
 }
 
 // onInvAck implements the InvAck column.
-func (d *Directory) onInvAck(e *dirEntry, m Msg, now sim.Cycle) {
+func (d *Directory) onInvAck(e rec, m Msg, now sim.Cycle) {
 	if m.HasData {
-		e.dirty = true
+		e.flags |= fDirty
 	}
 	switch e.state {
 	case tDSDIA:
@@ -647,9 +747,9 @@ func (d *Directory) onInvAck(e *dirEntry, m Msg, now sim.Cycle) {
 }
 
 // onDwgAck implements the DwgAck column.
-func (d *Directory) onDwgAck(e *dirEntry, m Msg, now sim.Cycle) {
+func (d *Directory) onDwgAck(e rec, m Msg, now sim.Cycle) {
 	if m.HasData {
-		e.dirty = true
+		e.flags |= fDirty
 	}
 	switch e.state {
 	case tDMDSD:
@@ -657,9 +757,9 @@ func (d *Directory) onDwgAck(e *dirEntry, m Msg, now sim.Cycle) {
 		// prints /DM here; the L1 side has downgraded to S, so the
 		// consistent directory state is DS — see DESIGN.md.)
 		e.state = sDS
-		e.sharers.clear()
-		e.sharers.add(int(e.owner))
-		e.sharers.add(int(e.requester))
+		d.clearSharers(e)
+		d.addSharer(e, int(e.owner))
+		d.addSharer(e, int(e.requester))
 		e.owner = -1
 		d.sendAfter(d.cfg.DataCycles, Msg{Type: DataS, Addr: e.addr, From: d.id, To: int(e.requester), HasData: true})
 		d.resume(e, now)
@@ -675,7 +775,7 @@ func (d *Directory) onDwgAck(e *dirEntry, m Msg, now sim.Cycle) {
 // onMemAck implements the MemAck column: "repl & fwd/DM".
 func (d *Directory) onMemAck(m Msg, now sim.Cycle) {
 	e := d.lookup(m.Addr)
-	if e == nil {
+	if e.dirEntry == nil {
 		return
 	}
 	switch e.state {
@@ -695,26 +795,26 @@ func (d *Directory) onMemAck(m Msg, now sim.Cycle) {
 // DumpTransients lists entries stuck in transient states, in address
 // order (diagnostics).
 func (d *Directory) DumpTransients(prefix string) string {
-	var stuck []*dirEntry
-	for _, chunk := range d.slab {
+	var stuck []rec
+	for c, chunk := range d.slab {
 		for i := range chunk {
-			if e := &chunk[i]; e.live && (!e.state.stable() || len(e.pending) > 0) {
-				stuck = append(stuck, e)
+			if e := &chunk[i]; e.flags&fLive != 0 && (!e.state.stable() || e.stall != 0) {
+				stuck = append(stuck, rec{e, int32(c<<chunkBits | i)})
 			}
 		}
 	}
-	slices.SortFunc(stuck, func(a, b *dirEntry) int { return cmp.Compare(a.addr, b.addr) })
+	slices.SortFunc(stuck, func(a, b rec) int { return cmp.Compare(a.addr, b.addr) })
 	out := ""
 	for _, e := range stuck {
 		out += fmt.Sprintf("%s line %x: %v acks=%d pending=%d owner=%d sharers=%x req=%d\n",
-			prefix, uint64(e.addr), e.state, e.acks, len(e.pending), e.owner, append([]uint64{e.sharers.lo}, e.sharers.hi...), e.requester)
+			prefix, uint64(e.addr), e.state, e.acks, len(d.queue(e)), e.owner, append([]uint64{e.sharers}, d.wideWords(e.ref)...), e.requester)
 	}
 	return out
 }
 
 // EntryState reports the directory state for addr (tests).
 func (d *Directory) EntryState(addr cache.LineAddr) string {
-	if e := d.lookup(addr); e != nil {
+	if e := d.lookup(addr); e.dirEntry != nil {
 		return e.state.String()
 	}
 	return "DI"
@@ -722,8 +822,8 @@ func (d *Directory) EntryState(addr cache.LineAddr) string {
 
 // Sharers reports the sharer bitset and owner for addr (tests).
 func (d *Directory) Sharers(addr cache.LineAddr) (sharers uint64, owner int) {
-	if e := d.lookup(addr); e != nil {
-		return e.sharers.lo, int(e.owner)
+	if e := d.lookup(addr); e.dirEntry != nil {
+		return e.sharers, int(e.owner)
 	}
 	return 0, -1
 }

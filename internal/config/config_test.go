@@ -60,6 +60,21 @@ func TestBuildRejectsNegativeNumbers(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsOneSlotBackoffCap: a backoff window capped at one slot
+// or less retries colliding senders in lockstep forever, so the spec is
+// refused in one line naming its key instead of running 40M cycles.
+func TestBuildRejectsOneSlotBackoffCap(t *testing.T) {
+	for _, js := range []string{`{"max_backoff_slots": 0.5}`, `{"max_backoff_slots": 1}`} {
+		s, err := Parse([]byte(js))
+		if err != nil {
+			t.Fatalf("%s: %v", js, err)
+		}
+		if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "max_backoff_slots") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: Build() = %v, want one line naming max_backoff_slots", js, err)
+		}
+	}
+}
+
 func TestBuildOverrides(t *testing.T) {
 	s, err := Parse([]byte(`{
 		"nodes": 64,

@@ -89,7 +89,8 @@ type Config struct {
 	WrongWinner float64
 	// MaxBackoffSlots caps the exponential backoff window W*B^(r-1) (the
 	// DESIGN.md §5 guard rail). Zero means the historical 256-slot
-	// default, so hand-built configs keep working.
+	// default, so hand-built configs keep working; a cap in (0, 1] is
+	// refused (see Validate).
 	MaxBackoffSlots float64
 	// ConfirmTimeoutSlots is how many lane slots a sender waits for a
 	// missing confirmation before retransmitting (the fault-injection
@@ -162,6 +163,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: outgoing queue must hold at least one packet")
 	case c.MaxBackoffSlots < 0:
 		return fmt.Errorf("core: negative backoff window cap")
+	case c.MaxBackoffSlots > 0 && c.MaxBackoffSlots <= 1:
+		// A retry waits ceil(u*w) slots for u in (0, 1]: with w <= 1 that
+		// is always 1, so two senders that collide from the same retry
+		// base collide again on every retry.
+		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want 0 (the 256-slot default) or more than 1", c.MaxBackoffSlots)
 	case c.ConfirmTimeoutSlots < 0:
 		return fmt.Errorf("core: negative confirmation timeout")
 	case c.MaxRetries < 0:

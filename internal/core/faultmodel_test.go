@@ -173,6 +173,16 @@ func TestBackoffCapAndTimeoutDefaults(t *testing.T) {
 			t.Fatal("negative cap/timeout must fail validation")
 		}
 	}
+	// A cap of at most one slot makes every retry wait exactly one slot:
+	// refused. Just above one is legal (whether it wedges depends on the
+	// workload, and an unfinished run says so).
+	for _, limit := range []float64{0.5, 1, 1.0001, 2} {
+		c := basicConfig()
+		c.MaxBackoffSlots = limit
+		if err := c.Validate(); (err != nil) != (limit <= 1) {
+			t.Errorf("MaxBackoffSlots %v: Validate() = %v", limit, err)
+		}
+	}
 }
 
 // TestCorruptionProbMemoMissesOnAnyChange: the remembered value is

@@ -380,9 +380,9 @@ func FuzzDetectMatchesReference(f *testing.F) {
 }
 
 // TestDetectAllocatesByLinks: on a run that flags nothing the detector's
-// allocations are the doublings of one slab and one table plus a fixed
-// few, whatever the number of events (the map version allocated an
-// accumulator per link).
+// allocations are the doublings of one slab and one table (three arrays
+// a doubling: keys, values, occupancy) plus a fixed few, whatever the
+// number of events (the map version allocated an accumulator per link).
 func TestDetectAllocatesByLinks(t *testing.T) {
 	events := func(rounds int) []Event {
 		var out []Event
@@ -402,7 +402,7 @@ func TestDetectAllocatesByLinks(t *testing.T) {
 	}
 	a := testing.AllocsPerRun(5, func() { Detect(few, DetectorConfig{}) })
 	b := testing.AllocsPerRun(5, func() { Detect(many, DetectorConfig{}) })
-	if a != b || a > 40 {
-		t.Fatalf("Detect allocated %v times over %d events and %v over %d; want equal and at most 40 for 4096 links", a, len(few), b, len(many))
+	if a != b || a > 60 {
+		t.Fatalf("Detect allocated %v times over %d events and %v over %d; want equal and at most 60 for 4096 links", a, len(few), b, len(many))
 	}
 }

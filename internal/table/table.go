@@ -22,20 +22,21 @@ import "math/bits"
 // entries back, so there are no tombstones and a lookup's cost depends only
 // on what is stored now.
 //
+// Slot i is split across three arrays: keys[i], vals[i] and bit i of used.
+// Every key is a legal key, so occupancy cannot hide in the key itself, and
+// a flag byte beside each key would pad a slot to the key's alignment: a
+// Table[int32] slot is 12 bytes and an eighth, not 16.
+//
 // Pointer stability: the pointer Put and Ref return addresses a slot. It is
 // valid until the next Put (the table may grow) or Delete (entries may
 // shift) on the same table, and not after; callers that need a stable
 // record store an index or pointer to it as the value.
 type Table[V any] struct {
-	slots []slot[V]
+	keys  []uint64
+	vals  []V
+	used  []uint64 // bit i set: slot i holds keys[i] and vals[i]
 	n     int
-	shift uint // 64 - log2(len(slots))
-}
-
-type slot[V any] struct {
-	key  uint64
-	used bool
-	val  V
+	shift uint // 64 - log2(len(keys))
 }
 
 const minSlots = 4
@@ -48,19 +49,23 @@ func (t *Table[V]) home(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
+// full reports whether slot i holds an entry.
+func (t *Table[V]) full(i int) bool {
+	return t.used[i>>6]&(1<<uint(i&63)) != 0
+}
+
 // find returns the index of key's slot, or -1 when key is absent. The
 // table is never full, so a probe always ends at an empty slot.
 func (t *Table[V]) find(key uint64) int {
 	if t.n == 0 {
 		return -1
 	}
-	mask := len(t.slots) - 1
+	mask := len(t.keys) - 1
 	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
+		if !t.full(i) {
 			return -1
 		}
-		if s.key == key {
+		if t.keys[i] == key {
 			return i
 		}
 	}
@@ -69,7 +74,7 @@ func (t *Table[V]) find(key uint64) int {
 // Ref returns a pointer to key's value, or nil when key is absent.
 func (t *Table[V]) Ref(key uint64) *V {
 	if i := t.find(key); i >= 0 {
-		return &t.slots[i].val
+		return &t.vals[i]
 	}
 	return nil
 }
@@ -80,20 +85,21 @@ func (t *Table[V]) Put(key uint64) *V {
 	if p := t.Ref(key); p != nil {
 		return p
 	}
-	if (t.n+1)*4 > len(t.slots)*3 {
+	if (t.n+1)*4 > len(t.keys)*3 {
 		t.grow()
 	}
 	i := t.free(key)
-	t.slots[i].key, t.slots[i].used = key, true
+	t.keys[i] = key
+	t.used[i>>6] |= 1 << uint(i&63)
 	t.n++
-	return &t.slots[i].val
+	return &t.vals[i]
 }
 
 // free returns the first empty slot of an absent key's probe.
 func (t *Table[V]) free(key uint64) int {
 	i := t.home(key)
-	for t.slots[i].used {
-		i = (i + 1) & (len(t.slots) - 1)
+	for t.full(i) {
+		i = (i + 1) & (len(t.keys) - 1)
 	}
 	return i
 }
@@ -101,13 +107,19 @@ func (t *Table[V]) free(key uint64) int {
 // grow doubles the table (from empty, to minSlots) and reinserts every
 // entry.
 func (t *Table[V]) grow() {
-	old := t.slots
-	size := max(minSlots, 2*len(old))
-	t.slots = make([]slot[V], size)
+	old := *t
+	size := max(minSlots, 2*len(old.keys))
+	t.keys = make([]uint64, size)
+	t.vals = make([]V, size)
+	t.used = make([]uint64, (size+63)/64)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for k := range old {
-		if old[k].used {
-			t.slots[t.free(old[k].key)] = old[k]
+	for w, word := range old.used {
+		for word != 0 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			i := t.free(old.keys[k])
+			t.keys[i], t.vals[i] = old.keys[k], old.vals[k]
+			t.used[i>>6] |= 1 << uint(i&63)
 		}
 	}
 }
@@ -120,14 +132,16 @@ func (t *Table[V]) Delete(key uint64) bool {
 	}
 	// Backward shift: an entry further along the run moves into the gap
 	// unless that would put it ahead of its home slot.
-	mask := len(t.slots) - 1
-	for j := (i + 1) & mask; t.slots[j].used; j = (j + 1) & mask {
-		if h := t.home(t.slots[j].key); (j-h)&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
+	mask := len(t.keys) - 1
+	for j := (i + 1) & mask; t.full(j); j = (j + 1) & mask {
+		if h := t.home(t.keys[j]); (j-h)&mask >= (j-i)&mask {
+			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
 			i = j
 		}
 	}
-	t.slots[i] = slot[V]{}
+	var zero V
+	t.keys[i], t.vals[i] = 0, zero
+	t.used[i>>6] &^= 1 << uint(i&63)
 	t.n--
 	return true
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -25,7 +26,9 @@ func keysWithHome(size, home, count int) []uint64 {
 // size a script can reach, a family that shares the last slot as its home
 // (so the probe run wraps round to slot 0) and a family that shares the one
 // before it (so two runs abut and a delete in the first must not pull an
-// entry of the second ahead of its home).
+// entry of the second ahead of its home). The two extremes come last: key 0
+// (index 0, the value an empty slot's key holds) and ^uint64(0) (index
+// maxKeyIndex), both ordinary keys.
 func scriptKeys() []uint64 {
 	var keys []uint64
 	for k := uint64(0); k < 24; k++ {
@@ -35,8 +38,11 @@ func scriptKeys() []uint64 {
 		keys = append(keys, keysWithHome(size, size-1, 5)...)
 		keys = append(keys, keysWithHome(size, size-2, 3)...)
 	}
-	return keys
+	return append(keys, ^uint64(0))
 }
+
+// maxKeyIndex is the script byte that names ^uint64(0).
+const maxKeyIndex = 120
 
 // get reads key through Ref.
 func get(tab *Table[int], key uint64) (int, bool) {
@@ -49,26 +55,34 @@ func get(tab *Table[int], key uint64) (int, bool) {
 // checkInvariants verifies what lookups rely on: the count is right, the
 // load stays at or under three quarters (so a probe always terminates),
 // and no entry is cut off from its home slot by an empty one.
-func checkInvariants[V any](t *testing.T, tab *Table[V]) {
+func checkInvariants[V comparable](t *testing.T, tab *Table[V]) {
 	t.Helper()
+	if len(tab.vals) != len(tab.keys) || len(tab.used) != (len(tab.keys)+63)/64 {
+		t.Fatalf("%d keys, %d values, %d occupancy words: the arrays disagree on the slot count", len(tab.keys), len(tab.vals), len(tab.used))
+	}
 	used := 0
-	mask := len(tab.slots) - 1
-	for i := range tab.slots {
-		if !tab.slots[i].used {
+	mask := len(tab.keys) - 1
+	for i := range tab.keys {
+		if !tab.full(i) {
+			// A freed slot is blank, so it pins nothing a value points to.
+			var zero V
+			if tab.keys[i] != 0 || tab.vals[i] != zero {
+				t.Fatalf("empty slot %d holds key %#x, value %v", i, tab.keys[i], tab.vals[i])
+			}
 			continue
 		}
 		used++
-		for j := tab.home(tab.slots[i].key); j != i; j = (j + 1) & mask {
-			if !tab.slots[j].used {
-				t.Fatalf("key %#x in slot %d is unreachable: slot %d on the way from its home is empty", tab.slots[i].key, i, j)
+		for j := tab.home(tab.keys[i]); j != i; j = (j + 1) & mask {
+			if !tab.full(j) {
+				t.Fatalf("key %#x in slot %d is unreachable: slot %d on the way from its home is empty", tab.keys[i], i, j)
 			}
 		}
 	}
 	if used != tab.n {
 		t.Fatalf("%d slots in use, Len says %d", used, tab.n)
 	}
-	if tab.n*4 > len(tab.slots)*3 {
-		t.Fatalf("%d keys in %d slots: over three quarters full", tab.n, len(tab.slots))
+	if tab.n*4 > len(tab.keys)*3 {
+		t.Fatalf("%d keys in %d slots: over three quarters full", tab.n, len(tab.keys))
 	}
 }
 
@@ -149,8 +163,24 @@ func wrapScript() []byte {
 	return script
 }
 
+// extremesScript puts, reads, deletes and re-puts key 0 and ^uint64(0)
+// among enough other keys to grow the table past its first two sizes.
+func extremesScript() []byte {
+	script := []byte{0, 0, 0, maxKeyIndex, 3, 0, 3, maxKeyIndex}
+	for k := byte(1); k < 12; k++ {
+		script = append(script, 0, k)
+	}
+	return append(script, 2, 0, 3, maxKeyIndex, 0, 0, 2, maxKeyIndex, 3, 0, 0, maxKeyIndex, 2, 0)
+}
+
 func TestTableMatchesMap(t *testing.T) {
 	t.Run("wrap-around", func(t *testing.T) { runScript(t, wrapScript()) })
+	t.Run("extreme-keys", func(t *testing.T) {
+		if keys := scriptKeys(); keys[0] != 0 || keys[maxKeyIndex] != ^uint64(0) || len(keys) != maxKeyIndex+1 {
+			t.Fatal("scriptKeys moved key 0 or ^uint64(0)")
+		}
+		runScript(t, extremesScript())
+	})
 	t.Run("random", func(t *testing.T) {
 		// A fixed xorshift stream: long enough to take a table through
 		// several doublings and back down to empty more than once.
@@ -175,13 +205,13 @@ func TestTableMatchesMap(t *testing.T) {
 // depend on: nothing before the first Put, minSlots then, doubling after.
 func TestGrowsFromEmptyByDoubling(t *testing.T) {
 	var tab Table[int32]
-	if tab.slots != nil {
+	if tab.keys != nil || tab.vals != nil || tab.used != nil {
 		t.Fatal("the zero Table owns memory")
 	}
 	sizes := []int{}
 	for k := uint64(0); k < 100; k++ {
 		*tab.Put(k * 64) = int32(k)
-		if n := len(tab.slots); len(sizes) == 0 || sizes[len(sizes)-1] != n {
+		if n := len(tab.keys); len(sizes) == 0 || sizes[len(sizes)-1] != n {
 			sizes = append(sizes, n)
 		}
 	}
@@ -190,9 +220,32 @@ func TestGrowsFromEmptyByDoubling(t *testing.T) {
 	}
 }
 
+// TestSlotBytes pins the split layout's cost: a Table[int32] that takes
+// 1,000 keys doubles from 4 to 2,048 slots, 4,092 slots allocated in all.
+// Split into keys, values and an occupancy bit, that is 12 bytes and an
+// eighth a slot, ~49.7 KB; a slot struct with a flag byte beside the key
+// pads to 16 bytes, ~65.5 KB.
+func TestSlotBytes(t *testing.T) {
+	const keys, budget = 1000, 51 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var tab Table[int32]
+	for k := uint64(0); k < keys; k++ {
+		*tab.Put(k*64 + 17) = int32(k)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("a %d-key Table[int32] allocated %d bytes, budget %d", keys, got, budget)
+	}
+	if tab.Len() != keys || len(tab.keys) != 2048 {
+		t.Fatalf("%d keys in %d slots, want %d in 2048", tab.Len(), len(tab.keys), keys)
+	}
+}
+
 func FuzzTableMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 3, 2, 0, 1})
 	f.Add(wrapScript())
+	f.Add(extremesScript())
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
