@@ -83,6 +83,8 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-trace", "-3"},
 		{"-par", "-1"},
 		{"-config", writeSpec(t, `{"receivers": -2}`)},
+		// A node's arrival mask is one word.
+		{"-config", writeSpec(t, `{"receivers": 65}`)},
 		// A one-slot backoff cap retries colliding senders in lockstep.
 		{"-config", writeSpec(t, `{"max_backoff_slots": 1}`)},
 		// The exact sharded engine is withdrawn, and its knob with it.

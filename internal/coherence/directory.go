@@ -324,15 +324,20 @@ func (d *Directory) alloc() int32 {
 }
 
 // remove takes e's line out of the directory and recycles the record.
-// Requests still stalled on the line are dropped with it, and stay
-// counted in stalled.
+// Requests still stalled on the line (an eviction's transient stalls
+// them like any other) are NACKed, oldest first, and leave the stalled
+// count: their requesters retry, and find the line gone.
 func (d *Directory) remove(e rec) {
+	if e.stall != 0 {
+		for _, m := range d.queue(e) {
+			d.nack(m)
+			d.stalled--
+		}
+		d.freeQueue(e)
+	}
 	d.freed = append(d.freed, e.ref)
 	d.entries.Delete(uint64(e.addr))
 	d.clearSharers(e)
-	if e.stall != 0 {
-		d.freeQueue(e)
-	}
 	*e.dirEntry = dirEntry{}
 }
 
@@ -567,8 +572,7 @@ func (d *Directory) freeQueue(e rec) {
 // full (fetch-deadlock avoidance).
 func (d *Directory) stall(e rec, m Msg) {
 	if d.stalled >= d.cfg.QueueEntries || len(d.queue(e)) >= maxStalled {
-		d.stats.Nacks++
-		d.send(Msg{Type: Nack, Addr: m.Addr, From: d.id, To: m.From})
+		d.nack(m)
 		return
 	}
 	d.stalled++
@@ -584,6 +588,12 @@ func (d *Directory) stall(e rec, m Msg) {
 	q := append(d.queues[e.stall-1], m)
 	d.queues[e.stall-1] = q
 	d.stats.StallDepth.Add(float64(len(q)))
+}
+
+// nack refuses request m; its requester retries after a short delay.
+func (d *Directory) nack(m Msg) {
+	d.stats.Nacks++
+	d.send(Msg{Type: Nack, Addr: m.Addr, From: d.id, To: m.From})
 }
 
 // resume processes the oldest stalled request once the line is stable.

@@ -201,6 +201,61 @@ func TestDMDIDEvictionRecallsOwner(t *testing.T) {
 	}
 }
 
+// TestEvictionNacksStalledRequests: a request that reaches a line while
+// the directory evicts it (DS.DIA waiting for its sharers' InvAcks, DM.DID
+// for its owner's) stalls like any other. When the eviction removes the
+// line the request is NACKed, not dropped with it: the requester retries,
+// misses to memory and completes, and nothing is left counted as stalled.
+func TestEvictionNacksStalledRequests(t *testing.T) {
+	const victim, other cache.LineAddr = 0x500, 0x501
+	for _, tc := range []struct {
+		state string
+		hold  func(r *rig) // brings victim to a stable state held by nodes 1 (and 2)
+	}{
+		{"DM.DID", func(r *rig) { r.fill(1, victim) }},
+		{"DS.DIA", func(r *rig) { r.access(1, victim, false); r.access(2, victim, false) }},
+	} {
+		t.Run(tc.state, func(t *testing.T) {
+			r := newRig(t, 5)
+			cfg := PaperDir()
+			cfg.SliceLines = 1
+			r.dir = NewDirectory(0, cfg, r.engine, r, func(int) int { return 0 })
+			r.engine.Register(r.dir)
+			tc.hold(r)
+			// Node 3's miss on another line pushes victim out of the
+			// one-line slice; node 4's write miss on victim lands a cycle
+			// later, while the eviction waits for its InvAcks.
+			otherDone, done := false, false
+			r.l1s[3].AccessRetry(other, false, func(sim.Cycle) { otherDone = true })
+			r.engine.Run(1)
+			r.l1s[4].AccessRetry(victim, true, func(sim.Cycle) { done = true })
+			for i := 0; r.dir.stalled == 0; i++ {
+				if i == 100 {
+					t.Fatalf("node 4's request never stalled; victim is in %s", r.dir.EntryState(victim))
+				}
+				r.engine.Step()
+			}
+			if got := r.dir.EntryState(victim); got != tc.state {
+				t.Fatalf("node 4's request stalled with victim in %s, want %s", got, tc.state)
+			}
+			r.run(20000)
+			nacked := false
+			for _, m := range r.sent {
+				nacked = nacked || (m.Type == Nack && m.To == 4 && m.Addr == victim)
+			}
+			if !nacked || !done || !otherDone {
+				t.Fatalf("NACK to node 4 sent %v, node 4's write done %v, node 3's read done %v", nacked, done, otherDone)
+			}
+			if st := r.l1s[4].HasLine(victim); st != cache.Modified {
+				t.Fatalf("node 4 holds victim in %v, want M", st)
+			}
+			if r.dir.stalled != 0 || r.dir.DumpTransients("dir") != "" {
+				t.Fatalf("quiesced with %d stalled:\n%s", r.dir.stalled, r.dir.DumpTransients("dir"))
+			}
+		})
+	}
+}
+
 func TestOrderingInvariantHolds(t *testing.T) {
 	// Property: under random traffic, per (src, dst, line) delivery
 	// order equals send order — the §4.4 invariant the rig provides and

@@ -75,6 +75,29 @@ func TestBuildRejectsOneSlotBackoffCap(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsReceiversPastOneWord: a node keeps one bit per receiver
+// in a 64-bit word, so 65 receivers are refused in one line naming the
+// key, and 64 build.
+func TestBuildRejectsReceiversPastOneWord(t *testing.T) {
+	for _, tc := range []struct {
+		js string
+		ok bool
+	}{{`{"receivers": 65}`, false}, {`{"receivers": 64}`, true}} {
+		js, ok := tc.js, tc.ok
+		s, err := Parse([]byte(js))
+		if err != nil {
+			t.Fatalf("%s: %v", js, err)
+		}
+		_, err = s.Build()
+		if ok && err != nil {
+			t.Errorf("%s: Build() = %v, want it to build", js, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "receivers") || strings.Contains(err.Error(), "\n")) {
+			t.Errorf("%s: Build() = %v, want one line naming receivers", js, err)
+		}
+	}
+}
+
 func TestBuildOverrides(t *testing.T) {
 	s, err := Parse([]byte(`{
 		"nodes": 64,

@@ -72,7 +72,7 @@ type Config struct {
 	MetaVCSELs   int // transmit VCSELs in the meta lane (Table 3: 3)
 	DataVCSELs   int // transmit VCSELs in the data lane (Table 3: 6)
 	BitsPerCycle int // line bits per VCSEL per core cycle (40 Gbps @ 3.3 GHz: 12)
-	Receivers    int // receivers per lane per node (Table 3: 2)
+	Receivers    int // receivers per lane per node (Table 3: 2; at most 64)
 	ConfirmDelay int // cycles from clean receipt to confirmation (2)
 	WindowW      float64
 	BackoffB     float64
@@ -153,6 +153,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BitsPerCycle must be positive")
 	case c.Receivers < 1:
 		return fmt.Errorf("core: need at least one receiver per lane")
+	case c.Receivers > 64:
+		// A node keeps one bit per receiver in a word (nodeState.arrMask).
+		return fmt.Errorf("core: Receivers (receivers) %d is more than 64 per lane, the most a node's arrival mask holds", c.Receivers)
 	case c.ConfirmDelay < 1:
 		return fmt.Errorf("core: the confirmation must take at least one cycle")
 	case c.WindowW < 1:

@@ -65,11 +65,17 @@ func TestConfigValidate(t *testing.T) {
 		func() Config { c := PaperConfig(16); c.BackoffB = 0.9; return c }(),
 		func() Config { c := PaperConfig(16); c.OutQueue = 0; return c }(),
 		func() Config { c := PaperConfig(16); c.ConfirmDelay = 0; return c }(),
+		func() Config { c := PaperConfig(16); c.Receivers = 65; return c }(), // past one word of arrival mask
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("config %d should fail validation", i)
 		}
+	}
+	most := PaperConfig(16)
+	most.Receivers = 64
+	if err := most.Validate(); err != nil {
+		t.Errorf("64 receivers: %v", err)
 	}
 }
 

@@ -185,6 +185,29 @@ func TestBackoffCapAndTimeoutDefaults(t *testing.T) {
 	}
 }
 
+// TestWindowTableIsPow: a backoff window comes from the table New builds
+// for the first attempts and from math.Pow past its end, and either way
+// has exactly the bits W*math.Pow(B, attempt-1) has, at the paper's W and
+// B, with no growth, with a window above the cap (the cap applies after)
+// and with a base one rounding step above 1.
+func TestWindowTableIsPow(t *testing.T) {
+	for _, wb := range []struct{ w, b float64 }{{2.7, 1.1}, {2.7, 1}, {300, 1.1}, {2.7, 1 + 1e-9}} {
+		cfg := PaperConfig(16)
+		cfg.WindowW, cfg.BackoffB = wb.w, wb.b
+		n := New(cfg, sim.NewEngine(), sim.NewRNG(1))
+		const attempts = 200
+		if len(n.windows) >= attempts {
+			t.Fatalf("the table holds %d windows: attempts up to %d never reach its end", len(n.windows), attempts)
+		}
+		for a := 1; a <= attempts; a++ {
+			got, want := n.window(a), wb.w*math.Pow(wb.b, float64(a-1))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("W=%v B=%v attempt %d: window %v (%#x), math.Pow gives %v (%#x)", wb.w, wb.b, a, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestCorruptionProbMemoMissesOnAnyChange: the remembered value is
 // returned only for the exact (BER, size, lane) it was computed for. A
 // fault model hands every launch its own BER, so a stale hit would move

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -127,6 +128,7 @@ func (tx *transmission) arrive(now sim.Cycle) {
 	dst := tx.pkt.Dst
 	d := tx.n.nodes[dst]
 	d.arr[tx.lane][tx.rcv] = append(d.arr[tx.lane][tx.rcv], tx)
+	d.arrMask[tx.lane] |= 1 << uint(tx.rcv)
 	tx.n.join(dst, now, true) // the slot ends, and the next opens, now
 }
 
@@ -161,8 +163,15 @@ type nodeState struct {
 
 	// arr accumulates the transmissions that landed on each of this
 	// node's receivers during the slot ending now; the node's own tick
-	// resolves and clears each group at the slot boundary.
-	arr [numLanes][][]*transmission
+	// resolves and clears each group at the slot boundary. arrMask has
+	// bit r set exactly when arr[l][r] is non-empty (Config.Validate
+	// keeps Receivers within one word).
+	arr     [numLanes][][]*transmission
+	arrMask [numLanes]uint64
+
+	// due is the least retrySlot on each lane's retry list, MaxInt64 when
+	// the list is empty: no retry can launch in an earlier slot.
+	due [numLanes]int64
 
 	// reserved is the receiver-side reservation table for the data lane
 	// (receiver scheduling + writeback split).
@@ -307,6 +316,7 @@ func (s *Stats) RetransmissionRate(l Lane) float64 {
 type Network struct {
 	cfg       Config
 	slotLen   [numLanes]int64 // cfg.SlotCycles per lane, computed once
+	windows   [64]float64     // windows[k] = WindowW*BackoffB^k, filled in New and read-only after (see window)
 	engine    sim.Scheduler   // setup and end-of-run reporting only
 	scheds    []sim.Scheduler // per-node view of the engine (shard proxies when windowed)
 	nrng      []*sim.RNG      // per-node random streams, derived in node order
@@ -356,6 +366,9 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 	for l := range n.slotLen {
 		n.slotLen[l] = int64(cfg.SlotCycles(Lane(l)))
 	}
+	for k := range n.windows {
+		n.windows[k] = cfg.WindowW * math.Pow(cfg.BackoffB, float64(k))
+	}
 	base := rng.NewStream("fsoi")
 	n.scheds = make([]sim.Scheduler, cfg.Nodes)
 	n.nrng = make([]*sim.RNG, cfg.Nodes)
@@ -369,6 +382,7 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 		for l := range ns.lastDst {
 			ns.lastDst[l] = -1
 			ns.arr[l] = make([][]*transmission, cfg.Receivers)
+			ns.due[l] = math.MaxInt64
 		}
 		n.nodes[i] = ns
 	}
@@ -682,16 +696,16 @@ func (n *Network) tickNode(id int, slots [numLanes]int64, now sim.Cycle) {
 		if slot < 0 {
 			continue
 		}
-		for rcv := range ns.arr[l] {
+		// Only the receivers with arrivals, in ascending order. Arrivals
+		// are appended only in the event phase, so no bit is set and no
+		// bucket grows while the groups resolve.
+		for m := ns.arrMask[l]; m != 0; m &= m - 1 {
+			rcv := bits.TrailingZeros64(m)
 			group := ns.arr[l][rcv]
-			if len(group) == 0 {
-				continue
-			}
-			// Arrivals are appended only in the event phase, so nothing
-			// grows this bucket while the group resolves.
-			ns.arr[l][rcv] = ns.arr[l][rcv][:0]
+			ns.arr[l][rcv] = group[:0]
 			n.resolveGroup(id, l, slot-1, group, now)
 		}
+		ns.arrMask[l] = 0
 		n.startSlot(id, ns, l, slot, now)
 	}
 	if ns.idle() {
@@ -703,13 +717,8 @@ func (n *Network) tickNode(id int, slots [numLanes]int64, now sim.Cycle) {
 // nothing awaiting retransmission and nothing landed on a receiver.
 func (ns *nodeState) idle() bool {
 	for l := range ns.queue {
-		if len(ns.queue[l]) > 0 || len(ns.retries[l]) > 0 {
+		if len(ns.queue[l]) > 0 || len(ns.retries[l]) > 0 || ns.arrMask[l] != 0 {
 			return false
-		}
-		for _, group := range ns.arr[l] {
-			if len(group) > 0 {
-				return false
-			}
 		}
 	}
 	return true
@@ -719,25 +728,24 @@ func (ns *nodeState) idle() bool {
 // slot beginning now: a hint winner first, then due retries, then the
 // first eligible queued packet.
 func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.Cycle) {
-	// Hint winners get the slot unconditionally.
-	for i, tx := range ns.retries[l] {
-		if tx.winner && tx.retrySlot <= slot {
-			ns.retries[l] = append(ns.retries[l][:i], ns.retries[l][i+1:]...)
-			n.transmit(id, ns, tx, l, slot, now)
-			return
+	// No retry is due before ns.due[l]; when one is, the slot is a
+	// retry's: a hint winner's unconditionally, else the earliest due,
+	// which is the first retry whose slot is ns.due[l].
+	if ns.due[l] <= slot {
+		pick, earliest := -1, -1
+		for i, tx := range ns.retries[l] {
+			if tx.winner && tx.retrySlot <= slot {
+				pick = i
+				break
+			}
+			if earliest < 0 && tx.retrySlot == ns.due[l] {
+				earliest = i
+			}
 		}
-	}
-	// Earliest-due retry next.
-	best := -1
-	for i, tx := range ns.retries[l] {
-		if tx.retrySlot <= slot && (best < 0 || tx.retrySlot < ns.retries[l][best].retrySlot) {
-			best = i
+		if pick < 0 {
+			pick = earliest
 		}
-	}
-	if best >= 0 {
-		tx := ns.retries[l][best]
-		ns.retries[l] = append(ns.retries[l][:best], ns.retries[l][best+1:]...)
-		n.transmit(id, ns, tx, l, slot, now)
+		n.transmit(id, ns, ns.takeRetry(l, pick), l, slot, now)
 		return
 	}
 	// Fresh packet from the queue, respecting scheduling holds. A held
@@ -1016,7 +1024,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 		}
 		return
 	}
-	w := n.cfg.WindowW * math.Pow(n.cfg.BackoffB, float64(tx.attempt-1))
+	w := n.window(tx.attempt)
 	if w < 1 {
 		w = 1
 	}
@@ -1043,12 +1051,37 @@ func (tx *transmission) backoff(now sim.Cycle) {
 	}
 }
 
+// window returns the exponential backoff window W*B^(attempt-1) in slots,
+// before the floor of one slot and the cap: read from the table New built
+// while it reaches, computed the same way past its end, so every window
+// has the bits math.Pow gives it. The table is never written after New,
+// so senders on every shard read it freely.
+func (n *Network) window(attempt int) float64 {
+	if k := attempt - 1; k >= 0 && k < len(n.windows) {
+		return n.windows[k]
+	}
+	return n.cfg.WindowW * math.Pow(n.cfg.BackoffB, float64(attempt-1))
+}
+
 // parkRetry puts tx on its sender's retry list, in the sender's context,
 // and keeps the sender in the busy set until the retry slot comes round.
 func (n *Network) parkRetry(tx *transmission, now sim.Cycle) {
 	ns := n.nodes[tx.src]
 	ns.retries[tx.lane] = append(ns.retries[tx.lane], tx)
+	ns.due[tx.lane] = min(ns.due[tx.lane], tx.retrySlot)
 	n.join(tx.src, now, false)
+}
+
+// takeRetry removes retry i from lane l's list and returns it, in the
+// sender's context, recomputing the lane's due slot over what is left.
+func (ns *nodeState) takeRetry(l Lane, i int) *transmission {
+	tx := ns.retries[l][i]
+	ns.retries[l] = append(ns.retries[l][:i], ns.retries[l][i+1:]...)
+	ns.due[l] = math.MaxInt64
+	for _, r := range ns.retries[l] {
+		ns.due[l] = min(ns.due[l], r.retrySlot)
+	}
+	return tx
 }
 
 // drop abandons a transmission after retry exhaustion, in the sender's

@@ -207,4 +207,15 @@ func TestPacketRoundSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("a steady-state packet round allocates %.2f objects, want 0", allocs)
 	}
+
+	// The hotspot: sixteen senders a lane on one receiver, so every packet
+	// backs off, most of them more than once, on the sleeping sweep.
+	h := newHotspot()
+	h.run(64 * len(h.pkts))
+	if st := h.n.Stats(); st.Collided[LaneMeta] < 2*st.Delivered[LaneMeta] || st.Collided[LaneData] < 2*st.Delivered[LaneData] {
+		t.Fatalf("hotspot warm-up collided %v times for %v deliveries: want retries to dominate", st.Collided, st.Delivered)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { h.run(4 * len(h.pkts)) }); allocs != 0 {
+		t.Fatalf("four warmed hotspot rounds allocate %.2f objects, want 0", allocs)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -47,9 +48,29 @@ func (r *refTicker) Tick(now sim.Cycle) {
 // checkBusyInvariant is the busy set's soundness condition, checked
 // between cycles: a node whose bit is clear has nothing queued, nothing
 // in retry and nothing arrived on either lane — otherwise the sweep
-// would skip work the reference does.
+// would skip work the reference does. It also holds each node's
+// summaries to what they summarise: an arrival-mask bit is set exactly
+// when its receiver's bucket is non-empty, and a lane's due slot is the
+// least retrySlot on its retry list (MaxInt64 on an empty one).
 func checkBusyInvariant(n *Network) error {
 	for id, ns := range n.nodes {
+		for l := Lane(0); l < numLanes; l++ {
+			for rcv, group := range ns.arr[l] {
+				if bit := ns.arrMask[l]&(1<<uint(rcv)) != 0; bit != (len(group) > 0) {
+					return fmt.Errorf("node %d %v receiver %d: mask bit %v with %d arrivals", id, l, rcv, bit, len(group))
+				}
+			}
+			if extra := ns.arrMask[l] >> uint(len(ns.arr[l])); extra != 0 {
+				return fmt.Errorf("node %d %v: mask %#x has bits past receiver %d", id, l, ns.arrMask[l], len(ns.arr[l])-1)
+			}
+			least := int64(math.MaxInt64)
+			for _, tx := range ns.retries[l] {
+				least = min(least, tx.retrySlot)
+			}
+			if ns.due[l] != least {
+				return fmt.Errorf("node %d %v: due slot %d, least of %d retries is %d", id, l, ns.due[l], len(ns.retries[l]), least)
+			}
+		}
 		if !n.busy.Has(id) && !ns.idle() {
 			return fmt.Errorf("node %d is not in the busy set but holds queue=%d/%d retries=%d/%d arr=%v",
 				id, len(ns.queue[LaneMeta]), len(ns.queue[LaneData]),
@@ -345,24 +366,49 @@ func TestSlotsObservedIsArithmetic(t *testing.T) {
 	}
 }
 
-// TestBusyInvariantCatchesUnmarkedArrival plants the state a dropped
-// Mark in the arrival event would leave — a transmission in a receiver
-// bucket of a node outside the busy set — and requires the invariant to
-// report it. (The real mutation, deleting that Mark in transmit, fails
+// TestBusyInvariantCatchesUnmarkedArrival plants the states a dropped
+// Mark or a dropped mask bit in the arrival event would leave — a
+// transmission in a receiver bucket of a node outside the busy set, or
+// without its bit — and the one a dropped due update in parkRetry would,
+// and requires the invariant to report each. (The real mutations fail
 // TestSweepMatchesReference at its first cycle check.)
 func TestBusyInvariantCatchesUnmarkedArrival(t *testing.T) {
 	n := New(PaperConfig(16), sim.NewEngine(), sim.NewRNG(1))
 	if err := checkBusyInvariant(n); err != nil {
 		t.Fatalf("fresh network: %v", err)
 	}
-	tx := &transmission{pkt: &noc.Packet{Src: 1, Dst: 3}, src: 1}
-	n.nodes[3].arr[LaneMeta][1] = append(n.nodes[3].arr[LaneMeta][1], tx)
+	ns := n.nodes[3]
+	tx := &transmission{pkt: &noc.Packet{Src: 1, Dst: 3}, src: 1, rcv: 1}
+	ns.arr[LaneMeta][1] = append(ns.arr[LaneMeta][1], tx)
+	if checkBusyInvariant(n) == nil {
+		t.Fatal("an arrival without its mask bit went unnoticed")
+	}
+	ns.arrMask[LaneMeta] |= 1 << 1
 	if checkBusyInvariant(n) == nil {
 		t.Fatal("an arrival at a node outside the busy set went unnoticed")
 	}
 	n.busy.Mark(3)
 	if err := checkBusyInvariant(n); err != nil {
 		t.Fatalf("marked node: %v", err)
+	}
+	ns.arrMask[LaneMeta] |= 1 << 0
+	if checkBusyInvariant(n) == nil {
+		t.Fatal("a mask bit over an empty bucket went unnoticed")
+	}
+	ns.arrMask[LaneMeta] = 1 << 1
+
+	retry := &transmission{pkt: &noc.Packet{Src: 3, Dst: 5}, src: 3, retrySlot: 40}
+	ns.retries[LaneData] = append(ns.retries[LaneData], retry)
+	if checkBusyInvariant(n) == nil {
+		t.Fatal("a retry parked without lowering the lane's due slot went unnoticed")
+	}
+	ns.due[LaneData] = 40
+	if err := checkBusyInvariant(n); err != nil {
+		t.Fatalf("due slot set: %v", err)
+	}
+	ns.takeRetry(LaneData, 0)
+	if err := checkBusyInvariant(n); err != nil || ns.due[LaneData] != math.MaxInt64 {
+		t.Fatalf("after the last retry left: due %d, %v", ns.due[LaneData], err)
 	}
 }
 
