@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -262,21 +261,22 @@ func detect(start run, cfg DetectorConfig) *Report {
 			a.note(e, cfg.WindowCycles)
 		}
 	}
-	accs := links.recs
+	n := links.len()
 
-	// order lists the slab in (src, dst) order.
-	order := make([]int32, len(accs))
-	for i := range order {
-		order[i] = int32(i)
+	// keys lists the links in (src, dst) order: the ids are non-negative,
+	// so the packed keys sort that way as integers.
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = links.rec(i).key
 	}
-	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(accs[i].key, accs[j].key) })
+	slices.Sort(keys)
 
 	// Percentile-derived baselines over the per-link distributions.
-	attPeaks := make([]int64, 0, len(accs))
-	peaks := make([]int64, 0, len(accs))
-	confirms := make([]int64, 0, len(accs))
-	for i := range accs {
-		a := &accs[i]
+	attPeaks := make([]int64, 0, n)
+	peaks := make([]int64, 0, n)
+	confirms := make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		a := links.rec(i)
 		if a.att > 0 {
 			attPeaks = append(attPeaks, a.attPeak)
 		}
@@ -308,8 +308,8 @@ func detect(start run, cfg DetectorConfig) *Report {
 
 	// Verdicts.
 	flagged := 0
-	for i := range accs {
-		a := &accs[i]
+	for i := 0; i < n; i++ {
+		a := links.rec(i)
 		busy := a.attPeak >= r.VolumeThreshold
 		if a.attPeak >= r.FloodThreshold {
 			a.reasons |= reasonFlood
@@ -333,7 +333,7 @@ func detect(start run, cfg DetectorConfig) *Report {
 	// flagged links, so a run with none skips it.
 	if flagged > 0 {
 		// again[i] replays link i's counts from the start of the run.
-		again := make([]linkAcc, len(accs))
+		again := make([]linkAcc, n)
 		for i := range again {
 			again[i].attWindow, again[i].window = -1, -1
 		}
@@ -342,15 +342,15 @@ func detect(start run, cfg DetectorConfig) *Report {
 				if e.Src < 0 || e.Dst < 0 || int64(e.At) < warmCycles {
 					continue
 				}
-				i := links.index.Ref(linkKey(e.Src, e.Dst))
-				if i == nil {
+				i := links.index(linkKey(e.Src, e.Dst))
+				if i < 0 {
 					continue
 				}
-				a := &accs[*i]
+				a := links.rec(i)
 				if a.reasons == 0 || a.flaggedAt >= 0 {
 					continue
 				}
-				s := &again[*i]
+				s := &again[i]
 				s.note(e, cfg.WindowCycles)
 				busy := s.attPeak >= r.VolumeThreshold
 				switch {
@@ -364,16 +364,16 @@ func detect(start run, cfg DetectorConfig) *Report {
 		}
 	}
 
-	if len(accs) > 0 {
-		r.Links = make([]LinkProfile, 0, len(accs))
+	if n > 0 {
+		r.Links = make([]LinkProfile, 0, n)
 	}
 	if flagged > 0 {
 		r.Flagged = make([]LinkProfile, 0, flagged)
 	}
-	for _, i := range order {
-		a := &accs[i]
+	for _, key := range keys {
+		a := links.find(key)
 		p := LinkProfile{
-			Link:     Link{Src: int(a.key >> 32), Dst: int(uint32(a.key))},
+			Link:     Link{Src: int(key >> 32), Dst: int(uint32(key))},
 			Attempts: a.att, PeakAttempts: a.attPeak,
 			Collisions: a.coll, PeakWindow: a.peak,
 			MaxDepth: a.depth, ConfirmDrops: a.confirms,

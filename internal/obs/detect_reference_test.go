@@ -259,13 +259,18 @@ var tightDetector = DetectorConfig{
 	MinWindowCollisions: 3, DepthLimit: 5, DepthMinPeak: 2, MinConfirmDrops: 3,
 }
 
-// detectMatchesReference replays an emission script, merges it and holds
-// Detect to refDetect over the merged events: every field of the report,
-// both link lists (FlaggedAt and Reason included) and both renderings.
-func detectMatchesReference(t *testing.T, nodes int, script []byte, cfg DetectorConfig) *Report {
+// detectMatchesReference replays an emission script (its ids renamed
+// through edgeIDs when edges is set), merges it and holds Detect to
+// refDetect over the merged events: every field of the report, both link
+// lists (FlaggedAt and Reason included) and both renderings.
+func detectMatchesReference(t *testing.T, nodes int, script []byte, edges bool, cfg DetectorConfig) *Report {
 	t.Helper()
 	s := NewSharded(blocksOf(nodes, 1+len(script)%3), 0)
-	emitScript(nodes, script, false)(s.emit)
+	emit := s.emit
+	if edges {
+		emit = withEdgeIDs(emit)
+	}
+	emitScript(nodes, script, false)(emit)
 	merged := s.Merged()
 	events := merged.Events()
 	got, want := Detect(events, cfg), refDetect(events, cfg)
@@ -326,26 +331,50 @@ func flaggingScript(rule string) []byte {
 	return script
 }
 
+// flaggingScriptAs is flaggingScript with node and node 1 trading places,
+// so that node's link to 0 is the flagged one.
+func flaggingScriptAs(rule string, node int) []byte {
+	script := flaggingScript(rule)
+	for i := 0; i < len(script); i += scriptBytes {
+		switch int(script[i]) {
+		case 1:
+			script[i] = byte(node)
+		case node:
+			script[i] = 1
+		}
+	}
+	return script
+}
+
 var detectRules = []string{"flood", "rate", "depth", "confirm"}
 
 // TestDetectMatchesReference holds the slab detector to the map one on
 // scripts that flag 1->0 by each rule alone (so the flagged-at scan and
 // every reason bit are compared, not only skipped), on their
-// concatenation, and on random scripts under both configurations.
+// concatenation, and on random scripts under both configurations, one in
+// four with its ids renamed through edgeIDs.
 func TestDetectMatchesReference(t *testing.T) {
 	var all []byte
 	for _, rule := range detectRules {
 		script := flaggingScript(rule)
 		all = append(all, script...)
-		r := detectMatchesReference(t, 8, script, tightDetector)
+		r := detectMatchesReference(t, 8, script, false, tightDetector)
 		if len(r.Flagged) != 1 || r.Flagged[0].Link != (Link{Src: 1, Dst: 0}) || r.Flagged[0].Reason != rule || r.Flagged[0].FlaggedAt < 8 {
 			t.Fatalf("%s script: flagged %+v, want 1->0 for %q past the warm-up", rule, r.Flagged, rule)
 		}
-		if d := detectMatchesReference(t, 8, script, DetectorConfig{}); len(d.Flagged) != 0 {
+		if d := detectMatchesReference(t, 8, script, false, DetectorConfig{}); len(d.Flagged) != 0 {
 			t.Fatalf("%s script under the default configuration flagged %+v", rule, d.Flagged)
 		}
+		// The flagger renamed to 255, 256 and 2³¹-1.
+		for node := 2; node < len(edgeIDs)-1; node++ {
+			want := Link{Src: int(edgeIDs[node]), Dst: 0}
+			r := detectMatchesReference(t, 8, flaggingScriptAs(rule, node), true, tightDetector)
+			if len(r.Flagged) != 1 || r.Flagged[0].Link != want || r.Flagged[0].Reason != rule {
+				t.Fatalf("%s script from node %d: flagged %+v, want %v", rule, want.Src, r.Flagged, want)
+			}
+		}
 	}
-	if r := detectMatchesReference(t, 8, all, tightDetector); len(r.Flagged) == 0 || !strings.Contains(r.Flagged[0].Reason, "+") {
+	if r := detectMatchesReference(t, 8, all, false, tightDetector); len(r.Flagged) == 0 || !strings.Contains(r.Flagged[0].Reason, "+") {
 		t.Fatalf("the four scripts together flagged %+v, want 1->0 for several rules", r.Flagged)
 	}
 	rng := sim.NewRNG(22)
@@ -353,8 +382,9 @@ func TestDetectMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		nodes := 1 + rng.Intn(9)
 		script := randomScript(rng, 600, trial%3 != 0)
-		detectMatchesReference(t, nodes, script, DetectorConfig{})
-		flagged += len(detectMatchesReference(t, nodes, script, tightDetector).Flagged)
+		edges := trial%4 == 0
+		detectMatchesReference(t, nodes, script, edges, DetectorConfig{})
+		flagged += len(detectMatchesReference(t, nodes, script, edges, tightDetector).Flagged)
 	}
 	if flagged == 0 {
 		t.Fatal("no random script flagged a link: the comparison never reached the second scan")
@@ -363,26 +393,37 @@ func TestDetectMatchesReference(t *testing.T) {
 
 // FuzzDetectMatchesReference holds Detect to the map-based reference over
 // arbitrary emission scripts, under the default configuration and the
-// tight one. The seeds flag by each rule.
+// tight one, with ids renamed through edgeIDs or not. The seeds flag by
+// each rule, 1->0 and, renamed, 255->0, 256->0 and 2³¹-1->0 (and, from
+// source -1, nothing).
 func FuzzDetectMatchesReference(f *testing.F) {
 	for _, rule := range detectRules {
-		f.Add(uint8(7), true, flaggingScript(rule))
+		f.Add(uint8(7), true, false, flaggingScript(rule))
 	}
-	f.Add(uint8(7), false, flaggingScript("flood"))
-	f.Add(uint8(63), true, []byte{})
-	f.Fuzz(func(t *testing.T, nodes uint8, tight bool, script []byte) {
+	f.Add(uint8(7), false, false, flaggingScript("flood"))
+	f.Add(uint8(63), true, false, []byte{})
+	for node := 2; node < len(edgeIDs); node++ {
+		for _, rule := range detectRules {
+			f.Add(uint8(7), true, true, flaggingScriptAs(rule, node))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nodes uint8, tight, edges bool, script []byte) {
 		cfg := DetectorConfig{}
 		if tight {
 			cfg = tightDetector
 		}
-		detectMatchesReference(t, int(nodes)%64+1, script, cfg)
+		detectMatchesReference(t, int(nodes)%64+1, script, edges, cfg)
 	})
 }
 
 // TestDetectAllocatesByLinks: on a run that flags nothing the detector's
-// allocations are the doublings of one slab and one table (three arrays
-// a doubling: keys, values, occupancy) plus a fixed few, whatever the
-// number of events (the map version allocated an accumulator per link).
+// allocations follow the links, whatever the number of events (the map
+// version allocated an accumulator per link). 64x64 links take 32 chunks
+// of 128 records, 6 doublings of the chunk list (to 1, 2, ... 32), 3
+// dense squares (16, 32 and 64 on a side), and 6 fixed: the sorted keys,
+// three baseline samples, the link list and the report. 47 in all; the
+// same links through the table would take its 12 sizes (4 to 8192 slots,
+// three arrays each) for the 3 squares, 80 in all.
 func TestDetectAllocatesByLinks(t *testing.T) {
 	events := func(rounds int) []Event {
 		var out []Event
@@ -402,7 +443,7 @@ func TestDetectAllocatesByLinks(t *testing.T) {
 	}
 	a := testing.AllocsPerRun(5, func() { Detect(few, DetectorConfig{}) })
 	b := testing.AllocsPerRun(5, func() { Detect(many, DetectorConfig{}) })
-	if a != b || a > 60 {
-		t.Fatalf("Detect allocated %v times over %d events and %v over %d; want equal and at most 60 for 4096 links", a, len(few), b, len(many))
+	if want := float64(64*64/slabChunk + 6 + 3 + 6); a != b || a > want {
+		t.Fatalf("Detect allocated %v times over %d events and %v over %d; want equal and at most %v for 4096 links", a, len(few), b, len(many), want)
 	}
 }

@@ -5,16 +5,17 @@ import (
 	"io"
 	"strconv"
 
+	"fsoi/internal/sim"
 	"fsoi/internal/table"
 )
 
 // An export writes through a bufio.Writer of blockBytes and appends each
-// record straight into its free space (AvailableBuffer) with strconv, so
-// it allocates that buffer and nothing per event, and the destination
-// sees one Write per block instead of one per event: for a bare *os.File,
-// one system call instead of thousands. Field order is fixed by the order
-// of the appends, so two identical runs produce byte-identical files at
-// any worker count.
+// record straight into its free space (AvailableBuffer), precomputed
+// fragments and strconv's digits alike, so it allocates that buffer and
+// nothing per event, and the destination sees one Write per block instead
+// of one per event: for a bare *os.File, one system call instead of
+// thousands. Field order is fixed by the order of the appends, so two
+// identical runs produce byte-identical files at any worker count.
 const (
 	blockBytes = 32 << 10
 	// maxRecord is longer than any one record (every field is a bounded
@@ -34,29 +35,48 @@ func makeRoom(bw *bufio.Writer) error {
 	return nil
 }
 
-// quotedKind holds the JSON string literal of every known kind name.
-var quotedKind = func() (q [numKinds]string) {
-	for k := range q {
-		q[k] = strconv.Quote(Kind(k).String())
-	}
-	return q
-}()
+// Every class and lane value has one of the names in classNames and
+// laneNames, and every known kind one name, so the text around them is
+// precomputed: a record appends a fragment per name instead of building
+// it from pieces. Kinds outside the known set are quoted as fmt's %q
+// quotes them.
+var (
+	// jsonlKind[k] is `,"ev":"<kind>","id":`.
+	jsonlKind = kindFragments(`,"ev":`, `,"id":`)
+	// jsonlClassLane[c][l] is `,"class":"<class>","lane":"<lane>","attempt":`.
+	jsonlClassLane = func() (f [len(classNames)][len(laneNames)]string) {
+		for c, class := range classNames {
+			for l, lane := range laneNames {
+				f[c][l] = `,"class":"` + class + `","lane":"` + lane + `","attempt":`
+			}
+		}
+		return f
+	}()
+	// instantHead[k] opens a Chrome instant: `{"name":"<kind>",...,"ts":`.
+	instantHead = kindFragments(`{"name":`, `,"cat":"event","ph":"i","ts":`)
+	// instantLane[l] is `,"lane":"<lane>","attempt":`.
+	instantLane = func() (f [len(laneNames)]string) {
+		for l, lane := range laneNames {
+			f[l] = `,"lane":"` + lane + `","attempt":`
+		}
+		return f
+	}()
+	// spanHead[c] opens a Chrome span: `{"name":"<class> `.
+	spanHead = func() (f [len(classNames)]string) {
+		for c, class := range classNames {
+			f[c] = `{"name":"` + class + ` `
+		}
+		return f
+	}()
+)
 
-// appendKind appends a kind name as a JSON string. Unknown kinds take
-// the general quoting path (the one fmt's %q uses).
-func appendKind(b []byte, k Kind) []byte {
-	if k < numKinds {
-		return append(b, quotedKind[k]...)
+// kindFragments puts each known kind's quoted name between before and
+// after.
+func kindFragments(before, after string) (f [numKinds]string) {
+	for k := range f {
+		f[k] = before + strconv.Quote(Kind(k).String()) + after
 	}
-	return strconv.AppendQuote(b, k.String())
-}
-
-// appendName appends a class or lane name as a JSON string. ClassName and
-// LaneName return one of three literals, none of which needs escaping.
-func appendName(b []byte, name string) []byte {
-	b = append(b, '"')
-	b = append(b, name...)
-	return append(b, '"')
+	return f
 }
 
 // WriteJSONL writes the recorder's events as JSON Lines, one event per
@@ -84,19 +104,19 @@ func WriteJSONL(w io.Writer, r *Recorder) error {
 func appendJSONL(b []byte, ev Event) []byte {
 	b = append(b, `{"at":`...)
 	b = strconv.AppendInt(b, int64(ev.At), 10)
-	b = append(b, `,"ev":`...)
-	b = appendKind(b, ev.Kind)
-	b = append(b, `,"id":`...)
+	if ev.Kind < numKinds {
+		b = append(b, jsonlKind[ev.Kind]...)
+	} else {
+		b = append(b, `,"ev":`...)
+		b = strconv.AppendQuote(b, ev.Kind.String())
+		b = append(b, `,"id":`...)
+	}
 	b = strconv.AppendUint(b, ev.ID, 10)
 	b = append(b, `,"src":`...)
 	b = strconv.AppendInt(b, int64(ev.Src), 10)
 	b = append(b, `,"dst":`...)
 	b = strconv.AppendInt(b, int64(ev.Dst), 10)
-	b = append(b, `,"class":`...)
-	b = appendName(b, ClassName(ev.Class))
-	b = append(b, `,"lane":`...)
-	b = appendName(b, LaneName(ev.Lane))
-	b = append(b, `,"attempt":`...)
+	b = append(b, jsonlClassLane[classSlot(ev.Class)][laneSlot(ev.Lane)]...)
 	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
 	b = append(b, `,"aux":`...)
 	b = strconv.AppendInt(b, ev.Aux, 10)
@@ -108,7 +128,9 @@ func appendJSONL(b []byte, ev Event) []byte {
 // spans from injection to delivery on their source node's track;
 // collisions, backoffs, confirmation drops, and terminal drops become
 // instant ("i") events. Timestamps are simulated cycles, not
-// microseconds: the viewer's time axis reads directly in cycles.
+// microseconds: the viewer's time axis reads directly in cycles. A
+// truncated recording ends with a global "truncated" instant at the last
+// cycle held, its args counting the events lost.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriterSize(w, blockBytes)
 	bw.WriteString(`{"traceEvents":[`)
@@ -116,7 +138,9 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	// packet id.
 	var injectAt table.Table[int64]
 	sep := "" // a comma before every record but the first
+	var lastAt sim.Cycle
 	for evs := r.run(); len(evs.cur) > 0; evs.advance() {
+		lastAt = evs.cur[len(evs.cur)-1].At
 		for _, ev := range evs.cur {
 			if err := makeRoom(bw); err != nil {
 				return err
@@ -142,6 +166,17 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			sep = ","
 		}
 	}
+	if r.Lost() > 0 {
+		if err := makeRoom(bw); err != nil {
+			return err
+		}
+		b := append(bw.AvailableBuffer(), sep...)
+		b = append(b, `{"name":"truncated","ph":"i","s":"g","ts":`...)
+		b = strconv.AppendInt(b, int64(lastAt), 10)
+		b = append(b, `,"pid":0,"tid":0,"args":{"lost":`...)
+		b = strconv.AppendInt(b, r.Lost(), 10)
+		bw.Write(append(b, "}}"...))
+	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
@@ -149,9 +184,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 // appendSpan appends the complete ("X") span of a packet injected at
 // start whose terminal event (deliver or drop) is ev.
 func appendSpan(b []byte, ev Event, start int64) []byte {
-	b = append(b, `{"name":"`...)
-	b = append(b, ClassName(ev.Class)...)
-	b = append(b, ' ')
+	b = append(b, spanHead[classSlot(ev.Class)]...)
 	b = strconv.AppendInt(b, int64(ev.Src), 10)
 	b = append(b, "->"...)
 	b = strconv.AppendInt(b, int64(ev.Dst), 10)
@@ -174,11 +207,10 @@ func appendSpan(b []byte, ev Event, start int64) []byte {
 	return append(b, "}}"...)
 }
 
-// appendInstant appends the instant ("i") event of a mid-life event.
+// appendInstant appends the instant ("i") event of a mid-life event,
+// whose kind is a known one.
 func appendInstant(b []byte, ev Event) []byte {
-	b = append(b, `{"name":`...)
-	b = appendKind(b, ev.Kind)
-	b = append(b, `,"cat":"event","ph":"i","ts":`...)
+	b = append(b, instantHead[ev.Kind]...)
 	b = strconv.AppendInt(b, int64(ev.At), 10)
 	b = append(b, `,"pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(ev.Src), 10)
@@ -186,9 +218,7 @@ func appendInstant(b []byte, ev Event) []byte {
 	b = strconv.AppendUint(b, ev.ID, 10)
 	b = append(b, `,"dst":`...)
 	b = strconv.AppendInt(b, int64(ev.Dst), 10)
-	b = append(b, `,"lane":`...)
-	b = appendName(b, LaneName(ev.Lane))
-	b = append(b, `,"attempt":`...)
+	b = append(b, instantLane[laneSlot(ev.Lane)]...)
 	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
 	b = append(b, `,"aux":`...)
 	b = strconv.AppendInt(b, ev.Aux, 10)

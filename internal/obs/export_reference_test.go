@@ -33,7 +33,8 @@ func refWriteJSONL(w io.Writer, r *Recorder) error {
 }
 
 // refWriteChromeTrace is the fmt-based Chrome trace encoder, kept
-// verbatim for the same purpose.
+// verbatim for the same purpose but for the "truncated" instant it now
+// ends a truncated recording with.
 func refWriteChromeTrace(w io.Writer, r *Recorder) error {
 	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
 		return err
@@ -77,6 +78,15 @@ func refWriteChromeTrace(w io.Writer, r *Recorder) error {
 				LaneName(e.Lane), e.Attempt, e.Aux); err != nil {
 				return err
 			}
+		}
+	}
+	if r.Lost() > 0 {
+		var lastAt int64
+		if events := r.Events(); len(events) > 0 {
+			lastAt = int64(events[len(events)-1].At)
+		}
+		if err := emit(`{"name":"truncated","ph":"i","s":"g","ts":%d,"pid":0,"tid":0,"args":{"lost":%d}}`, lastAt, r.Lost()); err != nil {
+			return err
 		}
 	}
 	_, err := io.WriteString(w, "]}\n")

@@ -104,27 +104,41 @@ const (
 	ClassData uint8 = 1
 )
 
-// ClassName names a packet class with its stable on-wire identifier.
-func ClassName(c uint8) string {
-	if c == ClassData {
-		return "data"
-	}
-	return "meta"
-}
-
 // LaneNone marks events that do not belong to a slotted lane.
 const LaneNone int8 = -1
 
-// LaneName names a lane with its stable on-wire identifier.
-func LaneName(l int8) string {
-	switch l {
-	case 0:
-		return "meta"
-	case 1:
-		return "data"
+// classNames and laneNames are the stable on-wire identifiers of packet
+// classes and lanes, at the positions classSlot and laneSlot give: every
+// value has one of these names, so an export can precompute the text
+// around each.
+var (
+	classNames = [...]string{"meta", "data"}
+	laneNames  = [...]string{"meta", "data", "-"}
+)
+
+// classSlot is c's position in classNames: ClassData is "data", every
+// other value "meta".
+func classSlot(c uint8) int {
+	if c == ClassData {
+		return 1
 	}
-	return "-"
+	return 0
 }
+
+// laneSlot is l's position in laneNames: lanes 0 and 1 are named, every
+// other value is "-".
+func laneSlot(l int8) int {
+	if uint8(l) < 2 {
+		return int(l)
+	}
+	return 2
+}
+
+// ClassName names a packet class with its stable on-wire identifier.
+func ClassName(c uint8) string { return classNames[classSlot(c)] }
+
+// LaneName names a lane with its stable on-wire identifier.
+func LaneName(l int8) string { return laneNames[laneSlot(l)] }
 
 // Event is one cycle-stamped lifecycle observation.
 type Event struct {

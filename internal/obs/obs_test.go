@@ -2,9 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
+
+	"fsoi/internal/sim"
 )
 
 func TestRecorderNilIsDisabled(t *testing.T) {
@@ -98,6 +103,33 @@ func TestWriteJSONLTruncationMarker(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `{"ev":"truncated","aux":1}`) {
 		t.Fatalf("truncated recording must end with an explicit marker:\n%s", buf.String())
+	}
+}
+
+// TestWriteChromeTraceTruncationMarker: a truncated recording's trace ends
+// with a global "truncated" instant at the last cycle held, counting what
+// was lost, after the records and behind a comma only when one precedes
+// it; a complete recording has none.
+func TestWriteChromeTraceTruncationMarker(t *testing.T) {
+	for _, c := range []struct {
+		limit int
+		want  string
+	}{
+		{1, `{"traceEvents":[{"name":"truncated","ph":"i","s":"g","ts":1,"pid":0,"tid":0,"args":{"lost":2}}]}` + "\n"},
+		{2, `,{"name":"truncated","ph":"i","s":"g","ts":5,"pid":0,"tid":0,"args":{"lost":1}}]}` + "\n"},
+		{3, `"aux":0}}]}` + "\n"},
+	} {
+		r := NewRecorder(c.limit)
+		r.Emit(Event{At: 1, Kind: KindInject, ID: 1})
+		r.Emit(Event{At: 5, Kind: KindDeliver, ID: 1})
+		r.Emit(Event{At: 9, Kind: KindCollision, ID: 2})
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(buf.String(), c.want) || strings.Contains(buf.String(), "truncated") != (r.Lost() > 0) {
+			t.Fatalf("limit %d, %d lost: trace ends\n%s\nwant it to end\n%s", c.limit, r.Lost(), buf.String(), c.want)
+		}
 	}
 }
 
@@ -230,6 +262,111 @@ func TestRegistryTablesRankWithTies(t *testing.T) {
 	out = g.ContentionTable(5)
 	if got := tableLinks(out); !slices.Equal(got, want[:5]) || !strings.Contains(out, "(1 quieter links omitted)") {
 		t.Fatalf("cut contention table = %v, want %v and 1 omitted:\n%s", got, want[:5], out)
+	}
+
+	// Every cut keeps the full sort's head. Forty links in scrambled order
+	// with three weights, so ties straddle every cut, and (src, dst) order
+	// disagrees with (dst, src).
+	type weighted struct{ src, dst, n int }
+	var links []weighted
+	g = NewRegistry()
+	for rng := sim.NewRNG(29); len(links) < 40; {
+		l := weighted{rng.Intn(12), rng.Intn(12), 1 + rng.Intn(3)}
+		if slices.ContainsFunc(links, func(m weighted) bool { return m.src == l.src && m.dst == l.dst }) {
+			continue
+		}
+		links = append(links, l)
+		for i := 0; i < l.n; i++ {
+			g.Observe(ClassMeta, l.src, l.dst, 10)
+			g.NoteCollision(l.src, l.dst)
+		}
+	}
+	slices.SortFunc(links, func(a, b weighted) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
+	var sorted []string
+	for _, l := range links {
+		sorted = append(sorted, fmt.Sprintf("%d->%d", l.src, l.dst))
+	}
+	for _, top := range []int{1, 16, len(links) - 1, len(links), 0} {
+		want, note := sorted, ""
+		if top > 0 && top < len(sorted) {
+			want, note = sorted[:top], fmt.Sprintf("(%d quieter links omitted)\n", len(sorted)-top)
+		}
+		for _, out := range []string{g.LinkTable(top), g.ContentionTable(top)} {
+			if got := tableLinks(out); !slices.Equal(got, want) || !strings.HasSuffix(out, note) || note == "" && strings.Contains(out, "omitted") {
+				t.Fatalf("top %d: rows %v, want %v and note %q:\n%s", top, got, want, note, out)
+			}
+		}
+	}
+}
+
+// TestLinkSlabChunks: a record stays where it was added as chunks are
+// added, and is found by its key, over ids across the whole int32 range;
+// the dense square stops at denseIDs on a side and the table holds the
+// rest.
+func TestLinkSlabChunks(t *testing.T) {
+	ids := []int32{0, 1, 15, 16, 63, 254, 255, 256, 257, -1, math.MinInt32, math.MaxInt32}
+	var s linkSlab[int]
+	var recs []*int
+	for _, src := range ids {
+		for _, dst := range ids {
+			r, fresh := s.at(linkKey(src, dst))
+			if !fresh {
+				t.Fatalf("%d->%d: not fresh on first sight", src, dst)
+			}
+			*r = len(recs)
+			recs = append(recs, r)
+		}
+	}
+	if s.len() != len(ids)*len(ids) || s.len() <= slabChunk {
+		t.Fatalf("%d links held, want %d, past one chunk", s.len(), len(ids)*len(ids))
+	}
+	for i, src := range ids {
+		for j, dst := range ids {
+			pos := i*len(ids) + j
+			key := linkKey(src, dst)
+			if r, fresh := s.at(key); fresh || r != recs[pos] || *r != pos || s.find(key) != r || s.rec(pos) != r {
+				t.Fatalf("%d->%d: record moved or lost", src, dst)
+			}
+		}
+	}
+	sparse := 0
+	for _, src := range ids {
+		for _, dst := range ids {
+			if src < 0 || src >= denseIDs || dst < 0 || dst >= denseIDs {
+				sparse++
+			}
+		}
+	}
+	if s.side != denseIDs || s.sparse.Len() != sparse {
+		t.Fatalf("dense side %d, %d links in the table; want %d and %d", s.side, s.sparse.Len(), denseIDs, sparse)
+	}
+	for _, l := range [][2]int32{{2, 3}, {255, 2}, {258, 0}, {0, -2}} {
+		if s.find(linkKey(l[0], l[1])) != nil {
+			t.Fatalf("%d->%d found, never added", l[0], l[1])
+		}
+	}
+}
+
+// TestRegistryObserveSeenLinkAllocatesNothing: once a link is held,
+// Observe on it allocates nothing while its histograms need not grow (the
+// overflow bucket never grows).
+func TestRegistryObserveSeenLinkAllocatesNothing(t *testing.T) {
+	ids := []int{0, 1, 63, 255, 256, -1, math.MaxInt32}
+	g := NewRegistry()
+	for _, src := range ids {
+		for _, dst := range ids {
+			g.Observe(ClassMeta, src, dst, 500)
+			g.Observe(ClassData, src, dst, 500)
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		g.Observe(uint8(i&1), ids[i%len(ids)], ids[i/len(ids)%len(ids)], int64(i*37%505+i%2*3000))
+		i++
+	}); n != 0 {
+		t.Fatalf("Observe on seen links allocated %v times a call", n)
 	}
 }
 

@@ -22,31 +22,94 @@ func linkKey(src, dst int32) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst))
 }
 
-// linkSlab keeps one T per link: the records in first-seen order, and the
-// table that finds a link's position among them. It owns no memory until
-// a link is added, and its table's slots hold no pointer.
+const (
+	// slabChunk is how many records one chunk of a linkSlab holds: 5 KB
+	// of linkRec, 13 KB of linkAcc.
+	slabChunk = 128
+	// denseIDs bounds the dense index: a link whose ids both lie in
+	// [0, denseIDs) is found by position in a square of int32s, so the
+	// square is at most 256 KB. It is paid for whether or not its pairs
+	// are seen; at 1024 nodes it would be 4 MB for the few thousand links
+	// a run sees.
+	denseIDs = 256
+)
+
+// linkSlab keeps one T per link: the records in first-seen order, in
+// chunks of slabChunk that never move, so a record's pointer stays good
+// for the slab's life. A link between ids in [0, denseIDs) is found
+// through the dense (src, dst) square, which saves the simulator's runs
+// the table and its doublings; any other link, such as the -1 and 2³¹-1
+// fsoitrace accepts, through the table keyed by linkKey. The slab owns
+// no memory until a link is added, and neither index holds a pointer.
 type linkSlab[T any] struct {
-	index table.Table[int32]
-	recs  []T
+	chunks []*[slabChunk]T
+	n      int
+	dense  []int32 // src*side+dst -> position+1, 0 when absent
+	side   uint32  // 0 before the first dense link, then a power of two
+	sparse table.Table[int32]
+}
+
+// len reports how many links the slab holds.
+func (s *linkSlab[T]) len() int { return s.n }
+
+// rec returns the record at position i, 0 <= i < len.
+func (s *linkSlab[T]) rec(i int) *T { return &s.chunks[i/slabChunk][i%slabChunk] }
+
+// index returns key's position, -1 when the link was never added.
+func (s *linkSlab[T]) index(key uint64) int {
+	if src, dst := uint32(key>>32), uint32(key); src|dst < denseIDs {
+		if src|dst >= s.side {
+			return -1
+		}
+		return int(s.dense[src*s.side+dst]) - 1
+	}
+	if i := s.sparse.Ref(key); i != nil {
+		return int(*i)
+	}
+	return -1
 }
 
 // find returns key's record, nil when the link was never added.
 func (s *linkSlab[T]) find(key uint64) *T {
-	if i := s.index.Ref(key); i != nil {
-		return &s.recs[*i]
+	if i := s.index(key); i >= 0 {
+		return s.rec(i)
 	}
 	return nil
 }
 
 // at returns key's record, adding a zero one (fresh reports it) on first
-// sight. The pointer is good until the next call.
+// sight.
 func (s *linkSlab[T]) at(key uint64) (rec *T, fresh bool) {
-	if r := s.find(key); r != nil {
-		return r, false
+	if i := s.index(key); i >= 0 {
+		return s.rec(i), false
 	}
-	*s.index.Put(key) = int32(len(s.recs))
-	s.recs = append(s.recs, *new(T))
-	return &s.recs[len(s.recs)-1], true
+	if src, dst := uint32(key>>32), uint32(key); src|dst < denseIDs {
+		if src|dst >= s.side {
+			s.widen(src | dst)
+		}
+		s.dense[src*s.side+dst] = int32(s.n + 1)
+	} else {
+		*s.sparse.Put(key) = int32(s.n)
+	}
+	if s.n%slabChunk == 0 {
+		s.chunks = append(s.chunks, new([slabChunk]T))
+	}
+	s.n++
+	return s.rec(s.n - 1), true
+}
+
+// widen doubles the dense square's side, from 16, until it exceeds ids
+// (a link's two ids OR-ed), and moves every row over.
+func (s *linkSlab[T]) widen(ids uint32) {
+	side := max(s.side, 16)
+	for side <= ids {
+		side *= 2
+	}
+	dense := make([]int32, side*side)
+	for src := range s.side {
+		copy(dense[src*side:], s.dense[src*s.side:(src+1)*s.side])
+	}
+	s.dense, s.side = dense, side
 }
 
 // registry histogram shape: 5-cycle buckets out to 2000 cycles covers
@@ -99,8 +162,7 @@ func (g *Registry) find(k Link) *linkRec {
 	return g.links.find(linkKey(int32(k.Src), int32(k.Dst)))
 }
 
-// rec returns k's record, adding an empty one on first sight. The pointer
-// is good until the next call.
+// rec returns k's record, adding an empty one on first sight.
 func (g *Registry) rec(k Link) *linkRec {
 	r, fresh := g.links.at(linkKey(int32(k.Src), int32(k.Dst)))
 	if fresh {
@@ -147,8 +209,8 @@ func (g *Registry) Merge(other *Registry) {
 	for c := range g.byClass {
 		g.byClass[c].Merge(other.byClass[c])
 	}
-	for i := range other.links.recs {
-		theirs := &other.links.recs[i]
+	for i := 0; i < other.links.len(); i++ {
+		theirs := other.links.rec(i)
 		mine := g.rec(theirs.Link)
 		if theirs.hist != nil {
 			g.latencies(mine).Merge(theirs.hist)
@@ -225,8 +287,8 @@ func cutTop(rows []rankedLink, top int) (kept []rankedLink, note string) {
 // means every link). The truncation is announced, never silent.
 func (g *Registry) LinkTable(top int) string {
 	rows := make([]rankedLink, 0, g.observed)
-	for i := range g.links.recs {
-		if r := &g.links.recs[i]; r.hist != nil {
+	for i := 0; i < g.links.len(); i++ {
+		if r := g.links.rec(i); r.hist != nil {
 			rows = append(rows, rankedLink{r, r.hist.Total()})
 		}
 	}
@@ -260,9 +322,9 @@ func (g *Registry) LinkDepth(k Link) int64 {
 // broken by src, dst), truncated to at most top rows (top <= 0 means
 // every link). The truncation is announced, never silent.
 func (g *Registry) ContentionTable(top int) string {
-	rows := make([]rankedLink, 0, len(g.links.recs))
-	for i := range g.links.recs {
-		if r := &g.links.recs[i]; r.contended() {
+	rows := make([]rankedLink, 0, g.links.len())
+	for i := 0; i < g.links.len(); i++ {
+		if r := g.links.rec(i); r.contended() {
 			rows = append(rows, rankedLink{r, r.coll})
 		}
 	}
@@ -284,9 +346,12 @@ func (g *Registry) String() string {
 	b.WriteString(g.ClassTable())
 	b.WriteString("\nlatency percentiles by link (cycles)\n")
 	b.WriteString(g.LinkTable(16))
-	if slices.ContainsFunc(g.links.recs, func(r linkRec) bool { return r.contended() }) {
-		b.WriteString("\nlink contention (collision events, deepest backoff)\n")
-		b.WriteString(g.ContentionTable(16))
+	for i := 0; i < g.links.len(); i++ {
+		if g.links.rec(i).contended() {
+			b.WriteString("\nlink contention (collision events, deepest backoff)\n")
+			b.WriteString(g.ContentionTable(16))
+			break
+		}
 	}
 	return b.String()
 }

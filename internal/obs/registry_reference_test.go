@@ -226,15 +226,21 @@ func observeRun(g linkObserver, run []Event) {
 	}
 }
 
-// registryMatchesReference replays an emission script into per-node
-// registries of both kinds, folds each family in node order, and compares
-// everything a registry can be asked. Each registry also sees the first
-// half of the next node's run, so that Merge meets links two registries
-// both know, with different counts and depths.
-func registryMatchesReference(t *testing.T, nodes int, script []byte) {
+// registryMatchesReference replays an emission script (its ids renamed
+// through edgeIDs when edges is set) into per-node registries of both
+// kinds, folds each family in node order, and compares everything a
+// registry can be asked. Each registry also sees the first half of the
+// next node's run, so that Merge meets links two registries both know,
+// with different counts and depths. It returns how many links the merged
+// registry holds records for.
+func registryMatchesReference(t *testing.T, nodes int, script []byte, edges bool) int {
 	t.Helper()
 	s := newRefSharded(nodes, 0)
-	emitScript(nodes, script, false)(s.emit)
+	emit, rename := s.emit, func(id int32) int32 { return id }
+	if edges {
+		emit, rename = withEdgeIDs(emit), edgeID
+	}
+	emitScript(nodes, script, false)(emit)
 	got, want := NewRegistry(), newRefRegistry()
 	for node := 0; node < nodes; node++ {
 		g, w := NewRegistry(), newRefRegistry()
@@ -256,29 +262,68 @@ func registryMatchesReference(t *testing.T, nodes int, script []byte) {
 	if got.Links() != want.Links() {
 		t.Fatalf("nodes %d: Links = %d, reference %d", nodes, got.Links(), want.Links())
 	}
-	for src := -1; src <= nodes; src++ {
-		for dst := -1; dst <= nodes; dst++ {
-			k := Link{Src: src, Dst: dst}
+	for _, top := range []int{1, 16, got.Links() - 1} {
+		if got.LinkTable(top) != want.LinkTable(top) || got.ContentionTable(top) != want.ContentionTable(top) {
+			t.Fatalf("nodes %d: tables cut to %d differ\n got:\n%s%s\nwant:\n%s%s", nodes, top,
+				got.LinkTable(top), got.ContentionTable(top), want.LinkTable(top), want.ContentionTable(top))
+		}
+	}
+	for src := int32(-1); src <= int32(nodes); src++ {
+		for dst := int32(-1); dst <= int32(nodes); dst++ {
+			k := Link{Src: int(rename(src)), Dst: int(rename(dst))}
 			if got.LinkCollisions(k) != want.LinkCollisions(k) || got.LinkDepth(k) != want.LinkDepth(k) {
 				t.Fatalf("nodes %d: link %v collisions/depth = %d/%d, reference %d/%d", nodes, k,
 					got.LinkCollisions(k), got.LinkDepth(k), want.LinkCollisions(k), want.LinkDepth(k))
 			}
 		}
 	}
+	return got.links.len()
 }
 
 // TestRegistryMatchesReference holds the slab registry to the three-map
 // one over random scripts from the shared generator, which reach links
 // with every mix of latency, collision and backoff records (a backoff
-// at attempt 0 and a destination of -1 among them).
+// at attempt 0 and a destination of -1 among them), one script in three
+// with its ids renamed through edgeIDs.
 func TestRegistryMatchesReference(t *testing.T) {
-	registryMatchesReference(t, 4, nil)
+	registryMatchesReference(t, 4, nil, false)
+	if links := registryMatchesReference(t, 64, everyNodeThreeLinks(64), true); links <= slabChunk {
+		t.Fatalf("the merged registry holds %d links, not past its first chunk", links)
+	}
 	rng := sim.NewRNG(2203)
 	for trial := 0; trial < 200; trial++ {
 		nodes := 1 + rng.Intn(9)
 		if trial%10 == 0 {
 			nodes = 64
 		}
-		registryMatchesReference(t, nodes, randomScript(rng, 800, true))
+		registryMatchesReference(t, nodes, randomScript(rng, 800, true), trial%3 == 0)
 	}
+}
+
+// FuzzRegistryMatchesReference holds the registry to the three-map one
+// over arbitrary emission scripts whose ids are -1, 0, 1, 255, 256,
+// 2³¹-1 and a contiguous range from 6. The 64-node seed's merged registry
+// fills more than one 128-record chunk.
+func FuzzRegistryMatchesReference(f *testing.F) {
+	f.Add(uint8(5), []byte{})
+	f.Add(uint8(7), slices.Concat(scriptEvent(2, KindDeliver, 1, 3, 4), scriptEvent(3, KindDeliver, 1, 2, 5),
+		scriptEvent(4, KindCollision, 1, 5, 1), scriptEvent(5, KindBackoff, 1, 4, 3), scriptEvent(6, KindDeliver, 1, 2, 0x88)))
+	f.Add(uint8(63), everyNodeThreeLinks(64))
+	f.Add(uint8(9), randomScript(sim.NewRNG(29), 400, true))
+	f.Fuzz(func(t *testing.T, nodes uint8, script []byte) {
+		registryMatchesReference(t, int(nodes)%64+1, script, true)
+	})
+}
+
+// everyNodeThreeLinks is a script in which each node records a collision,
+// a backoff and a delivery, each toward a different destination: 3*nodes
+// links.
+func everyNodeThreeLinks(nodes int) []byte {
+	var script []byte
+	for node := 0; node < nodes; node++ {
+		for i, kind := range []Kind{KindCollision, KindBackoff, KindDeliver} {
+			script = append(script, scriptEvent(node, kind, 1, (node+i*nodes/3)%nodes, byte(node+i))...)
+		}
+	}
+	return script
 }

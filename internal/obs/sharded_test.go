@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -158,6 +159,28 @@ func emitScript(nodes int, script []byte, oneClock bool) func(emitFunc) {
 				Attempt: int32(detail & 31), Aux: int64(detail) * 9, Class: detail >> 7,
 			})
 		}
+	}
+}
+
+// edgeIDs are what edgeID renames a script's ids 0-5 to: the ends of a
+// byte and the first id past it, the top of the range a trace may carry,
+// and -1 as a source.
+var edgeIDs = [...]int32{0, 1, 255, 256, math.MaxInt32, -1}
+
+// edgeID renames a script id through edgeIDs. Ids from 6 up (and -1, no
+// destination) stay: a small contiguous range beside the edges.
+func edgeID(id int32) int32 {
+	if id >= 0 && id < int32(len(edgeIDs)) {
+		return edgeIDs[id]
+	}
+	return id
+}
+
+// withEdgeIDs passes each event on to emit with its src and dst renamed.
+func withEdgeIDs(emit emitFunc) emitFunc {
+	return func(node int, e Event) {
+		e.Src, e.Dst = edgeID(e.Src), edgeID(e.Dst)
+		emit(node, e)
 	}
 }
 
