@@ -146,6 +146,9 @@ func parse(args []string, stderr io.Writer) (*invocation, int) {
 	if !(*scale > 0) {
 		return fail("-scale %v: a workload needs a positive scale factor", *scale)
 	}
+	if *jobs < 0 {
+		return fail("-j %d: the worker count is 0 (one per CPU) or positive", *jobs)
+	}
 	if *apps != "" {
 		inv.opts.Apps = strings.Split(*apps, ",")
 		for _, name := range inv.opts.Apps {

@@ -37,6 +37,7 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"negative trials", "-run fig3 -trials -5", "-trials -5"},
 		{"negative scale (used to exit 0)", "-run table1 -scale -1", "-scale -1"},
 		{"zero scale (used to exit 0)", "-run table1 -scale 0", "-scale 0"},
+		{"negative workers (used to run one per CPU)", "-run table1 -j -1", "-j -1"},
 		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
 		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},
 		{"empty app name", "-run fig6 -apps jacobi,", `unknown app ""`},

@@ -69,6 +69,13 @@ func New(lines, ways int) *Cache {
 	return &Cache{lines: make([]Line, lines), ways: ways, setMask: uint64(nsets - 1)}
 }
 
+// Reset empties the array and winds the LRU clock back to 0, leaving
+// the cache as New(lines, ways) built it, in the same storage.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock = 0
+}
+
 // NumLines reports the total capacity in lines.
 func (c *Cache) NumLines() int { return len(c.lines) }
 

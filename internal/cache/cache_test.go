@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +139,31 @@ func TestStateStrings(t *testing.T) {
 func TestNewAllocatesOneLineArray(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { New(512, 8) }); n != 2 {
 		t.Fatalf("New(512, 8) makes %v allocations, want 2", n)
+	}
+}
+
+// TestResetIsNew: a used cache, reset, is the cache New builds (lines
+// and LRU clock alike), and evicts exactly as a new one does afterwards.
+func TestResetIsNew(t *testing.T) {
+	err := quick.Check(func(used, next []uint16) bool {
+		c := New(32, 4)
+		for _, a := range used {
+			c.Install(LineAddr(a), Modified)
+			c.Lookup(LineAddr(a / 2))
+		}
+		c.Reset()
+		fresh := New(32, 4)
+		if !reflect.DeepEqual(c, fresh) {
+			return false
+		}
+		for _, a := range next {
+			if c.Install(LineAddr(a), Shared) != fresh.Install(LineAddr(a), Shared) {
+				return false
+			}
+		}
+		return true
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -199,14 +199,32 @@ type delayedSend struct {
 	fireFn func(now sim.Cycle)
 }
 
-// NewDirectory builds the home slice for node id.
-func NewDirectory(id int, cfg DirConfig, engine sim.Scheduler, tr Transport, memNode func(int) int) *Directory {
+// NewDirectory builds the home slice for node id. Given a spent slice (a
+// finished simulation's), it takes over that slice's record slab, entries
+// table and free list, emptied; the donor must not be used again. The
+// records still come out of the slab in the order a new slice's would:
+// chunk by chunk, each chunk the size the ramp gives its index. A nil
+// donor is ignored.
+func NewDirectory(id int, cfg DirConfig, engine sim.Scheduler, tr Transport, memNode func(int) int, donor ...*Directory) *Directory {
 	d := &Directory{
 		id:      id,
 		cfg:     cfg,
 		engine:  engine,
 		tr:      tr,
 		memNode: memNode,
+	}
+	if len(donor) > 0 && donor[0] != nil {
+		from := donor[0]
+		// Emptied chunks stay in the slab's backing array past its end,
+		// where alloc reopens them in order.
+		for i, chunk := range from.slab {
+			clear(chunk)
+			from.slab[i] = chunk[:0]
+		}
+		d.slab = from.slab[:0]
+		d.entries = from.entries
+		d.entries.Reset()
+		d.freed = from.freed[:0]
 	}
 	d.sync = newSyncManager(d)
 	return d
@@ -316,7 +334,13 @@ func (d *Directory) alloc() int32 {
 		if c >= 0 {
 			size = min(2*cap(d.slab[c]), 1<<chunkBits)
 		}
-		d.slab = append(d.slab, make([]dirEntry, 0, size))
+		if spare := d.slab[:cap(d.slab)]; c+1 < len(spare) && cap(spare[c+1]) == size {
+			// An emptied chunk a donor left (NewDirectory); past the end of
+			// a slab append grew, the spare headers are nil.
+			d.slab = spare[:c+2]
+		} else {
+			d.slab = append(d.slab, make([]dirEntry, 0, size))
+		}
 		c++
 	}
 	d.slab[c] = d.slab[c][:len(d.slab[c])+1]

@@ -110,17 +110,25 @@ type L1 struct {
 	free   []*l1Pending // completed records, reused last in first out
 }
 
-// NewL1 builds a controller for node id.
-func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transport, home func(cache.LineAddr) int) *L1 {
+// NewL1 builds a controller for node id. Given a spent controller of the
+// same geometry (the node's L1 in a finished simulation), it takes over
+// that controller's cache array, emptied; the donor must not be used
+// again. A donor of another geometry, or nil, is ignored.
+func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transport, home func(cache.LineAddr) int, donor ...*L1) *L1 {
 	l := &L1{
 		id:     id,
 		cfg:    cfg,
 		engine: engine,
 		rng:    rng.NewStream("l1"),
-		array:  cache.New(cfg.Lines, cfg.Ways),
 		tr:     tr,
 		home:   home,
 		watch:  make(map[cache.LineAddr][]func(now sim.Cycle)),
+	}
+	if len(donor) > 0 && donor[0] != nil && donor[0].cfg.Lines == cfg.Lines && donor[0].cfg.Ways == cfg.Ways {
+		l.array = donor[0].array
+		l.array.Reset()
+	} else {
+		l.array = cache.New(cfg.Lines, cfg.Ways)
 	}
 	l.stats.MissHist = stats.NewHistogram(5, 60)
 	return l

@@ -266,6 +266,11 @@ func fmtFloats(fs []float64) []string {
 
 // runOne executes one app on one network configuration.
 func runOne(o Options, app workload.App, kind system.NetworkKind, nodes int, mutate func(*system.Config)) system.Metrics {
+	return system.New(jobConfig(o, kind, nodes, mutate)).Run(app)
+}
+
+// jobConfig configures one network for a job of the experiment.
+func jobConfig(o Options, kind system.NetworkKind, nodes int, mutate func(*system.Config)) system.Config {
 	cfg := system.Default(nodes, kind)
 	cfg.Seed = o.Seed
 	if mutate != nil {
@@ -274,7 +279,7 @@ func runOne(o Options, app workload.App, kind system.NetworkKind, nodes int, mut
 	if o.Trace != nil {
 		cfg.Observe = true
 	}
-	return system.New(cfg).Run(app)
+	return cfg
 }
 
 // simJob names one independent simulation inside an experiment grid.
@@ -289,11 +294,15 @@ type simJob struct {
 // their metrics in job order, and the jobs that did not finish for
 // Result.Unfinished. Every runner builds its job list in the same order
 // its formatting loop consumes results, so the rendered tables are
-// byte-for-byte those of the old serial loops.
+// byte-for-byte those of the old serial loops. Each worker builds its
+// next simulation from the storage of its last (system.Runner), which
+// changes no byte of any job's metrics.
 func runGrid(o Options, jobs []simJob) (ms []system.Metrics, unfinished []string) {
-	ms = parallel.Map(len(jobs), o.Workers, func(i int) system.Metrics {
+	ms = make([]system.Metrics, len(jobs))
+	runners := make([]system.Runner, parallel.WorkerIDs(len(jobs), o.Workers))
+	parallel.DoWorker(len(jobs), o.Workers, func(w, i int) {
 		j := jobs[i]
-		return runOne(o, j.app, j.kind, j.nodes, j.mutate)
+		ms[i] = runners[w].Run(jobConfig(o, j.kind, j.nodes, j.mutate), j.app)
 	})
 	for i, m := range ms {
 		if j := jobs[i]; !m.Finished {

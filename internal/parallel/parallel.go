@@ -54,15 +54,31 @@ func (e *PanicError) Error() string {
 // all workers have drained; serial mode propagates the original panic
 // value unwrapped at the point it occurs, like the loop it replaces.
 func Do(jobs, workers int, fn func(job int)) {
+	DoWorker(jobs, workers, func(_, job int) { fn(job) })
+}
+
+// WorkerIDs is the number of worker ids DoWorker(jobs, workers, fn)
+// hands to fn: min(workers, jobs), and 1 on the serial path. A caller
+// that keeps state per worker sizes it with this, not with a clamp of
+// its own.
+func WorkerIDs(jobs, workers int) int {
+	return max(min(workers, jobs), 1)
+}
+
+// DoWorker is Do that also tells fn which worker runs the job: an id in
+// [0, WorkerIDs(jobs, workers)), 0 on the serial path. A worker runs its
+// jobs one after another, so state indexed by the worker id — a
+// simulation's storage handed from one job to the next — is never shared
+// between two running jobs. Which jobs land on which worker depends on
+// the scheduler, so nothing a job returns may depend on the id.
+func DoWorker(jobs, workers int, fn func(worker, job int)) {
 	if jobs <= 0 {
 		return
 	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
+	workers = WorkerIDs(jobs, workers)
+	if workers == 1 {
 		for i := 0; i < jobs; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -93,13 +109,13 @@ func Do(jobs, workers int, fn func(job int)) {
 			failure = &PanicError{Job: job, Value: v}
 		}
 	}
-	runOne := func(job int) {
+	runOne := func(w, job int) {
 		defer func() {
 			if v := recover(); v != nil {
 				record(job, v)
 			}
 		}()
-		fn(job)
+		fn(w, job)
 	}
 
 	var wg sync.WaitGroup
@@ -112,7 +128,7 @@ func Do(jobs, workers int, fn func(job int)) {
 				if job < 0 {
 					return
 				}
-				runOne(job)
+				runOne(w, job)
 			}
 		}()
 	}
@@ -127,7 +143,7 @@ func Do(jobs, workers int, fn func(job int)) {
 // it or when it completed.
 func Map[T any](jobs, workers int, fn func(job int) T) []T {
 	out := make([]T, jobs)
-	Do(jobs, workers, func(i int) {
+	DoWorker(jobs, workers, func(_, i int) {
 		out[i] = fn(i)
 	})
 	return out

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,15 @@ func TestMapMergeOrderUnderReverseCompletion(t *testing.T) {
 }
 
 func TestDoPanicLowestJobWins(t *testing.T) {
+	t.Run("Do", func(t *testing.T) { checkPanicLowestJobWins(t, Do) })
+	t.Run("DoWorker", func(t *testing.T) {
+		checkPanicLowestJobWins(t, func(jobs, workers int, fn func(int)) {
+			DoWorker(jobs, workers, func(_, job int) { fn(job) })
+		})
+	})
+}
+
+func checkPanicLowestJobWins(t *testing.T, do func(jobs, workers int, fn func(int))) {
 	const jobs = 6
 	// Barrier: every job reaches the panic point before any panics, so
 	// both panicking jobs (2 and 5) definitely record, and the pool must
@@ -110,7 +120,7 @@ func TestDoPanicLowestJobWins(t *testing.T) {
 			t.Fatal("empty Error() string")
 		}
 	}()
-	Do(jobs, jobs, func(i int) {
+	do(jobs, jobs, func(i int) {
 		gate.Done()
 		gate.Wait()
 		if i == 2 {
@@ -120,7 +130,7 @@ func TestDoPanicLowestJobWins(t *testing.T) {
 			panic("boom-5")
 		}
 	})
-	t.Fatal("Do returned despite worker panics")
+	t.Fatal("returned despite worker panics")
 }
 
 func TestDoSerialPanicUnwrapped(t *testing.T) {
@@ -153,6 +163,63 @@ func TestDoAbandonsAfterPanic(t *testing.T) {
 	}()
 	if n := atomic.LoadInt32(&ran); n >= 999 {
 		t.Fatalf("all %d remaining jobs ran after the panic; dispenser did not abandon", n)
+	}
+}
+
+// TestDoWorkerIDs: every job runs exactly once, on a worker whose id is
+// below min(workers, jobs) (1 when serial) as WorkerIDs reports, and no
+// worker runs two jobs at once — the property per-worker state rests on.
+func TestDoWorkerIDs(t *testing.T) {
+	for _, tc := range []struct{ jobs, workers int }{{1, 4}, {3, 64}, {100, 1}, {100, 2}, {100, 7}, {5, 0}, {5, -3}} {
+		ran := make([]int32, tc.jobs)
+		limit := max(min(tc.workers, tc.jobs), 1)
+		if got := WorkerIDs(tc.jobs, tc.workers); got != limit {
+			t.Errorf("WorkerIDs(%d, %d) = %d, want %d", tc.jobs, tc.workers, got, limit)
+		}
+		busy := make([]int32, limit)
+		DoWorker(tc.jobs, tc.workers, func(w, job int) {
+			if w < 0 || w >= limit {
+				t.Errorf("jobs=%d workers=%d: job %d on worker %d, want [0, %d)", tc.jobs, tc.workers, job, w, limit)
+				return
+			}
+			if atomic.AddInt32(&busy[w], 1) != 1 {
+				t.Errorf("worker %d runs two jobs at once", w)
+			}
+			atomic.AddInt32(&ran[job], 1)
+			runtime.Gosched()
+			atomic.AddInt32(&busy[w], -1)
+		})
+		for job, n := range ran {
+			if n != 1 {
+				t.Fatalf("jobs=%d workers=%d: job %d ran %d times", tc.jobs, tc.workers, job, n)
+			}
+		}
+	}
+}
+
+// TestDoWorkerSerialIsCaller: the serial path is a loop on the calling
+// goroutine as worker 0, in job order — a panic unwinds straight through
+// it, unwrapped, with the jobs before it done and none after.
+func TestDoWorkerSerialIsCaller(t *testing.T) {
+	var order []int
+	func() {
+		defer func() {
+			if v := recover(); v != "raw" {
+				t.Fatalf("serial panic = %v, want the raw value", v)
+			}
+		}()
+		DoWorker(5, 1, func(w, job int) {
+			if w != 0 {
+				t.Errorf("serial job %d on worker %d", job, w)
+			}
+			order = append(order, job) // unsynchronized: the race detector flags a second goroutine
+			if job == 3 {
+				panic("raw")
+			}
+		})
+	}()
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("serial order %v, want [0 1 2 3]", order)
 	}
 }
 

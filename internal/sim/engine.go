@@ -233,9 +233,28 @@ type Engine struct {
 	maxDepth int
 }
 
-// NewEngine returns an engine at cycle 0.
-func NewEngine() *Engine {
-	return &Engine{nodes: make([]wheelNode, 1)}
+// NewEngine returns an engine at cycle 0. Given the engine of a finished
+// simulation, it returns that engine emptied instead: the wheel's node
+// slab, the far heap and the ticker slice keep their storage, and every
+// event, ticker, counter and the clock are gone, so nothing tells it from
+// a new one. The donor is spent: whoever held it must not use it again.
+func NewEngine(donor ...*Engine) *Engine {
+	if len(donor) == 0 || donor[0] == nil {
+		return &Engine{nodes: make([]wheelNode, 1)}
+	}
+	// Field by field: `*e = Engine{...}` would build the 8 KB struct in
+	// NewEngine's stack frame, which every caller, donor or not, would pay
+	// for in stack growth.
+	e := donor[0]
+	clear(e.nodes)
+	clear(e.far.a)
+	clear(e.tickers)
+	clear(e.head[:])
+	clear(e.tail[:])
+	e.nodes, e.far.a, e.tickers = e.nodes[:1], e.far.a[:0], e.tickers[:0]
+	e.now, e.always, e.turn, e.free, e.near = 0, 0, 0, 0, 0
+	e.seq, e.ticking, e.stopped, e.fired, e.maxDepth = 0, false, false, 0, 0
+	return e
 }
 
 // Engine is the reference Driver implementation.

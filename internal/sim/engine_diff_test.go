@@ -224,24 +224,86 @@ func runScript(e scriptedEngine, script []byte) *scriptRun {
 	return r
 }
 
-// checkScript runs one script through both engines, compares, and
-// returns the situations the script reached.
+// checkScript runs one script through both engines, and through an
+// engine NewEngine rebuilt from a spent one, compares, and returns the
+// situations the script reached.
 func checkScript(t *testing.T, script []byte) map[string]bool {
 	t.Helper()
-	got, want := runScript(NewEngine(), script), runScript(&heapEngine{}, script)
+	want := runScript(&heapEngine{}, script)
+	compareScript(t, script, "", runScript(NewEngine(), script), want)
+	got := runScript(NewEngine(spentEngine()), script)
+	compareScript(t, script, "reused ", got, want)
+	return got.reached
+}
+
+// compareScript fails the test where an engine's run of script departs
+// from the heap's.
+func compareScript(t *testing.T, script []byte, label string, got, want *scriptRun) {
+	t.Helper()
 	for i := 0; i < len(got.log) && i < len(want.log); i++ {
 		if got.log[i] != want.log[i] {
-			t.Fatalf("script %v: firing %d is %+v, the heap gives %+v", script, i, got.log[i], want.log[i])
+			t.Fatalf("%sscript %v: firing %d is %+v, the heap gives %+v", label, script, i, got.log[i], want.log[i])
 		}
 	}
 	if len(got.log) != len(want.log) {
-		t.Fatalf("script %v: %d firings, the heap gives %d", script, len(got.log), len(want.log))
+		t.Fatalf("%sscript %v: %d firings, the heap gives %d", label, script, len(got.log), len(want.log))
 	}
 	if got.now != want.now || got.pending != want.pending || got.maxDepth != want.maxDepth || got.fired != want.fired {
-		t.Fatalf("script %v: (now, pending, max depth, fired) = (%d, %d, %d, %d), the heap gives (%d, %d, %d, %d)", script,
+		t.Fatalf("%sscript %v: (now, pending, max depth, fired) = (%d, %d, %d, %d), the heap gives (%d, %d, %d, %d)", label, script,
 			got.now, got.pending, got.maxDepth, got.fired, want.now, want.pending, want.maxDepth, want.fired)
 	}
-	return got.reached
+}
+
+// spentEngine is an engine as a finished simulation leaves it: cycles in,
+// stopped, with events pending on the wheel and in the far heap, an
+// always-on ticker and a woken sleeper registered, every counter moved.
+func spentEngine() *Engine {
+	e := NewEngine()
+	e.Register(TickFunc(func(Cycle) {}))
+	Sleeper(e, TickFunc(func(Cycle) {})).At(30)
+	for i := Cycle(0); i < 40; i++ {
+		e.At(i, func(Cycle) {})
+		e.At(i+3*wheelSize, func(Cycle) {})
+	}
+	e.Run(20)
+	e.Stop()
+	return e
+}
+
+// TestEngineReuseIsNew: NewEngine given a spent engine hands back that
+// engine's storage, cleared to the last slot, and every other field as a
+// new engine has it.
+func TestEngineReuseIsNew(t *testing.T) {
+	spent := spentEngine()
+	nodes, far, tickers := cap(spent.nodes), cap(spent.far.a), cap(spent.tickers)
+	e := NewEngine(spent)
+	if e != spent || cap(e.nodes) != nodes || cap(e.far.a) != far || cap(e.tickers) != tickers {
+		t.Fatal("the rebuilt engine does not keep the spent one's storage")
+	}
+	for i, n := range e.nodes[:cap(e.nodes)] {
+		if n.fn != nil || n.next != 0 {
+			t.Fatalf("wheel node %d still holds %+v", i, n)
+		}
+	}
+	for i, ev := range e.far.a[:cap(e.far.a)] {
+		if ev.fn != nil || ev.at != 0 || ev.seq != 0 {
+			t.Fatalf("far heap slot %d still holds an event", i)
+		}
+	}
+	for i, s := range e.tickers[:cap(e.tickers)] {
+		if s.t != nil || s.due != 0 || s.sleeps {
+			t.Fatalf("ticker slot %d still holds %+v", i, s)
+		}
+	}
+	got, want := *e, *NewEngine()
+	if len(got.nodes) != len(want.nodes) || len(got.far.a) != 0 || len(got.tickers) != 0 {
+		t.Fatalf("lengths (%d, %d, %d), want (%d, 0, 0)", len(got.nodes), len(got.far.a), len(got.tickers), len(want.nodes))
+	}
+	got.nodes, got.far, got.tickers = nil, eventQueue{}, nil
+	want.nodes = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt engine %+v, a new one is %+v", got, want)
+	}
 }
 
 // engineSeedScripts are the hand-written cases, keyed by the situation

@@ -468,9 +468,40 @@ func (cfg Config) Validate() error {
 // New assembles a system. It panics with Validate's message on a
 // configuration Validate rejects; callers holding user input check
 // Validate first.
-func New(cfg Config) *System {
+func New(cfg Config) *System { return build(cfg, nil) }
+
+// Runner runs simulations one after another, building each from the
+// storage of the one it ran before (see build). The zero value is ready;
+// a Runner is not safe for concurrent use, so a pool keeps one per
+// worker. Its callers only ever see Metrics, which alias none of the
+// storage the next run takes over.
+type Runner struct {
+	last *System // the spent system of the previous Run, the next donor
+}
+
+// Run builds a system of cfg, runs app on it and returns its metrics,
+// which are byte for byte those of New(cfg).Run(app).
+func (r *Runner) Run(cfg Config, app workload.App) Metrics {
+	donor := r.last
+	r.last = nil // a donor gives its storage once, even to a build that panics
+	s := build(cfg, donor)
+	m := s.Run(app)
+	r.last = s
+	return m
+}
+
+// build is New, given a donor: a finished system whose storage the new
+// one may take over. The donor gives its L1 arrays, its directories' record
+// slabs and tables and its engine's queues when it has the new system's
+// shape (node count, both on the serial engine; NewL1 also checks the L1
+// geometry) and nothing otherwise. Each component resets what it takes to
+// the state a new one starts in, so the run is the one New would give.
+func build(cfg Config, donor *System) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
+	}
+	if donor != nil && (donor.cfg.Nodes != cfg.Nodes || donor.winEng != nil || cfg.ParWorkers > 0) {
+		donor = nil
 	}
 	if cfg.Detect {
 		// The detector consumes the lifecycle-event record.
@@ -494,7 +525,11 @@ func New(cfg Config) *System {
 		s.winEng.AssignNodes(cfg.Nodes)
 		s.engine = s.winEng
 	} else {
-		s.engine = sim.NewEngine()
+		var spent *sim.Engine
+		if donor != nil {
+			spent = donor.engine.(*sim.Engine)
+		}
+		s.engine = sim.NewEngine(spent)
 	}
 	dim, _ := optnet.MeshDim(cfg.Nodes) // Validate checked squareness
 	tr := transport{s}
@@ -582,8 +617,15 @@ func New(cfg Config) *System {
 	memNode := func(h int) int { return attach[h%cfg.Memory.Channels] }
 
 	for i := 0; i < cfg.Nodes; i++ {
-		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home))
-		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode))
+		var (
+			l1  *coherence.L1
+			dir *coherence.Directory
+		)
+		if donor != nil {
+			l1, dir = donor.l1s[i], donor.dirs[i]
+		}
+		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home, l1))
+		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode, dir))
 	}
 	// The controllers' only per-cycle work is re-offering an outbox the
 	// network pushed back on, after every network tick of the cycle: l1

@@ -44,6 +44,18 @@ const minSlots = 4
 // Len reports the number of keys stored.
 func (t *Table[V]) Len() int { return t.n }
 
+// Reset empties the table and keeps its arrays, so a table refilled to
+// the size it had allocates nothing. The emptied table holds what a new
+// one would, but may have more slots; that is invisible only because
+// nothing ranges over a Table in slot order, where a different capacity
+// would show as a different order. Keep it that way.
+func (t *Table[V]) Reset() {
+	clear(t.keys)
+	clear(t.vals)
+	clear(t.used)
+	t.n = 0
+}
+
 // home is key's preferred slot.
 func (t *Table[V]) home(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> t.shift)

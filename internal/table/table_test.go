@@ -44,6 +44,9 @@ func scriptKeys() []uint64 {
 // maxKeyIndex is the script byte that names ^uint64(0).
 const maxKeyIndex = 120
 
+// resetOp is the script's operation byte for Reset.
+const resetOp = 0xFF
+
 // get reads key through Ref.
 func get(tab *Table[int], key uint64) (int, bool) {
 	if p := tab.Ref(key); p != nil {
@@ -89,6 +92,9 @@ func checkInvariants[V comparable](t *testing.T, tab *Table[V]) {
 // runScript plays a byte script against a Table and a Go map. Each step is
 // two bytes, an operation and a key index; after every step the two must
 // agree on the touched key and on the count, and at the end on every key.
+// Operation byte resetOp empties both, the table through Reset, which
+// keeps its slots: the steps after it run on a table larger than its
+// contents would have grown.
 func runScript(t *testing.T, script []byte) {
 	keys := scriptKeys()
 	var tab Table[int]
@@ -116,6 +122,11 @@ func runScript(t *testing.T, script []byte) {
 			}
 			delete(ref, key)
 		case 3:
+			if op == resetOp {
+				tab.Reset()
+				clear(ref)
+				break
+			}
 			// Ref's pointer is good until the next Put or Delete: written
 			// through here, read back through a fresh Ref below.
 			if p := tab.Ref(key); p != nil {
@@ -180,6 +191,23 @@ func TestTableMatchesMap(t *testing.T) {
 			t.Fatal("scriptKeys moved key 0 or ^uint64(0)")
 		}
 		runScript(t, extremesScript())
+	})
+	t.Run("reset", func(t *testing.T) {
+		// Fill to 64 slots, reset, refill half and delete across the old
+		// runs, reset the emptied table again, and grow it past its size.
+		var script []byte
+		for k := byte(0); k < 40; k++ {
+			script = append(script, 0, k)
+		}
+		script = append(script, resetOp, 0)
+		for k := byte(0); k < 20; k++ {
+			script = append(script, 0, 2*k, 2, k)
+		}
+		script = append(script, resetOp, 0, resetOp, 0)
+		for k := byte(0); k < 100; k++ {
+			script = append(script, 0, k)
+		}
+		runScript(t, script)
 	})
 	t.Run("random", func(t *testing.T) {
 		// A fixed xorshift stream: long enough to take a table through
@@ -246,6 +274,7 @@ func FuzzTableMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 3, 2, 0, 1})
 	f.Add(wrapScript())
 	f.Add(extremesScript())
+	f.Add([]byte{0, 1, 0, 2, resetOp, 0, 0, 1, 3, 2})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
