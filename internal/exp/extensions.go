@@ -33,8 +33,9 @@ func Layout(o Options) Result {
 // a real FSOI run: air cooling (obstructed by the free-space layer),
 // microchannel liquid cooling, and a diamond heat spreader.
 func Thermal(o Options) Result {
-	apps := o.suite()
-	m := runOne(o, apps[0], system.NetFSOI, 16, nil)
+	apps := o.suite()[:1]
+	ms, wedged := runSuite(o, apps, o.config(system.NetFSOI, 16))
+	m := ms[0][0]
 	perNode := m.AvgPowerW / 16
 	// A mildly non-uniform map: directory-home traffic concentrates at
 	// the memory-controller corners.
@@ -56,5 +57,5 @@ func Thermal(o Options) Result {
 	fmt.Fprintf(&b, "power map from %s on 16-node FSOI: %.1f W total\n\n", apps[0].Name, m.AvgPowerW)
 	b.WriteString(t.String())
 	b.WriteString("\nliquid cooling keeps the stack viable under the free-space layer (§3.3)\n")
-	return Result{ID: "thermal", Title: "§3.3: cooling alternatives for the 3-D stack", Text: b.String(), Values: vals}
+	return Result{ID: "thermal", Title: "§3.3: cooling alternatives for the 3-D stack", Text: b.String(), Values: vals, Unfinished: wedged}
 }

@@ -71,42 +71,28 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 			penalties = []float64{0, 2, 3.5} // benches skip the dense middle
 		}
 	}
-	apps := o.suite()
-	// One grid covers the whole sweep: the per-app mesh baselines first,
-	// then every (penalty, app) FSOI point, all mutually independent.
-	var jobs []simJob
-	for _, app := range apps {
-		jobs = append(jobs, simJob{app: app, kind: system.NetMesh, nodes: 16})
-	}
+	// One grid covers the whole sweep: the mesh baseline, then FSOI at
+	// every penalty, all mutually independent.
+	cfgs := []system.Config{o.config(system.NetMesh, 16)}
 	for _, pen := range penalties {
-		fc := base
-		fc.MarginPenaltyDB = pen
-		for _, app := range apps {
-			jobs = append(jobs, simJob{app: app, kind: system.NetFSOI, nodes: 16,
-				mutate: func(c *system.Config) { c.Fault = fc }})
-		}
+		cfg := o.config(system.NetFSOI, 16)
+		cfg.Fault = base
+		cfg.Fault.MarginPenaltyDB = pen
+		cfgs = append(cfgs, cfg)
 	}
 	// Not Result.Unfinished: a dropped packet can wedge a run for good,
 	// which is a finding here, printed below as finished_p<penalty>.
-	ms, _ := runGrid(o, jobs)
-	meshCycles := make(map[string]system.Metrics, len(apps))
-	for i, app := range apps {
-		meshCycles[app.Name] = ms[i]
-	}
-	idx := len(apps)
+	ms, _ := runSuite(o, o.suite(), cfgs...)
+	mesh, points := ms[0], ms[1:]
 	t := stats.NewTable("penalty (dB)", "speedup", "meta coll", "data coll",
 		"retrans/pkt", "bit errs", "timeouts", "finished")
 	vals := map[string]float64{}
 	var b strings.Builder
-	for _, pen := range penalties {
-		var speedups []float64
+	for p, pen := range penalties {
 		var metaColl, dataColl, retrans []float64
 		var bitErrs, timeouts int64
 		finished := true
-		for _, app := range apps {
-			m := ms[idx]
-			idx++
-			speedups = append(speedups, m.Speedup(meshCycles[app.Name]))
+		for _, m := range points[p] {
 			metaColl = append(metaColl, m.FSOI.CollisionRate(core.LaneMeta))
 			dataColl = append(dataColl, m.FSOI.CollisionRate(core.LaneData))
 			retrans = append(retrans, m.FSOI.RetransmissionRate(core.LaneData))
@@ -116,7 +102,7 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 			}
 			finished = finished && m.Finished
 		}
-		sp := stats.GeoMean(speedups)
+		sp := stats.GeoMean(speedups(points[p], mesh))
 		fin := "yes"
 		if !finished {
 			fin = "NO"

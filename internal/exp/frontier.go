@@ -56,36 +56,30 @@ func Frontier(o Options) Result {
 	if o.Scale >= 0.2 {
 		simNodes = append(simNodes, 64)
 	}
-	var jobs []simJob
+	var cfgs []system.Config
 	for _, nodes := range simNodes {
 		for _, name := range names {
-			for _, app := range o.suite() {
-				jobs = append(jobs, simJob{app: app, kind: system.NetworkKind(name), nodes: nodes})
-			}
+			cfgs = append(cfgs, o.config(system.NetworkKind(name), nodes))
 		}
 	}
-	ms, wedged := runGrid(o, jobs)
+	ms, wedged := runSuite(o, o.suite(), cfgs...)
 	st := stats.NewTable("topology", "nodes", "geomean cycles", "mean pkt latency", "energy/bit pJ")
 	cyc := map[string]float64{}
-	idx := 0
-	for _, nodes := range simNodes {
-		for _, name := range names {
-			var cs, lat []float64
-			for range o.suite() {
-				m := ms[idx]
-				idx++
-				cs = append(cs, float64(m.Cycles))
-				lat = append(lat, m.Latency.MeanTotal())
-			}
-			g := stats.GeoMean(cs)
-			cyc[fmt.Sprintf("%s_%d", name, nodes)] = g
-			topo, _ := optnet.Get(name)
-			st.AddRow(name, fmt.Sprint(nodes),
-				fmt.Sprintf("%.0f", g),
-				fmt.Sprintf("%.2f", mean(lat)),
-				fmt.Sprintf("%.3f", topo.Loss(nodes).EnergyPerBitJ*1e12))
-			vals[fmt.Sprintf("cycles_%s_%d", name, nodes)] = g
+	for c, cfg := range cfgs {
+		name, nodes := string(cfg.Net), cfg.Nodes
+		var cs, lat []float64
+		for _, m := range ms[c] {
+			cs = append(cs, float64(m.Cycles))
+			lat = append(lat, m.Latency.MeanTotal())
 		}
+		g := stats.GeoMean(cs)
+		cyc[fmt.Sprintf("%s_%d", name, nodes)] = g
+		topo, _ := optnet.Get(name)
+		st.AddRow(name, fmt.Sprint(nodes),
+			fmt.Sprintf("%.0f", g),
+			fmt.Sprintf("%.2f", mean(lat)),
+			fmt.Sprintf("%.3f", topo.Loss(nodes).EnergyPerBitJ*1e12))
+		vals[fmt.Sprintf("cycles_%s_%d", name, nodes)] = g
 	}
 	b.WriteString("\nSimulated latency and run time\n")
 	b.WriteString(st.String())
@@ -99,27 +93,22 @@ func Frontier(o Options) Result {
 			bigNodes = append(bigNodes, 1024)
 		}
 		bigApp, _ := workload.ByName("jacobi", o.Scale*0.04)
-		bigNames := []string{"fsoi", "corona"}
-		var bigJobs []simJob
+		var bigCfgs []system.Config
 		for _, nodes := range bigNodes {
-			for _, name := range bigNames {
-				bigJobs = append(bigJobs, simJob{app: bigApp, kind: system.NetworkKind(name), nodes: nodes})
+			for _, kind := range []system.NetworkKind{system.NetFSOI, system.NetCorona} {
+				bigCfgs = append(bigCfgs, o.config(kind, nodes))
 			}
 		}
-		bms, bigWedged := runGrid(o, bigJobs)
+		bms, bigWedged := runSuite(o, []workload.App{bigApp}, bigCfgs...)
 		wedged = append(wedged, bigWedged...)
 		bt := stats.NewTable("topology", "nodes", "cycles", "mean pkt latency", "delivered")
-		idx := 0
-		for _, nodes := range bigNodes {
-			for _, name := range bigNames {
-				m := bms[idx]
-				idx++
-				bt.AddRow(name, fmt.Sprint(nodes),
-					fmt.Sprint(m.Cycles),
-					fmt.Sprintf("%.2f", m.Latency.MeanTotal()),
-					fmt.Sprint(m.Latency.Delivered))
-				vals[fmt.Sprintf("cycles_%s_%d", name, nodes)] = float64(m.Cycles)
-			}
+		for c, cfg := range bigCfgs {
+			m := bms[c][0]
+			bt.AddRow(string(cfg.Net), fmt.Sprint(cfg.Nodes),
+				fmt.Sprint(m.Cycles),
+				fmt.Sprintf("%.2f", m.Latency.MeanTotal()),
+				fmt.Sprint(m.Latency.Delivered))
+			vals[fmt.Sprintf("cycles_%s_%d", cfg.Net, cfg.Nodes)] = float64(m.Cycles)
 		}
 		fmt.Fprintf(&b, "\nScale frontier (jacobi @ %.3f)\n", o.Scale*0.04)
 		b.WriteString(bt.String())

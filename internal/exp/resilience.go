@@ -117,79 +117,75 @@ func resilienceSweep(o Options, roles []adversary.Role, intensities []float64, n
 			nodeCounts = []int{16} // benches skip the 64-node half
 		}
 	}
-	app := o.suite()[0]
+	apps := o.suite()[:1]
 
-	// Job list: per node count, one attack-free control then the full
-	// (role, intensity) grid, all mutually independent.
-	var jobs []simJob
+	// Per node count, one attack-free control then the full (role,
+	// intensity) grid, all mutually independent.
+	var cfgs []system.Config
 	for _, nodes := range nodeCounts {
-		jobs = append(jobs, simJob{app: app, kind: system.NetFSOI, nodes: nodes,
-			mutate: func(c *system.Config) { c.Detect = true }})
+		control := o.config(system.NetFSOI, nodes)
+		control.Detect = true
+		cfgs = append(cfgs, control)
 		for _, role := range roles {
 			for _, in := range intensities {
-				specs := specsFor(role, in, nodes)
-				jobs = append(jobs, simJob{app: app, kind: system.NetFSOI, nodes: nodes,
-					mutate: func(c *system.Config) {
-						c.Detect = true
-						c.Adversaries = specs
-					}})
+				cfg := control
+				cfg.Adversaries = specsFor(role, in, nodes)
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	ms, wedged := runGrid(o, jobs)
+	ms, wedged := runSuite(o, apps, cfgs...)
 
 	t := stats.NewTable("nodes", "role", "intensity", "honest slowdown",
 		"lat ratio", "flagged", "precision", "detect@")
 	vals := map[string]float64{}
 	var b strings.Builder
-	idx := 0
-	for _, nodes := range nodeCounts {
-		control := ms[idx]
-		idx++
-		controlFlags := len(control.Detection.Flagged)
-		vals[fmt.Sprintf("control_flags_n%d", nodes)] = float64(controlFlags)
-		fmt.Fprintf(&b, "n=%d control: %d cycles, mean latency %.1f, %d links flagged (must be 0)\n",
-			nodes, control.Cycles, control.Latency.MeanTotal(), controlFlags)
-		for _, role := range roles {
-			hostile := map[int]bool{}
-			for _, a := range attackers(nodes) {
-				hostile[a] = true
-			}
-			victims := map[int]bool{0: true}
-			for _, in := range intensities {
-				m := ms[idx]
-				idx++
-				slowdown := float64(m.HonestFinish) / float64(control.Cycles)
-				latRatio := m.Latency.MeanTotal() / control.Latency.MeanTotal()
-				tp := 0
-				detectAt := int64(-1)
-				for _, f := range m.Detection.Flagged {
-					if truePositive(f.Link, hostile, victims) {
-						tp++
-						if detectAt < 0 || f.FlaggedAt < detectAt {
-							detectAt = f.FlaggedAt
-						}
-					}
+	victims := map[int]bool{0: true}
+	var control system.Metrics
+	for c, cfg := range cfgs {
+		m, nodes := ms[c][0], cfg.Nodes
+		if len(cfg.Adversaries) == 0 {
+			control = m
+			controlFlags := len(control.Detection.Flagged)
+			vals[fmt.Sprintf("control_flags_n%d", nodes)] = float64(controlFlags)
+			fmt.Fprintf(&b, "n=%d control: %d cycles, mean latency %.1f, %d links flagged (must be 0)\n",
+				nodes, control.Cycles, control.Latency.MeanTotal(), controlFlags)
+			continue
+		}
+		role, in := cfg.Adversaries[0].Role, cfg.Adversaries[0].Intensity
+		hostile := map[int]bool{}
+		for _, a := range cfg.Adversaries {
+			hostile[a.Node] = true
+		}
+		slowdown := float64(m.HonestFinish) / float64(control.Cycles)
+		latRatio := m.Latency.MeanTotal() / control.Latency.MeanTotal()
+		tp := 0
+		detectAt := int64(-1)
+		for _, f := range m.Detection.Flagged {
+			if truePositive(f.Link, hostile, victims) {
+				tp++
+				if detectAt < 0 || f.FlaggedAt < detectAt {
+					detectAt = f.FlaggedAt
 				}
-				precision := 1.0
-				if n := len(m.Detection.Flagged); n > 0 {
-					precision = float64(tp) / float64(n)
-				}
-				at := "-"
-				if detectAt >= 0 {
-					at = fmt.Sprint(detectAt)
-				}
-				t.AddRow(fmt.Sprint(nodes), role.String(), fmt.Sprintf("%.1f", in),
-					fmt.Sprintf("%.3f", slowdown), fmt.Sprintf("%.3f", latRatio),
-					fmt.Sprint(len(m.Detection.Flagged)), fmt.Sprintf("%.2f", precision), at)
-				key := fmt.Sprintf("%s_i%.1f_n%d", role, in, nodes)
-				vals["slowdown_"+key] = slowdown
-				vals["lat_ratio_"+key] = latRatio
-				vals["flagged_"+key] = float64(len(m.Detection.Flagged))
-				vals["precision_"+key] = precision
-				vals["detect_at_"+key] = float64(detectAt)
 			}
 		}
+		precision := 1.0
+		if n := len(m.Detection.Flagged); n > 0 {
+			precision = float64(tp) / float64(n)
+		}
+		at := "-"
+		if detectAt >= 0 {
+			at = fmt.Sprint(detectAt)
+		}
+		t.AddRow(fmt.Sprint(nodes), role.String(), fmt.Sprintf("%.1f", in),
+			fmt.Sprintf("%.3f", slowdown), fmt.Sprintf("%.3f", latRatio),
+			fmt.Sprint(len(m.Detection.Flagged)), fmt.Sprintf("%.2f", precision), at)
+		key := fmt.Sprintf("%s_i%.1f_n%d", role, in, nodes)
+		vals["slowdown_"+key] = slowdown
+		vals["lat_ratio_"+key] = latRatio
+		vals["flagged_"+key] = float64(len(m.Detection.Flagged))
+		vals["precision_"+key] = precision
+		vals["detect_at_"+key] = float64(detectAt)
 	}
 	b.WriteString("\n")
 	b.WriteString(t.String())

@@ -57,15 +57,15 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 
 // TestTraceByteIdenticalAcrossWorkers is the acceptance check for the
 // parallel path: the trace file produced at one worker equals the one
-// produced at four, byte for byte, because runGrid drains recorders by
-// job index after the barrier.
+// produced at four, byte for byte, because runSuite drains recorders by
+// job number after the barrier.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	trace := func(workers int) []byte {
 		o := tiny()
 		o.Workers = workers
 		sink := &bufSink{}
 		o.Trace = sink
-		Fig9(o) // two jobs per app: exercises both grid order and mutate
+		Fig9(o) // two configurations per app: exercises the app-major job order
 		if sink.err != nil {
 			t.Fatal(sink.err)
 		}
