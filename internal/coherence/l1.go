@@ -62,6 +62,7 @@ type l1Pending struct {
 	state   transKind
 	waiters []waiter
 	issued  sim.Cycle // when the request was first sent (for stats)
+	retries int       // NACKs this transaction has taken, for its backoff
 }
 
 // L1Config sizes an L1 controller.
@@ -428,8 +429,11 @@ func (l *L1) onDwg(m Msg, now sim.Cycle) {
 	l.send(ack)
 }
 
-// onNack retries the original request after a short randomized delay
-// (Table 2's Retry column; NACKs probabilistically avoid fetch deadlock).
+// onNack retries the original request after a randomized delay (Table
+// 2's Retry column; NACKs probabilistically avoid fetch deadlock). The
+// delay doubles with each NACK the transaction takes, up to 64x, like
+// the optical lanes' collision backoff: with a fixed window, 64-node
+// jacobi on L0 retried without end.
 func (l *L1) onNack(m Msg, now sim.Cycle) {
 	p := l.pending(m.Addr)
 	if p == nil {
@@ -445,7 +449,8 @@ func (l *L1) onNack(m Msg, now sim.Cycle) {
 	default:
 		req = ReqUpg
 	}
-	delay := sim.Cycle(8 + l.rng.Intn(24))
+	delay := sim.Cycle(8+l.rng.Intn(24)) << min(p.retries, 6)
+	p.retries++
 	// A record is recycled, so the pointer alone no longer names the
 	// transaction; a later one on the same record was issued later.
 	issued := p.issued

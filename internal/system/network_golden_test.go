@@ -49,3 +49,25 @@ func TestNetworkGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestNackGolden pins a run that drives the directory's refusal path:
+// 64-node jacobi on L0 at the smallest scale that NACKs (0.1 takes 135
+// NACKs, 0.098 none). Its bytes move whenever the L1's retry rule does.
+// Under a fixed 8-31 cycle retry window this run never finished.
+func TestNackGolden(t *testing.T) {
+	app, _ := workload.ByName("jacobi", 0.1)
+	cfg := Default(64, NetL0)
+	cfg.MaxCycles = 3_000_000
+	s := New(cfg)
+	m := s.Run(app)
+	if !m.Finished {
+		t.Fatalf("did not finish:\n%s", s.Diagnose())
+	}
+	if m.Nacks == 0 {
+		t.Fatal("took no NACK, so it no longer covers the retry rule")
+	}
+	sum := sha256.Sum256([]byte(m.Canonical()))
+	if got, want := hex.EncodeToString(sum[:]), "abe7ca88b7a32a5e2c2daba5a11b77f125074e0ca37f8acd74ed4b92a0c13708"; got != want {
+		t.Errorf("canonical sha256 %s, want %s", got, want)
+	}
+}
