@@ -9,11 +9,14 @@ import (
 )
 
 // TestNetworkGolden pins every interconnect but FSOI (which
-// sweep_golden_test.go pins) to the bytes of the last commit whose
-// engine called every ticker on every cycle (3f17ccb). The ideal
-// networks' tick and the coherence outbox drain sleep until woken, and
-// Run jumps the cycles nobody is due in: only the mesh and corona keep
-// an always-on ticker, so L0, Lr1 and Lr2 are the runs that jump.
+// sweep_golden_test.go pins) to canonical bytes. The mesh, ideal and
+// corona rows are those of the last commit whose engine called every
+// ticker on every cycle (3f17ccb); the matrix and snake rows are those
+// of d20fffb, the last commit that built them through a registry of
+// optical topologies. The ideal networks' tick and the coherence outbox
+// drain sleep until woken, and Run jumps the cycles nobody is due in:
+// only the mesh and the crossbars keep an always-on ticker, so L0, Lr1
+// and Lr2 are the runs that jump.
 func TestNetworkGolden(t *testing.T) {
 	for _, c := range []struct {
 		net   NetworkKind
@@ -25,6 +28,8 @@ func TestNetworkGolden(t *testing.T) {
 		{NetLr1, 16, "08022fddab1e033d6396c2e9f0db955058af673fc21a8fea0c21cb87a9046882"},
 		{NetLr2, 16, "c90ace1e0dccf54309b665a847401a23ec6f190ff00a7505302b7ace915838ad"},
 		{NetCorona, 16, "687c0cc4448c3a6f361913b0fffdd11613fc534e62166bd758ef68f3abfb181c"},
+		{"matrix", 16, "703d3be58b4f1a5501cde6242fcb1b285e8a04a311335084fcab322c88a013e9"},
+		{"snake", 16, "a3df9db4a05983dc3b52caeefb55a4d21809dc9986f3e4d4f040fb72d7a3fbc4"},
 		{NetMesh, 64, "b909330b63115786b908b722efa96ffd91af7864d641d56f34d1458f455c8c53"},
 		{NetL0, 64, "6d002eac1d1ad05397f67d9e302de354287b1109095785c61432684b6fbd66eb"},
 	} {
@@ -45,7 +50,7 @@ func TestNetworkGolden(t *testing.T) {
 		}
 		sum := sha256.Sum256([]byte(m.Canonical()))
 		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s at %d nodes: canonical sha256 %s, the every-cycle engine had %s", c.net, c.nodes, got, c.want)
+			t.Errorf("%s at %d nodes: canonical sha256 %s, want %s", c.net, c.nodes, got, c.want)
 		}
 	}
 }
