@@ -76,9 +76,6 @@ func (c *Cache) Reset() {
 	c.clock = 0
 }
 
-// NumLines reports the total capacity in lines.
-func (c *Cache) NumLines() int { return len(c.lines) }
-
 // set returns the ways addr maps to, in way order.
 func (c *Cache) set(addr LineAddr) []Line {
 	lo := int(uint64(addr)&c.setMask) * c.ways

@@ -106,13 +106,3 @@ type Msg struct {
 	SyncID int
 	Value  bool
 }
-
-// IsRequest reports whether the message is an L1 request the directory
-// may stall ("z") or NACK.
-func (m Msg) IsRequest() bool {
-	switch m.Type {
-	case ReqSh, ReqEx, ReqUpg:
-		return true
-	}
-	return false
-}

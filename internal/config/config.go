@@ -25,7 +25,7 @@ import (
 // network, so a spec needs to mention only what it changes.
 type Spec struct {
 	Nodes   int     `json:"nodes"`           // 16 or 64
-	Network string  `json:"network"`         // any system.Networks() name: L0 Lr1 Lr2 corona fsoi matrix mesh snake
+	Network string  `json:"network"`         // any system.Networks() name
 	App     string  `json:"app,omitempty"`   // workload name
 	Scale   float64 `json:"scale,omitempty"` // workload scale factor
 	Seed    uint64  `json:"seed,omitempty"`

@@ -394,9 +394,6 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 // tangible performance impact, which the failure-injection tests verify.
 func (n *Network) SetBitErrorRate(ber float64) { n.ber = ber }
 
-// Name identifies the configuration.
-func (n *Network) Name() string { return "fsoi" }
-
 // LatencyStats merges the per-node latency accumulators, in node order,
 // into a fresh aggregate. Call it after (or between) runs, not once and
 // cached.
@@ -577,12 +574,6 @@ func (n *Network) SendConfirmBit(src, dst int, tag uint64, value bool) {
 			n.bitFn(src, dst, tag, value, now)
 		}
 	})
-}
-
-// ConfirmationUtilization reports the confirmation lane's mini-cycle
-// occupancy so far.
-func (n *Network) ConfirmationUtilization() float64 {
-	return n.conf.Utilization(n.engine.Now(), n.cfg.Nodes)
 }
 
 // Tick advances the whole network one cycle on a single-threaded engine:

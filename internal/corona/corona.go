@@ -53,8 +53,6 @@ const (
 // Config parameterizes the crossbar.
 type Config struct {
 	Nodes int
-	// Label names the configuration through noc.Network.Name().
-	Label string
 	// Arb selects the channel topology and arbitration model.
 	Arb Arbitration
 	// TokenRoundTrip is the time for a channel's token to circulate the
@@ -74,7 +72,6 @@ type Config struct {
 func PaperCorona(nodes int) Config {
 	return Config{
 		Nodes:          nodes,
-		Label:          "corona",
 		Arb:            ArbToken,
 		TokenRoundTrip: 8,
 		MetaCycles:     2,
@@ -88,7 +85,6 @@ func PaperCorona(nodes int) Config {
 // and flight budget as the token crossbar, but fully non-blocking.
 func MatrixCrossbar(nodes int) Config {
 	c := PaperCorona(nodes)
-	c.Label = "matrix"
 	c.Arb = ArbWavelength
 	return c
 }
@@ -97,7 +93,6 @@ func MatrixCrossbar(nodes int) Config {
 // flight budget, one broadcast channel per source.
 func SnakeCrossbar(nodes int) Config {
 	c := PaperCorona(nodes)
-	c.Label = "snake"
 	c.Arb = ArbSourceOwned
 	return c
 }
@@ -152,14 +147,6 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 	}
 	n.queued = make([]int, cfg.Nodes)
 	return n
-}
-
-// Name identifies the configuration.
-func (n *Network) Name() string {
-	if n.cfg.Label == "" {
-		return "corona"
-	}
-	return n.cfg.Label
 }
 
 // LatencyStats exposes accumulated measurements.

@@ -103,13 +103,6 @@ func TestInjectQueueBound(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	n, _, _ := testNet(t)
-	if n.Name() != "corona" {
-		t.Fatal("name wrong")
-	}
-}
-
 func TestTokenWaitRecorded(t *testing.T) {
 	n, engine, _ := testNet(t)
 	n.Send(&noc.Packet{Src: 40, Dst: 1, Type: noc.Meta})
@@ -192,22 +185,6 @@ func TestSnakeDistinctSourcesRunInParallel(t *testing.T) {
 		// arrivals at one reader never queue behind each other.
 		if p.TotalLatency() != 3 {
 			t.Fatalf("snake latency = %d, want contention-free 3", p.TotalLatency())
-		}
-	}
-}
-
-func TestVariantNames(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want string
-	}{
-		{PaperCorona(16), "corona"},
-		{MatrixCrossbar(16), "matrix"},
-		{SnakeCrossbar(16), "snake"},
-	} {
-		n, _, _ := variantNet(t, tc.cfg)
-		if n.Name() != tc.want {
-			t.Fatalf("Name() = %q, want %q", n.Name(), tc.want)
 		}
 	}
 }

@@ -249,7 +249,7 @@ func sameAcrossWorkers(t *testing.T, r Runner) {
 }
 
 // TestFrontierShape checks the frontier sweep's physical narrative: the
-// analytic grid covers every registered topology at 16/64/256 nodes,
+// analytic grid covers every optical topology at 16/64/256 nodes,
 // waveguide-crossbar loss grows with radix while FSOI's stays flat, and
 // the simulated half produces the FSOI-vs-token-crossbar ratio.
 func TestFrontierShape(t *testing.T) {

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"fsoi/internal/optnet"
 	"fsoi/internal/stats"
 	"fsoi/internal/system"
 	"fsoi/internal/workload"
 )
 
-// Frontier sweeps the optical-topology registry (internal/optnet)
-// across node counts and renders the loss/energy/latency frontier:
+// Frontier sweeps the optical members of system.Interconnects (those
+// with a loss model) across node counts and renders the
+// loss/energy/latency frontier:
 //
 //   - an analytic half at 16/64/256/1024 nodes, where each topology's
 //     worst-case insertion-loss model sets the laser launch power and
@@ -19,7 +19,7 @@ import (
 //     waveguide crossbars' loss grows with radix while the relay-free
 //     free-space design stays flat;
 //   - a simulated half at 16 (and, at full scale, 64) nodes, running
-//     the workload suite over every registered topology through the
+//     the workload suite over every optical topology through the
 //     system layer to pin latency and run time to the same names;
 //   - a scale half at 256 (and, at full scale, 1024) nodes,
 //     simulating the two §7.1 contenders past the radix of the paper's
@@ -28,14 +28,19 @@ import (
 // The 64-node FSOI-vs-token-crossbar run-time ratio reproduces the
 // paper's §7.1 Corona comparison (~1.06x) from inside the sweep.
 func Frontier(o Options) Result {
-	names := optnet.Names()
+	var optical []system.Interconnect
+	for _, n := range system.Interconnects {
+		if n.Loss != nil {
+			optical = append(optical, n)
+		}
+	}
 	vals := map[string]float64{}
 	var b strings.Builder
 
 	// Analytic half: the physical frontier.
 	at := stats.NewTable("topology", "nodes", "worst loss dB", "launch/λ mW", "laser W", "energy/bit pJ")
-	for _, name := range names {
-		topo, _ := optnet.Get(name)
+	for _, topo := range optical {
+		name := string(topo.Kind)
 		for _, nodes := range []int{16, 64, 256, 1024} {
 			r := topo.Loss(nodes)
 			at.AddRow(name, fmt.Sprint(nodes),
@@ -50,16 +55,17 @@ func Frontier(o Options) Result {
 	b.WriteString("Worst-case insertion loss and laser energy (analytic)\n")
 	b.WriteString(at.String())
 
-	// Simulated half: latency and run time on the same names. Benches
-	// skip the 64-node grid for time, like Table4.
+	// Simulated half: latency and run time on the same names, beside the
+	// analytic half's energy per bit. Benches skip the 64-node grid for
+	// time, like Table4.
 	simNodes := []int{16}
 	if o.Scale >= 0.2 {
 		simNodes = append(simNodes, 64)
 	}
 	var cfgs []system.Config
 	for _, nodes := range simNodes {
-		for _, name := range names {
-			cfgs = append(cfgs, o.config(system.NetworkKind(name), nodes))
+		for _, topo := range optical {
+			cfgs = append(cfgs, o.config(topo.Kind, nodes))
 		}
 	}
 	ms, wedged := runSuite(o, o.suite(), cfgs...)
@@ -74,11 +80,10 @@ func Frontier(o Options) Result {
 		}
 		g := stats.GeoMean(cs)
 		cyc[fmt.Sprintf("%s_%d", name, nodes)] = g
-		topo, _ := optnet.Get(name)
 		st.AddRow(name, fmt.Sprint(nodes),
 			fmt.Sprintf("%.0f", g),
 			fmt.Sprintf("%.2f", mean(lat)),
-			fmt.Sprintf("%.3f", topo.Loss(nodes).EnergyPerBitJ*1e12))
+			fmt.Sprintf("%.3f", vals[fmt.Sprintf("epb_%s_%d", name, nodes)]))
 		vals[fmt.Sprintf("cycles_%s_%d", name, nodes)] = g
 	}
 	b.WriteString("\nSimulated latency and run time\n")

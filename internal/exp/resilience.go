@@ -8,7 +8,6 @@ import (
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/obs"
-	"fsoi/internal/optnet"
 	"fsoi/internal/stats"
 	"fsoi/internal/system"
 )
@@ -85,7 +84,7 @@ func resilienceFlags(fs *flag.FlagSet) func() (Runner, error) {
 				err = fmt.Errorf("node count %d too small", v)
 			}
 			if err == nil {
-				_, err = optnet.MeshDim(v)
+				_, err = system.MeshDim(v)
 			}
 			return v, err
 		})

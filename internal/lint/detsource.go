@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // DetSource forbids nondeterministic inputs inside simulation packages:
 // wall-clock time, the global math/rand generator, environment lookups,
@@ -190,12 +187,4 @@ func importPathOf(imp *ast.ImportSpec) string {
 		return s[1 : len(s)-1]
 	}
 	return s
-}
-
-// objType returns the object's type, or nil.
-func objType(obj types.Object) types.Type {
-	if obj == nil {
-		return nil
-	}
-	return obj.Type()
 }

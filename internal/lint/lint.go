@@ -69,7 +69,6 @@ var simPackages = []string{
 	"internal/workload",
 	"internal/obs",
 	"internal/corona",
-	"internal/optnet",
 	"internal/adversary",
 }
 

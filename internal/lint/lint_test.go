@@ -27,7 +27,7 @@ var fixtureVirtualPaths = map[string]string{
 	"syncban":     "fsoi/internal/analytic",
 	"shardsafety": "fsoi/internal/mesh",
 	"units":       "fsoi/internal/power",
-	"nolookahead": "fsoi/internal/optnet",
+	"nolookahead": "fsoi/internal/adversary",
 	"proxysched":  "fsoi/internal/corona",
 }
 

@@ -1,6 +1,6 @@
 // Package nolookahead routes events through the shard-aware router but
 // never declares the Lookahead window the sharded engine needs to size
-// its epochs. Linted under the virtual path fsoi/internal/optnet, a
+// its epochs. Linted under the virtual path fsoi/internal/adversary, a
 // simulation package.
 package nolookahead
 

@@ -81,7 +81,7 @@ func TestWarmedNetworksAllocateNothing(t *testing.T) {
 			pkts := make([]noc.Packet, 4000)
 			runLoad(engine, net, rng, pkts, &delivered)
 			if allocs := testing.AllocsPerRun(1, func() { runLoad(engine, net, rng, pkts[:2000], &delivered) }); allocs != 0 {
-				t.Fatalf("%v allocations in 2000 packets on a warmed %s, want 0", allocs, net.Name())
+				t.Fatalf("%v allocations in 2000 packets on a warmed %s, want 0", allocs, tc.name)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"fmt"
 	"math"
 
 	"fsoi/internal/noc"
@@ -69,14 +68,6 @@ func NewL0(dim int, engine sim.Scheduler) *Ideal {
 // cycles (1 => Lr1, 2 => Lr2).
 func NewLr(dim, routerCycles int, engine sim.Scheduler) *Ideal {
 	return newIdeal(dim, routerCycles, 1, engine)
-}
-
-// Name identifies the configuration.
-func (n *Ideal) Name() string {
-	if n.routerCycles < 0 {
-		return "L0"
-	}
-	return fmt.Sprintf("Lr%d", n.routerCycles)
 }
 
 // LatencyStats exposes accumulated measurements.

@@ -166,11 +166,8 @@ func TestRouterCyclesAffectLatency(t *testing.T) {
 	}
 }
 
-func TestMeshName(t *testing.T) {
+func TestMeshNumNodes(t *testing.T) {
 	n, _, _ := testMesh(t, PaperMesh(4))
-	if n.Name() != "mesh4" {
-		t.Fatalf("name = %s", n.Name())
-	}
 	if n.NumNodes() != 16 {
 		t.Fatalf("nodes = %d", n.NumNodes())
 	}
@@ -198,9 +195,6 @@ func TestL0OnlySerializationAndQueue(t *testing.T) {
 	}
 	if b.QueuingDelay == 0 {
 		t.Fatal("second packet must queue behind the serializer")
-	}
-	if n.Name() != "L0" {
-		t.Fatalf("name = %s", n.Name())
 	}
 }
 

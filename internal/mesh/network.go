@@ -125,9 +125,6 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 	return n
 }
 
-// Name identifies the configuration.
-func (n *Network) Name() string { return fmt.Sprintf("mesh%d", n.cfg.RouterCycles) }
-
 // LatencyStats exposes accumulated measurements.
 func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 

@@ -104,8 +104,6 @@ type Network interface {
 	SetDelivery(fn DeliveryFunc)
 	// Tick advances the network one cycle.
 	Tick(now sim.Cycle)
-	// Name identifies the configuration ("fsoi", "mesh4", "L0", ...).
-	Name() string
 	// LatencyStats exposes the accumulated per-packet measurements.
 	LatencyStats() *LatencyStats
 }

@@ -1,9 +1,8 @@
 // Package noctest is the shared conformance harness for noc.Network
-// implementations. Every interconnect in the repository — the FSOI
-// core, the electrical mesh baselines, and each member of the optnet
-// topology zoo — must uphold the same transport contract the coherence
-// substrate assumes; this harness turns that contract into one
-// reusable test:
+// implementations. Every interconnect in the repository (the
+// system.Interconnects table) must uphold the same transport contract
+// the coherence substrate assumes; this harness turns that contract
+// into one reusable test:
 //
 //   - exactly-once delivery: every accepted packet is delivered exactly
 //     once after the network drains, and none is invented;

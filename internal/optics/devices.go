@@ -2,11 +2,8 @@ package optics
 
 import "math"
 
-// Physical constants.
-const (
-	ElectronCharge = 1.602176634e-19 // C
-	Boltzmann      = 1.380649e-23    // J/K
-)
+// ElectronCharge is the elementary charge in coulombs.
+const ElectronCharge = 1.602176634e-19
 
 // VCSEL models a vertical-cavity surface-emitting laser as used for the
 // transmit side of every lane: a threshold current, a slope efficiency
@@ -75,12 +72,6 @@ func (v VCSEL) ElectricalPower() Watts {
 // this pole (see Driver), so it bounds the link only without equalization.
 func (v VCSEL) ParasiticBandwidth() float64 {
 	return 1 / (2 * math.Pi * v.ParasiticR * v.ParasiticC)
-}
-
-// ModeFieldWaist estimates the emitted beam waist as 0.6x the aperture
-// radius, the usual oxide-aperture approximation.
-func (v VCSEL) ModeFieldWaist() float64 {
-	return 0.6 * v.ApertureDiameter / 2
 }
 
 // Photodetector models the resonant-cavity photodiode on the receive side.

@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the worst-case insertion-loss models behind the
-// optical-topology frontier sweep (internal/optnet, exp "frontier").
+// optical-topology frontier sweep (system.Interconnects, exp "frontier").
 // The methodology follows the comparative study of on-chip optical
 // crossbars in arXiv:1512.07492: for each topology, count the lossy
 // elements (ring resonators passed off- and on-resonance, waveguide

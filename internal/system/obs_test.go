@@ -2,7 +2,6 @@ package system
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"fsoi/internal/coherence"
@@ -125,66 +124,6 @@ func TestRecycleResetsPacketState(t *testing.T) {
 		}
 	}()
 	s.deliver(&noc.Packet{Src: 1, Dst: 2, Payload: "foreign"}, 0)
-}
-
-// TestObserveLimitLosesLoudly: a capped recorder reports how much it
-// discarded instead of silently looking complete.
-func TestObserveLimitLosesLoudly(t *testing.T) {
-	m := runTiny(t, "jacobi", NetFSOI, 16, func(c *Config) {
-		c.Observe = true
-		c.ObserveLimit = 10
-	})
-	if m.Obs.Len() != 10 {
-		t.Fatalf("recorder kept %d events, cap was 10", m.Obs.Len())
-	}
-	if m.Obs.Lost() == 0 {
-		t.Fatal("a saturated recorder must count its losses")
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, m.Obs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"ev":"truncated"`)) {
-		t.Fatal("truncated export must end with the marker line")
-	}
-}
-
-// TestObserveLimitKeepsTheHeadOfTheRun: under a limit every engine
-// exports the first limit events of the unlimited recording, in the same
-// order, and Len + Lost is everything that was emitted. The limit falls
-// in the middle of a cycle of eight events or more, which no engine fires
-// in node order: cutting the recording as it is emitted would keep other
-// events of that cycle. (That each block also holds little more than the
-// limit is internal/obs' TestObserveLimitBoundsHeldEvents.)
-func TestObserveLimitKeepsTheHeadOfTheRun(t *testing.T) {
-	app := tinyApp(t, "mp3d")
-	app.Steps = 40
-	observed := func(limit, par int) Metrics {
-		cfg := Default(64, NetFSOI)
-		cfg.Observe, cfg.ObserveLimit = true, limit
-		cfg.Fault.MarginPenaltyDB = 2
-		cfg.ParWorkers = par
-		return New(cfg).Run(app)
-	}
-	all := observed(0, 0).Obs.Events()
-	limit := 0
-	for i, from := 5000, 5000; limit == 0 && i < len(all); i++ {
-		if all[i].At != all[from].At {
-			if i-from >= 8 {
-				limit = from + (i-from)/2
-			}
-			from = i
-		}
-	}
-	if limit == 0 || len(all) < 2*limit {
-		t.Fatalf("the unlimited run recorded %d events with no wide cycle past the 5000th: nothing for a limit to cut", len(all))
-	}
-	for _, par := range []int{0, 2} {
-		m := observed(limit, par)
-		if m.Obs.Len() != limit || m.Obs.Len()+int(m.Obs.Lost()) != len(all) || !slices.Equal(m.Obs.Events(), all[:limit]) {
-			t.Fatalf("ParWorkers %d: exported %d events and lost %d of %d, want the first %d", par, m.Obs.Len(), m.Obs.Lost(), len(all), limit)
-		}
-	}
 }
 
 // TestObsAccessorsKeepWhatRunMerged: after Run, Obs and ObsRegistry hand

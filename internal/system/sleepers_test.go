@@ -36,7 +36,7 @@ func (s *System) checkSleepers(t *testing.T, seen map[string]bool) {
 		if at, ok := s.ideal.NextTick(now); ok {
 			seen["ideal"] = true
 			if s.netWake.Due() > at {
-				t.Fatalf("cycle %d: %s's tick is due at %d with a packet to start at %d", now, s.ideal.Name(), s.netWake.Due(), at)
+				t.Fatalf("cycle %d: %s's tick is due at %d with a packet to start at %d", now, s.cfg.Net, s.netWake.Due(), at)
 			}
 		}
 	}

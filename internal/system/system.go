@@ -1,13 +1,12 @@
 // Package system assembles a chip multiprocessor: cores, private L1s,
 // the distributed L2/directory slices, memory controllers, and one of
-// the interconnects (FSOI, the mesh baseline, or the L0/Lr1/Lr2 ideal
-// networks), then runs a workload and reports the paper's metrics.
+// the interconnects (Interconnects), then runs a workload and reports
+// the paper's metrics.
 package system
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/cache"
@@ -20,58 +19,12 @@ import (
 	"fsoi/internal/noc"
 	"fsoi/internal/obs"
 	"fsoi/internal/optics"
-	"fsoi/internal/optnet"
 	"fsoi/internal/power"
 	"fsoi/internal/sim"
 	"fsoi/internal/sim/shard"
 	"fsoi/internal/stats"
 	"fsoi/internal/workload"
 )
-
-// NetworkKind names the interconnect under test. The name is the kind:
-// the constants below are the networks system.New wires Config fields
-// into, and every other member of the optnet registry is reachable as
-// NetworkKind("matrix") etc. ParseNetwork resolves user input.
-type NetworkKind string
-
-// Interconnect configurations of Figures 6/7, and the §7.1 baseline.
-const (
-	NetFSOI   NetworkKind = "fsoi"
-	NetMesh   NetworkKind = "mesh"   // canonical 4-cycle routers, full contention
-	NetL0     NetworkKind = "L0"     // idealized: serialization + source queuing only
-	NetLr1    NetworkKind = "Lr1"    // 1-cycle routers, contention-free
-	NetLr2    NetworkKind = "Lr2"    // 2-cycle routers, contention-free
-	NetCorona NetworkKind = "corona" // corona-style token-arbitrated optical crossbar
-)
-
-// electricalNets are the networks built here rather than by optnet:
-// they take Config knobs and have no optical loss model to register.
-var electricalNets = []NetworkKind{NetMesh, NetL0, NetLr1, NetLr2}
-
-// Networks lists every valid network name, sorted: the electrical
-// baselines plus the optnet registry.
-func Networks() []string {
-	out := optnet.Names()
-	for _, k := range electricalNets {
-		out = append(out, string(k))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ParseNetwork resolves a user-supplied name (a -net flag, a JSON spec)
-// to its kind; the error names every valid network.
-func ParseNetwork(name string) (NetworkKind, error) {
-	for _, k := range electricalNets {
-		if string(k) == name {
-			return k, nil
-		}
-	}
-	if _, ok := optnet.Get(name); ok {
-		return NetworkKind(name), nil
-	}
-	return "", fmt.Errorf("unknown network %q (have %v)", name, Networks())
-}
 
 // Config assembles a run.
 type Config struct {
@@ -123,12 +76,6 @@ type Config struct {
 	// Off (the default) the recorder stays nil and every emission site is
 	// a single nil check, so metrics are byte-identical either way.
 	Observe bool
-	// ObserveLimit caps the recorded event count when Observe is on;
-	// zero or negative means unbounded. Past the cap, events are counted
-	// as lost, never silently discarded. It bounds what a run holds as
-	// well as what it exports: each engine block keeps at most the limit
-	// plus the events of the one cycle in which it was reached.
-	ObserveLimit int
 	// Fault selects the physical-fault models to inject (FSOI only; the
 	// mesh baselines have no optical layer to degrade). The zero value
 	// attaches nothing and leaves every code path and RNG draw identical
@@ -428,7 +375,7 @@ func (cfg Config) Validate() error {
 	if _, err := ParseNetwork(string(cfg.Net)); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
-	if _, err := optnet.MeshDim(cfg.Nodes); err != nil {
+	if _, err := MeshDim(cfg.Nodes); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
 	if len(cfg.Adversaries) > 0 {
@@ -531,20 +478,19 @@ func build(cfg Config, donor *System) *System {
 		}
 		s.engine = sim.NewEngine(spent)
 	}
-	dim, _ := optnet.MeshDim(cfg.Nodes) // Validate checked squareness
+	dim := dimOf(cfg.Nodes)
 	tr := transport{s}
 
-	switch cfg.Net {
-	case NetFSOI:
-		fc := cfg.FSOI
-		fc.Nodes = cfg.Nodes
-		s.fsoi = core.New(fc, s.engine, s.rng)
-		s.net = s.fsoi
+	net, _ := lookup(cfg.Net) // Validate checked the name
+	s.net = net.build(cfg, s.engine, s.rng)
+	switch n := s.net.(type) {
+	case *core.Network:
+		s.fsoi = n
 		if cfg.Fault.Enabled() {
 			// The injector's streams derive only when injection is on, so
 			// fault-free runs keep the pre-existing stream genealogy and
 			// stay bit-identical.
-			s.injector = fault.New(cfg.Fault, fc, s.rng.NewStream("fault"))
+			s.injector = fault.New(cfg.Fault, cfg.fsoiConfig(), s.rng.NewStream("fault"))
 			s.fsoi.SetFaultModel(s.injector)
 		}
 		if len(cfg.Adversaries) > 0 {
@@ -553,31 +499,10 @@ func build(cfg Config, donor *System) *System {
 			// nothing and draw nothing.
 			s.fsoi.SetAdversaryModel(adversary.NewModel(cfg.Adversaries, cfg.Nodes))
 		}
-	case NetMesh:
-		mc := mesh.PaperMesh(dim)
-		mc.BandwidthFrac = cfg.MeshBandwidthFrac
-		if cfg.MeshRouterCycles > 0 {
-			mc.RouterCycles = cfg.MeshRouterCycles
-		}
-		s.meshNet = mesh.New(mc, s.engine)
-		s.net = s.meshNet
-	case NetL0:
-		s.ideal = mesh.NewL0(dim, s.engine)
-		s.net = s.ideal
-	case NetLr1:
-		s.ideal = mesh.NewLr(dim, 1, s.engine)
-		s.net = s.ideal
-	case NetLr2:
-		s.ideal = mesh.NewLr(dim, 2, s.engine)
-		s.net = s.ideal
-	default:
-		// Everything that takes no Config field, corona included, is
-		// built by the optnet registry under its own name.
-		n, err := optnet.Build(string(cfg.Net), cfg.Nodes, s.engine, s.rng)
-		if err != nil {
-			panic(fmt.Sprintf("system: %v", err))
-		}
-		s.net = n
+	case *mesh.Network:
+		s.meshNet = n
+	case *mesh.Ideal:
+		s.ideal = n
 	}
 	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
 		s.la = la.Lookahead()
@@ -664,7 +589,7 @@ func build(cfg Config, donor *System) *System {
 	if cfg.Observe {
 		// One event log and one registry per block: a block's nodes run
 		// on one shard, so nothing recorded is touched from two.
-		s.obsRec = obs.NewSharded(blocks, cfg.ObserveLimit)
+		s.obsRec = obs.NewSharded(blocks, 0) // 0: no event limit
 		s.obsReg = make([]*obs.Registry, len(blocks))
 		for k := range blocks {
 			s.obsReg[k] = obs.NewRegistry()
@@ -1022,8 +947,7 @@ func (s *System) collect(app string) Metrics {
 // networks from delivered packet counts and the average hop count of a
 // dim x dim mesh.
 func estimateFlitHops(l *noc.LatencyStats, nodes int) int64 {
-	dim, _ := optnet.MeshDim(nodes) // New validated squareness
-	avgHops := float64(2*dim) / 3
+	avgHops := float64(2*dimOf(nodes)) / 3
 	flits := float64(l.ByType[noc.Meta].N())*1 + float64(l.ByType[noc.Data].N())*5
 	return int64(flits * (avgHops + 1))
 }

@@ -2,7 +2,7 @@ package system
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,8 +209,8 @@ func TestNetworkKindStrings(t *testing.T) {
 // alone: one namespace, one resolver, one way to reach corona.
 func TestEveryNetworkByName(t *testing.T) {
 	names := Networks()
-	if !sort.StringsAreSorted(names) || len(names) < 8 {
-		t.Fatalf("Networks() = %v, want the sorted electrical + optnet names", names)
+	if want := []string{"L0", "Lr1", "Lr2", "corona", "fsoi", "matrix", "mesh", "snake"}; !slices.Equal(names, want) {
+		t.Fatalf("Networks() = %v, want %v", names, want)
 	}
 	for _, name := range names {
 		kind, err := ParseNetwork(name)
