@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -151,13 +152,21 @@ func TestDoAbandonsAfterPanic(t *testing.T) {
 	// later jobs from being handed out (they would be wasted work behind
 	// a doomed merge). Run many jobs on 2 workers with job 0 panicking
 	// immediately; the count of executed jobs should stay well short.
+	// Every other job first waits for job 0 to start and then takes a
+	// millisecond, so the other worker cannot drain the whole queue in
+	// the instant between job 0's panic and its recording, however the
+	// goroutines are scheduled.
 	var ran int32
+	started := make(chan struct{})
 	func() {
 		defer func() { recover() }()
 		Do(1000, 2, func(i int) {
 			if i == 0 {
+				close(started)
 				panic("early")
 			}
+			<-started
+			time.Sleep(time.Millisecond)
 			atomic.AddInt32(&ran, 1)
 		})
 	}()
