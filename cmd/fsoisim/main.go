@@ -169,9 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "reply latency       mean %.1f cycles, modal bin %d-%d holds %.0f%%\n",
 			m.ReplyHist.Mean(), bucket*5, bucket*5+4, frac*100)
 	}
-	if m.DroppedPackets > 0 {
-		fmt.Fprintf(stdout, "dropped             %d packets abandoned after retry exhaustion\n", m.DroppedPackets)
-	}
 	if m.AdversaryNodes > 0 {
 		fmt.Fprintf(stdout, "adversaries         %d hostile nodes (%d spoofed headers, %d starved confirms), honest cores finished at cycle %d\n",
 			m.AdversaryNodes, m.FSOI.SpoofedHeaders, m.FSOI.StarvedConfirms, m.HonestFinish)

@@ -1,8 +1,7 @@
 // Command fsoitrace analyzes packet-lifecycle trace files produced by
 // fsoisim -tracefile or experiments -trace: event counts by kind, a
 // collision heat-map over src->dst pairs, the retry-count CDF of
-// delivered packets, rebuilt latency percentile tables, and drop
-// accounting.
+// delivered packets and rebuilt latency percentile tables.
 //
 //	fsoisim -app jacobi -net fsoi -tracefile trace.jsonl
 //	fsoitrace trace.jsonl
@@ -54,7 +53,6 @@ type analysis struct {
 	collisions map[pair]int64
 	retries    map[int]int64 // delivered-packet retry count -> packets
 	reg        *obs.Registry
-	drops      int64
 	truncated  int64
 	maxNode    int
 	lines      int64
@@ -119,8 +117,6 @@ func analyze(r io.Reader, keepEvents bool) (*analysis, error) {
 		case "deliver":
 			a.retries[l.Attempt]++
 			a.reg.Observe(class, l.Src, l.Dst, l.Aux)
-		case "drop":
-			a.drops++
 		}
 	}
 	return a, sc.Err()
@@ -144,7 +140,7 @@ func laneOf(name string) int8 {
 // kindOrder lists event kinds in lifecycle order for the counts table;
 // unknown kinds (from future trace versions) sort after, alphabetically.
 var kindOrder = []string{"fault", "inject", "tx-start", "retransmit",
-	"collision", "backoff", "confirm-drop", "deliver", "drop"}
+	"collision", "backoff", "confirm-drop", "deliver"}
 
 func (a *analysis) countsTable() string {
 	known := make(map[string]bool, len(kindOrder))
@@ -297,9 +293,6 @@ func main() {
 	fmt.Print(a.reg.ClassTable())
 	fmt.Println("\nlatency percentiles by link (cycles)")
 	fmt.Print(a.reg.LinkTable(*top))
-	if a.drops > 0 {
-		fmt.Printf("\n%d packets DROPPED after retry exhaustion\n", a.drops)
-	}
 	if *detect {
 		fmt.Println("\ncontention anomaly detection")
 		if a.runs > 1 {

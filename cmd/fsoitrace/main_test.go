@@ -21,7 +21,7 @@ import (
 func TestAnalyzeInvertsWriteJSONL(t *testing.T) {
 	r := obs.NewRecorder(12)
 	for i, k := range []obs.Kind{obs.KindFault, obs.KindInject, obs.KindTxStart, obs.KindCollision, obs.KindBackoff,
-		obs.KindRetransmit, obs.KindConfirmDrop, obs.KindDeliver, obs.KindInject, obs.KindTxStart, obs.KindDrop} {
+		obs.KindRetransmit, obs.KindConfirmDrop, obs.KindDeliver, obs.KindInject, obs.KindTxStart, obs.KindCollision} {
 		e := obs.Event{
 			At: sim.Cycle(100 + 3*i), Kind: k, ID: uint64(1 + i/8), Aux: int64(7 * i),
 			Src: int32(i % 3), Dst: int32(15 - i%2), Attempt: int32(i % 4),
@@ -62,8 +62,8 @@ func TestAnalyzeInvertsWriteJSONL(t *testing.T) {
 		}
 		t.Fatalf("rebuilt %d events, recorded %d", len(a.events), r.Len())
 	}
-	if a.byKind["truncated"] != 0 || a.byKind[""] != 0 || a.byKind["deliver"] != 2 || a.drops != 1 {
-		t.Fatalf("marker or separator counted as an event: %v, drops %d", a.byKind, a.drops)
+	if a.byKind["truncated"] != 0 || a.byKind[""] != 0 || a.byKind["deliver"] != 2 || a.byKind["collision"] != 2 {
+		t.Fatalf("marker or separator counted as an event: %v", a.byKind)
 	}
 
 	plain, err := analyze(bytes.NewReader(file.Bytes()), false)
@@ -164,7 +164,7 @@ func TestAnalyzeRejectsNodeIDsOutOfRange(t *testing.T) {
 // also what holds obs.ParseKind to Kind.String.
 func FuzzAnalyze(f *testing.F) {
 	r := obs.NewRecorder(6)
-	for i, k := range []obs.Kind{obs.KindFault, obs.KindInject, obs.KindTxStart, obs.KindCollision, obs.KindBackoff, obs.KindDeliver, obs.KindDrop} {
+	for i, k := range []obs.Kind{obs.KindFault, obs.KindInject, obs.KindTxStart, obs.KindCollision, obs.KindBackoff, obs.KindDeliver, obs.KindRetransmit} {
 		r.Emit(obs.Event{At: sim.Cycle(3 * i), Kind: k, ID: uint64(i), Aux: int64(i), Src: int32(i % 3), Dst: int32(i%2) - 1, Attempt: int32(i), Class: uint8(i % 2), Lane: int8(i%3) - 1})
 	}
 	var file bytes.Buffer

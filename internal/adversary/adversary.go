@@ -15,7 +15,6 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
 
 	"fsoi/internal/sim"
 )
@@ -122,16 +121,6 @@ func Validate(specs []Spec, nodes int) error {
 		seen[s.Node] = true
 	}
 	return nil
-}
-
-// Nodes returns the sorted attacker node set.
-func Nodes(specs []Spec) []int {
-	out := make([]int, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, s.Node)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // window is one active attack interval with its probability.

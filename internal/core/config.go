@@ -97,14 +97,6 @@ type Config struct {
 	// recovery path; only exercised when a FaultModel drops
 	// confirmations). Zero means the 4-slot default.
 	ConfirmTimeoutSlots int
-	// MaxRetries, when positive, makes the network give up on a packet
-	// once it has failed that many retransmissions: its backoff window
-	// has long saturated at MaxBackoffSlots, so further attempts only
-	// congest the lane. The packet is dropped with a terminal lifecycle
-	// event and a DropFunc callback instead of retrying forever. Zero
-	// keeps the historical retry-forever behavior, so every existing
-	// configuration is bit-identical.
-	MaxRetries int
 }
 
 // PaperConfig returns the evaluation configuration for the given node
@@ -173,8 +165,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want 0 (the 256-slot default) or more than 1", c.MaxBackoffSlots)
 	case c.ConfirmTimeoutSlots < 0:
 		return fmt.Errorf("core: negative confirmation timeout")
-	case c.MaxRetries < 0:
-		return fmt.Errorf("core: negative retry limit")
 	}
 	return nil
 }

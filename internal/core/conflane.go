@@ -25,13 +25,12 @@ type confLane struct {
 	// nextOffset rotates reservation offsets per owner.
 	nextOffset []int
 	// stats is indexed by the owning node, so every mutation happens in
-	// the owner's context and the totals merge at read time.
+	// the owner's context.
 	stats []confLaneStats
 }
 
-// confLaneStats measures one node's channel occupancy.
+// confLaneStats counts one node's reservation traffic.
 type confLaneStats struct {
-	MiniUsed     int64 // mini-cycles consumed by any transmission
 	Reservations int64 // active subscription slots ever granted
 	Denied       int64 // reservation requests denied (all offsets taken)
 }
@@ -53,8 +52,8 @@ func newConfLane(nodes, miniPerCycle int) *confLane {
 // sendDelay returns the extra whole cycles (beyond the base confirmation
 // delay) a transmission from src must wait for a free mini-cycle, and
 // marks the channel busy. With 12 mini-cycles per cycle the channel
-// almost never backs up; the accounting exists so the utilization claim
-// is measured rather than assumed.
+// almost never backs up, but a burst of confirmations from one node
+// does wait its turn.
 func (c *confLane) sendDelay(src int, now sim.Cycle, minis int) sim.Cycle {
 	abs := int64(now) * int64(c.miniPerCycle)
 	start := abs
@@ -62,7 +61,6 @@ func (c *confLane) sendDelay(src int, now sim.Cycle, minis int) sim.Cycle {
 		start = c.busyUntil[src]
 	}
 	c.busyUntil[src] = start + int64(minis)
-	c.stats[src].MiniUsed += int64(minis)
 	return sim.Cycle((start - abs) / int64(c.miniPerCycle))
 }
 
@@ -88,28 +86,4 @@ func (c *confLane) reserve(owner, subscriber int) int {
 	}
 	c.stats[owner].Denied++
 	return -1
-}
-
-// release frees a subscriber's reservation on owner's lane.
-func (c *confLane) release(owner, subscriber int) {
-	for off, sub := range c.reserved[owner] {
-		if sub == subscriber {
-			delete(c.reserved[owner], off)
-			return
-		}
-	}
-}
-
-// Utilization reports the fraction of mini-cycles used over the run,
-// summing the per-owner tallies in node order.
-func (c *confLane) Utilization(cycles sim.Cycle, nodes int) float64 {
-	total := int64(cycles) * int64(c.miniPerCycle) * int64(nodes)
-	if total == 0 {
-		return 0
-	}
-	var used int64
-	for i := range c.stats {
-		used += c.stats[i].MiniUsed
-	}
-	return float64(used) / float64(total)
 }

@@ -62,30 +62,6 @@ func TestConfLaneDistinctOffsets(t *testing.T) {
 	}
 }
 
-func TestConfLaneRelease(t *testing.T) {
-	c := newConfLane(2, 12)
-	off := c.reserve(1, 0)
-	c.release(1, 0)
-	// The offset is reusable by another subscriber.
-	c.nextOffset[1] = off - 1 // steer the rotation back
-	got := c.reserve(1, 5)
-	if got < 0 {
-		t.Fatal("released offset not reusable")
-	}
-}
-
-func TestConfLaneUtilization(t *testing.T) {
-	c := newConfLane(2, 12)
-	c.sendDelay(0, 0, 12)
-	// 12 minis used of 2 nodes * 10 cycles * 12 minis.
-	if u := c.Utilization(10, 2); u < 0.049 || u > 0.051 {
-		t.Fatalf("utilization = %g, want 0.05", u)
-	}
-	if newConfLane(2, 12).Utilization(0, 2) != 0 {
-		t.Fatal("zero-cycle utilization must be 0")
-	}
-}
-
 func TestConfLaneDelayNonNegativeProperty(t *testing.T) {
 	c := newConfLane(4, 12)
 	err := quick.Check(func(src uint8, at uint16, minis uint8) bool {

@@ -235,3 +235,39 @@ func TestCorruptionProbMemoMissesOnAnyChange(t *testing.T) {
 		}
 	}
 }
+
+// TestHopelessLinkRetriesForever: the network never abandons a packet,
+// no matter how hopeless the link. Under BER 1 nothing delivers, and the
+// sender keeps retrying.
+func TestHopelessLinkRetriesForever(t *testing.T) {
+	n, engine, delivered, _ := testNet(t, basicConfig())
+	n.SetBitErrorRate(1)
+	p := &noc.Packet{Src: 1, Dst: 2, Type: noc.Meta}
+	if !n.Send(p) {
+		t.Fatal("send rejected")
+	}
+	engine.Run(5000)
+	if len(*delivered) != 0 {
+		t.Fatal("BER 1 must block delivery")
+	}
+	if p.Retries < 10 {
+		t.Fatalf("packet only retried %d times in 5000 cycles; the retry loop looks stalled", p.Retries)
+	}
+}
+
+// TestDeliveredPacketNotDroppedOnConfirmLoss: a packet whose payload
+// landed but whose confirmation was lost three times rides the timeout
+// path to exactly one delivery and one confirmation.
+func TestDeliveredPacketNotDroppedOnConfirmLoss(t *testing.T) {
+	n, engine, delivered, confirmed := testNet(t, basicConfig())
+	n.SetFaultModel(&stubFault{dropLeft: 3})
+	p := &noc.Packet{Src: 1, Dst: 2, Type: noc.Meta}
+	if !n.Send(p) {
+		t.Fatal("send rejected")
+	}
+	engine.Run(2000)
+	if len(*delivered) != 1 || len(*confirmed) != 1 {
+		t.Fatalf("delivered=%d confirmed=%d, want 1/1 after timeout recovery",
+			len(*delivered), len(*confirmed))
+	}
+}

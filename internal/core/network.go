@@ -44,11 +44,6 @@ func (k CollisionKind) String() string {
 // cleanly received packet arrives (receipt + ConfirmDelay cycles).
 type ConfirmFunc func(p *noc.Packet, now sim.Cycle)
 
-// DropFunc is invoked when the network permanently gives up on a packet
-// after Config.MaxRetries failed retransmissions. The network holds no
-// further reference to the packet once the callback returns.
-type DropFunc func(p *noc.Packet, now sim.Cycle)
-
 // BitFunc receives a boolean-subscription update carried on a reserved
 // confirmation mini-cycle.
 type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
@@ -63,8 +58,8 @@ type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
 //
 // Records are recycled through the source node's free list
 // (nodeState.txFree): acquired in startSlot (in Send, by a packet to its
-// own node), released exactly once, by the confirmation event or by drop,
-// all three in the source's context.
+// own node) and released exactly once, by the confirmation event, both in
+// the source's context.
 // A lost confirmation keeps the record live until the duplicate's
 // confirmation. Every event in a packet's life is one of the callbacks
 // below, bound when the record is first allocated and reading its
@@ -223,8 +218,7 @@ type Stats struct {
 	ConfirmBits    int64 // boolean-subscription mini-cycle uses
 	ConfirmSignals int64 // packet confirmations sent
 	BitErrors      int64
-	Dropped        [numLanes]int64 // packets abandoned after MaxRetries failed attempts
-	ScheduledHolds int64           // packets delayed by receiver scheduling / wb split
+	ScheduledHolds int64 // packets delayed by receiver scheduling / wb split
 
 	// Fault-injection counters (all zero unless a FaultModel is attached).
 	HeaderCorruptions     int64 // bit errors in the PID/~PID header: misdetected collisions
@@ -251,7 +245,6 @@ func (s *Stats) add(o *Stats) {
 		s.Collided[l] += o.Collided[l]
 		s.Collisions[l] += o.Collisions[l]
 		s.Delivered[l] += o.Delivered[l]
-		s.Dropped[l] += o.Dropped[l]
 		if o.MaxBackoffDepth[l] > s.MaxBackoffDepth[l] {
 			s.MaxBackoffDepth[l] = o.MaxBackoffDepth[l]
 		}
@@ -323,7 +316,6 @@ type Network struct {
 	deliverFn noc.DeliveryFunc
 	confirmFn ConfirmFunc
 	bitFn     BitFunc
-	dropFn    DropFunc
 	obs       *obs.Sharded // nil unless lifecycle tracing is on
 	lat       []noc.LatencyStats
 	stats     []Stats
@@ -450,18 +442,13 @@ func (n *Network) SetConfirmDelivery(fn ConfirmFunc) { n.confirmFn = fn }
 // SetBitDelivery installs the boolean-subscription callback.
 func (n *Network) SetBitDelivery(fn BitFunc) { n.bitFn = fn }
 
-// SetDropDelivery installs the terminal-drop callback (see
-// Config.MaxRetries). Without one, dropped packets simply vanish from
-// the network's bookkeeping (the Dropped counters still tally them).
-func (n *Network) SetDropDelivery(fn DropFunc) { n.dropFn = fn }
-
 // SetObserver attaches a family of per-node lifecycle-event recorders.
 // Passing nil detaches it; with no recorder attached every emission site
 // is a single nil check and the transmit path allocates nothing extra.
 func (n *Network) SetObserver(r *obs.Sharded) { n.obs = r }
 
 // observe emits one lifecycle event through the handle of the node
-// whose context is executing (source for launch/backoff/drop events,
+// whose context is executing (source for launch and backoff events,
 // destination for resolution events).
 func (n *Network) observe(node int, kind obs.Kind, tx *transmission, l Lane, at sim.Cycle, aux int64) {
 	n.obs.For(node).Emit(obs.Event{
@@ -987,17 +974,10 @@ func (n *Network) failBack(from int, tx *transmission, slot int64, now sim.Cycle
 // sender learns of the failure at slot end + ConfirmDelay, by which time
 // the next slot's launch has passed: a hint winner goes in the second
 // slot after the collision, everyone else draws from the exponential
-// window starting one later. A packet that has already burned MaxRetries
-// attempts (its window saturated at MaxBackoffSlots long ago) is dropped
-// instead — unless its payload actually landed and only the confirmation
-// is outstanding, in which case dropping would desynchronize sender and
-// receiver.
+// window starting one later. The sender never gives up on a packet: it
+// retries until the confirmation beam arrives.
 func (tx *transmission) backoff(now sim.Cycle) {
 	n, l, slot := tx.n, tx.lane, tx.failedSlot
-	if n.cfg.MaxRetries > 0 && tx.attempt > n.cfg.MaxRetries && !tx.delivered {
-		n.drop(tx, now)
-		return
-	}
 	// Backoff-depth metering, in the sender's context: the deepest
 	// attempt count any transmission reaches is the detection layer's
 	// strongest per-link anomaly signal under adversarial load.
@@ -1073,22 +1053,6 @@ func (ns *nodeState) takeRetry(l Lane, i int) *transmission {
 		ns.due[l] = min(ns.due[l], r.retrySlot)
 	}
 	return tx
-}
-
-// drop abandons a transmission after retry exhaustion, in the sender's
-// context: the terminal lifecycle event fires, the lane's drop counter
-// advances, the record is released, and the DropFunc (if any) takes
-// ownership of the packet.
-func (n *Network) drop(tx *transmission, now sim.Cycle) {
-	n.stats[tx.src].Dropped[tx.lane]++
-	if n.obs != nil {
-		n.observe(tx.src, obs.KindDrop, tx, tx.lane, now, int64(tx.pkt.Retries))
-	}
-	p := tx.pkt
-	n.release(tx)
-	if n.dropFn != nil {
-		n.dropFn(p, now)
-	}
 }
 
 // deliver completes a delivery in the destination's context: latency

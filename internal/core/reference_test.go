@@ -169,9 +169,6 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	n.SetConfirmDelivery(func(p *noc.Packet, now sim.Cycle) {
 		out.log = append(out.log, fmt.Sprint("confirm ", now, p.ID))
 	})
-	n.SetDropDelivery(func(p *noc.Packet, now sim.Cycle) {
-		out.log = append(out.log, fmt.Sprint("drop ", now, p.ID))
-	})
 	n.SetBitDelivery(func(src, dst int, tag uint64, value bool, now sim.Cycle) {
 		out.log = append(out.log, fmt.Sprint("bit ", now, src, dst, tag, value))
 	})
@@ -274,12 +271,9 @@ func diffConfigs() []namedConfig {
 		cfg.MetaVCSELs, cfg.DataVCSELs = meta, data
 		return cfg
 	}
-	dropper := PaperConfig(16)
-	dropper.MaxRetries = 3
 	return []namedConfig{
 		{"paper16", PaperConfig(16)},
 		{"paper64", PaperConfig(64)},
-		{"maxretries", dropper},
 		{"slots3and5", lanes(16, 2, 6)},
 		{"slots3and8", lanes(16, 2, 4)},
 		{"slots6and8", lanes(64, 1, 4)},

@@ -85,8 +85,6 @@ type Result struct {
 	// Unfinished names every simulation of the grid that hit MaxCycles
 	// ("app on net, n nodes"): its cycle count is the cap, not a runtime,
 	// so any figure derived from it is wrong and the caller must say so.
-	// Only faults leaves it empty by design: a dropped packet may wedge a
-	// run legitimately, and its table prints finished_p<penalty> itself.
 	Unfinished []string
 }
 
@@ -673,7 +671,7 @@ func LLSC(o Options) Result {
 	// invalidation storms are N times heavier.
 	apps := opts.suite()
 	coherent := o.config(system.NetFSOI, 64)
-	coherent.ForceCoherentSync = true
+	coherent.FSOI.Opt.BooleanSubscription = false
 	ms, wedged := runSuite(o, apps, o.config(system.NetFSOI, 64), coherent)
 	for a, app := range apps {
 		with, without := ms[0][a], ms[1][a]

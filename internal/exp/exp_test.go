@@ -206,6 +206,9 @@ func TestFaultsSweepDegradesMonotonically(t *testing.T) {
 			t.Fatalf("%s: swept point did not finish (deadlock under faults)", key)
 		}
 	}
+	if len(res.Unfinished) != 0 {
+		t.Fatalf("unfinished runs %q", res.Unfinished)
+	}
 }
 
 // TestRegistryWorkerEquivalence is the runner-level half of the

@@ -80,9 +80,7 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 		cfg.Fault.MarginPenaltyDB = pen
 		cfgs = append(cfgs, cfg)
 	}
-	// Not Result.Unfinished: a dropped packet can wedge a run for good,
-	// which is a finding here, printed below as finished_p<penalty>.
-	ms, _ := runSuite(o, o.suite(), cfgs...)
+	ms, wedged := runSuite(o, o.suite(), cfgs...)
 	mesh, points := ms[0], ms[1:]
 	t := stats.NewTable("penalty (dB)", "speedup", "meta coll", "data coll",
 		"retrans/pkt", "bit errs", "timeouts", "finished")
@@ -125,9 +123,10 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 	b.WriteString("header errors surface as misdetected collisions (PID/~PID), payload errors\n")
 	b.WriteString("as CRC-caught silent retransmissions; both ride the W=2.7/B=1.1 backoff.\n")
 	return Result{
-		ID:     "faults",
-		Title:  "Fault injection: performance vs eroded link margin",
-		Text:   b.String(),
-		Values: vals,
+		ID:         "faults",
+		Title:      "Fault injection: performance vs eroded link margin",
+		Text:       b.String(),
+		Values:     vals,
+		Unfinished: wedged,
 	}
 }

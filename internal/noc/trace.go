@@ -8,43 +8,21 @@ import (
 	"fsoi/internal/sim"
 )
 
-// TraceStatus is a packet's terminal fate in the ring buffer.
-type TraceStatus uint8
-
-const (
-	// StatusDelivered marks a packet that reached its destination.
-	StatusDelivered TraceStatus = iota
-	// StatusDropped marks a packet the network permanently gave up on
-	// after retry exhaustion. Dropped packets used to be invisible to
-	// -trace output — the ring buffer only ever saw deliveries — which
-	// made drop storms indistinguishable from silence.
-	StatusDropped
-)
-
-// String names the status.
-func (s TraceStatus) String() string {
-	if s == StatusDropped {
-		return "DROPPED"
-	}
-	return "delivered"
-}
-
-// Tracer keeps the last N terminated packets (delivered or dropped) in a
-// ring buffer for post-mortem inspection (fsoisim -trace).
+// Tracer keeps the last N delivered packets in a ring buffer for
+// post-mortem inspection (fsoisim -trace).
 type Tracer struct {
 	ring []TraceEntry
 	next int
 	full bool
 }
 
-// TraceEntry is one terminated packet's summary.
+// TraceEntry is one delivered packet's summary.
 type TraceEntry struct {
 	At      sim.Cycle
 	ID      uint64
 	Src     int
 	Dst     int
 	Type    PacketType
-	Status  TraceStatus
 	Total   int64
 	Queue   int64
 	Sched   int64
@@ -63,13 +41,8 @@ func NewTracer(n int) *Tracer {
 
 // Record captures one delivery.
 func (t *Tracer) Record(p *Packet, now sim.Cycle) {
-	t.RecordStatus(p, now, StatusDelivered)
-}
-
-// RecordStatus captures one terminated packet with its terminal fate.
-func (t *Tracer) RecordStatus(p *Packet, now sim.Cycle, status TraceStatus) {
 	t.ring[t.next] = TraceEntry{
-		At: now, ID: p.ID, Src: p.Src, Dst: p.Dst, Type: p.Type, Status: status,
+		At: now, ID: p.ID, Src: p.Src, Dst: p.Dst, Type: p.Type,
 		Total: p.TotalLatency(), Queue: p.QueuingDelay, Sched: p.SchedulingDelay,
 		Net: p.NetworkDelay, Resolve: p.ResolutionDelay, Retries: p.Retries,
 	}
@@ -90,12 +63,11 @@ func (t *Tracer) Entries() []TraceEntry {
 	return out
 }
 
-// ShardedTracer keeps one terminated-packet ring per node, each the
+// ShardedTracer keeps one delivered-packet ring per node, each the
 // full requested size, so recording never crosses node (and therefore
-// shard) boundaries: deliveries are recorded at the destination, drops
-// at the source. Merged restores the single-ring view — the most
-// recent n terminations across all nodes in a canonical order — for
-// display.
+// shard) boundaries: deliveries are recorded at the destination.
+// Merged restores the single-ring view — the most recent n deliveries
+// across all nodes in a canonical order — for display.
 type ShardedTracer struct {
 	rings []*Tracer
 	n     int
@@ -152,14 +124,15 @@ func (t *ShardedTracer) Merged() *Tracer {
 	return out
 }
 
-// String renders the trace as a table.
+// String renders the trace as a table. Every packet in it was
+// delivered, which its status column says.
 func (t *Tracer) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-8s %-4s %-4s %-5s %-9s %-6s %-6s %-6s %-6s %-7s %s\n",
 		"cycle", "id", "src", "dst", "type", "status", "total", "queue", "sched", "net", "resolve", "retries")
 	for _, e := range t.Entries() {
 		fmt.Fprintf(&b, "%-10d %-8d %-4d %-4d %-5s %-9s %-6d %-6d %-6d %-6d %-7d %d\n",
-			e.At, e.ID, e.Src, e.Dst, e.Type, e.Status, e.Total, e.Queue, e.Sched, e.Net, e.Resolve, e.Retries)
+			e.At, e.ID, e.Src, e.Dst, e.Type, "delivered", e.Total, e.Queue, e.Sched, e.Net, e.Resolve, e.Retries)
 	}
 	return b.String()
 }

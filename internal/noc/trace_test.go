@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"strings"
 	"testing"
 
 	"fsoi/internal/sim"
@@ -32,25 +31,5 @@ func TestTracerPartialFill(t *testing.T) {
 	got := tr.Entries()
 	if len(got) != 2 || got[0].ID != 7 || got[1].ID != 8 {
 		t.Fatalf("partial ring wrong: %+v", got)
-	}
-}
-
-// TestTracerRecordsDrops pins the fix for the delivered-only blind
-// spot: dropped packets land in the ring with a terminal status, so a
-// drop storm is distinguishable from silence in -trace output.
-func TestTracerRecordsDrops(t *testing.T) {
-	tr := NewTracer(4)
-	tr.Record(&Packet{ID: 1, Src: 0, Dst: 1}, 100)
-	tr.RecordStatus(&Packet{ID: 2, Src: 2, Dst: 3, Retries: 9}, 200, StatusDropped)
-	got := tr.Entries()
-	if len(got) != 2 {
-		t.Fatalf("entries = %d, want 2", len(got))
-	}
-	if got[0].Status != StatusDelivered || got[1].Status != StatusDropped {
-		t.Fatalf("statuses = %v/%v, want delivered/DROPPED", got[0].Status, got[1].Status)
-	}
-	out := tr.String()
-	if !strings.Contains(out, "delivered") || !strings.Contains(out, "DROPPED") {
-		t.Fatalf("rendered trace must show both fates:\n%s", out)
 	}
 }

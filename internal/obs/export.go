@@ -126,16 +126,16 @@ func appendJSONL(b []byte, ev Event) []byte {
 // WriteChromeTrace writes the events in Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto). Delivered packets become complete ("X")
 // spans from injection to delivery on their source node's track;
-// collisions, backoffs, confirmation drops, and terminal drops become
-// instant ("i") events. Timestamps are simulated cycles, not
-// microseconds: the viewer's time axis reads directly in cycles. A
-// truncated recording ends with a global "truncated" instant at the last
-// cycle held, its args counting the events lost.
+// collisions, backoffs, confirmation drops and faults become instant
+// ("i") events. Timestamps are simulated cycles, not microseconds: the
+// viewer's time axis reads directly in cycles. A truncated recording ends
+// with a global "truncated" instant at the last cycle held, its args
+// counting the events lost.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriterSize(w, blockBytes)
 	bw.WriteString(`{"traceEvents":[`)
-	// injectAt pairs each packet's injection with its terminal event, by
-	// packet id.
+	// injectAt pairs each packet's injection with its delivery, by packet
+	// id.
 	var injectAt table.Table[int64]
 	sep := "" // a comma before every record but the first
 	var lastAt sim.Cycle
@@ -150,7 +150,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			case KindInject:
 				*injectAt.Put(ev.ID) = int64(ev.At)
 				continue
-			case KindDeliver, KindDrop:
+			case KindDeliver:
 				start := int64(ev.At)
 				if at := injectAt.Ref(ev.ID); at != nil {
 					start = *at
@@ -182,7 +182,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 }
 
 // appendSpan appends the complete ("X") span of a packet injected at
-// start whose terminal event (deliver or drop) is ev.
+// start and delivered by ev.
 func appendSpan(b []byte, ev Event, start int64) []byte {
 	b = append(b, spanHead[classSlot(ev.Class)]...)
 	b = strconv.AppendInt(b, int64(ev.Src), 10)
@@ -196,11 +196,7 @@ func appendSpan(b []byte, ev Event, start int64) []byte {
 	b = strconv.AppendInt(b, int64(ev.Src), 10)
 	b = append(b, `,"args":{"id":`...)
 	b = strconv.AppendUint(b, ev.ID, 10)
-	if ev.Kind == KindDrop {
-		b = append(b, `,"status":"dropped","retries":`...)
-	} else {
-		b = append(b, `,"status":"delivered","retries":`...)
-	}
+	b = append(b, `,"status":"delivered","retries":`...)
 	b = strconv.AppendInt(b, int64(ev.Attempt), 10)
 	b = append(b, `,"aux":`...)
 	b = strconv.AppendInt(b, ev.Aux, 10)

@@ -55,20 +55,16 @@ func refWriteChromeTrace(w io.Writer, r *Recorder) error {
 		switch e.Kind {
 		case KindInject:
 			injectAt[e.ID] = int64(e.At)
-		case KindDeliver, KindDrop:
+		case KindDeliver:
 			start, ok := injectAt[e.ID]
 			if !ok {
 				start = int64(e.At)
 			}
 			delete(injectAt, e.ID)
-			status := "delivered"
-			if e.Kind == KindDrop {
-				status = "dropped"
-			}
 			if err := emit(
-				`{"name":"%s %d->%d","cat":"packet","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"id":%d,"status":%q,"retries":%d,"aux":%d}}`,
+				`{"name":"%s %d->%d","cat":"packet","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"id":%d,"status":"delivered","retries":%d,"aux":%d}}`,
 				ClassName(e.Class), e.Src, e.Dst, start, int64(e.At)-start,
-				e.Src, e.ID, status, e.Attempt, e.Aux); err != nil {
+				e.Src, e.ID, e.Attempt, e.Aux); err != nil {
 				return err
 			}
 		case KindCollision, KindBackoff, KindConfirmDrop, KindFault:
@@ -137,20 +133,20 @@ func TestExportMatchesReference(t *testing.T) {
 	}{
 		"empty":          {},
 		"sample":         {events: sampleRecorder().Events()},
-		"every kind":     {events: []Event{full(KindInject), full(KindTxStart), full(KindRetransmit), full(KindCollision), full(KindBackoff), full(KindConfirmDrop), full(KindDeliver), full(KindDrop), full(KindFault)}},
+		"every kind":     {events: []Event{full(KindInject), full(KindTxStart), full(KindRetransmit), full(KindCollision), full(KindBackoff), full(KindConfirmDrop), full(KindDeliver), full(KindFault)}},
 		"unknown kind":   {events: []Event{full(numKinds), full(Kind(200)), full(Kind(255))}},
 		"negative nodes": {events: []Event{{Kind: KindDeliver, Src: -1, Dst: -7, Attempt: -3}, {Kind: KindCollision, Src: math.MinInt32, Dst: math.MaxInt32}}},
 		"odd lane and class": {events: []Event{
 			{Kind: KindBackoff, Lane: 2, Class: 2}, {Kind: KindBackoff, Lane: -2, Class: 255},
-			{Kind: KindDrop, Lane: math.MaxInt8, Class: 7}, {Kind: KindInject, Lane: math.MinInt8}}},
+			{Kind: KindDeliver, Lane: math.MaxInt8, Class: 7}, {Kind: KindInject, Lane: math.MinInt8}}},
 		"extreme aux and id": {events: []Event{
 			{Kind: KindDeliver, ID: math.MaxUint64, Aux: math.MinInt64, At: math.MaxInt64},
 			{Kind: KindFault, ID: math.MaxUint64, Aux: math.MaxInt64, Attempt: math.MinInt32}}},
-		"deliver with no inject": {events: []Event{{At: 40, Kind: KindDeliver, ID: 5, Aux: 12}, {At: 41, Kind: KindDrop, ID: 6}}},
+		"deliver with no inject": {events: []Event{{At: 40, Kind: KindDeliver, ID: 5, Aux: 12}, {At: 41, Kind: KindDeliver, ID: 6}}},
 		"inject reused after terminal": {events: []Event{
 			{At: 1, Kind: KindInject, ID: 5}, {At: 9, Kind: KindDeliver, ID: 5}, {At: 12, Kind: KindDeliver, ID: 5}}},
 		"only unexported kinds":         {events: []Event{full(KindInject), full(KindTxStart), full(KindRetransmit)}},
-		"truncated":                     {limit: 2, events: []Event{full(KindInject), full(KindCollision), full(KindDeliver), full(KindDrop)}},
+		"truncated":                     {limit: 2, events: []Event{full(KindInject), full(KindCollision), full(KindDeliver), full(KindBackoff)}},
 		"truncated to nothing exported": {limit: 1, events: []Event{full(KindInject), full(KindDeliver)}},
 	}
 	for name, c := range cases {

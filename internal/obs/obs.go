@@ -1,7 +1,7 @@
 // Package obs is the deterministic packet-lifecycle observability
 // layer: every packet moving through an interconnect emits cycle-stamped
 // lifecycle events (inject, tx-start, retransmit, collision, backoff,
-// confirmation-drop, deliver, drop) into a Recorder, which exports them
+// confirmation-drop, deliver) into a Recorder, which exports them
 // as sorted JSONL and Chrome trace-event JSON and feeds a registry of
 // percentile latency tables (p50/p90/p99/p999 per packet class and per
 // src->dst link) that extends the paper's Figure 5 reporting.
@@ -48,9 +48,6 @@ const (
 	// KindDeliver marks final delivery; Aux carries the end-to-end
 	// latency in cycles.
 	KindDeliver
-	// KindDrop marks the network permanently giving up on a packet after
-	// retry exhaustion; Aux carries the attempt count it died with.
-	KindDrop
 	// KindFault marks a start-of-life physical fault annotation (failed
 	// VCSELs); Aux carries the failure count, Src the afflicted node.
 	KindFault
@@ -75,8 +72,6 @@ func (k Kind) String() string {
 		return "confirm-drop"
 	case KindDeliver:
 		return "deliver"
-	case KindDrop:
-		return "drop"
 	case KindFault:
 		return "fault"
 	}
@@ -146,8 +141,8 @@ type Event struct {
 	At sim.Cycle
 	// ID is the packet id (0 for non-packet events such as KindFault).
 	ID uint64
-	// Aux is kind-specific: deliver latency, backoff retry slot, drop
-	// attempt count, fault failure count; 0 elsewhere.
+	// Aux is kind-specific: deliver latency, backoff retry slot, fault
+	// failure count; 0 elsewhere.
 	Aux int64
 	// Src and Dst are the packet endpoints (Dst is -1 when absent).
 	Src, Dst int32

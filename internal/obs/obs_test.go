@@ -57,7 +57,7 @@ func sampleRecorder() *Recorder {
 	r.Emit(Event{At: 8, Kind: KindRetransmit, ID: 1, Src: 0, Dst: 2, Attempt: 1, Class: ClassMeta, Lane: 0})
 	r.Emit(Event{At: 12, Kind: KindDeliver, ID: 1, Src: 0, Dst: 2, Attempt: 1, Class: ClassMeta, Lane: LaneNone, Aux: 11})
 	r.Emit(Event{At: 3, Kind: KindInject, ID: 2, Src: 1, Dst: 3, Class: ClassData, Lane: LaneNone})
-	r.Emit(Event{At: 20, Kind: KindDrop, ID: 2, Src: 1, Dst: 3, Attempt: 4, Class: ClassData, Lane: 1, Aux: 4})
+	r.Emit(Event{At: 20, Kind: KindDeliver, ID: 2, Src: 1, Dst: 3, Attempt: 4, Class: ClassData, Lane: LaneNone, Aux: 17})
 	return r
 }
 
@@ -83,8 +83,8 @@ func TestWriteJSONLStable(t *testing.T) {
 	if lines[0] != want {
 		t.Fatalf("first line:\n got %s\nwant %s", lines[0], want)
 	}
-	if !strings.Contains(a.String(), `"ev":"drop"`) {
-		t.Fatal("drop event missing from JSONL")
+	if !strings.Contains(a.String(), `{"at":20,"ev":"deliver","id":2,`) {
+		t.Fatal("data packet's delivery missing from JSONL")
 	}
 	for i := 1; i < len(lines); i++ {
 		if strings.Compare(lines[i-1][len(`{"at":`):], "") == 0 {
@@ -133,8 +133,8 @@ func TestWriteChromeTraceTruncationMarker(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTrace pairs injections with terminal events into "X"
-// spans and renders mid-life events as instants.
+// TestWriteChromeTrace pairs injections with deliveries into "X" spans
+// and renders mid-life events as instants.
 func TestWriteChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, sampleRecorder()); err != nil {
@@ -147,8 +147,8 @@ func TestWriteChromeTrace(t *testing.T) {
 	if !strings.Contains(out, `"name":"meta 0->2","cat":"packet","ph":"X","ts":1,"dur":11`) {
 		t.Fatalf("delivered span missing or mispaired:\n%s", out)
 	}
-	if !strings.Contains(out, `"status":"dropped"`) {
-		t.Fatalf("dropped packet must produce a span with dropped status:\n%s", out)
+	if !strings.Contains(out, `"name":"data 1->3","cat":"packet","ph":"X","ts":3,"dur":17`) {
+		t.Fatalf("data span missing or mispaired:\n%s", out)
 	}
 	if !strings.Contains(out, `"ph":"i"`) {
 		t.Fatal("instant events missing")
@@ -164,7 +164,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestCountByKind(t *testing.T) {
 	counts := sampleRecorder().CountByKind()
-	if counts[KindInject] != 2 || counts[KindDeliver] != 1 || counts[KindDrop] != 1 {
+	if counts[KindInject] != 2 || counts[KindDeliver] != 2 {
 		t.Fatalf("counts wrong: %v", counts)
 	}
 }
@@ -374,7 +374,7 @@ func TestKindNamesStable(t *testing.T) {
 	want := map[Kind]string{
 		KindInject: "inject", KindTxStart: "tx-start", KindRetransmit: "retransmit",
 		KindCollision: "collision", KindBackoff: "backoff", KindConfirmDrop: "confirm-drop",
-		KindDeliver: "deliver", KindDrop: "drop", KindFault: "fault",
+		KindDeliver: "deliver", KindFault: "fault",
 	}
 	for k, name := range want {
 		if k.String() != name {

@@ -388,7 +388,7 @@ func FuzzShardedMerged(f *testing.F) {
 	// One cycle whose emission order is not node order: 5, 2, 7, 2, 0, 5.
 	outOfOrder := slices.Concat(scriptEvent(5, KindTxStart, 1, 0, 0), scriptEvent(2, KindCollision, 0, 1, 1),
 		scriptEvent(7, KindBackoff, 0, 2, 2), scriptEvent(2, KindDeliver, 0, 3, 3), scriptEvent(0, KindInject, 0, 4, 4),
-		scriptEvent(5, KindDrop, 0, 5, 5), scriptEvent(1, KindInject, 1, 0, 0))
+		scriptEvent(5, KindConfirmDrop, 0, 5, 5), scriptEvent(1, KindInject, 1, 0, 0))
 	f.Add(uint8(7), uint8(0), uint8(4), outOfOrder)
 	f.Add(uint8(7), uint8(0), uint8(5), outOfOrder)
 	// A limit that cuts inside that cycle, on one block and on two.

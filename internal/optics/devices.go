@@ -15,7 +15,6 @@ type VCSEL struct {
 	ParasiticR       float64 // ohm (paper: 235)
 	ParasiticC       float64 // F (paper: 90 fF)
 	ForwardVoltage   float64 // V at the operating point (paper: ~2 V)
-	ApertureDiameter float64 // m (paper: 5 um)
 	ExtinctionRatio  float64 // P1/P0 (paper: 11)
 	BiasCurrent      float64 // A average drive current when transmitting (paper: 0.48 mA)
 	RelaxationFreq   float64 // Hz small-signal relaxation-oscillation frequency at bias
@@ -29,7 +28,6 @@ func PaperVCSEL() VCSEL {
 		ParasiticR:       235,
 		ParasiticC:       90e-15,
 		ForwardVoltage:   2.0,
-		ApertureDiameter: 5e-6,
 		ExtinctionRatio:  11,
 		BiasCurrent:      0.48e-3,
 		RelaxationFreq:   30e9,

@@ -97,33 +97,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence. It returns 0 immediately when p >= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("sim: Geometric called with non-positive p")
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-	}
-	return n
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // ZipfTable is the cumulative distribution of a Zipf-like law over [0, n)
 // with exponent s. Building it costs one math.Pow per entry; it is never
 // written afterwards, so any number of samplers, on any goroutines, may

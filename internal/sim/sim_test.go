@@ -118,33 +118,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := NewRNG(23)
-	if v := r.Geometric(1); v != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", v)
-	}
-	sum := 0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.5)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-1) > 0.05 {
-		t.Fatalf("Geometric(0.5) mean = %g, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(29)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(31)
 	z := NewZipfTable(100, 1.0).Sampler(r)

@@ -52,7 +52,6 @@ func (m Metrics) Canonical() string {
 			put(fmt.Sprintf("fsoi.lane%d.collided", l), m.FSOI.Collided[l])
 			put(fmt.Sprintf("fsoi.lane%d.collisions", l), m.FSOI.Collisions[l])
 			put(fmt.Sprintf("fsoi.lane%d.delivered", l), m.FSOI.Delivered[l])
-			put(fmt.Sprintf("fsoi.lane%d.dropped", l), m.FSOI.Dropped[l])
 			put(fmt.Sprintf("fsoi.lane%d.slots", l), m.FSOI.SlotsObserved[l])
 		}
 		for k := 0; k < len(m.FSOI.DataByKind); k++ {

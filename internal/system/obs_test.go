@@ -42,9 +42,6 @@ func TestObserveLifecycleAccounting(t *testing.T) {
 	if counts[obs.KindDeliver] != packets {
 		t.Fatalf("deliver events = %d, want %d", counts[obs.KindDeliver], packets)
 	}
-	if counts[obs.KindDrop] != 0 || m.DroppedPackets != 0 {
-		t.Fatal("a default configuration must not drop packets")
-	}
 	regTotal := m.ObsRegistry.Class(obs.ClassMeta).Total() + m.ObsRegistry.Class(obs.ClassData).Total()
 	if regTotal != packets {
 		t.Fatalf("registry observed %d latencies, want %d", regTotal, packets)

@@ -57,9 +57,6 @@ type Config struct {
 	// fabric is required (coherent ll/sc spinning shares lock tables
 	// across nodes).
 	ParWorkers int
-	// ForceCoherentSync disables the §5.1 confirmation-channel sync path
-	// even when the network supports it (for the ll/sc ablation).
-	ForceCoherentSync bool
 	// MeshBandwidthFrac throttles mesh injection bandwidth (Figure 11):
 	// a fraction in (0, 1], or 0 for unset, which is full rate.
 	MeshBandwidthFrac float64
@@ -139,9 +136,6 @@ type Metrics struct {
 	// percentile latency tables; both nil unless Config.Observe was set.
 	Obs         *obs.Recorder
 	ObsRegistry *obs.Registry
-	// DroppedPackets counts packets the network permanently gave up on
-	// (FSOI retry exhaustion under Config.FSOI.MaxRetries).
-	DroppedPackets int64
 
 	// AdversaryNodes counts configured hostile nodes; HonestFinish is
 	// the cycle the last *honest* core finished — Cycles includes the
@@ -358,7 +352,7 @@ func (t transport) ConfirmationElision() bool {
 }
 
 func (t transport) BooleanSubscription() bool {
-	return t.s.fsoi != nil && t.s.fsoi.SupportsBooleanSubscription() && !t.s.cfg.ForceCoherentSync
+	return t.s.fsoi != nil && t.s.fsoi.SupportsBooleanSubscription()
 }
 
 func (t transport) SendBit(from, to int, tag uint64, value bool) {
@@ -405,7 +399,7 @@ func (cfg Config) Validate() error {
 		if cfg.Net != NetFSOI {
 			return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net)
 		}
-		if !cfg.FSOI.Opt.BooleanSubscription || cfg.ForceCoherentSync {
+		if !cfg.FSOI.Opt.BooleanSubscription {
 			return errors.New("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
 		}
 	}
@@ -621,7 +615,6 @@ func build(cfg Config, donor *System) *System {
 	if s.fsoi != nil {
 		s.fsoi.SetConfirmDelivery(s.onConfirm)
 		s.fsoi.SetBitDelivery(s.onBit)
-		s.fsoi.SetDropDelivery(s.onDrop)
 	}
 
 	if tr.BooleanSubscription() {
@@ -771,23 +764,6 @@ func (s *System) onConfirm(p *noc.Packet, now sim.Cycle) {
 	s.recycle(w)
 }
 
-// onDrop handles the FSOI network permanently giving up on a packet
-// (Config.FSOI.MaxRetries), in the source node's context. The ordered
-// (src, dst, line) stream is released so later messages do not wedge
-// behind the corpse, the fate lands in the ring buffer with a terminal
-// DROPPED status, and the packet retires to the free-list — a drop is
-// the network's last touch. The coherence message itself is lost by
-// design; a run with drops may legitimately report Finished=false,
-// which is exactly the resilience signal the fault experiments measure.
-func (s *System) onDrop(p *noc.Packet, now sim.Cycle) {
-	w := wireOf(p)
-	s.orderedDone(w.msg)
-	if s.tracer != nil {
-		s.tracer.For(p.Src).RecordStatus(p, now, noc.StatusDropped)
-	}
-	s.recycle(w)
-}
-
 // onBit routes confirmation-lane booleans to the sync fabric; it runs
 // in the receiving node's context.
 func (s *System) onBit(src, dst int, tag uint64, value bool, now sim.Cycle) {
@@ -860,7 +836,6 @@ func (s *System) collect(app string) Metrics {
 	}
 	if s.fsoi != nil {
 		m.FSOI = s.fsoi.Stats()
-		m.DroppedPackets = m.FSOI.Dropped[core.LaneMeta] + m.FSOI.Dropped[core.LaneData]
 	}
 	s.obsMerged, s.obsRegMerged = s.obsRec.Merged(), s.ObsRegistry()
 	m.Obs, m.ObsRegistry = s.obsMerged, s.obsRegMerged

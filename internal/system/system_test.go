@@ -94,7 +94,7 @@ func TestFSOILatencyBeatsMesh(t *testing.T) {
 
 func TestLockHeavyAppOnBothSyncFabrics(t *testing.T) {
 	sub := runTiny(t, "raytrace", NetFSOI, 16, nil)
-	coh := runTiny(t, "raytrace", NetFSOI, 16, func(c *Config) { c.ForceCoherentSync = true })
+	coh := runTiny(t, "raytrace", NetFSOI, 16, func(c *Config) { c.FSOI.Opt.BooleanSubscription = false })
 	if sub.FSOI.ConfirmBits == 0 {
 		t.Fatal("subscription sync must use confirmation bits")
 	}
@@ -120,7 +120,7 @@ func TestOptimizationsReduceCollisions(t *testing.T) {
 			cfg.FSOI.Opt.ReceiverScheduling = false
 			cfg.FSOI.Opt.WritebackSplit = false
 			cfg.FSOI.Opt.RetransmitHints = false
-			cfg.ForceCoherentSync = true
+			cfg.FSOI.Opt.BooleanSubscription = false
 		}
 		m := New(cfg).Run(app)
 		if !m.Finished {

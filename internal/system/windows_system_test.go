@@ -152,16 +152,11 @@ func TestWindowedMetersExposed(t *testing.T) {
 // coherent ll/sc fabric shares lock tables across nodes, so a windowed
 // run must be refused instead of racing quietly.
 func TestWindowedRequiresSubscriptionSync(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.ForceCoherentSync = true },
-		func(c *Config) { c.FSOI.Opt.BooleanSubscription = false },
-	} {
-		cfg := Default(16, NetFSOI)
-		cfg.ParWorkers = 2
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "subscription sync fabric") {
-			t.Errorf("ParWorkers without the subscription fabric: Validate() = %v", err)
-		}
+	cfg := Default(16, NetFSOI)
+	cfg.ParWorkers = 2
+	cfg.FSOI.Opt.BooleanSubscription = false
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "subscription sync fabric") {
+		t.Errorf("ParWorkers without the subscription fabric: Validate() = %v", err)
 	}
 }
 
