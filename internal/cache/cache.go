@@ -5,7 +5,10 @@
 // avoid sub-line coherence — recorded as a substitution in DESIGN.md).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LineSize is the coherence granularity in bytes.
 const LineSize = 64
@@ -40,11 +43,11 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one resident cache line.
+// Line is one resident cache line, 16 bytes.
 type Line struct {
 	Addr  LineAddr
+	lru   uint32
 	State State
-	lru   uint64
 }
 
 // Cache is a set-associative array with LRU replacement. All sets share
@@ -53,7 +56,7 @@ type Cache struct {
 	lines   []Line
 	ways    int
 	setMask uint64
-	clock   uint64
+	clock   uint32
 }
 
 // New builds a cache with the given capacity in lines and associativity.
@@ -76,6 +79,39 @@ func (c *Cache) Reset() {
 	c.clock = 0
 }
 
+// tick advances the LRU clock and returns its new value. Before the 32-bit
+// clock would wrap, every set's lines are renumbered 1..ways in their
+// present LRU order; Victim only compares stamps within one set, so it
+// chooses exactly as it would with a clock that never wraps.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber replaces each line's stamp by its rank in its set (oldest 1,
+// equal stamps in way order) and restarts the clock after the highest.
+func (c *Cache) renumber() {
+	rank := make([]uint32, c.ways)
+	for lo := 0; lo < len(c.lines); lo += c.ways {
+		set := c.lines[lo : lo+c.ways]
+		for i := range set {
+			rank[i] = 1
+			for j := range set {
+				if set[j].lru < set[i].lru || set[j].lru == set[i].lru && j < i {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].lru = rank[i]
+		}
+	}
+	c.clock = uint32(c.ways)
+}
+
 // set returns the ways addr maps to, in way order.
 func (c *Cache) set(addr LineAddr) []Line {
 	lo := int(uint64(addr)&c.setMask) * c.ways
@@ -88,8 +124,7 @@ func (c *Cache) Lookup(addr LineAddr) *Line {
 	for i := range set {
 		l := &set[i]
 		if l.State != Invalid && l.Addr == addr {
-			c.clock++
-			l.lru = c.clock
+			l.lru = c.tick()
 			return l
 		}
 	}
@@ -131,15 +166,15 @@ func (c *Cache) Victim(addr LineAddr) *Line {
 // Invalid). If addr is already resident its state is updated in place —
 // a set must never hold two copies of one line.
 func (c *Cache) Install(addr LineAddr, st State) (evicted Line) {
-	c.clock++
+	now := c.tick()
 	if l := c.Peek(addr); l != nil {
 		l.State = st
-		l.lru = c.clock
+		l.lru = now
 		return Line{}
 	}
 	v := c.Victim(addr)
 	evicted = *v
-	*v = Line{Addr: addr, State: st, lru: c.clock}
+	*v = Line{Addr: addr, State: st, lru: now}
 	return evicted
 }
 

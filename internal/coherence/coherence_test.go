@@ -722,3 +722,51 @@ func TestTagRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyTablesFirstUse: a new controller has no spin-watch table and a
+// new directory no lock or barrier table. An invalidation nobody watches
+// reads the nil watch table; the first registration, lock and barrier
+// each make theirs.
+func TestLazyTablesFirstUse(t *testing.T) {
+	r := newRig(t, 3)
+	r.boolean = true
+	l1, sm := r.l1s[1], r.dir.sync
+	if l1.watch != nil || sm.locks != nil || sm.barriers != nil {
+		t.Fatal("a new controller or directory starts with a table made")
+	}
+
+	// An invalidation with no watch registered reads the nil table.
+	if !r.access(1, line, false) || !r.access(2, line, true) {
+		t.Fatal("accesses did not complete")
+	}
+	if l1.Stats().Invalidations != 1 || l1.watch != nil {
+		t.Fatalf("unwatched invalidation: %d invalidations, watch table %v", l1.Stats().Invalidations, l1.watch)
+	}
+	fired := 0
+	if !r.access(1, line, false) {
+		t.Fatal("re-read did not complete")
+	}
+	l1.OnInvalidate(line, func(sim.Cycle) { fired++ })
+	if !r.access(2, line, true) {
+		t.Fatal("second write did not complete")
+	}
+	if fired != 1 || len(l1.watch) != 0 {
+		t.Fatalf("first watch fired %d times, %d lines still watched", fired, len(l1.watch))
+	}
+
+	// LockHeld makes the lock it asks about, so it too writes the table.
+	if r.dir.Sync().LockHeld(9) {
+		t.Fatal("an unknown lock reads as held")
+	}
+	r.dir.Handle(Msg{Type: SyncReq, Op: SyncAcquire, SyncID: 5, From: 1, To: 0}, 0)
+	if len(sm.locks) != 2 || !r.dir.Sync().LockHeld(5) || !r.bits[0].value {
+		t.Fatalf("first acquire: %d locks, held %v, replies %+v", len(sm.locks), r.dir.Sync().LockHeld(5), r.bits)
+	}
+	if sm.barriers != nil {
+		t.Fatal("a lock made the barrier table")
+	}
+	r.dir.Handle(Msg{Type: SyncReq, Op: SyncArrive, SyncID: 0, From: 2, To: 0}, 1)
+	if len(sm.barriers) != 1 || len(r.bits) != 2 || r.bits[1].dst != 2 || !r.bits[1].value {
+		t.Fatalf("first arrival at a barrier of target 1 must release it: %d barriers, replies %+v", len(sm.barriers), r.bits)
+	}
+}

@@ -107,8 +107,8 @@ type L1 struct {
 	home   func(cache.LineAddr) int
 	stats  L1Stats
 	outbox []Msg
-	watch  map[cache.LineAddr][]func(now sim.Cycle)
-	free   []*l1Pending // completed records, reused last in first out
+	watch  map[cache.LineAddr][]func(now sim.Cycle) // nil until the first OnInvalidate
+	free   []*l1Pending                             // completed records, reused last in first out
 }
 
 // NewL1 builds a controller for node id. Given a spent controller of the
@@ -123,7 +123,6 @@ func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transpor
 		rng:    rng.NewStream("l1"),
 		tr:     tr,
 		home:   home,
-		watch:  make(map[cache.LineAddr][]func(now sim.Cycle)),
 	}
 	if len(donor) > 0 && donor[0] != nil && donor[0].cfg.Lines == cfg.Lines && donor[0].cfg.Ways == cfg.Ways {
 		l.array = donor[0].array
@@ -142,6 +141,9 @@ func (l *L1) Stats() *L1Stats { return &l.stats }
 // invalidated; the cpu layer uses it to re-check spin variables and
 // re-registers on every spin iteration.
 func (l *L1) OnInvalidate(addr cache.LineAddr, fn func(now sim.Cycle)) {
+	if l.watch == nil {
+		l.watch = make(map[cache.LineAddr][]func(now sim.Cycle))
+	}
 	l.watch[addr] = append(l.watch[addr], fn)
 }
 

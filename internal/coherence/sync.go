@@ -51,19 +51,23 @@ type barrierVar struct {
 // directory: store-conditional values travel inside requests, replies and
 // updates travel on reserved confirmation mini-cycles, and subscribers
 // form the update set of the single-bit "cache line".
+//
+// Most directories home no sync object, so each table is made on its
+// first entry.
 type syncManager struct {
 	d        *Directory
 	locks    map[int]*lockVar
 	barriers map[int]*barrierVar
 }
 
-func newSyncManager(d *Directory) *syncManager {
-	return &syncManager{d: d, locks: make(map[int]*lockVar), barriers: make(map[int]*barrierVar)}
-}
+func newSyncManager(d *Directory) *syncManager { return &syncManager{d: d} }
 
 func (s *syncManager) lock(id int) *lockVar {
 	l := s.locks[id]
 	if l == nil {
+		if s.locks == nil {
+			s.locks = make(map[int]*lockVar)
+		}
 		l = &lockVar{holder: -1}
 		s.locks[id] = l
 	}
@@ -73,6 +77,9 @@ func (s *syncManager) lock(id int) *lockVar {
 func (s *syncManager) barrier(id int) *barrierVar {
 	b := s.barriers[id]
 	if b == nil {
+		if s.barriers == nil {
+			s.barriers = make(map[int]*barrierVar)
+		}
 		b = &barrierVar{target: 1}
 		s.barriers[id] = b
 	}

@@ -158,13 +158,13 @@ func (f FaultSpec) Build() (fault.Config, error) {
 			TauCycles:     f.ThermalTauCycles,
 			DroopDBPerK:   f.DroopDBPerK,
 		}
-		if cfg.Thermal.PowerPerNodeW == 0 { //lint:allow floateq unset-field sentinel: the value is assigned, never computed
+		if isUnset(cfg.Thermal.PowerPerNodeW) {
 			cfg.Thermal.PowerPerNodeW = 4 // §3.3 evaluates ~4 W/node
 		}
-		if cfg.Thermal.TauCycles == 0 { //lint:allow floateq unset-field sentinel: the value is assigned, never computed
+		if isUnset(cfg.Thermal.TauCycles) {
 			cfg.Thermal.TauCycles = 100000 // package thermal time constant
 		}
-	} else if f.ThermalCooling != "" || f.ThermalPowerW != 0 || f.ThermalTauCycles != 0 { //lint:allow floateq unset-field sentinels on user-assigned spec values
+	} else if f.ThermalCooling != "" || !isUnset(f.ThermalPowerW) || !isUnset(f.ThermalTauCycles) {
 		return fault.Config{}, fmt.Errorf("config: thermal fields need droop_db_per_k > 0")
 	}
 	if err := cfg.Validate(); err != nil {
@@ -324,8 +324,14 @@ func (s Spec) AppAndScale() (string, float64) {
 		app = "jacobi"
 	}
 	scale := s.Scale
-	if scale == 0 { //lint:allow floateq unset-field sentinel: scale is assigned, never computed
+	if isUnset(scale) {
 		scale = 0.5
 	}
 	return app, scale
+}
+
+// isUnset reports whether a float spec field was left out: such values
+// are assigned from the spec, never computed, so zero is exact.
+func isUnset(v float64) bool {
+	return v == 0 //lint:allow floateq unset-field sentinel: spec values are assigned, never computed
 }

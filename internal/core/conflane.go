@@ -20,7 +20,7 @@ type confLane struct {
 	busyUntil []int64
 	// reserved[owner] maps a mini-cycle offset to the subscriber that
 	// claimed it; offset 0 is never reserved (receipt confirmations get
-	// priority there).
+	// priority there). An owner's map is made by its first reservation.
 	reserved []map[int]int
 	// nextOffset rotates reservation offsets per owner.
 	nextOffset []int
@@ -36,17 +36,13 @@ type confLaneStats struct {
 }
 
 func newConfLane(nodes, miniPerCycle int) *confLane {
-	c := &confLane{
+	return &confLane{
 		miniPerCycle: miniPerCycle,
 		busyUntil:    make([]int64, nodes),
 		reserved:     make([]map[int]int, nodes),
 		nextOffset:   make([]int, nodes),
 		stats:        make([]confLaneStats, nodes),
 	}
-	for i := range c.reserved {
-		c.reserved[i] = make(map[int]int)
-	}
-	return c
 }
 
 // sendDelay returns the extra whole cycles (beyond the base confirmation
@@ -78,6 +74,9 @@ func (c *confLane) reserve(owner, subscriber int) int {
 	for i := 1; i < c.miniPerCycle; i++ {
 		off := 1 + (c.nextOffset[owner]+i)%(c.miniPerCycle-1)
 		if _, taken := c.reserved[owner][off]; !taken {
+			if c.reserved[owner] == nil {
+				c.reserved[owner] = make(map[int]int)
+			}
 			c.reserved[owner][off] = subscriber
 			c.nextOffset[owner] = off
 			c.stats[owner].Reservations++

@@ -72,3 +72,30 @@ func TestConfLaneDelayNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConfLaneReservationTableIsLazy: an owner's reservation table is
+// made by its first reservation. The lookup for an existing reservation
+// reads the table before then, and the denied path never writes it.
+func TestConfLaneReservationTableIsLazy(t *testing.T) {
+	c := newConfLane(4, 12)
+	for owner, m := range c.reserved {
+		if m != nil {
+			t.Fatalf("owner %d starts with a reservation table", owner)
+		}
+	}
+	off := c.reserve(1, 3)
+	if off < 1 || c.reserved[1][off] != 3 || len(c.reserved[1]) != 1 {
+		t.Fatalf("first reservation got offset %d, table %v", off, c.reserved[1])
+	}
+	if c.reserved[0] != nil || c.reserved[2] != nil || c.reserved[3] != nil {
+		t.Fatal("one owner's reservation made another's table")
+	}
+	if c.stats[1].Reservations != 1 || c.stats[1].Denied != 0 {
+		t.Fatalf("stats after the first reservation: %+v", c.stats[1])
+	}
+	// A one-offset lane has nothing to reserve: denied, and no table made.
+	d := newConfLane(2, 1)
+	if off := d.reserve(0, 1); off != -1 || d.reserved[0] != nil || d.stats[0].Denied != 1 {
+		t.Fatalf("reservation on a lane without spare offsets: offset %d, table %v, %+v", off, d.reserved[0], d.stats[0])
+	}
+}

@@ -366,14 +366,19 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 	n.nrng = make([]*sim.RNG, cfg.Nodes)
 	n.stats = make([]Stats, cfg.Nodes)
 	n.lat = make([]noc.LatencyStats, cfg.Nodes)
+	// The node states come from one slab, and so do all receivers'
+	// arrival buckets.
 	n.nodes = make([]*nodeState, cfg.Nodes)
+	states := make([]nodeState, cfg.Nodes)
+	buckets := make([][]*transmission, cfg.Nodes*int(numLanes)*cfg.Receivers)
 	for i := range n.nodes {
 		n.scheds[i] = sim.SchedulerFor(engine, i)
 		n.nrng[i] = base.NewStream("node-" + strconv.Itoa(i))
-		ns := &nodeState{replyEWMA: 30}
+		ns := &states[i]
+		ns.replyEWMA = 30
 		for l := range ns.lastDst {
 			ns.lastDst[l] = -1
-			ns.arr[l] = make([][]*transmission, cfg.Receivers)
+			ns.arr[l], buckets = buckets[:cfg.Receivers:cfg.Receivers], buckets[cfg.Receivers:]
 			ns.due[l] = math.MaxInt64
 		}
 		n.nodes[i] = ns

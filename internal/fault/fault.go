@@ -80,8 +80,14 @@ type Config struct {
 // injector construction entirely when false so that fault-free runs stay
 // bit-identical to builds without this package.
 func (c Config) Enabled() bool {
-	return c.MarginPenaltyDB != 0 || c.VCSELFailProb != 0 || //lint:allow floateq zero-value-off sentinels on assigned config fields
-		c.ConfirmDropProb != 0 || c.Thermal.Enabled //lint:allow floateq zero-value-off sentinel on an assigned config field
+	return !isUnset(c.MarginPenaltyDB) || !isUnset(c.VCSELFailProb) || !isUnset(c.ConfirmDropProb) || c.Thermal.Enabled
+}
+
+// isUnset reports whether a float config field is at its zero value, which
+// turns its fault model off: such values are assigned, never computed, so
+// zero is exact.
+func isUnset(v float64) bool {
+	return v == 0 //lint:allow floateq zero-value-off sentinel on an assigned config field
 }
 
 // Validate reports configuration errors.
@@ -274,7 +280,7 @@ func (inj *Injector) SlotExtension(src int, l core.Lane) int {
 // confirmation beam is lost. The draw runs in the receiver's context and
 // comes from the receiver's own stream.
 func (inj *Injector) DropConfirm(src, dst int, now sim.Cycle) bool {
-	if inj.cfg.ConfirmDropProb == 0 { //lint:allow floateq zero-value-off sentinel; the guard also preserves RNG stream genealogy
+	if isUnset(inj.cfg.ConfirmDropProb) { // no draw: the guard also preserves RNG stream genealogy
 		return false
 	}
 	return inj.confirmRNG[dst].Bool(inj.cfg.ConfirmDropProb)

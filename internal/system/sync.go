@@ -29,17 +29,21 @@ type subscriptionSync struct {
 	s  *System
 	tr transport
 	// Per-node continuations keyed by tag (one outstanding sync op per
-	// core by construction of the core model).
+	// core by construction of the core model); a node's map is made by
+	// its first wait.
 	waiting []map[uint64]func(value bool, now sim.Cycle)
 }
 
 func newSubscriptionSync(s *System, tr transport) *subscriptionSync {
-	f := &subscriptionSync{s: s, tr: tr}
-	f.waiting = make([]map[uint64]func(bool, sim.Cycle), s.cfg.Nodes)
-	for i := range f.waiting {
-		f.waiting[i] = make(map[uint64]func(bool, sim.Cycle))
+	return &subscriptionSync{s: s, tr: tr, waiting: make([]map[uint64]func(bool, sim.Cycle), s.cfg.Nodes)}
+}
+
+// wait registers fn as core's one-shot continuation for tag.
+func (f *subscriptionSync) wait(core int, tag uint64, fn func(value bool, now sim.Cycle)) {
+	if f.waiting[core] == nil {
+		f.waiting[core] = make(map[uint64]func(bool, sim.Cycle))
 	}
-	return f
+	f.waiting[core][tag] = fn
 }
 
 // home spreads sync objects across directories.
@@ -62,7 +66,7 @@ func (f *subscriptionSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 	updateTag := coherence.LockTag(id, true)
 	var attempt func()
 	attempt = func() {
-		f.waiting[core][replyTag] = func(got bool, now sim.Cycle) {
+		f.wait(core, replyTag, func(got bool, now sim.Cycle) {
 			if got {
 				delete(f.waiting[core], updateTag)
 				done(now)
@@ -70,8 +74,8 @@ func (f *subscriptionSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 			}
 			// Subscribed: re-attempt on the next update push (handlers
 			// are one-shot, so each attempt re-registers both).
-			f.waiting[core][updateTag] = func(_ bool, at sim.Cycle) { attempt() }
-		}
+			f.wait(core, updateTag, func(_ bool, at sim.Cycle) { attempt() })
+		})
 		f.request(core, coherence.SyncAcquire, id)
 	}
 	attempt()
@@ -89,11 +93,11 @@ func (f *subscriptionSync) Release(core int, id int, done func(now sim.Cycle)) {
 func (f *subscriptionSync) Barrier(core int, id int, done func(now sim.Cycle)) {
 	replyTag := coherence.BarrierTag(id, false)
 	updateTag := coherence.BarrierTag(id, true)
-	f.waiting[core][updateTag] = func(_ bool, now sim.Cycle) {
+	f.wait(core, updateTag, func(_ bool, now sim.Cycle) {
 		delete(f.waiting[core], replyTag)
 		done(now)
-	}
-	f.waiting[core][replyTag] = func(bool, sim.Cycle) {} // "wait" ack
+	})
+	f.wait(core, replyTag, func(bool, sim.Cycle) {}) // "wait" ack
 	f.request(core, coherence.SyncArrive, id)
 }
 

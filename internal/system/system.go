@@ -7,6 +7,7 @@ package system
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"fsoi/internal/adversary"
 	"fsoi/internal/cache"
@@ -543,7 +544,7 @@ func build(cfg Config, donor *System) *System {
 		if donor != nil {
 			l1, dir = donor.l1s[i], donor.dirs[i]
 		}
-		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home, l1))
+		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream("l1-"+strconv.Itoa(i)), tr, home, l1))
 		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode, dir))
 	}
 	// The controllers' only per-cycle work is re-offering an outbox the
