@@ -91,15 +91,18 @@ func newEpisodeRunner(m BackoffModel) *episodeRunner {
 	return r
 }
 
-// drawWait picks the retry wait: a continuous point in (0, W_r] rounded up
-// to a whole slot, so a window of 2.7 picks slot 3 with probability 0.7/2.7.
-// The table holds m.window(r) itself: a running product w *= B rounds
-// differently from W * Pow(B, r-1) and would move the estimates.
-func (r *episodeRunner) drawWait(rng *sim.RNG, retry int) int {
+// wait turns the draw x into the wait of the given retry: a continuous
+// point in (0, W_r] rounded up to a whole slot, so a window of 2.7 picks
+// slot 3 with probability 0.7/2.7. The draw itself is the caller's, made
+// on its local copy of the state (DESIGN section 8, "Monte Carlo
+// kernels"). The table holds m.window(r) itself: a running product
+// w *= B rounds differently from W * Pow(B, r-1) and would move the
+// estimates.
+func (r *episodeRunner) wait(x uint64, retry int) int {
 	for len(r.windows) < retry {
 		r.windows = append(r.windows, r.m.window(len(r.windows)+1))
 	}
-	return int(math.Ceil(rng.Float64() * r.windows[retry-1]))
+	return int(math.Ceil(sim.Unit(x) * r.windows[retry-1]))
 }
 
 // schedule files contender id, at slot now, to transmit in slot next. A
@@ -134,12 +137,14 @@ func (r *episodeRunner) pullFar(now int) {
 }
 
 // admit creates the contender born of a collision in slot born and
-// schedules its first retry.
-func (r *episodeRunner) admit(rng *sim.RNG, born, maxSlots int) {
+// schedules its first retry, drawing its wait from st.
+func (r *episodeRunner) admit(st sim.State, born, maxSlots int) sim.State {
 	id := int32(len(r.cs))
 	r.cs = append(r.cs, contender{retry: 1, born: born})
 	r.live++
-	r.schedule(id, born, born+r.m.DetectSlot+r.drawWait(rng, 1), maxSlots)
+	st, x := st.Next()
+	r.schedule(id, born, born+r.m.DetectSlot+r.wait(x, 1), maxSlots)
+	return st
 }
 
 // play simulates one collision episode with k initial colliders on rng
@@ -147,7 +152,9 @@ func (r *episodeRunner) admit(rng *sim.RNG, born, maxSlots int) {
 // number of packets resolved within maxSlots, and the slot and retry
 // count of the last delivery. With burst set it is Pathological's
 // all-to-one burst instead: no background traffic is modelled (G is not
-// drawn) and the episode ends at the first clean delivery.
+// drawn) and the episode ends at the first clean delivery. The draws are
+// made on rng's state copied into a local, Bool(G) as the integer
+// threshold test, and the state is written back when the episode ends.
 func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCycles float64, resolved, lastSlot, lastRetry int) {
 	if r.live > 0 { // the previous episode ended with contenders still filed
 		for i := range r.ring {
@@ -156,9 +163,11 @@ func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCy
 		r.far = r.far[:0]
 	}
 	r.cs, r.live = r.cs[:0], 0
+	st := rng.State()
 	for i := 0; i < k; i++ {
-		r.admit(rng, 0, maxSlots)
+		st = r.admit(st, 0, maxSlots)
 	}
+	background := sim.NewThreshold(r.m.G)
 	for slot := 1; slot <= maxSlots && r.live > 0; slot++ {
 		if slot%ringSlots == 0 {
 			r.pullFar(slot)
@@ -170,9 +179,14 @@ func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCy
 		if len(txs) > 1 {
 			slices.Sort(txs)
 		}
-		background := !burst && rng.Bool(r.m.G)
+		joined := false // a background packet transmits in this slot
+		if !burst {
+			var x uint64
+			st, x = st.Next()
+			joined = background.Bool(x)
+		}
 		switch {
-		case len(txs) == 1 && !background:
+		case len(txs) == 1 && !joined:
 			// Clean delivery: measure from end of the birth slot to the
 			// end of this slot.
 			c := r.cs[txs[0]]
@@ -181,6 +195,7 @@ func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCy
 			r.live--
 			lastSlot, lastRetry = slot, c.retry
 			if burst {
+				rng.SetState(st)
 				return totalCycles, resolved, lastSlot, lastRetry
 			}
 		case len(txs) > 0:
@@ -190,13 +205,16 @@ func (r *episodeRunner) play(rng *sim.RNG, k, maxSlots int, burst bool) (totalCy
 			for _, id := range txs {
 				c := &r.cs[id]
 				c.retry++
-				r.schedule(id, slot, slot+r.m.DetectSlot+r.drawWait(rng, c.retry), maxSlots)
+				var x uint64
+				st, x = st.Next()
+				r.schedule(id, slot, slot+r.m.DetectSlot+r.wait(x, c.retry), maxSlots)
 			}
-			if background {
-				r.admit(rng, slot, maxSlots)
+			if joined {
+				st = r.admit(st, slot, maxSlots)
 			}
 		}
 	}
+	rng.SetState(st)
 	return totalCycles, resolved, lastSlot, lastRetry
 }
 

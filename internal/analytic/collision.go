@@ -46,12 +46,21 @@ func shardCounts(trials int) []int {
 	return counts
 }
 
+// shardNames names the shards' sub-streams "shard/0", "shard/1", ...,
+// made once rather than formatted anew for every estimate.
+var shardNames = func() (names [mcShards]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("shard/%d", i)
+	}
+	return names
+}()
+
 // shardStreams derives one named sub-stream per shard, serially and in
 // shard order, so the stream genealogy is independent of worker count.
 func shardStreams(rng *sim.RNG, n int) []*sim.RNG {
 	streams := make([]*sim.RNG, n)
 	for i := range streams {
-		streams[i] = rng.NewStream(fmt.Sprintf("shard/%d", i))
+		streams[i] = rng.NewStream(shardNames[i])
 	}
 	return streams
 }
@@ -161,45 +170,88 @@ func MonteCarloCollision(c CollisionParams, rng *sim.RNG, trials, workers int) (
 	return perPacket, perNode
 }
 
-// collisionShard runs one shard's slots on its own stream. Senders are
-// counted per (dst, receiver) cell in one dense array; the cells a slot
-// touched are listed as it goes, and walking that list both tallies the
-// slot and clears it, so a slot costs its senders and allocates nothing.
-// The draws are Bool(P) for each node in node order, then Intn(N-1) for
-// a node that transmits; the tally is a pure function of that sequence.
+// collisionShard runs one shard's slots on its own stream. The draws
+// are Bool(P) for each node in node order, then Intn(N-1) for a node
+// that transmits; the tally is a pure function of that sequence.
+//
+// Most nodes stay silent, so the loop is shaped for them. It draws from
+// the stream's state copied into locals (DESIGN section 8, "Monte Carlo
+// kernels"), tests Bool(P) as an integer threshold, steps node s's
+// receiver s % R as a counter, and keeps nothing else in registers: what
+// a sender needs lives in slotCells, behind one call. The state is
+// written back once, at the end.
 func collisionShard(c CollisionParams, rng *sim.RNG, trials int) collisionTally {
-	var sent, collided, nodeCollisions int
-	count := make([]int32, c.N*c.R)  // senders this slot at cell dst*R + receiver
-	touched := make([]int32, 0, c.N) // cells with count > 0 this slot
-	hitSlot := make([]int, c.N)      // last slot (counted from 1) in which the node saw a collision
-	for t := 1; t <= trials; t++ {
-		for s := 0; s < c.N; s++ {
-			if !rng.Bool(c.P) {
-				continue
-			}
-			d := rng.Intn(c.N - 1)
-			if d >= s {
-				d++
-			}
-			// Senders are statically divided among a node's receivers.
-			cell := int32(d*c.R + s%c.R)
-			if count[cell] == 0 {
-				touched = append(touched, cell)
-			}
-			count[cell]++
-			sent++
-		}
-		for _, cell := range touched {
-			if n := int(count[cell]); n > 1 {
-				collided += n
-				if d := int(cell) / c.R; hitSlot[d] != t {
-					hitSlot[d] = t
-					nodeCollisions++
-				}
-			}
-			count[cell] = 0
-		}
-		touched = touched[:0]
+	k := slotCells{
+		count:   make([]int32, c.N*c.R),
+		touched: make([]int32, 0, c.N),
+		hitSlot: make([]int, c.N),
+		r:       c.R,
+		others:  uint64(c.N - 1),
 	}
-	return collisionTally{sent, collided, trials * c.N, nodeCollisions}
+	transmits := sim.NewThreshold(c.P)
+	st := rng.State()
+	for k.slot = 1; k.slot <= trials; k.slot++ {
+		k.clear()
+		rcv := 0
+		for s := 0; s < c.N; s, rcv = s+1, rcv+1 {
+			if rcv == c.R {
+				rcv = 0
+			}
+			var x uint64
+			if st, x = st.Next(); transmits.Bool(x) {
+				st, x = st.Next()
+				k.send(s, rcv, x)
+			}
+		}
+	}
+	rng.SetState(st)
+	k.tally.nodeSlots = trials * c.N
+	return k.tally
+}
+
+// slotCells counts one shard's senders per (dst, receiver) cell in one
+// dense array and tallies a cell as its senders arrive: the second makes
+// it a collision of two packets (and, once per destination per slot, a
+// node collision), each later one adds a packet. The cells a slot touched
+// are listed so that the next slot clears only them; a slot costs its
+// senders and allocates nothing.
+type slotCells struct {
+	count   []int32 // senders this slot at cell dst*R + receiver
+	touched []int32 // cells with count > 0 this slot
+	hitSlot []int   // last slot in which the node saw a collision
+	r       int     // receivers per node
+	others  uint64  // N-1, the destinations a sender draws from
+	slot    int     // the current slot, counted from 1
+	tally   collisionTally
+}
+
+// clear empties the cells the last slot touched.
+func (k *slotCells) clear() {
+	for _, cell := range k.touched {
+		k.count[cell] = 0
+	}
+	k.touched = k.touched[:0]
+}
+
+// send files node s's packet, on its receiver rcv, at the destination
+// the draw x picks as Intn(N-1) picks it.
+func (k *slotCells) send(s, rcv int, x uint64) {
+	d := int(x % k.others)
+	if d >= s {
+		d++
+	}
+	k.tally.sent++
+	cell := d*k.r + rcv
+	switch k.count[cell]++; k.count[cell] {
+	case 1:
+		k.touched = append(k.touched, int32(cell))
+	case 2:
+		k.tally.collided += 2
+		if k.hitSlot[d] != k.slot {
+			k.hitSlot[d] = k.slot
+			k.tally.nodeCollisions++
+		}
+	default:
+		k.tally.collided++
+	}
 }

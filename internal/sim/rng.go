@@ -14,7 +14,17 @@ import "math"
 // (xoshiro256**). It is not safe for concurrent use; derive one stream per
 // logical owner instead of sharing.
 type RNG struct {
-	s [4]uint64
+	s State
+}
+
+// State is a generator's four state words held by value. A kernel that
+// draws in a tight loop copies it out of its *RNG with State, steps it
+// with Next in local variables, which the compiler keeps in registers,
+// and writes it back with SetState once it is done; in between, the
+// *RNG must not be drawn from. The draws are those the *RNG would have
+// made: (*RNG).Uint64 is the same step applied through the pointer.
+type State struct {
+	s0, s1, s2, s3 uint64
 }
 
 // splitMix64 advances x and returns the next splitmix64 output. It is used
@@ -30,17 +40,14 @@ func splitMix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from seed. Two generators with the
 // same seed produce the same sequence.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
 	x := seed
-	for i := range r.s {
-		r.s[i] = splitMix64(&x)
-	}
+	s := State{splitMix64(&x), splitMix64(&x), splitMix64(&x), splitMix64(&x)}
 	// A state of all zeros would be a fixed point; splitmix64 of any seed
 	// cannot produce four zero words, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
+	if s.s0|s.s1|s.s2|s.s3 == 0 {
+		s.s0 = 1
 	}
-	return r
+	return &RNG{s}
 }
 
 // NewStream derives an independent generator from r identified by name.
@@ -57,17 +64,31 @@ func (r *RNG) NewStream(name string) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// Next returns the state one step on and the 64 uniformly distributed
+// bits that step yields. It is the generator's only step.
+func (s State) Next() (State, uint64) {
+	result := rotl(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = rotl(s.s3, 45)
+	return s, result
+}
+
+// State returns r's current state.
+func (r *RNG) State() State { return r.s }
+
+// SetState makes s r's state; r then draws what s would draw next.
+func (r *RNG) SetState(s State) { r.s = s }
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var x uint64
+	r.s, x = r.s.Next()
+	return x
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -80,7 +101,13 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return Unit(r.Uint64())
+}
+
+// Unit maps 64 drawn bits to the uniform float in [0, 1) that Float64
+// returns for them: their top 53 bits, scaled by 2^-53, which is exact.
+func Unit(x uint64) float64 {
+	return float64(x>>11) / (1 << 53)
 }
 
 // Bool returns true with probability p.
@@ -88,13 +115,42 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 { //lint:allow floateq exact-zero rejection sampling: log(0) is the only excluded point
-		u = r.Float64()
+// Threshold is Bool(p) as an integer comparison on drawn bits:
+// NewThreshold(p).Bool(x) is Unit(x) < p, for every x and every p.
+type Threshold uint64
+
+// NewThreshold returns the threshold of probability p, ceil(p * 2^53).
+// Unit(x) is k * 2^-53 exactly, for the integer k = x>>11 < 2^53, and
+// p * 2^53 is exact too (a power-of-two scale, and p only grows), so
+// k * 2^-53 < p holds exactly when k < ceil(p * 2^53). A p at or above 1
+// passes every k; a p at or below 0, and NaN, which compares false with
+// everything, pass none. Those are settled before the conversion, since
+// Go's uint64 of NaN, a negative or a huge float is not defined to be 0
+// or saturate (it is 2^63 on amd64).
+func NewThreshold(p float64) Threshold {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
 	}
-	return -mean * math.Log(u)
+	return Threshold(math.Ceil(p * (1 << 53)))
+}
+
+// Bool reports whether the draw x falls under the threshold.
+func (t Threshold) Bool(x uint64) bool {
+	return x>>11 < uint64(t)
+}
+
+// Exp returns an exponentially distributed value with the given mean.
+// The draw k = Uint64()>>11 is rejected when it is 0, the one point where
+// Float64 is 0 and log is -Inf, and then scaled as Float64 scales it.
+func (r *RNG) Exp(mean float64) float64 {
+	x := r.Uint64()
+	for x>>11 == 0 {
+		x = r.Uint64()
+	}
+	return -mean * math.Log(Unit(x))
 }
 
 // ZipfTable is the cumulative distribution of a Zipf-like law over [0, n)
