@@ -64,27 +64,17 @@ type lintBench struct {
 }
 
 // scaleBench times the 1024-node scale-half run (EXPERIMENTS.md's
-// wall-clock table) on the serial engine (sim.Engine) and on the
-// windowed parallel engine over Shards shards. The two engines execute
-// legally different schedules — the windowed run lands cross-node
-// interactions one lookahead later — so both cycle counts are
-// recorded; the speedup is the wall-clock ratio, which depends on
-// GOMAXPROCS (a 1-core host can only measure the windowing overhead).
-// BENCH_1..BENCH_11 timed the serial half on the withdrawn exact
-// sharded engine: the serial schedule, but ~1.7x slower by PR 24, so
-// their speedups flatter the windowed engine and -check gates the
-// windowed half's wall-clock instead.
+// wall-clock table) on the serial engine. Snapshots up to BENCH_15 also
+// timed the withdrawn windowed engine (shards, par_workers, par_cycles,
+// par_wall_seconds, speedup), which reading them ignores; BENCH_1..11
+// timed the serial half on the withdrawn exact sharded engine, up to
+// ~1.7x slower than sim.Engine, so -check against them is lenient.
 type scaleBench struct {
 	Nodes             int     `json:"nodes"`
 	App               string  `json:"app"`
 	Scale             float64 `json:"scale"`
-	Shards            int     `json:"shards"`
-	ParWorkers        int     `json:"par_workers"`
 	SerialCycles      int64   `json:"serial_cycles"`
-	ParCycles         int64   `json:"par_cycles"`
 	SerialWallSeconds float64 `json:"serial_wall_seconds"`
-	ParWallSeconds    float64 `json:"par_wall_seconds"`
-	Speedup           float64 `json:"speedup"`
 }
 
 // snapshot is the schema of one BENCH_<n>.json file. Map keys marshal
@@ -100,9 +90,9 @@ type snapshot struct {
 	// Lint is absent from snapshots predating the static-analysis
 	// suite; omitempty keeps old BENCH_<n>.json files comparable.
 	Lint *lintBench `json:"lint,omitempty"`
-	// Scale is absent from snapshots predating the windowed parallel
-	// engine; omitempty keeps old BENCH_<n>.json files comparable, and
-	// -check gates the parallel speedup only when its baseline has it.
+	// Scale is absent from BENCH_0.json; omitempty keeps old
+	// BENCH_<n>.json files comparable, and -check gates the scale run
+	// only when its baseline has it.
 	Scale *scaleBench `json:"scale,omitempty"`
 }
 
@@ -178,8 +168,8 @@ func main() {
 	index := flag.Int("n", -1, "snapshot index (-1 = one past the highest existing)")
 	jobs := flag.Int("j", 1, "concurrent simulations for experiment timings (0 = one per CPU)")
 	check := flag.String("check", "", "regression-gate mode: re-measure the engine hot path, compare against this snapshot, exit 1 on regression; writes nothing")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op and windowed scale-run slowdown in -check mode (allocs/op must never grow)")
-	noScale := flag.Bool("noscale", false, "skip the 1024-node scale measurement (about two serial minutes of simulation)")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op and scale-run slowdown in -check mode (allocs/op must never grow)")
+	noScale := flag.Bool("noscale", false, "skip the 1024-node scale measurement (one serial 1024-node run)")
 	ab := flag.String("ab", "", "A/B mode: run fsoibench in this checkout of the parent commit and in the cwd, in alternating pairs, and print each end-to-end metric's medians, quartile distances, ratio and wins; exit 1 on a failed repetition or unequal canonical_sha256; writes nothing")
 	abWorkload := flag.String("workload", "", "-ab: the BENCHMARK.json workload to measure (default: every one, in turn)")
 	abPairs := flag.Int("pairs", 10, "-ab: parent/change pairs per workload")
@@ -272,50 +262,35 @@ func main() {
 	fmt.Printf("fsoilint: %d packages loaded in %.2fs, analyzed in %.3fs (%d findings, %d workers)\n",
 		lb.Packages, lb.LoadSeconds, lb.RunSeconds, lb.Findings, snap.Workers)
 	if sc := snap.Scale; sc != nil {
-		fmt.Printf("scale: %d nodes serial %.1fs, -par %d %.1fs, speedup %.2fx (GOMAXPROCS %d)\n",
-			sc.Nodes, sc.SerialWallSeconds, sc.ParWorkers, sc.ParWallSeconds, sc.Speedup, snap.GOMAXPROCS)
+		fmt.Printf("scale: %d nodes serial %.2fs (GOMAXPROCS %d)\n", sc.Nodes, sc.SerialWallSeconds, snap.GOMAXPROCS)
 	}
 }
 
 // measureScale times the 1024-node scale-half run — jacobi at scale
-// 0.008, the EXPERIMENTS.md wall-clock table's row — on the serial
-// engine and on the windowed parallel engine (8 shards, 8 workers).
+// 0.008, the EXPERIMENTS.md wall-clock table's row.
 func measureScale() *scaleBench {
 	const (
-		nodes      = 1024
-		appName    = "jacobi"
-		appScale   = 0.008
-		shards     = 8
-		parWorkers = 8
+		nodes    = 1024
+		appName  = "jacobi"
+		appScale = 0.008
 	)
 	app, ok := workload.ByName(appName, appScale)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "benchtrend: unknown scale app %q\n", appName)
 		os.Exit(1)
 	}
-	run := func(par int) (int64, float64) {
-		cfg := system.Default(nodes, system.NetFSOI)
-		if par > 0 {
-			cfg.Shards, cfg.ParWorkers = shards, par
-		}
-		s := system.New(cfg)
-		start := time.Now()
-		m := s.Run(app)
-		wall := time.Since(start).Seconds()
-		if !m.Finished {
-			fmt.Fprintf(os.Stderr, "benchtrend: %d-node scale run did not finish\n", nodes)
-			os.Exit(1)
-		}
-		return int64(m.Cycles), wall
+	s := system.New(system.Default(nodes, system.NetFSOI))
+	start := time.Now()
+	m := s.Run(app)
+	wall := time.Since(start).Seconds()
+	if !m.Finished {
+		fmt.Fprintf(os.Stderr, "benchtrend: %d-node scale run did not finish\n", nodes)
+		os.Exit(1)
 	}
-	sc := &scaleBench{
+	return &scaleBench{
 		Nodes: nodes, App: appName, Scale: appScale,
-		Shards: shards, ParWorkers: parWorkers,
+		SerialCycles: int64(m.Cycles), SerialWallSeconds: wall,
 	}
-	sc.SerialCycles, sc.SerialWallSeconds = run(0)
-	sc.ParCycles, sc.ParWallSeconds = run(parWorkers)
-	sc.Speedup = sc.SerialWallSeconds / sc.ParWallSeconds
-	return sc
 }
 
 // timeLint measures one fsoilint pass over the module the snapshot is
@@ -351,7 +326,7 @@ func timeLint(workers int) (*lintBench, error) {
 // the tolerance. Allocation counts are machine-independent and must
 // not grow on any run; the fastest run's ns/op is compared with the
 // fractional tolerance to absorb host-to-host variance, and so is the
-// windowed half of the scale run when the baseline has one.
+// scale run's wall-clock when the baseline has one.
 func checkEngine(baselinePath string, tolerance float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -386,24 +361,19 @@ func checkEngine(baselinePath string, tolerance float64) error {
 	}
 	fmt.Printf("engine hot path within %.0f%% of %s\n", tolerance*100, baselinePath)
 
-	// The windowed-engine gate exists only for baselines that recorded
-	// a scale section; older snapshots (BENCH_0.json predates the
-	// windowed engine) skip it, keeping -check backward-compatible. It
-	// gates the windowed half's wall-clock, not the speedup: BENCH_1..11
-	// timed the serial half on the withdrawn exact engine, so their
-	// speedups are not comparable with a sim.Engine serial half.
+	// The scale gate exists only for baselines that recorded a scale
+	// section; BENCH_0.json skips it, keeping -check backward-compatible.
 	if base.Scale != nil {
 		fresh := measureScale()
-		limit := base.Scale.ParWallSeconds * (1 + tolerance)
+		limit := base.Scale.SerialWallSeconds * (1 + tolerance)
 		verdict := "ok"
-		if fresh.ParWallSeconds > limit {
+		if fresh.SerialWallSeconds > limit {
 			verdict = fmt.Sprintf("FAIL: exceeds baseline by more than %.0f%%", tolerance*100)
 		}
-		fmt.Printf("scale %-8d  -par %d %.2fs (baseline %.2fs, limit %.2fs), serial %.2fs, speedup %.2fx (baseline %.2fx)  %s\n",
-			fresh.Nodes, fresh.ParWorkers, fresh.ParWallSeconds, base.Scale.ParWallSeconds, limit,
-			fresh.SerialWallSeconds, fresh.Speedup, base.Scale.Speedup, verdict)
-		if fresh.ParWallSeconds > limit {
-			return fmt.Errorf("windowed scale run regressed against %s", baselinePath)
+		fmt.Printf("scale %-8d  serial %.2fs (baseline %.2fs, limit %.2fs)  %s\n",
+			fresh.Nodes, fresh.SerialWallSeconds, base.Scale.SerialWallSeconds, limit, verdict)
+		if fresh.SerialWallSeconds > limit {
+			return fmt.Errorf("scale run regressed against %s", baselinePath)
 		}
 	}
 	return nil

@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chromeTrace := fs.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
 	profilePath := fs.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
 	detect := fs.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
-	par := fs.Int("par", 0, "run on the windowed parallel engine with N workers on N shards (FSOI only; byte-identical at every worker count, a different schedule from the serial engine's)")
 	canonicalPath := fs.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
 	configPath := fs.String("config", "", "JSON spec read before the flags (see internal/config); every flag given beside it overrides the spec's field")
 	listApps := fs.Bool("listapps", false, "list applications and exit")
@@ -107,8 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *detect {
 				spec.Detect = true
 			}
-		case "par":
-			spec.ParWorkers = *par
 		}
 	})
 	cfg, err := spec.Build()
@@ -200,10 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nengine              %d events fired, event-queue high-water mark %d\n",
 			e.EventsFired(), e.MaxQueueDepth())
 		fmt.Fprintf(stdout, "cpu profile         written to %s\n", *profilePath)
-	}
-	if w := s.WindowEngine(); w != nil {
-		fmt.Fprintf(stdout, "parallel            %d shards x %d workers, %d windows of %d cycles, %d cross-shard handoffs (%d tight)\n",
-			w.Shards(), w.Workers(), w.WindowCount(), w.Lookahead(), w.Handoffs(), w.TightHandoffs())
 	}
 	if *canonicalPath != "" {
 		text := m.Canonical()

@@ -68,7 +68,6 @@ func TestConfigAndFlagsAreOneInputPath(t *testing.T) {
 // "fsoisim: ..." line and exit code 2, never a stack trace.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	for _, args := range [][]string{
-		{"-net", "mesh", "-par", "2"},
 		{"-nodes", "20"},
 		{"-net", "nope"},
 		{"-app", "nope"},
@@ -81,15 +80,16 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-scale", "-1"},
 		{"-membw", "-5"},
 		{"-trace", "-3"},
-		{"-par", "-1"},
 		{"-config", writeSpec(t, `{"receivers": -2}`)},
 		// A node's arrival mask is one word.
 		{"-config", writeSpec(t, `{"receivers": 65}`)},
 		// A one-slot backoff cap retries colliding senders in lockstep.
 		{"-config", writeSpec(t, `{"max_backoff_slots": 1}`)},
-		// The exact sharded engine is withdrawn, and its knob with it.
+		// The sharded engines are withdrawn, and their knobs with them.
 		{"-shards", "2"},
 		{"-config", writeSpec(t, `{"shards": 4}`)},
+		{"-par", "2"},
+		{"-config", writeSpec(t, `{"par_workers": 2}`)},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

@@ -122,7 +122,7 @@ type DirStats struct {
 type Directory struct {
 	id      int
 	cfg     DirConfig
-	engine  sim.Scheduler
+	engine  *sim.Engine
 	tr      Transport
 	memNode func(home int) int // memory-controller attach point
 	// entries finds a line's record: the value locates it in slab as
@@ -205,7 +205,7 @@ type delayedSend struct {
 // records still come out of the slab in the order a new slice's would:
 // chunk by chunk, each chunk the size the ramp gives its index. A nil
 // donor is ignored.
-func NewDirectory(id int, cfg DirConfig, engine sim.Scheduler, tr Transport, memNode func(int) int, donor ...*Directory) *Directory {
+func NewDirectory(id int, cfg DirConfig, engine *sim.Engine, tr Transport, memNode func(int) int, donor ...*Directory) *Directory {
 	d := &Directory{
 		id:      id,
 		cfg:     cfg,

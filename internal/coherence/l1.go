@@ -96,7 +96,7 @@ type L1Stats struct {
 type L1 struct {
 	id     int
 	cfg    L1Config
-	engine sim.Scheduler
+	engine *sim.Engine
 	rng    *sim.RNG
 	array  *cache.Cache
 	// trans is the miss-status file: the lines mid-transaction, at most
@@ -115,7 +115,7 @@ type L1 struct {
 // same geometry (the node's L1 in a finished simulation), it takes over
 // that controller's cache array, emptied; the donor must not be used
 // again. A donor of another geometry, or nil, is ignored.
-func NewL1(id int, cfg L1Config, engine sim.Scheduler, rng *sim.RNG, tr Transport, home func(cache.LineAddr) int, donor ...*L1) *L1 {
+func NewL1(id int, cfg L1Config, engine *sim.Engine, rng *sim.RNG, tr Transport, home func(cache.LineAddr) int, donor ...*L1) *L1 {
 	l := &L1{
 		id:     id,
 		cfg:    cfg,

@@ -64,13 +64,6 @@ type Spec struct {
 
 	// Diagnostics.
 	TracePackets int `json:"trace_packets,omitempty"`
-
-	// ParWorkers > 0 selects the windowed parallel engine (FSOI only):
-	// ParWorkers shards advance concurrently through lookahead-wide
-	// windows on as many OS threads. Results are byte-identical at every
-	// worker count but run a conservatively windowed schedule, so they
-	// are not comparable cycle-for-cycle with the serial engine.
-	ParWorkers int `json:"par_workers,omitempty"`
 }
 
 // OptSpec toggles the §5 optimizations; nil means all on (the paper
@@ -236,9 +229,6 @@ func (s Spec) Build() (system.Config, error) {
 	cfg := system.Default(nodes, kind)
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
-	}
-	if s.ParWorkers > 0 {
-		cfg.ParWorkers = s.ParWorkers
 	}
 	if s.MetaVCSELs > 0 {
 		cfg.FSOI.MetaVCSELs = s.MetaVCSELs

@@ -32,9 +32,12 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"nodse": 16}`)); err == nil {
 		t.Fatal("typos must fail loudly")
 	}
-	// The exact sharded engine's knob is withdrawn: "shards" is a typo now.
-	if _, err := Parse([]byte(`{"shards": 4}`)); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
-		t.Fatalf(`{"shards": 4}: Parse() = %v, want an unknown-field error`, err)
+	// The withdrawn engines' knobs are typos now.
+	for _, key := range []string{"shards", "par_workers"} {
+		js := `{"` + key + `": 2}`
+		if _, err := Parse([]byte(js)); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Fatalf(`%s: Parse() = %v, want an unknown-field error`, js, err)
+		}
 	}
 }
 
@@ -47,7 +50,7 @@ func TestBuildRejectsNegativeNumbers(t *testing.T) {
 		`{"receivers": -2}`, `{"window_w": -2.7}`, `{"backoff_b": -1.1}`, `{"out_queue": -8}`,
 		`{"max_backoff_slots": -1}`, `{"confirm_timeout_slots": -1}`, `{"detect_window": -5}`,
 		`{"memory_gbps": -5}`, `{"memory_channels": -4}`, `{"router_cycles": -1}`,
-		`{"mesh_bandwidth_frac": -0.5}`, `{"trace_packets": -3}`, `{"par_workers": -1}`,
+		`{"mesh_bandwidth_frac": -0.5}`, `{"trace_packets": -3}`,
 	} {
 		s, err := Parse([]byte(js))
 		if err != nil {
@@ -269,7 +272,8 @@ func TestBuildFaultRejectsBadSections(t *testing.T) {
 // FuzzSpecBuild pins the CLI contract: no JSON spec panics Parse or
 // Build, and a spec Build accepts is one system.New accepts too — what
 // a user can get wrong is an error, never a stack trace. Seeds are the
-// five specs that used to panic in New plus the specs CI runs.
+// five specs that used to panic in New plus the specs CI runs; those
+// with "par_workers" are Parse errors since the key was withdrawn.
 func FuzzSpecBuild(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -299,13 +303,11 @@ func FuzzSpecBuild(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Keep assembly cheap: these sizes cost memory and goroutines,
+		// Keep assembly cheap: these sizes cost memory,
 		// not correctness.
-		if cfg.Nodes > 64 || cfg.ParWorkers > 8 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
+		if cfg.Nodes > 64 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
 			return
 		}
-		if w := system.New(cfg).WindowEngine(); w != nil {
-			w.Close()
-		}
+		system.New(cfg)
 	})
 }

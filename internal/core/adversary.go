@@ -34,9 +34,8 @@ type LinkObserver interface {
 	NoteBackoff(src, dst, attempt int)
 }
 
-// SetLinkObservers attaches one contention sink per node (the nodes of
-// one engine block may share theirs); observations are always recorded
-// into the executing node's sink, and the sinks' tallies merge exactly,
-// so they aggregate identically at every shard and worker count. Passing
-// nil detaches tracking.
+// SetLinkObservers attaches one contention sink per node (nodes may
+// share theirs); observations are always recorded into the executing
+// node's sink, and the sinks' tallies merge exactly. Passing nil
+// detaches tracking.
 func (n *Network) SetLinkObservers(sinks []LinkObserver) { n.linkObs = sinks }

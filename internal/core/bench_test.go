@@ -20,7 +20,7 @@ func newHotspot() *hotspot {
 	h := &hotspot{engine: sim.NewEngine()}
 	h.n = New(PaperConfig(64), h.engine, sim.NewRNG(1))
 	h.n.SetConfirmDelivery(func(*noc.Packet, sim.Cycle) { h.confirmed++ })
-	h.n.RegisterSweeps()
+	h.n.RegisterSweep()
 	return h
 }
 

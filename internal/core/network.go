@@ -52,9 +52,8 @@ type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
 //
 // Ownership transfers with the packet: between transmit and resolution
 // the destination node owns the transmission exclusively; a failed
-// attempt is handed back to the source node (a scheduled event on the
-// source's shard) before the source touches it again. No two nodes ever
-// hold it in the same cycle window.
+// attempt is handed back to the source node (a scheduled event in the
+// source's context) before the source touches it again.
 //
 // Records are recycled through the source node's free list
 // (nodeState.txFree): acquired in startSlot (in Send, by a packet to its
@@ -146,8 +145,7 @@ func (tx *transmission) confirm(now sim.Cycle) {
 func (tx *transmission) requeue(now sim.Cycle) { tx.n.parkRetry(tx, now) }
 
 // nodeState is the per-node transmit machinery. Everything in here is
-// touched only from events and ticks executing on the owning node, so a
-// partitioned engine never sees two shards in the same nodeState.
+// touched only from events and ticks executing on the owning node.
 type nodeState struct {
 	queue    [numLanes][]queued // outgoing packets, each with its scheduling hold
 	retries  [numLanes][]*transmission
@@ -238,7 +236,7 @@ type Stats struct {
 
 // add folds o into s; integer addition is exact and commutative, and the
 // depth fields merge by max (also commutative), so the per-node tallies
-// aggregate identically at every shard and worker count.
+// aggregate identically in any merge order.
 func (s *Stats) add(o *Stats) {
 	for l := 0; l < int(numLanes); l++ {
 		s.Attempts[l] += o.Attempts[l]
@@ -303,16 +301,13 @@ func (s *Stats) RetransmissionRate(l Lane) float64 {
 // transmit machinery (nodeState), per-node RNG streams, per-node stats
 // and latency accumulators, and a per-node slice of the shared
 // confirmation-lane bookkeeping. Code executing for node i — its tick,
-// or an event scheduled onto it — touches only node i's slices, so the
-// network runs unchanged on the serial engine, the exact sharded engine,
-// and the windowed parallel engine.
+// or an event scheduled for it — touches only node i's slices.
 type Network struct {
 	cfg       Config
 	slotLen   [numLanes]int64 // cfg.SlotCycles per lane, computed once
 	windows   [64]float64     // windows[k] = WindowW*BackoffB^k, filled in New and read-only after (see window)
-	engine    sim.Scheduler   // setup and end-of-run reporting only
-	scheds    []sim.Scheduler // per-node view of the engine (shard proxies when windowed)
-	nrng      []*sim.RNG      // per-node random streams, derived in node order
+	engine    *sim.Engine
+	nrng      []*sim.RNG // per-node random streams, derived in node order
 	deliverFn noc.DeliveryFunc
 	confirmFn ConfirmFunc
 	bitFn     BitFunc
@@ -321,9 +316,7 @@ type Network struct {
 	stats     []Stats
 	nodes     []*nodeState
 	busy      *sim.BusySet // nodes with a packet queued, in retry, or arriving
-	blocks    []sim.Block  // the engine's blocks of nodes, one busy-node sweep each
-	blockOf   []int32      // node -> its block
-	sweeps    []sim.Wake   // per block: its sweep's alarm (zero until RegisterSweeps)
+	sweep     sim.Wake     // the busy-node sweep's alarm (zero until RegisterSweep)
 	conf      *confLane
 	ber       float64        // per-bit error probability on the signaling chain
 	fault     FaultModel     // nil unless an injector is attached
@@ -332,28 +325,17 @@ type Network struct {
 }
 
 // New builds an FSOI network over the engine; it panics on an invalid
-// configuration (configs are produced by code, not user input). When the
-// engine partitions nodes (sim.NodeScheduler), every per-node event the
-// network schedules goes through that node's own scheduler view.
-func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
+// configuration (configs are produced by code, not user input).
+func New(cfg Config, engine *sim.Engine, rng *sim.RNG) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	blocks := sim.Blocks(engine, cfg.Nodes)
 	n := &Network{
-		cfg:     cfg,
-		engine:  engine,
-		conf:    newConfLane(cfg.Nodes, cfg.BitsPerCycle),
-		ber:     1e-10,
-		busy:    sim.NewBusySet(blocks),
-		blocks:  blocks,
-		blockOf: make([]int32, cfg.Nodes),
-		sweeps:  make([]sim.Wake, len(blocks)),
-	}
-	for k, blk := range blocks {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			n.blockOf[i] = int32(k)
-		}
+		cfg:    cfg,
+		engine: engine,
+		conf:   newConfLane(cfg.Nodes, cfg.BitsPerCycle),
+		ber:    1e-10,
+		busy:   sim.NewBusySet(cfg.Nodes),
 	}
 	for l := range n.slotLen {
 		n.slotLen[l] = int64(cfg.SlotCycles(Lane(l)))
@@ -362,7 +344,6 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 		n.windows[k] = cfg.WindowW * math.Pow(cfg.BackoffB, float64(k))
 	}
 	base := rng.NewStream("fsoi")
-	n.scheds = make([]sim.Scheduler, cfg.Nodes)
 	n.nrng = make([]*sim.RNG, cfg.Nodes)
 	n.stats = make([]Stats, cfg.Nodes)
 	n.lat = make([]noc.LatencyStats, cfg.Nodes)
@@ -372,7 +353,6 @@ func New(cfg Config, engine sim.Scheduler, rng *sim.RNG) *Network {
 	states := make([]nodeState, cfg.Nodes)
 	buckets := make([][]*transmission, cfg.Nodes*int(numLanes)*cfg.Receivers)
 	for i := range n.nodes {
-		n.scheds[i] = sim.SchedulerFor(engine, i)
 		n.nrng[i] = base.NewStream("node-" + strconv.Itoa(i))
 		ns := &states[i]
 		ns.replyEWMA = 30
@@ -402,17 +382,16 @@ func (n *Network) LatencyStats() *noc.LatencyStats {
 	return out
 }
 
-// Lookahead declares FSOI's conservative cross-shard window for the
-// sharded engine: the fixed confirmation delay (+2 cycles in the
-// paper). Every cross-node event the network schedules — a slot arrival
-// (one slot length, ≥ ConfirmDelay at paper widths), a failure handback
-// or confirmation (exactly ConfirmDelay) — lands at least this far
-// ahead.
+// Lookahead is the finish-notice delay the system layer uses on FSOI
+// (noc.Lookaheader): the fixed confirmation delay (+2 cycles in the
+// paper), the least delay of any cross-node event the network
+// schedules — a slot arrival (one slot length, ≥ ConfirmDelay at paper
+// widths), a failure handback or confirmation (exactly ConfirmDelay).
 func (n *Network) Lookahead() sim.Cycle {
 	la := sim.Cycle(n.cfg.ConfirmDelay)
-	// A transmission's arrival handoff has exactly one slot of slack, so
-	// a lane with slots shorter than the confirmation delay (an unusual
-	// but legal lane-width choice) caps the window.
+	// A transmission's arrival lands one slot ahead, so a lane with slots
+	// shorter than the confirmation delay (an unusual but legal
+	// lane-width choice) caps it.
 	for _, s := range n.slotLen {
 		if sim.Cycle(s) < la {
 			la = sim.Cycle(s)
@@ -483,7 +462,6 @@ func laneFor(p *noc.Packet) Lane {
 // Send enqueues a packet on its lane's outgoing queue. It must be called
 // from the source node's context (or at setup, before the engine runs).
 func (n *Network) Send(p *noc.Packet) bool {
-	sched := n.scheds[p.Src]
 	if p.Src == p.Dst {
 		// Same-node traffic short-circuits through the local port in one
 		// cycle; the optical layer is never involved, but the sender
@@ -491,12 +469,12 @@ func (n *Network) Send(p *noc.Packet) bool {
 		// events ride a transmission record's bound callbacks; a node
 		// never logs a request to itself, so deliver's reply-timing step
 		// finds nothing.
-		p.Created = sched.Now()
+		p.Created = n.engine.Now()
 		p.NetworkDelay = 1
 		tx := n.acquire(p.Src, n.nodes[p.Src])
 		tx.pkt = p
-		sched.After(1, tx.deliverFn)
-		sched.After(1+sim.Cycle(n.cfg.ConfirmDelay), tx.confirmFn)
+		n.engine.After(1, tx.deliverFn)
+		n.engine.After(1+sim.Cycle(n.cfg.ConfirmDelay), tx.confirmFn)
 		return true
 	}
 	lane := laneFor(p)
@@ -504,7 +482,7 @@ func (n *Network) Send(p *noc.Packet) bool {
 	if len(ns.queue[lane]) >= n.cfg.OutQueue {
 		return false
 	}
-	p.Created = sched.Now()
+	p.Created = n.engine.Now()
 	ns.queue[lane] = append(ns.queue[lane], n.schedulePacket(ns, p, lane))
 	n.join(p.Src, p.Created, false)
 	return true
@@ -514,7 +492,7 @@ func (n *Network) Send(p *noc.Packet) bool {
 // packet's queue entry, with a not-before cycle when one of them holds it.
 func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued {
 	q := queued{pkt: p}
-	now := n.scheds[p.Src].Now()
+	now := n.engine.Now()
 	dataSlot := n.slotLen[LaneData]
 	switch {
 	case lane == LaneMeta && p.ExpectsDataReply && n.cfg.Opt.ReceiverScheduling:
@@ -545,7 +523,7 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued
 			wb.announceFn, wb.grantFn = wb.announce, wb.grant
 		}
 		wb.pkt = p
-		noc.ScheduleAt(n.scheds[p.Src], p.Dst, now+cd, wb.announceFn)
+		n.engine.At(now+cd, wb.announceFn)
 	}
 	return q
 }
@@ -559,50 +537,38 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued
 func (n *Network) SendConfirmBit(src, dst int, tag uint64, value bool) {
 	n.stats[src].ConfirmBits++
 	n.conf.reserve(src, dst)
-	now := n.scheds[src].Now()
+	now := n.engine.Now()
 	extra := n.conf.sendDelay(src, now, 1)
-	noc.ScheduleAt(n.scheds[src], dst, now+sim.Cycle(n.cfg.ConfirmDelay)+extra, func(now sim.Cycle) {
+	n.engine.At(now+sim.Cycle(n.cfg.ConfirmDelay)+extra, func(now sim.Cycle) {
 		if n.bitFn != nil {
 			n.bitFn(src, dst, tag, value, now)
 		}
 	})
 }
 
-// Tick advances the whole network one cycle on a single-threaded engine:
-// every block's sweep, in block (hence node) order.
+// RegisterSweep puts the network's per-cycle work on the engine it was
+// built over: one Tick sweep over the busy nodes. The sweep sleeps until
+// a node has work at a slot boundary: a node joining the busy set wakes
+// it, and it re-arms itself while a node stays busy. It returns the
+// sweep's alarm.
+func (n *Network) RegisterSweep() sim.Wake {
+	n.sweep = sim.Sleeper(n.engine, sim.TickFunc(n.Tick))
+	return n.sweep
+}
+
+// Tick advances the network one cycle. The network is relay-free and
+// unarbitrated, so a node with nothing queued, nothing in backoff and
+// nothing arriving has no work at a slot boundary, and no node has any
+// between boundaries: only the busy nodes are ticked, in ascending id
+// order, and only on a cycle that opens a slot on some lane. While a
+// node stays busy the sweep re-arms for the next such cycle.
 func (n *Network) Tick(now sim.Cycle) {
-	for k := range n.blocks {
-		n.TickBlock(k, now)
-	}
-}
-
-// RegisterSweeps puts the network's per-cycle work on the engine it was
-// built over: one TickBlock sweep per block of nodes, registered through
-// the block's first node's scheduler so that it ticks in that shard's
-// context. Each sweep sleeps until its block has work at a slot
-// boundary: a node joining the busy set wakes it, and it re-arms itself
-// while a node stays busy. It returns the sweeps' alarms in block order.
-func (n *Network) RegisterSweeps() []sim.Wake {
-	for k, blk := range n.blocks {
-		n.sweeps[k] = sim.Sleeper(n.scheds[blk.Lo], sim.TickFunc(func(now sim.Cycle) { n.TickBlock(k, now) }))
-	}
-	return n.sweeps
-}
-
-// TickBlock advances block k's nodes one cycle. The network is
-// relay-free and unarbitrated, so a node with nothing queued, nothing in
-// backoff and nothing arriving has no work at a slot boundary, and no
-// node has any between boundaries: only the busy nodes are ticked, in
-// ascending id order, and only on a cycle that opens a slot on some lane.
-// While a node stays busy the block's sweep re-arms for the next such
-// cycle.
-func (n *Network) TickBlock(k int, now sim.Cycle) {
 	slot, opens, next := n.slotsAt(now)
 	if opens {
-		n.busy.Each(k, func(id int) { n.tickNode(id, slot, now) })
+		n.busy.Each(func(id int) { n.tickNode(id, slot, now) })
 	}
-	if n.busy.Any(k) {
-		n.sweeps[k].At(next)
+	if n.busy.Any() {
+		n.sweep.At(next)
 	}
 }
 
@@ -622,11 +588,10 @@ func (n *Network) slotsAt(now sim.Cycle) (slot [numLanes]int64, opens bool, next
 	return slot, opens, next
 }
 
-// NextSweep reports the first cycle from now on in which block k's sweep
-// has work: the next slot boundary on either lane, while a node of the
-// block is busy.
-func (n *Network) NextSweep(k int, now sim.Cycle) (sim.Cycle, bool) {
-	if !n.busy.Any(k) {
+// NextSweep reports the first cycle from now on in which the sweep has
+// work: the next slot boundary on either lane, while a node is busy.
+func (n *Network) NextSweep(now sim.Cycle) (sim.Cycle, bool) {
+	if !n.busy.Any() {
 		return 0, false
 	}
 	return n.nextBoundary(now), true
@@ -642,7 +607,7 @@ func (n *Network) nextBoundary(now sim.Cycle) sim.Cycle {
 }
 
 // join adds node id to the busy set, in its own context at cycle now. A
-// node that was not busy wakes its block's sweep for the first slot
+// node that was not busy wakes the sweep for the first slot
 // boundary from now on, which is now when the caller says so; one that
 // was already has it armed.
 func (n *Network) join(id int, now sim.Cycle, boundary bool) {
@@ -650,7 +615,7 @@ func (n *Network) join(id int, now sim.Cycle, boundary bool) {
 		if !boundary {
 			now = n.nextBoundary(now)
 		}
-		n.sweeps[n.blockOf[id]].At(now)
+		n.sweep.At(now)
 	}
 }
 
@@ -796,11 +761,8 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 		}
 		n.observe(id, kind, tx, l, now, slot)
 	}
-	// The arrival belongs to the destination node's shard; a slot is at
-	// least ConfirmDelay (2) cycles long, so the handoff clears the
-	// lookahead window.
-	slotEnd := sim.Cycle((slot + 1) * n.slotLen[l])
-	noc.ScheduleAt(n.scheds[id], p.Dst, slotEnd, tx.arriveFn)
+	// The arrival lands in the destination's context at the slot's end.
+	n.engine.At(sim.Cycle((slot+1)*n.slotLen[l]), tx.arriveFn)
 }
 
 // resolveGroup adjudicates one receiver slot at its end, in the
@@ -966,13 +928,12 @@ func (n *Network) issueHint(dst int, group []*transmission) bool {
 
 // failBack returns a failed transmission to its sender: physically, the
 // sender learns of the failure when no confirmation arrives, slot end +
-// ConfirmDelay — which is exactly the engine's lookahead, so the
-// handback is a legal cross-shard event. The failed slot and the hint
+// ConfirmDelay. The failed slot and the hint
 // verdict ride on the record; the backoff draw then runs in the sender's
 // context, on the sender's stream.
 func (n *Network) failBack(from int, tx *transmission, slot int64, now sim.Cycle, isWinner bool) {
 	tx.failedSlot, tx.winner = slot, isWinner
-	noc.ScheduleAt(n.scheds[from], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), tx.backoffFn)
+	n.engine.At(now+sim.Cycle(n.cfg.ConfirmDelay), tx.backoffFn)
 }
 
 // backoff schedules a retransmission, in the sender's context. The
@@ -1030,8 +991,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 // window returns the exponential backoff window W*B^(attempt-1) in slots,
 // before the floor of one slot and the cap: read from the table New built
 // while it reaches, computed the same way past its end, so every window
-// has the bits math.Pow gives it. The table is never written after New,
-// so senders on every shard read it freely.
+// has the bits math.Pow gives it. The table is never written after New.
 func (n *Network) window(attempt int) float64 {
 	if k := attempt - 1; k >= 0 && k < len(n.windows) {
 		return n.windows[k]
@@ -1095,7 +1055,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 			// must run inline — an event at `now` would slip a cycle.
 			n.deliver(p, now)
 		} else {
-			noc.ScheduleAt(n.scheds[dst], p.Dst, deliverAt, tx.deliverFn)
+			n.engine.At(deliverAt, tx.deliverFn)
 		}
 	}
 	lost := n.fault != nil && n.fault.DropConfirm(tx.src, p.Dst, now)
@@ -1120,16 +1080,15 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 		if n.obs != nil {
 			n.observe(dst, obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
 		}
-		noc.ScheduleAt(n.scheds[dst], tx.src, now+sim.Cycle(n.cfg.ConfirmDelay), tx.requeueFn)
+		n.engine.At(now+sim.Cycle(n.cfg.ConfirmDelay), tx.requeueFn)
 		return
 	}
 	st.ConfirmSignals++
 	// The receipt confirmation occupies the receiver node's confirmation
 	// lane; its header-sized payload is a handful of mini-cycles.
 	confExtra := n.conf.sendDelay(p.Dst, deliverAt, 4)
-	// The confirmation informs the sender, at least ConfirmDelay ahead:
-	// the handoff back to the source's shard clears the window exactly.
-	noc.ScheduleAt(n.scheds[dst], p.Src, deliverAt+sim.Cycle(n.cfg.ConfirmDelay)+confExtra, tx.confirmFn)
+	// The confirmation informs the sender, at least ConfirmDelay ahead.
+	n.engine.At(deliverAt+sim.Cycle(n.cfg.ConfirmDelay)+confExtra, tx.confirmFn)
 }
 
 // noteReplyArrival updates the requester's reply-latency estimate used by

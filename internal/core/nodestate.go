@@ -137,7 +137,7 @@ func (wb *wbSplit) announce(at sim.Cycle) {
 	cd := sim.Cycle(n.cfg.ConfirmDelay)
 	dataSlot := n.slotLen[LaneData]
 	wb.slot = n.nodes[p.Dst].reserved.reserve(int64(at+cd)/dataSlot+1, int64(at)/dataSlot)
-	noc.ScheduleAt(n.scheds[p.Dst], p.Src, at+cd, wb.grantFn)
+	n.engine.At(at+cd, wb.grantFn)
 }
 
 // grant runs back at the sender: the writeback is held until the granted

@@ -263,3 +263,69 @@ func TestGrantFindsQueuedWriteback(t *testing.T) {
 	}()
 	engine.Run(2*cd + 1)
 }
+
+// liveReservations counts node's reservations for the data slot containing
+// the engine's present cycle or a later one: the only ones a lookup can
+// still read.
+func liveReservations(n *Network, e *sim.Engine, node int) int {
+	return n.nodes[node].reserved.live(int64(e.Now()) / n.slotLen[LaneData])
+}
+
+// reservationNet is a 16-node network with only the given optimization on,
+// no bit errors, and its sweep ticking every cycle.
+func reservationNet(opt Optimizations) (*Network, *sim.Engine) {
+	cfg := PaperConfig(16)
+	cfg.Opt = opt
+	e := sim.NewEngine()
+	n := New(cfg, e, sim.NewRNG(1))
+	n.SetBitErrorRate(0)
+	n.SetDelivery(func(*noc.Packet, sim.Cycle) {})
+	e.Register(sim.TickFunc(n.Tick))
+	return n, e
+}
+
+// TestWritebackReservationExpiresAtHomeNode: the §5.2 writeback split
+// reserves a data slot in the *home* node's receiver state, made by the
+// announcement once it reaches the home node, and the reservation must be
+// dead once its slot has passed.
+func TestWritebackReservationExpiresAtHomeNode(t *testing.T) {
+	n, e := reservationNet(Optimizations{WritebackSplit: true})
+	src, home := 1, 9
+	if !n.Send(&noc.Packet{Src: src, Dst: home, Type: noc.Data, IsWriteback: true}) {
+		t.Fatal("writeback send rejected")
+	}
+	// The announcement rides to the home node (ConfirmDelay cycles);
+	// only then is the reservation made.
+	if liveReservations(n, e, home) != 0 {
+		t.Fatal("the home node reserved a slot before the announcement arrived")
+	}
+	e.Run(4)
+	if liveReservations(n, e, home) != 1 {
+		t.Fatal("writeback announce did not reserve a slot at the home node")
+	}
+	if liveReservations(n, e, src) != 0 {
+		t.Fatal("the writeback reserved a slot at its sender")
+	}
+	e.Run(5000)
+	if live := liveReservations(n, e, home); live != 0 {
+		t.Fatalf("home-node reservation still live after its slot: %d in %v", live, n.nodes[home].reserved.slots)
+	}
+}
+
+// TestReceiverSchedulingReservationExpires covers the sibling path: a
+// request with receiver scheduling reserves the reply slot at its own
+// node, and that reservation too is dead once its slot has passed.
+func TestReceiverSchedulingReservationExpires(t *testing.T) {
+	n, e := reservationNet(Optimizations{ReceiverScheduling: true})
+	src := 2
+	if !n.Send(&noc.Packet{Src: src, Dst: 11, Type: noc.Meta, ExpectsDataReply: true}) {
+		t.Fatal("request send rejected")
+	}
+	if liveReservations(n, e, src) != 1 {
+		t.Fatal("receiver scheduling did not reserve the reply slot")
+	}
+	e.Run(5000)
+	if live := liveReservations(n, e, src); live != 0 {
+		t.Fatalf("reply-slot reservation still live after its slot: %d in %v", live, n.nodes[src].reserved.slots)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"fsoi/internal/noc"
 	"fsoi/internal/obs"
 	"fsoi/internal/sim"
-	"fsoi/internal/sim/shard"
 )
 
 // refTicker is the reference model the busy-set sweep replaced: every
@@ -87,8 +86,7 @@ const (
 	tickSweep     tickMode = iota // Network.Tick: the production sweep
 	tickReference                 // refTicker
 	tickPerNode                   // TickNode registered per node, as bench/drivers.go does
-	tickSharded                   // Network.Tick over three uneven blocks on the exact sharded engine
-	tickSleeping                  // RegisterSweeps: the sweep asleep until woken, as system.New registers it, and Run jumping idle cycles
+	tickSleeping                  // RegisterSweep: the sweep asleep until woken, as system.New registers it, and Run jumping idle cycles
 )
 
 // noisyModels is a FaultModel and AdversaryModel that exercises every
@@ -154,12 +152,7 @@ type outcome struct {
 // checking the busy invariant after every cycle of a non-reference run.
 func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle) outcome {
 	t.Helper()
-	var engine sim.Driver = sim.NewEngine()
-	if mode == tickSharded {
-		se := shard.New(3)
-		se.AssignNodes(cfg.Nodes)
-		engine = se
-	}
+	engine := sim.NewEngine()
 	n := New(cfg, engine, sim.NewRNG(7))
 	var out outcome
 	n.SetDelivery(func(p *noc.Packet, now sim.Cycle) {
@@ -175,7 +168,7 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	models := &noisyModels{rng: sim.NewRNG(11)}
 	n.SetFaultModel(models)
 	n.SetAdversaryModel(models)
-	rec := obs.NewSharded([]sim.Block{{Hi: cfg.Nodes}}, 0)
+	rec := obs.NewSharded([]obs.Block{{Hi: cfg.Nodes}}, 0)
 	n.SetObserver(rec)
 	sinks := make([]LinkObserver, cfg.Nodes)
 	for i := range sinks {
@@ -193,7 +186,7 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 			engine.Register(sim.TickFunc(func(now sim.Cycle) { n.TickNode(id, now) }))
 		}
 	case tickSleeping:
-		n.RegisterSweeps()
+		n.RegisterSweep()
 	default:
 		engine.Register(sim.TickFunc(n.Tick))
 	}
@@ -311,8 +304,8 @@ func sameOutcome(t *testing.T, what string, got, want outcome) {
 }
 
 // TestSweepMatchesReference is the differential test: the busy-set
-// sweep, the per-node TickNode drive, the multi-block sweep and the
-// sleeping sweep must all reproduce the every-node reference exactly — stats (with the
+// sweep, the per-node TickNode drive and the sleeping sweep must all
+// reproduce the every-node reference exactly — stats (with the
 // arithmetic SlotsObserved against the counted one), latency, delivery
 // order, lifecycle events and engine event count — with faults,
 // adversaries and observers attached.
@@ -336,7 +329,7 @@ func TestSweepMatchesReference(t *testing.T) {
 			for _, m := range []struct {
 				mode  tickMode
 				label string
-			}{{tickSweep, "sweep"}, {tickPerNode, "per-node TickNode"}, {tickSharded, "three-block sweep"}, {tickSleeping, "sleeping sweep"}} {
+			}{{tickSweep, "sweep"}, {tickPerNode, "per-node TickNode"}, {tickSleeping, "sleeping sweep"}} {
 				got := runOps(t, cfg, m.mode, ops, cycles)
 				sameOutcome(t, fmt.Sprintf("%s seed %d %s", name, seed, m.label), got, want)
 			}

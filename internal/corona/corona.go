@@ -127,7 +127,7 @@ type channel struct {
 // Network is the event-driven crossbar.
 type Network struct {
 	cfg       Config
-	engine    sim.Scheduler
+	engine    *sim.Engine
 	deliverFn noc.DeliveryFunc
 	lat       noc.LatencyStats
 	channels  []*channel
@@ -139,7 +139,7 @@ type Network struct {
 }
 
 // New builds the crossbar.
-func New(cfg Config, engine sim.Scheduler) *Network {
+func New(cfg Config, engine *sim.Engine) *Network {
 	n := &Network{cfg: cfg, engine: engine}
 	n.channels = make([]*channel, cfg.channels())
 	for i := range n.channels {
@@ -152,8 +152,9 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 // LatencyStats exposes accumulated measurements.
 func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 
-// Lookahead declares the crossbar's cross-shard window: a delivery is
-// never sooner than the shortest serialization plus ring flight.
+// Lookahead is the finish-notice delay the system layer uses on the
+// crossbars (noc.Lookaheader): a delivery is never sooner than the
+// shortest serialization plus ring flight.
 func (n *Network) Lookahead() sim.Cycle {
 	la := sim.Cycle(n.cfg.MetaCycles + n.cfg.FlightCycles)
 	if la < 1 {
@@ -219,11 +220,7 @@ func (n *Network) arm(ch *channel) {
 	}
 	grant := start + sim.Cycle(wait+0.9999)
 	ch.armed = true
-	// A channel is the shared arbitration medium itself, not any node's
-	// state: it has no owning shard for ScheduleAt to route to. Corona
-	// runs only on the serial engine (Validate refuses ParWorkers off
-	// FSOI), which fires every event in one global order.
-	n.engine.At(grant, func(at sim.Cycle) { //lint:allow shardsafety channel arbitration state is the shared medium; corona runs only on the serial engine
+	n.engine.At(grant, func(at sim.Cycle) {
 		ch.armed = false
 		n.grant(ch, at)
 	})
@@ -252,7 +249,7 @@ func (n *Network) grant(ch *channel, now sim.Cycle) {
 	}
 	done := ch.busyTill + sim.Cycle(n.cfg.FlightCycles)
 	n.queued[p.Src]--
-	noc.ScheduleAt(n.engine, p.Dst, done, func(at sim.Cycle) {
+	n.engine.At(done, func(at sim.Cycle) {
 		n.lat.Record(p)
 		if n.deliverFn != nil {
 			n.deliverFn(p, at)

@@ -79,7 +79,7 @@ type Stats struct {
 type Core struct {
 	id     int
 	cfg    Config
-	engine sim.Scheduler
+	engine *sim.Engine
 	l1     *coherence.L1
 	stream Stream
 	sync   SyncFabric
@@ -104,7 +104,7 @@ type Core struct {
 
 // New builds a core; onFinish fires once when the stream is exhausted and
 // all stores have drained.
-func New(id int, cfg Config, engine sim.Scheduler, l1 *coherence.L1, stream Stream, sync SyncFabric, onFinish func(int, sim.Cycle)) *Core {
+func New(id int, cfg Config, engine *sim.Engine, l1 *coherence.L1, stream Stream, sync SyncFabric, onFinish func(int, sim.Cycle)) *Core {
 	c := &Core{id: id, cfg: cfg, engine: engine, l1: l1, stream: stream, sync: sync, onFinish: onFinish}
 	c.stepFn, c.finishFn, c.loadDoneFn, c.storeDoneFn = c.step, c.finish, c.loadDone, c.storeDone
 	return c

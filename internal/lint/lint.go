@@ -51,7 +51,7 @@ type Analyzer interface {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []Analyzer {
-	return []Analyzer{DetSource{}, MapOrder{}, RNGStream{}, FloatEq{}, Shardsafety{}, Units{}}
+	return []Analyzer{DetSource{}, MapOrder{}, RNGStream{}, FloatEq{}, Units{}}
 }
 
 // simPackages are the module-relative package roots whose code runs

@@ -25,10 +25,7 @@ var fixtureVirtualPaths = map[string]string{
 	"allowed":     "fsoi/cmd/experiments",
 	"parallelpkg": "fsoi/internal/parallel",
 	"syncban":     "fsoi/internal/analytic",
-	"shardsafety": "fsoi/internal/mesh",
 	"units":       "fsoi/internal/power",
-	"nolookahead": "fsoi/internal/adversary",
-	"proxysched":  "fsoi/internal/corona",
 }
 
 // want is one expectation parsed from a fixture comment.

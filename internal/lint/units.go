@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"strings"
 )
 
 // Units enforces the physical-unit discipline of the photonics stack.
@@ -160,4 +161,15 @@ func (Units) checkArithmetic(p *Package, be *ast.BinaryExpr) []Finding {
 		}
 	}
 	return nil
+}
+
+// pkgPathHasSuffix reports whether pkg's import path is suffix or ends
+// in "/"+suffix. Suffix matching (rather than equality against
+// "fsoi/...") lets testdata fixtures impersonate module packages.
+func pkgPathHasSuffix(pkg *types.Package, suffix string) bool {
+	if pkg == nil {
+		return false
+	}
+	path := pkg.Path()
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

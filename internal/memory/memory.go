@@ -65,7 +65,7 @@ type Controller struct {
 	node      int
 	cfg       Config
 	occupancy sim.Cycle // cfg.LineOccupancyCycles(), computed once
-	engine    sim.Scheduler
+	engine    *sim.Engine
 	send      func(coherence.Msg)
 	nextFree  sim.Cycle
 	stats     Stats
@@ -86,7 +86,7 @@ type read struct {
 
 // NewController builds a channel controller at the given node. send
 // injects reply messages into the interconnect.
-func NewController(node int, cfg Config, engine sim.Scheduler, send func(coherence.Msg)) *Controller {
+func NewController(node int, cfg Config, engine *sim.Engine, send func(coherence.Msg)) *Controller {
 	c := &Controller{node: node, cfg: cfg, occupancy: cfg.LineOccupancyCycles(), engine: engine, send: send}
 	c.replyFn = c.reply
 	return c

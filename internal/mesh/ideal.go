@@ -19,7 +19,7 @@ type Ideal struct {
 	routerCycles int // per-hop router cycles; < 0 selects pure L0
 	linkCycles   int
 	injectQueue  int
-	engine       sim.Scheduler
+	engine       *sim.Engine
 	deliverFn    noc.DeliveryFunc
 	lat          noc.LatencyStats
 
@@ -53,28 +53,29 @@ func (d *delivery) arrive(now sim.Cycle) {
 	}
 }
 
-func newIdeal(dim, routerCycles, linkCycles int, engine sim.Scheduler) *Ideal {
+func newIdeal(dim, routerCycles, linkCycles int, engine *sim.Engine) *Ideal {
 	count := dim * dim
 	return &Ideal{dim: dim, routerCycles: routerCycles, linkCycles: linkCycles, injectQueue: 16, engine: engine,
 		queues: make([]ring[*noc.Packet], count), queued: newBitset(count), busyTill: make([]sim.Cycle, count)}
 }
 
 // NewL0 builds the idealized zero-latency network.
-func NewL0(dim int, engine sim.Scheduler) *Ideal {
+func NewL0(dim int, engine *sim.Engine) *Ideal {
 	return newIdeal(dim, -1, 0, engine)
 }
 
 // NewLr builds the hop-latency network with the given per-hop router
 // cycles (1 => Lr1, 2 => Lr2).
-func NewLr(dim, routerCycles int, engine sim.Scheduler) *Ideal {
+func NewLr(dim, routerCycles int, engine *sim.Engine) *Ideal {
 	return newIdeal(dim, routerCycles, 1, engine)
 }
 
 // LatencyStats exposes accumulated measurements.
 func (n *Ideal) LatencyStats() *noc.LatencyStats { return &n.lat }
 
-// Lookahead declares the ideal networks' cross-shard window: delivery
-// is never sooner than the one-cycle serialization of the first flit.
+// Lookahead is the finish-notice delay the system layer uses on the
+// ideal networks (noc.Lookaheader): delivery is never sooner than the
+// one-cycle serialization of the first flit.
 func (n *Ideal) Lookahead() sim.Cycle { return 1 }
 
 // SetDelivery installs the destination callback.
@@ -166,5 +167,5 @@ func (n *Ideal) start(node int, now sim.Cycle) {
 		d.fire = d.arrive
 	}
 	d.pkt = p
-	noc.ScheduleAt(n.engine, p.Dst, now+network, d.fire)
+	n.engine.At(now+network, d.fire)
 }

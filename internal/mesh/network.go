@@ -29,7 +29,7 @@ func PaperMesh(dim int) Config {
 // Network is a full contention-modeled 2-D mesh.
 type Network struct {
 	cfg       Config
-	engine    sim.Scheduler
+	engine    *sim.Engine
 	routers   []*router
 	deliverFn noc.DeliveryFunc
 	lat       noc.LatencyStats
@@ -68,7 +68,7 @@ type injection struct {
 }
 
 // New builds a mesh network over the engine.
-func New(cfg Config, engine sim.Scheduler) *Network {
+func New(cfg Config, engine *sim.Engine) *Network {
 	if numPorts*cfg.VCs > maskBits {
 		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
 			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
@@ -128,9 +128,9 @@ func New(cfg Config, engine sim.Scheduler) *Network {
 // LatencyStats exposes accumulated measurements.
 func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 
-// Lookahead declares the mesh's conservative cross-shard window: a
-// flit takes at least one link cycle between adjacent routers, so no
-// cross-node interaction lands sooner than that.
+// Lookahead is the finish-notice delay the system layer uses on the
+// mesh (noc.Lookaheader): a flit takes at least one link cycle between
+// adjacent routers, so no cross-node interaction lands sooner.
 func (n *Network) Lookahead() sim.Cycle { return n.hop }
 
 // SetDelivery installs the destination callback.

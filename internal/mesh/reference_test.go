@@ -44,7 +44,7 @@ type refInjection struct {
 
 type refNetwork struct {
 	cfg       Config
-	engine    sim.Scheduler
+	engine    *sim.Engine
 	routers   []*refRouter
 	deliverFn noc.DeliveryFunc
 
@@ -55,7 +55,7 @@ type refNetwork struct {
 	bwTokens  []float64
 }
 
-func newRefNetwork(cfg Config, engine sim.Scheduler) *refNetwork {
+func newRefNetwork(cfg Config, engine *sim.Engine) *refNetwork {
 	n := &refNetwork{cfg: cfg, engine: engine}
 	count := cfg.Dim * cfg.Dim
 	n.routers = make([]*refRouter, count)
@@ -295,7 +295,7 @@ func (r *refRouter) forward(in *refVC, p, v int, f flit, outPort int, now sim.Cy
 		in.outPort, in.outVC = -1, -1
 	}
 	arrival := now + sim.Cycle(r.cfg.LinkCycles)
-	noc.ScheduleAt(r.net.engine, next.id, arrival, func(at sim.Cycle) {
+	r.net.engine.At(arrival, func(at sim.Cycle) {
 		next.acceptFlit(dstPort, dstVC, f, at)
 	})
 }

@@ -108,29 +108,14 @@ type Network interface {
 	LatencyStats() *LatencyStats
 }
 
-// Lookaheader is optionally implemented by networks that can declare a
-// conservative lookahead window: a lower bound, in cycles, on how far
-// in the future any cross-node interaction lands. The sharded engine
-// (internal/sim/shard) sizes its epochs from this — FSOI declares its
-// fixed +2-cycle confirmation delay, the mesh its 1-cycle link
-// traversal. A network that cannot bound its interactions simply does
-// not implement the interface and runs serial-only.
+// Lookaheader is optionally implemented by networks that bound how soon
+// a cross-node interaction lands: at least Lookahead cycles ahead. The
+// system layer sends each core's finish notice to node 0 that far
+// ahead, and nothing else reads it. FSOI declares min(ConfirmDelay, slot
+// lengths), corona its minimum transfer (3 cycles); the mesh its link
+// traversal and the ideal networks 1.
 type Lookaheader interface {
 	Lookahead() sim.Cycle
-}
-
-// ScheduleAt schedules fn at cycle at on the shard that owns node when
-// the engine shards, falling back to a plain At on the serial engine.
-// Networks route a packet's resolution, delivery, and confirmation
-// events through it so each fires on the involved node's home shard;
-// on the serial engine the two paths are the same queue, so behaviour
-// is identical by construction.
-func ScheduleAt(engine sim.Scheduler, node int, at sim.Cycle, fn func(now sim.Cycle)) {
-	if s, ok := engine.(sim.Sharder); ok {
-		s.Handoff(s.NodeShard(node), at, fn)
-		return
-	}
-	engine.At(at, fn)
 }
 
 // LatencyStats accumulates the Figure 6/7 breakdown.
@@ -159,10 +144,8 @@ func (l *LatencyStats) Record(p *Packet) {
 }
 
 // Merge folds other into l. Networks that keep per-node accumulators
-// (so every Record happens on the recording node's own shard) merge
-// them in node order at read time; the merge sequence is then a pure
-// function of the node count, so the aggregate is identical at every
-// shard and worker count.
+// merge them in node order at read time; the merge sequence is then a
+// pure function of the node count.
 func (l *LatencyStats) Merge(other *LatencyStats) {
 	l.Queuing.Merge(&other.Queuing)
 	l.Scheduling.Merge(&other.Scheduling)

@@ -12,20 +12,15 @@
 //     it (FSOI's collision backoff may reorder; the system layer
 //     restores per-line order above it);
 //   - deterministic replay: two runs from the same seed produce
-//     identical delivery transcripts, cycle for cycle;
-//   - windowed invariance: when Windowed is set, the same run on the
-//     windowed parallel engine (shard.Windows) reproduces its own
-//     1-worker replay byte for byte at every worker and shard count.
+//     identical delivery transcripts, cycle for cycle.
 package noctest
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
-	"fsoi/internal/sim/shard"
 )
 
 // Harness drives one noc.Network implementation through the
@@ -35,21 +30,9 @@ type Harness struct {
 	Name string
 	// Build constructs a fresh network over the engine. The RNG is the
 	// run's root; deterministic networks ignore it.
-	Build func(engine sim.Scheduler, rng *sim.RNG) noc.Network
+	Build func(engine *sim.Engine, rng *sim.RNG) noc.Network
 	// Nodes is the endpoint count packets are addressed within.
 	Nodes int
-	// Windowed lists windowed-engine worker counts to replay the run
-	// at. The windowed engine executes a conservatively windowed
-	// schedule — legally different from the serial one — so its
-	// reference is its own 1-worker replay (same engine, no
-	// goroutines): every listed worker count, and every shard count in
-	// WindowedShards, must reproduce that transcript byte for byte.
-	// Requires a network that declares noc.Lookaheader, ticks per node
-	// (TickNode), and keeps every event in the touched node's context.
-	Windowed []int
-	// WindowedShards lists the windowed partitions to replay at; the
-	// first entry is the reference partition (default: 4 shards).
-	WindowedShards []int
 	// Ordered enables the per-(src,dst) in-order check.
 	Ordered bool
 	// Seed feeds both the network and the traffic pattern.
@@ -138,105 +121,6 @@ func (h Harness) run(t *testing.T) transcript {
 	return tr
 }
 
-// runWindowed executes the same seeded traffic pattern on the windowed
-// parallel engine. Unlike run, every recording structure is owned by
-// exactly one node — shards execute concurrently, so a shared append
-// would race — and the injection events are scheduled on each source's
-// own proxy so Send executes in the node context the engine requires.
-func (h Harness) runWindowed(t *testing.T, shards, workers int) transcript {
-	t.Helper()
-	packets := h.Packets
-	if packets == 0 {
-		packets = 400
-	}
-	drain := h.DrainCycles
-	if drain == 0 {
-		drain = 200000
-	}
-	eng := shard.NewWindows(shards, workers)
-	eng.AssignNodes(h.Nodes)
-	defer eng.Close()
-	net := h.Build(eng, sim.NewRNG(h.Seed))
-	la, ok := net.(noc.Lookaheader)
-	if !ok {
-		t.Fatal("windowed replay needs the network to declare its lookahead (noc.Lookaheader)")
-	}
-	eng.SetLookahead(la.Lookahead())
-	ticker, ok := net.(interface {
-		TickNode(id int, now sim.Cycle)
-	})
-	if !ok {
-		t.Fatal("windowed replay needs per-node ticking (TickNode)")
-	}
-	for i := 0; i < h.Nodes; i++ {
-		id := i
-		eng.ForNode(i).Register(sim.TickFunc(func(now sim.Cycle) { ticker.TickNode(id, now) }))
-	}
-
-	type sent struct {
-		dst int
-		id  uint64
-	}
-	acceptedBy := make([][]sent, h.Nodes)
-	deliveredTo := make([][]delivery, h.Nodes)
-	net.SetDelivery(func(p *noc.Packet, now sim.Cycle) {
-		deliveredTo[p.Dst] = append(deliveredTo[p.Dst], delivery{
-			at: now, id: p.ID, src: p.Src, dst: p.Dst, latency: p.TotalLatency(),
-		})
-	})
-
-	// Same traffic stream, same draw order as the serial run.
-	traffic := sim.NewRNG(h.Seed ^ 0xda7a).NewStream("noctest-traffic")
-	id := uint64(0)
-	for burst := 0; burst < packets/4; burst++ {
-		at := sim.Cycle(1 + burst*4)
-		for i := 0; i < 4; i++ {
-			src := traffic.Intn(h.Nodes)
-			dst := traffic.Intn(h.Nodes - 1)
-			if dst >= src {
-				dst++ // uniform over dst != src
-			}
-			typ := noc.Meta
-			if traffic.Bool(0.4) {
-				typ = noc.Data
-			}
-			id++
-			p := &noc.Packet{ID: id, Src: src, Dst: dst, Type: typ}
-			eng.ForNode(src).At(at, func(now sim.Cycle) {
-				if net.Send(p) {
-					acceptedBy[p.Src] = append(acceptedBy[p.Src], sent{p.Dst, p.ID})
-				}
-			})
-		}
-	}
-	eng.Run(drain)
-
-	// Merge the node-owned records into one transcript. Each node's
-	// stream is invariant across worker and shard counts, so a stable
-	// sort of their concatenation is too.
-	tr := transcript{sendOrder: map[[2]int][]uint64{}}
-	for src, list := range acceptedBy {
-		for _, s := range list {
-			tr.accepted = append(tr.accepted, s.id)
-			key := [2]int{src, s.dst}
-			tr.sendOrder[key] = append(tr.sendOrder[key], s.id)
-		}
-	}
-	for _, list := range deliveredTo {
-		tr.deliveries = append(tr.deliveries, list...)
-	}
-	sort.SliceStable(tr.deliveries, func(i, j int) bool {
-		a, b := tr.deliveries[i], tr.deliveries[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.id < b.id
-	})
-	tr.delivered = net.LatencyStats().Delivered
-	tr.totalN = net.LatencyStats().Total.N()
-	return tr
-}
-
 // Run executes the conformance suite as subtests of t.
 func (h Harness) Run(t *testing.T) {
 	t.Helper()
@@ -248,35 +132,7 @@ func (h Harness) Run(t *testing.T) {
 			h.checkInOrder(t, first)
 		}
 		h.checkReplay(t, first)
-		if len(h.Windowed) > 0 {
-			h.checkWindowedInvariance(t)
-		}
 	})
-}
-
-// checkWindowedInvariance runs the windowed suite: a 1-worker windowed
-// reference (held to the exactly-once and accounting contracts), then
-// byte-identical replays at every listed worker count and partition.
-func (h Harness) checkWindowedInvariance(t *testing.T) {
-	t.Helper()
-	shards := h.WindowedShards
-	if len(shards) == 0 {
-		shards = []int{4}
-	}
-	ref := h.runWindowed(t, shards[0], 1)
-	h.checkExactlyOnce(t, ref)
-	h.checkLatencyAccounting(t, ref)
-	for _, workers := range h.Windowed {
-		if workers <= 1 {
-			continue // the reference itself
-		}
-		got := h.runWindowed(t, shards[0], workers)
-		h.compareTranscripts(t, fmt.Sprintf("windowed %d-worker run", workers), ref, got)
-	}
-	for _, k := range shards[1:] {
-		got := h.runWindowed(t, k, 2)
-		h.compareTranscripts(t, fmt.Sprintf("windowed %d-shard run", k), ref, got)
-	}
 }
 
 // checkExactlyOnce verifies the drain delivered every accepted packet

@@ -159,7 +159,7 @@ type Event struct {
 
 // Recorder is a handle on an event log: what an emission site holds and
 // what the exports read. NewRecorder's has a log to itself; a Sharded
-// family's share one per engine block, each appending with its own node
+// family's share one per block, each appending with its own node
 // as the event's owner, and reading through any reads the whole log. A
 // nil *Recorder is the disabled state: one nil check at an emission site.
 type Recorder struct {

@@ -204,7 +204,7 @@ func (g *Registry) Observe(class uint8, src, dst int, latency int64) {
 // Merge folds other into g. Histogram merges are exact bucket
 // addition, so the result is independent of merge order; per-block
 // registries merged in block order therefore aggregate identically at
-// every shard and worker count.
+// every partition of the nodes.
 func (g *Registry) Merge(other *Registry) {
 	for c := range g.byClass {
 		g.byClass[c].Merge(other.byClass[c])

@@ -1,15 +1,15 @@
 package obs
 
-import "fsoi/internal/sim"
+// Block is a run of consecutive node ids [Lo, Hi) that share one event
+// log. The system layer records on one block covering every node.
+type Block struct{ Lo, Hi int }
 
 // Sharded is a family of per-node Recorder handles over one event log
-// per engine block, the observability shape the engines require: a block
-// (sim.Block) is the nodes whose events one shard fires, and every
-// emission happens in the emitting node's own context (deliveries and
-// collisions at the destination, injections and backoffs at the source),
-// so no log is ever touched from two shards. Merged restores the
-// single-recorder view in a canonical order for export, cut to the event
-// limit each log got: the "head of the run" a lone Recorder's limit keeps.
+// per block of nodes. Every emission happens in the emitting node's own
+// context (deliveries and collisions at the destination, injections and
+// backoffs at the source). Merged restores the single-recorder view in a
+// canonical order for export, cut to the event limit each log got: the
+// "head of the run" a lone Recorder's limit keeps.
 type Sharded struct {
 	logs    []*eventLog // one per block, in block order, which is node order
 	handles []Recorder  // one per node, on its block's log
@@ -17,9 +17,9 @@ type Sharded struct {
 }
 
 // NewSharded builds one log per block, each bounded by limit (<= 0 means
-// unbounded), and one handle per node. The blocks are sim.Blocks':
-// contiguous, ascending from node 0, at most MaxNodes nodes in all.
-func NewSharded(blocks []sim.Block, limit int) *Sharded {
+// unbounded), and one handle per node. The blocks are contiguous,
+// ascending from node 0, at most MaxNodes nodes in all.
+func NewSharded(blocks []Block, limit int) *Sharded {
 	s := &Sharded{logs: make([]*eventLog, len(blocks)), limit: limit}
 	for k, b := range blocks {
 		if b.Hi > MaxNodes {
@@ -48,8 +48,8 @@ func (s *Sharded) For(node int) *Recorder {
 
 // Merged is the whole recording in the canonical order (cycle, node, that
 // node's emission order), cut to the limit. All three keys are
-// partition-invariant, so the stream is byte-identical at every shard and
-// worker count. One block's log, settled where it lies, is that already.
+// partition-invariant, so the stream is byte-identical at every
+// partition. One block's log, settled where it lies, is that already.
 // Several are settled and merged by (cycle, block) into a fresh log: a
 // block's nodes all precede the next block's, so that is node order.
 func (s *Sharded) Merged() *Recorder {

@@ -11,12 +11,12 @@ import (
 )
 
 // blocksOf cuts nodes 0..nodes-1 into k contiguous blocks the way
-// sim.Blocks would for k shards (fewer when there are fewer nodes).
-func blocksOf(nodes, k int) []sim.Block {
-	var out []sim.Block
+// a k-way partition would (fewer when there are fewer nodes).
+func blocksOf(nodes, k int) []Block {
+	var out []Block
 	for b := 0; b < k; b++ {
 		if lo, hi := b*nodes/k, (b+1)*nodes/k; hi > lo {
-			out = append(out, sim.Block{Lo: lo, Hi: hi})
+			out = append(out, Block{Lo: lo, Hi: hi})
 		}
 	}
 	return out
@@ -24,7 +24,7 @@ func blocksOf(nodes, k int) []sim.Block {
 
 // blockOf finds the block that holds node; a node out of range counts as
 // node 0, as it does for Sharded.For.
-func blockOf(blocks []sim.Block, node int) int {
+func blockOf(blocks []Block, node int) int {
 	if node < 0 || node >= blocks[len(blocks)-1].Hi {
 		node = 0
 	}
@@ -44,7 +44,7 @@ func (s *refSharded) emit(node int, e Event) { s.For(node).Emit(e) }
 // it shows is the first limit of what it admitted in (cycle, node,
 // emission) order; the merged view is the first limit of all the blocks
 // show, in the same order. Everything else is lost.
-func specMerged(blocks []sim.Block, limit int, script func(emitFunc)) (events []Event, lost int64) {
+func specMerged(blocks []Block, limit int, script func(emitFunc)) (events []Event, lost int64) {
 	type owned struct {
 		Event
 		node int
@@ -270,7 +270,7 @@ func TestShardedMergedEdges(t *testing.T) {
 		}
 	}
 	// Owners are 16 bits wide: MaxNodes nodes are told apart, more refused.
-	wide := NewSharded([]sim.Block{{Hi: MaxNodes}}, 0)
+	wide := NewSharded([]Block{{Hi: MaxNodes}}, 0)
 	wide.emit(MaxNodes-1, Event{At: 7, ID: 1})
 	wide.emit(0, Event{At: 7, ID: 2})
 	if ev := wide.Merged().Events(); ev[0].ID != 2 || ev[1].ID != 1 {
@@ -282,7 +282,7 @@ func TestShardedMergedEdges(t *testing.T) {
 				t.Fatalf("NewSharded took %d nodes", MaxNodes+1)
 			}
 		}()
-		NewSharded([]sim.Block{{Hi: MaxNodes + 1}}, 0)
+		NewSharded([]Block{{Hi: MaxNodes + 1}}, 0)
 	}()
 	// One cycle a step, node 1 first: the limit is reached inside cycle 1,
 	// whose node-0 event, emitted after it, still belongs to the first 3.

@@ -93,76 +93,6 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Scheduler is the scheduling surface simulation components program
-// against: the current cycle, timed callbacks, per-cycle tickers, and
-// the stop request. Both the serial Engine and the sharded engine
-// (internal/sim/shard) implement it, so every component runs unchanged
-// under either.
-type Scheduler interface {
-	Now() Cycle
-	At(at Cycle, fn func(now Cycle))
-	After(delay Cycle, fn func(now Cycle))
-	Register(t Ticker)
-	Stop()
-	Stopped() bool
-}
-
-// Driver extends Scheduler with the run loop and the engine counters —
-// the surface the system layer and the command-line tools need to drive
-// a whole simulation.
-type Driver interface {
-	Scheduler
-	Step()
-	Run(maxCycles Cycle) Cycle
-	Pending() int
-	EventsFired() uint64
-	MaxQueueDepth() int
-}
-
-// NodeScheduler is optionally implemented by engines that expose a
-// per-node scheduling surface. The parallel windowed engine
-// (internal/sim/shard.Windows) returns a proxy whose At/After land on
-// the node's home shard and whose Handoff buffers cross-shard work for
-// the window barrier; the serial Engine and the exact sharded engine do
-// not implement it — on those, components keep using the engine
-// directly and ForNode is never asked for. Model code that wants to run
-// unchanged on every engine resolves its per-node scheduler once at
-// construction:
-//
-//	sched := sim.SchedulerFor(engine, node)
-//
-// and schedules everything through it.
-type NodeScheduler interface {
-	// ForNode returns the scheduling surface for a node's own events.
-	// The returned Scheduler must only be used from that node's
-	// execution context (its events and ticks).
-	ForNode(node int) Scheduler
-}
-
-// SchedulerFor resolves the scheduler a node's component should program
-// against: the node's proxy when the engine partitions nodes, the
-// engine itself otherwise.
-func SchedulerFor(engine Scheduler, node int) Scheduler {
-	if ns, ok := engine.(NodeScheduler); ok {
-		return ns.ForNode(node)
-	}
-	return engine
-}
-
-// Sharder is optionally implemented by engines that partition
-// components into node-group shards. Networks use it to hand a packet's
-// delivery (or confirmation) event to the destination node's shard;
-// on the serial engine the assertion fails and callers fall back to a
-// plain At. The contract: a cross-shard handoff must land at least the
-// engine's declared lookahead in the future, so that shards can advance
-// through a lookahead-sized epoch without observing each other.
-type Sharder interface {
-	// NodeShard maps a node index to its shard.
-	NodeShard(node int) int
-	// Handoff schedules fn on the given shard's queue.
-	Handoff(shard int, at Cycle, fn func(now Cycle))
-}
-
 // The calendar wheel covers wheelSize consecutive cycles, one FIFO
 // bucket per cycle. A packet's whole life on the paper's network is a
 // handful of happenings a few slots ahead, so nearly every event lands
@@ -257,9 +187,6 @@ func NewEngine(donor ...*Engine) *Engine {
 	return e
 }
 
-// Engine is the reference Driver implementation.
-var _ Driver = (*Engine)(nil)
-
 // never is the due cycle of a sleeper no one has woken.
 const never = Cycle(math.MaxInt64)
 
@@ -283,26 +210,18 @@ func (e *Engine) Register(t Ticker) {
 }
 
 // Wake is the alarm of a ticker registered with Sleeper. The zero Wake
-// belongs to a ticker its engine could not put to sleep, which runs
-// every cycle anyway: waking it does nothing.
+// belongs to no ticker (a component whose driver ticks it directly):
+// waking it does nothing.
 type Wake struct {
 	e *Engine
 	i int
 }
 
-// Sleeper registers t on s to run only on the cycles it is woken for
+// Sleeper registers t on e to run only on the cycles it is woken for
 // (Wake.At says which), and returns its alarm. The sleeper takes its
 // turn among the tickers in registration order and is asleep again when
-// Tick is called: whoever gives it work re-arms it, Tick included. On a
-// scheduler other than *Engine t is registered with Register and runs
-// every cycle, which is the same schedule with no cycle skipped; the
-// Wake returned is the zero one.
-func Sleeper(s Scheduler, t Ticker) Wake {
-	e, ok := s.(*Engine)
-	if !ok {
-		s.Register(t)
-		return Wake{}
-	}
+// Tick is called: whoever gives it work re-arms it, Tick included.
+func Sleeper(e *Engine, t Ticker) Wake {
 	e.tickers = append(e.tickers, tickerSlot{t: t, due: never, sleeps: true})
 	return Wake{e: e, i: len(e.tickers) - 1}
 }
@@ -330,8 +249,7 @@ func (w Wake) At(at Cycle) {
 }
 
 // Due reports the first cycle the sleeper is due in: math.MaxInt64
-// while no one has woken it, and math.MinInt64 for the zero Wake, whose
-// ticker runs every cycle.
+// while no one has woken it, and math.MinInt64 for the zero Wake.
 func (w Wake) Due() Cycle {
 	if w.e == nil {
 		return math.MinInt64

@@ -44,7 +44,7 @@ func BenchmarkWindowsStep(b *testing.B) {
 			defer w.Close()
 			w.AssignNodes(nodes)
 			w.SetLookahead(2)
-			scheds := make([]sim.Scheduler, nodes)
+			scheds := make([]Scheduler, nodes)
 			for i := range scheds {
 				scheds[i] = w.ForNode(i)
 			}

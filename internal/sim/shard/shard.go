@@ -14,10 +14,14 @@
 //     discipline) preserves the serial order, and to meter how much of
 //     the event flow crosses shards under the declared lookahead.
 //
-//   - Windows (windows.go) is the parallel mode: the same full CMP
-//     models advance concurrently through lookahead-wide windows on a
-//     worker pool, byte-identical to itself at every shard and worker
-//     count.
+//   - Windows (windows.go) is the parallel mode: shards advance
+//     concurrently through lookahead-wide windows on a worker pool,
+//     byte-identical to itself at every shard and worker count.
+//
+// No simulation runs on either engine (DESIGN §11, §12): the model takes
+// the serial *sim.Engine. The package stays compiled for the benchmark's
+// engine drivers (shard.exact_step_ns, shard.window_ns_w*) and goes with
+// them.
 package shard
 
 import (
@@ -26,6 +30,28 @@ import (
 	"fsoi/internal/sim"
 )
 
+// Scheduler is the scheduling surface the engines here share with the
+// serial *sim.Engine: the current cycle, timed callbacks, per-cycle
+// tickers, and the stop request.
+type Scheduler interface {
+	Now() sim.Cycle
+	At(at sim.Cycle, fn func(now sim.Cycle))
+	After(delay sim.Cycle, fn func(now sim.Cycle))
+	Register(t sim.Ticker)
+	Stop()
+	Stopped() bool
+}
+
+// Driver extends Scheduler with the run loop and the engine counters.
+type Driver interface {
+	Scheduler
+	Step()
+	Run(maxCycles sim.Cycle) sim.Cycle
+	Pending() int
+	EventsFired() uint64
+	MaxQueueDepth() int
+}
+
 // tickerEntry pins a registered ticker to the shard that was current at
 // registration time, so shard accounting survives the ticker sweep.
 type tickerEntry struct {
@@ -33,7 +59,7 @@ type tickerEntry struct {
 	t     sim.Ticker
 }
 
-// Engine is the exact sharded engine. It implements sim.Driver with K
+// Engine is the exact sharded engine. It implements Driver with K
 // per-shard event queues and pops them through a k-way merge on the
 // global (at, seq) order, which makes its event execution — and hence
 // every RNG draw and stat update made from event callbacks —
@@ -71,11 +97,8 @@ type Engine struct {
 	topPos []int
 }
 
-// Engine is a drop-in Driver and the repo's only Sharder.
-var (
-	_ sim.Driver  = (*Engine)(nil)
-	_ sim.Sharder = (*Engine)(nil)
-)
+// Engine is a drop-in Driver.
+var _ Driver = (*Engine)(nil)
 
 // New returns an exact sharded engine with k per-shard queues, at cycle
 // 0 with shard 0 current.

@@ -12,13 +12,13 @@ import (
 // events (including zero-delay follow-ups and Handoff when available),
 // and a mid-run Stop. Every observable action appends a line to trace,
 // so two engines executed this way can be compared action for action.
-func chaosWorkload(eng sim.Driver, seed uint64, trace *[]string) {
+func chaosWorkload(eng Driver, seed uint64, trace *[]string) {
 	rng := sim.NewRNG(seed).NewStream("chaos")
-	// handoff mirrors noc.ScheduleAt: route to the node's shard when the
-	// engine shards, plain At otherwise. The RNG draws are identical on
-	// both paths, so the serial and sharded runs see the same workload.
+	// handoff routes to the node's shard when the engine shards, plain At
+	// otherwise. The RNG draws are identical on both paths, so the serial
+	// and sharded runs see the same workload.
 	handoff := func(node int, at sim.Cycle, fn func(now sim.Cycle)) {
-		if s, ok := eng.(sim.Sharder); ok {
+		if s, ok := eng.(*Engine); ok {
 			s.Handoff(s.NodeShard(node), at, fn)
 			return
 		}

@@ -172,9 +172,8 @@ func (s *wShard) run(from, to sim.Cycle) {
 // NewWindows, assign the node→shard map with AssignNodes, declare the
 // topology's lookahead with SetLookahead, then hand every component
 // its node's proxy via ForNode. The engine itself implements
-// sim.Driver so the system layer can drive it like any other engine,
-// but its At/After/Register are setup-time only: once Run starts, all
-// scheduling flows through the node proxies.
+// Driver, but its At/After/Register are setup-time only: once Run
+// starts, all scheduling flows through the node proxies.
 type Windows struct {
 	shards    []*wShard
 	pool      *parallel.Pool
@@ -192,10 +191,7 @@ type Windows struct {
 }
 
 // Windows is a Driver with a per-node scheduling surface.
-var (
-	_ sim.Driver        = (*Windows)(nil)
-	_ sim.NodeScheduler = (*Windows)(nil)
-)
+var _ Driver = (*Windows)(nil)
 
 // NewWindows returns a windowed engine with k shards executed by up to
 // `workers` pool goroutines per window. workers <= 1 builds a serial
@@ -249,11 +245,10 @@ func (w *Windows) NodeShard(node int) int {
 	return w.nodeShard[node]
 }
 
-// ForNode implements sim.NodeScheduler: the scheduling surface for one
-// node. The proxy is only valid from that node's own execution context
+// ForNode returns the scheduling surface for one node. The proxy is only valid from that node's own execution context
 // (its events and its ticks) — that discipline is what makes the
 // per-node sequence counters race-free.
-func (w *Windows) ForNode(node int) sim.Scheduler {
+func (w *Windows) ForNode(node int) Scheduler {
 	if node < 0 || node >= len(w.proxies) {
 		panic(fmt.Sprintf("shard: ForNode(%d) outside the assigned range [0,%d)", node, len(w.proxies)))
 	}
@@ -440,9 +435,9 @@ func (w *Windows) TightHandoffs() uint64 {
 func (w *Windows) WindowCount() uint64 { return w.windows }
 
 // NodeProxy is one node's scheduling surface on the windowed engine:
-// a sim.Scheduler whose events land on the node's home shard keyed by
-// the node's own sequence counter, and a sim.Sharder whose Handoff
-// buffers cross-shard work for the window barrier. Obtain via ForNode;
+// a Scheduler whose events land on the node's home shard keyed by
+// the node's own sequence counter, and whose Handoff buffers
+// cross-shard work for the window barrier. Obtain via ForNode;
 // use only from the node's own execution context.
 type NodeProxy struct {
 	w     *Windows
@@ -450,11 +445,8 @@ type NodeProxy struct {
 	shard int
 }
 
-// NodeProxy is what model code schedules through under Windows.
-var (
-	_ sim.Scheduler = (*NodeProxy)(nil)
-	_ sim.Sharder   = (*NodeProxy)(nil)
-)
+// NodeProxy is what code on Windows schedules through.
+var _ Scheduler = (*NodeProxy)(nil)
 
 // Now reports the node's shard-local clock: the executing cycle inside
 // a window, the window floor at the barrier, the global clock at setup.
@@ -508,7 +500,7 @@ func (p *NodeProxy) Stop() {
 // behaviour.
 func (p *NodeProxy) Stopped() bool { return p.w.stopped }
 
-// NodeShard implements sim.Sharder for the noc.ScheduleAt shim.
+// NodeShard reports the shard owning a node.
 func (p *NodeProxy) NodeShard(node int) int { return p.w.NodeShard(node) }
 
 // Handoff schedules fn on the given shard. Same-shard handoffs push

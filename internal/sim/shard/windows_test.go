@@ -25,7 +25,7 @@ func windowsTranscript(t *testing.T, nodes, shards, workers int, cycles sim.Cycl
 
 	logs := make([][]string, nodes)
 	ticks := make([]int, nodes)
-	scheds := make([]sim.Scheduler, nodes)
+	scheds := make([]Scheduler, nodes)
 	for i := 0; i < nodes; i++ {
 		scheds[i] = w.ForNode(i)
 	}
@@ -47,7 +47,7 @@ func windowsTranscript(t *testing.T, nodes, shards, workers int, cycles sim.Cycl
 				return
 			}
 			dst := (src*7 + 3) % nodes
-			sh := scheds[src].(sim.Sharder)
+			sh := scheds[src].(*NodeProxy)
 			sh.Handoff(sh.NodeShard(dst), now+la, hop(dst, hops-1))
 			// A same-node follow-up inside the window exercises the
 			// local heap path.
@@ -108,7 +108,7 @@ func TestWindowsUnderLookaheadPanics(t *testing.T) {
 			}
 			w.Stop()
 		}()
-		sh := sched.(sim.Sharder)
+		sh := sched.(*NodeProxy)
 		sh.Handoff(sh.NodeShard(3), now+1, func(sim.Cycle) {})
 	})
 	w.Run(8)
@@ -144,7 +144,7 @@ func TestWindowsSetupHandoff(t *testing.T) {
 	w.AssignNodes(4)
 	w.SetLookahead(2)
 	fired := false
-	p := w.ForNode(0).(sim.Sharder)
+	p := w.ForNode(0).(*NodeProxy)
 	p.Handoff(p.NodeShard(3), 1, func(now sim.Cycle) { fired = true })
 	w.Run(4)
 	if !fired {
@@ -160,7 +160,7 @@ func TestWindowsMeters(t *testing.T) {
 	w.SetLookahead(2)
 	sched := w.ForNode(0)
 	sched.At(0, func(now sim.Cycle) {
-		sh := sched.(sim.Sharder)
+		sh := sched.(*NodeProxy)
 		sh.Handoff(sh.NodeShard(1), now+2, func(sim.Cycle) {}) // tight: lands on the barrier
 		sh.Handoff(sh.NodeShard(1), now+3, func(sim.Cycle) {})
 	})

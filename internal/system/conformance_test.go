@@ -10,14 +10,14 @@ import (
 
 // builder returns a noctest builder for the network New would build for
 // Default(nodes, kind).
-func builder(t *testing.T, kind NetworkKind, nodes int) func(sim.Scheduler, *sim.RNG) noc.Network {
+func builder(t *testing.T, kind NetworkKind, nodes int) func(*sim.Engine, *sim.RNG) noc.Network {
 	t.Helper()
 	n, ok := lookup(kind)
 	if !ok {
 		t.Fatalf("no interconnect %q", kind)
 	}
 	cfg := Default(nodes, kind)
-	return func(engine sim.Scheduler, rng *sim.RNG) noc.Network { return n.build(cfg, engine, rng) }
+	return func(engine *sim.Engine, rng *sim.RNG) noc.Network { return n.build(cfg, engine, rng) }
 }
 
 // ordered lists the networks whose design delivers each (src, dst)
@@ -54,10 +54,9 @@ func TestNetworkConformance(t *testing.T) {
 }
 
 // TestSharded256Conformance runs the paper's FSOI design and the
-// electrical mesh at 256 nodes, the node count the windowed engine
-// shards (TestWindowedConformance256): delivery must be exactly-once and
-// the transcript replay-identical — the contract that makes
-// 256/1024-node frontier runs trustworthy.
+// electrical mesh at 256 nodes: delivery must be exactly-once and the
+// transcript replay-identical — the contract that makes 256/1024-node
+// frontier runs trustworthy.
 func TestSharded256Conformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node conformance runs only without -short")
@@ -78,40 +77,6 @@ func TestSharded256Conformance(t *testing.T) {
 		// cost of the run; injections stop by cycle 400 and the longest
 		// 16x16 dimension-order route is well under 1k cycles.
 		DrainCycles: 5000,
-	}.Run(t)
-}
-
-// TestWindowedConformance replays the paper's FSOI design on the
-// windowed parallel engine (shard.Windows): the transcript must be
-// byte-identical to the engine's own 1-worker replay at 2, 4, and 8
-// workers and across three partitions. This is the transport-level
-// twin of the full-system worker-invariance tests — it isolates the
-// network model from the coherence stack above it.
-func TestWindowedConformance(t *testing.T) {
-	noctest.Harness{
-		Name:           "fsoi-windowed",
-		Build:          builder(t, NetFSOI, 16),
-		Nodes:          16,
-		Seed:           42,
-		Windowed:       []int{2, 4, 8},
-		WindowedShards: []int{4, 2, 8},
-	}.Run(t)
-}
-
-// TestWindowedConformance256 repeats the windowed replay at 256 nodes
-// and 16 shards — the scale the parallel engine exists for.
-func TestWindowedConformance256(t *testing.T) {
-	if testing.Short() {
-		t.Skip("256-node windowed conformance runs only without -short")
-	}
-	noctest.Harness{
-		Name:           "fsoi-windowed-256",
-		Build:          builder(t, NetFSOI, 256),
-		Nodes:          256,
-		Seed:           42,
-		Windowed:       []int{4, 8},
-		WindowedShards: []int{16, 8},
-		DrainCycles:    30000,
 	}.Run(t)
 }
 

@@ -39,7 +39,7 @@ type Interconnect struct {
 	// build constructs the network for cfg over the engine. The RNG is
 	// the run's root; networks that need randomness derive named streams
 	// from it, and deterministic ones ignore it.
-	build func(cfg Config, engine sim.Scheduler, rng *sim.RNG) noc.Network
+	build func(cfg Config, engine *sim.Engine, rng *sim.RNG) noc.Network
 }
 
 // Interconnects is every network a run can select, sorted by kind: the
@@ -48,13 +48,13 @@ type Interconnect struct {
 // and the matrix/λ-router and snake/SWMR WDM crossbars of
 // arXiv:1512.07492.
 var Interconnects = []Interconnect{
-	{Kind: NetL0, build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+	{Kind: NetL0, build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 		return mesh.NewL0(dimOf(cfg.Nodes), engine)
 	}},
-	{Kind: NetLr1, build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+	{Kind: NetLr1, build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 		return mesh.NewLr(dimOf(cfg.Nodes), 1, engine)
 	}},
-	{Kind: NetLr2, build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+	{Kind: NetLr2, build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 		return mesh.NewLr(dimOf(cfg.Nodes), 2, engine)
 	}},
 	{
@@ -62,7 +62,7 @@ var Interconnects = []Interconnect{
 		Loss: func(nodes int) optics.LossReport {
 			return optics.PaperWaveguideDevices().TokenCrossbarLoss(nodes, paperChip(nodes))
 		},
-		build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+		build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 			return corona.New(corona.PaperCorona(cfg.Nodes), engine)
 		},
 	},
@@ -71,7 +71,7 @@ var Interconnects = []Interconnect{
 		Loss: func(nodes int) optics.LossReport {
 			return optics.PaperWaveguideDevices().FSOILoss(nodes, optics.PaperLink(), optics.PaperPhaseArray(), paperChip(nodes))
 		},
-		build: func(cfg Config, engine sim.Scheduler, rng *sim.RNG) noc.Network {
+		build: func(cfg Config, engine *sim.Engine, rng *sim.RNG) noc.Network {
 			return core.New(cfg.fsoiConfig(), engine, rng)
 		},
 	},
@@ -80,11 +80,11 @@ var Interconnects = []Interconnect{
 		Loss: func(nodes int) optics.LossReport {
 			return optics.PaperWaveguideDevices().MatrixCrossbarLoss(nodes, paperChip(nodes))
 		},
-		build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+		build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 			return corona.New(corona.MatrixCrossbar(cfg.Nodes), engine)
 		},
 	},
-	{Kind: NetMesh, build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+	{Kind: NetMesh, build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 		mc := mesh.PaperMesh(dimOf(cfg.Nodes))
 		mc.BandwidthFrac = cfg.MeshBandwidthFrac
 		if cfg.MeshRouterCycles > 0 {
@@ -97,7 +97,7 @@ var Interconnects = []Interconnect{
 		Loss: func(nodes int) optics.LossReport {
 			return optics.PaperWaveguideDevices().SnakeCrossbarLoss(nodes, paperChip(nodes))
 		},
-		build: func(cfg Config, engine sim.Scheduler, _ *sim.RNG) noc.Network {
+		build: func(cfg Config, engine *sim.Engine, _ *sim.RNG) noc.Network {
 			return corona.New(corona.SnakeCrossbar(cfg.Nodes), engine)
 		},
 	},

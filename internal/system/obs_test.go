@@ -125,29 +125,18 @@ func TestRecycleResetsPacketState(t *testing.T) {
 
 // TestObsAccessorsKeepWhatRunMerged: after Run, Obs and ObsRegistry hand
 // back the recorder and registry already in Metrics instead of merging
-// the per-block ones again (fsoisim calls both); before Run they still
-// merge on demand, which on the serial engine's one block is no merge:
-// the registry is the block's own.
+// again (fsoisim calls both); before Run, Obs merges on demand and
+// ObsRegistry is the one registry the run records into.
 func TestObsAccessorsKeepWhatRunMerged(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Observe = true
-	windowed := cfg
-	windowed.ParWorkers = 4
-	k := New(windowed)
-	defer k.WindowEngine().Close()
-	if a, b := k.Obs(), k.Obs(); a == nil || a == b || a.Len() != 0 {
+	s := New(cfg)
+	if a, b := s.Obs(), s.Obs(); a == nil || a == b || a.Len() != 0 {
 		t.Fatal("before Run, Obs merges on each call and holds nothing yet")
 	}
-	if a, b := k.ObsRegistry(), k.ObsRegistry(); a == nil || a == b || a.Links() != 0 {
-		t.Fatal("before Run, ObsRegistry folds the blocks on each call")
-	}
-	s := New(cfg)
-	if a := s.Obs(); a == nil || a.Len() != 0 {
-		t.Fatal("before Run, Obs holds nothing yet")
-	}
 	if a, b := s.ObsRegistry(), s.ObsRegistry(); a == nil || a != b || a.Links() != 0 {
-		t.Fatal("on one block, ObsRegistry is the block's own registry")
+		t.Fatal("ObsRegistry is the run's one registry")
 	}
 	m := s.Run(tinyApp(t, "jacobi"))
 	if m.Obs.Len() == 0 || m.ObsRegistry.Links() == 0 {

@@ -50,8 +50,8 @@ func digest(t *testing.T, m Metrics) string {
 }
 
 // TestRunnerMatchesNew hands one Runner a chain in which every network
-// follows every other at 16 nodes, then a 64-node run, a windowed-engine
-// run, another L1 geometry, small L2 slices that evict (so a donor hands
+// follows every other at 16 nodes, then a 64-node run, another L1
+// geometry, small L2 slices that evict (so a donor hands
 // over a free list), faults, adversaries and observation. Each run must
 // report exactly what New(cfg).Run does, and what it returned must not
 // move while the runs after it reuse its storage.
@@ -74,9 +74,7 @@ func TestRunnerMatchesNew(t *testing.T) {
 	none := func(*Config) {}
 	add("64 nodes", "fft", 64, NetFSOI, none)
 	add("16 nodes after 64", "mp3d", 16, NetFSOI, none)
-	add("windowed engine", "jacobi", 16, NetFSOI, func(c *Config) { c.ParWorkers = 2 })
-	add("after the windowed engine", "jacobi", 16, NetFSOI, none)
-	for i := len(jobs) - 4; i < len(jobs); i++ {
+	for i := len(jobs) - 2; i < len(jobs); i++ {
 		jobs[i].fresh = true
 	}
 	add("256-line L1", "mp3d", 16, NetFSOI, func(c *Config) { c.L1.Lines = 256 })

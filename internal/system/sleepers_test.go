@@ -8,28 +8,26 @@ import (
 )
 
 // checkSleepers verifies, between two cycles, that no ticker asleep
-// until woken sleeps past work it has: the FSOI sweep of a block with a
-// busy node is due by the next slot boundary, the outbox drain of a
-// block with a backlogged node by now, and the ideal networks' tick by
+// until woken sleeps past work it has: the FSOI sweep with a busy node
+// is due by the next slot boundary, the outbox drain with a backlogged
+// node by now, and the ideal networks' tick by
 // the first cycle a queued node's serializer frees. It reports which of
 // the three had work.
 func (s *System) checkSleepers(t *testing.T, seen map[string]bool) {
 	t.Helper()
 	now := s.engine.Now()
-	for k, w := range s.sweeps {
-		if at, ok := s.fsoi.NextSweep(k, now); ok {
+	if s.fsoi != nil {
+		if at, ok := s.fsoi.NextSweep(now); ok {
 			seen["sweep"] = true
-			if w.Due() > at {
-				t.Fatalf("cycle %d: block %d's FSOI sweep is due at %d with a busy node due at %d", now, k, w.Due(), at)
+			if s.sweep.Due() > at {
+				t.Fatalf("cycle %d: the FSOI sweep is due at %d with a busy node due at %d", now, s.sweep.Due(), at)
 			}
 		}
 	}
-	for k, w := range s.drains {
-		if s.backlogged.Any(k) {
-			seen["drain"] = true
-			if w.Due() > now {
-				t.Fatalf("cycle %d: block %d's outbox drain is due at %d with a backlogged node", now, k, w.Due())
-			}
+	if s.backlogged.Any() {
+		seen["drain"] = true
+		if s.drain.Due() > now {
+			t.Fatalf("cycle %d: the outbox drain is due at %d with a backlogged node", now, s.drain.Due())
 		}
 	}
 	if s.ideal != nil {
@@ -73,8 +71,8 @@ func TestNoSleeperSleepsPastItsWork(t *testing.T) {
 			t.Fatalf("unknown app %s", c.app)
 		}
 		s := New(cfg)
-		if s.drains[0].Due() == math.MinInt64 {
-			t.Fatal("the serial engine's outbox drain runs every cycle: the check below would pass vacuously")
+		if s.drain.Due() == math.MinInt64 {
+			t.Fatal("the outbox drain is the zero Wake: the check below would pass vacuously")
 		}
 		s.start(app)
 		seen := map[string]bool{}

@@ -86,7 +86,7 @@ func (f *subscriptionSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 // on the releasing core's own node.
 func (f *subscriptionSync) Release(core int, id int, done func(now sim.Cycle)) {
 	f.request(core, coherence.SyncRelease, id)
-	f.s.sched(core).After(1, done)
+	f.s.engine.After(1, done)
 }
 
 // Barrier arrives and waits for the release push.
@@ -194,7 +194,7 @@ func (f *coherentSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 			}
 		}
 		l1.OnInvalidate(addr, wake)
-		f.s.sched(core).After(2500, wake)
+		f.s.engine.After(2500, wake)
 	}
 	attempt = func(now sim.Cycle) {
 		l1.AccessRetry(addr, false, func(at sim.Cycle) {
@@ -216,7 +216,7 @@ func (f *coherentSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 			})
 		})
 	}
-	attempt(f.s.sched(core).Now())
+	attempt(f.s.engine.Now())
 }
 
 // Release writes the lock line, invalidating the spinners.
@@ -277,10 +277,10 @@ func (f *coherentSync) spinFlag(core, id, epoch int, done func(now sim.Cycle)) {
 				}
 			}
 			l1.OnInvalidate(addr, wake)
-			f.s.sched(core).After(2500, wake)
+			f.s.engine.After(2500, wake)
 		})
 	}
-	poll(f.s.sched(core).Now())
+	poll(f.s.engine.Now())
 }
 
 func (f *coherentSync) onBit(node int, tag uint64, value bool, now sim.Cycle) {}

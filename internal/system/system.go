@@ -22,7 +22,7 @@ import (
 	"fsoi/internal/optics"
 	"fsoi/internal/power"
 	"fsoi/internal/sim"
-	"fsoi/internal/sim/shard"
+	"fsoi/internal/sim/shard" // WindowEngine's signature only
 	"fsoi/internal/stats"
 	"fsoi/internal/workload"
 )
@@ -39,25 +39,10 @@ type Config struct {
 	Power     power.Params
 	Seed      uint64
 	MaxCycles sim.Cycle
-	// Shards sets the windowed engine's partition when ParWorkers > 0;
-	// <= 1 means one shard per worker. Every partition gives the same
-	// bytes, and without ParWorkers it is an error: there is no serial
-	// sharded schedule.
-	Shards int
-	// ParWorkers, when > 0, runs the simulation on the windowed parallel
-	// engine (internal/sim/shard.Windows): shards advance concurrently
-	// through lookahead-wide windows on a worker pool, with cross-shard
-	// events buffered and committed at each window barrier. The run is
-	// byte-identical at every worker count (ParWorkers 1 is the serial
-	// replay of the same schedule) and at every shard count, but is a
-	// *different* schedule from the serial engine: cross-node
-	// interactions land one lookahead later, exactly as the conservative
-	// window discipline requires. Only the FSOI network supports it —
-	// the model was restructured so every event executes in the context
-	// of the node whose state it touches — and the subscription sync
-	// fabric is required (coherent ll/sc spinning shares lock tables
-	// across nodes).
-	ParWorkers int
+	// Shards and ParWorkers have no effect: every run is on the serial
+	// engine. They selected the withdrawn windowed engine (DESIGN §12)
+	// and stay only because the benchmark's workloads still set them.
+	Shards, ParWorkers int
 	// MeshBandwidthFrac throttles mesh injection bandwidth (Figure 11):
 	// a fraction in (0, 1], or 0 for unset, which is full rate.
 	MeshBandwidthFrac float64
@@ -172,15 +157,12 @@ func (m Metrics) Speedup(baseline Metrics) float64 {
 // System is one assembled CMP.
 //
 // Every piece of per-packet mutable state — the ordering tables, the
-// packet free-lists, the packet-ID counters, the observability sinks —
-// is indexed by the node whose execution context touches it, so the
-// assembly runs unchanged on the serial engine and the windowed
-// parallel engine.
+// packet free-lists, the packet-ID counters — is indexed by the node
+// whose execution context touches it.
 type System struct {
 	cfg      Config
-	engine   sim.Driver
-	winEng   *shard.Windows // non-nil when cfg.ParWorkers > 0
-	la       sim.Cycle      // cross-node handback delay (the network's lookahead)
+	engine   *sim.Engine
+	la       sim.Cycle // finish-notice delay (the network's lookahead)
 	rng      *sim.RNG
 	net      noc.Network
 	fsoi     *core.Network
@@ -194,17 +176,14 @@ type System struct {
 	finished int // owned by node 0: finish notices ride handbacks there
 	tracer   *noc.ShardedTracer
 	obsRec   *obs.Sharded
-	obsReg   []*obs.Registry // per engine block: the registry of the nodes the block holds
-	blockOf  []int32         // node -> its engine block's index
-	// What collect merged them into, kept so the accessors do not merge
-	// again; nil until Run returns.
-	obsMerged    *obs.Recorder
-	obsRegMerged *obs.Registry
+	obsReg   *obs.Registry
+	// What collect merged obsRec into, kept so Obs does not merge again;
+	// nil until Run returns.
+	obsMerged *obs.Recorder
 
 	// pktSeq counts packets injected per source node; a packet's ID is
 	// src+1 + nodes*seq — unique, nonzero, and a pure function of that
-	// node's own injection history, so IDs are identical at every shard
-	// and worker count.
+	// node's own injection history.
 	pktSeq []uint64
 	// pktFree recycles retired wire packets per source node, so the
 	// transport's steady state allocates nothing per message. Plain
@@ -212,10 +191,7 @@ type System struct {
 	// the Go scheduler and GC, which would let host-machine timing leak
 	// into pointer identities, while LIFO reuse from the source node's
 	// own slice is a pure function of simulated history and keeps runs
-	// byte-identical. Every retirement site executes in the source
-	// node's context (a rejected send, a confirmation, a drop) except
-	// the electrical networks' delivery-time retirement, which only ever
-	// runs single-threaded.
+	// byte-identical.
 	pktFree [][]*wirePacket
 
 	// Point-to-point ordering state (§4.4), indexed by source node: one
@@ -228,11 +204,10 @@ type System struct {
 	// non-empty; an outbox only ever grows when transport.Send refuses.
 	backlogged *sim.BusySet
 
-	// The alarms of the tickers that sleep until woken: per block, the
-	// FSOI busy-node sweep and the outbox drain; the ideal networks' tick.
-	sweeps, drains []sim.Wake
-	netWake        sim.Wake
-	ideal          *mesh.Ideal // the network, when it is L0, Lr1 or Lr2
+	// The alarms of the tickers that sleep until woken: the FSOI
+	// busy-node sweep, the outbox drain and the ideal networks' tick.
+	sweep, drain, netWake sim.Wake
+	ideal                 *mesh.Ideal // the network, when it is L0, Lr1 or Lr2
 }
 
 // ordStream is one ordered (dst, line) message stream of its source node
@@ -253,10 +228,6 @@ func (s *System) stream(m coherence.Msg) int {
 	}
 	return -1
 }
-
-// sched resolves the scheduling surface for one node: the node's proxy
-// on the windowed engine, the engine itself otherwise.
-func (s *System) sched(node int) sim.Scheduler { return sim.SchedulerFor(s.engine, node) }
 
 // transport adapts the system to coherence.Transport.
 type transport struct{ s *System }
@@ -339,7 +310,7 @@ func (t transport) Send(m coherence.Msg) bool {
 		// event): the node joins the outbox drain, waking it for this
 		// cycle's turn, or the next cycle's once this one's has come.
 		if s.backlogged.Mark(m.From) {
-			s.drains[s.blockOf[m.From]].At(s.engine.Now())
+			s.drain.At(s.engine.Now())
 		}
 		return false
 	}
@@ -393,17 +364,6 @@ func (cfg Config) Validate() error {
 	if (cfg.Observe || cfg.Detect) && cfg.Nodes > obs.MaxNodes {
 		return fmt.Errorf("system: Observe tells at most %d nodes apart (got %d)", obs.MaxNodes, cfg.Nodes)
 	}
-	if cfg.Shards > 1 && cfg.ParWorkers <= 0 {
-		return fmt.Errorf("system: Shards %d partitions the windowed engine and needs ParWorkers > 0", cfg.Shards)
-	}
-	if cfg.ParWorkers > 0 {
-		if cfg.Net != NetFSOI {
-			return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net)
-		}
-		if !cfg.FSOI.Opt.BooleanSubscription {
-			return errors.New("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
-		}
-	}
 	return nil
 }
 
@@ -435,15 +395,19 @@ func (r *Runner) Run(cfg Config, app workload.App) Metrics {
 // build is New, given a donor: a finished system whose storage the new
 // one may take over. The donor gives its L1 arrays, its directories' record
 // slabs and tables and its engine's queues when it has the new system's
-// shape (node count, both on the serial engine; NewL1 also checks the L1
-// geometry) and nothing otherwise. Each component resets what it takes to
-// the state a new one starts in, so the run is the one New would give.
+// node count (NewL1 also checks the L1 geometry) and nothing otherwise.
+// Each component resets what it takes to the state a new one starts in,
+// so the run is the one New would give.
 func build(cfg Config, donor *System) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if donor != nil && (donor.cfg.Nodes != cfg.Nodes || donor.winEng != nil || cfg.ParWorkers > 0) {
+	if donor != nil && donor.cfg.Nodes != cfg.Nodes {
 		donor = nil
+	}
+	var spent *sim.Engine
+	if donor != nil {
+		spent = donor.engine
 	}
 	if cfg.Detect {
 		// The detector consumes the lifecycle-event record.
@@ -457,21 +421,7 @@ func build(cfg Config, donor *System) *System {
 		pktSeq:  make([]uint64, cfg.Nodes),
 		pktFree: make([][]*wirePacket, cfg.Nodes),
 		ord:     make([][]ordStream, cfg.Nodes),
-	}
-	if cfg.ParWorkers > 0 {
-		k := cfg.Shards
-		if k < 2 {
-			k = cfg.ParWorkers
-		}
-		s.winEng = shard.NewWindows(k, cfg.ParWorkers)
-		s.winEng.AssignNodes(cfg.Nodes)
-		s.engine = s.winEng
-	} else {
-		var spent *sim.Engine
-		if donor != nil {
-			spent = donor.engine.(*sim.Engine)
-		}
-		s.engine = sim.NewEngine(spent)
+		engine:  sim.NewEngine(spent),
 	}
 	dim := dimOf(cfg.Nodes)
 	tr := transport{s}
@@ -502,33 +452,16 @@ func build(cfg Config, donor *System) *System {
 	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
 		s.la = la.Lookahead()
 	}
-	if s.winEng != nil {
-		s.winEng.SetLookahead(s.la)
-	}
-	// Per-node per-cycle work is registered once per block of nodes
-	// sharing a shard, not once per node: a sweep over the block's busy
-	// nodes in id order, through the block's first node's scheduler, so
-	// it ticks in that shard's context on the windowed engine. The serial
-	// engine has one block. The sweeps sleep until their work wakes them,
-	// as does the ideal networks' tick (the windowed engine runs them
-	// every cycle instead); the mesh and the crossbars tick every cycle.
-	blocks := sim.Blocks(s.engine, cfg.Nodes)
-	s.blockOf = make([]int32, cfg.Nodes)
-	for k, blk := range blocks {
-		for i := blk.Lo; i < blk.Hi; i++ {
-			s.blockOf[i] = int32(k)
-		}
-	}
+	// Per-node per-cycle work is registered once, not once per node: a
+	// sweep over the busy nodes in id order. The FSOI sweep and the ideal
+	// networks' tick sleep until their work wakes them; the mesh and the
+	// crossbars tick every cycle.
 	switch {
 	case s.fsoi != nil:
-		// FSOI has no global tick: every node's slice of the network
-		// ticks in that node's own shard context.
-		s.sweeps = s.fsoi.RegisterSweeps()
+		s.sweep = s.fsoi.RegisterSweep()
 	case s.ideal != nil:
 		s.netWake = s.ideal.RegisterTick()
 	default:
-		// The electrical and crossbar networks tick globally; they run
-		// only on the serial engine (Validate refuses ParWorkers off FSOI).
 		s.engine.Register(sim.TickFunc(s.net.Tick))
 	}
 
@@ -544,31 +477,29 @@ func build(cfg Config, donor *System) *System {
 		if donor != nil {
 			l1, dir = donor.l1s[i], donor.dirs[i]
 		}
-		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream("l1-"+strconv.Itoa(i)), tr, home, l1))
-		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.sched(i), tr, memNode, dir))
+		s.l1s = append(s.l1s, coherence.NewL1(i, cfg.L1, s.engine, s.rng.NewStream("l1-"+strconv.Itoa(i)), tr, home, l1))
+		s.dirs = append(s.dirs, coherence.NewDirectory(i, cfg.Dir, s.engine, tr, memNode, dir))
 	}
 	// The controllers' only per-cycle work is re-offering an outbox the
 	// network pushed back on, after every network tick of the cycle: l1
 	// then directory, in node order, for the nodes transport.Send refused.
-	// A block's drain sleeps until a refusal there wakes it.
-	s.backlogged = sim.NewBusySet(blocks)
-	for k, blk := range blocks {
-		s.drains = append(s.drains, sim.Sleeper(s.sched(blk.Lo), sim.TickFunc(func(now sim.Cycle) {
-			s.backlogged.Each(k, func(i int) {
-				// Cleared first: a Send refused again during the drain
-				// re-marks the node and wakes the drain for next cycle.
-				s.backlogged.Clear(i)
-				s.l1s[i].Tick(now)
-				s.dirs[i].Tick(now)
-			})
-		})))
-	}
+	// The drain sleeps until a refusal wakes it.
+	s.backlogged = sim.NewBusySet(cfg.Nodes)
+	s.drain = sim.Sleeper(s.engine, sim.TickFunc(func(now sim.Cycle) {
+		s.backlogged.Each(func(i int) {
+			// Cleared first: a Send refused again during the drain
+			// re-marks the node and wakes the drain for next cycle.
+			s.backlogged.Clear(i)
+			s.l1s[i].Tick(now)
+			s.dirs[i].Tick(now)
+		})
+	}))
 	for c := 0; c < cfg.Memory.Channels; c++ {
 		node := attach[c]
 		if s.mems[node] != nil {
 			continue
 		}
-		ctl := memory.NewController(node, cfg.Memory, s.sched(node), func(m coherence.Msg) {
+		ctl := memory.NewController(node, cfg.Memory, s.engine, func(m coherence.Msg) {
 			if !tr.Send(m) {
 				// Memory replies retry through the engine until the NIC
 				// accepts them.
@@ -582,17 +513,13 @@ func build(cfg Config, donor *System) *System {
 		s.tracer = noc.NewShardedTracer(cfg.Nodes, cfg.TracePackets)
 	}
 	if cfg.Observe {
-		// One event log and one registry per block: a block's nodes run
-		// on one shard, so nothing recorded is touched from two.
-		s.obsRec = obs.NewSharded(blocks, 0) // 0: no event limit
-		s.obsReg = make([]*obs.Registry, len(blocks))
-		for k := range blocks {
-			s.obsReg[k] = obs.NewRegistry()
-		}
+		// One event log over every node, and one registry.
+		s.obsRec = obs.NewSharded([]obs.Block{{Lo: 0, Hi: cfg.Nodes}}, 0) // 0: no event limit
+		s.obsReg = obs.NewRegistry()
 		// Any network exposing an observer hook gets the recorder: FSOI
 		// emits the full per-attempt lifecycle through per-node handles,
-		// the crossbar family (single-threaded by construction) emits
-		// tx-start at arbitration grant through node 0's.
+		// the crossbar family emits tx-start at arbitration grant through
+		// node 0's.
 		switch o := s.net.(type) {
 		case interface{ SetObserver(r *obs.Sharded) }:
 			o.SetObserver(s.obsRec)
@@ -603,11 +530,10 @@ func build(cfg Config, donor *System) *System {
 			s.injector.AnnotateTrace(s.obsRec)
 		}
 		if s.fsoi != nil {
-			// Per-link contention tracking for the detection layer: every
-			// observation lands in the registry of the executing node's block.
+			// Per-link contention tracking for the detection layer.
 			sinks := make([]core.LinkObserver, cfg.Nodes)
 			for i := range sinks {
-				sinks[i] = s.obsReg[s.blockOf[i]]
+				sinks[i] = s.obsReg
 			}
 			s.fsoi.SetLinkObservers(sinks)
 		}
@@ -629,7 +555,7 @@ func build(cfg Config, donor *System) *System {
 // retrySend keeps attempting a message until the network accepts it,
 // always from the source node's own context.
 func (s *System) retrySend(m coherence.Msg) {
-	s.sched(m.From).After(1, func(sim.Cycle) {
+	s.engine.After(1, func(sim.Cycle) {
 		if !(transport{s}).Send(m) {
 			s.retrySend(m)
 		}
@@ -667,7 +593,7 @@ func (s *System) launchOrdered(m coherence.Msg) {
 		return
 	}
 	s.recycle(p)
-	s.sched(m.From).After(1, func(sim.Cycle) { s.launchOrdered(m) })
+	s.engine.After(1, func(sim.Cycle) { s.launchOrdered(m) })
 }
 
 // observeInject records a packet's acceptance by the network, in the
@@ -679,7 +605,7 @@ func (s *System) observeInject(p *noc.Packet) {
 		return
 	}
 	s.obsRec.For(p.Src).Emit(obs.Event{
-		At: s.sched(p.Src).Now(), Kind: obs.KindInject, ID: p.ID,
+		At: s.engine.Now(), Kind: obs.KindInject, ID: p.ID,
 		Src: int32(p.Src), Dst: int32(p.Dst),
 		Class: uint8(p.Type), Lane: obs.LaneNone,
 	})
@@ -702,9 +628,7 @@ func (s *System) recycle(p *wirePacket) {
 }
 
 // deliver routes an arriving packet to its destination controller. It
-// runs in the destination node's context; everything it touches —
-// tracer ring, event log, registry, the controller itself — is the
-// destination's own or its block's.
+// runs in the destination node's context.
 func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 	w := wireOf(p)
 	m := w.msg
@@ -725,7 +649,7 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 			Src: int32(p.Src), Dst: int32(p.Dst), Attempt: int32(p.Retries),
 			Class: uint8(p.Type), Lane: obs.LaneNone,
 		})
-		s.obsReg[s.blockOf[p.Dst]].Observe(uint8(p.Type), p.Src, p.Dst, lat)
+		s.obsReg.Observe(uint8(p.Type), p.Src, p.Dst, lat)
 	}
 	switch m.Type {
 	case coherence.ReqMem, coherence.MemWrite:
@@ -776,9 +700,6 @@ func (s *System) onBit(src, dst int, tag uint64, value bool, now sim.Cycle) {
 func (s *System) Run(app workload.App) Metrics {
 	s.start(app)
 	s.engine.Run(s.cfg.MaxCycles)
-	if s.winEng != nil {
-		s.winEng.Close()
-	}
 	return s.collect(app.Name)
 }
 
@@ -803,24 +724,22 @@ func (s *System) start(app workload.App) {
 	for i := 0; i < s.cfg.Nodes; i++ {
 		var stream cpu.Stream = honestStreams[i]
 		if sp, hostile := advBy[i]; hostile {
-			stream = workload.NewAdversaryStream(sp, app, s.cfg.Nodes, s.cfg.Seed, s.sched(i).Now)
+			stream = workload.NewAdversaryStream(sp, app, s.cfg.Nodes, s.cfg.Seed, s.engine.Now)
 		}
-		c := cpu.New(i, s.cfg.Core, s.sched(i), s.l1s[i], stream, s.sync, s.onCoreFinish)
+		c := cpu.New(i, s.cfg.Core, s.engine, s.l1s[i], stream, s.sync, s.onCoreFinish)
 		s.cores = append(s.cores, c)
 		c.Start()
 	}
 }
 
 // onCoreFinish counts thread completions and stops the engine when the
-// last one lands. The counter is owned by node 0: each finishing core
-// hands its notice there one lookahead ahead, so the count never races
-// and the stop commits at a window barrier — the final cycle count is
-// identical at every shard and worker count.
+// last one lands. Each finishing core's notice reaches node 0 one
+// lookahead (Lookahead) after the core finishes.
 func (s *System) onCoreFinish(core int, at sim.Cycle) {
-	noc.ScheduleAt(s.sched(core), 0, at+s.la, func(sim.Cycle) {
+	s.engine.At(at+s.la, func(sim.Cycle) {
 		s.finished++
 		if s.finished == s.cfg.Nodes {
-			s.sched(0).Stop()
+			s.engine.Stop()
 		}
 	})
 }
@@ -838,8 +757,8 @@ func (s *System) collect(app string) Metrics {
 	if s.fsoi != nil {
 		m.FSOI = s.fsoi.Stats()
 	}
-	s.obsMerged, s.obsRegMerged = s.obsRec.Merged(), s.ObsRegistry()
-	m.Obs, m.ObsRegistry = s.obsMerged, s.obsRegMerged
+	s.obsMerged = s.obsRec.Merged()
+	m.Obs, m.ObsRegistry = s.obsMerged, s.obsReg
 	if len(s.cfg.Adversaries) > 0 {
 		m.AdversaryNodes = len(s.cfg.Adversaries)
 		hostile := make(map[int]bool, m.AdversaryNodes)
@@ -952,17 +871,15 @@ func (s *System) Diagnose() string {
 }
 
 // Engine exposes the simulation engine (tests, fsoisim -profile).
-func (s *System) Engine() sim.Driver { return s.engine }
+func (s *System) Engine() *sim.Engine { return s.engine }
 
-// Lookahead reports the cross-node handback delay the assembly honours
-// for its own scheduling (the finish-notice handbacks): the network's
-// declared lookahead, floor 1.
+// Lookahead reports the delay of each core's finish notice to node 0:
+// the network's declared lookahead (noc.Lookaheader), floor 1.
 func (s *System) Lookahead() sim.Cycle { return s.la }
 
-// WindowEngine exposes the windowed parallel engine when
-// Config.ParWorkers > 0 selected it, for the window/handoff/stall
-// meters; nil otherwise.
-func (s *System) WindowEngine() *shard.Windows { return s.winEng }
+// WindowEngine returns nil: no run is on the windowed engine (DESIGN
+// §12). It stays, with its signature, because the benchmark calls it.
+func (s *System) WindowEngine() *shard.Windows { return nil }
 
 // L1 exposes a node's L1 controller (tests).
 func (s *System) L1(i int) *coherence.L1 { return s.l1s[i] }
@@ -976,9 +893,9 @@ func (s *System) Trace() *noc.Tracer {
 	return s.tracer.Merged()
 }
 
-// Obs exposes the lifecycle-event recorder, merged across engine blocks
-// in canonical order (nil unless Config.Observe). After Run it is the
-// recorder Run merged, Metrics.Obs; before, it is merged on each call.
+// Obs exposes the lifecycle-event recorder in canonical order (nil
+// unless Config.Observe). After Run it is the recorder Run merged,
+// Metrics.Obs; before, it is merged on each call.
 func (s *System) Obs() *obs.Recorder {
 	if s.obsMerged != nil {
 		return s.obsMerged
@@ -987,24 +904,8 @@ func (s *System) Obs() *obs.Recorder {
 }
 
 // ObsRegistry exposes the percentile latency registry (nil unless
-// Config.Observe): the one block's own on the serial engine, the blocks'
-// folded together otherwise. After Run it is the registry Run folded,
-// Metrics.ObsRegistry; before, it is folded on each call.
-func (s *System) ObsRegistry() *obs.Registry {
-	switch {
-	case s.obsRegMerged != nil:
-		return s.obsRegMerged
-	case s.obsReg == nil:
-		return nil
-	case len(s.obsReg) == 1:
-		return s.obsReg[0]
-	}
-	out := obs.NewRegistry()
-	for _, g := range s.obsReg {
-		out.Merge(g)
-	}
-	return out
-}
+// Config.Observe), Metrics.ObsRegistry after Run.
+func (s *System) ObsRegistry() *obs.Registry { return s.obsReg }
 
 // CoreStats exposes a core's counters (tests, diagnostics).
 func (s *System) CoreStats(i int) *cpu.Stats { return s.cores[i].Stats() }

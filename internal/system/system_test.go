@@ -255,23 +255,40 @@ func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsShardsWithoutWorkers: Shards only partitions the
-// windowed engine. Asking for shards without workers used to select the
-// exact sharded engine, withdrawn since; it must not run serial quietly.
-func TestValidateRejectsShardsWithoutWorkers(t *testing.T) {
-	for _, c := range []struct {
-		shards, workers int
-		ok              bool
-	}{
-		{0, 0, true}, {1, 0, true}, {2, 0, false}, {8, 0, false},
-		{8, 2, true}, {0, 2, true},
-	} {
-		cfg := Default(16, NetFSOI)
-		cfg.Shards, cfg.ParWorkers = c.shards, c.workers
-		err := cfg.Validate()
-		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "needs ParWorkers > 0") {
-			t.Errorf("Shards %d, ParWorkers %d: Validate() = %v", c.shards, c.workers, err)
+// TestParWorkersRunsOnTheSerialEngine: ParWorkers and Shards, which the
+// benchmark's par2 workloads still set, select nothing. Validate accepts
+// them on any network and sync fabric, the run is on the serial engine
+// with the bytes of the same config without them, and a Runner reuses
+// its donor's storage for it.
+func TestParWorkersRunsOnTheSerialEngine(t *testing.T) {
+	for _, c := range []Config{Default(16, NetMesh), Default(16, NetFSOI)} {
+		c.ParWorkers, c.Shards = 2, 8
+		c.FSOI.Opt.BooleanSubscription = false
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s, ParWorkers 2, Shards 8: Validate() = %v", c.Net, err)
 		}
+	}
+	app := tinyApp(t, "jacobi")
+	serial := Default(16, NetFSOI)
+	serial.MaxCycles = 3_000_000
+	par := serial
+	par.ParWorkers, par.Shards = 2, 2
+	s := New(par)
+	if s.WindowEngine() != nil {
+		t.Fatal("ParWorkers 2 built the windowed engine")
+	}
+	want := New(serial).Run(app).Canonical()
+	if got := s.Run(app).Canonical(); got != want {
+		diffLines(t, "ParWorkers 2, Shards 2 against both 0", want, got)
+	}
+	var r Runner
+	r.Run(serial, app)
+	donor := r.last
+	if got := r.Run(par, app).Canonical(); got != want {
+		diffLines(t, "ParWorkers 2, Shards 2 on a Runner", want, got)
+	}
+	if r.last.engine != donor.engine {
+		t.Fatal("the Runner built a ParWorkers config without its donor's engine")
 	}
 }
 
