@@ -10,16 +10,16 @@ import "fsoi/internal/sim"
 // randomness is drawn, and behaviour is bit-identical to a build
 // without adversary support. Implementations must be deterministic
 // under the named-RNG-stream discipline; the network queries them in
-// simulation order, always passing the executing node's own stream.
+// simulation order, always passing the receiving node's own stream.
 type AdversaryModel interface {
 	// SpoofedHeader reports whether the arrival from src carries a
-	// forged PID/~PID header, misdetected as a collision. Called from
-	// the receiving node's context with that node's stream.
+	// forged PID/~PID header, misdetected as a collision. Called with
+	// the receiving node's stream.
 	SpoofedHeader(src int, at sim.Cycle, rng *sim.RNG) bool
 	// StarveConfirm reports whether the confirmation beam for a packet
 	// cleanly received at dst is suppressed, parking the sender on the
-	// confirmation-timeout retransmission path. Called from the
-	// receiving node's context with that node's stream.
+	// confirmation-timeout retransmission path. Called with the
+	// receiving node's stream.
 	StarveConfirm(dst int, at sim.Cycle, rng *sim.RNG) bool
 }
 
@@ -34,8 +34,6 @@ type LinkObserver interface {
 	NoteBackoff(src, dst, attempt int)
 }
 
-// SetLinkObservers attaches one contention sink per node (nodes may
-// share theirs); observations are always recorded into the executing
-// node's sink, and the sinks' tallies merge exactly. Passing nil
-// detaches tracking.
-func (n *Network) SetLinkObservers(sinks []LinkObserver) { n.linkObs = sinks }
+// SetLinkObserver attaches the contention sink. Passing nil detaches
+// tracking.
+func (n *Network) SetLinkObserver(o LinkObserver) { n.linkObs = o }

@@ -24,15 +24,6 @@ type confLane struct {
 	reserved []map[int]int
 	// nextOffset rotates reservation offsets per owner.
 	nextOffset []int
-	// stats is indexed by the owning node, so every mutation happens in
-	// the owner's context.
-	stats []confLaneStats
-}
-
-// confLaneStats counts one node's reservation traffic.
-type confLaneStats struct {
-	Reservations int64 // active subscription slots ever granted
-	Denied       int64 // reservation requests denied (all offsets taken)
 }
 
 func newConfLane(nodes, miniPerCycle int) *confLane {
@@ -41,7 +32,6 @@ func newConfLane(nodes, miniPerCycle int) *confLane {
 		busyUntil:    make([]int64, nodes),
 		reserved:     make([]map[int]int, nodes),
 		nextOffset:   make([]int, nodes),
-		stats:        make([]confLaneStats, nodes),
 	}
 }
 
@@ -79,10 +69,8 @@ func (c *confLane) reserve(owner, subscriber int) int {
 			}
 			c.reserved[owner][off] = subscriber
 			c.nextOffset[owner] = off
-			c.stats[owner].Reservations++
 			return off
 		}
 	}
-	c.stats[owner].Denied++
 	return -1
 }

@@ -57,8 +57,8 @@ func TestConfLaneDistinctOffsets(t *testing.T) {
 	if off := c.reserve(0, 12); off != -1 {
 		t.Fatalf("oversubscription must be denied, got offset %d", off)
 	}
-	if c.stats[0].Denied != 1 {
-		t.Fatal("denial must be counted")
+	if len(c.reserved[0]) != 11 {
+		t.Fatalf("a denial must leave the table as it was: %v", c.reserved[0])
 	}
 }
 
@@ -90,12 +90,9 @@ func TestConfLaneReservationTableIsLazy(t *testing.T) {
 	if c.reserved[0] != nil || c.reserved[2] != nil || c.reserved[3] != nil {
 		t.Fatal("one owner's reservation made another's table")
 	}
-	if c.stats[1].Reservations != 1 || c.stats[1].Denied != 0 {
-		t.Fatalf("stats after the first reservation: %+v", c.stats[1])
-	}
 	// A one-offset lane has nothing to reserve: denied, and no table made.
 	d := newConfLane(2, 1)
-	if off := d.reserve(0, 1); off != -1 || d.reserved[0] != nil || d.stats[0].Denied != 1 {
-		t.Fatalf("reservation on a lane without spare offsets: offset %d, table %v, %+v", off, d.reserved[0], d.stats[0])
+	if off := d.reserve(0, 1); off != -1 || d.reserved[0] != nil {
+		t.Fatalf("reservation on a lane without spare offsets: offset %d, table %v", off, d.reserved[0])
 	}
 }

@@ -50,19 +50,19 @@ type BitFunc func(src, dst int, tag uint64, value bool, now sim.Cycle)
 
 // transmission is one attempt-carrying packet instance.
 //
-// Ownership transfers with the packet: between transmit and resolution
-// the destination node owns the transmission exclusively; a failed
-// attempt is handed back to the source node (a scheduled event in the
-// source's context) before the source touches it again.
+// The record travels with the beam: it lies in the destination's arrival
+// bucket from the slot's end until the destination's tick resolves it,
+// and a failed attempt is back on its sender's retry list a confirmation
+// delay later.
 //
-// Records are recycled through the source node's free list
-// (nodeState.txFree): acquired in startSlot (in Send, by a packet to its
-// own node) and released exactly once, by the confirmation event, both in
-// the source's context.
-// A lost confirmation keeps the record live until the duplicate's
-// confirmation. Every event in a packet's life is one of the callbacks
-// below, bound when the record is first allocated and reading its
-// arguments from the record: an attempt schedules no closure. Only a
+// Records are recycled through their source node's free list
+// (nodeState.txFree), because a record binds its source and the receiver
+// its beam lands on when it is first allocated: acquired in startSlot (in
+// Send, by a packet to its own node) and released exactly once, by the
+// confirmation event. A lost confirmation keeps the record live until the
+// duplicate's confirmation. Every event in a packet's life is one of the
+// callbacks below, bound when the record is first allocated and reading
+// its arguments from the record: an attempt schedules no closure. Only a
 // pipelined delivery is ever pending beside another event. It fires
 // ConfirmDelay or more before its own confirmation; had that been lost,
 // the duplicate's confirmation is a timeout, a slot and the same
@@ -92,7 +92,7 @@ type transmission struct {
 }
 
 // acquire takes a scrubbed transmission from node id's free list, or
-// allocates one and binds its callbacks. Sender's context only.
+// allocates one and binds its callbacks, its source and its receiver.
 func (n *Network) acquire(id int, ns *nodeState) *transmission {
 	if k := len(ns.txFree); k > 0 {
 		tx := ns.txFree[k-1]
@@ -105,8 +105,7 @@ func (n *Network) acquire(id int, ns *nodeState) *transmission {
 }
 
 // release scrubs tx down to what it was born with and returns it to its
-// source's free list. Sender's context only; the caller holds the last
-// reference.
+// source's free list. The caller holds the last reference.
 func (n *Network) release(tx *transmission) {
 	*tx = transmission{
 		n: n, src: tx.src, rcv: tx.rcv,
@@ -117,7 +116,7 @@ func (n *Network) release(tx *transmission) {
 }
 
 // arrive lands the beam on the destination's receiver at the end of the
-// slot, in the destination's context.
+// slot.
 func (tx *transmission) arrive(now sim.Cycle) {
 	dst := tx.pkt.Dst
 	d := tx.n.nodes[dst]
@@ -126,8 +125,7 @@ func (tx *transmission) arrive(now sim.Cycle) {
 	tx.n.join(dst, now, true) // the slot ends, and the next opens, now
 }
 
-// deliver hands over a payload held back by a pipeline, in the
-// destination's context.
+// deliver hands over a payload held back by a pipeline.
 func (tx *transmission) deliver(now sim.Cycle) { tx.n.deliver(tx.pkt, now) }
 
 // confirm is the confirmation's arrival at the sender: the record's
@@ -141,11 +139,12 @@ func (tx *transmission) confirm(now sim.Cycle) {
 }
 
 // requeue parks a delivered-but-unconfirmed transmission for its
-// timeout retransmission, in the sender's context.
+// timeout retransmission.
 func (tx *transmission) requeue(now sim.Cycle) { tx.n.parkRetry(tx, now) }
 
-// nodeState is the per-node transmit machinery. Everything in here is
-// touched only from events and ticks executing on the owning node.
+// nodeState is one node's transmit machinery: its lanes' queues and
+// retries, its receivers' arrivals and its reservation and reply-timing
+// tables.
 type nodeState struct {
 	queue    [numLanes][]queued // outgoing packets, each with its scheduling hold
 	retries  [numLanes][]*transmission
@@ -234,39 +233,6 @@ type Stats struct {
 	MaxBackoffDepth [numLanes]int64 // deepest attempt count any transmission reached
 }
 
-// add folds o into s; integer addition is exact and commutative, and the
-// depth fields merge by max (also commutative), so the per-node tallies
-// aggregate identically in any merge order.
-func (s *Stats) add(o *Stats) {
-	for l := 0; l < int(numLanes); l++ {
-		s.Attempts[l] += o.Attempts[l]
-		s.Collided[l] += o.Collided[l]
-		s.Collisions[l] += o.Collisions[l]
-		s.Delivered[l] += o.Delivered[l]
-		if o.MaxBackoffDepth[l] > s.MaxBackoffDepth[l] {
-			s.MaxBackoffDepth[l] = o.MaxBackoffDepth[l]
-		}
-	}
-	for k := range s.DataByKind {
-		s.DataByKind[k] += o.DataByKind[k]
-	}
-	s.HintsIssued += o.HintsIssued
-	s.HintsCorrect += o.HintsCorrect
-	s.HintsWrong += o.HintsWrong
-	s.ConfirmBits += o.ConfirmBits
-	s.ConfirmSignals += o.ConfirmSignals
-	s.BitErrors += o.BitErrors
-	s.ScheduledHolds += o.ScheduledHolds
-	s.HeaderCorruptions += o.HeaderCorruptions
-	s.PayloadCRCErrors += o.PayloadCRCErrors
-	s.ConfirmDrops += o.ConfirmDrops
-	s.TimeoutRetransmits += o.TimeoutRetransmits
-	s.DuplicateDeliveries += o.DuplicateDeliveries
-	s.DegradedTransmissions += o.DegradedTransmissions
-	s.SpoofedHeaders += o.SpoofedHeaders
-	s.StarvedConfirms += o.StarvedConfirms
-}
-
 // TransmissionProbability reports attempts per node per slot for a lane,
 // the x-axis of Figure 9.
 func (s *Stats) TransmissionProbability(l Lane) float64 {
@@ -297,11 +263,13 @@ func (s *Stats) RetransmissionRate(l Lane) float64 {
 
 // Network is the FSOI interconnect.
 //
-// Every piece of mutable state is owned by exactly one node: per-node
-// transmit machinery (nodeState), per-node RNG streams, per-node stats
-// and latency accumulators, and a per-node slice of the shared
-// confirmation-lane bookkeeping. Code executing for node i — its tick,
-// or an event scheduled for it — touches only node i's slices.
+// Besides each node's transmit machinery (nodeState) and confirmation
+// lane, two things stay per node for the numbers they give. Each node
+// draws from a stream of its own, derived by name in node order: one
+// stream would interleave the nodes' draws and move every result. And
+// each node accumulates the latencies delivered to it, merged in node
+// order when read: one accumulator would add the same samples in another
+// order and move the stddev digits of the canonical listing.
 type Network struct {
 	cfg       Config
 	slotLen   [numLanes]int64 // cfg.SlotCycles per lane, computed once
@@ -311,9 +279,9 @@ type Network struct {
 	deliverFn noc.DeliveryFunc
 	confirmFn ConfirmFunc
 	bitFn     BitFunc
-	obs       *obs.Sharded // nil unless lifecycle tracing is on
+	obs       *obs.Recorder // nil unless lifecycle tracing is on
 	lat       []noc.LatencyStats
-	stats     []Stats
+	stats     Stats
 	nodes     []*nodeState
 	busy      *sim.BusySet // nodes with a packet queued, in retry, or arriving
 	sweep     sim.Wake     // the busy-node sweep's alarm (zero until RegisterSweep)
@@ -321,7 +289,7 @@ type Network struct {
 	ber       float64        // per-bit error probability on the signaling chain
 	fault     FaultModel     // nil unless an injector is attached
 	adv       AdversaryModel // nil unless an attack roster is attached
-	linkObs   []LinkObserver // per-node contention sinks; nil unless tracking is on
+	linkObs   LinkObserver   // contention sink; nil unless tracking is on
 }
 
 // New builds an FSOI network over the engine; it panics on an invalid
@@ -345,7 +313,6 @@ func New(cfg Config, engine *sim.Engine, rng *sim.RNG) *Network {
 	}
 	base := rng.NewStream("fsoi")
 	n.nrng = make([]*sim.RNG, cfg.Nodes)
-	n.stats = make([]Stats, cfg.Nodes)
 	n.lat = make([]noc.LatencyStats, cfg.Nodes)
 	// The node states come from one slab, and so do all receivers'
 	// arrival buckets.
@@ -400,20 +367,16 @@ func (n *Network) Lookahead() sim.Cycle {
 	return la
 }
 
-// Stats merges the per-node counters, in node order, into a fresh
-// aggregate. Every node sees every slot boundary whether or not it had
-// work there, so SlotsObserved is the boundaries in [0, now) times the
-// node count rather than a tally.
+// Stats returns a copy of the counters. Every node sees every slot
+// boundary whether or not it had work there, so SlotsObserved is the
+// boundaries in [0, now) times the node count rather than a tally.
 func (n *Network) Stats() *Stats {
-	out := &Stats{}
-	for i := range n.stats {
-		out.add(&n.stats[i])
-	}
+	out := n.stats
 	now := int64(n.engine.Now())
 	for l, slotLen := range n.slotLen {
 		out.SlotsObserved[l] = int64(n.cfg.Nodes) * ((now + slotLen - 1) / slotLen)
 	}
-	return out
+	return &out
 }
 
 // SetDelivery installs the destination callback.
@@ -426,16 +389,16 @@ func (n *Network) SetConfirmDelivery(fn ConfirmFunc) { n.confirmFn = fn }
 // SetBitDelivery installs the boolean-subscription callback.
 func (n *Network) SetBitDelivery(fn BitFunc) { n.bitFn = fn }
 
-// SetObserver attaches a family of per-node lifecycle-event recorders.
-// Passing nil detaches it; with no recorder attached every emission site
-// is a single nil check and the transmit path allocates nothing extra.
-func (n *Network) SetObserver(r *obs.Sharded) { n.obs = r }
+// SetObserver attaches a lifecycle-event recorder. Passing nil detaches
+// it; with no recorder attached every emission site is a single nil check
+// and the transmit path allocates nothing extra.
+func (n *Network) SetObserver(r *obs.Recorder) { n.obs = r }
 
-// observe emits one lifecycle event through the handle of the node
-// whose context is executing (source for launch and backoff events,
-// destination for resolution events).
+// observe records one lifecycle event as node's (the source for launch
+// and backoff events, the destination for resolution events), which
+// places it among its cycle's events.
 func (n *Network) observe(node int, kind obs.Kind, tx *transmission, l Lane, at sim.Cycle, aux int64) {
-	n.obs.For(node).Emit(obs.Event{
+	n.obs.EmitAs(node, obs.Event{
 		At: at, Kind: kind, ID: tx.pkt.ID, Aux: aux,
 		Src: int32(tx.src), Dst: int32(tx.pkt.Dst),
 		Attempt: int32(tx.attempt), Class: uint8(tx.pkt.Type), Lane: int8(l),
@@ -459,8 +422,7 @@ func laneFor(p *noc.Packet) Lane {
 	return LaneMeta
 }
 
-// Send enqueues a packet on its lane's outgoing queue. It must be called
-// from the source node's context (or at setup, before the engine runs).
+// Send enqueues a packet on its source's outgoing queue for its lane.
 func (n *Network) Send(p *noc.Packet) bool {
 	if p.Src == p.Dst {
 		// Same-node traffic short-circuits through the local port in one
@@ -502,7 +464,7 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued
 		slot := ns.reserved.reserve(first, int64(now)/dataSlot)
 		if slot > first {
 			q.notBefore, q.held = now+sim.Cycle((slot-first)*dataSlot), true
-			n.stats[p.Src].ScheduledHolds++
+			n.stats.ScheduledHolds++
 		}
 		ns.expecting.push(p.Dst, now)
 	case lane == LaneData && p.IsWriteback && n.cfg.Opt.WritebackSplit:
@@ -510,11 +472,11 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued
 		// node (the 2-cycle handshake), the home node picks a free slot
 		// at its receiver, and the grant rides back; the writeback itself
 		// is held until the granted slot opens. Both legs are ordinary
-		// node-to-node events, so the reservation is made entirely in the
-		// home node's context.
+		// node-to-node events: the reservation is made when the
+		// announcement lands at the home node.
 		cd := sim.Cycle(n.cfg.ConfirmDelay)
 		q.notBefore, q.held = now+2*cd, true // provisional: the grant, landing then, sets the real one
-		n.stats[p.Src].ScheduledHolds++
+		n.stats.ScheduledHolds++
 		var wb *wbSplit
 		if k := len(ns.wbFree); k > 0 {
 			wb, ns.wbFree = ns.wbFree[k-1], ns.wbFree[:k-1]
@@ -532,10 +494,9 @@ func (n *Network) schedulePacket(ns *nodeState, p *noc.Packet, lane Lane) queued
 // mini-cycle (§5.1): the sender's confirmation lane carries the bit at
 // the subscriber's reserved offset, arriving after the confirmation
 // delay plus any mini-cycle queueing (essentially never, at 12 minis per
-// cycle — but measured, not assumed). It must be called from src's
-// context.
+// cycle — but measured, not assumed).
 func (n *Network) SendConfirmBit(src, dst int, tag uint64, value bool) {
-	n.stats[src].ConfirmBits++
+	n.stats.ConfirmBits++
 	n.conf.reserve(src, dst)
 	now := n.engine.Now()
 	extra := n.conf.sendDelay(src, now, 1)
@@ -606,10 +567,9 @@ func (n *Network) nextBoundary(now sim.Cycle) sim.Cycle {
 	return now
 }
 
-// join adds node id to the busy set, in its own context at cycle now. A
-// node that was not busy wakes the sweep for the first slot
-// boundary from now on, which is now when the caller says so; one that
-// was already has it armed.
+// join adds node id to the busy set at cycle now. A node that was not
+// busy wakes the sweep for the first slot boundary from now on, which is
+// now when the caller says so; one that was already has it armed.
 func (n *Network) join(id int, now sim.Cycle, boundary bool) {
 	if n.busy.Mark(id) {
 		if !boundary {
@@ -634,9 +594,8 @@ func (n *Network) TickNode(id int, now sim.Cycle) {
 // slot that just ended on each of its receivers (delivering clean
 // transmissions, adjudicating collisions, handing failures back to their
 // senders), then its lane serializer picks the next transmission for the
-// opening slot. Only state owned by node id is touched, its busy bit
-// included: the bit is dropped once the tick leaves nothing queued, in
-// retry or arriving.
+// opening slot. The node's busy bit is dropped once the tick leaves
+// nothing queued, in retry or arriving.
 func (n *Network) tickNode(id int, slots [numLanes]int64, now sim.Cycle) {
 	ns := n.nodes[id]
 	for l := Lane(0); l < numLanes; l++ {
@@ -733,8 +692,8 @@ func (n *Network) startSlot(id int, ns *nodeState, l Lane, slot int64, now sim.C
 // transmit launches one attempt: the beam lands on the destination's
 // receiver at the end of the slot, where the destination's own tick
 // resolves whatever accumulated. The per-bit error probability is
-// sampled here, in the sender's context — the fault model's margin and
-// thermal state belong to the sender — and carried on the transmission.
+// sampled here, at the sender — the fault model's margin and thermal
+// state belong to the sender — and carried on the transmission.
 func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot int64, now sim.Cycle) {
 	p := tx.pkt
 	tx.steerExtra = 0
@@ -746,14 +705,14 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 	if n.fault != nil {
 		if ext := n.fault.SlotExtension(id, l); ext > 0 {
 			tx.degradeExtra = ext
-			n.stats[id].DegradedTransmissions++
+			n.stats.DegradedTransmissions++
 		}
 	}
 	tx.ber = n.ber
 	if n.fault != nil {
 		tx.ber = n.fault.BitErrorRate(id, now)
 	}
-	n.stats[id].Attempts[l]++
+	n.stats.Attempts[l]++
 	if n.obs != nil {
 		kind := obs.KindTxStart
 		if tx.attempt > 0 {
@@ -761,16 +720,15 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 		}
 		n.observe(id, kind, tx, l, now, slot)
 	}
-	// The arrival lands in the destination's context at the slot's end.
+	// The beam lands on the destination's receiver at the slot's end.
 	n.engine.At(sim.Cycle((slot+1)*n.slotLen[l]), tx.arriveFn)
 }
 
-// resolveGroup adjudicates one receiver slot at its end, in the
-// destination node's context: a single uncorrupted transmission is
-// delivered and confirmed; anything else collides and every participant
-// is handed back to its sender.
+// resolveGroup adjudicates one receiver slot of node dst at its end: a
+// single uncorrupted transmission is delivered and confirmed; anything
+// else collides and every participant is handed back to its sender.
 func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmission, now sim.Cycle) {
-	st := &n.stats[dst]
+	st := &n.stats
 	if len(group) == 1 {
 		tx := group[0]
 		// Independent bit errors corrupt the packet with probability
@@ -802,7 +760,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 				n.observe(dst, obs.KindCollision, tx, l, now, slot)
 			}
 			if n.linkObs != nil {
-				n.linkObs[dst].NoteCollision(tx.src, dst)
+				n.linkObs.NoteCollision(tx.src, dst)
 			}
 			tx.attempt++
 			tx.pkt.Retries++
@@ -817,7 +775,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 		// not delivered and the sender retries into an ever-deeper backoff
 		// window, burning the victim's slots each time (§4.3.1's detection
 		// mechanism turned against itself). The draw runs on the
-		// receiver's stream, in the receiver's context.
+		// receiver's stream.
 		if n.adv != nil && n.adv.SpoofedHeader(tx.src, now, n.nrng[dst]) {
 			st.SpoofedHeaders++
 			st.Collisions[l]++
@@ -829,7 +787,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 				n.observe(dst, obs.KindCollision, tx, l, now, slot)
 			}
 			if n.linkObs != nil {
-				n.linkObs[dst].NoteCollision(tx.src, dst)
+				n.linkObs.NoteCollision(tx.src, dst)
 			}
 			tx.attempt++
 			tx.pkt.Retries++
@@ -858,7 +816,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 			n.observe(dst, obs.KindCollision, tx, l, now, slot)
 		}
 		if n.linkObs != nil {
-			n.linkObs[dst].NoteCollision(tx.src, dst)
+			n.linkObs.NoteCollision(tx.src, dst)
 		}
 		tx.attempt++
 		tx.pkt.Retries++
@@ -900,7 +858,7 @@ func classify(group []*transmission) CollisionKind {
 // winner notification through the confirmation laser. It reports whether
 // a true participant was selected.
 func (n *Network) issueHint(dst int, group []*transmission) bool {
-	st := &n.stats[dst]
+	st := &n.stats
 	rng := n.nrng[dst]
 	st.HintsIssued++
 	if !rng.Bool(n.cfg.HintAccuracy) {
@@ -929,14 +887,14 @@ func (n *Network) issueHint(dst int, group []*transmission) bool {
 // failBack returns a failed transmission to its sender: physically, the
 // sender learns of the failure when no confirmation arrives, slot end +
 // ConfirmDelay. The failed slot and the hint
-// verdict ride on the record; the backoff draw then runs in the sender's
-// context, on the sender's stream.
+// verdict ride on the record; the backoff draw then runs on the sender's
+// stream.
 func (n *Network) failBack(from int, tx *transmission, slot int64, now sim.Cycle, isWinner bool) {
 	tx.failedSlot, tx.winner = slot, isWinner
 	n.engine.At(now+sim.Cycle(n.cfg.ConfirmDelay), tx.backoffFn)
 }
 
-// backoff schedules a retransmission, in the sender's context. The
+// backoff schedules a retransmission. The
 // sender learns of the failure at slot end + ConfirmDelay, by which time
 // the next slot's launch has passed: a hint winner goes in the second
 // slot after the collision, everyone else draws from the exponential
@@ -944,14 +902,14 @@ func (n *Network) failBack(from int, tx *transmission, slot int64, now sim.Cycle
 // retries until the confirmation beam arrives.
 func (tx *transmission) backoff(now sim.Cycle) {
 	n, l, slot := tx.n, tx.lane, tx.failedSlot
-	// Backoff-depth metering, in the sender's context: the deepest
+	// Backoff-depth metering: the deepest
 	// attempt count any transmission reaches is the detection layer's
 	// strongest per-link anomaly signal under adversarial load.
-	if d := int64(tx.attempt); d > n.stats[tx.src].MaxBackoffDepth[l] {
-		n.stats[tx.src].MaxBackoffDepth[l] = d
+	if d := int64(tx.attempt); d > n.stats.MaxBackoffDepth[l] {
+		n.stats.MaxBackoffDepth[l] = d
 	}
 	if n.linkObs != nil {
-		n.linkObs[tx.src].NoteBackoff(tx.src, tx.pkt.Dst, tx.attempt)
+		n.linkObs.NoteBackoff(tx.src, tx.pkt.Dst, tx.attempt)
 	}
 	if tx.winner {
 		tx.retrySlot = slot + 2
@@ -999,8 +957,7 @@ func (n *Network) window(attempt int) float64 {
 	return n.cfg.WindowW * math.Pow(n.cfg.BackoffB, float64(attempt-1))
 }
 
-// parkRetry puts tx on its sender's retry list, in the sender's context,
-// and keeps the sender in the busy set until the retry slot comes round.
+// parkRetry puts tx on its sender's retry list and keeps the sender in the busy set until the retry slot comes round.
 func (n *Network) parkRetry(tx *transmission, now sim.Cycle) {
 	ns := n.nodes[tx.src]
 	ns.retries[tx.lane] = append(ns.retries[tx.lane], tx)
@@ -1008,8 +965,8 @@ func (n *Network) parkRetry(tx *transmission, now sim.Cycle) {
 	n.join(tx.src, now, false)
 }
 
-// takeRetry removes retry i from lane l's list and returns it, in the
-// sender's context, recomputing the lane's due slot over what is left.
+// takeRetry removes retry i from lane l's list and returns it,
+// recomputing the lane's due slot over what is left.
 func (ns *nodeState) takeRetry(l Lane, i int) *transmission {
 	tx := ns.retries[l][i]
 	ns.retries[l] = append(ns.retries[l][:i], ns.retries[l][i+1:]...)
@@ -1020,8 +977,8 @@ func (ns *nodeState) takeRetry(l Lane, i int) *transmission {
 	return tx
 }
 
-// deliver completes a delivery in the destination's context: latency
-// accounting, the reply-timing estimate, and the upward callback.
+// deliver completes a delivery: latency accounting at the destination,
+// the reply-timing estimate, and the upward callback.
 func (n *Network) deliver(p *noc.Packet, now sim.Cycle) {
 	n.lat[p.Dst].Record(p)
 	n.noteReplyArrival(p, now)
@@ -1038,7 +995,7 @@ func (n *Network) deliver(p *noc.Packet, now sim.Cycle) {
 // parks the sender on the confirmation-timeout retransmission path.
 func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, now sim.Cycle) {
 	p := tx.pkt
-	st := &n.stats[dst]
+	st := &n.stats
 	extra := tx.steerExtra + tx.degradeExtra
 	deliverAt := now + sim.Cycle(extra)
 	if tx.delivered {

@@ -119,8 +119,8 @@ func (r *replyLog) pop(src int) (sent sim.Cycle, ok bool) {
 // announcement riding to the home node and the grant riding back. Records
 // are recycled through the source node's free list (nodeState.wbFree) with
 // both callbacks bound once, like transmission: acquired in schedulePacket,
-// released exactly once, when the grant lands, both in the source's
-// context; in between the home node's context holds it for one event.
+// released exactly once, when the grant lands; in between the home node
+// holds it for one event.
 type wbSplit struct {
 	n          *Network
 	pkt        *noc.Packet

@@ -168,13 +168,9 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	models := &noisyModels{rng: sim.NewRNG(11)}
 	n.SetFaultModel(models)
 	n.SetAdversaryModel(models)
-	rec := obs.NewSharded([]obs.Block{{Hi: cfg.Nodes}}, 0)
+	rec := obs.NewRecorder(0)
 	n.SetObserver(rec)
-	sinks := make([]LinkObserver, cfg.Nodes)
-	for i := range sinks {
-		sinks[i] = linkLog{&out.log}
-	}
-	n.SetLinkObservers(sinks)
+	n.SetLinkObserver(linkLog{&out.log})
 
 	ref := &refTicker{n: n}
 	switch mode {
@@ -226,7 +222,7 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	engine.Run(cycles)
 	out.stats = *n.Stats()
 	out.lat = n.LatencyStats()
-	out.events = rec.Merged().Events()
+	out.events = rec.Events()
 	out.fired = engine.EventsFired()
 	out.refSlots = ref.slots
 	return out

@@ -312,10 +312,7 @@ func Fig5(o Options) Result {
 	hist := stats.NewHistogram(5, 60)
 	ms, wedged := runSuite(o, o.suite(), o.config(system.NetFSOI, 16))
 	for _, m := range ms[0] {
-		for i := 0; i < hist.NumBuckets(); i++ {
-			hist.AddN(int64(i)*5, m.ReplyHist.Bucket(i))
-		}
-		hist.AddN(int64(hist.NumBuckets())*5, m.ReplyHist.Overflow())
+		hist.Merge(m.ReplyHist)
 	}
 	var b strings.Builder
 	t := stats.NewTable("latency (cycles)", "requests (%)")

@@ -124,9 +124,10 @@ type Injector struct {
 	net   core.Config
 	baseQ float64 // Table 1 Q factor before any penalty
 
-	// confirmRNG is indexed by the *destination* node: DropConfirm is
-	// drawn in the receiver's context, so each receiver owns its own
-	// stream and no stream is ever advanced from two shards.
+	// confirmRNG is indexed by the *destination* node: each receiver
+	// draws DropConfirm from a stream of its own, as the network draws
+	// from per-node streams; one stream would interleave the receivers'
+	// draws and move every result.
 	confirmRNG []*sim.RNG
 
 	// failed[lane][node] transmit VCSELs; ext[lane][node] extra
@@ -138,9 +139,9 @@ type Injector struct {
 	// riseK[node] is the steady-state temperature rise over ambient.
 	riseK []float64
 
-	// berEpoch[node]/berCache[node] memoize the injected BER per node;
-	// BitErrorRate(src, ...) is called in src's context (at launch), so
-	// each node refreshes only its own cache entry.
+	// berEpoch[node]/berCache[node] memoize the injected BER per node:
+	// it is the transmitter's, whose temperature rise and margin are its
+	// own.
 	berEpoch []sim.Cycle // epoch the entry was computed for (-1 = never)
 	berCache []float64   // per-node injected BER
 }
@@ -250,10 +251,9 @@ func (inj *Injector) berFor(node int, now sim.Cycle) float64 {
 	return ber
 }
 
-// BitErrorRate implements core.FaultModel. It serves from a per-node
-// epoch cache: the network asks in the transmitting node's context, so
-// each node refreshes only its own entry — recomputed when the thermal
-// ramp crosses an epoch boundary, exactly once when the ramp is off.
+// BitErrorRate implements core.FaultModel. It serves from the sender's
+// epoch cache entry, recomputed when the thermal ramp crosses an epoch
+// boundary, exactly once when the ramp is off.
 func (inj *Injector) BitErrorRate(src int, now sim.Cycle) float64 {
 	if !inj.cfg.Thermal.Enabled {
 		if inj.berEpoch[src] < 0 {
@@ -277,8 +277,8 @@ func (inj *Injector) SlotExtension(src int, l core.Lane) int {
 }
 
 // DropConfirm implements core.FaultModel: whether this packet's
-// confirmation beam is lost. The draw runs in the receiver's context and
-// comes from the receiver's own stream.
+// confirmation beam is lost. The draw comes from the receiver's own
+// stream.
 func (inj *Injector) DropConfirm(src, dst int, now sim.Cycle) bool {
 	if isUnset(inj.cfg.ConfirmDropProb) { // no draw: the guard also preserves RNG stream genealogy
 		return false
@@ -313,16 +313,16 @@ func (inj *Injector) DegradedNodes() int {
 // afflicted (node, lane), so a trace file is self-describing about the
 // physical state the packets flew through. Nodes are walked in index
 // order and lanes meta-then-data, so the annotation order is
-// deterministic, and each annotation is emitted through the afflicted
-// node's own handle. A nil recorder family is a no-op.
-func (inj *Injector) AnnotateTrace(rec *obs.Sharded) {
+// deterministic, and each annotation is recorded as the afflicted
+// node's. A nil recorder is a no-op.
+func (inj *Injector) AnnotateTrace(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
 	for node := 0; node < inj.net.Nodes; node++ {
 		for _, l := range [2]core.Lane{core.LaneMeta, core.LaneData} {
 			if n := inj.failed[l][node]; n > 0 {
-				rec.For(node).Emit(obs.Event{
+				rec.EmitAs(node, obs.Event{
 					Kind: obs.KindFault, Src: int32(node), Dst: -1,
 					Lane: int8(l), Class: uint8(l), Aux: int64(n),
 				})

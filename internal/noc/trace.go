@@ -1,15 +1,18 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 	"strings"
 
 	"fsoi/internal/sim"
 )
 
-// Tracer keeps the last N delivered packets in a ring buffer for
-// post-mortem inspection (fsoisim -trace).
+// Tracer keeps the last N delivered packets in (At, ID, Src) order, a
+// total order since packet IDs are unique, for post-mortem inspection
+// (fsoisim -trace). The ring holds them sorted, oldest first from next,
+// so which of one cycle's deliveries it keeps does not depend on the
+// order the engine fired them in.
 type Tracer struct {
 	ring []TraceEntry
 	next int
@@ -39,20 +42,41 @@ func NewTracer(n int) *Tracer {
 	return &Tracer{ring: make([]TraceEntry, n)}
 }
 
-// Record captures one delivery.
+// Record captures one delivery. One that sorts below everything a full
+// ring holds is not among the last N and is dropped; any other takes the
+// oldest slot and moves down past the entries that sort above it, which
+// are of its own cycle when deliveries arrive in cycle order.
 func (t *Tracer) Record(p *Packet, now sim.Cycle) {
-	t.ring[t.next] = TraceEntry{
+	e := TraceEntry{
 		At: now, ID: p.ID, Src: p.Src, Dst: p.Dst, Type: p.Type,
 		Total: p.TotalLatency(), Queue: p.QueuingDelay, Sched: p.SchedulingDelay,
 		Net: p.NetworkDelay, Resolve: p.ResolutionDelay, Retries: p.Retries,
 	}
-	t.next = (t.next + 1) % len(t.ring)
-	if t.next == 0 {
-		t.full = true
+	if t.full && compareEntries(e, t.ring[t.next]) < 0 {
+		return
+	}
+	i, held := t.next, t.next+1
+	if t.full {
+		held = len(t.ring)
+	}
+	t.ring[i] = e
+	t.next = (i + 1) % len(t.ring)
+	t.full = t.full || t.next == 0
+	for ; held > 1; held-- {
+		j := (i + len(t.ring) - 1) % len(t.ring)
+		if compareEntries(t.ring[j], e) <= 0 {
+			break
+		}
+		t.ring[i], t.ring[j], i = t.ring[j], e, j
 	}
 }
 
-// Entries returns the captured packets, oldest first.
+// compareEntries orders trace entries by (At, ID, Src).
+func compareEntries(a, b TraceEntry) int {
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Src, b.Src))
+}
+
+// Entries returns the captured packets in (At, ID, Src) order.
 func (t *Tracer) Entries() []TraceEntry {
 	if !t.full {
 		return t.ring[:t.next]
@@ -60,67 +84,6 @@ func (t *Tracer) Entries() []TraceEntry {
 	out := make([]TraceEntry, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// ShardedTracer keeps one delivered-packet ring per node, each the
-// full requested size, so recording never crosses node (and therefore
-// shard) boundaries: deliveries are recorded at the destination.
-// Merged restores the single-ring view — the most recent n deliveries
-// across all nodes in a canonical order — for display.
-type ShardedTracer struct {
-	rings []*Tracer
-	n     int
-}
-
-// NewShardedTracer builds per-node rings of up to n entries each.
-func NewShardedTracer(nodes, n int) *ShardedTracer {
-	if n <= 0 {
-		n = 64
-	}
-	st := &ShardedTracer{rings: make([]*Tracer, nodes), n: n}
-	for i := range st.rings {
-		st.rings[i] = NewTracer(n)
-	}
-	return st
-}
-
-// For returns the ring owned by a node. A nil tracer returns nil, so
-// call sites keep the single nil-check idiom.
-func (t *ShardedTracer) For(node int) *Tracer {
-	if t == nil || node < 0 || node >= len(t.rings) {
-		return nil
-	}
-	return t.rings[node]
-}
-
-// Merged collapses the per-node rings into one ring of the requested
-// size: all retained entries sorted by (At, ID, Src) — a total order,
-// since packet IDs are unique — with the ring keeping the most recent
-// n. The sort key never mentions a shard, so the merged trace is
-// identical at every shard and worker count.
-func (t *ShardedTracer) Merged() *Tracer {
-	var all []TraceEntry
-	for _, r := range t.rings {
-		all = append(all, r.Entries()...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		if all[i].ID != all[j].ID {
-			return all[i].ID < all[j].ID
-		}
-		return all[i].Src < all[j].Src
-	})
-	out := NewTracer(t.n)
-	for _, e := range all {
-		out.ring[out.next] = e
-		out.next = (out.next + 1) % len(out.ring)
-		if out.next == 0 {
-			out.full = true
-		}
-	}
 	return out
 }
 

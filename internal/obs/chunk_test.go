@@ -9,8 +9,8 @@ import (
 
 // emitCounts emits counts[node] events for each node, all nodes in step,
 // highest node first, one cycle every four steps: cycles tie within a
-// node and across nodes, every node's run and every block is in cycle
-// order, and no cycle of two nodes is emitted in node order.
+// node and across nodes, the script is in cycle order, and no cycle of
+// two nodes is emitted in node order.
 func emitCounts(counts ...int) func(emitFunc) {
 	return func(emit emitFunc) {
 		id := uint64(0)
@@ -26,32 +26,27 @@ func emitCounts(counts ...int) func(emitFunc) {
 }
 
 // TestMergedAtChunkEdges: logs that end just before, on and just after a
-// chunk boundary, with the nodes sharing one block (every cycle's group
-// re-sorted, one in five of them across a chunk edge) and in a block
-// each, whole and cut by a limit that falls inside a chunk.
+// chunk boundary, with every cycle's group of nodes re-sorted (one in
+// five of them across a chunk edge), whole and cut by a limit that falls
+// inside a chunk.
 func TestMergedAtChunkEdges(t *testing.T) {
 	const c = chunkEvents
 	sizes := []int{0, 1, c - 1, c, c + 1, 3 * c}
 	for _, n := range sizes {
-		mergedMatchesReference(t, 1, 1, 0, emitCounts(n))
-		for _, k := range []int{1, 2, 3} {
-			mergedMatchesReference(t, 3, k, 0, emitCounts(n, 0, n))
-			mergedMatchesReference(t, 5, k, 0, emitCounts(n, n/2, n, 7, n)) // 20-event cycles, then fewer
-		}
+		recordedMatchesReference(t, 1, 0, emitCounts(n))
+		recordedMatchesReference(t, 3, 0, emitCounts(n, 0, n))
+		recordedMatchesReference(t, 5, 0, emitCounts(n, n/2, n, 7, n)) // 20-event cycles, then fewer
 		for _, m := range sizes {
-			mergedMatchesReference(t, 2, 1, 0, emitCounts(n, m))
-			mergedMatchesReference(t, 2, 2, 0, emitCounts(n, m))
+			recordedMatchesReference(t, 2, 0, emitCounts(n, m))
 		}
 	}
 	for _, limit := range []int{1, c - 1, c, c + 1, c + c/2, 3 * c, 6*c + 1} {
-		for _, k := range []int{1, 2, 3} {
-			mergedMatchesReference(t, 3, k, limit, emitCounts(3*c, c+1, 3*c))
-		}
+		recordedMatchesReference(t, 3, limit, emitCounts(3*c, c+1, 3*c))
 	}
 }
 
 // TestUnsortedRunAcrossChunks: a run whose clock steps back at a chunk
-// boundary is still stable-sorted, in Events and in Merged.
+// boundary is still stable-sorted, alone and among another node's events.
 func TestUnsortedRunAcrossChunks(t *testing.T) {
 	emit := func(emit emitFunc) {
 		for i := 0; i < chunkEvents+5; i++ {
@@ -63,13 +58,15 @@ func TestUnsortedRunAcrossChunks(t *testing.T) {
 			emit(1, Event{At: sim.Cycle(i), ID: uint64(1000 + i), Src: 1})
 		}
 	}
-	for _, k := range []int{1, 2} {
-		mergedMatchesReference(t, 2, k, 0, emit)
-		mergedMatchesReference(t, 2, k, chunkEvents, emit)
-	}
-	s := NewSharded(blocksOf(2, 2), 0)
-	emit(s.emit)
-	run := s.For(0).Events() // node 0 has a block, so a log, to itself
+	recordedMatchesReference(t, 2, 0, emit)
+	recordedMatchesReference(t, 2, chunkEvents, emit)
+	r := NewRecorder(0)
+	emit(func(node int, e Event) {
+		if node == 0 {
+			r.emit(node, e)
+		}
+	})
+	run := r.Events()
 	if !slices.IsSortedFunc(run, byCycle) || len(run) != chunkEvents+5 {
 		t.Fatalf("%d events, sorted %v", len(run), slices.IsSortedFunc(run, byCycle))
 	}
@@ -114,12 +111,6 @@ func TestEventsFlattensOnce(t *testing.T) {
 		t.Fatalf("CountByKind saw %d events across the slice and the chunks", counts[KindInject])
 	}
 	inOrder(r.Events(), 3*chunkEvents+9)
-
-	// The same log as a family's one block: Merged is the log, with
-	// whatever was emitted since Events last copied it.
-	emit(3*chunkEvents+9, 4*chunkEvents+9)
-	s := &Sharded{logs: []*eventLog{r.eventLog}}
-	inOrder(s.Merged().Events(), 4*chunkEvents+9)
 }
 
 // TestEmitAllocatesOneChunkPerChunkEvents: recording allocates once per
@@ -164,42 +155,34 @@ func TestEmitAllocatesOneChunkPerChunkEvents(t *testing.T) {
 
 // TestObserveLimitBoundsHeldEvents: a limit bounds what a log holds, not
 // only what it shows. 64 nodes storm for 400 cycles, between 64 and 191
-// events a cycle, under a limit of 5000: however the nodes are cut into
-// blocks, each block's log stops growing in the cycle it reaches the
-// limit, so it holds at most limit + that block's widest cycle, in so
-// many chunks and no more; and Len + Lost is everything emitted. (A
-// recorder per node let each of the 64 hold the limit.)
+// events a cycle, under a limit of 5000: the log stops growing in the
+// cycle it reaches the limit, so it holds at most limit + the widest
+// cycle, in so many chunks and no more; and Len + Lost is everything
+// emitted. (A recorder per node let each of the 64 hold the limit.)
 func TestObserveLimitBoundsHeldEvents(t *testing.T) {
 	const nodes, limit = 64, 5000
-	for _, k := range []int{1, 2, 4, 8} {
-		blocks := blocksOf(nodes, k)
-		s := NewSharded(blocks, limit)
-		widest, emitted := make([]int, len(blocks)), 0
-		for at := 0; at < 400; at++ {
-			inCycle := make([]int, len(blocks))
-			for node := nodes - 1; node >= 0; node-- {
-				for i := 0; i <= (at+node)%3; i++ {
-					s.For(node).Emit(Event{At: sim.Cycle(at), ID: uint64(emitted), Src: int32(node)})
-					inCycle[node*k/nodes]++
-					emitted++
-				}
-			}
-			for b := range widest {
-				widest[b] = max(widest[b], inCycle[b])
+	r := NewRecorder(limit)
+	widest, emitted := 0, 0
+	for at := 0; at < 400; at++ {
+		inCycle := 0
+		for node := nodes - 1; node >= 0; node-- {
+			for i := 0; i <= (at+node)%3; i++ {
+				r.EmitAs(node, Event{At: sim.Cycle(at), ID: uint64(emitted), Src: int32(node)})
+				inCycle++
+				emitted++
 			}
 		}
-		for b, l := range s.logs {
-			chunks := 0
-			for c := l.head; c != nil; c = c.next {
-				chunks++
-			}
-			if most := (limit + widest[b] + chunkEvents - 1) / chunkEvents; l.n > limit+widest[b] || chunks > most {
-				t.Fatalf("%d blocks: block %d holds %d events in %d chunks; the bound is %d + %d (its widest cycle) in %d",
-					k, b, l.n, chunks, limit, widest[b], most)
-			}
-		}
-		if m := s.Merged(); m.Len() != limit || m.Len()+int(m.Lost()) != emitted {
-			t.Fatalf("%d blocks: merged len %d lost %d of %d emitted", k, m.Len(), m.Lost(), emitted)
-		}
+		widest = max(widest, inCycle)
+	}
+	chunks := 0
+	for c := r.head; c != nil; c = c.next {
+		chunks++
+	}
+	if most := (limit + widest + chunkEvents - 1) / chunkEvents; r.n > limit+widest || chunks > most {
+		t.Fatalf("the log holds %d events in %d chunks; the bound is %d + %d (the widest cycle) in %d",
+			r.n, chunks, limit, widest, most)
+	}
+	if r.Len() != limit || r.Len()+int(r.Lost()) != emitted {
+		t.Fatalf("len %d lost %d of %d emitted", r.Len(), r.Lost(), emitted)
 	}
 }

@@ -260,21 +260,20 @@ var tightDetector = DetectorConfig{
 }
 
 // detectMatchesReference replays an emission script (its ids renamed
-// through edgeIDs when edges is set), merges it and holds Detect to
-// refDetect over the merged events: every field of the report, both link
+// through edgeIDs when edges is set) into a recorder and holds Detect to
+// refDetect over its events: every field of the report, both link
 // lists (FlaggedAt and Reason included) and both renderings.
 func detectMatchesReference(t *testing.T, nodes int, script []byte, edges bool, cfg DetectorConfig) *Report {
 	t.Helper()
-	s := NewSharded(blocksOf(nodes, 1+len(script)%3), 0)
-	emit := s.emit
+	rec := NewRecorder(0)
+	emit := rec.emit
 	if edges {
 		emit = withEdgeIDs(emit)
 	}
 	emitScript(nodes, script, false)(emit)
-	merged := s.Merged()
-	events := merged.Events()
+	events := rec.Events()
 	got, want := Detect(events, cfg), refDetect(events, cfg)
-	if inPlace := merged.Detect(cfg); !slices.Equal(inPlace.CanonicalLines(), got.CanonicalLines()) || inPlace.Table() != got.Table() {
+	if inPlace := rec.Detect(cfg); !slices.Equal(inPlace.CanonicalLines(), got.CanonicalLines()) || inPlace.Table() != got.Table() {
 		t.Fatalf("nodes %d: the detector reads the log's chunks and its slice differently\n%s\n%s", nodes, inPlace.Table(), got.Table())
 	}
 	if !slices.Equal(got.Links, want.Links) {

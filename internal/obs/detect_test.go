@@ -183,9 +183,9 @@ func TestTableExplainsEachRuleThatFired(t *testing.T) {
 	for _, rule := range detectRules {
 		script = append(script, flaggingScript(rule)...)
 	}
-	s := NewSharded(blocksOf(8, 1), 0)
-	emitScript(8, script, false)(s.emit)
-	r := s.Merged().Detect(tightDetector)
+	rec := NewRecorder(0)
+	emitScript(8, script, false)(rec.emit)
+	r := rec.Detect(tightDetector)
 	_, why, found := strings.Cut(r.Table(), "\nwhy (")
 	if !found {
 		t.Fatalf("no explanation below the flagged links:\n%s", r.Table())

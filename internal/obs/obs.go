@@ -157,27 +157,21 @@ type Event struct {
 	Lane int8
 }
 
-// Recorder is a handle on an event log: what an emission site holds and
-// what the exports read. NewRecorder's has a log to itself; a Sharded
-// family's share one per block, each appending with its own node
-// as the event's owner, and reading through any reads the whole log. A
-// nil *Recorder is the disabled state: one nil check at an emission site.
-type Recorder struct {
-	*eventLog
-	owner uint16 // the node this handle emits for
-}
-
-// eventLog holds lifecycle events in fixed-size chunks it allocates as
-// it fills them: recording n events allocates n/chunkEvents times and
-// copies none already held. Events arrive in the order the engine fires
-// them, non-decreasing in cycle but arbitrary among one cycle's nodes;
-// settle restores the canonical order (cycle, owner, that owner's
-// emission order) in place, and every reader settles first.
+// Recorder is an event log: what emission sites append to and what the
+// exports read. It holds lifecycle events in fixed-size chunks it
+// allocates as it fills them: recording n events allocates n/chunkEvents
+// times and copies none already held. Each event is stored with its
+// owner, the node that emitted it (EmitAs; Emit's owner is node 0).
+// Events arrive in the order the engine fires them, non-decreasing in
+// cycle but arbitrary among one cycle's nodes; settle restores the
+// canonical order (cycle, owner, that owner's emission order) in place,
+// and every reader settles first.
 // A limit bounds what is held, not only what is read: the log admits
 // events until limit are held, then only those of the cycle the limit was
 // reached in (any may be among the canonical first limit, which is what
 // readers see); the rest, held or not, is Lost.
-type eventLog struct {
+// A nil *Recorder is the disabled state: one nil check at an emission site.
+type Recorder struct {
 	head, tail *chunk
 	n          int       // events held; the tail chunk holds the last (n-1)%chunkEvents+1
 	last       sim.Cycle // cycle of the last event admitted
@@ -206,40 +200,41 @@ type chunk struct {
 	owner      [chunkEvents]uint16
 }
 
-// NewRecorder builds a recorder over a log of its own, reading at most
-// limit events (<= 0 means unbounded); the rest are counted in Lost.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{eventLog: &eventLog{limit: limit}}
-}
+// NewRecorder builds a recorder reading at most limit events (<= 0 means
+// unbounded); the rest are counted in Lost.
+func NewRecorder(limit int) *Recorder { return &Recorder{limit: limit} }
 
-// Emit appends one event.
-func (r *Recorder) Emit(e Event) {
-	l := r.eventLog
-	if l.limit > 0 && l.n >= l.limit && e.At != l.last {
-		l.lost++
+// Emit appends one event owned by node 0.
+func (r *Recorder) Emit(e Event) { r.EmitAs(0, e) }
+
+// EmitAs appends one event emitted by node, which is in [0, MaxNodes):
+// the node orders it among its cycle's events.
+func (r *Recorder) EmitAs(node int, e Event) {
+	if r.limit > 0 && r.n >= r.limit && e.At != r.last {
+		r.lost++
 		return
 	}
-	if e.At < l.last {
-		l.unsorted = true
+	if e.At < r.last {
+		r.unsorted = true
 	}
-	l.last = e.At
-	i := l.n % chunkEvents
+	r.last = e.At
+	i := r.n % chunkEvents
 	if i == 0 {
-		c := &chunk{prev: l.tail}
-		if l.tail == nil {
-			l.head = c
+		c := &chunk{prev: r.tail}
+		if r.tail == nil {
+			r.head = c
 		} else {
-			l.tail.next = c
+			r.tail.next = c
 		}
-		l.tail = c
+		r.tail = c
 	}
-	l.tail.ev[i], l.tail.owner[i] = e, r.owner
-	l.n++
+	r.tail.ev[i], r.tail.owner[i] = e, uint16(node)
+	r.n++
 }
 
 // each visits every event held, with its owner, in the order they lie in.
-func (l *eventLog) each(visit func(c *chunk, i int)) {
-	for c, left := l.head, l.n; c != nil; c, left = c.next, left-chunkEvents {
+func (r *Recorder) each(visit func(c *chunk, i int)) {
+	for c, left := r.head, r.n; c != nil; c, left = c.next, left-chunkEvents {
 		for i := range c.ev[:min(left, chunkEvents)] {
 			visit(c, i)
 		}
@@ -250,16 +245,16 @@ func (l *eventLog) each(visit func(c *chunk, i int)) {
 // down past the events of its own cycle with a higher owner, across chunk
 // edges as within them (a stable insertion sort: a cycle's events are few
 // and each node's arrive in order). Settling twice moves nothing.
-func (l *eventLog) settle() {
-	if l.settled == l.n {
+func (r *Recorder) settle() {
+	if r.settled == r.n {
 		return
 	}
-	l.settled = l.n
-	if l.unsorted {
-		l.sortAll()
+	r.settled = r.n
+	if r.unsorted {
+		r.sortAll()
 		return
 	}
-	l.each(func(c *chunk, i int) {
+	r.each(func(c *chunk, i int) {
 		e, o := c.ev[i], c.owner[i]
 		for moved := false; ; moved = true {
 			below, j := c, i-1
@@ -279,17 +274,17 @@ func (l *eventLog) settle() {
 
 // sortAll settles a log not emitted in cycle order, which an engine's
 // never is: a stable sort of everything held by (cycle, owner).
-func (l *eventLog) sortAll() {
+func (r *Recorder) sortAll() {
 	type owned struct {
 		Event
 		owner uint16
 	}
-	all := make([]owned, 0, l.n)
-	l.each(func(c *chunk, i int) { all = append(all, owned{c.ev[i], c.owner[i]}) })
+	all := make([]owned, 0, r.n)
+	r.each(func(c *chunk, i int) { all = append(all, owned{c.ev[i], c.owner[i]}) })
 	slices.SortStableFunc(all, func(a, b owned) int {
 		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.owner, b.owner))
 	})
-	l.each(func(c *chunk, i int) { c.ev[i], c.owner[i], all = all[0].Event, all[0].owner, all[1:] })
+	r.each(func(c *chunk, i int) { c.ev[i], c.owner[i], all = all[0].Event, all[0].owner, all[1:] })
 }
 
 // run walks events a segment at a time. cur is the segment being read,

@@ -201,25 +201,6 @@ func (g *Registry) Observe(class uint8, src, dst int, latency int64) {
 	g.latencies(g.rec(Link{Src: src, Dst: dst})).Add(latency)
 }
 
-// Merge folds other into g. Histogram merges are exact bucket
-// addition, so the result is independent of merge order; per-block
-// registries merged in block order therefore aggregate identically at
-// every partition of the nodes.
-func (g *Registry) Merge(other *Registry) {
-	for c := range g.byClass {
-		g.byClass[c].Merge(other.byClass[c])
-	}
-	for i := 0; i < other.links.len(); i++ {
-		theirs := other.links.rec(i)
-		mine := g.rec(theirs.Link)
-		if theirs.hist != nil {
-			g.latencies(mine).Merge(theirs.hist)
-		}
-		mine.coll += theirs.coll
-		mine.depth = max(mine.depth, theirs.depth)
-	}
-}
-
 // quantiles are the reported percentile points.
 var quantiles = []struct {
 	name string

@@ -1,7 +1,8 @@
 package obs
 
 // Registry as it stood before one slab replaced its three Go maps, kept
-// word for word as the reference of TestRegistryMatchesReference.
+// word for word as the reference of TestRegistryMatchesReference (less
+// Merge, which went with the live one).
 // addRow, fmtQuantile and the quantile list are shared with the live
 // code: PR 22 did not touch them.
 
@@ -69,32 +70,6 @@ func (g *refRegistry) Observe(class uint8, src, dst int, latency int64) {
 		g.byLink[key] = h
 	}
 	h.Add(latency)
-}
-
-// Merge folds other into g. Histogram merges are exact bucket
-// addition, so the result is independent of merge order; per-node
-// registries merged in node order therefore aggregate identically at
-// every shard and worker count.
-func (g *refRegistry) Merge(other *refRegistry) {
-	for c := range g.byClass {
-		g.byClass[c].Merge(other.byClass[c])
-	}
-	for k, h := range other.byLink { // additive per-key merge: iteration order is immaterial
-		mine := g.byLink[k]
-		if mine == nil {
-			mine = stats.NewHistogram(registryWidth, registryBuckets)
-			g.byLink[k] = mine
-		}
-		mine.Merge(h)
-	}
-	for k, v := range other.collByLink { // additive per-key merge
-		g.collByLink[k] += v
-	}
-	for k, v := range other.depthByLink { // per-key max merge: order-independent
-		if v > g.depthByLink[k] {
-			g.depthByLink[k] = v
-		}
-	}
 }
 
 // ClassTable renders the per-packet-class percentile table.
@@ -211,8 +186,8 @@ type linkObserver interface {
 	Observe(class uint8, src, dst int, latency int64)
 }
 
-// observeRun feeds one node's recorded events to that node's registry the
-// way internal/system wires them: collisions, backoffs and deliveries.
+// observeRun feeds recorded events to a registry the way internal/system
+// wires them: collisions, backoffs and deliveries.
 func observeRun(g linkObserver, run []Event) {
 	for _, e := range run {
 		switch e.Kind {
@@ -227,31 +202,20 @@ func observeRun(g linkObserver, run []Event) {
 }
 
 // registryMatchesReference replays an emission script (its ids renamed
-// through edgeIDs when edges is set) into per-node registries of both
-// kinds, folds each family in node order, and compares everything a
-// registry can be asked. Each registry also sees the first half of the
-// next node's run, so that Merge meets links two registries both know,
-// with different counts and depths. It returns how many links the merged
-// registry holds records for.
+// through edgeIDs when edges is set) into one registry of each kind and
+// compares everything a registry can be asked. It returns how many links
+// the registry holds records for.
 func registryMatchesReference(t *testing.T, nodes int, script []byte, edges bool) int {
 	t.Helper()
-	s := newRefSharded(nodes, 0)
-	emit, rename := s.emit, func(id int32) int32 { return id }
+	rec := NewRecorder(0)
+	emit, rename := rec.emit, func(id int32) int32 { return id }
 	if edges {
 		emit, rename = withEdgeIDs(emit), edgeID
 	}
 	emitScript(nodes, script, false)(emit)
 	got, want := NewRegistry(), newRefRegistry()
-	for node := 0; node < nodes; node++ {
-		g, w := NewRegistry(), newRefRegistry()
-		run, next := s.For(node).Events(), s.For((node+1)%nodes).Events()
-		for _, r := range [][]Event{run, next[:len(next)/2]} {
-			observeRun(g, r)
-			observeRun(w, r)
-		}
-		got.Merge(g)
-		want.Merge(w)
-	}
+	observeRun(got, rec.Events())
+	observeRun(want, rec.Events())
 	if got.String() != want.String() {
 		t.Fatalf("nodes %d: String differs\n got:\n%s\nwant:\n%s", nodes, got, want)
 	}
@@ -288,7 +252,7 @@ func registryMatchesReference(t *testing.T, nodes int, script []byte, edges bool
 func TestRegistryMatchesReference(t *testing.T) {
 	registryMatchesReference(t, 4, nil, false)
 	if links := registryMatchesReference(t, 64, everyNodeThreeLinks(64), true); links <= slabChunk {
-		t.Fatalf("the merged registry holds %d links, not past its first chunk", links)
+		t.Fatalf("the registry holds %d links, not past its first chunk", links)
 	}
 	rng := sim.NewRNG(2203)
 	for trial := 0; trial < 200; trial++ {

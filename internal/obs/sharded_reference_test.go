@@ -7,9 +7,10 @@ import (
 	"fsoi/internal/sim"
 )
 
-// This file is the per-node recording that the per-block one replaced,
-// kept word for word as the reference the differential tests hold Sharded
-// to: one chunked recorder per node, merged through an (at, node) heap.
+// This file is the per-node recording that the one event log replaced,
+// kept word for word as the reference the differential tests hold
+// Recorder to: one chunked recorder per node, merged through an
+// (at, node) heap.
 // Only identifiers the live code still uses were renamed: Recorder,
 // Sharded, chunk, run, runHead and siftDown carry a ref prefix here, in
 // the code though not in its comments.

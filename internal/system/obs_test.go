@@ -123,30 +123,27 @@ func TestRecycleResetsPacketState(t *testing.T) {
 	s.deliver(&noc.Packet{Src: 1, Dst: 2, Payload: "foreign"}, 0)
 }
 
-// TestObsAccessorsKeepWhatRunMerged: after Run, Obs and ObsRegistry hand
-// back the recorder and registry already in Metrics instead of merging
-// again (fsoisim calls both); before Run, Obs merges on demand and
-// ObsRegistry is the one registry the run records into.
-func TestObsAccessorsKeepWhatRunMerged(t *testing.T) {
+// TestObsIsTheRunsOneRecorder: Obs and ObsRegistry hand back the one
+// recorder and the one registry the run records into, before Run and
+// after it (where Metrics holds the same two), and allocate nothing.
+func TestObsIsTheRunsOneRecorder(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Observe = true
 	s := New(cfg)
-	if a, b := s.Obs(), s.Obs(); a == nil || a == b || a.Len() != 0 {
-		t.Fatal("before Run, Obs merges on each call and holds nothing yet")
-	}
-	if a, b := s.ObsRegistry(), s.ObsRegistry(); a == nil || a != b || a.Links() != 0 {
-		t.Fatal("ObsRegistry is the run's one registry")
+	rec, reg := s.Obs(), s.ObsRegistry()
+	if rec == nil || reg == nil || rec.Len() != 0 || reg.Links() != 0 {
+		t.Fatal("before Run, Obs and ObsRegistry are the run's empty recorder and registry")
 	}
 	m := s.Run(tinyApp(t, "jacobi"))
 	if m.Obs.Len() == 0 || m.ObsRegistry.Links() == 0 {
 		t.Fatal("the run recorded nothing")
 	}
-	if s.Obs() != m.Obs || s.ObsRegistry() != m.ObsRegistry {
-		t.Fatal("after Run, the accessors must return what Metrics holds")
+	if m.Obs != rec || m.ObsRegistry != reg || s.Obs() != rec || s.ObsRegistry() != reg {
+		t.Fatal("the accessors and Metrics must hand back the recorder and registry the run recorded into")
 	}
 	if n := testing.AllocsPerRun(10, func() { s.Obs(); s.ObsRegistry() }); n != 0 {
-		t.Fatalf("the accessors allocated %v times after Run", n)
+		t.Fatalf("the accessors allocated %v times", n)
 	}
 	off := New(Default(16, NetFSOI))
 	off.Run(tinyApp(t, "jacobi"))

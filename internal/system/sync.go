@@ -82,8 +82,8 @@ func (f *subscriptionSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 }
 
 // Release frees the lock; completion is local (the release packet is
-// confirmed by the network independently), so the done event schedules
-// on the releasing core's own node.
+// confirmed by the network independently), so the done event fires a
+// cycle later.
 func (f *subscriptionSync) Release(core int, id int, done func(now sim.Cycle)) {
 	f.request(core, coherence.SyncRelease, id)
 	f.s.engine.After(1, done)

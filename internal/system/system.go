@@ -156,9 +156,9 @@ func (m Metrics) Speedup(baseline Metrics) float64 {
 
 // System is one assembled CMP.
 //
-// Every piece of per-packet mutable state — the ordering tables, the
-// packet free-lists, the packet-ID counters — is indexed by the node
-// whose execution context touches it.
+// The packet-ID counters and the ordering tables are kept per source
+// node: a packet's ID is a function of its source's own injection
+// history, and the §4.4 ordering is per (source, destination, line).
 type System struct {
 	cfg      Config
 	engine   *sim.Engine
@@ -173,26 +173,22 @@ type System struct {
 	cores    []*cpu.Core
 	sync     syncFabric
 	injector *fault.Injector
-	finished int // owned by node 0: finish notices ride handbacks there
-	tracer   *noc.ShardedTracer
-	obsRec   *obs.Sharded
+	finished int // threads whose finish notice has reached node 0
+	tracer   *noc.Tracer
+	obsRec   *obs.Recorder
 	obsReg   *obs.Registry
-	// What collect merged obsRec into, kept so Obs does not merge again;
-	// nil until Run returns.
-	obsMerged *obs.Recorder
 
 	// pktSeq counts packets injected per source node; a packet's ID is
 	// src+1 + nodes*seq — unique, nonzero, and a pure function of that
 	// node's own injection history.
 	pktSeq []uint64
-	// pktFree recycles retired wire packets per source node, so the
-	// transport's steady state allocates nothing per message. Plain
-	// slices, deliberately NOT sync.Pools: pool reuse order depends on
-	// the Go scheduler and GC, which would let host-machine timing leak
-	// into pointer identities, while LIFO reuse from the source node's
-	// own slice is a pure function of simulated history and keeps runs
-	// byte-identical.
-	pktFree [][]*wirePacket
+	// pktFree recycles retired wire packets, so the transport's steady
+	// state allocates nothing per message. A plain slice, deliberately
+	// NOT a sync.Pool: pool reuse order depends on the Go scheduler and
+	// GC, which would let host-machine timing leak into pointer
+	// identities, while LIFO reuse from a slice is a pure function of
+	// simulated history and keeps runs byte-identical.
+	pktFree []*wirePacket
 
 	// Point-to-point ordering state (§4.4), indexed by source node: one
 	// in-flight message per (src, dst, line); the rest wait here. A node
@@ -251,17 +247,16 @@ func wireOf(p *noc.Packet) *wirePacket {
 }
 
 // packetFor wraps a protocol message for the wire, reusing a retired
-// record from the source node's free-list when one is available.
+// record from the free-list when one is available.
 func (t transport) packetFor(m coherence.Msg) *wirePacket {
 	s := t.s
 	src := m.From
 	s.pktSeq[src]++
 	var p *wirePacket
-	if free := s.pktFree[src]; len(free) > 0 {
-		n := len(free) - 1
-		p = free[n]
-		free[n] = nil
-		s.pktFree[src] = free[:n]
+	if n := len(s.pktFree) - 1; n >= 0 {
+		p = s.pktFree[n]
+		s.pktFree[n] = nil
+		s.pktFree = s.pktFree[:n]
 	} else {
 		p = new(wirePacket)
 	}
@@ -293,9 +288,8 @@ func (t transport) packetFor(m coherence.Msg) *wirePacket {
 // flight; later ones queue at the source until the earlier is known
 // delivered. On FSOI "known delivered" is the confirmation's arrival
 // back at the sender — the confirmation-based serialization the paper
-// describes — so the release runs in the source node's own context; on
-// the mesh it models deterministic routing with ordered per-class
-// channels and releases at delivery.
+// describes; on the mesh it models deterministic routing with ordered
+// per-class channels and releases at delivery.
 func (t transport) Send(m coherence.Msg) bool {
 	s := t.s
 	if i := s.stream(m); i >= 0 {
@@ -414,14 +408,13 @@ func build(cfg Config, donor *System) *System {
 		cfg.Observe = true
 	}
 	s := &System{
-		cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed),
-		mems:    make([]*memory.Controller, cfg.Nodes),
-		la:      1,
-		pktSeq:  make([]uint64, cfg.Nodes),
-		pktFree: make([][]*wirePacket, cfg.Nodes),
-		ord:     make([][]ordStream, cfg.Nodes),
-		engine:  sim.NewEngine(spent),
+		cfg:    cfg,
+		rng:    sim.NewRNG(cfg.Seed),
+		mems:   make([]*memory.Controller, cfg.Nodes),
+		la:     1,
+		pktSeq: make([]uint64, cfg.Nodes),
+		ord:    make([][]ordStream, cfg.Nodes),
+		engine: sim.NewEngine(spent),
 	}
 	dim := dimOf(cfg.Nodes)
 	tr := transport{s}
@@ -510,32 +503,24 @@ func build(cfg Config, donor *System) *System {
 	}
 
 	if cfg.TracePackets > 0 {
-		s.tracer = noc.NewShardedTracer(cfg.Nodes, cfg.TracePackets)
+		s.tracer = noc.NewTracer(cfg.TracePackets)
 	}
 	if cfg.Observe {
-		// One event log over every node, and one registry.
-		s.obsRec = obs.NewSharded([]obs.Block{{Lo: 0, Hi: cfg.Nodes}}, 0) // 0: no event limit
+		s.obsRec = obs.NewRecorder(0) // 0: no event limit
 		s.obsReg = obs.NewRegistry()
 		// Any network exposing an observer hook gets the recorder: FSOI
-		// emits the full per-attempt lifecycle through per-node handles,
-		// the crossbar family emits tx-start at arbitration grant through
-		// node 0's.
-		switch o := s.net.(type) {
-		case interface{ SetObserver(r *obs.Sharded) }:
+		// emits the full per-attempt lifecycle, each event as the node it
+		// happens at, the crossbar family tx-start at arbitration grant
+		// as node 0's.
+		if o, ok := s.net.(interface{ SetObserver(*obs.Recorder) }); ok {
 			o.SetObserver(s.obsRec)
-		case interface{ SetObserver(r *obs.Recorder) }:
-			o.SetObserver(s.obsRec.For(0))
 		}
 		if s.injector != nil {
 			s.injector.AnnotateTrace(s.obsRec)
 		}
 		if s.fsoi != nil {
 			// Per-link contention tracking for the detection layer.
-			sinks := make([]core.LinkObserver, cfg.Nodes)
-			for i := range sinks {
-				sinks[i] = s.obsReg
-			}
-			s.fsoi.SetLinkObservers(sinks)
+			s.fsoi.SetLinkObserver(s.obsReg)
 		}
 	}
 	s.net.SetDelivery(s.deliver)
@@ -553,7 +538,7 @@ func build(cfg Config, donor *System) *System {
 }
 
 // retrySend keeps attempting a message until the network accepts it,
-// always from the source node's own context.
+// one cycle apart.
 func (s *System) retrySend(m coherence.Msg) {
 	s.engine.After(1, func(sim.Cycle) {
 		if !(transport{s}).Send(m) {
@@ -564,8 +549,7 @@ func (s *System) retrySend(m coherence.Msg) {
 
 // orderedDone releases the (src, dst, line) stream and launches the next
 // queued message, retrying through the engine when the NIC pushes back.
-// It must run in the source node's context: at the confirmation or drop
-// on FSOI, at delivery (single-threaded by construction) elsewhere.
+// It runs at the confirmation on FSOI, at delivery elsewhere.
 func (s *System) orderedDone(m coherence.Msg) {
 	i := s.stream(m)
 	if i < 0 {
@@ -596,24 +580,24 @@ func (s *System) launchOrdered(m coherence.Msg) {
 	s.engine.After(1, func(sim.Cycle) { s.launchOrdered(m) })
 }
 
-// observeInject records a packet's acceptance by the network, in the
-// source node's context. Injection time is the source's current cycle:
-// Send only succeeds synchronously, so no separate timestamp needs to
-// ride on the packet.
+// observeInject records a packet's acceptance by the network as its
+// source's event. Injection time is the current cycle: Send only
+// succeeds synchronously, so no separate timestamp needs to ride on the
+// packet.
 func (s *System) observeInject(p *noc.Packet) {
 	if s.obsRec == nil {
 		return
 	}
-	s.obsRec.For(p.Src).Emit(obs.Event{
+	s.obsRec.EmitAs(p.Src, obs.Event{
 		At: s.engine.Now(), Kind: obs.KindInject, ID: p.ID,
 		Src: int32(p.Src), Dst: int32(p.Dst),
 		Class: uint8(p.Type), Lane: obs.LaneNone,
 	})
 }
 
-// recycle retires a wire packet to its source node's free-list. Callers
-// must guarantee the network holds no further reference: a rejected Send,
-// a non-FSOI delivery (the networks' last touch), or an FSOI confirmation
+// recycle retires a wire packet to the free-list. Callers must
+// guarantee the network holds no further reference: a rejected Send, a
+// non-FSOI delivery (the networks' last touch), or an FSOI confirmation
 // (which fires strictly after delivery, exactly once per packet — a
 // duplicate re-delivery only ever re-confirms when the earlier
 // confirmation beam was dropped, and that earlier confirmation never ran
@@ -622,13 +606,11 @@ func (s *System) observeInject(p *noc.Packet) {
 // forgot the reset hand out a packet still carrying the previous
 // message's retry count and cycle stamps.
 func (s *System) recycle(p *wirePacket) {
-	src := p.Src
 	*p = wirePacket{}
-	s.pktFree[src] = append(s.pktFree[src], p)
+	s.pktFree = append(s.pktFree, p)
 }
 
-// deliver routes an arriving packet to its destination controller. It
-// runs in the destination node's context.
+// deliver routes an arriving packet to its destination controller.
 func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 	w := wireOf(p)
 	m := w.msg
@@ -640,11 +622,11 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 		s.orderedDone(m)
 	}
 	if s.tracer != nil {
-		s.tracer.For(p.Dst).Record(p, now)
+		s.tracer.Record(p, now)
 	}
 	if s.obsRec != nil {
 		lat := p.TotalLatency()
-		s.obsRec.For(p.Dst).Emit(obs.Event{
+		s.obsRec.EmitAs(p.Dst, obs.Event{
 			At: now, Kind: obs.KindDeliver, ID: p.ID, Aux: lat,
 			Src: int32(p.Src), Dst: int32(p.Dst), Attempt: int32(p.Retries),
 			Class: uint8(p.Type), Lane: obs.LaneNone,
@@ -675,10 +657,10 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 	}
 }
 
-// onConfirm handles sender-side confirmations (FSOI), in the source
-// node's context: an elided-ack Inv's confirmation is the invalidation
-// ack, and the confirmation is the sender's proof of delivery that
-// releases the packet's ordered (src, dst, line) stream.
+// onConfirm handles sender-side confirmations (FSOI): an elided-ack
+// Inv's confirmation is the invalidation ack, and the confirmation is
+// the sender's proof of delivery that releases the packet's ordered
+// (src, dst, line) stream.
 func (s *System) onConfirm(p *noc.Packet, now sim.Cycle) {
 	w := wireOf(p)
 	m := w.msg
@@ -689,8 +671,7 @@ func (s *System) onConfirm(p *noc.Packet, now sim.Cycle) {
 	s.recycle(w)
 }
 
-// onBit routes confirmation-lane booleans to the sync fabric; it runs
-// in the receiving node's context.
+// onBit routes confirmation-lane booleans to the sync fabric.
 func (s *System) onBit(src, dst int, tag uint64, value bool, now sim.Cycle) {
 	s.sync.onBit(dst, tag, value, now)
 }
@@ -757,8 +738,7 @@ func (s *System) collect(app string) Metrics {
 	if s.fsoi != nil {
 		m.FSOI = s.fsoi.Stats()
 	}
-	s.obsMerged = s.obsRec.Merged()
-	m.Obs, m.ObsRegistry = s.obsMerged, s.obsReg
+	m.Obs, m.ObsRegistry = s.obsRec, s.obsReg
 	if len(s.cfg.Adversaries) > 0 {
 		m.AdversaryNodes = len(s.cfg.Adversaries)
 		hostile := make(map[int]bool, m.AdversaryNodes)
@@ -793,7 +773,7 @@ func (s *System) collect(app string) Metrics {
 		m.ElidedAcks += st.ElidedAcks
 		m.Nacks += st.Nacks
 		l1acc += st.Hits + st.Misses
-		mergeHist(m.ReplyHist, st.MissHist)
+		m.ReplyHist.Merge(st.MissHist)
 		ops += s.cores[i].Stats().Ops
 		m.SyncStall += s.cores[i].Stats().StallSync
 	}
@@ -847,14 +827,6 @@ func estimateFlitHops(l *noc.LatencyStats, nodes int) int64 {
 	return int64(flits * (avgHops + 1))
 }
 
-// mergeHist folds src into dst bucket-wise (same shape by construction).
-func mergeHist(dst, src *stats.Histogram) {
-	for i := 0; i < src.NumBuckets(); i++ {
-		dst.AddN(int64(i)*5, src.Bucket(i))
-	}
-	dst.AddN(int64(src.NumBuckets())*5, src.Overflow())
-}
-
 // Diagnose reports stuck state after a run that failed to finish: cores
 // that never completed and lines wedged in transient states.
 func (s *System) Diagnose() string {
@@ -884,24 +856,13 @@ func (s *System) WindowEngine() *shard.Windows { return nil }
 // L1 exposes a node's L1 controller (tests).
 func (s *System) L1(i int) *coherence.L1 { return s.l1s[i] }
 
-// Trace exposes the delivered-packet ring buffer, merged across nodes
-// in canonical order (nil unless Config.TracePackets was set).
-func (s *System) Trace() *noc.Tracer {
-	if s.tracer == nil {
-		return nil
-	}
-	return s.tracer.Merged()
-}
+// Trace exposes the delivered-packet ring buffer (nil unless
+// Config.TracePackets was set).
+func (s *System) Trace() *noc.Tracer { return s.tracer }
 
-// Obs exposes the lifecycle-event recorder in canonical order (nil
-// unless Config.Observe). After Run it is the recorder Run merged,
-// Metrics.Obs; before, it is merged on each call.
-func (s *System) Obs() *obs.Recorder {
-	if s.obsMerged != nil {
-		return s.obsMerged
-	}
-	return s.obsRec.Merged()
-}
+// Obs exposes the lifecycle-event recorder (nil unless Config.Observe),
+// Metrics.Obs after Run.
+func (s *System) Obs() *obs.Recorder { return s.obsRec }
 
 // ObsRegistry exposes the percentile latency registry (nil unless
 // Config.Observe), Metrics.ObsRegistry after Run.

@@ -183,6 +183,29 @@ func TestReplyHistogramPopulated(t *testing.T) {
 	}
 }
 
+// TestReplyMeanIsTheRawMean: the run's reply-latency mean is the pooled
+// mean of the latencies the L1s measured, not of their bucket floors,
+// and an overflow sample counts at its own latency, not at 300 cycles.
+func TestReplyMeanIsTheRawMean(t *testing.T) {
+	cfg := Default(16, NetFSOI)
+	cfg.MaxCycles = 3_000_000
+	s := New(cfg)
+	m := s.Run(tinyApp(t, "mp3d"))
+	var sum float64
+	var n int64
+	for i := 0; i < cfg.Nodes; i++ {
+		h := s.L1(i).Stats().MissHist
+		sum += h.Mean() * float64(h.Total())
+		n += h.Total()
+	}
+	if m.ReplyHist.Overflow() == 0 {
+		t.Fatal("no reply past the last bucket: the run does not reach the overflow")
+	}
+	if want := sum / float64(n); n == 0 || math.Abs(m.ReplyHist.Mean()-want) > 1e-9*want {
+		t.Fatalf("reply latency mean %v over %d replies, pooled raw mean %v", m.ReplyHist.Mean(), n, want)
+	}
+}
+
 // TestNetworkKindStrings pins that a kind is its name: the constants
 // spell the names the CLIs accept, and nothing else parses.
 func TestNetworkKindStrings(t *testing.T) {
