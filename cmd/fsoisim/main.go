@@ -180,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, s.ObsRegistry().String())
+		fmt.Fprint(stdout, m.ObsRegistry.String())
 		if err := writeTrace(stdout, *traceFile, rec, obs.WriteJSONL); err != nil {
 			return fail(1, err)
 		}
@@ -209,8 +209,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	// A run cut off at MaxCycles measured nothing: every output above is
-	// written for the diagnosis, and the exit status says so.
+	// written for the diagnosis, which ends with what is stuck, and the
+	// exit status says so.
 	if !m.Finished {
+		fmt.Fprintf(stdout, "\nstuck at cycle %d:\n%s", m.Cycles, s.Diagnose())
 		fmt.Fprintf(stderr, "fsoisim: run did not finish: stopped at cycle %d of MaxCycles %d; its metrics are not a result\n", m.Cycles, cfg.MaxCycles)
 		return 1
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -101,8 +102,9 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 }
 
 // TestUnfinishedRunExitsOne: a run cut off at MaxCycles still prints its
-// metrics and writes its files, then names on one stderr line the cycle it
-// reached and the limit, and exits 1.
+// metrics and writes its files, then what is stuck (the cores not done),
+// names on one stderr line the cycle it reached and the limit, and exits
+// 1.
 func TestUnfinishedRunExitsOne(t *testing.T) {
 	defer func(old func(*system.Config)) { adjust = old }(adjust)
 	adjust = func(cfg *system.Config) { cfg.MaxCycles = 2000 }
@@ -115,6 +117,9 @@ func TestUnfinishedRunExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "(finished=false)") || !strings.Contains(stdout.String(), "canonical metrics   written to") {
 		t.Fatalf("stdout lacks the metrics or the canonical file:\n%s", stdout.String())
+	}
+	if !regexp.MustCompile(`\nstuck at cycle 2000:\n(.*\n)*core \d+ not done: `).MatchString(stdout.String()) {
+		t.Fatalf("stdout does not end with a diagnosis naming a core that is not done:\n%s", stdout.String())
 	}
 	if text, err := os.ReadFile(canon); err != nil || len(text) == 0 {
 		t.Fatalf("canonical file: %d bytes, %v", len(text), err)

@@ -25,15 +25,3 @@ type AdversaryModel interface {
 
 // SetAdversaryModel attaches an attack roster. Passing nil detaches it.
 func (n *Network) SetAdversaryModel(am AdversaryModel) { n.adv = am }
-
-// LinkObserver receives per-link contention observations — collision
-// events at the receiver and backoff depths at the sender — feeding the
-// detection layer's rate and depth tables (obs.Registry implements it).
-type LinkObserver interface {
-	NoteCollision(src, dst int)
-	NoteBackoff(src, dst, attempt int)
-}
-
-// SetLinkObserver attaches the contention sink. Passing nil detaches
-// tracking.
-func (n *Network) SetLinkObserver(o LinkObserver) { n.linkObs = o }

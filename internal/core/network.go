@@ -289,7 +289,6 @@ type Network struct {
 	ber       float64        // per-bit error probability on the signaling chain
 	fault     FaultModel     // nil unless an injector is attached
 	adv       AdversaryModel // nil unless an attack roster is attached
-	linkObs   LinkObserver   // contention sink; nil unless tracking is on
 }
 
 // New builds an FSOI network over the engine; it panics on an invalid
@@ -394,11 +393,9 @@ func (n *Network) SetBitDelivery(fn BitFunc) { n.bitFn = fn }
 // and the transmit path allocates nothing extra.
 func (n *Network) SetObserver(r *obs.Recorder) { n.obs = r }
 
-// observe records one lifecycle event as node's (the source for launch
-// and backoff events, the destination for resolution events), which
-// places it among its cycle's events.
-func (n *Network) observe(node int, kind obs.Kind, tx *transmission, l Lane, at sim.Cycle, aux int64) {
-	n.obs.EmitAs(node, obs.Event{
+// observe records one lifecycle event of tx.
+func (n *Network) observe(kind obs.Kind, tx *transmission, l Lane, at sim.Cycle, aux int64) {
+	n.obs.Emit(obs.Event{
 		At: at, Kind: kind, ID: tx.pkt.ID, Aux: aux,
 		Src: int32(tx.src), Dst: int32(tx.pkt.Dst),
 		Attempt: int32(tx.attempt), Class: uint8(tx.pkt.Type), Lane: int8(l),
@@ -718,7 +715,7 @@ func (n *Network) transmit(id int, ns *nodeState, tx *transmission, l Lane, slot
 		if tx.attempt > 0 {
 			kind = obs.KindRetransmit
 		}
-		n.observe(id, kind, tx, l, now, slot)
+		n.observe(kind, tx, l, now, slot)
 	}
 	// The beam lands on the destination's receiver at the slot's end.
 	n.engine.At(sim.Cycle((slot+1)*n.slotLen[l]), tx.arriveFn)
@@ -756,18 +753,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 					st.PayloadCRCErrors++
 				}
 			}
-			if n.obs != nil {
-				n.observe(dst, obs.KindCollision, tx, l, now, slot)
-			}
-			if n.linkObs != nil {
-				n.linkObs.NoteCollision(tx.src, dst)
-			}
-			tx.attempt++
-			tx.pkt.Retries++
-			if tx.firstSlotEnd == 0 {
-				tx.firstSlotEnd = now
-			}
-			n.failBack(dst, tx, slot, now, false)
+			n.collide(dst, tx, l, slot, now, false)
 			return
 		}
 		// A spoofer's arrival carries a forged PID/~PID header: the match
@@ -783,18 +769,7 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 			if l == LaneData {
 				st.DataByKind[classify(group)]++
 			}
-			if n.obs != nil {
-				n.observe(dst, obs.KindCollision, tx, l, now, slot)
-			}
-			if n.linkObs != nil {
-				n.linkObs.NoteCollision(tx.src, dst)
-			}
-			tx.attempt++
-			tx.pkt.Retries++
-			if tx.firstSlotEnd == 0 {
-				tx.firstSlotEnd = now
-			}
-			n.failBack(dst, tx, slot, now, false)
+			n.collide(dst, tx, l, slot, now, false)
 			return
 		}
 		n.deliverClean(dst, tx, l, slot, now)
@@ -812,19 +787,24 @@ func (n *Network) resolveGroup(dst int, l Lane, slot int64, group []*transmissio
 		winnerPicked = n.issueHint(dst, group)
 	}
 	for _, tx := range group {
-		if n.obs != nil {
-			n.observe(dst, obs.KindCollision, tx, l, now, slot)
-		}
-		if n.linkObs != nil {
-			n.linkObs.NoteCollision(tx.src, dst)
-		}
-		tx.attempt++
-		tx.pkt.Retries++
-		if tx.firstSlotEnd == 0 {
-			tx.firstSlotEnd = now
-		}
-		n.failBack(dst, tx, slot, now, winnerPicked && tx.winner)
+		n.collide(dst, tx, l, slot, now, winnerPicked && tx.winner)
 	}
+}
+
+// collide ends one failed attempt at receiver dst, whatever failed it (a
+// bit error, a spoofed header or a real collision): the receiver records
+// a collision, the packet counts a retry, and the sender is handed the
+// failure.
+func (n *Network) collide(dst int, tx *transmission, l Lane, slot int64, now sim.Cycle, isWinner bool) {
+	if n.obs != nil {
+		n.observe(obs.KindCollision, tx, l, now, slot)
+	}
+	tx.attempt++
+	tx.pkt.Retries++
+	if tx.firstSlotEnd == 0 {
+		tx.firstSlotEnd = now
+	}
+	n.failBack(dst, tx, slot, now, isWinner)
 }
 
 // classify maps a data-lane collision to its Figure 10 kind.
@@ -908,14 +888,11 @@ func (tx *transmission) backoff(now sim.Cycle) {
 	if d := int64(tx.attempt); d > n.stats.MaxBackoffDepth[l] {
 		n.stats.MaxBackoffDepth[l] = d
 	}
-	if n.linkObs != nil {
-		n.linkObs.NoteBackoff(tx.src, tx.pkt.Dst, tx.attempt)
-	}
 	if tx.winner {
 		tx.retrySlot = slot + 2
 		n.parkRetry(tx, now)
 		if n.obs != nil {
-			n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
+			n.observe(obs.KindBackoff, tx, l, now, tx.retrySlot)
 		}
 		return
 	}
@@ -942,7 +919,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 	tx.retrySlot = base + d - 1
 	n.parkRetry(tx, now)
 	if n.obs != nil {
-		n.observe(tx.src, obs.KindBackoff, tx, l, now, tx.retrySlot)
+		n.observe(obs.KindBackoff, tx, l, now, tx.retrySlot)
 	}
 }
 
@@ -1035,7 +1012,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 		tx.winner = false
 		tx.retrySlot = slot + n.confirmTimeoutSlots()
 		if n.obs != nil {
-			n.observe(dst, obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
+			n.observe(obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
 		}
 		n.engine.At(now+sim.Cycle(n.cfg.ConfirmDelay), tx.requeueFn)
 		return

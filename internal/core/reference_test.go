@@ -120,14 +120,6 @@ func (m *noisyModels) StarveConfirm(dst int, at sim.Cycle, rng *sim.RNG) bool {
 	return dst == 4 && rng.Bool(0.2)
 }
 
-// linkLog is a LinkObserver that records what it is told.
-type linkLog struct{ log *[]string }
-
-func (l linkLog) NoteCollision(src, dst int) { *l.log = append(*l.log, fmt.Sprint("coll ", src, dst)) }
-func (l linkLog) NoteBackoff(src, dst, attempt int) {
-	*l.log = append(*l.log, fmt.Sprint("backoff ", src, dst, attempt))
-}
-
 // op is one scheduled call into the network.
 type op struct {
 	at       sim.Cycle
@@ -139,7 +131,7 @@ type op struct {
 
 // outcome is everything observable about a run.
 type outcome struct {
-	log      []string // deliveries, confirmations, drops, bits, rejected sends, link notes: in order
+	log      []string // deliveries, confirmations, drops, bits, rejected sends: in order
 	stats    Stats
 	lat      *noc.LatencyStats
 	events   []obs.Event
@@ -170,7 +162,6 @@ func runOps(t testing.TB, cfg Config, mode tickMode, ops []op, cycles sim.Cycle)
 	n.SetAdversaryModel(models)
 	rec := obs.NewRecorder(0)
 	n.SetObserver(rec)
-	n.SetLinkObserver(linkLog{&out.log})
 
 	ref := &refTicker{n: n}
 	switch mode {

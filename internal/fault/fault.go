@@ -313,8 +313,7 @@ func (inj *Injector) DegradedNodes() int {
 // afflicted (node, lane), so a trace file is self-describing about the
 // physical state the packets flew through. Nodes are walked in index
 // order and lanes meta-then-data, so the annotation order is
-// deterministic, and each annotation is recorded as the afflicted
-// node's. A nil recorder is a no-op.
+// deterministic. A nil recorder is a no-op.
 func (inj *Injector) AnnotateTrace(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -322,7 +321,7 @@ func (inj *Injector) AnnotateTrace(rec *obs.Recorder) {
 	for node := 0; node < inj.net.Nodes; node++ {
 		for _, l := range [2]core.Lane{core.LaneMeta, core.LaneData} {
 			if n := inj.failed[l][node]; n > 0 {
-				rec.EmitAs(node, obs.Event{
+				rec.Emit(obs.Event{
 					Kind: obs.KindFault, Src: int32(node), Dst: -1,
 					Lane: int8(l), Class: uint8(l), Aux: int64(n),
 				})

@@ -94,12 +94,10 @@ func isSimPackage(rel string) bool {
 // result aggregation just as surely as it would inside internal/.
 var concurrencyAllowlist = []string{
 	"internal/parallel",
-	// The sharded event engine is the one simulation package allowed to
-	// touch host concurrency: its window runner fans node-owning shards
-	// out over the internal/parallel pool, and its exact engine must
-	// stay free to adopt primitives as the windowed path grows. Both are
-	// covered by shard-count-invariance tests, which is the determinism
-	// argument the ban exists to force everywhere else.
+	// The withdrawn sharded engines: no simulation runs on them, and
+	// only the benchmark's engine measurements in bench/ build the
+	// package. Its window runner fans shards out over the
+	// internal/parallel pool. The entry goes with the package.
 	"internal/sim/shard",
 }
 

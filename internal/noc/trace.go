@@ -1,18 +1,15 @@
 package noc
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
 	"fsoi/internal/sim"
 )
 
-// Tracer keeps the last N delivered packets in (At, ID, Src) order, a
-// total order since packet IDs are unique, for post-mortem inspection
-// (fsoisim -trace). The ring holds them sorted, oldest first from next,
-// so which of one cycle's deliveries it keeps does not depend on the
-// order the engine fired them in.
+// Tracer keeps the last N delivered packets in the order they were
+// recorded, for post-mortem inspection (fsoisim -trace): a ring, oldest
+// first from next.
 type Tracer struct {
 	ring []TraceEntry
 	next int
@@ -42,41 +39,18 @@ func NewTracer(n int) *Tracer {
 	return &Tracer{ring: make([]TraceEntry, n)}
 }
 
-// Record captures one delivery. One that sorts below everything a full
-// ring holds is not among the last N and is dropped; any other takes the
-// oldest slot and moves down past the entries that sort above it, which
-// are of its own cycle when deliveries arrive in cycle order.
+// Record captures one delivery in the oldest slot.
 func (t *Tracer) Record(p *Packet, now sim.Cycle) {
-	e := TraceEntry{
+	t.ring[t.next] = TraceEntry{
 		At: now, ID: p.ID, Src: p.Src, Dst: p.Dst, Type: p.Type,
 		Total: p.TotalLatency(), Queue: p.QueuingDelay, Sched: p.SchedulingDelay,
 		Net: p.NetworkDelay, Resolve: p.ResolutionDelay, Retries: p.Retries,
 	}
-	if t.full && compareEntries(e, t.ring[t.next]) < 0 {
-		return
-	}
-	i, held := t.next, t.next+1
-	if t.full {
-		held = len(t.ring)
-	}
-	t.ring[i] = e
-	t.next = (i + 1) % len(t.ring)
+	t.next = (t.next + 1) % len(t.ring)
 	t.full = t.full || t.next == 0
-	for ; held > 1; held-- {
-		j := (i + len(t.ring) - 1) % len(t.ring)
-		if compareEntries(t.ring[j], e) <= 0 {
-			break
-		}
-		t.ring[i], t.ring[j], i = t.ring[j], e, j
-	}
 }
 
-// compareEntries orders trace entries by (At, ID, Src).
-func compareEntries(a, b TraceEntry) int {
-	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Src, b.Src))
-}
-
-// Entries returns the captured packets in (At, ID, Src) order.
+// Entries returns the captured packets, oldest first.
 func (t *Tracer) Entries() []TraceEntry {
 	if !t.full {
 		return t.ring[:t.next]

@@ -7,72 +7,37 @@ import (
 	"fsoi/internal/sim"
 )
 
-// emitCounts emits counts[node] events for each node, all nodes in step,
+// emitCounts lists counts[node] events for each node, all nodes in step,
 // highest node first, one cycle every four steps: cycles tie within a
-// node and across nodes, the script is in cycle order, and no cycle of
-// two nodes is emitted in node order.
-func emitCounts(counts ...int) func(emitFunc) {
-	return func(emit emitFunc) {
-		id := uint64(0)
-		for i := 0; i < slices.Max(counts); i++ {
-			for node := len(counts) - 1; node >= 0; node-- {
-				if i < counts[node] {
-					emit(node, Event{At: sim.Cycle(i / 4), ID: id, Src: int32(node)})
-					id++
-				}
+// node and across nodes, and the events are in cycle order.
+func emitCounts(counts ...int) []Event {
+	var events []Event
+	for i := 0; i < slices.Max(counts); i++ {
+		for node := len(counts) - 1; node >= 0; node-- {
+			if i < counts[node] {
+				events = append(events, Event{At: sim.Cycle(i / 4), ID: uint64(len(events)), Src: int32(node)})
 			}
 		}
 	}
+	return events
 }
 
 // TestMergedAtChunkEdges: logs that end just before, on and just after a
-// chunk boundary, with every cycle's group of nodes re-sorted (one in
-// five of them across a chunk edge), whole and cut by a limit that falls
-// inside a chunk.
+// chunk boundary, whole and cut by a limit that falls inside a chunk or
+// on its edge.
 func TestMergedAtChunkEdges(t *testing.T) {
 	const c = chunkEvents
 	sizes := []int{0, 1, c - 1, c, c + 1, 3 * c}
 	for _, n := range sizes {
-		recordedMatchesReference(t, 1, 0, emitCounts(n))
-		recordedMatchesReference(t, 3, 0, emitCounts(n, 0, n))
-		recordedMatchesReference(t, 5, 0, emitCounts(n, n/2, n, 7, n)) // 20-event cycles, then fewer
+		recordedMatchesReference(t, 0, emitCounts(n))
+		recordedMatchesReference(t, 0, emitCounts(n, 0, n))
+		recordedMatchesReference(t, 0, emitCounts(n, n/2, n, 7, n)) // 20-event cycles, then fewer
 		for _, m := range sizes {
-			recordedMatchesReference(t, 2, 0, emitCounts(n, m))
+			recordedMatchesReference(t, 0, emitCounts(n, m))
 		}
 	}
 	for _, limit := range []int{1, c - 1, c, c + 1, c + c/2, 3 * c, 6*c + 1} {
-		recordedMatchesReference(t, 3, limit, emitCounts(3*c, c+1, 3*c))
-	}
-}
-
-// TestUnsortedRunAcrossChunks: a run whose clock steps back at a chunk
-// boundary is still stable-sorted, alone and among another node's events.
-func TestUnsortedRunAcrossChunks(t *testing.T) {
-	emit := func(emit emitFunc) {
-		for i := 0; i < chunkEvents+5; i++ {
-			at := sim.Cycle(100 + i)
-			if i >= chunkEvents {
-				at = sim.Cycle(50 + i%2) // below everything in the first chunk
-			}
-			emit(0, Event{At: at, ID: uint64(i)})
-			emit(1, Event{At: sim.Cycle(i), ID: uint64(1000 + i), Src: 1})
-		}
-	}
-	recordedMatchesReference(t, 2, 0, emit)
-	recordedMatchesReference(t, 2, chunkEvents, emit)
-	r := NewRecorder(0)
-	emit(func(node int, e Event) {
-		if node == 0 {
-			r.emit(node, e)
-		}
-	})
-	run := r.Events()
-	if !slices.IsSortedFunc(run, byCycle) || len(run) != chunkEvents+5 {
-		t.Fatalf("%d events, sorted %v", len(run), slices.IsSortedFunc(run, byCycle))
-	}
-	if ids := []uint64{run[0].ID, run[1].ID, run[2].ID, run[3].ID, run[4].ID, run[5].ID}; !slices.Equal(ids,
-		[]uint64{chunkEvents, chunkEvents + 2, chunkEvents + 4, chunkEvents + 1, chunkEvents + 3, 0}) {
-		t.Fatalf("head of the sorted run = %v: ties must keep emission order", ids)
+		recordedMatchesReference(t, limit, emitCounts(3*c, c+1, 3*c))
 	}
 }
 
@@ -155,34 +120,29 @@ func TestEmitAllocatesOneChunkPerChunkEvents(t *testing.T) {
 
 // TestObserveLimitBoundsHeldEvents: a limit bounds what a log holds, not
 // only what it shows. 64 nodes storm for 400 cycles, between 64 and 191
-// events a cycle, under a limit of 5000: the log stops growing in the
-// cycle it reaches the limit, so it holds at most limit + the widest
-// cycle, in so many chunks and no more; and Len + Lost is everything
-// emitted. (A recorder per node let each of the 64 hold the limit.)
+// events a cycle, under a limit of 5000: the log holds the first 5000
+// events in so many chunks and no more, and Len + Lost is everything
+// emitted.
 func TestObserveLimitBoundsHeldEvents(t *testing.T) {
 	const nodes, limit = 64, 5000
 	r := NewRecorder(limit)
-	widest, emitted := 0, 0
+	emitted := 0
 	for at := 0; at < 400; at++ {
-		inCycle := 0
 		for node := nodes - 1; node >= 0; node-- {
 			for i := 0; i <= (at+node)%3; i++ {
-				r.EmitAs(node, Event{At: sim.Cycle(at), ID: uint64(emitted), Src: int32(node)})
-				inCycle++
+				r.Emit(Event{At: sim.Cycle(at), ID: uint64(emitted), Src: int32(node)})
 				emitted++
 			}
 		}
-		widest = max(widest, inCycle)
 	}
 	chunks := 0
 	for c := r.head; c != nil; c = c.next {
 		chunks++
 	}
-	if most := (limit + widest + chunkEvents - 1) / chunkEvents; r.n > limit+widest || chunks > most {
-		t.Fatalf("the log holds %d events in %d chunks; the bound is %d + %d (the widest cycle) in %d",
-			r.n, chunks, limit, widest, most)
+	if most := (limit + chunkEvents - 1) / chunkEvents; r.n != limit || chunks != most {
+		t.Fatalf("the log holds %d events in %d chunks; want %d in %d", r.n, chunks, limit, most)
 	}
-	if r.Len() != limit || r.Len()+int(r.Lost()) != emitted {
+	if r.Len() != limit || r.Len()+int(r.Lost()) != emitted || r.Events()[limit-1].ID != limit-1 {
 		t.Fatalf("len %d lost %d of %d emitted", r.Len(), r.Lost(), emitted)
 	}
 }

@@ -259,19 +259,17 @@ var tightDetector = DetectorConfig{
 	MinWindowCollisions: 3, DepthLimit: 5, DepthMinPeak: 2, MinConfirmDrops: 3,
 }
 
-// detectMatchesReference replays an emission script (its ids renamed
-// through edgeIDs when edges is set) into a recorder and holds Detect to
+// detectMatchesReference records an emission script (its ids renamed
+// through edgeIDs when edges is set) in firing order and holds Detect to
 // refDetect over its events: every field of the report, both link
 // lists (FlaggedAt and Reason included) and both renderings.
 func detectMatchesReference(t *testing.T, nodes int, script []byte, edges bool, cfg DetectorConfig) *Report {
 	t.Helper()
-	rec := NewRecorder(0)
-	emit := rec.emit
+	events := scriptEvents(nodes, script, false)
 	if edges {
-		emit = withEdgeIDs(emit)
+		withEdgeIDs(events)
 	}
-	emitScript(nodes, script, false)(emit)
-	events := rec.Events()
+	rec := recordFired(events)
 	got, want := Detect(events, cfg), refDetect(events, cfg)
 	if inPlace := rec.Detect(cfg); !slices.Equal(inPlace.CanonicalLines(), got.CanonicalLines()) || inPlace.Table() != got.Table() {
 		t.Fatalf("nodes %d: the detector reads the log's chunks and its slice differently\n%s\n%s", nodes, inPlace.Table(), got.Table())

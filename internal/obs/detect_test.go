@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -170,7 +171,18 @@ func TestQuantileIntNearestRank(t *testing.T) {
 
 // sortEvents re-establishes the non-decreasing At order Detect requires.
 func sortEvents(events []Event) {
-	slices.SortStableFunc(events, byCycle)
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+}
+
+// recordFired records events in the order an engine fires them: sorted by
+// cycle, ties in the order given.
+func recordFired(events []Event) *Recorder {
+	sortEvents(events)
+	rec := NewRecorder(0)
+	for _, e := range events {
+		rec.Emit(e)
+	}
+	return rec
 }
 
 // TestTableExplainsEachRuleThatFired: below the flagged links, Table says
@@ -183,9 +195,7 @@ func TestTableExplainsEachRuleThatFired(t *testing.T) {
 	for _, rule := range detectRules {
 		script = append(script, flaggingScript(rule)...)
 	}
-	rec := NewRecorder(0)
-	emitScript(8, script, false)(rec.emit)
-	r := rec.Detect(tightDetector)
+	r := recordFired(scriptEvents(8, script, false)).Detect(tightDetector)
 	_, why, found := strings.Cut(r.Table(), "\nwhy (")
 	if !found {
 		t.Fatalf("no explanation below the flagged links:\n%s", r.Table())

@@ -80,8 +80,8 @@ func kindFragments(before, after string) (f [numKinds]string) {
 }
 
 // WriteJSONL writes the recorder's events as JSON Lines, one event per
-// line, sorted by cycle. A truncated recording ends with an explicit
-// marker line instead of silently looking complete.
+// line, in the order they were recorded. A truncated recording ends with
+// an explicit marker line instead of silently looking complete.
 func WriteJSONL(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriterSize(w, blockBytes)
 	for evs := r.run(); len(evs.cur) > 0; evs.advance() {

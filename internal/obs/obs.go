@@ -1,10 +1,11 @@
 // Package obs is the deterministic packet-lifecycle observability
 // layer: every packet moving through an interconnect emits cycle-stamped
 // lifecycle events (inject, tx-start, retransmit, collision, backoff,
-// confirmation-drop, deliver) into a Recorder, which exports them
-// as sorted JSONL and Chrome trace-event JSON and feeds a registry of
-// percentile latency tables (p50/p90/p99/p999 per packet class and per
-// src->dst link) that extends the paper's Figure 5 reporting.
+// confirmation-drop, deliver) into a Recorder, which exports them in
+// firing order as JSONL and Chrome trace-event JSON and folds into a
+// registry of percentile latency tables (p50/p90/p99/p999 per packet
+// class and per src->dst link) that extends the paper's Figure 5
+// reporting.
 //
 // The package obeys the same determinism rules as the simulation
 // packages (fsoilint's detsource/maporder analyzers enforce them):
@@ -18,9 +19,7 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"fsoi/internal/sim"
 )
@@ -160,67 +159,44 @@ type Event struct {
 // Recorder is an event log: what emission sites append to and what the
 // exports read. It holds lifecycle events in fixed-size chunks it
 // allocates as it fills them: recording n events allocates n/chunkEvents
-// times and copies none already held. Each event is stored with its
-// owner, the node that emitted it (EmitAs; Emit's owner is node 0).
-// Events arrive in the order the engine fires them, non-decreasing in
-// cycle but arbitrary among one cycle's nodes; settle restores the
-// canonical order (cycle, owner, that owner's emission order) in place,
-// and every reader settles first.
-// A limit bounds what is held, not only what is read: the log admits
-// events until limit are held, then only those of the cycle the limit was
-// reached in (any may be among the canonical first limit, which is what
-// readers see); the rest, held or not, is Lost.
+// times and copies none already held. Events arrive in non-decreasing
+// cycle, which the engine's firing order guarantees, and the log keeps
+// them in that order: it only appends.
+// A limit keeps the first limit events; the rest are Lost.
 // A nil *Recorder is the disabled state: one nil check at an emission site.
 type Recorder struct {
 	head, tail *chunk
-	n          int       // events held; the tail chunk holds the last (n-1)%chunkEvents+1
-	last       sim.Cycle // cycle of the last event admitted
-	unsorted   bool      // some event was admitted below its predecessor's cycle
-	settled    int       // n when settle last ran
-	flat       []Event   // Events' copy of the log as it read with flatN events held
+	n          int     // events held; the tail chunk holds the last (n-1)%chunkEvents+1
+	flat       []Event // Events' copy of the log as it read with flatN events held
 	flatN      int
 	limit      int
 	lost       int64 // events refused
 }
 
-// chunkEvents is the capacity of one chunk: 10.5 KB, little to waste on a
+// chunkEvents is the capacity of one chunk: 10 KB, little to waste on a
 // short log and an allocation per few hundred emissions on a busy one.
 const chunkEvents = 256
 
-// MaxNodes is how many nodes a recording tells apart: an owner is 16 bits.
-const MaxNodes = 1 << 16
-
-// chunk is one link of a log. The links come first so that the garbage
-// collector's scan of a chunk ends after two words. owner[i] is the node
-// that emitted ev[i]: beside the event, so that Event stays as it is, and
-// narrow, so that a chunk stays in the size class its events put it in.
+// chunk is one link of a log. next comes first so that the garbage
+// collector's scan of a chunk ends after one word.
 type chunk struct {
-	next, prev *chunk
-	ev         [chunkEvents]Event
-	owner      [chunkEvents]uint16
+	next *chunk
+	ev   [chunkEvents]Event
 }
 
-// NewRecorder builds a recorder reading at most limit events (<= 0 means
-// unbounded); the rest are counted in Lost.
+// NewRecorder builds a recorder holding the first limit events (<= 0
+// means unbounded); the rest are counted in Lost.
 func NewRecorder(limit int) *Recorder { return &Recorder{limit: limit} }
 
-// Emit appends one event owned by node 0.
-func (r *Recorder) Emit(e Event) { r.EmitAs(0, e) }
-
-// EmitAs appends one event emitted by node, which is in [0, MaxNodes):
-// the node orders it among its cycle's events.
-func (r *Recorder) EmitAs(node int, e Event) {
-	if r.limit > 0 && r.n >= r.limit && e.At != r.last {
+// Emit appends one event.
+func (r *Recorder) Emit(e Event) {
+	if r.limit > 0 && r.n >= r.limit {
 		r.lost++
 		return
 	}
-	if e.At < r.last {
-		r.unsorted = true
-	}
-	r.last = e.At
 	i := r.n % chunkEvents
 	if i == 0 {
-		c := &chunk{prev: r.tail}
+		c := new(chunk)
 		if r.tail == nil {
 			r.head = c
 		} else {
@@ -228,63 +204,8 @@ func (r *Recorder) EmitAs(node int, e Event) {
 		}
 		r.tail = c
 	}
-	r.tail.ev[i], r.tail.owner[i] = e, uint16(node)
+	r.tail.ev[i] = e
 	r.n++
-}
-
-// each visits every event held, with its owner, in the order they lie in.
-func (r *Recorder) each(visit func(c *chunk, i int)) {
-	for c, left := r.head, r.n; c != nil; c, left = c.next, left-chunkEvents {
-		for i := range c.ev[:min(left, chunkEvents)] {
-			visit(c, i)
-		}
-	}
-}
-
-// settle puts the log in canonical order: one pass that moves each event
-// down past the events of its own cycle with a higher owner, across chunk
-// edges as within them (a stable insertion sort: a cycle's events are few
-// and each node's arrive in order). Settling twice moves nothing.
-func (r *Recorder) settle() {
-	if r.settled == r.n {
-		return
-	}
-	r.settled = r.n
-	if r.unsorted {
-		r.sortAll()
-		return
-	}
-	r.each(func(c *chunk, i int) {
-		e, o := c.ev[i], c.owner[i]
-		for moved := false; ; moved = true {
-			below, j := c, i-1
-			if j < 0 {
-				below, j = c.prev, chunkEvents-1
-			}
-			if below == nil || below.ev[j].At != e.At || below.owner[j] <= o {
-				if moved {
-					c.ev[i], c.owner[i] = e, o
-				}
-				return
-			}
-			c.ev[i], c.owner[i], c, i = below.ev[j], below.owner[j], below, j
-		}
-	})
-}
-
-// sortAll settles a log not emitted in cycle order, which an engine's
-// never is: a stable sort of everything held by (cycle, owner).
-func (r *Recorder) sortAll() {
-	type owned struct {
-		Event
-		owner uint16
-	}
-	all := make([]owned, 0, r.n)
-	r.each(func(c *chunk, i int) { all = append(all, owned{c.ev[i], c.owner[i]}) })
-	slices.SortStableFunc(all, func(a, b owned) int {
-		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.owner, b.owner))
-	})
-	r.each(func(c *chunk, i int) { c.ev[i], c.owner[i], all = all[0].Event, all[0].owner, all[1:] })
 }
 
 // run walks events a segment at a time. cur is the segment being read,
@@ -295,13 +216,12 @@ type run struct {
 	left int // events still to come after cur
 }
 
-// run settles the log and starts a walk at its first event.
+// run starts a walk at the log's first event.
 func (r *Recorder) run() run {
 	if r == nil {
 		return run{}
 	}
-	r.settle()
-	w := run{next: r.head, left: r.Len()}
+	w := run{next: r.head, left: r.n}
 	w.advance()
 	return w
 }
@@ -321,9 +241,6 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.limit > 0 && r.n > r.limit {
-		return r.limit
-	}
 	return r.n
 }
 
@@ -332,10 +249,10 @@ func (r *Recorder) Lost() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.lost + int64(r.n-r.Len())
+	return r.lost
 }
 
-// Events returns the recorded events in canonical order as one slice, a
+// Events returns the recorded events in firing order as one slice, a
 // copy the log keeps: it stays valid, and a second call returns it again,
 // until the next Emit. The exports and the detector read the chunks.
 func (r *Recorder) Events() []Event {
@@ -343,7 +260,7 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	if r.flatN != r.n {
-		flat := make([]Event, 0, r.Len())
+		flat := make([]Event, 0, r.n)
 		for w := r.run(); len(w.cur) > 0; w.advance() {
 			flat = append(flat, w.cur...)
 		}

@@ -35,28 +35,15 @@ func TestRecorderLimitCountsLost(t *testing.T) {
 	}
 }
 
-// TestEventsSortedStable: events re-sort by cycle with emission order
-// breaking ties, so out-of-order emission cannot perturb exports.
-func TestEventsSortedStable(t *testing.T) {
-	r := NewRecorder(0)
-	r.Emit(Event{At: 30, ID: 3})
-	r.Emit(Event{At: 10, ID: 1})
-	r.Emit(Event{At: 10, ID: 2})
-	ev := r.Events()
-	if ev[0].ID != 1 || ev[1].ID != 2 || ev[2].ID != 3 {
-		t.Fatalf("sort order wrong: %d %d %d", ev[0].ID, ev[1].ID, ev[2].ID)
-	}
-}
-
 func sampleRecorder() *Recorder {
 	r := NewRecorder(0)
 	r.Emit(Event{At: 1, Kind: KindInject, ID: 1, Src: 0, Dst: 2, Class: ClassMeta, Lane: LaneNone})
 	r.Emit(Event{At: 2, Kind: KindTxStart, ID: 1, Src: 0, Dst: 2, Class: ClassMeta, Lane: 0})
+	r.Emit(Event{At: 3, Kind: KindInject, ID: 2, Src: 1, Dst: 3, Class: ClassData, Lane: LaneNone})
 	r.Emit(Event{At: 4, Kind: KindCollision, ID: 1, Src: 0, Dst: 2, Class: ClassMeta, Lane: 0, Aux: 1})
 	r.Emit(Event{At: 4, Kind: KindBackoff, ID: 1, Src: 0, Dst: 2, Attempt: 1, Class: ClassMeta, Lane: 0, Aux: 3})
 	r.Emit(Event{At: 8, Kind: KindRetransmit, ID: 1, Src: 0, Dst: 2, Attempt: 1, Class: ClassMeta, Lane: 0})
 	r.Emit(Event{At: 12, Kind: KindDeliver, ID: 1, Src: 0, Dst: 2, Attempt: 1, Class: ClassMeta, Lane: LaneNone, Aux: 11})
-	r.Emit(Event{At: 3, Kind: KindInject, ID: 2, Src: 1, Dst: 3, Class: ClassData, Lane: LaneNone})
 	r.Emit(Event{At: 20, Kind: KindDeliver, ID: 2, Src: 1, Dst: 3, Attempt: 4, Class: ClassData, Lane: LaneNone, Aux: 17})
 	return r
 }
@@ -245,12 +232,12 @@ func TestRegistryTablesRankWithTies(t *testing.T) {
 	// counts as zero collisions and still appears.
 	for _, l := range []struct{ src, dst, n int }{{5, 6, 2}, {1, 2, 2}, {7, 0, 4}, {1, 1, 1}} {
 		for i := 0; i < l.n; i++ {
-			g.NoteCollision(l.src, l.dst)
+			g.noteCollision(l.src, l.dst)
 		}
 	}
-	g.NoteBackoff(8, 3, 5)
-	g.NoteBackoff(0, 3, 2)
-	g.NoteBackoff(1, 2, 3)
+	g.noteBackoff(8, 3, 5)
+	g.noteBackoff(0, 3, 2)
+	g.noteBackoff(1, 2, 3)
 	want = []string{"7->0", "1->2", "5->6", "1->1", "0->3", "8->3"}
 	out = g.ContentionTable(0)
 	if got := tableLinks(out); !slices.Equal(got, want) {
@@ -278,7 +265,7 @@ func TestRegistryTablesRankWithTies(t *testing.T) {
 		links = append(links, l)
 		for i := 0; i < l.n; i++ {
 			g.Observe(ClassMeta, l.src, l.dst, 10)
-			g.NoteCollision(l.src, l.dst)
+			g.noteCollision(l.src, l.dst)
 		}
 	}
 	slices.SortFunc(links, func(a, b weighted) int {

@@ -135,8 +135,7 @@ type Registry struct {
 }
 
 // linkRec is what the registry knows of one link: its delivered-packet
-// latencies, and for the detection layer (core.LinkObserver) its
-// collision events and deepest backoff attempt.
+// latencies, its collision events and its deepest backoff attempt.
 type linkRec struct {
 	Link
 	hist  *stats.Histogram // nil until a delivery is observed
@@ -155,6 +154,30 @@ func NewRegistry() *Registry {
 			stats.NewHistogram(registryWidth, registryBuckets),
 		},
 	}
+}
+
+// Registry folds the log into a registry: each deliver event's latency
+// into its class and link tables, each collision event into its link's
+// count, and each backoff event's attempt into its link's deepest
+// backoff. A nil recorder folds to nil.
+func (r *Recorder) Registry() *Registry {
+	if r == nil {
+		return nil
+	}
+	g := NewRegistry()
+	for w := r.run(); len(w.cur) > 0; w.advance() {
+		for _, e := range w.cur {
+			switch e.Kind {
+			case KindDeliver:
+				g.Observe(e.Class, int(e.Src), int(e.Dst), e.Aux)
+			case KindCollision:
+				g.noteCollision(int(e.Src), int(e.Dst))
+			case KindBackoff:
+				g.noteBackoff(int(e.Src), int(e.Dst), int(e.Attempt))
+			}
+		}
+	}
+	return g
 }
 
 // find returns k's record, nil when the link was never noted.
@@ -180,13 +203,13 @@ func (g *Registry) latencies(r *linkRec) *stats.Histogram {
 	return r.hist
 }
 
-// NoteCollision counts one collision event on src->dst.
-func (g *Registry) NoteCollision(src, dst int) {
+// noteCollision counts one collision event on src->dst.
+func (g *Registry) noteCollision(src, dst int) {
 	g.rec(Link{Src: src, Dst: dst}).coll++
 }
 
-// NoteBackoff tracks the deepest backoff attempt seen on src->dst.
-func (g *Registry) NoteBackoff(src, dst, attempt int) {
+// noteBackoff tracks the deepest backoff attempt seen on src->dst.
+func (g *Registry) noteBackoff(src, dst, attempt int) {
 	if r := g.rec(Link{Src: src, Dst: dst}); int64(attempt) > r.depth {
 		r.depth = int64(attempt)
 	}

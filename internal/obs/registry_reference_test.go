@@ -2,7 +2,8 @@ package obs
 
 // Registry as it stood before one slab replaced its three Go maps, kept
 // word for word as the reference of TestRegistryMatchesReference (less
-// Merge, which went with the live one).
+// Merge, which went with the live one, and the name of the core interface
+// that once fed both).
 // addRow, fmtQuantile and the quantile list are shared with the live
 // code: PR 22 did not touch them.
 
@@ -25,7 +26,7 @@ type refRegistry struct {
 	byClass [2]*stats.Histogram
 	byLink  map[Link]*stats.Histogram
 
-	// Contention tracking for the detection layer (core.LinkObserver):
+	// Contention tracking for the detection layer:
 	// collision-event counts and deepest backoff attempt per link.
 	collByLink  map[Link]int64
 	depthByLink map[Link]int64
@@ -178,17 +179,9 @@ func (g *refRegistry) Class(c uint8) *stats.Histogram {
 	return g.byClass[c]
 }
 
-// linkObserver is what the registry and its reference both are to the
-// script that drives them.
-type linkObserver interface {
-	NoteCollision(src, dst int)
-	NoteBackoff(src, dst, attempt int)
-	Observe(class uint8, src, dst int, latency int64)
-}
-
-// observeRun feeds recorded events to a registry the way internal/system
-// wires them: collisions, backoffs and deliveries.
-func observeRun(g linkObserver, run []Event) {
+// observeRun feeds recorded events to the reference registry the way
+// Recorder.Registry folds them: collisions, backoffs and deliveries.
+func observeRun(g *refRegistry, run []Event) {
 	for _, e := range run {
 		switch e.Kind {
 		case KindCollision:
@@ -201,21 +194,20 @@ func observeRun(g linkObserver, run []Event) {
 	}
 }
 
-// registryMatchesReference replays an emission script (its ids renamed
-// through edgeIDs when edges is set) into one registry of each kind and
-// compares everything a registry can be asked. It returns how many links
+// registryMatchesReference records an emission script (its ids renamed
+// through edgeIDs when edges is set), folds the log into a registry and
+// holds it to the reference fed the same events, comparing everything a
+// registry can be asked. It returns how many links
 // the registry holds records for.
 func registryMatchesReference(t *testing.T, nodes int, script []byte, edges bool) int {
 	t.Helper()
-	rec := NewRecorder(0)
-	emit, rename := rec.emit, func(id int32) int32 { return id }
+	events, rename := scriptEvents(nodes, script, false), func(id int32) int32 { return id }
 	if edges {
-		emit, rename = withEdgeIDs(emit), edgeID
+		withEdgeIDs(events)
+		rename = edgeID
 	}
-	emitScript(nodes, script, false)(emit)
-	got, want := NewRegistry(), newRefRegistry()
-	observeRun(got, rec.Events())
-	observeRun(want, rec.Events())
+	got, want := recordFired(events).Registry(), newRefRegistry()
+	observeRun(want, events)
 	if got.String() != want.String() {
 		t.Fatalf("nodes %d: String differs\n got:\n%s\nwant:\n%s", nodes, got, want)
 	}

@@ -123,31 +123,69 @@ func TestRecycleResetsPacketState(t *testing.T) {
 	s.deliver(&noc.Packet{Src: 1, Dst: 2, Payload: "foreign"}, 0)
 }
 
-// TestObsIsTheRunsOneRecorder: Obs and ObsRegistry hand back the one
-// recorder and the one registry the run records into, before Run and
-// after it (where Metrics holds the same two), and allocate nothing.
+// TestObsIsTheRunsOneRecorder: Obs hands back the one recorder the run
+// records into, before Run and after it (where Metrics holds the same
+// one), and allocates nothing. Metrics.ObsRegistry is that log folded:
+// its class totals are the recorded deliveries and its collision counts
+// the recorded collisions. With Observe off both are nil.
 func TestObsIsTheRunsOneRecorder(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
 	cfg.Observe = true
 	s := New(cfg)
-	rec, reg := s.Obs(), s.ObsRegistry()
-	if rec == nil || reg == nil || rec.Len() != 0 || reg.Links() != 0 {
-		t.Fatal("before Run, Obs and ObsRegistry are the run's empty recorder and registry")
+	rec := s.Obs()
+	if rec == nil || rec.Len() != 0 {
+		t.Fatal("before Run, Obs is the run's empty recorder")
 	}
 	m := s.Run(tinyApp(t, "jacobi"))
-	if m.Obs.Len() == 0 || m.ObsRegistry.Links() == 0 {
-		t.Fatal("the run recorded nothing")
+	if m.Obs.Len() == 0 || m.Obs != rec || s.Obs() != rec {
+		t.Fatal("Obs and Metrics must hand back the recorder the run recorded into")
 	}
-	if m.Obs != rec || m.ObsRegistry != reg || s.Obs() != rec || s.ObsRegistry() != reg {
-		t.Fatal("the accessors and Metrics must hand back the recorder and registry the run recorded into")
+	if n := testing.AllocsPerRun(10, func() { s.Obs() }); n != 0 {
+		t.Fatalf("Obs allocated %v times", n)
 	}
-	if n := testing.AllocsPerRun(10, func() { s.Obs(); s.ObsRegistry() }); n != 0 {
-		t.Fatalf("the accessors allocated %v times", n)
+	counts, reg := m.Obs.CountByKind(), m.ObsRegistry
+	if reg == nil || reg.Class(obs.ClassMeta).Total()+reg.Class(obs.ClassData).Total() != counts[obs.KindDeliver] {
+		t.Fatalf("the registry's class totals are not the %d recorded deliveries", counts[obs.KindDeliver])
+	}
+	var collisions int64
+	for src := 0; src < cfg.Nodes; src++ {
+		for dst := 0; dst < cfg.Nodes; dst++ {
+			collisions += reg.LinkCollisions(obs.Link{Src: src, Dst: dst})
+		}
+	}
+	if collisions == 0 || collisions != counts[obs.KindCollision] {
+		t.Fatalf("the registry counts %d collisions, the log %d", collisions, counts[obs.KindCollision])
+	}
+	if reg.String() != m.Obs.Registry().String() {
+		t.Fatal("Metrics.ObsRegistry is not the fold of Metrics.Obs")
 	}
 	off := New(Default(16, NetFSOI))
-	off.Run(tinyApp(t, "jacobi"))
-	if off.Obs() != nil || off.ObsRegistry() != nil {
-		t.Fatal("with Observe off both accessors stay nil")
+	if om := off.Run(tinyApp(t, "jacobi")); off.Obs() != nil || om.Obs != nil || om.ObsRegistry != nil {
+		t.Fatal("with Observe off the recorder and the registry stay nil")
+	}
+}
+
+// TestEveryNetworkRecordsInCycleOrder: the recorder only appends, so its
+// log is in cycle order only because the engine fires events in it. Every
+// network, fault annotations included on FSOI, must record a log that is
+// non-decreasing in At.
+func TestEveryNetworkRecordsInCycleOrder(t *testing.T) {
+	for _, name := range Networks() {
+		m := runTiny(t, "mp3d", NetworkKind(name), 16, func(c *Config) {
+			c.Observe = true
+			if c.Net == NetFSOI {
+				c.Fault.MarginPenaltyDB, c.Fault.VCSELFailProb = 2, 0.2
+			}
+		})
+		events := m.Obs.Events()
+		if len(events) == 0 || name == string(NetFSOI) && m.Obs.CountByKind()[obs.KindFault] == 0 {
+			t.Fatalf("%s recorded %d events, fault annotations among them on FSOI", name, len(events))
+		}
+		for i := 1; i < len(events); i++ {
+			if events[i].At < events[i-1].At {
+				t.Fatalf("%s: event %d at cycle %d follows one at cycle %d", name, i, events[i].At, events[i-1].At)
+			}
+		}
 	}
 }

@@ -119,7 +119,8 @@ type Metrics struct {
 	FaultCounters *stats.CounterSet
 
 	// Obs holds the packet-lifecycle event recorder and ObsRegistry the
-	// percentile latency tables; both nil unless Config.Observe was set.
+	// percentile latency tables folded from it; both nil unless
+	// Config.Observe was set.
 	Obs         *obs.Recorder
 	ObsRegistry *obs.Registry
 
@@ -176,7 +177,6 @@ type System struct {
 	finished int // threads whose finish notice has reached node 0
 	tracer   *noc.Tracer
 	obsRec   *obs.Recorder
-	obsReg   *obs.Registry
 
 	// pktSeq counts packets injected per source node; a packet's ID is
 	// src+1 + nodes*seq — unique, nonzero, and a pure function of that
@@ -355,9 +355,6 @@ func (cfg Config) Validate() error {
 	if cfg.MeshRouterCycles < 0 {
 		return fmt.Errorf("system: MeshRouterCycles %d is negative (0 = unset, the 4-stage router)", cfg.MeshRouterCycles)
 	}
-	if (cfg.Observe || cfg.Detect) && cfg.Nodes > obs.MaxNodes {
-		return fmt.Errorf("system: Observe tells at most %d nodes apart (got %d)", obs.MaxNodes, cfg.Nodes)
-	}
 	return nil
 }
 
@@ -507,20 +504,14 @@ func build(cfg Config, donor *System) *System {
 	}
 	if cfg.Observe {
 		s.obsRec = obs.NewRecorder(0) // 0: no event limit
-		s.obsReg = obs.NewRegistry()
 		// Any network exposing an observer hook gets the recorder: FSOI
-		// emits the full per-attempt lifecycle, each event as the node it
-		// happens at, the crossbar family tx-start at arbitration grant
-		// as node 0's.
+		// emits the full per-attempt lifecycle, the crossbar family
+		// tx-start at arbitration grant.
 		if o, ok := s.net.(interface{ SetObserver(*obs.Recorder) }); ok {
 			o.SetObserver(s.obsRec)
 		}
 		if s.injector != nil {
 			s.injector.AnnotateTrace(s.obsRec)
-		}
-		if s.fsoi != nil {
-			// Per-link contention tracking for the detection layer.
-			s.fsoi.SetLinkObserver(s.obsReg)
 		}
 	}
 	s.net.SetDelivery(s.deliver)
@@ -580,15 +571,14 @@ func (s *System) launchOrdered(m coherence.Msg) {
 	s.engine.After(1, func(sim.Cycle) { s.launchOrdered(m) })
 }
 
-// observeInject records a packet's acceptance by the network as its
-// source's event. Injection time is the current cycle: Send only
-// succeeds synchronously, so no separate timestamp needs to ride on the
-// packet.
+// observeInject records a packet's acceptance by the network. Injection
+// time is the current cycle: Send only succeeds synchronously, so no
+// separate timestamp needs to ride on the packet.
 func (s *System) observeInject(p *noc.Packet) {
 	if s.obsRec == nil {
 		return
 	}
-	s.obsRec.EmitAs(p.Src, obs.Event{
+	s.obsRec.Emit(obs.Event{
 		At: s.engine.Now(), Kind: obs.KindInject, ID: p.ID,
 		Src: int32(p.Src), Dst: int32(p.Dst),
 		Class: uint8(p.Type), Lane: obs.LaneNone,
@@ -625,13 +615,11 @@ func (s *System) deliver(p *noc.Packet, now sim.Cycle) {
 		s.tracer.Record(p, now)
 	}
 	if s.obsRec != nil {
-		lat := p.TotalLatency()
-		s.obsRec.EmitAs(p.Dst, obs.Event{
-			At: now, Kind: obs.KindDeliver, ID: p.ID, Aux: lat,
+		s.obsRec.Emit(obs.Event{
+			At: now, Kind: obs.KindDeliver, ID: p.ID, Aux: p.TotalLatency(),
 			Src: int32(p.Src), Dst: int32(p.Dst), Attempt: int32(p.Retries),
 			Class: uint8(p.Type), Lane: obs.LaneNone,
 		})
-		s.obsReg.Observe(uint8(p.Type), p.Src, p.Dst, lat)
 	}
 	switch m.Type {
 	case coherence.ReqMem, coherence.MemWrite:
@@ -738,7 +726,7 @@ func (s *System) collect(app string) Metrics {
 	if s.fsoi != nil {
 		m.FSOI = s.fsoi.Stats()
 	}
-	m.Obs, m.ObsRegistry = s.obsRec, s.obsReg
+	m.Obs, m.ObsRegistry = s.obsRec, s.obsRec.Registry()
 	if len(s.cfg.Adversaries) > 0 {
 		m.AdversaryNodes = len(s.cfg.Adversaries)
 		hostile := make(map[int]bool, m.AdversaryNodes)
@@ -863,10 +851,6 @@ func (s *System) Trace() *noc.Tracer { return s.tracer }
 // Obs exposes the lifecycle-event recorder (nil unless Config.Observe),
 // Metrics.Obs after Run.
 func (s *System) Obs() *obs.Recorder { return s.obsRec }
-
-// ObsRegistry exposes the percentile latency registry (nil unless
-// Config.Observe), Metrics.ObsRegistry after Run.
-func (s *System) ObsRegistry() *obs.Registry { return s.obsReg }
 
 // CoreStats exposes a core's counters (tests, diagnostics).
 func (s *System) CoreStats(i int) *cpu.Stats { return s.cores[i].Stats() }

@@ -322,9 +322,6 @@ func TestNewPanicsWithValidateError(t *testing.T) {
 	for want, mutate := range map[string]func(*Config){
 		"unknown network":      func(c *Config) { c.Net = "nope" },
 		"not a perfect square": func(c *Config) { c.Nodes = 15 },
-		// An event's owner is 16 bits in the observer's chunks: 256x256
-		// nodes is the most it tells apart.
-		"Observe tells at most 65536 nodes apart (got 66049)": func(c *Config) { c.Nodes, c.Detect = 257*257, true },
 	} {
 		cfg := Default(16, NetFSOI)
 		mutate(&cfg)
