@@ -82,20 +82,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, err)
 		}
 	}
+	// Because a zero field means the default, a flag set to zero would
+	// silently run the default; it is refused instead.
+	var zeroErr error
 	fs.Visit(func(f *flag.Flag) {
+		zero := false
 		switch f.Name {
 		case "app":
 			spec.App = *appName
 		case "net":
 			spec.Network = *netName
 		case "nodes":
-			spec.Nodes = *nodes
+			spec.Nodes, zero = *nodes, *nodes == 0
 		case "scale":
-			spec.Scale = *scale
+			spec.Scale, zero = *scale, *scale == 0
 		case "seed":
-			spec.Seed = *seed
+			spec.Seed, zero = *seed, *seed == 0
 		case "membw":
-			spec.MemoryGBps = *memGBps
+			spec.MemoryGBps, zero = *memGBps, *memGBps == 0
 		case "no-opt":
 			if *noOpt {
 				spec.Optimizations = &config.OptSpec{}
@@ -107,7 +111,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				spec.Detect = true
 			}
 		}
+		if zero && zeroErr == nil {
+			zeroErr = fmt.Errorf("-%s 0 would run the default %s; give the value to use", f.Name, f.DefValue)
+		}
 	})
+	if zeroErr != nil {
+		return fail(2, zeroErr)
+	}
 	cfg, err := spec.Build()
 	if err != nil {
 		return fail(2, err)

@@ -81,6 +81,12 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-scale", "-1"},
 		{"-membw", "-5"},
 		{"-trace", "-3"},
+		// A spec's zero field means the default, so zero flags used to
+		// run the default.
+		{"-scale", "0"},
+		{"-seed", "0"},
+		{"-nodes", "0"},
+		{"-membw", "0"},
 		{"-config", writeSpec(t, `{"receivers": -2}`)},
 		// A node's arrival mask is one word.
 		{"-config", writeSpec(t, `{"receivers": 65}`)},

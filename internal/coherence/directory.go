@@ -853,11 +853,3 @@ func (d *Directory) EntryState(addr cache.LineAddr) string {
 	}
 	return "DI"
 }
-
-// Sharers reports the sharer bitset and owner for addr (tests).
-func (d *Directory) Sharers(addr cache.LineAddr) (sharers uint64, owner int) {
-	if e := d.lookup(addr); e.dirEntry != nil {
-		return e.sharers, int(e.owner)
-	}
-	return 0, -1
-}

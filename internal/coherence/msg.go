@@ -76,7 +76,7 @@ type SyncOp int
 
 // Synchronization operations handled at the home directory.
 const (
-	SyncNone SyncOp = iota
+	_ SyncOp = iota // the zero SyncOp selects no operation
 	// SyncAcquire attempts a test-and-set lock acquire (ll/sc semantics).
 	SyncAcquire
 	// SyncRelease frees a lock.

@@ -24,14 +24,6 @@ func BarrierTag(id int, update bool) uint64 {
 	return LockTag(id, update) | tagBarrierBit
 }
 
-// DecodeTag splits a confirmation-lane tag.
-func DecodeTag(tag uint64) (id int, barrier, update bool) {
-	barrier = tag&tagBarrierBit != 0
-	update = tag&tagUpdateBit != 0
-	id = int((tag &^ tagBarrierBit) >> 1)
-	return id, barrier, update
-}
-
 // lockVar is directory-side lock state: the boolean "line" of §5.1 whose
 // single-bit value rides reserved confirmation mini-cycles.
 type lockVar struct {
@@ -156,6 +148,3 @@ type SyncAPI struct{ m *syncManager }
 func (a *SyncAPI) SetBarrierTarget(id, target int) {
 	a.m.barrier(id).target = target
 }
-
-// LockHeld reports lock state (tests).
-func (a *SyncAPI) LockHeld(id int) bool { return a.m.lock(id).held }

@@ -168,15 +168,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// TotalVCSELs reports the transmit VCSEL count of the whole system,
-// the N*(N-1)*k sizing argument of §4.1 (plus one confirmation VCSEL
-// lane per node).
-func (c Config) TotalVCSELs() int {
-	k := c.MetaVCSELs + c.DataVCSELs
-	if c.PhaseArray {
-		// A steerable array replaces the per-destination fan-out.
-		return c.Nodes * (k + 1)
-	}
-	return c.Nodes*(c.Nodes-1)*k + c.Nodes
-}

@@ -37,22 +37,6 @@ func TestConfigSlotLengths(t *testing.T) {
 	}
 }
 
-func TestConfigVCSELCount(t *testing.T) {
-	cfg := PaperConfig(16)
-	// §4.1: N=16, k=9 needs about 2000 transmit VCSELs.
-	total := cfg.TotalVCSELs()
-	if total < 2000 || total > 2300 {
-		t.Fatalf("16-node VCSEL count = %d, paper estimates ~2000", total)
-	}
-	cfg64 := PaperConfig(64)
-	if !cfg64.PhaseArray {
-		t.Fatal("64 nodes should default to phase arrays")
-	}
-	if cfg64.TotalVCSELs() >= cfg.TotalVCSELs() {
-		t.Fatal("phase arrays make the VCSEL count per node constant")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := PaperConfig(16)
 	if err := good.Validate(); err != nil {

@@ -182,17 +182,13 @@ func collectAllows(p *Package, known map[string]bool) (allows []*allow, bad []Fi
 	return allows, bad
 }
 
-// Run executes the analyzers over the packages and applies suppression
-// directives. It returns the surviving findings sorted by position.
-func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	return RunWorkers(pkgs, analyzers, 1)
-}
-
-// RunWorkers is Run fanned out over the internal/parallel pool:
-// packages are analyzed on up to `workers` goroutines and the findings
-// merged by submission index, so the output is byte-identical to the
-// serial run at every worker count. Analyzers only read their own
-// *Package, so package-level checks are share-nothing jobs.
+// RunWorkers executes the analyzers over the packages and applies
+// suppression directives. It returns the surviving findings sorted by
+// position. Packages are analyzed on up to `workers` goroutines of the
+// internal/parallel pool and the findings merged by submission index,
+// so the output is byte-identical to the serial run at every worker
+// count. Analyzers only read their own *Package, so package-level
+// checks are share-nothing jobs.
 func RunWorkers(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -261,7 +257,7 @@ type Suppression struct {
 
 // Suppressions collects every well-formed allow directive in the
 // packages, sorted by position. Malformed directives are ignored here;
-// Run reports them as findings.
+// RunWorkers reports them as findings.
 func Suppressions(pkgs []*Package, analyzers []Analyzer) []Suppression {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

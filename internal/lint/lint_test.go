@@ -28,6 +28,16 @@ var fixtureVirtualPaths = map[string]string{
 	"units":       "fsoi/internal/power",
 }
 
+// LoadDir type-checks the non-test .go files in dir as one package that
+// pretends to live at virtualPath inside the module. Fixture files use
+// this to exercise package-scoped analyzers: a fixture granted the
+// virtual path "fsoi/internal/core" is linted under simulation-package
+// rules even though it lives in testdata.
+func (l *Loader) LoadDir(dir, virtualPath string) (*Package, error) {
+	rel := strings.TrimPrefix(strings.TrimPrefix(virtualPath, l.ModPath), "/")
+	return l.check(dir, virtualPath, rel)
+}
+
 // want is one expectation parsed from a fixture comment.
 type want struct {
 	file      string
@@ -109,28 +119,34 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			findings := Run([]*Package{p}, Analyzers())
-			wants := parseWants(t, fixDir)
-
-			for _, f := range findings {
-				text := fmt.Sprintf("%s: %s", f.Analyzer, f.Message)
-				matched := false
-				for _, w := range wants {
-					if w.file == filepath.Base(f.File) && w.line == f.Line && w.re.MatchString(text) {
-						w.fulfilled = true
-						matched = true
-					}
-				}
-				if !matched {
-					t.Errorf("unexpected finding at %s:%d: %s", filepath.Base(f.File), f.Line, text)
-				}
-			}
-			for _, w := range wants {
-				if !w.fulfilled {
-					t.Errorf("missing finding at %s:%d matching %q", w.file, w.line, w.raw)
-				}
-			}
+			matchWants(t, fixDir, RunWorkers([]*Package{p}, Analyzers(), 1))
 		})
+	}
+}
+
+// matchWants holds findings to the "// want" comments of the fixture
+// sources in dir: every finding must match one, and every one must be
+// matched.
+func matchWants(t *testing.T, dir string, findings []Finding) {
+	t.Helper()
+	wants := parseWants(t, dir)
+	for _, f := range findings {
+		text := fmt.Sprintf("%s: %s", f.Analyzer, f.Message)
+		matched := false
+		for _, w := range wants {
+			if w.file == filepath.Base(f.File) && w.line == f.Line && w.re.MatchString(text) {
+				w.fulfilled = true
+				matched = true
+			}
+		}
+		if !matched {
+			t.Errorf("unexpected finding at %s:%d: %s", filepath.Base(f.File), f.Line, text)
+		}
+	}
+	for _, w := range wants {
+		if !w.fulfilled {
+			t.Errorf("missing finding at %s:%d matching %q", w.file, w.line, w.raw)
+		}
 	}
 }
 
@@ -153,7 +169,7 @@ func TestRepositoryLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loader found only %d packages; module discovery is broken", len(pkgs))
 	}
-	for _, f := range Run(pkgs, Analyzers()) {
+	for _, f := range RunWorkers(pkgs, Analyzers(), 1) {
 		t.Errorf("%s", f)
 	}
 }
@@ -170,7 +186,7 @@ func TestAnalyzerPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{p}, Analyzers())
+	findings := RunWorkers([]*Package{p}, Analyzers(), 1)
 	var hit bool
 	for _, f := range findings {
 		if f.Analyzer == "detsource" && strings.Contains(f.Message, "time.Now") {

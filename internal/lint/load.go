@@ -19,9 +19,9 @@ import (
 // analyzer operates on.
 type Package struct {
 	// ImportPath is the package's import path ("fsoi/internal/core").
-	// Fixture packages loaded through Loader.LoadDir carry the virtual
-	// path the test assigned, so package-scoped analyzers treat them as
-	// the package they impersonate.
+	// Fixture packages the tests load carry the virtual path the test
+	// assigned, so package-scoped analyzers treat them as the package
+	// they impersonate.
 	ImportPath string
 	// ModuleRel is ImportPath relative to the module path
 	// ("internal/core"), or "" for the module root package.
@@ -233,16 +233,6 @@ func (l *Loader) loadModulePackage(rel string) (*Package, error) {
 	l.pkgs[path] = p
 	l.checked[path] = p.Types
 	return p, nil
-}
-
-// LoadDir type-checks the non-test .go files in dir as one package that
-// pretends to live at virtualPath inside the module. Fixture files use
-// this to exercise package-scoped analyzers: a fixture granted the
-// virtual path "fsoi/internal/core" is linted under simulation-package
-// rules even though it lives in testdata.
-func (l *Loader) LoadDir(dir, virtualPath string) (*Package, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(virtualPath, l.ModPath), "/")
-	return l.check(dir, virtualPath, rel)
 }
 
 // check parses and type-checks one directory's sources.

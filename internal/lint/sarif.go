@@ -76,7 +76,7 @@ type sarifRegion struct {
 // are made relative to root (the module root) so the upload annotates
 // the right blobs regardless of the runner's checkout directory. The
 // pseudo-analyzer "lint" (malformed or unused suppressions) is always
-// included as a rule, since Run can emit it for any analyzer set.
+// included as a rule, since RunWorkers can emit it for any analyzer set.
 func WriteSARIF(w io.Writer, findings []Finding, analyzers []Analyzer, root string) error {
 	rules := []sarifRule{{
 		ID:               "lint",

@@ -9,7 +9,6 @@ import (
 	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
 	"fsoi/internal/sim"
-	"fsoi/internal/stats"
 )
 
 // Config sizes the memory system.
@@ -53,13 +52,6 @@ func AttachNodes(dim, channels int) []int {
 	return nodes
 }
 
-// Stats counts controller activity.
-type Stats struct {
-	Reads, Writes int64
-	QueueWait     stats.Summary
-	Busy          sim.Cycle // total channel-occupied cycles
-}
-
 // Controller is one memory channel attached to a node.
 type Controller struct {
 	node      int
@@ -68,7 +60,6 @@ type Controller struct {
 	engine    *sim.Engine
 	send      func(coherence.Msg)
 	nextFree  sim.Cycle
-	stats     Stats
 	// reads are the line reads in progress, oldest first. A read completes
 	// a fixed time after its transfer starts and transfers start in arrival
 	// order, so completions come in arrival order too: each schedules the
@@ -92,12 +83,6 @@ func NewController(node int, cfg Config, engine *sim.Engine, send func(coherence
 	return c
 }
 
-// Node reports the attach point.
-func (c *Controller) Node() int { return c.node }
-
-// Stats exposes the counters.
-func (c *Controller) Stats() *Stats { return &c.stats }
-
 // Handle services a ReqMem (line read, replied with MemAck) or MemWrite
 // (line write, no reply).
 func (c *Controller) Handle(m coherence.Msg, now sim.Cycle) {
@@ -105,12 +90,9 @@ func (c *Controller) Handle(m coherence.Msg, now sim.Cycle) {
 	if c.nextFree > start {
 		start = c.nextFree
 	}
-	c.stats.QueueWait.Add(float64(start - now))
 	c.nextFree = start + c.occupancy
-	c.stats.Busy += c.occupancy
 	switch m.Type {
 	case coherence.ReqMem:
-		c.stats.Reads++
 		if c.head > 0 && c.head >= len(c.reads)/2 && len(c.reads) == cap(c.reads) {
 			// Full, and at least half of it already answered: move the
 			// rest to the front instead of growing.
@@ -120,7 +102,6 @@ func (c *Controller) Handle(m coherence.Msg, now sim.Cycle) {
 		c.reads = append(c.reads, read{home: m.From, addr: m.Addr})
 		c.engine.At(c.nextFree+sim.Cycle(c.cfg.LatencyCycles), c.replyFn)
 	case coherence.MemWrite:
-		c.stats.Writes++
 		// Writes complete silently once the channel transfer is done.
 	default:
 		panic("memory: controller received " + m.Type.String())

@@ -12,12 +12,13 @@ import (
 // packet is not in.
 func BenchmarkMeshIdleTick(b *testing.B) {
 	engine := sim.NewEngine()
-	n := New(PaperMesh(8), engine)
+	cfg := PaperMesh(8)
+	n := New(cfg, engine)
 	engine.Register(sim.TickFunc(n.Tick))
 	b.ReportAllocs()
 	b.ResetTimer()
 	engine.Run(sim.Cycle(b.N))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n.NumNodes()), "ns/router-cycle")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Dim*cfg.Dim), "ns/router-cycle")
 }
 
 // runLoad sends pkts through a 64-node net as uniform random traffic

@@ -166,13 +166,6 @@ func TestRouterCyclesAffectLatency(t *testing.T) {
 	}
 }
 
-func TestMeshNumNodes(t *testing.T) {
-	n, _, _ := testMesh(t, PaperMesh(4))
-	if n.NumNodes() != 16 {
-		t.Fatalf("nodes = %d", n.NumNodes())
-	}
-}
-
 func TestL0OnlySerializationAndQueue(t *testing.T) {
 	engine := sim.NewEngine()
 	n := NewL0(4, engine)

@@ -263,6 +263,3 @@ func (n *Network) deliver(p *noc.Packet, now sim.Cycle) {
 		n.deliverFn(p, now)
 	}
 }
-
-// NumNodes reports the node count.
-func (n *Network) NumNodes() int { return n.cfg.Dim * n.cfg.Dim }

@@ -128,12 +128,6 @@ func laneSlot(l int8) int {
 	return 2
 }
 
-// ClassName names a packet class with its stable on-wire identifier.
-func ClassName(c uint8) string { return classNames[classSlot(c)] }
-
-// LaneName names a lane with its stable on-wire identifier.
-func LaneName(l int8) string { return laneNames[laneSlot(l)] }
-
 // Event is one cycle-stamped lifecycle observation.
 type Event struct {
 	// At is the simulated cycle of the event.
@@ -267,17 +261,4 @@ func (r *Recorder) Events() []Event {
 		r.flat, r.flatN = flat, r.n
 	}
 	return r.flat
-}
-
-// CountByKind tallies events per kind in kind order.
-func (r *Recorder) CountByKind() [numKinds]int64 {
-	var out [numKinds]int64
-	for w := r.run(); len(w.cur) > 0; w.advance() {
-		for _, e := range w.cur {
-			if int(e.Kind) < len(out) {
-				out[e.Kind]++
-			}
-		}
-	}
-	return out
 }

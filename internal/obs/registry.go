@@ -180,11 +180,6 @@ func (r *Recorder) Registry() *Registry {
 	return g
 }
 
-// find returns k's record, nil when the link was never noted.
-func (g *Registry) find(k Link) *linkRec {
-	return g.links.find(linkKey(int32(k.Src), int32(k.Dst)))
-}
-
 // rec returns k's record, adding an empty one on first sight.
 func (g *Registry) rec(k Link) *linkRec {
 	r, fresh := g.links.at(linkKey(int32(k.Src), int32(k.Dst)))
@@ -305,22 +300,6 @@ func (g *Registry) LinkTable(top int) string {
 	return t.String() + note
 }
 
-// LinkCollisions reports the collision-event count recorded for one link.
-func (g *Registry) LinkCollisions(k Link) int64 {
-	if r := g.find(k); r != nil {
-		return r.coll
-	}
-	return 0
-}
-
-// LinkDepth reports the deepest backoff attempt recorded for one link.
-func (g *Registry) LinkDepth(k Link) int64 {
-	if r := g.find(k); r != nil {
-		return r.depth
-	}
-	return 0
-}
-
 // ContentionTable renders the per-link contention table over every link
 // with a collision or backoff record, most-collided links first (ties
 // broken by src, dst), truncated to at most top rows (top <= 0 means
@@ -358,15 +337,4 @@ func (g *Registry) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Links reports how many distinct src->dst links were observed.
-func (g *Registry) Links() int { return g.observed }
-
-// Class exposes one class histogram (tests, fsoitrace).
-func (g *Registry) Class(c uint8) *stats.Histogram {
-	if c > ClassData {
-		c = ClassMeta
-	}
-	return g.byClass[c]
 }

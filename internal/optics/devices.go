@@ -35,19 +35,13 @@ func PaperVCSEL() VCSEL {
 }
 
 // averagePowerW is the mean emitted optical power at the bias point as
-// a bare float64, shared by AveragePower and LevelPowers so both tag
-// the identical IEEE-754 expression.
+// a bare float64.
 func (v VCSEL) averagePowerW() float64 {
 	i := v.BiasCurrent - v.ThresholdCurrent
 	if i < 0 {
 		return 0
 	}
 	return i * v.SlopeEfficiency
-}
-
-// AveragePower returns the mean emitted optical power at the bias point.
-func (v VCSEL) AveragePower() Watts {
-	return Watts(v.averagePowerW())
 }
 
 // LevelPowers splits the average power into the one/zero levels implied by
@@ -63,13 +57,6 @@ func (v VCSEL) LevelPowers() (p1, p0 Watts) {
 // (paper: 0.96 mW = 0.48 mA at 2 V).
 func (v VCSEL) ElectricalPower() Watts {
 	return Watts(v.BiasCurrent * v.ForwardVoltage)
-}
-
-// ParasiticBandwidth returns the RC-limited 3 dB bandwidth of the
-// electrical parasitics, 1/(2 pi R C). The transmitter equalizes through
-// this pole (see Driver), so it bounds the link only without equalization.
-func (v VCSEL) ParasiticBandwidth() float64 {
-	return 1 / (2 * math.Pi * v.ParasiticR * v.ParasiticC)
 }
 
 // Photodetector models the resonant-cavity photodiode on the receive side.

@@ -34,15 +34,6 @@ func (b GaussianBeam) RadiusAt(z float64) float64 {
 	return b.Waist * math.Sqrt(1+r*r)
 }
 
-// Divergence returns the far-field half-angle divergence lambda/(pi w0 n).
-func (b GaussianBeam) Divergence() float64 {
-	n := b.Index
-	if n == 0 { //lint:allow floateq unset-field sentinel: Index is assigned, never computed
-		n = 1
-	}
-	return b.Wavelength / (math.Pi * b.Waist * n)
-}
-
 // ApertureTransmission returns the fraction of beam power passing a
 // centered circular aperture of the given radius when the local beam
 // radius is w: T = 1 - exp(-2 a² / w²).
@@ -65,21 +56,4 @@ func erfc(x float64) float64 { return math.Erfc(x) }
 // with the given Q factor: BER = 0.5 * erfc(Q / sqrt 2).
 func BERFromQ(q float64) float64 {
 	return 0.5 * erfc(q/math.Sqrt2)
-}
-
-// QFromBER inverts BERFromQ by bisection; it panics on ber outside (0, 0.5).
-func QFromBER(ber float64) float64 {
-	if ber <= 0 || ber >= 0.5 {
-		panic("optics: BER must be in (0, 0.5)")
-	}
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if BERFromQ(mid) > ber {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }

@@ -148,12 +148,6 @@ func PaperPhaseArray() PhaseArray {
 	return PhaseArray{Elements: 16, Pitch: 10e-6, Wavelength: 980e-9, SetupCycles: 1, MaxSteerRad: 0.35}
 }
 
-// BeamDivergence returns the array's far-field half-angle: lambda over
-// the array extent.
-func (a PhaseArray) BeamDivergence() float64 {
-	return a.Wavelength / (math.Pi * float64(a.Elements) * a.Pitch / 2)
-}
-
 // SteeringLossDB returns the scan loss at the given off-axis angle,
 // the standard cos^3 element-pattern roll-off.
 func (a PhaseArray) SteeringLossDB(angle float64) DB {
@@ -161,12 +155,4 @@ func (a PhaseArray) SteeringLossDB(angle float64) DB {
 		return DB(math.Inf(1))
 	}
 	return DBFromRatio(math.Pow(math.Cos(angle), 3))
-}
-
-// CanSteer reports whether the required off-axis angle is inside the
-// array's usable range. The micro-mirror layer folds each route so that
-// the steering demanded of the OPA is the deviation from that route's
-// nominal mirror direction, not the raw die-crossing angle.
-func (a PhaseArray) CanSteer(angle float64) bool {
-	return math.Abs(angle) <= a.MaxSteerRad
 }

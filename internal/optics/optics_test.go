@@ -24,9 +24,9 @@ func TestGaussianRadiusGrowth(t *testing.T) {
 	if r := b.RadiusAt(zr); math.Abs(r-b.Waist*math.Sqrt2) > 1e-9 {
 		t.Fatalf("radius at zR = %g, want w0*sqrt2", r)
 	}
-	// Far field: w(z) ~ theta * z.
+	// Far field: w(z) ~ theta * z, theta = lambda/(pi w0).
 	far := b.RadiusAt(100 * zr)
-	if math.Abs(far-b.Divergence()*100*zr)/far > 0.01 {
+	if theta := b.Wavelength / (math.Pi * b.Waist); math.Abs(far-theta*100*zr)/far > 0.01 {
 		t.Fatalf("far-field radius inconsistent with divergence")
 	}
 }
@@ -78,12 +78,8 @@ func TestBERQRelation(t *testing.T) {
 	if ber := BERFromQ(6); ber > 2e-9 || ber < 1e-10 {
 		t.Fatalf("BER(Q=6) = %g", ber)
 	}
-	for _, ber := range []float64{1e-5, 1e-10, 1e-12} {
-		q := QFromBER(ber)
-		back := BERFromQ(q)
-		if math.Abs(math.Log10(back)-math.Log10(ber)) > 0.01 {
-			t.Fatalf("QFromBER round trip: %g -> %g", ber, back)
-		}
+	if ber := BERFromQ(7); ber > 2e-12 || ber < 1e-13 {
+		t.Fatalf("BER(Q=7) = %g", ber)
 	}
 }
 
@@ -93,7 +89,8 @@ func TestVCSELPowerLevels(t *testing.T) {
 	if math.Abs(float64(p1/p0)-v.ExtinctionRatio) > 1e-9 {
 		t.Fatalf("extinction ratio = %g, want %g", p1/p0, v.ExtinctionRatio)
 	}
-	if avg := (p1 + p0) / 2; math.Abs(float64(avg-v.AveragePower())) > 1e-15 {
+	bias := (v.BiasCurrent - v.ThresholdCurrent) * v.SlopeEfficiency
+	if avg := (p1 + p0) / 2; math.Abs(float64(avg)-bias) > 1e-15 {
 		t.Fatalf("levels do not average to the bias power")
 	}
 	// Paper: 0.48 mA at 2 V = 0.96 mW.
@@ -105,17 +102,8 @@ func TestVCSELPowerLevels(t *testing.T) {
 func TestVCSELBelowThreshold(t *testing.T) {
 	v := PaperVCSEL()
 	v.BiasCurrent = v.ThresholdCurrent / 2
-	if v.AveragePower() != 0 {
+	if p1, p0 := v.LevelPowers(); p1 != 0 || p0 != 0 {
 		t.Fatal("below threshold the laser emits nothing")
-	}
-}
-
-func TestVCSELParasiticBandwidth(t *testing.T) {
-	v := PaperVCSEL()
-	f := v.ParasiticBandwidth()
-	want := 1 / (2 * math.Pi * 235 * 90e-15)
-	if math.Abs(f-want)/want > 1e-12 {
-		t.Fatalf("RC bandwidth = %g, want %g", f, want)
 	}
 }
 
@@ -251,13 +239,6 @@ func TestPhaseArraySteering(t *testing.T) {
 	}
 	if !math.IsInf(float64(a.SteeringLossDB(a.MaxSteerRad+0.1)), 1) {
 		t.Fatal("beyond max steer the link is dead")
-	}
-	if !a.CanSteer(0.2) || a.CanSteer(2) {
-		t.Fatal("CanSteer range wrong")
-	}
-	single := GaussianBeam{Waist: 5e-6, Wavelength: 980e-9, Index: 1}
-	if a.BeamDivergence() >= single.Divergence() {
-		t.Fatal("an array should beat a single small emitter on divergence")
 	}
 }
 

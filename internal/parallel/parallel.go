@@ -31,8 +31,8 @@ func Workers(n int) int {
 }
 
 // PanicError carries a worker panic back to the caller. When several
-// jobs panic in one Do call, the one with the lowest job index wins, so
-// the propagated failure is deterministic at any worker count.
+// jobs panic in one DoWorker call, the one with the lowest job index
+// wins, so the propagated failure is deterministic at any worker count.
 type PanicError struct {
 	Job   int // submission index of the panicking job
 	Value any // the value passed to panic
@@ -43,20 +43,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v", e.Job, e.Value)
 }
 
-// Do runs fn(0), fn(1), ..., fn(jobs-1) on at most workers goroutines
-// and returns when every job has finished. With workers <= 1 (or fewer
-// than two jobs) it degenerates to a plain serial loop on the calling
-// goroutine — no goroutines are launched, so -j 1 is not merely
-// equivalent to serial execution, it IS serial execution.
-//
-// Jobs are handed out in submission order. If any job panics, Do
-// panics with a *PanicError for the lowest panicking job index after
-// all workers have drained; serial mode propagates the original panic
-// value unwrapped at the point it occurs, like the loop it replaces.
-func Do(jobs, workers int, fn func(job int)) {
-	DoWorker(jobs, workers, func(_, job int) { fn(job) })
-}
-
 // WorkerIDs is the number of worker ids DoWorker(jobs, workers, fn)
 // hands to fn: min(workers, jobs), and 1 on the serial path. A caller
 // that keeps state per worker sizes it with this, not with a clamp of
@@ -65,7 +51,18 @@ func WorkerIDs(jobs, workers int) int {
 	return max(min(workers, jobs), 1)
 }
 
-// DoWorker is Do that also tells fn which worker runs the job: an id in
+// DoWorker runs fn(w, 0), fn(w, 1), ..., fn(w, jobs-1) on at most
+// workers goroutines and returns when every job has finished. With
+// workers <= 1 (or fewer than two jobs) it degenerates to a plain serial
+// loop on the calling goroutine — no goroutines are launched, so -j 1 is
+// not merely equivalent to serial execution, it IS serial execution.
+//
+// Jobs are handed out in submission order. If any job panics, DoWorker
+// panics with a *PanicError for the lowest panicking job index after
+// all workers have drained; serial mode propagates the original panic
+// value unwrapped at the point it occurs, like the loop it replaces.
+//
+// fn's w is the worker running the job: an id in
 // [0, WorkerIDs(jobs, workers)), 0 on the serial path. A worker runs its
 // jobs one after another, so state indexed by the worker id — a
 // simulation's storage handed from one job to the next — is never shared
@@ -152,14 +149,14 @@ func Map[T any](jobs, workers int, fn func(job int) T) []T {
 // Pool is a persistent worker pool for callers that fan out the same
 // shape of work many times in a row — the sharded simulation engine's
 // window barrier, which parallelizes shards thousands of times per run.
-// Do spawns and joins its workers per call, which is fine across
+// DoWorker spawns and joins its workers per call, which is fine across
 // experiment jobs but far too heavy inside a simulation's window loop;
 // Pool keeps its goroutines parked on channels between Run calls.
 //
-// The determinism contract is Do's: jobs are independent, results merge
-// by index in the caller, and NewPool(workers <= 1) runs everything
-// serially on the calling goroutine — no goroutines exist at all, so a
-// one-worker pool IS serial execution, not an emulation of it.
+// The determinism contract is DoWorker's: jobs are independent, results
+// merge by index in the caller, and NewPool(workers <= 1) runs
+// everything serially on the calling goroutine — no goroutines exist at
+// all, so a one-worker pool IS serial execution, not an emulation of it.
 //
 // A Pool is owned by one goroutine: Run calls must not overlap.
 type Pool struct {
@@ -168,7 +165,7 @@ type Pool struct {
 }
 
 // poolRun is the shared state of one Run call: a handout counter and
-// the lowest-index panic, both guarded like Do's.
+// the lowest-index panic, both guarded like DoWorker's.
 type poolRun struct {
 	mu      sync.Mutex
 	next    int
@@ -234,7 +231,7 @@ func NewPool(workers int) *Pool {
 }
 
 // Run executes fn(0)..fn(jobs-1) across the pool's workers and returns
-// when all have finished — a barrier, exactly like Do, but without
+// when all have finished — a barrier, exactly like DoWorker, but without
 // spawning. A serial pool (or a single job) runs on the calling
 // goroutine. Panics propagate as *PanicError for the lowest panicking
 // job index; serial mode propagates the original value unwrapped.
@@ -258,14 +255,6 @@ func (p *Pool) Run(jobs int, fn func(job int)) {
 	if r.failure != nil {
 		panic(r.failure)
 	}
-}
-
-// Workers reports the pool's parallelism (1 for a serial pool).
-func (p *Pool) Workers() int {
-	if len(p.workers) == 0 {
-		return 1
-	}
-	return len(p.workers)
 }
 
 // Close releases the pool's goroutines. The pool must not be used

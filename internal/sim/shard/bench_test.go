@@ -44,7 +44,7 @@ func BenchmarkWindowsStep(b *testing.B) {
 			defer w.Close()
 			w.AssignNodes(nodes)
 			w.SetLookahead(2)
-			scheds := make([]Scheduler, nodes)
+			scheds := make([]*NodeProxy, nodes)
 			for i := range scheds {
 				scheds[i] = w.ForNode(i)
 			}

@@ -10,9 +10,8 @@
 //     network draws from one RNG stream in event-execution order — is
 //     byte-identical to the serial engine at any shard count, by
 //     construction. Exact mode runs on one goroutine; its job is to
-//     prove the sharded schedule (queue placement, handoffs, lookahead
-//     discipline) preserves the serial order, and to meter how much of
-//     the event flow crosses shards under the declared lookahead.
+//     prove the sharded schedule (per-shard queue placement) preserves
+//     the serial order.
 //
 //   - Windows (windows.go) is the parallel mode: shards advance
 //     concurrently through lookahead-wide windows on a worker pool,
@@ -66,13 +65,9 @@ type tickerEntry struct {
 // byte-identical to the serial sim.Engine's.
 //
 // A current-shard cursor tracks which shard's code is executing: events
-// scheduled with At land on the scheduling shard's queue, and Handoff
-// moves work onto another shard's queue explicitly. The cursor is
+// scheduled with At land on the scheduling shard's queue. The cursor is
 // bookkeeping, not a correctness boundary — exact mode would execute
-// identically under any placement — but it is what lets the engine
-// meter cross-shard traffic and flag handoffs that arrive closer than
-// the declared lookahead, i.e. exactly the events that would stall a
-// parallel windowed run.
+// identically under any placement.
 type Engine struct {
 	shards    []sim.Queue
 	tickers   []tickerEntry
@@ -84,9 +79,6 @@ type Engine struct {
 	fired     uint64
 	pending   int
 	maxDepth  int
-	lookahead sim.Cycle
-	handoffs  uint64
-	underLA   uint64
 
 	// tops is an index-heap over the non-empty shards, ordered by each
 	// shard's head event under the global (at, seq) order; topPos maps a
@@ -116,9 +108,6 @@ func New(k int) *Engine {
 	return e
 }
 
-// Shards reports the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // SetShard moves the current-shard cursor; the system layer brackets
 // each node group's construction with it so components register their
 // tickers and initial events on their home shard.
@@ -129,13 +118,9 @@ func (e *Engine) SetShard(k int) {
 	e.cur = k
 }
 
-// CurrentShard reports the cursor — the shard whose code is executing.
-func (e *Engine) CurrentShard() int { return e.cur }
-
 // AssignNodes maps nodes 0..nodes-1 onto shards in contiguous balanced
 // blocks: node i lands on shard i*K/nodes. Contiguity keeps a mesh's
-// row-major neighbours mostly same-shard, which is what the handoff
-// meters are meant to measure.
+// row-major neighbours mostly same-shard.
 func (e *Engine) AssignNodes(nodes int) {
 	e.nodeShard = make([]int, nodes)
 	for i := range e.nodeShard {
@@ -152,44 +137,6 @@ func (e *Engine) NodeShard(node int) int {
 	}
 	return e.nodeShard[node]
 }
-
-// SetLookahead declares the topology's conservative lookahead window
-// (FSOI: the +2-cycle confirmation delay; mesh: the 1-cycle link
-// traversal). Handoffs that land closer than this are counted by
-// UnderLookahead rather than rejected: exact mode stays correct either
-// way, and the counter is the measurement of whether a topology's
-// event flow honours the window it declared.
-func (e *Engine) SetLookahead(la sim.Cycle) { e.lookahead = la }
-
-// Lookahead reports the declared window.
-func (e *Engine) Lookahead() sim.Cycle { return e.lookahead }
-
-// Handoff schedules fn on the given shard's queue, preserving the
-// global sequence order. Cross-shard handoffs are metered; those closer
-// than the declared lookahead additionally bump UnderLookahead.
-func (e *Engine) Handoff(shard int, at sim.Cycle, fn func(now sim.Cycle)) {
-	if at < e.now {
-		panic("shard: handoff scheduled in the past")
-	}
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("shard: Handoff to shard %d of %d", shard, len(e.shards)))
-	}
-	if shard != e.cur {
-		e.handoffs++
-		if at < e.now+e.lookahead {
-			e.underLA++
-		}
-	}
-	e.push(shard, at, fn)
-}
-
-// Handoffs reports how many cross-shard handoffs have been scheduled.
-func (e *Engine) Handoffs() uint64 { return e.handoffs }
-
-// UnderLookahead reports how many cross-shard handoffs arrived closer
-// than the declared lookahead window. Zero means the topology's event
-// flow would sustain a parallel windowed run at that window.
-func (e *Engine) UnderLookahead() uint64 { return e.underLA }
 
 // push assigns the next global sequence number and enqueues on shard k.
 func (e *Engine) push(k int, at sim.Cycle, fn func(now sim.Cycle)) {

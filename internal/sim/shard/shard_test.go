@@ -9,7 +9,8 @@ import (
 
 // chaosWorkload drives a Driver with a randomized but deterministic
 // event storm: tickers that schedule events, events that schedule more
-// events (including zero-delay follow-ups and Handoff when available),
+// events (including zero-delay follow-ups and, on the sharded engine,
+// events placed on another node's shard),
 // and a mid-run Stop. Every observable action appends a line to trace,
 // so two engines executed this way can be compared action for action.
 func chaosWorkload(eng Driver, seed uint64, trace *[]string) {
@@ -19,7 +20,7 @@ func chaosWorkload(eng Driver, seed uint64, trace *[]string) {
 	// and sharded runs see the same workload.
 	handoff := func(node int, at sim.Cycle, fn func(now sim.Cycle)) {
 		if s, ok := eng.(*Engine); ok {
-			s.Handoff(s.NodeShard(node), at, fn)
+			s.push(s.NodeShard(node), at, fn)
 			return
 		}
 		eng.At(at, fn)
@@ -76,7 +77,6 @@ func TestExactEngineMatchesSerial(t *testing.T) {
 			var got []string
 			e := New(k)
 			e.AssignNodes(8)
-			e.SetLookahead(2)
 			chaosWorkload(e, seed, &got)
 			gotCycles := e.Run(500)
 			if gotCycles != refCycles {
@@ -99,29 +99,11 @@ func TestExactEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHandoffMetering checks the cursor and the lookahead meter: a
-// handoff to another shard counts once, one closer than the declared
-// window additionally trips UnderLookahead, and same-shard handoffs
-// count as neither.
-func TestHandoffMetering(t *testing.T) {
+// TestAssignNodesContiguous: 8 nodes over 4 shards land in pairs, and
+// nodes outside the assigned range map to shard 0.
+func TestAssignNodesContiguous(t *testing.T) {
 	e := New(4)
 	e.AssignNodes(8)
-	e.SetLookahead(2)
-	nop := func(now sim.Cycle) {}
-	e.SetShard(0)
-	e.Handoff(0, 0, nop) // same-shard: not a handoff
-	e.Handoff(1, 2, nop) // cross-shard, at lookahead: clean
-	e.Handoff(2, 1, nop) // cross-shard, under lookahead
-	if e.Handoffs() != 2 {
-		t.Errorf("Handoffs() = %d, want 2", e.Handoffs())
-	}
-	if e.UnderLookahead() != 1 {
-		t.Errorf("UnderLookahead() = %d, want 1", e.UnderLookahead())
-	}
-	if e.Pending() != 3 {
-		t.Errorf("Pending() = %d, want 3", e.Pending())
-	}
-	// Contiguous node assignment: 8 nodes over 4 shards is pairs.
 	for node, want := range []int{0, 0, 1, 1, 2, 2, 3, 3} {
 		if got := e.NodeShard(node); got != want {
 			t.Errorf("NodeShard(%d) = %d, want %d", node, got, want)

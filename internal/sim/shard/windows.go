@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"fmt"
-
 	"fsoi/internal/parallel"
 	"fsoi/internal/sim"
 )
@@ -30,9 +28,10 @@ import (
 // event order each node observes is a pure function of the model, not
 // of the partitioning. Models must in turn draw randomness from
 // per-node streams and keep mutable state node-owned, with every
-// cross-node interaction scheduled through a NodeProxy handoff at
-// least one lookahead ahead; a cross-shard handoff under the window
-// barrier panics rather than silently skewing results.
+// cross-node interaction handed off at least one lookahead ahead into
+// the shard's out-buffer for the barrier. No model runs here any more,
+// so the proxies' cross-shard handoff lives in this package's tests,
+// which are what still fill the out-buffers.
 
 // wEvent is one scheduled callback. The (at, node, seq) triple is the
 // canonical key: node is the *scheduling node's index* and seq counts
@@ -169,15 +168,13 @@ func (s *wShard) run(from, to sim.Cycle) {
 }
 
 // Windows is the conservative parallel engine. Construct with
-// NewWindows, assign the node→shard map with AssignNodes, declare the
-// topology's lookahead with SetLookahead, then hand every component
-// its node's proxy via ForNode. The engine itself implements
-// Driver, but its At/After/Register are setup-time only: once Run
-// starts, all scheduling flows through the node proxies.
+// NewWindows, assign the node→shard map with AssignNodes and declare
+// the topology's lookahead with SetLookahead. The engine itself
+// implements Driver, but its At/After/Register are setup-time only:
+// once Run starts, all scheduling flows through the node proxies.
 type Windows struct {
 	shards    []*wShard
 	pool      *parallel.Pool
-	workers   int // pool parallelism, cached so the meter survives Close
 	nodeShard []int
 	proxies   []NodeProxy
 	seqs      []uint64 // per-node schedule counters (the canonical key's seq)
@@ -206,7 +203,6 @@ func NewWindows(k, workers int) *Windows {
 		shards: make([]*wShard, k),
 		pool:   parallel.NewPool(workers),
 	}
-	w.workers = w.pool.Workers()
 	for i := range w.shards {
 		w.shards[i] = &wShard{out: make([][]wEvent, k)}
 	}
@@ -215,12 +211,6 @@ func NewWindows(k, workers int) *Windows {
 
 // Close releases the pool's goroutines. The engine must not run again.
 func (w *Windows) Close() { w.pool.Close() }
-
-// Shards reports the shard count.
-func (w *Windows) Shards() int { return len(w.shards) }
-
-// Workers reports the pool's parallelism (1 = serial replay).
-func (w *Windows) Workers() int { return w.workers }
 
 // AssignNodes maps nodes 0..nodes-1 onto shards in contiguous balanced
 // blocks (node i on shard i*K/nodes, like the exact engine) and builds
@@ -236,28 +226,8 @@ func (w *Windows) AssignNodes(nodes int) {
 	}
 }
 
-// NodeShard reports the shard owning a node; out-of-range nodes map to
-// shard 0, mirroring the exact engine.
-func (w *Windows) NodeShard(node int) int {
-	if node < 0 || node >= len(w.nodeShard) {
-		return 0
-	}
-	return w.nodeShard[node]
-}
-
-// ForNode returns the scheduling surface for one node. The proxy is only valid from that node's own execution context
-// (its events and its ticks) — that discipline is what makes the
-// per-node sequence counters race-free.
-func (w *Windows) ForNode(node int) Scheduler {
-	if node < 0 || node >= len(w.proxies) {
-		panic(fmt.Sprintf("shard: ForNode(%d) outside the assigned range [0,%d)", node, len(w.proxies)))
-	}
-	return &w.proxies[node]
-}
-
 // SetLookahead declares the window length: the conservative lookahead
-// every cross-shard handoff must honour. Unlike the exact engine —
-// where a short handoff merely bumps a meter — Windows *depends* on the
+// every cross-shard handoff must honour. Windows *depends* on the
 // window for correctness, so handoffs under it panic.
 func (w *Windows) SetLookahead(la sim.Cycle) { w.la = la }
 
@@ -274,7 +244,7 @@ func (w *Windows) Now() sim.Cycle { return w.now }
 // race-free queue to land on, so it panics.
 func (w *Windows) At(at sim.Cycle, fn func(now sim.Cycle)) {
 	if w.running {
-		panic("shard: Windows.At during a window; schedule through ForNode proxies")
+		panic("shard: Windows.At during a window; schedule through node proxies")
 	}
 	if at < w.now {
 		panic("sim: event scheduled in the past")
@@ -293,9 +263,9 @@ func (w *Windows) After(delay sim.Cycle, fn func(now sim.Cycle)) {
 
 // Register would add a global ticker swept over every shard — exactly
 // the shared mutation the windowed engine exists to eliminate — so it
-// panics. Register per-node tickers through ForNode instead.
+// panics. Register per-node tickers through the node proxies instead.
 func (w *Windows) Register(sim.Ticker) {
-	panic("shard: Windows has no global tickers; register per node through ForNode")
+	panic("shard: Windows has no global tickers; register per node through node proxies")
 }
 
 // Stop requests that Run return at the next window barrier.
@@ -419,8 +389,7 @@ func (w *Windows) Handoffs() uint64 {
 
 // TightHandoffs reports how many handoffs landed exactly on their
 // window barrier — zero slack. A high tight fraction means the
-// declared lookahead is the binding constraint on window length, the
-// windowed engine's analogue of the exact engine's UnderLookahead.
+// declared lookahead is the binding constraint on window length.
 func (w *Windows) TightHandoffs() uint64 {
 	n := uint64(0)
 	for _, s := range w.shards {
@@ -436,9 +405,9 @@ func (w *Windows) WindowCount() uint64 { return w.windows }
 
 // NodeProxy is one node's scheduling surface on the windowed engine:
 // a Scheduler whose events land on the node's home shard keyed by
-// the node's own sequence counter, and whose Handoff buffers
-// cross-shard work for the window barrier. Obtain via ForNode;
-// use only from the node's own execution context.
+// the node's own sequence counter. Use it only from the node's own
+// execution context (its events and its ticks) — that discipline is
+// what makes the per-node sequence counters race-free.
 type NodeProxy struct {
 	w     *Windows
 	node  int32
@@ -499,43 +468,3 @@ func (p *NodeProxy) Stop() {
 // partitioning (whether a requester shares your shard) into model
 // behaviour.
 func (p *NodeProxy) Stopped() bool { return p.w.stopped }
-
-// NodeShard reports the shard owning a node.
-func (p *NodeProxy) NodeShard(node int) int { return p.w.NodeShard(node) }
-
-// Handoff schedules fn on the given shard. Same-shard handoffs push
-// directly (they are ordinary events). Cross-shard handoffs while a
-// window is running are buffered in the shard's out-buffer for the
-// barrier — and must land at or beyond the window barrier: an earlier
-// cycle may already have executed on the destination shard, so the
-// engine panics rather than corrupt causality. At setup time the
-// destination heap is quiescent and the push is direct.
-func (p *NodeProxy) Handoff(shard int, at sim.Cycle, fn func(now sim.Cycle)) {
-	w := p.w
-	if shard < 0 || shard >= len(w.shards) {
-		panic(fmt.Sprintf("shard: Handoff to shard %d of %d", shard, len(w.shards)))
-	}
-	s := w.shards[p.shard]
-	if shard == p.shard {
-		p.At(at, fn)
-		return
-	}
-	w.seqs[p.node]++
-	ev := wEvent{at: at, node: p.node, seq: w.seqs[p.node], fn: fn}
-	if !w.running {
-		if at < w.now {
-			panic("shard: handoff scheduled in the past")
-		}
-		w.shards[shard].push(ev)
-		return
-	}
-	if at < w.windowEnd {
-		panic(fmt.Sprintf("shard: cross-shard handoff at cycle %d under the window barrier %d (lookahead %d): the model broke its declared lookahead",
-			at, w.windowEnd, w.la))
-	}
-	s.handoffs++
-	if at == w.windowEnd {
-		s.tight++
-	}
-	s.out[shard] = append(s.out[shard], ev)
-}

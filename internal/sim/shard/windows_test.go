@@ -8,6 +8,49 @@ import (
 	"fsoi/internal/sim"
 )
 
+// ForNode returns the scheduling surface for one node.
+func (w *Windows) ForNode(node int) *NodeProxy {
+	if node < 0 || node >= len(w.proxies) {
+		panic(fmt.Sprintf("shard: ForNode(%d) outside the assigned range [0,%d)", node, len(w.proxies)))
+	}
+	return &w.proxies[node]
+}
+
+// Handoff schedules fn on node dst's shard. Same-shard handoffs push
+// directly (they are ordinary events). Cross-shard handoffs while a
+// window is running are buffered in the shard's out-buffer for the
+// barrier — and must land at or beyond the window barrier: an earlier
+// cycle may already have executed on the destination shard, so the
+// engine panics rather than corrupt causality. At setup time the
+// destination heap is quiescent and the push is direct.
+func (p *NodeProxy) Handoff(dst int, at sim.Cycle, fn func(now sim.Cycle)) {
+	w := p.w
+	shard := w.nodeShard[dst]
+	s := w.shards[p.shard]
+	if shard == p.shard {
+		p.At(at, fn)
+		return
+	}
+	w.seqs[p.node]++
+	ev := wEvent{at: at, node: p.node, seq: w.seqs[p.node], fn: fn}
+	if !w.running {
+		if at < w.now {
+			panic("shard: handoff scheduled in the past")
+		}
+		w.shards[shard].push(ev)
+		return
+	}
+	if at < w.windowEnd {
+		panic(fmt.Sprintf("shard: cross-shard handoff at cycle %d under the window barrier %d (lookahead %d): the model broke its declared lookahead",
+			at, w.windowEnd, w.la))
+	}
+	s.handoffs++
+	if at == w.windowEnd {
+		s.tight++
+	}
+	s.out[shard] = append(s.out[shard], ev)
+}
+
 // windowsTranscript runs a small message-passing model — each node
 // ticks a local counter, fires a chain of cross-node handoffs honouring
 // the lookahead, and logs every event it executes — and returns the
@@ -25,7 +68,7 @@ func windowsTranscript(t *testing.T, nodes, shards, workers int, cycles sim.Cycl
 
 	logs := make([][]string, nodes)
 	ticks := make([]int, nodes)
-	scheds := make([]Scheduler, nodes)
+	scheds := make([]*NodeProxy, nodes)
 	for i := 0; i < nodes; i++ {
 		scheds[i] = w.ForNode(i)
 	}
@@ -47,8 +90,7 @@ func windowsTranscript(t *testing.T, nodes, shards, workers int, cycles sim.Cycl
 				return
 			}
 			dst := (src*7 + 3) % nodes
-			sh := scheds[src].(*NodeProxy)
-			sh.Handoff(sh.NodeShard(dst), now+la, hop(dst, hops-1))
+			scheds[src].Handoff(dst, now+la, hop(dst, hops-1))
 			// A same-node follow-up inside the window exercises the
 			// local heap path.
 			scheds[src].After(1, func(now sim.Cycle) {
@@ -108,8 +150,7 @@ func TestWindowsUnderLookaheadPanics(t *testing.T) {
 			}
 			w.Stop()
 		}()
-		sh := sched.(*NodeProxy)
-		sh.Handoff(sh.NodeShard(3), now+1, func(sim.Cycle) {})
+		sched.Handoff(3, now+1, func(sim.Cycle) {})
 	})
 	w.Run(8)
 }
@@ -144,8 +185,7 @@ func TestWindowsSetupHandoff(t *testing.T) {
 	w.AssignNodes(4)
 	w.SetLookahead(2)
 	fired := false
-	p := w.ForNode(0).(*NodeProxy)
-	p.Handoff(p.NodeShard(3), 1, func(now sim.Cycle) { fired = true })
+	w.ForNode(0).Handoff(3, 1, func(now sim.Cycle) { fired = true })
 	w.Run(4)
 	if !fired {
 		t.Fatal("setup-time handoff never fired")
@@ -160,9 +200,8 @@ func TestWindowsMeters(t *testing.T) {
 	w.SetLookahead(2)
 	sched := w.ForNode(0)
 	sched.At(0, func(now sim.Cycle) {
-		sh := sched.(*NodeProxy)
-		sh.Handoff(sh.NodeShard(1), now+2, func(sim.Cycle) {}) // tight: lands on the barrier
-		sh.Handoff(sh.NodeShard(1), now+3, func(sim.Cycle) {})
+		sched.Handoff(1, now+2, func(sim.Cycle) {}) // tight: lands on the barrier
+		sched.Handoff(1, now+3, func(sim.Cycle) {})
 	})
 	w.Run(6)
 	if w.Handoffs() != 2 {

@@ -115,7 +115,7 @@ func sameAsDense(t *testing.T, when string, h *Histogram, d *denseHistogram) {
 	for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		hbound, hover := h.PercentileBound(q)
 		dbound, dover := d.PercentileBound(q)
-		if hbound != dbound || hover != dover || h.Percentile(q) != dbound {
+		if hbound != dbound || hover != dover {
 			t.Fatalf("%s: PercentileBound(%g) = (%d, %v), dense (%d, %v)", when, q, hbound, hover, dbound, dover)
 		}
 	}

@@ -205,16 +205,6 @@ func (h *Histogram) ModeFraction() (bucket int, frac float64) {
 	return bucket, float64(best) / float64(h.total)
 }
 
-// Percentile reports the smallest bucket upper bound covering at least
-// frac of the mass, or 0 for an empty histogram. When the percentile
-// lands in the overflow bucket the last real bound is returned; use
-// PercentileBound to tell that apart from mass genuinely in the last
-// bucket.
-func (h *Histogram) Percentile(frac float64) int64 {
-	bound, _ := h.PercentileBound(frac)
-	return bound
-}
-
 // PercentileBound reports the smallest bucket upper bound covering at
 // least frac of the mass, plus whether the percentile fell into the
 // overflow bucket — in which case the bound is only a lower limit on the
@@ -282,13 +272,6 @@ func (c *CounterSet) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Merge folds other into c.
-func (c *CounterSet) Merge(other *CounterSet) {
-	for k, v := range other.m {
-		c.m[k] += v
-	}
 }
 
 // GeoMean returns the geometric mean of xs, the aggregation the paper

@@ -158,11 +158,11 @@ func TestHistogramPercentile(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		h.Add(i)
 	}
-	if p := h.Percentile(0.5); p != 50 {
-		t.Fatalf("p50 = %d", p)
+	if p, over := h.PercentileBound(0.5); p != 50 || over {
+		t.Fatalf("p50 = (%d, %v)", p, over)
 	}
-	if p := h.Percentile(0.99); p != 99 {
-		t.Fatalf("p99 = %d", p)
+	if p, over := h.PercentileBound(0.99); p != 99 || over {
+		t.Fatalf("p99 = (%d, %v)", p, over)
 	}
 }
 
@@ -172,9 +172,6 @@ func TestHistogramPercentile(t *testing.T) {
 // bound).
 func TestHistogramPercentileEmpty(t *testing.T) {
 	h := NewHistogram(10, 5)
-	if p := h.Percentile(0.5); p != 0 {
-		t.Fatalf("empty histogram p50 = %d, want 0", p)
-	}
 	if bound, over := h.PercentileBound(0.99); bound != 0 || over {
 		t.Fatalf("empty histogram PercentileBound = (%d, %v), want (0, false)", bound, over)
 	}
@@ -237,49 +234,6 @@ func TestCounterSet(t *testing.T) {
 	names := c.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
-	}
-	d := NewCounterSet()
-	d.Inc("a", 10)
-	c.Merge(d)
-	if c.Get("a") != 11 {
-		t.Fatal("merge failed")
-	}
-}
-
-// TestCounterSetMergeOrderIndependent checks sharded accumulation is
-// deterministic: merging the same shards in any order yields identical
-// names and values, so parallel experiment merges cannot leak
-// completion order into output.
-func TestCounterSetMergeOrderIndependent(t *testing.T) {
-	shard := func(pairs ...any) *CounterSet {
-		c := NewCounterSet()
-		for i := 0; i < len(pairs); i += 2 {
-			c.Inc(pairs[i].(string), int64(pairs[i+1].(int)))
-		}
-		return c
-	}
-	build := func(order []int) *CounterSet {
-		shards := []*CounterSet{
-			shard("collisions", 3, "drops", 1),
-			shard("collisions", 5, "retries", 9),
-			shard("drops", 2, "attempts", 100),
-		}
-		c := NewCounterSet()
-		for _, i := range order {
-			c.Merge(shards[i])
-		}
-		return c
-	}
-	a := build([]int{0, 1, 2})
-	b := build([]int{2, 0, 1})
-	na, nb := a.Names(), b.Names()
-	if len(na) != len(nb) || len(na) != 4 {
-		t.Fatalf("name sets differ: %v vs %v", na, nb)
-	}
-	for i, name := range na {
-		if nb[i] != name || a.Get(name) != b.Get(name) {
-			t.Fatalf("merge order leaked: %q %d vs %q %d", name, a.Get(name), nb[i], b.Get(nb[i]))
-		}
 	}
 }
 

@@ -28,12 +28,21 @@ func TestObserveDoesNotPerturbMetrics(t *testing.T) {
 	}
 }
 
+// countByKind tallies a recording's events per kind.
+func countByKind(r *obs.Recorder) map[obs.Kind]int64 {
+	counts := make(map[obs.Kind]int64)
+	for _, e := range r.Events() {
+		counts[e.Kind]++
+	}
+	return counts
+}
+
 // TestObserveLifecycleAccounting cross-checks the recorder against the
 // run's own metrics: every packet injects once and delivers once, and
-// the registry saw every delivery.
+// the registry is the fold of the recording.
 func TestObserveLifecycleAccounting(t *testing.T) {
 	m := runTiny(t, "jacobi", NetFSOI, 16, func(c *Config) { c.Observe = true })
-	counts := m.Obs.CountByKind()
+	counts := countByKind(m.Obs)
 	packets := m.MetaPackets + m.DataPackets
 	if counts[obs.KindInject] != packets {
 		t.Fatalf("inject events = %d, delivered packets = %d; every delivered packet injects exactly once",
@@ -42,9 +51,8 @@ func TestObserveLifecycleAccounting(t *testing.T) {
 	if counts[obs.KindDeliver] != packets {
 		t.Fatalf("deliver events = %d, want %d", counts[obs.KindDeliver], packets)
 	}
-	regTotal := m.ObsRegistry.Class(obs.ClassMeta).Total() + m.ObsRegistry.Class(obs.ClassData).Total()
-	if regTotal != packets {
-		t.Fatalf("registry observed %d latencies, want %d", regTotal, packets)
+	if m.ObsRegistry.String() != m.Obs.Registry().String() {
+		t.Fatal("the registry is not the fold of the recorded deliveries")
 	}
 	if counts[obs.KindTxStart] == 0 || counts[obs.KindBackoff] != counts[obs.KindCollision] {
 		t.Fatalf("FSOI lifecycle events inconsistent: tx-start=%d collision=%d backoff=%d",
@@ -125,9 +133,9 @@ func TestRecycleResetsPacketState(t *testing.T) {
 
 // TestObsIsTheRunsOneRecorder: Obs hands back the one recorder the run
 // records into, before Run and after it (where Metrics holds the same
-// one), and allocates nothing. Metrics.ObsRegistry is that log folded:
-// its class totals are the recorded deliveries and its collision counts
-// the recorded collisions. With Observe off both are nil.
+// one), and allocates nothing. Metrics.ObsRegistry is that log folded
+// by Recorder.Registry, whose class totals and collision counts obs'
+// differential tests hold to a reference. With Observe off both are nil.
 func TestObsIsTheRunsOneRecorder(t *testing.T) {
 	cfg := Default(16, NetFSOI)
 	cfg.MaxCycles = 3_000_000
@@ -144,20 +152,7 @@ func TestObsIsTheRunsOneRecorder(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { s.Obs() }); n != 0 {
 		t.Fatalf("Obs allocated %v times", n)
 	}
-	counts, reg := m.Obs.CountByKind(), m.ObsRegistry
-	if reg == nil || reg.Class(obs.ClassMeta).Total()+reg.Class(obs.ClassData).Total() != counts[obs.KindDeliver] {
-		t.Fatalf("the registry's class totals are not the %d recorded deliveries", counts[obs.KindDeliver])
-	}
-	var collisions int64
-	for src := 0; src < cfg.Nodes; src++ {
-		for dst := 0; dst < cfg.Nodes; dst++ {
-			collisions += reg.LinkCollisions(obs.Link{Src: src, Dst: dst})
-		}
-	}
-	if collisions == 0 || collisions != counts[obs.KindCollision] {
-		t.Fatalf("the registry counts %d collisions, the log %d", collisions, counts[obs.KindCollision])
-	}
-	if reg.String() != m.Obs.Registry().String() {
+	if reg := m.ObsRegistry; reg == nil || reg.String() != m.Obs.Registry().String() {
 		t.Fatal("Metrics.ObsRegistry is not the fold of Metrics.Obs")
 	}
 	off := New(Default(16, NetFSOI))
@@ -179,7 +174,7 @@ func TestEveryNetworkRecordsInCycleOrder(t *testing.T) {
 			}
 		})
 		events := m.Obs.Events()
-		if len(events) == 0 || name == string(NetFSOI) && m.Obs.CountByKind()[obs.KindFault] == 0 {
+		if len(events) == 0 || name == string(NetFSOI) && countByKind(m.Obs)[obs.KindFault] == 0 {
 			t.Fatalf("%s recorded %d events, fault annotations among them on FSOI", name, len(events))
 		}
 		for i := 1; i < len(events); i++ {

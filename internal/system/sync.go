@@ -4,7 +4,6 @@ import (
 	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
 	"fsoi/internal/sim"
-	"fsoi/internal/workload"
 )
 
 // syncFabric is the system-side synchronization implementation handed to
@@ -292,7 +291,3 @@ var (
 	_ syncFabric = (*subscriptionSync)(nil)
 	_ syncFabric = (*coherentSync)(nil)
 )
-
-// Apps re-exports the workload suite at the system level for callers that
-// only import system (examples, benches).
-func Apps(scale float64) []workload.App { return workload.Suite(scale) }

@@ -444,15 +444,16 @@ func build(cfg Config, donor *System) *System {
 	}
 	// Per-node per-cycle work is registered once, not once per node: a
 	// sweep over the busy nodes in id order. The FSOI sweep and the ideal
-	// networks' tick sleep until their work wakes them; the mesh and the
-	// crossbars tick every cycle.
+	// networks' tick sleep until their work wakes them; the mesh ticks
+	// every cycle. The crossbars' Tick is empty, so they register none,
+	// and Run may skip their idle cycles.
 	switch {
 	case s.fsoi != nil:
 		s.sweep = s.fsoi.RegisterSweep()
 	case s.ideal != nil:
 		s.netWake = s.ideal.RegisterTick()
-	default:
-		s.engine.Register(sim.TickFunc(s.net.Tick))
+	case s.meshNet != nil:
+		s.engine.Register(sim.TickFunc(s.meshNet.Tick))
 	}
 
 	home := func(a cache.LineAddr) int { return int(uint64(a) % uint64(cfg.Nodes)) }

@@ -177,11 +177,3 @@ func UniformPower(dim int, perNode optics.Watts) []optics.Watts {
 	}
 	return p
 }
-
-// HotspotPower builds a power map with one elevated node, for spreading
-// studies.
-func HotspotPower(dim int, base, hotspot optics.Watts, at int) []optics.Watts {
-	p := UniformPower(dim, base)
-	p[at] = hotspot
-	return p
-}

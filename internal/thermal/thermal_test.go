@@ -33,7 +33,8 @@ func TestLiquidCoolingBeatsAir(t *testing.T) {
 }
 
 func TestSpreaderFlattensHotspot(t *testing.T) {
-	p := HotspotPower(4, 6, 25, 5)
+	p := UniformPower(4, 6)
+	p[5] = 25
 	air := ForCooling(AirCooled, 4).Solve(p)
 	diamond := ForCooling(DiamondSpreader, 4).Solve(p)
 	if diamond.MaxK >= air.MaxK {
@@ -53,7 +54,8 @@ func TestSpreaderFlattensHotspot(t *testing.T) {
 }
 
 func TestHotspotIsHottest(t *testing.T) {
-	p := HotspotPower(4, 5, 20, 10)
+	p := UniformPower(4, 5)
+	p[10] = 20
 	res := ForCooling(AirCooled, 4).Solve(p)
 	for i, v := range res.Temps {
 		if i != 10 && v >= res.Temps[10] {
@@ -82,8 +84,8 @@ func TestLinearSuperposition(t *testing.T) {
 	// The network is linear: solving the sum of two power maps equals
 	// the sum of the individual rises.
 	cfg := ForCooling(AirCooled, 4)
-	a := HotspotPower(4, 2, 10, 3)
-	b := HotspotPower(4, 1, 8, 12)
+	a, b := UniformPower(4, 2), UniformPower(4, 1)
+	a[3], b[12] = 10, 8
 	both := make([]optics.Watts, len(a))
 	for i := range both {
 		both[i] = a[i] + b[i]

@@ -311,12 +311,3 @@ func (s *Stream) Next() (cpu.Op, bool) {
 }
 
 func (s *Stream) push(op cpu.Op) { s.queue = append(s.queue, op) }
-
-// Barriers reports how many barriers this stream will emit in total; the
-// system uses it to size barrier targets.
-func (a App) Barriers() int {
-	if a.BarrierEvery <= 0 {
-		return 0
-	}
-	return a.Steps / a.BarrierEvery
-}

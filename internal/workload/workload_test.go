@@ -159,8 +159,8 @@ func TestBarrierCountsMatchAcrossThreads(t *testing.T) {
 			t.Fatalf("node %d emits %d barriers, node 0 emits %d — deadlock", node, c, c0)
 		}
 	}
-	if c0 != app.Barriers() {
-		t.Fatalf("emitted %d, Barriers() reports %d", c0, app.Barriers())
+	if want := app.Steps / app.BarrierEvery; c0 != want {
+		t.Fatalf("emitted %d barriers, want Steps/BarrierEvery = %d", c0, want)
 	}
 }
 
