@@ -31,10 +31,7 @@ func runAttack(t *testing.T, specs []adversary.Spec) Metrics {
 	cfg.MaxCycles = 3_000_000
 	cfg.Detect = true
 	cfg.Adversaries = specs
-	m := New(cfg).Run(app)
-	if !m.Finished {
-		t.Fatalf("run with %d adversaries did not finish", len(specs))
-	}
+	_, m := mustRun(t, cfg, app)
 	return m
 }
 

@@ -1,57 +1,24 @@
 package system
 
-import (
-	"strings"
-	"testing"
-
-	"fsoi/internal/fault"
-)
+import "testing"
 
 // TestCrossRunDeterminismByteIdentical is the regression test for the
 // repository's core claim: an identically configured run — including
 // fault injection, the heaviest consumer of named RNG streams — is
 // bit-identical across executions in the same process. The comparison
 // is a byte-compare of the full canonical metric serialization, not a
-// spot-check of a few counters; any divergence reports the first
-// counter that differs.
+// spot-check of a few counters; any divergence names the counters that
+// differ.
 func TestCrossRunDeterminismByteIdentical(t *testing.T) {
-	run := func() string {
-		cfg := Default(16, NetFSOI)
-		cfg.Fault = fault.Config{
-			MarginPenaltyDB: 2.5,
-			VCSELFailProb:   0.05,
-			ConfirmDropProb: 0.05,
-		}
-		m := New(cfg).Run(tinyApp(t, "mp3d"))
-		if !m.Finished {
-			t.Fatal("determinism run did not finish")
-		}
-		return m.Canonical()
+	a := runTiny(t, "mp3d", NetFSOI, 16, faultyConfig)
+	if a.FaultCounters.Get("bit_errors") == 0 {
+		t.Fatal("2.5 dB of lost margin must corrupt some packets")
 	}
-	a, b := run(), run()
-	if a == b {
-		return
+	if a.FaultCounters.Get("confirm_drops") == 0 {
+		t.Fatal("5% confirmation drops must fire")
 	}
-	al := strings.Split(a, "\n")
-	bl := strings.Split(b, "\n")
-	n := min(len(al), len(bl))
-	for i := 0; i < n; i++ {
-		if al[i] != bl[i] {
-			t.Fatalf("runs diverge at line %d:\n  run A: %s\n  run B: %s", i+1, al[i], bl[i])
-		}
-	}
-	t.Fatalf("runs diverge in length: %d vs %d lines", len(al), len(bl))
-}
-
-// TestCanonicalCoversFaultCensus guards the serializer itself: a
-// fault-enabled run must surface its counters in the canonical form,
-// otherwise the byte-compare above silently loses coverage.
-func TestCanonicalCoversFaultCensus(t *testing.T) {
-	m := runTiny(t, "fft", NetFSOI, 16, faultyConfig)
-	c := m.Canonical()
-	for _, want := range []string{"fault.bit_errors ", "fault.confirm_drops ", "fsoi.lane0.attempts ", "latency.total n="} {
-		if !strings.Contains(c, want) {
-			t.Fatalf("canonical form is missing %q:\n%s", want, c)
-		}
+	b := runTiny(t, "mp3d", NetFSOI, 16, faultyConfig)
+	if ca, cb := a.Canonical(), b.Canonical(); ca != cb {
+		diffLines(t, "same-seed faulty runs", ca, cb)
 	}
 }

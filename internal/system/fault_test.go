@@ -15,28 +15,6 @@ func faultyConfig(c *Config) {
 	}
 }
 
-func TestFaultDeterminism(t *testing.T) {
-	// The golden property: two identical fault-enabled runs are
-	// bit-identical — every fault draw comes from named streams.
-	a := runTiny(t, "mp3d", NetFSOI, 16, faultyConfig)
-	b := runTiny(t, "mp3d", NetFSOI, 16, faultyConfig)
-	if a.Cycles != b.Cycles || a.MetaPackets != b.MetaPackets || a.DataPackets != b.DataPackets {
-		t.Fatalf("same-seed faulty runs differ: %d/%d vs %d/%d packets, %d vs %d cycles",
-			a.MetaPackets, a.DataPackets, b.MetaPackets, b.DataPackets, a.Cycles, b.Cycles)
-	}
-	for _, key := range []string{"bit_errors", "confirm_drops", "vcsels_failed", "timeout_retransmits"} {
-		if a.FaultCounters.Get(key) != b.FaultCounters.Get(key) {
-			t.Fatalf("%s differs: %d vs %d", key, a.FaultCounters.Get(key), b.FaultCounters.Get(key))
-		}
-	}
-	if a.FaultCounters.Get("bit_errors") == 0 {
-		t.Fatal("2.5 dB of lost margin must corrupt some packets")
-	}
-	if a.FaultCounters.Get("confirm_drops") == 0 {
-		t.Fatal("5% confirmation drops must fire")
-	}
-}
-
 func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
 	// The pay-for-what-you-use guarantee: a zero Fault section changes
 	// nothing — not even RNG stream genealogy — versus the default run.

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -19,16 +20,43 @@ func tinyApp(t *testing.T, name string) workload.App {
 	return app
 }
 
-// diffLines reports the first line where two multiline strings diverge.
+// diffLines fails with the lines where two multiline strings differ: up
+// to ten, as "key: want → got" where both lines have the same key (the
+// text before the first space), and a count of the rest.
 func diffLines(t *testing.T, label, want, got string) {
 	t.Helper()
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < min(len(wl), len(gl)); i++ {
-		if wl[i] != gl[i] {
-			t.Fatalf("%s diverges at line %d:\n  want: %s\n  got:  %s", label, i+1, wl[i], gl[i])
+	var shown []string
+	moved := 0
+	for i := range max(len(wl), len(gl)) {
+		w, g := lineAt(wl, i), lineAt(gl, i)
+		if w == g {
+			continue
+		}
+		moved++
+		if len(shown) == 10 {
+			continue
+		}
+		wk, wv, _ := strings.Cut(w, " ")
+		gk, gv, _ := strings.Cut(g, " ")
+		if wk == gk {
+			shown = append(shown, fmt.Sprintf("%s: %s → %s", wk, wv, gv))
+		} else {
+			shown = append(shown, fmt.Sprintf("line %d: %q → %q", i+1, w, g))
 		}
 	}
-	t.Fatalf("%s diverges in length: %d vs %d lines", label, len(wl), len(gl))
+	if rest := moved - len(shown); rest > 0 {
+		shown = append(shown, fmt.Sprintf("and %d more", rest))
+	}
+	t.Fatalf("%s: %d lines differ (want → got):\n  %s", label, moved, strings.Join(shown, "\n  "))
+}
+
+// lineAt returns line i, or "" past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
 }
 
 func runTiny(t *testing.T, name string, kind NetworkKind, nodes int, mutate func(*Config)) Metrics {
@@ -38,10 +66,7 @@ func runTiny(t *testing.T, name string, kind NetworkKind, nodes int, mutate func
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	m := New(cfg).Run(tinyApp(t, name))
-	if !m.Finished {
-		t.Fatalf("%s on %s (%d nodes) did not finish", name, kind, nodes)
-	}
+	_, m := mustRun(t, cfg, tinyApp(t, name))
 	return m
 }
 
