@@ -35,6 +35,17 @@ func newConfLane(nodes, miniPerCycle int) *confLane {
 	}
 }
 
+// reset frees every mini-cycle and reservation at miniPerCycle mini-cycles
+// per cycle; an owner's emptied map stays made.
+func (c *confLane) reset(miniPerCycle int) {
+	c.miniPerCycle = miniPerCycle
+	clear(c.busyUntil)
+	clear(c.nextOffset)
+	for _, m := range c.reserved {
+		clear(m)
+	}
+}
+
 // sendDelay returns the extra whole cycles (beyond the base confirmation
 // delay) a transmission from src must wait for a free mini-cycle, and
 // marks the channel busy. With 12 mini-cycles per cycle the channel

@@ -181,6 +181,35 @@ type nodeState struct {
 	corrupt [numLanes]corruptMemo
 }
 
+// empty clears a spent node state's queues, retry lists, arrival buckets,
+// tables and memos, keeping their storage and the records on its free
+// lists: what is left is a new node state's zero values, for start.
+func (ns *nodeState) empty() {
+	for l := range ns.queue {
+		clear(ns.queue[l])
+		clear(ns.retries[l])
+		ns.queue[l], ns.retries[l] = ns.queue[l][:0], ns.retries[l][:0]
+		for r, group := range ns.arr[l] {
+			clear(group)
+			ns.arr[l][r] = group[:0]
+		}
+	}
+	ns.heldDsts = ns.heldDsts[:0]
+	ns.arrMask = [numLanes]uint64{}
+	ns.reserved.slots = ns.reserved.slots[:0]
+	ns.expecting.reset()
+	ns.corrupt = [numLanes]corruptMemo{}
+}
+
+// start gives a new or emptied node state the values it starts with that
+// are not zero.
+func (ns *nodeState) start() {
+	for l := range ns.lastDst {
+		ns.lastDst[l], ns.due[l] = -1, math.MaxInt64
+	}
+	ns.replyEWMA = 30
+}
+
 // corruptMemo is one remembered 1-(1-ber)^bits, keyed by the BER's bit
 // pattern and the packet size so that a hit is two integer compares.
 type corruptMemo struct {
@@ -292,18 +321,57 @@ type Network struct {
 }
 
 // New builds an FSOI network over the engine; it panics on an invalid
-// configuration (configs are produced by code, not user input).
-func New(cfg Config, engine *sim.Engine, rng *sim.RNG) *Network {
+// configuration (configs are produced by code, not user input). Given the
+// network of a finished simulation with as many nodes and receivers,
+// which no one uses any more, it resets and returns that one for cfg: its
+// node states, transmission and writeback records, reservation and
+// reply-timing tables and per-node generators keep their storage. Another
+// donor is ignored.
+func New(cfg Config, engine *sim.Engine, rng *sim.RNG, donor ...*Network) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{
-		cfg:    cfg,
-		engine: engine,
-		conf:   newConfLane(cfg.Nodes, cfg.BitsPerCycle),
-		ber:    1e-10,
-		busy:   sim.NewBusySet(cfg.Nodes),
+	var n *Network
+	if len(donor) > 0 && donor[0] != nil && donor[0].cfg.Nodes == cfg.Nodes && donor[0].cfg.Receivers == cfg.Receivers {
+		n = donor[0]
+		clear(n.lat)
+		for _, ns := range n.nodes {
+			ns.empty()
+		}
+	} else {
+		n = &Network{
+			conf:  newConfLane(cfg.Nodes, cfg.BitsPerCycle),
+			nrng:  make([]*sim.RNG, cfg.Nodes),
+			lat:   make([]noc.LatencyStats, cfg.Nodes),
+			nodes: make([]*nodeState, cfg.Nodes),
+		}
+		// The node states come from one slab, and so do all receivers'
+		// arrival buckets.
+		states := make([]nodeState, cfg.Nodes)
+		buckets := make([][]*transmission, cfg.Nodes*int(numLanes)*cfg.Receivers)
+		for i := range n.nodes {
+			ns := &states[i]
+			for l := range ns.arr {
+				ns.arr[l], buckets = buckets[:cfg.Receivers:cfg.Receivers], buckets[cfg.Receivers:]
+			}
+			n.nodes[i] = ns
+		}
 	}
+	n.reset(cfg, engine, rng)
+	return n
+}
+
+// reset puts a new or emptied network (New empties a donor's node states
+// and latency accumulators) in the state a new one for cfg starts in,
+// over engine: no packet queued, in flight or remembered, every counter
+// zero, no callback, observer, fault or adversary model attached, and
+// each node's generator derived afresh from rng.
+func (n *Network) reset(cfg Config, engine *sim.Engine, rng *sim.RNG) {
+	n.cfg, n.engine, n.ber = cfg, engine, 1e-10
+	n.deliverFn, n.confirmFn, n.bitFn, n.obs, n.fault, n.adv = nil, nil, nil, nil, nil, nil
+	n.stats, n.sweep = Stats{}, sim.Wake{}
+	n.conf.reset(cfg.BitsPerCycle)
+	n.busy = sim.NewBusySet(cfg.Nodes, n.busy)
 	for l := range n.slotLen {
 		n.slotLen[l] = int64(cfg.SlotCycles(Lane(l)))
 	}
@@ -311,25 +379,10 @@ func New(cfg Config, engine *sim.Engine, rng *sim.RNG) *Network {
 		n.windows[k] = cfg.WindowW * math.Pow(cfg.BackoffB, float64(k))
 	}
 	base := rng.NewStream("fsoi")
-	n.nrng = make([]*sim.RNG, cfg.Nodes)
-	n.lat = make([]noc.LatencyStats, cfg.Nodes)
-	// The node states come from one slab, and so do all receivers'
-	// arrival buckets.
-	n.nodes = make([]*nodeState, cfg.Nodes)
-	states := make([]nodeState, cfg.Nodes)
-	buckets := make([][]*transmission, cfg.Nodes*int(numLanes)*cfg.Receivers)
-	for i := range n.nodes {
-		n.nrng[i] = base.NewStream("node-" + strconv.Itoa(i))
-		ns := &states[i]
-		ns.replyEWMA = 30
-		for l := range ns.lastDst {
-			ns.lastDst[l] = -1
-			ns.arr[l], buckets = buckets[:cfg.Receivers:cfg.Receivers], buckets[cfg.Receivers:]
-			ns.due[l] = math.MaxInt64
-		}
-		n.nodes[i] = ns
+	for i, ns := range n.nodes {
+		n.nrng[i] = base.NewStream("node-"+strconv.Itoa(i), n.nrng[i])
+		ns.start()
 	}
-	return n
 }
 
 // SetBitErrorRate overrides the default 1e-10 signaling BER; §4.3.1

@@ -79,6 +79,12 @@ type replyCell struct {
 	next int32 // index+1 of the next cell of the list, or of the free list
 }
 
+// reset forgets every request, keeping the table's and the cells' storage.
+func (r *replyLog) reset() {
+	r.ends.Reset()
+	r.cells, r.free = r.cells[:0], 0
+}
+
 // push appends a request sent to dst at cycle sent.
 func (r *replyLog) push(dst int, sent sim.Cycle) {
 	c := r.free

@@ -179,6 +179,28 @@ func TestLLSCNotHarmful(t *testing.T) {
 	}
 }
 
+// TestHintsReportsBothPopulations: the §7.3 delays are over the data
+// packets that collided, a small part of every delivered packet, so their
+// mean is well above the all-packet mean printed beside it, and both are
+// labelled with what they cover.
+func TestHintsReportsBothPopulations(t *testing.T) {
+	o := tiny()
+	o.Apps = []string{"jacobi", "fft"}
+	res := Hints(o)
+	v := res.Values
+	if v["res_data_n_with"] < 1 || v["res_data_n_without"] < 1 {
+		t.Fatalf("no collided data packets: %v", v)
+	}
+	if !(v["res_data_with"] > v["res_with"]) || !(v["res_data_without"] > v["res_without"]) {
+		t.Fatalf("the collided data packets' mean delay must exceed the all-packet mean: %v", v)
+	}
+	for _, want := range []string{"over the", "data packets that collided", "over every delivered packet"} {
+		if !strings.Contains(res.Text, want) {
+			t.Errorf("hints text lacks %q:\n%s", want, res.Text)
+		}
+	}
+}
+
 func TestBenchOptionsAreCheap(t *testing.T) {
 	o := BenchOptions()
 	if o.Scale > 0.1 || len(o.Apps) == 0 {

@@ -53,21 +53,37 @@ func (d *delivery) arrive(now sim.Cycle) {
 	}
 }
 
-func newIdeal(dim, routerCycles, linkCycles int, engine *sim.Engine) *Ideal {
-	count := dim * dim
-	return &Ideal{dim: dim, routerCycles: routerCycles, linkCycles: linkCycles, injectQueue: 16, engine: engine,
-		queues: make([]ring[*noc.Packet], count), queued: newBitset(count), busyTill: make([]sim.Cycle, count)}
+// newIdeal builds an ideal network. Given the ideal network of a finished
+// simulation over as many nodes (L0, Lr1 or Lr2 alike), which no one uses
+// any more, it resets and returns that one: its NIC queues and delivery
+// records keep their storage.
+func newIdeal(dim, routerCycles, linkCycles int, engine *sim.Engine, donor []*Ideal) *Ideal {
+	var n *Ideal
+	if len(donor) > 0 && donor[0] != nil && donor[0].dim == dim {
+		n = donor[0]
+		for i := range n.queues {
+			n.queues[i].reset()
+		}
+		clear(n.queued)
+		clear(n.busyTill)
+	} else {
+		count := dim * dim
+		n = &Ideal{queues: make([]ring[*noc.Packet], count), queued: newBitset(count), busyTill: make([]sim.Cycle, count)}
+	}
+	n.dim, n.routerCycles, n.linkCycles, n.injectQueue, n.engine = dim, routerCycles, linkCycles, 16, engine
+	n.deliverFn, n.lat, n.wake = nil, noc.LatencyStats{}, sim.Wake{}
+	return n
 }
 
 // NewL0 builds the idealized zero-latency network.
-func NewL0(dim int, engine *sim.Engine) *Ideal {
-	return newIdeal(dim, -1, 0, engine)
+func NewL0(dim int, engine *sim.Engine, donor ...*Ideal) *Ideal {
+	return newIdeal(dim, -1, 0, engine, donor)
 }
 
 // NewLr builds the hop-latency network with the given per-hop router
 // cycles (1 => Lr1, 2 => Lr2).
-func NewLr(dim, routerCycles int, engine *sim.Engine) *Ideal {
-	return newIdeal(dim, routerCycles, 1, engine)
+func NewLr(dim, routerCycles int, engine *sim.Engine, donor ...*Ideal) *Ideal {
+	return newIdeal(dim, routerCycles, 1, engine, donor)
 }
 
 // LatencyStats exposes accumulated measurements.

@@ -67,8 +67,11 @@ type injection struct {
 	sentFlit int
 }
 
-// New builds a mesh network over the engine.
-func New(cfg Config, engine *sim.Engine) *Network {
+// New builds a mesh network over the engine. Given the network of a
+// finished simulation with the same configuration, which no one uses any
+// more, it resets and returns that one: its routers, VC rings and NIC
+// queues keep their storage. A donor of another configuration is ignored.
+func New(cfg Config, engine *sim.Engine, donor ...*Network) *Network {
 	if numPorts*cfg.VCs > maskBits {
 		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
 			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
@@ -79,7 +82,12 @@ func New(cfg Config, engine *sim.Engine) *Network {
 	if cfg.BandwidthFrac <= 0 { // unset
 		cfg.BandwidthFrac = 1
 	}
-	n := &Network{cfg: cfg, engine: engine, hop: sim.Cycle(max(cfg.LinkCycles, 1))}
+	if len(donor) > 0 && donor[0] != nil && donor[0].cfg == cfg {
+		n := donor[0]
+		n.reset(engine)
+		return n
+	}
+	n := &Network{cfg: cfg, hop: sim.Cycle(max(cfg.LinkCycles, 1))}
 	count := cfg.Dim * cfg.Dim
 	n.routers = make([]*router, count)
 	for i := range n.routers {
@@ -114,15 +122,34 @@ func New(cfg Config, engine *sim.Engine) *Network {
 	for i := 0; i < count; i++ {
 		n.vcFree[i] = make([]bool, cfg.VCs)
 		n.vcCredits[i] = make([]int, cfg.VCs)
-		for v := 0; v < cfg.VCs; v++ {
+	}
+	n.reset(engine)
+	return n
+}
+
+// reset puts the network in the state a new one starts in, over engine:
+// every buffer, queue, credit and counter as New leaves them.
+func (n *Network) reset(engine *sim.Engine) {
+	n.engine, n.deliverFn = engine, nil
+	n.lat = noc.LatencyStats{}
+	n.flitHops, n.flitsIn, n.flitsOut = 0, 0, 0
+	clear(n.busyNICs)
+	clear(n.busyRouters)
+	clear(n.bwTokens)
+	clear(n.inflight)
+	for i := range n.queues {
+		n.queues[i].reset()
+		for v := range n.vcFree[i] {
 			n.vcFree[i][v] = true
-			n.vcCredits[i][v] = cfg.BufferFlits
+			n.vcCredits[i][v] = n.cfg.BufferFlits
 		}
 		if n.cfg.BandwidthFrac < 1 {
 			n.busyNICs.set(i) // the token bank starts empty and must fill
 		}
 	}
-	return n
+	for _, r := range n.routers {
+		r.reset()
+	}
 }
 
 // LatencyStats exposes accumulated measurements.

@@ -27,6 +27,12 @@ func (r *ring[T]) push(x T, capacity int) {
 	r.n++
 }
 
+// reset empties the ring, keeping its storage.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // front returns the oldest element; the ring must not be empty.
 func (r *ring[T]) front() T { return r.buf[r.head] }
 

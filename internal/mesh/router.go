@@ -87,20 +87,34 @@ type router struct {
 	net     *Network
 }
 
+// newRouter allocates a router's storage; reset gives it its state.
 func newRouter(id int, cfg Config, net *Network) *router {
 	r := &router{id: id, x: id % cfg.Dim, y: id / cfg.Dim, cfg: cfg, net: net}
 	r.inputs = make([]vc, numPorts*cfg.VCs)
-	for i := range r.inputs {
-		r.inputs[i].outPort, r.inputs[i].outVC = -1, -1
-	}
 	credits := make([]int, numPorts*cfg.VCs)
-	for i := range credits {
-		credits[i] = cfg.BufferFlits
-	}
 	for p := range r.outputs {
 		r.outputs[p].credits = credits[p*cfg.VCs : (p+1)*cfg.VCs]
 	}
 	return r
+}
+
+// reset empties the router's buffers and returns every credit and
+// round-robin pointer to where a new router has it.
+func (r *router) reset() {
+	for i := range r.inputs {
+		in := &r.inputs[i]
+		in.fifo.reset()
+		in.outPort, in.outVC = -1, -1
+	}
+	for p := range r.outputs {
+		out := &r.outputs[p]
+		for v := range out.credits {
+			out.credits[v] = r.cfg.BufferFlits
+		}
+		out.held, out.lastVC, out.lastInput = 0, 0, 0
+	}
+	r.occupied, r.buffered, r.wake = 0, 0, 0
+	r.want = [numPorts]uint64{}
 }
 
 // xyRoute computes the output port for dst under dimension-order routing.

@@ -129,6 +129,13 @@ type LatencyStats struct {
 	Delivered  int64
 	Collisions int64 // FSOI only
 	Attempts   int64 // transmissions including retries
+	// CollidedData counts the delivered data packets with a positive
+	// resolution delay, the ones that collided before they got through,
+	// and CollidedDataDelay sums those delays: the population of §7.3's
+	// mean data resolution delay. Resolution covers every packet of both
+	// lanes, most of which never collided.
+	CollidedData      int64
+	CollidedDataDelay int64
 }
 
 // Record folds one delivered packet into the statistics.
@@ -141,6 +148,10 @@ func (l *LatencyStats) Record(p *Packet) {
 	l.ByType[p.Type].Add(float64(p.TotalLatency()))
 	l.Delivered++
 	l.Attempts += int64(1 + p.Retries)
+	if p.Type == Data && p.ResolutionDelay > 0 {
+		l.CollidedData++
+		l.CollidedDataDelay += p.ResolutionDelay
+	}
 }
 
 // Merge folds other into l. Networks that keep per-node accumulators
@@ -158,6 +169,8 @@ func (l *LatencyStats) Merge(other *LatencyStats) {
 	l.Delivered += other.Delivered
 	l.Collisions += other.Collisions
 	l.Attempts += other.Attempts
+	l.CollidedData += other.CollidedData
+	l.CollidedDataDelay += other.CollidedDataDelay
 }
 
 // Breakdown returns the four mean components in figure order.

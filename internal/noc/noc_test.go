@@ -86,3 +86,21 @@ func stringsContains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestCollidedDataPopulation: only data packets with a positive
+// resolution delay join the collided-data count and delay, in Record and
+// in Merge alike.
+func TestCollidedDataPopulation(t *testing.T) {
+	var a, b LatencyStats
+	a.Record(&Packet{Type: Data, ResolutionDelay: 30})
+	a.Record(&Packet{Type: Data})                      // never collided
+	a.Record(&Packet{Type: Meta, ResolutionDelay: 12}) // the meta lane's
+	b.Record(&Packet{Type: Data, ResolutionDelay: 10})
+	a.Merge(&b)
+	if a.CollidedData != 2 || a.CollidedDataDelay != 40 {
+		t.Fatalf("collided data %d packets, %d cycles; want 2 and 40", a.CollidedData, a.CollidedDataDelay)
+	}
+	if a.Resolution.N() != 4 {
+		t.Fatalf("the all-packet resolution summary holds %d packets, want 4", a.Resolution.N())
+	}
+}

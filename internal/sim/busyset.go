@@ -8,9 +8,16 @@ type BusySet struct {
 	words []uint64
 }
 
-// NewBusySet returns an empty set over nodes 0..nodes-1.
-func NewBusySet(nodes int) *BusySet {
-	return &BusySet{words: make([]uint64, (nodes+63)/64)}
+// NewBusySet returns an empty set over nodes 0..nodes-1. Given a set
+// over as many words that no one uses any more, it empties and returns
+// that one.
+func NewBusySet(nodes int, donor ...*BusySet) *BusySet {
+	words := (nodes + 63) / 64
+	if len(donor) > 0 && donor[0] != nil && len(donor[0].words) == words {
+		clear(donor[0].words)
+		return donor[0]
+	}
+	return &BusySet{words: make([]uint64, words)}
 }
 
 // Mark adds a node and reports whether it joined: false if it was

@@ -17,7 +17,7 @@ func builder(t *testing.T, kind NetworkKind, nodes int) func(*sim.Engine, *sim.R
 		t.Fatalf("no interconnect %q", kind)
 	}
 	cfg := Default(nodes, kind)
-	return func(engine *sim.Engine, rng *sim.RNG) noc.Network { return n.build(cfg, engine, rng) }
+	return func(engine *sim.Engine, rng *sim.RNG) noc.Network { return n.build(cfg, engine, rng, nil) }
 }
 
 // ordered lists the networks whose design delivers each (src, dst)

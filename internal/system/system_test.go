@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fsoi/internal/memory"
 	"fsoi/internal/workload"
 )
 
@@ -299,6 +300,43 @@ func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
 		err := cfg.Validate()
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
 			t.Errorf("frac %v, cycles %d: Validate() = %v, want one line containing %q", c.frac, c.cycles, err, c.want)
+		}
+	}
+}
+
+// TestValidateRejectsSharedMemoryAttachNodes: a channel count is valid
+// only while every channel has a node of its own. Past that,
+// memory.AttachNodes wraps onto a node that has one, the second
+// controller was never built, and LineOccupancyCycles still divided the
+// bandwidth by every channel.
+func TestValidateRejectsSharedMemoryAttachNodes(t *testing.T) {
+	for _, c := range []struct {
+		nodes, channels int
+		want            string // "" = valid
+	}{
+		{4, 4, ""},
+		{4, 5, "5 memory channels: a 4-node system attaches 1 to 4"},
+		{16, 8, ""},
+		{16, 9, "9 memory channels: a 16-node system attaches 1 to 8"},
+		{64, 8, ""},
+		{64, 12, "12 memory channels: a 64-node system attaches 1 to 8"},
+		{64, 0, "0 memory channels"},
+	} {
+		cfg := Default(c.nodes, NetFSOI)
+		cfg.Memory.Channels = c.channels
+		err := cfg.Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
+			t.Errorf("%d nodes, %d channels: Validate() = %v, want one line containing %q", c.nodes, c.channels, err, c.want)
+		}
+		if err != nil {
+			continue
+		}
+		seen := map[int]bool{}
+		for _, node := range memory.AttachNodes(dimOf(c.nodes), c.channels) {
+			if seen[node] {
+				t.Errorf("%d nodes, %d channels: valid, but node %d hosts two channels", c.nodes, c.channels, node)
+			}
+			seen[node] = true
 		}
 	}
 }

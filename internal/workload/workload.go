@@ -117,17 +117,26 @@ func ByName(name string, scale float64) (App, bool) {
 	return App{}, false
 }
 
-// Stream generates one thread's operations deterministically.
+// Stream generates one thread's operations deterministically. Its
+// generators and its Zipf sampler live inside it, so a stream is one
+// allocation, and none when NewStreams is given the one it replaces.
 type Stream struct {
 	app     App
 	node    int
 	nodes   int
-	rng     *sim.RNG
+	rng     *sim.RNG // &rngs[0]
 	zipf    *sim.Zipf
 	step    int
 	barrier int
 	queue   []cpu.Op // ops emitted ahead (critical sections); refilled only when consumed
 	head    int      // next unconsumed op in queue
+
+	rngs    [2]sim.RNG // the thread's generator and its Zipf sampler's
+	sampler sim.Zipf   // *zipf when the app is skewed
+	// table is the Zipf table of this stream's run: the app's, or, for an
+	// app without skew, the one the streams it replaced held, kept for
+	// the streams that replace it.
+	table *sim.ZipfTable
 }
 
 // NewStream builds the operation stream for thread `node` of `nodes`.
@@ -138,39 +147,64 @@ type Stream struct {
 // metric shifts relative to pre-fix runs; determinism is still checked
 // run-against-run (see system.TestCrossRunDeterminismByteIdentical).
 func NewStream(app App, node, nodes int, seed uint64) *Stream {
-	return newStream(app, node, nodes, seed, zipfTable(app))
+	return newStream(app, node, nodes, seed, zipfTable(app, nil), nil)
 }
 
 // NewStreams builds the streams of all `nodes` threads of one run. Each
 // is what NewStream returns for its node; the one thing they share is
 // the application's Zipf table, read-only, which is the same for every
-// node and costs SharedLines math.Pow calls to build.
-func NewStreams(app App, nodes int, seed uint64) []*Stream {
-	table := zipfTable(app)
-	streams := make([]*Stream, nodes)
+// node and costs SharedLines math.Pow calls to build. Given the streams
+// of a finished run (donor), no longer read by anyone, it rebuilds those
+// in place, node by node, and builds the table in the donors' (see
+// sim.NewZipfTable).
+func NewStreams(app App, nodes int, seed uint64, donor ...*Stream) []*Stream {
+	var spent *sim.ZipfTable
+	if len(donor) > 0 {
+		spent = donor[0].table
+	}
+	table := spent
+	if app.Zipf > 0 {
+		table = zipfTable(app, spent)
+	}
+	streams := donor // node's donor is read before its slot is written
+	if len(donor) != nodes {
+		streams = make([]*Stream, nodes)
+	}
 	for node := range streams {
-		streams[node] = newStream(app, node, nodes, seed, table)
+		var d *Stream
+		if node < len(donor) {
+			d = donor[node]
+		}
+		streams[node] = newStream(app, node, nodes, seed, table, d)
 	}
 	return streams
 }
 
 // zipfTable returns the table behind the app's skewed shared accesses,
 // nil for an app without skew.
-func zipfTable(app App) *sim.ZipfTable {
+func zipfTable(app App, donor *sim.ZipfTable) *sim.ZipfTable {
 	if app.Zipf > 0 {
-		return sim.NewZipfTable(app.SharedLines, app.Zipf)
+		return sim.NewZipfTable(app.SharedLines, app.Zipf, donor)
 	}
 	return nil
 }
 
-// newStream builds one thread's stream over a Zipf table that may be
-// shared (nil for an app without skew).
-func newStream(app App, node, nodes int, seed uint64, table *sim.ZipfTable) *Stream {
+// newStream builds one thread's stream, in the donor's storage when there
+// is one. A skewed app samples the table, which the stream otherwise only
+// carries.
+func newStream(app App, node, nodes int, seed uint64, table *sim.ZipfTable, donor *Stream) *Stream {
 	assertLayout(app, node, nodes)
-	rng := sim.NewRNG(seed).NewStream(app.Name).NewStream(strconv.Itoa(node))
-	s := &Stream{app: app, node: node, nodes: nodes, rng: rng}
-	if table != nil {
-		s.zipf = table.Sampler(rng.NewStream("zipf"))
+	s := donor
+	if s == nil {
+		s = &Stream{}
+	}
+	*s = Stream{app: app, node: node, nodes: nodes, queue: s.queue[:0], table: table}
+	// Each stream is derived from the one before it, in place.
+	rng := sim.NewRNG(seed, &s.rngs[0])
+	rng.NewStream(app.Name, rng).NewStream(strconv.Itoa(node), rng)
+	s.rng = rng
+	if app.Zipf > 0 {
+		s.zipf = table.Sampler(rng.NewStream("zipf", &s.rngs[1]), &s.sampler)
 	}
 	return s
 }
