@@ -8,7 +8,6 @@ import (
 
 	"fsoi/internal/cache"
 	"fsoi/internal/sim"
-	"fsoi/internal/stats"
 	"fsoi/internal/table"
 )
 
@@ -104,16 +103,16 @@ func PaperDir() DirConfig {
 
 // DirStats counts directory activity.
 type DirStats struct {
-	Requests   int64
-	Nacks      int64
-	MemReads   int64
-	MemWrites  int64
-	InvSent    int64
-	DwgSent    int64
-	Evictions  int64
-	SyncOps    int64
-	BitPushes  int64
-	StallDepth stats.Summary
+	Requests      int64
+	Nacks         int64
+	MemReads      int64
+	MemWrites     int64
+	InvSent       int64
+	DwgSent       int64
+	Evictions     int64
+	SyncOps       int64
+	BitPushes     int64
+	MaxStallDepth int // most requests stalled on one line at once
 }
 
 // Directory is one home slice: the directory controller plus its L2 data
@@ -622,7 +621,7 @@ func (d *Directory) stall(e rec, m Msg) {
 	}
 	q := append(d.queues[e.stall-1], m)
 	d.queues[e.stall-1] = q
-	d.stats.StallDepth.Add(float64(len(q)))
+	d.stats.MaxStallDepth = max(d.stats.MaxStallDepth, len(q))
 }
 
 // nack refuses request m; its requester retries after a short delay.

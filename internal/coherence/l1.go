@@ -88,7 +88,6 @@ type L1Stats struct {
 	Writebacks    int64
 	Nacks         int64
 	ElidedAcks    int64
-	MissLatency   stats.Summary    // request issue -> completion, cycles
 	MissHist      *stats.Histogram // reply-latency distribution (Figure 5)
 }
 
@@ -360,7 +359,6 @@ func (l *L1) complete(addr cache.LineAddr, p *l1Pending, now sim.Cycle) {
 	last := len(l.trans) - 1
 	l.trans[slices.Index(l.trans, p)] = l.trans[last]
 	l.trans = l.trans[:last]
-	l.stats.MissLatency.Add(float64(now - p.issued))
 	l.stats.MissHist.Add(int64(now - p.issued))
 	line := l.array.Peek(addr)
 	at := now + sim.Cycle(l.cfg.HitCycles)

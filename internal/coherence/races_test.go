@@ -300,8 +300,8 @@ func TestStallDepthBounded(t *testing.T) {
 		}
 	}
 	r.run(30000)
-	if r.dir.Stats().StallDepth.Max() > 8 {
-		t.Fatalf("stall depth reached %.0f, bound is 8", r.dir.Stats().StallDepth.Max())
+	if r.dir.Stats().MaxStallDepth > 8 {
+		t.Fatalf("stall depth reached %d, bound is 8", r.dir.Stats().MaxStallDepth)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fsoi/internal/noc"
 	"fsoi/internal/obs"
 	"fsoi/internal/sim"
-	"fsoi/internal/stats"
 )
 
 // Arbitration selects how senders acquire a channel — the resource the
@@ -133,9 +132,10 @@ type Network struct {
 	channels  []*channel
 	queued    []int         // per-node injected count (for queue bound)
 	obs       *obs.Recorder // nil unless lifecycle tracing is on
-	// TokenWait accumulates the per-grant token wait in cycles
-	// (ArbToken only; the WDM variants never wait for a grant).
-	TokenWait stats.Summary
+	// TokenGrants counts the token grants and TokenWaitCycles the cycles
+	// they waited for the token, each wait rounded up to the cycle of its
+	// grant (ArbToken only; the WDM variants never wait for a grant).
+	TokenGrants, TokenWaitCycles int64
 }
 
 // New builds the crossbar.
@@ -211,14 +211,14 @@ func (n *Network) arm(ch *channel) {
 		start = now
 	}
 	p := ch.waiting[0]
-	var wait float64
+	grant := start
 	if n.cfg.Arb == ArbToken {
 		// The oldest waiter grabs the token when it next passes its
 		// station; the WDM variants own their channel outright.
-		wait = n.tokenWait(p.Src, p.Dst, start)
-		n.TokenWait.Add(wait)
+		grant += sim.Cycle(n.tokenWait(p.Src, p.Dst, start) + 0.9999)
+		n.TokenGrants++
+		n.TokenWaitCycles += int64(grant - start)
 	}
-	grant := start + sim.Cycle(wait+0.9999)
 	ch.armed = true
 	n.engine.At(grant, func(at sim.Cycle) {
 		ch.armed = false

@@ -107,10 +107,10 @@ func TestTokenWaitRecorded(t *testing.T) {
 	n, engine, _ := testNet(t)
 	n.Send(&noc.Packet{Src: 40, Dst: 1, Type: noc.Meta})
 	engine.Run(40)
-	if n.TokenWait.N() == 0 {
+	if n.TokenGrants == 0 {
 		t.Fatal("token wait must be sampled")
 	}
-	if m := n.TokenWait.Mean(); m < 0 || m > 8 {
+	if m := float64(n.TokenWaitCycles) / float64(n.TokenGrants); m < 0 || m > 8 {
 		t.Fatalf("mean token wait %.1f outside one round trip", m)
 	}
 }
@@ -143,7 +143,7 @@ func TestMatrixIsNonBlocking(t *testing.T) {
 			t.Fatalf("matrix latency = %d, want contention-free 6", p.TotalLatency())
 		}
 	}
-	if n.TokenWait.N() != 0 {
+	if n.TokenGrants != 0 {
 		t.Fatal("matrix crossbar must never sample a token wait")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
 	"fsoi/internal/sim"
-	"fsoi/internal/stats"
 )
 
 // OpKind enumerates core operations.
@@ -72,7 +71,6 @@ type Stats struct {
 	StallStore   int64
 	StallSync    int64
 	FinishCycle  sim.Cycle
-	LoadLatency  stats.Summary
 }
 
 // Core is one processor.
@@ -188,7 +186,6 @@ func (c *Core) step(now sim.Cycle) {
 // loadDone resumes the core when its blocking load commits.
 func (c *Core) loadDone(at sim.Cycle) {
 	c.stats.StallLoad += int64(at - c.loadStart)
-	c.stats.LoadLatency.Add(float64(at - c.loadStart))
 	c.step(at)
 }
 

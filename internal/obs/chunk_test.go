@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"fsoi/internal/sim"
 )
@@ -116,6 +118,27 @@ func TestEmitAllocatesOneChunkPerChunkEvents(t *testing.T) {
 	if capped.Len() != chunkEvents+3 || capped.Lost() != chunkEvents-3 || len(capped.Events()) != chunkEvents+3 {
 		t.Fatalf("capped: len %d lost %d events %d", capped.Len(), capped.Lost(), len(capped.Events()))
 	}
+}
+
+// TestChunkFitsItsSizeClass: the runtime charges a chunk less than one
+// event beyond its size, so no capacity is lost to the size class it
+// rounds up to. It fails when an Event or chunkEvents grows and a chunk
+// spills into the next class.
+func TestChunkFitsItsSizeClass(t *testing.T) {
+	const n = 512 // 5 MB: the 8 bytes each chunk has to spare absorb 4 KB allocated elsewhere meanwhile
+	chunks := make([]*chunk, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range chunks {
+		chunks[i] = new(chunk)
+	}
+	runtime.ReadMemStats(&after)
+	size, event := uint64(unsafe.Sizeof(chunk{})), uint64(unsafe.Sizeof(Event{}))
+	if charged := (after.TotalAlloc - before.TotalAlloc) / n; charged < size || charged-size >= event {
+		t.Fatalf("a %d-byte chunk of %d events is charged %d bytes; want less than one %d-byte event more",
+			size, chunkEvents, charged, event)
+	}
+	runtime.KeepAlive(chunks)
 }
 
 // TestObserveLimitBoundsHeldEvents: a limit bounds what a log holds, not

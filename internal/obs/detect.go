@@ -149,7 +149,7 @@ type Report struct {
 	RateThreshold    int64
 	ConfirmBaseline  int64 // Quantile of per-link confirmation-loss totals
 	ConfirmThreshold int64
-	Links            []LinkProfile // every link with contention signal, by (src, dst)
+	Links            int           // links with contention signal
 	Flagged          []LinkProfile // the anomalous subset, by (src, dst)
 }
 
@@ -198,6 +198,34 @@ func (r reason) String() string {
 	return string(b)
 }
 
+// profile is the link's record with its verdict.
+func (a *linkAcc) profile() LinkProfile {
+	return LinkProfile{
+		Link:     Link{Src: int(a.key >> 32), Dst: int(uint32(a.key))},
+		Attempts: a.att, PeakAttempts: a.attPeak,
+		Collisions: a.coll, PeakWindow: a.peak,
+		MaxDepth: a.depth, ConfirmDrops: a.confirms,
+		FlaggedAt: a.flaggedAt, Reason: a.reasons.String(),
+	}
+}
+
+// profiles lists the profiles of the links keep admits by (src, dst): the
+// ids are non-negative, so the packed keys sort that way as integers.
+func profiles(links *linkSlab[linkAcc], keep func(*linkAcc) bool) []LinkProfile {
+	var keys []uint64
+	for i := range links.len() {
+		if a := links.rec(i); keep(a) {
+			keys = append(keys, a.key)
+		}
+	}
+	slices.Sort(keys)
+	out := make([]LinkProfile, len(keys))
+	for i, key := range keys {
+		out[i] = links.find(key).profile()
+	}
+	return out
+}
+
 // note folds one event into its link's counts and windows.
 func (a *linkAcc) note(e Event, windowCycles int64) {
 	switch e.Kind {
@@ -233,14 +261,22 @@ func (a *linkAcc) note(e Event, windowCycles int64) {
 // Recorder.Events and the JSONL export both guarantee it — and the
 // result is a pure function of the event sequence, so a run that is
 // byte-identical across engines yields a byte-identical report.
-func Detect(events []Event, cfg DetectorConfig) *Report { return detect(run{cur: events}, cfg) }
+func Detect(events []Event, cfg DetectorConfig) *Report {
+	r, _ := detect(run{cur: events}, cfg)
+	return r
+}
 
 // Detect is the detector over the recorder's events, read where the log
 // holds them.
-func (r *Recorder) Detect(cfg DetectorConfig) *Report { return detect(r.run(), cfg) }
+func (r *Recorder) Detect(cfg DetectorConfig) *Report {
+	rep, _ := detect(r.run(), cfg)
+	return rep
+}
 
-// detect scans the events twice, each time from where start stands.
-func detect(start run, cfg DetectorConfig) *Report {
+// detect scans the events twice, each time from where start stands, and
+// returns the report with the per-link accumulators it was judged from.
+// It builds profiles for the flagged links only.
+func detect(start run, cfg DetectorConfig) (*Report, linkSlab[linkAcc]) {
 	cfg = cfg.withDefaults()
 	var links linkSlab[linkAcc]
 	warmCycles := cfg.WarmupWindows * cfg.WindowCycles
@@ -263,39 +299,30 @@ func detect(start run, cfg DetectorConfig) *Report {
 	}
 	n := links.len()
 
-	// keys lists the links in (src, dst) order: the ids are non-negative,
-	// so the packed keys sort that way as integers.
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = links.rec(i).key
+	// Percentile-derived baselines over the per-link distributions, each
+	// sampled in turn into one scratch slice.
+	sample := make([]int64, 0, n)
+	baseline := func(value func(*linkAcc) (int64, bool)) int64 {
+		sample = sample[:0]
+		for i := range n {
+			if v, ok := value(links.rec(i)); ok {
+				sample = append(sample, v)
+			}
+		}
+		return quantileInt(sample, cfg.Quantile)
 	}
-	slices.Sort(keys)
-
-	// Percentile-derived baselines over the per-link distributions.
-	attPeaks := make([]int64, 0, n)
-	peaks := make([]int64, 0, n)
-	confirms := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		a := links.rec(i)
-		if a.att > 0 {
-			attPeaks = append(attPeaks, a.attPeak)
-		}
-		if a.coll > 0 {
-			peaks = append(peaks, a.peak)
-		}
+	r := &Report{
+		Cfg:            cfg,
+		Windows:        lastAt/cfg.WindowCycles + 1,
+		VolumeBaseline: baseline(func(a *linkAcc) (int64, bool) { return a.attPeak, a.att > 0 }),
+		RateBaseline:   baseline(func(a *linkAcc) (int64, bool) { return a.peak, a.coll > 0 }),
 		// Confirm losses baseline over every active link, zeros included:
 		// a healthy link loses nothing, so when only the victim's links
 		// pile up drops the quantile stays at the honest level instead of
 		// being dragged up by the attack itself. Uniform physical-fault
 		// drops (fault.Config.ConfirmDropProb) still lift it everywhere.
-		confirms = append(confirms, a.confirms)
-	}
-	r := &Report{
-		Cfg:             cfg,
-		Windows:         lastAt/cfg.WindowCycles + 1,
-		VolumeBaseline:  quantileInt(attPeaks, cfg.Quantile),
-		RateBaseline:    quantileInt(peaks, cfg.Quantile),
-		ConfirmBaseline: quantileInt(confirms, cfg.Quantile),
+		ConfirmBaseline: baseline(func(a *linkAcc) (int64, bool) { return a.confirms, true }),
+		Links:           n,
 	}
 	r.FloodThreshold = maxInt64(cfg.MinFloodAttempts,
 		int64(math.Ceil(cfg.FloodFactor*float64(r.VolumeBaseline))))
@@ -364,27 +391,10 @@ func detect(start run, cfg DetectorConfig) *Report {
 		}
 	}
 
-	if n > 0 {
-		r.Links = make([]LinkProfile, 0, n)
-	}
 	if flagged > 0 {
-		r.Flagged = make([]LinkProfile, 0, flagged)
+		r.Flagged = profiles(&links, func(a *linkAcc) bool { return a.reasons != 0 })
 	}
-	for _, key := range keys {
-		a := links.find(key)
-		p := LinkProfile{
-			Link:     Link{Src: int(key >> 32), Dst: int(uint32(key))},
-			Attempts: a.att, PeakAttempts: a.attPeak,
-			Collisions: a.coll, PeakWindow: a.peak,
-			MaxDepth: a.depth, ConfirmDrops: a.confirms,
-			FlaggedAt: a.flaggedAt, Reason: a.reasons.String(),
-		}
-		r.Links = append(r.Links, p)
-		if a.reasons != 0 {
-			r.Flagged = append(r.Flagged, p)
-		}
-	}
-	return r
+	return r, links
 }
 
 // detectKind reports whether the detector counts events of kind k.
@@ -429,7 +439,7 @@ func (r *Report) FlaggedLinks() []Link {
 func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "detector: %d windows of %d cycles over %d links (first %d windows are warm-up)\n",
-		r.Windows, r.Cfg.WindowCycles, len(r.Links), r.Cfg.WarmupWindows)
+		r.Windows, r.Cfg.WindowCycles, r.Links, r.Cfg.WarmupWindows)
 	fmt.Fprintf(&b, "thresholds: flood %d, volume gate %d (baseline %d), rate %d (baseline %d), confirm %d (baseline %d), depth limit %d\n",
 		r.FloodThreshold, r.VolumeThreshold, r.VolumeBaseline,
 		r.RateThreshold, r.RateBaseline, r.ConfirmThreshold, r.ConfirmBaseline, r.Cfg.DepthLimit)
@@ -496,7 +506,7 @@ func (r *Report) crossing(rule string, p LinkProfile) crossing {
 func (r *Report) CanonicalLines() []string {
 	out := []string{
 		fmt.Sprintf("detection.windows %d", r.Windows),
-		fmt.Sprintf("detection.links %d", len(r.Links)),
+		fmt.Sprintf("detection.links %d", r.Links),
 		fmt.Sprintf("detection.volume_baseline %d", r.VolumeBaseline),
 		fmt.Sprintf("detection.flood_threshold %d", r.FloodThreshold),
 		fmt.Sprintf("detection.volume_threshold %d", r.VolumeThreshold),

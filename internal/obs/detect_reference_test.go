@@ -3,7 +3,9 @@ package obs
 // Detect as it stood before the slab and table replaced its two Go maps
 // (map[Link]*linkAcc, reasons as a []string, a second map for the
 // flagged-at scan), kept word for word as the reference the differential
-// tests below hold the new one to.
+// tests below hold the new one to, but for its list of every link's
+// profile: Report.Links is now a count, so refDetect returns the list
+// beside the report.
 
 import (
 	"bytes"
@@ -57,8 +59,9 @@ func (a *refLinkAcc) noteCollision(at, windowCycles int64) {
 	}
 }
 
-// refDetect is Detect as it stood before PR 22.
-func refDetect(events []Event, cfg DetectorConfig) *Report {
+// refDetect is Detect as it stood before the slab detector, with every
+// link's profile by (src, dst).
+func refDetect(events []Event, cfg DetectorConfig) (*Report, []LinkProfile) {
 	cfg = cfg.withDefaults()
 	acc := make(map[Link]*refLinkAcc)
 	at := func(e Event) (*refLinkAcc, bool) {
@@ -207,6 +210,7 @@ func refDetect(events []Event, cfg DetectorConfig) *Report {
 		}
 	}
 
+	var links []LinkProfile
 	for _, k := range keys {
 		a := acc[k]
 		p := LinkProfile{
@@ -215,12 +219,13 @@ func refDetect(events []Event, cfg DetectorConfig) *Report {
 			MaxDepth: a.depth, ConfirmDrops: a.confirms,
 			FlaggedAt: a.flaggedAt, Reason: strings.Join(a.reasons, "+"),
 		}
-		r.Links = append(r.Links, p)
+		links = append(links, p)
 		if p.Reason != "" {
 			r.Flagged = append(r.Flagged, p)
 		}
 	}
-	return r
+	r.Links = len(links)
+	return r, links
 }
 
 func refHasReason(a *refLinkAcc, want string) bool {
@@ -259,10 +264,18 @@ var tightDetector = DetectorConfig{
 	MinWindowCollisions: 3, DepthLimit: 5, DepthMinPeak: 2, MinConfirmDrops: 3,
 }
 
+// linkProfiles is every link's profile by (src, dst), the list Detect
+// builds for its flagged links only.
+func linkProfiles(events []Event, cfg DetectorConfig) []LinkProfile {
+	_, links := detect(run{cur: events}, cfg)
+	return profiles(&links, func(*linkAcc) bool { return true })
+}
+
 // detectMatchesReference records an emission script (its ids renamed
 // through edgeIDs when edges is set) in firing order and holds Detect to
-// refDetect over its events: every field of the report, both link
-// lists (FlaggedAt and Reason included) and both renderings.
+// refDetect over its events: every field of the report, every link's
+// profile and the flagged ones (FlaggedAt and Reason included) and both
+// renderings.
 func detectMatchesReference(t *testing.T, nodes int, script []byte, edges bool, cfg DetectorConfig) *Report {
 	t.Helper()
 	events := scriptEvents(nodes, script, false)
@@ -270,18 +283,19 @@ func detectMatchesReference(t *testing.T, nodes int, script []byte, edges bool, 
 		withEdgeIDs(events)
 	}
 	rec := recordFired(events)
-	got, want := Detect(events, cfg), refDetect(events, cfg)
+	got := Detect(events, cfg)
+	want, wantLinks := refDetect(events, cfg)
 	if inPlace := rec.Detect(cfg); !slices.Equal(inPlace.CanonicalLines(), got.CanonicalLines()) || inPlace.Table() != got.Table() {
 		t.Fatalf("nodes %d: the detector reads the log's chunks and its slice differently\n%s\n%s", nodes, inPlace.Table(), got.Table())
 	}
-	if !slices.Equal(got.Links, want.Links) {
-		t.Fatalf("nodes %d: links differ\n got %+v\nwant %+v", nodes, got.Links, want.Links)
+	if links := linkProfiles(events, cfg); !slices.Equal(links, wantLinks) {
+		t.Fatalf("nodes %d: links differ\n got %+v\nwant %+v", nodes, links, wantLinks)
 	}
 	if !slices.Equal(got.Flagged, want.Flagged) {
 		t.Fatalf("nodes %d: flagged links differ\n got %+v\nwant %+v", nodes, got.Flagged, want.Flagged)
 	}
 	g, w := *got, *want
-	g.Links, g.Flagged, w.Links, w.Flagged = nil, nil, nil, nil
+	g.Flagged, w.Flagged = nil, nil
 	if fmt.Sprintf("%+v", g) != fmt.Sprintf("%+v", w) {
 		t.Fatalf("nodes %d: reports differ\n got %+v\nwant %+v", nodes, g, w)
 	}
@@ -417,10 +431,11 @@ func FuzzDetectMatchesReference(f *testing.F) {
 // allocations follow the links, whatever the number of events (the map
 // version allocated an accumulator per link). 64x64 links take 32 chunks
 // of 128 records, 6 doublings of the chunk list (to 1, 2, ... 32), 3
-// dense squares (16, 32 and 64 on a side), and 6 fixed: the sorted keys,
-// three baseline samples, the link list and the report. 47 in all; the
-// same links through the table would take its 12 sizes (4 to 8192 slots,
-// three arrays each) for the 3 squares, 80 in all.
+// dense squares (16, 32 and 64 on a side), and 2 fixed: the one scratch
+// sample the three baselines share and the report. It sorts no keys and
+// lists no profile, as no link is flagged. 43 in all; the same links
+// through the table would take its 12 sizes (4 to 8192 slots, three
+// arrays each) for the 3 squares, 76 in all.
 func TestDetectAllocatesByLinks(t *testing.T) {
 	events := func(rounds int) []Event {
 		var out []Event
@@ -435,12 +450,12 @@ func TestDetectAllocatesByLinks(t *testing.T) {
 		return out
 	}
 	few, many := events(1), events(4)
-	if r := Detect(many, DetectorConfig{}); len(r.Links) != 64*64 || len(r.Flagged) != 0 {
-		t.Fatalf("%d links and %d flagged, want 4096 and 0", len(r.Links), len(r.Flagged))
+	if r := Detect(many, DetectorConfig{}); r.Links != 64*64 || len(r.Flagged) != 0 {
+		t.Fatalf("%d links and %d flagged, want 4096 and 0", r.Links, len(r.Flagged))
 	}
 	a := testing.AllocsPerRun(5, func() { Detect(few, DetectorConfig{}) })
 	b := testing.AllocsPerRun(5, func() { Detect(many, DetectorConfig{}) })
-	if want := float64(64*64/slabChunk + 6 + 3 + 6); a != b || a > want {
+	if want := float64(64*64/slabChunk + 6 + 3 + 2); a != b || a > want {
 		t.Fatalf("Detect allocated %v times over %d events and %v over %d; want equal and at most %v for 4096 links", a, len(few), b, len(many), want)
 	}
 }

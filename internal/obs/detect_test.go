@@ -47,8 +47,8 @@ func TestDetectEmptyAndCleanRuns(t *testing.T) {
 	if len(r.Flagged) != 0 {
 		t.Fatalf("uniform honest traffic flagged %d links: %+v", len(r.Flagged), r.Flagged)
 	}
-	if len(r.Links) != 8 {
-		t.Fatalf("want 8 profiled links, got %d", len(r.Links))
+	if r.Links != 8 {
+		t.Fatalf("want 8 profiled links, got %d", r.Links)
 	}
 }
 

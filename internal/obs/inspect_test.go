@@ -43,7 +43,15 @@ func (g *Registry) LinkDepth(k Link) int64 {
 }
 
 // Links reports how many distinct src->dst links were observed.
-func (g *Registry) Links() int { return g.observed }
+func (g *Registry) Links() int {
+	n := 0
+	for i := range g.links.len() {
+		if g.links.rec(i).hist != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Class exposes one class histogram.
 func (g *Registry) Class(c uint8) *stats.Histogram {

@@ -169,7 +169,10 @@ type Recorder struct {
 
 // chunkEvents is the capacity of one chunk: 10 KB, little to waste on a
 // short log and an allocation per few hundred emissions on a busy one.
-const chunkEvents = 256
+// With the 8-byte link a chunk is 8 + 255*40 = 10,208 bytes, inside the
+// runtime's 10,240-byte size class; 256 events would take the next class,
+// 10,880 bytes, and leave 632 of them unused (TestChunkFitsItsSizeClass).
+const chunkEvents = 255
 
 // chunk is one link of a log. next comes first so that the garbage
 // collector's scan of a chunk ends after one word.

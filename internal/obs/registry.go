@@ -129,9 +129,8 @@ const (
 // Everything kept per link is one linkRec; nothing is allocated until a
 // link is noted.
 type Registry struct {
-	byClass  [2]*stats.Histogram
-	links    linkSlab[linkRec]
-	observed int // records with a latency histogram
+	byClass [2]*stats.Histogram
+	links   linkSlab[linkRec]
 }
 
 // linkRec is what the registry knows of one link: its delivered-packet
@@ -193,7 +192,6 @@ func (g *Registry) rec(k Link) *linkRec {
 func (g *Registry) latencies(r *linkRec) *stats.Histogram {
 	if r.hist == nil {
 		r.hist = stats.NewHistogram(registryWidth, registryBuckets)
-		g.observed++
 	}
 	return r.hist
 }
@@ -271,28 +269,56 @@ func heaviestFirst(a, b rankedLink) int {
 	return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 }
 
-// cutTop keeps at most top rows (top <= 0 means all of them) and returns
-// the line that announces what it cut, empty when it cut nothing: a
-// truncation is stated, never silent.
-func cutTop(rows []rankedLink, top int) (kept []rankedLink, note string) {
-	if top <= 0 || len(rows) <= top {
-		return rows, ""
+// ranked returns the rows of the links count admits, heaviest first, at
+// most top of them (top <= 0 means all), and the line that announces what
+// it cut, empty when it cut nothing: a truncation is stated, never silent.
+// With a top it keeps only the heaviest rows seen so far while walking the
+// slab, inserting each row that beats the lightest kept: heaviestFirst is
+// a total order, so they are the rows a full sort would put first.
+func (g *Registry) ranked(top int, count func(*linkRec) (int64, bool)) (rows []rankedLink, note string) {
+	if top > 0 {
+		rows = make([]rankedLink, 0, top)
 	}
-	return rows[:top], fmt.Sprintf("(%d quieter links omitted)\n", len(rows)-top)
+	seen := 0
+	for i := range g.links.len() {
+		r := g.links.rec(i)
+		n, ok := count(r)
+		if !ok {
+			continue
+		}
+		seen++
+		row := rankedLink{r, n}
+		switch {
+		case top <= 0:
+			rows = append(rows, row)
+			continue
+		case len(rows) == top:
+			if heaviestFirst(row, rows[top-1]) > 0 {
+				continue
+			}
+			rows = rows[:top-1]
+		}
+		at, _ := slices.BinarySearchFunc(rows, row, heaviestFirst)
+		rows = slices.Insert(rows, at, row)
+	}
+	if top <= 0 {
+		slices.SortFunc(rows, heaviestFirst)
+	} else if seen > top {
+		note = fmt.Sprintf("(%d quieter links omitted)\n", seen-top)
+	}
+	return rows, note
 }
 
 // LinkTable renders the per-link percentile table, busiest links first
 // (ties broken by src, dst), truncated to at most top rows (top <= 0
 // means every link). The truncation is announced, never silent.
 func (g *Registry) LinkTable(top int) string {
-	rows := make([]rankedLink, 0, g.observed)
-	for i := 0; i < g.links.len(); i++ {
-		if r := g.links.rec(i); r.hist != nil {
-			rows = append(rows, rankedLink{r, r.hist.Total()})
+	rows, note := g.ranked(top, func(r *linkRec) (int64, bool) {
+		if r.hist == nil {
+			return 0, false
 		}
-	}
-	slices.SortFunc(rows, heaviestFirst)
-	rows, note := cutTop(rows, top)
+		return r.hist.Total(), true
+	})
 	t := stats.NewTable("link", "n", "mean", "p50", "p90", "p99", "p999")
 	for _, r := range rows {
 		addRow(t, fmt.Sprintf("%d->%d", r.Src, r.Dst), r.hist)
@@ -305,14 +331,7 @@ func (g *Registry) LinkTable(top int) string {
 // broken by src, dst), truncated to at most top rows (top <= 0 means
 // every link). The truncation is announced, never silent.
 func (g *Registry) ContentionTable(top int) string {
-	rows := make([]rankedLink, 0, g.links.len())
-	for i := 0; i < g.links.len(); i++ {
-		if r := g.links.rec(i); r.contended() {
-			rows = append(rows, rankedLink{r, r.coll})
-		}
-	}
-	slices.SortFunc(rows, heaviestFirst)
-	rows, note := cutTop(rows, top)
+	rows, note := g.ranked(top, func(r *linkRec) (int64, bool) { return r.coll, r.contended() })
 	t := stats.NewTable("link", "collisions", "max-backoff")
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d->%d", r.Src, r.Dst),

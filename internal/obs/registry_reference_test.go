@@ -258,13 +258,22 @@ func TestRegistryMatchesReference(t *testing.T) {
 
 // FuzzRegistryMatchesReference holds the registry to the three-map one
 // over arbitrary emission scripts whose ids are -1, 0, 1, 255, 256,
-// 2³¹-1 and a contiguous range from 6. The 64-node seed's merged registry
-// fills more than one 128-record chunk.
+// 2³¹-1 and a contiguous range from 6. The 64-node seeds' registries fill
+// more than one 128-record chunk with links of equal counts (one delivery
+// each, one collision or none), so every cut falls inside a tie; the
+// second meets them highest node first, so each one outranks the rows a
+// cut table has kept so far and is inserted at their front.
 func FuzzRegistryMatchesReference(f *testing.F) {
 	f.Add(uint8(5), []byte{})
 	f.Add(uint8(7), slices.Concat(scriptEvent(2, KindDeliver, 1, 3, 4), scriptEvent(3, KindDeliver, 1, 2, 5),
 		scriptEvent(4, KindCollision, 1, 5, 1), scriptEvent(5, KindBackoff, 1, 4, 3), scriptEvent(6, KindDeliver, 1, 2, 0x88)))
-	f.Add(uint8(63), everyNodeThreeLinks(64))
+	ascending := everyNodeThreeLinks(64)
+	var descending []byte
+	for end := len(ascending); end > 0; end -= 3 * scriptBytes {
+		descending = append(descending, ascending[end-3*scriptBytes:end]...)
+	}
+	f.Add(uint8(63), ascending)
+	f.Add(uint8(63), descending)
 	f.Add(uint8(9), randomScript(sim.NewRNG(29), 400, true))
 	f.Fuzz(func(t *testing.T, nodes uint8, script []byte) {
 		registryMatchesReference(t, int(nodes)%64+1, script, true)

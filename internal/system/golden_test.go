@@ -1,35 +1,42 @@
 package system
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsoi/internal/adversary"
+	"fsoi/internal/obs"
 	"fsoi/internal/workload"
 )
 
-// goldenDir holds the Canonical() listing of every pinned run, one file
-// per row of goldenRuns, named after the row. A missing file is written
+// goldenDir holds the listing of every pinned run, one file per row of
+// goldenRuns, named after the row. A missing file is written
 // and fails its test: to rebaseline, delete the files that moved, run
 // `go test ./internal/system -run Golden` and review the text diff.
 const goldenDir = "testdata/golden"
 
 // goldenRun is one pinned run: app at scale on nodes of net, with setup's
-// changes to the default config and check's assertions that the run still
-// reaches what it pins.
+// changes to the default config, check's assertions that the run still
+// reaches what it pins, and the listing it pins (Canonical() when listing
+// is nil).
 type goldenRun struct {
-	test  string // the entry point that runs it
-	name  string // its subtest and golden file
-	net   NetworkKind
-	nodes int
-	app   string
-	scale float64
-	long  bool // skipped under -short
-	setup func(*Config)
-	check func(*testing.T, *System, Metrics)
+	test    string // the entry point that runs it
+	name    string // its subtest and golden file
+	net     NetworkKind
+	nodes   int
+	app     string
+	scale   float64
+	long    bool // skipped under -short
+	setup   func(*Config)
+	check   func(*testing.T, *System, Metrics)
+	listing func(*testing.T, Metrics) string
 }
 
 var goldenRuns = []goldenRun{
@@ -67,20 +74,8 @@ var goldenRuns = []goldenRun{
 	// are the Canonical() of each run at the commit before that change
 	// (5ec3599), less the two always-zero fsoi.laneN.dropped lines that
 	// left the listing with the retry limit: the sweep must not move a
-	// single metric. The 64-node run switches on everything that reaches
-	// the FSOI tick path: faults, a jammer/spoofer/starver roster,
-	// observation and the detector.
-	{test: "sweep", name: "fsoi-64-faulty", net: NetFSOI, nodes: 64, app: "mp3d", scale: 0.01,
-		setup: func(c *Config) {
-			faultyConfig(c)
-			c.Detect = true
-			c.TracePackets = 16
-			c.Adversaries = []adversary.Spec{
-				{Role: adversary.RoleJammer, Node: 63, Victims: []int{0}, Intensity: 0.9},
-				{Role: adversary.RoleSpoofer, Node: 62, Victims: []int{1}, Intensity: 0.5},
-				{Role: adversary.RoleStarver, Node: 5, Victims: []int{2}, Intensity: 0.3},
-			}
-		}},
+	// single metric. The 64-node run is faultyRoster's.
+	{test: "sweep", name: "fsoi-64-faulty", net: NetFSOI, nodes: 64, app: "mp3d", scale: 0.01, setup: faultyRoster},
 	{test: "sweep", name: "fsoi-256", net: NetFSOI, nodes: 256, app: "jacobi", scale: 0.002, long: true},
 
 	// L2 slices a hundredth of the paper's, so that the directory evicts
@@ -95,12 +90,54 @@ var goldenRuns = []goldenRun{
 		setup: sliceLines(16), check: evictsThousands},
 	{test: "evict", name: "evict-lu-8", net: NetFSOI, nodes: 16, app: "lu", scale: 0.03,
 		setup: sliceLines(8), check: evictsThousands},
+
+	// What the observed run renders besides its canonical listing: the
+	// registry's tables (3,969 links, sixteen of them ranked), the
+	// detector's verdicts on its three flagged links, and the digests of
+	// its two event-log exports. Each pins a text no canonical line holds.
+	{test: "observed", name: "fsoi-64-faulty-registry", net: NetFSOI, nodes: 64, app: "mp3d", scale: 0.01, setup: faultyRoster,
+		listing: func(_ *testing.T, m Metrics) string { return m.ObsRegistry.String() }},
+	{test: "observed", name: "fsoi-64-faulty-detection", net: NetFSOI, nodes: 64, app: "mp3d", scale: 0.01, setup: faultyRoster,
+		listing: func(_ *testing.T, m Metrics) string { return m.Detection.Table() }},
+	{test: "observed", name: "fsoi-64-faulty-exports", net: NetFSOI, nodes: 64, app: "mp3d", scale: 0.01, setup: faultyRoster,
+		listing: exportDigests},
 }
 
 func TestNetworkGolden(t *testing.T)         { checkGoldens(t, "network") }
 func TestNackGolden(t *testing.T)            { checkGoldens(t, "nack") }
 func TestSweepGoldenSerial(t *testing.T)     { checkGoldens(t, "sweep") }
 func TestSmallL2EvictionGolden(t *testing.T) { checkGoldens(t, "evict") }
+func TestObservedGolden(t *testing.T)        { checkGoldens(t, "observed") }
+
+// faultyRoster switches on everything that reaches the FSOI tick path:
+// faults, a jammer/spoofer/starver roster, observation and the detector.
+func faultyRoster(c *Config) {
+	faultyConfig(c)
+	c.Detect = true
+	c.TracePackets = 16
+	c.Adversaries = []adversary.Spec{
+		{Role: adversary.RoleJammer, Node: 63, Victims: []int{0}, Intensity: 0.9},
+		{Role: adversary.RoleSpoofer, Node: 62, Victims: []int{1}, Intensity: 0.5},
+		{Role: adversary.RoleStarver, Node: 5, Victims: []int{2}, Intensity: 0.3},
+	}
+}
+
+// exportDigests lists the sha256 of the run's JSONL and Chrome-trace
+// exports.
+func exportDigests(t *testing.T, m Metrics) string {
+	var b strings.Builder
+	for _, x := range []struct {
+		name  string
+		write func(io.Writer, *obs.Recorder) error
+	}{{"jsonl", obs.WriteJSONL}, {"chrome", obs.WriteChromeTrace}} {
+		h := sha256.New()
+		if err := x.write(h, m.Obs); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s sha256 %x\n", x.name, h.Sum(nil))
+	}
+	return b.String()
+}
 
 // TestGoldenFilesArePinned fails on a file in goldenDir that no row pins,
 // so a renamed or deleted row leaves no stale listing behind.
@@ -146,6 +183,9 @@ func checkGoldens(t *testing.T, test string) {
 			}
 			path := filepath.Join(goldenDir, g.name+".txt")
 			got := m.Canonical()
+			if g.listing != nil {
+				got = g.listing(t, m)
+			}
 			want, err := os.ReadFile(path)
 			if errors.Is(err, fs.ErrNotExist) {
 				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
