@@ -54,8 +54,8 @@ type expBench struct {
 }
 
 // lintBench times one in-process fsoilint run over the whole module:
-// load (parse + type-check, parallel parse pre-pass) and analysis
-// (RunWorkers) separately, since they scale differently with -j.
+// load (parse + type-check) and analysis (Run) separately. Both are
+// serial, whatever -j says.
 type lintBench struct {
 	LoadSeconds float64 `json:"load_seconds"`
 	RunSeconds  float64 `json:"run_seconds"`
@@ -236,7 +236,7 @@ func main() {
 		}
 	}
 
-	lb, err := timeLint(snap.Workers)
+	lb, err := timeLint()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtrend: lint timing: %v\n", err)
 		os.Exit(1)
@@ -259,8 +259,8 @@ func main() {
 	}
 	fmt.Printf("wrote %s (engine schedule %.1f ns/op, %d allocs/op)\n",
 		path, snap.Engine["schedule"].NsPerOp, snap.Engine["schedule"].AllocsPerOp)
-	fmt.Printf("fsoilint: %d packages loaded in %.2fs, analyzed in %.3fs (%d findings, %d workers)\n",
-		lb.Packages, lb.LoadSeconds, lb.RunSeconds, lb.Findings, snap.Workers)
+	fmt.Printf("fsoilint: %d packages loaded in %.2fs, analyzed in %.3fs (%d findings)\n",
+		lb.Packages, lb.LoadSeconds, lb.RunSeconds, lb.Findings)
 	if sc := snap.Scale; sc != nil {
 		fmt.Printf("scale: %d nodes serial %.2fs (GOMAXPROCS %d)\n", sc.Nodes, sc.SerialWallSeconds, snap.GOMAXPROCS)
 	}
@@ -296,7 +296,7 @@ func measureScale() *scaleBench {
 // timeLint measures one fsoilint pass over the module the snapshot is
 // taken in: it walks up from the cwd to the enclosing go.mod like the
 // fsoilint binary does.
-func timeLint(workers int) (*lintBench, error) {
+func timeLint() (*lintBench, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -305,14 +305,13 @@ func timeLint(workers int) (*lintBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader.Jobs = workers
 	start := time.Now()
 	pkgs, err := loader.LoadAll()
 	if err != nil {
 		return nil, err
 	}
 	loaded := time.Now()
-	findings := lint.RunWorkers(pkgs, lint.Analyzers(), workers)
+	findings := lint.Run(pkgs)
 	return &lintBench{
 		LoadSeconds: loaded.Sub(start).Seconds(),
 		RunSeconds:  time.Since(loaded).Seconds(),

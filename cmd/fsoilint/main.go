@@ -5,9 +5,7 @@
 //
 //	fsoilint ./...                 # whole module
 //	fsoilint ./internal/core       # one package
-//	fsoilint -json ./...           # machine-readable output for CI
 //	fsoilint -sarif out.sarif ./...# SARIF 2.1.0 for code-scanning upload
-//	fsoilint -j 8 ./...            # parallel package loading/analysis
 //	fsoilint -list                 # describe the analyzers
 //
 // Suppress a finding on one line with a mandatory justification:
@@ -25,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,17 +34,15 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	budgetPath := flag.String("budget", "", "check //lint:allow counts against this committed budget file")
 	writeBudget := flag.String("writebudget", "", "regenerate this budget file from the current suppressions and exit")
-	jobs := flag.Int("j", 1, "worker count for package loading and analysis (order-independent output)")
 	flag.Parse()
 
 	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name(), a.Doc())
+		for _, a := range lint.Analyzers {
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -65,7 +60,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	loader.Jobs = *jobs
 	pkgs, err := loader.LoadAll()
 	if err != nil {
 		fatal(err)
@@ -81,15 +75,14 @@ func main() {
 		fatal(fmt.Errorf("fsoilint: no packages match %v", patterns))
 	}
 
-	analyzers := lint.Analyzers()
-	findings := lint.RunWorkers(selected, analyzers, *jobs)
+	findings := lint.Run(selected)
 
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
 		if err != nil {
 			fatal(err)
 		}
-		if err := lint.WriteSARIF(f, findings, analyzers, loader.Root); err != nil {
+		if err := lint.WriteSARIF(f, findings, loader.Root); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -97,32 +90,21 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if findings == nil {
-			findings = []lint.Finding{} // emit [] rather than null for consumers
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "fsoilint: %d finding(s)\n", len(findings))
-		}
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "fsoilint: %d finding(s)\n", len(findings))
 	}
 
 	failed := len(findings) > 0
 
 	if *writeBudget != "" {
-		if err := regenerateBudget(*writeBudget, selected, analyzers, loader.Root); err != nil {
+		if err := regenerateBudget(*writeBudget, selected, loader.Root); err != nil {
 			fatal(err)
 		}
 	} else if *budgetPath != "" {
-		ok, err := checkBudget(*budgetPath, selected, analyzers, loader.Root)
+		ok, err := checkBudget(*budgetPath, selected, loader.Root)
 		if err != nil {
 			fatal(err)
 		}
@@ -138,7 +120,7 @@ func main() {
 
 // checkBudget enforces the suppression ratchet: every //lint:allow in
 // the selected packages must fit inside the committed entitlement.
-func checkBudget(path string, pkgs []*lint.Package, analyzers []lint.Analyzer, root string) (ok bool, err error) {
+func checkBudget(path string, pkgs []*lint.Package, root string) (ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, fmt.Errorf("fsoilint: reading budget: %w", err)
@@ -147,7 +129,7 @@ func checkBudget(path string, pkgs []*lint.Package, analyzers []lint.Analyzer, r
 	if err != nil {
 		return false, err
 	}
-	sups := lint.Suppressions(pkgs, analyzers)
+	sups := lint.Suppressions(pkgs)
 	violations, notes := lint.CheckBudget(budget, sups, root)
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "fsoilint: budget: %s\n", v)
@@ -162,14 +144,14 @@ func checkBudget(path string, pkgs []*lint.Package, analyzers []lint.Analyzer, r
 
 // regenerateBudget rewrites the budget file from the current
 // suppression set, preserving the grant date of keys that survive.
-func regenerateBudget(path string, pkgs []*lint.Package, analyzers []lint.Analyzer, root string) error {
+func regenerateBudget(path string, pkgs []*lint.Package, root string) error {
 	prev := lint.Budget{}
 	if data, err := os.ReadFile(path); err == nil {
 		if prev, err = lint.ParseBudget(data); err != nil {
 			return err
 		}
 	}
-	sups := lint.Suppressions(pkgs, analyzers)
+	sups := lint.Suppressions(pkgs)
 	today := time.Now().UTC().Format("2006-01-02")
 	out, err := lint.MarshalBudget(lint.MakeBudget(sups, prev, root, today))
 	if err != nil {

@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -252,53 +253,82 @@ func (a *analysis) retryCDF() string {
 	return t.String()
 }
 
-func main() {
-	top := flag.Int("top", 16, "rows in the busiest-links and busiest-pairs tables (<= 0: all)")
-	detect := flag.Bool("detect", false, "run the windowed contention detector over the trace (single-run traces only)")
-	window := flag.Int64("window", 0, "detector window length in cycles (0 = default)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	in := os.Stdin
+// run is the whole command behind a testable seam: it reads the trace
+// named by the first argument (stdin when there is none) and returns
+// the exit code instead of calling os.Exit.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsoitrace", flag.ContinueOnError)
+	// A bad flag is one fail line like any other bad input; only -h
+	// prints the usage.
+	fs.SetOutput(io.Discard)
+	top := fs.Int("top", 16, "rows in the busiest-links and busiest-pairs tables (<= 0: all)")
+	detect := fs.Bool("detect", false, "run the windowed contention detector over the trace (single-run traces only)")
+	window := fs.Int64("window", 0, "detector window length in cycles (0 = default; needs -detect)")
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "fsoitrace:", err)
+		return code
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		return fail(2, err)
+	}
+	// A flag that changes nothing is refused, as experiments refuses a
+	// flag no selected experiment owns.
+	windowSet := false
+	fs.Visit(func(f *flag.Flag) { windowSet = windowSet || f.Name == "window" })
+	switch {
+	case *window < 0:
+		return fail(2, fmt.Errorf("-window %d: want a window length in cycles, or 0 for the default", *window))
+	case windowSet && !*detect:
+		return fail(2, errors.New("-window sets the detector's window: it needs -detect"))
+	}
+
+	in := stdin
 	name := "stdin"
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsoitrace:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defer f.Close()
-		in, name = f, flag.Arg(0)
+		in, name = f, fs.Arg(0)
 	}
 	a, err := analyze(in, *detect)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsoitrace:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
-	fmt.Printf("%s: %d lines", name, a.lines)
+	fmt.Fprintf(stdout, "%s: %d lines", name, a.lines)
 	if a.runs > 0 {
-		fmt.Printf(", %d runs", a.runs)
+		fmt.Fprintf(stdout, ", %d runs", a.runs)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if a.truncated > 0 {
-		fmt.Printf("WARNING: recording truncated, %d events lost past the recorder cap\n", a.truncated)
+		fmt.Fprintf(stdout, "WARNING: recording truncated, %d events lost past the recorder cap\n", a.truncated)
 	}
-	fmt.Println("\nevent counts")
-	fmt.Print(a.countsTable())
-	fmt.Println("\ncollision heat-map (src -> dst)")
-	fmt.Print(a.heatMap(*top))
-	fmt.Println("\nretry CDF (delivered packets)")
-	fmt.Print(a.retryCDF())
-	fmt.Println("\nlatency percentiles by packet class (cycles)")
-	fmt.Print(a.reg.ClassTable())
-	fmt.Println("\nlatency percentiles by link (cycles)")
-	fmt.Print(a.reg.LinkTable(*top))
+	fmt.Fprintln(stdout, "\nevent counts")
+	fmt.Fprint(stdout, a.countsTable())
+	fmt.Fprintln(stdout, "\ncollision heat-map (src -> dst)")
+	fmt.Fprint(stdout, a.heatMap(*top))
+	fmt.Fprintln(stdout, "\nretry CDF (delivered packets)")
+	fmt.Fprint(stdout, a.retryCDF())
+	fmt.Fprintln(stdout, "\nlatency percentiles by packet class (cycles)")
+	fmt.Fprint(stdout, a.reg.ClassTable())
+	fmt.Fprintln(stdout, "\nlatency percentiles by link (cycles)")
+	fmt.Fprint(stdout, a.reg.LinkTable(*top))
 	if *detect {
-		fmt.Println("\ncontention anomaly detection")
+		fmt.Fprintln(stdout, "\ncontention anomaly detection")
 		if a.runs > 1 {
-			fmt.Printf("WARNING: %d runs in one file; detection windows assume a single run's timeline\n", a.runs)
+			fmt.Fprintf(stdout, "WARNING: %d runs in one file; detection windows assume a single run's timeline\n", a.runs)
 		}
 		report := obs.Detect(a.events, obs.DetectorConfig{WindowCycles: *window})
-		fmt.Print(report.Table())
+		fmt.Fprint(stdout, report.Table())
 	}
+	return 0
 }

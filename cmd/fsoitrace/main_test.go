@@ -158,6 +158,36 @@ func TestAnalyzeRejectsNodeIDsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExitTwoWithOneLine: a window the detector cannot use, or
+// one given without -detect (where it would change nothing), is refused
+// before any input is read, with one line on stderr.
+func TestBadFlagsExitTwoWithOneLine(t *testing.T) {
+	trace := `{"at":1,"ev":"deliver","id":1,"src":0,"dst":1,"class":"meta","lane":"meta","attempt":0,"aux":4}` + "\n"
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-detect", "-window", "-5"}, 2},
+		{[]string{"-window", "100"}, 2},
+		{[]string{"-window", "0"}, 2},
+		{[]string{"-nosuch"}, 2},
+		{[]string{"-detect", "-window", "100"}, 0},
+		{[]string{"-detect"}, 0},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, strings.NewReader(trace), &stdout, &stderr)
+		if code != c.code {
+			t.Errorf("fsoitrace %v: exit %d, want %d (stderr %q)", c.args, code, c.code, stderr.String())
+		}
+		if lines := strings.Count(stderr.String(), "\n"); c.code == 2 && (lines != 1 || !strings.HasPrefix(stderr.String(), "fsoitrace: ")) {
+			t.Errorf("fsoitrace %v: stderr %q, want one fsoitrace: line", c.args, stderr.String())
+		}
+		if c.code == 0 && !strings.Contains(stdout.String(), "contention anomaly detection") {
+			t.Errorf("fsoitrace %v: no detector report in %q", c.args, stdout.String())
+		}
+	}
+}
+
 // FuzzAnalyze feeds the JSONL reader arbitrary bytes. It must return an
 // error or an analysis, never panic; every table must render; and what it
 // rebuilt must survive the trip back through obs.WriteJSONL, which is

@@ -88,16 +88,23 @@ type Config struct {
 	// then believes it won (§7.3 measures 2.3%).
 	WrongWinner float64
 	// MaxBackoffSlots caps the exponential backoff window W*B^(r-1) (the
-	// DESIGN.md §5 guard rail). Zero means the historical 256-slot
-	// default, so hand-built configs keep working; a cap in (0, 1] is
-	// refused (see Validate).
+	// DESIGN.md §5 guard rail). Zero means defaultMaxBackoffSlots, so
+	// hand-built configs keep working; a cap in (0, 1] is refused (see
+	// Validate).
 	MaxBackoffSlots float64
 	// ConfirmTimeoutSlots is how many lane slots a sender waits for a
 	// missing confirmation before retransmitting (the fault-injection
 	// recovery path; only exercised when a FaultModel drops
-	// confirmations). Zero means the 4-slot default.
+	// confirmations). Zero means defaultConfirmTimeoutSlots.
 	ConfirmTimeoutSlots int
 }
+
+// The backoff cap and confirmation timeout PaperConfig sets, and the
+// values a zero Config field stands for.
+const (
+	defaultMaxBackoffSlots     = 256
+	defaultConfirmTimeoutSlots = 4
+)
 
 // PaperConfig returns the evaluation configuration for the given node
 // count: dedicated arrays at 16 nodes, phase-arrayed at 64.
@@ -118,8 +125,8 @@ func PaperConfig(nodes int) Config {
 		HintAccuracy: 0.94,
 		WrongWinner:  0.023,
 
-		MaxBackoffSlots:     256,
-		ConfirmTimeoutSlots: 4,
+		MaxBackoffSlots:     defaultMaxBackoffSlots,
+		ConfirmTimeoutSlots: defaultConfirmTimeoutSlots,
 	}
 }
 
@@ -162,7 +169,7 @@ func (c Config) Validate() error {
 		// A retry waits ceil(u*w) slots for u in (0, 1]: with w <= 1 that
 		// is always 1, so two senders that collide from the same retry
 		// base collide again on every retry.
-		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want 0 (the 256-slot default) or more than 1", c.MaxBackoffSlots)
+		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want 0 (the %d-slot default) or more than 1", c.MaxBackoffSlots, defaultMaxBackoffSlots)
 	case c.ConfirmTimeoutSlots < 0:
 		return fmt.Errorf("core: negative confirmation timeout")
 	}

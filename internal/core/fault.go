@@ -39,7 +39,7 @@ func (n *Network) backoffCap() float64 {
 	if n.cfg.MaxBackoffSlots > 0 {
 		return n.cfg.MaxBackoffSlots
 	}
-	return 256
+	return defaultMaxBackoffSlots
 }
 
 // confirmTimeoutSlots returns the effective confirmation timeout.
@@ -47,5 +47,5 @@ func (n *Network) confirmTimeoutSlots() int64 {
 	if n.cfg.ConfirmTimeoutSlots > 0 {
 		return int64(n.cfg.ConfirmTimeoutSlots)
 	}
-	return 4
+	return defaultConfirmTimeoutSlots
 }

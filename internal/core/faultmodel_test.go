@@ -158,6 +158,10 @@ func TestBackoffCapAndTimeoutDefaults(t *testing.T) {
 	if n.confirmTimeoutSlots() != 4 {
 		t.Fatalf("zero config confirm timeout = %d, want 4", n.confirmTimeoutSlots())
 	}
+	if p := PaperConfig(16); p.MaxBackoffSlots != n.backoffCap() || int64(p.ConfirmTimeoutSlots) != n.confirmTimeoutSlots() {
+		t.Fatalf("PaperConfig sets cap %g and timeout %d; a zero config falls back to %g and %d",
+			p.MaxBackoffSlots, p.ConfirmTimeoutSlots, n.backoffCap(), n.confirmTimeoutSlots())
+	}
 	custom := basicConfig()
 	custom.MaxBackoffSlots = 64
 	custom.ConfirmTimeoutSlots = 9

@@ -8,15 +8,14 @@ import (
 	"testing"
 )
 
-// knownAnalyzers is the suite's name set, as RunWorkers builds it.
+// knownAnalyzers is the suite's name set, as Run builds it, and the
+// names in table order.
 func knownAnalyzers() (map[string]bool, []string) {
-	known := map[string]bool{}
 	var names []string
-	for _, a := range Analyzers() {
-		known[a.Name()] = true
-		names = append(names, a.Name())
+	for _, a := range Analyzers {
+		names = append(names, a.Name)
 	}
-	return known, names
+	return analyzerNames(), names
 }
 
 // TestAllowDirectiveForms pins the directive grammar by example,

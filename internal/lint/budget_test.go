@@ -97,7 +97,7 @@ func TestRepositoryBudgetCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, notes := CheckBudget(budget, Suppressions(pkgs, Analyzers()), loader.Root)
+	violations, notes := CheckBudget(budget, Suppressions(pkgs), loader.Root)
 	for _, v := range violations {
 		t.Errorf("budget violation: %s", v)
 	}
@@ -119,7 +119,7 @@ func TestWriteSARIF(t *testing.T) {
 		Message:  "strips the Watts unit",
 	}}
 	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, findings, Analyzers(), "/mod"); err != nil {
+	if err := WriteSARIF(&buf, findings, "/mod"); err != nil {
 		t.Fatal(err)
 	}
 	var log struct {
@@ -159,7 +159,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("want one run with driver fsoilint, got %+v", log.Runs)
 	}
 	// One rule per analyzer plus the "lint" pseudo-analyzer.
-	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(Analyzers())+1; got != want {
+	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(Analyzers)+1; got != want {
 		t.Errorf("rules = %d, want %d", got, want)
 	}
 	res := log.Runs[0].Results
@@ -175,38 +175,6 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// TestRunWorkersDeterministic pins the parallelization contract: the
-// findings (content and order) are identical at every worker count.
-func TestRunWorkersDeterministic(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for dir, virtual := range fixtureVirtualPaths {
-		p, err := loader.LoadDir(filepath.Join("testdata", "src", dir), virtual)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	serial := RunWorkers(pkgs, Analyzers(), 1)
-	if len(serial) == 0 {
-		t.Fatal("fixtures produced no findings; the determinism check is vacuous")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par := RunWorkers(pkgs, Analyzers(), workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d findings, serial %d", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Errorf("workers=%d: finding %d differs:\n  serial: %v\n  par:    %v", workers, i, serial[i], par[i])
-			}
-		}
-	}
-}
-
 func TestSuppressionsCollectsFixtureAllows(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -216,7 +184,7 @@ func TestSuppressionsCollectsFixtureAllows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sups := Suppressions([]*Package{p}, Analyzers())
+	sups := Suppressions([]*Package{p})
 	if len(sups) != 2 {
 		t.Fatalf("suppressions = %+v, want the two units allows", sups)
 	}

@@ -298,7 +298,6 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader.Jobs = 2
 	pkgs, err := loader.LoadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -2,33 +2,6 @@ package lint
 
 import "go/ast"
 
-// DetSource forbids nondeterministic inputs inside simulation packages:
-// wall-clock time, the global math/rand generator, environment lookups,
-// and host-scheduler constructs (goroutines, select). Simulated state
-// must be a pure function of the configuration and its seed; any of
-// these leaks host state into the run and silently breaks the
-// bit-identical-replay guarantee.
-//
-// It additionally confines host concurrency: every module package
-// outside concurrencyAllowlist — cmd/ and examples/ binaries included
-// — is barred from goroutines, select, and importing sync or
-// sync/atomic. Experiment fan-out must go through
-// fsoi/internal/parallel, whose index-ordered merge keeps parallel
-// output byte-identical to serial; ad-hoc concurrency anywhere else
-// would reopen the scheduler-ordering hole that package exists to
-// close. The binaries keep only the wall-clock exemption (time.Now
-// for benchmark timing), because the sim-package call bans below
-// apply solely to simulation packages.
-type DetSource struct{}
-
-// Name implements Analyzer.
-func (DetSource) Name() string { return "detsource" }
-
-// Doc implements Analyzer.
-func (DetSource) Doc() string {
-	return "forbids wall-clock time, global math/rand, and env lookups in simulation packages, and goroutines/select/sync in every module package outside the concurrency allowlist"
-}
-
 // bannedCalls maps package path -> function name -> the remedy text.
 var bannedCalls = map[string]map[string]string{
 	"time": {
@@ -50,8 +23,25 @@ var bannedCalls = map[string]map[string]string{
 	},
 }
 
-// Check implements Analyzer.
-func (DetSource) Check(p *Package) []Finding {
+// checkDetSource is the detsource analyzer. It forbids
+// nondeterministic inputs inside simulation packages: wall-clock time,
+// environment lookups, and host-scheduler constructs (goroutines,
+// select). math/rand is rngstream's, in every package. Simulated state
+// must be a pure function of the configuration and its seed; any of
+// these leaks host state into the run and silently breaks the
+// bit-identical-replay guarantee.
+//
+// It additionally confines host concurrency: every module package
+// outside concurrencyAllowlist — cmd/ and examples/ binaries included
+// — is barred from goroutines, select, and importing sync or
+// sync/atomic. Experiment fan-out must go through
+// fsoi/internal/parallel, whose index-ordered merge keeps parallel
+// output byte-identical to serial; ad-hoc concurrency anywhere else
+// would reopen the scheduler-ordering hole that package exists to
+// close. The binaries keep only the wall-clock exemption (time.Now
+// for benchmark timing), because the sim-package call bans below
+// apply solely to simulation packages.
+func checkDetSource(p *Package) []Finding {
 	sim := isSimPackage(p.ModuleRel)
 	conc := bansConcurrency(p.ModuleRel)
 	if !sim && !conc {
@@ -104,31 +94,11 @@ func (DetSource) Check(p *Package) []Finding {
 					out = append(out, finding(p, "detsource", n,
 						"use of %s.%s in simulation package %s: %s", pkgPath, obj.Name(), p.ModuleRel, remedy))
 				}
-				if pkgPath == "math/rand" || pkgPath == "math/rand/v2" {
-					out = append(out, finding(p, "detsource", n,
-						"use of %s.%s in simulation package %s: draw from a named stream ((*sim.RNG).NewStream) so replays stay bit-identical", pkgPath, obj.Name(), p.ModuleRel))
-				}
 			}
 			return true
 		})
 	}
 	return out
-}
-
-// RNGStream requires all randomness to flow through internal/sim's
-// named-stream API everywhere in the module (not just the simulation
-// packages). Constructing or seeding a generator from math/rand
-// bypasses the stream-genealogy discipline that makes sweeps
-// reproducible, so any use of math/rand outside internal/sim is an
-// error.
-type RNGStream struct{}
-
-// Name implements Analyzer.
-func (RNGStream) Name() string { return "rngstream" }
-
-// Doc implements Analyzer.
-func (RNGStream) Doc() string {
-	return "requires all randomness to flow through internal/sim named streams; math/rand is banned outside internal/sim"
 }
 
 // rngPackages are the generator packages the analyzer bans.
@@ -137,11 +107,12 @@ var rngPackages = map[string]bool{
 	"math/rand/v2": true,
 }
 
-// Check implements Analyzer.
-func (RNGStream) Check(p *Package) []Finding {
-	if p.ModuleRel == "internal/sim" || isUnder(p.ModuleRel, "internal/sim") {
-		return nil
-	}
+// checkRNGStream is the rngstream analyzer. It requires all randomness
+// to flow through internal/sim's named-stream API in every package of
+// the module, internal/sim included. Constructing or seeding a
+// generator from math/rand bypasses the stream-genealogy discipline
+// that makes sweeps reproducible, so any use of math/rand is an error.
+func checkRNGStream(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		for _, imp := range f.Imports {

@@ -7,26 +7,16 @@ import (
 	"strings"
 )
 
-// FloatEq flags == and != between floating-point expressions in model
-// code (everything under internal/). Exact float equality is only
+// checkFloatEq is the floateq analyzer. It flags == and != between
+// floating-point expressions in model code (everything under
+// internal/). Exact float equality is only
 // meaningful for values that were assigned, never computed; comparing
 // computed values depends on evaluation order and optimization level,
 // which is exactly the class of nondeterminism this repository bans.
 // Legitimate exact comparisons (sentinels, zero-guards on values that
 // are set rather than accumulated) carry a //lint:allow floateq with
-// the justification.
-type FloatEq struct{}
-
-// Name implements Analyzer.
-func (FloatEq) Name() string { return "floateq" }
-
-// Doc implements Analyzer.
-func (FloatEq) Doc() string {
-	return "flags == and != on floating-point expressions in model code (internal/...)"
-}
-
-// Check implements Analyzer.
-func (FloatEq) Check(p *Package) []Finding {
+// the justification; x != x is a finding too (math.IsNaN says it).
+func checkFloatEq(p *Package) []Finding {
 	if !strings.HasPrefix(p.ModuleRel, "internal/") && p.ModuleRel != "internal" {
 		return nil
 	}
@@ -46,10 +36,6 @@ func (FloatEq) Check(p *Package) []Finding {
 			if xt.Value != nil && yt.Value != nil {
 				return true
 			}
-			// x != x / x == x is the deliberate NaN probe.
-			if sameObject(p, e.X, e.Y) {
-				return true
-			}
 			out = append(out, finding(p, "floateq", e,
 				"floating-point %s comparison: computed floats differ by rounding, not identity; compare with a tolerance, restructure, or justify with //lint:allow floateq", e.Op))
 			return true
@@ -65,16 +51,4 @@ func isFloat(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
-}
-
-// sameObject reports whether two expressions are uses of the same
-// variable (the x != x NaN idiom).
-func sameObject(p *Package, x, y ast.Expr) bool {
-	xi, ok1 := x.(*ast.Ident)
-	yi, ok2 := y.(*ast.Ident)
-	if !ok1 || !ok2 {
-		return false
-	}
-	xo, yo := p.Info.Uses[xi], p.Info.Uses[yi]
-	return xo != nil && xo == yo
 }

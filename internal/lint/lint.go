@@ -21,17 +21,15 @@ import (
 	"go/ast"
 	"sort"
 	"strings"
-
-	"fsoi/internal/parallel"
 )
 
 // Finding is one rule violation at one position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the conventional file:line:col form.
@@ -40,18 +38,31 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one checkable invariant.
-type Analyzer interface {
+type Analyzer struct {
 	// Name is the identifier used in reports and //lint:allow comments.
-	Name() string
+	Name string
 	// Doc is a one-line description of what the analyzer forbids.
-	Doc() string
+	Doc string
 	// Check reports every violation in the package.
-	Check(p *Package) []Finding
+	Check func(p *Package) []Finding
 }
 
-// Analyzers returns the full suite in reporting order.
-func Analyzers() []Analyzer {
-	return []Analyzer{DetSource{}, MapOrder{}, RNGStream{}, FloatEq{}, Units{}}
+// Analyzers is the full suite in reporting order.
+var Analyzers = []Analyzer{
+	{"detsource", "forbids wall-clock time and env lookups in simulation packages, and goroutines/select/sync in every module package outside the concurrency allowlist", checkDetSource},
+	{"maporder", "flags map iteration whose body writes outside state other than by append-then-sort or a key-indexed write, returns, sends, or draws from an RNG", checkMapOrder},
+	{"rngstream", "requires all randomness to flow through internal/sim named streams; math/rand is banned in every package", checkRNGStream},
+	{"floateq", "flags == and != on floating-point expressions in model code (internal/...)", checkFloatEq},
+	{"units", "physical quantities keep their unit types; conversions and same-unit products that fake physics are flagged", checkUnits},
+}
+
+// analyzerNames is the set of names a //lint:allow may carry.
+func analyzerNames() map[string]bool {
+	known := make(map[string]bool, len(Analyzers))
+	for _, a := range Analyzers {
+		known[a.Name] = true
+	}
+	return known
 }
 
 // simPackages are the module-relative package roots whose code runs
@@ -182,24 +193,14 @@ func collectAllows(p *Package, known map[string]bool) (allows []*allow, bad []Fi
 	return allows, bad
 }
 
-// RunWorkers executes the analyzers over the packages and applies
+// Run executes the analyzers over the packages and applies
 // suppression directives. It returns the surviving findings sorted by
-// position. Packages are analyzed on up to `workers` goroutines of the
-// internal/parallel pool and the findings merged by submission index,
-// so the output is byte-identical to the serial run at every worker
-// count. Analyzers only read their own *Package, so package-level
-// checks are share-nothing jobs.
-func RunWorkers(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
-	perPkg := parallel.Map(len(pkgs), workers, func(i int) []Finding {
-		return runPackage(pkgs[i], analyzers, known)
-	})
+// position.
+func Run(pkgs []*Package) []Finding {
+	known := analyzerNames()
 	var out []Finding
-	for _, fs := range perPkg {
-		out = append(out, fs...)
+	for _, p := range pkgs {
+		out = append(out, runPackage(p, known)...)
 	}
 	sortFindings(out)
 	return out
@@ -207,7 +208,7 @@ func RunWorkers(pkgs []*Package, analyzers []Analyzer, workers int) []Finding {
 
 // runPackage applies the suite and the suppression directives to one
 // package.
-func runPackage(p *Package, analyzers []Analyzer, known map[string]bool) []Finding {
+func runPackage(p *Package, known map[string]bool) []Finding {
 	allows, bad := collectAllows(p, known)
 	out := bad
 
@@ -222,7 +223,7 @@ func runPackage(p *Package, analyzers []Analyzer, known map[string]bool) []Findi
 		byKey[key(a.file, a.line+1, a.analyzer)] = append(byKey[key(a.file, a.line+1, a.analyzer)], a)
 	}
 
-	for _, a := range analyzers {
+	for _, a := range Analyzers {
 		for _, f := range a.Check(p) {
 			matched := false
 			for _, al := range byKey[key(f.File, f.Line, f.Analyzer)] {
@@ -249,20 +250,17 @@ func runPackage(p *Package, analyzers []Analyzer, known map[string]bool) []Findi
 // the suppression-budget report: CI fails when the count per
 // (analyzer, file) grows, so every new allow is a reviewed decision.
 type Suppression struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Reason   string `json:"reason"`
+	Analyzer string
+	File     string
+	Line     int
+	Reason   string
 }
 
 // Suppressions collects every well-formed allow directive in the
 // packages, sorted by position. Malformed directives are ignored here;
-// RunWorkers reports them as findings.
-func Suppressions(pkgs []*Package, analyzers []Analyzer) []Suppression {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
+// Run reports them as findings.
+func Suppressions(pkgs []*Package) []Suppression {
+	known := analyzerNames()
 	var out []Suppression
 	for _, p := range pkgs {
 		allows, _ := collectAllows(p, known)

@@ -13,14 +13,15 @@ import (
 
 // fixtureVirtualPaths maps each testdata/src directory to the import
 // path it impersonates. The choice matters: detsource's call bans only
-// fire inside simulation packages, rngstream everywhere except
-// internal/sim, and the "allowed" fixture pins the exact shape of the
+// fire inside simulation packages, rngstream everywhere (internal/sim
+// included: "simrand" impersonates it), and the "allowed" fixture pins the exact shape of the
 // cmd/ exemption — wall-clock timing is free in a binary, but the
 // module-wide concurrency ban still applies there.
 var fixtureVirtualPaths = map[string]string{
 	"detsource":   "fsoi/internal/core",
 	"maporder":    "fsoi/internal/stats",
 	"rngstream":   "fsoi/internal/exp",
+	"simrand":     "fsoi/internal/sim",
 	"floateq":     "fsoi/internal/optics",
 	"allowed":     "fsoi/cmd/experiments",
 	"parallelpkg": "fsoi/internal/parallel",
@@ -119,7 +120,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			matchWants(t, fixDir, RunWorkers([]*Package{p}, Analyzers(), 1))
+			matchWants(t, fixDir, Run([]*Package{p}))
 		})
 	}
 }
@@ -169,7 +170,7 @@ func TestRepositoryLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loader found only %d packages; module discovery is broken", len(pkgs))
 	}
-	for _, f := range RunWorkers(pkgs, Analyzers(), 1) {
+	for _, f := range Run(pkgs) {
 		t.Errorf("%s", f)
 	}
 }
@@ -186,7 +187,7 @@ func TestAnalyzerPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := RunWorkers([]*Package{p}, Analyzers(), 1)
+	findings := Run([]*Package{p})
 	var hit bool
 	for _, f := range findings {
 		if f.Analyzer == "detsource" && strings.Contains(f.Message, "time.Now") {

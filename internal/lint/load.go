@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"fsoi/internal/parallel"
 )
 
 // Package is one parsed and type-checked package, the unit every
@@ -42,21 +40,11 @@ type Loader struct {
 	Root    string // absolute module root (directory holding go.mod)
 	ModPath string // module path from go.mod
 
-	// Jobs bounds the worker count of the parse pre-pass in LoadAll
-	// (0 or 1 parses serially). Only parsing parallelizes: the
-	// token.FileSet serializes its own position allocation, and
-	// parser.ParseFile jobs share nothing else. Type-checking stays
-	// strictly serial and in sorted import-path order — go/types
-	// results must be built in a deterministic dependency order for
-	// findings to be reproducible byte-for-byte.
-	Jobs int
-
 	fset     *token.FileSet
 	std      types.ImporterFrom
 	checked  map[string]*types.Package // import path -> type-checked package
 	pkgs     map[string]*Package       // import path -> full package record
 	checking map[string]bool           // import cycle detection
-	parsed   map[string]*ast.File      // absolute file path -> pre-parsed syntax
 }
 
 // NewLoader locates the enclosing module of dir and returns a loader
@@ -79,7 +67,6 @@ func NewLoader(dir string) (*Loader, error) {
 		checked:  make(map[string]*types.Package),
 		pkgs:     make(map[string]*Package),
 		checking: make(map[string]bool),
-		parsed:   make(map[string]*ast.File),
 	}, nil
 }
 
@@ -137,7 +124,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(rels)
-	l.preparse(rels)
 	var out []*Package
 	for _, rel := range rels {
 		p, err := l.loadModulePackage(rel)
@@ -147,42 +133,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// preparse parses every source file under the given module-relative
-// directories on up to l.Jobs workers, caching the syntax trees for
-// check. Files that fail to parse are simply not cached: check
-// re-parses them serially so the error surfaces at the same point,
-// with the same message, as a serial load.
-func (l *Loader) preparse(rels []string) {
-	if l.Jobs <= 1 {
-		return
-	}
-	var files []string
-	for _, rel := range rels {
-		dir := filepath.Join(l.Root, filepath.FromSlash(rel))
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if !e.IsDir() && isSourceName(e.Name()) {
-				files = append(files, filepath.Join(dir, e.Name()))
-			}
-		}
-	}
-	parsed := parallel.Map(len(files), l.Jobs, func(i int) *ast.File {
-		f, err := parser.ParseFile(l.fset, files[i], nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil
-		}
-		return f
-	})
-	for i, f := range parsed {
-		if f != nil {
-			l.parsed[files[i]] = f
-		}
-	}
 }
 
 // hasGoSources reports whether dir directly contains at least one
@@ -246,12 +196,7 @@ func (l *Loader) check(dir, importPath, rel string) (*Package, error) {
 		if e.IsDir() || !isSourceName(e.Name()) {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		if f, ok := l.parsed[path]; ok {
-			files = append(files, f)
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

@@ -7,40 +7,24 @@ import (
 	"strings"
 )
 
-// MapOrder flags `range` over a map whose loop body leaks the
-// (deliberately randomized) iteration order into observable state:
-// appending to a slice that is never sorted, accumulating floats,
-// last-writer-wins assignments, drawing from an RNG, returning early,
-// or sending on a channel. Order-independent bodies are recognized and
-// allowed without annotation:
+// checkMapOrder is the maporder analyzer. It flags `range` over a map
+// whose loop body leaks the (deliberately randomized) iteration order
+// into observable state: a write to any variable declared outside the
+// loop, a return of the key or value, a channel send, or an RNG draw.
+// Two order-independent write shapes are allowed without annotation,
+// the only two the module uses:
 //
-//   - pure reads;
-//   - integer accumulation with commutative operators (+=, -=, *=,
-//     |=, &=, ^=, ++, --), whose result is the same in any order;
-//   - writes indexed by the loop key (each key is visited exactly
-//     once, so element-wise map merges are safe);
-//   - delete(m, k) of the loop key;
-//   - assigning a constant (`found = true`);
-//   - monotone min/max reductions (`if v > best { best = v }` and
-//     `best = max(best, v)`);
+//   - assignments indexed by the loop key (each key is visited exactly
+//     once, so element-wise map merges are safe), and delete(m, k);
 //   - appends into a slice that the same function sorts after the
 //     loop — the canonical iterate-over-sorted-keys idiom.
 //
+// Every other outside write, an order-free one such as an integer sum
+// or a max included, is a finding: iterate over sorted keys instead.
 // The analyzer is intraprocedural: a body that mutates outside state
 // through an opaque call is not seen. It exists to catch the common
 // shapes, not to replace review.
-type MapOrder struct{}
-
-// Name implements Analyzer.
-func (MapOrder) Name() string { return "maporder" }
-
-// Doc implements Analyzer.
-func (MapOrder) Doc() string {
-	return "flags map iteration whose body order-dependently mutates state, feeds an RNG, or appends without sorting"
-}
-
-// Check implements Analyzer.
-func (MapOrder) Check(p *Package) []Finding {
+func checkMapOrder(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		var stack []ast.Node
@@ -100,8 +84,6 @@ func checkMapRange(p *Package, rs *ast.RangeStmt, fnBody *ast.BlockStmt) []Findi
 	// the slice after the loop; collect first, decide after the walk.
 	var appends []pendingAppend
 
-	reductions := monotoneReductions(p, rs.Body)
-
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -109,26 +91,18 @@ func checkMapRange(p *Package, rs *ast.RangeStmt, fnBody *ast.BlockStmt) []Findi
 				rhs := ast.Expr(nil)
 				if len(n.Rhs) == len(n.Lhs) {
 					rhs = n.Rhs[i]
-				} else if len(n.Rhs) == 1 {
-					rhs = n.Rhs[0]
 				}
-				out = append(out, checkWrite(p, rs, n, lhs, rhs, n.Tok, outside, keyObj, reductions, &appends)...)
+				out = append(out, checkWrite(p, n, lhs, rhs, outside, keyObj, &appends)...)
 			}
 		case *ast.IncDecStmt:
-			obj := rootObj(p, n.X)
-			if !outside(obj) {
-				return true
+			if outside(rootObj(p, n.X)) {
+				out = append(out, finding(p, "maporder", n, updateMsg, n.Tok, exprString(n.X)))
 			}
-			if isFloatExpr(p, n.X) {
-				out = append(out, finding(p, "maporder", n,
-					"floating-point update of %s inside map iteration: accumulation order changes the result bits; iterate over sorted keys", exprString(n.X)))
-			}
-			// Integer ++/-- commutes; safe.
 		case *ast.SendStmt:
 			out = append(out, finding(p, "maporder", n,
 				"channel send inside map iteration publishes elements in map order; iterate over sorted keys"))
 		case *ast.ReturnStmt:
-			if refersTo(p, n, keyObj) || refersTo(p, n, valObj) {
+			if mentions(p, n, keyObj) || mentions(p, n, valObj) {
 				out = append(out, finding(p, "maporder", n,
 					"return inside map iteration selects an order-dependent element; iterate over sorted keys and pick deterministically"))
 			}
@@ -160,9 +134,8 @@ type pendingAppend struct {
 }
 
 // checkWrite classifies one assignment target inside a map-range body.
-func checkWrite(p *Package, rs *ast.RangeStmt, stmt *ast.AssignStmt, lhs, rhs ast.Expr, tok token.Token,
-	outside func(types.Object) bool, keyObj types.Object, reductions map[*ast.AssignStmt]bool,
-	appends *[]pendingAppend) []Finding {
+func checkWrite(p *Package, stmt *ast.AssignStmt, lhs, rhs ast.Expr,
+	outside func(types.Object) bool, keyObj types.Object, appends *[]pendingAppend) []Finding {
 
 	if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 		return nil
@@ -173,7 +146,7 @@ func checkWrite(p *Package, rs *ast.RangeStmt, stmt *ast.AssignStmt, lhs, rhs as
 	}
 
 	// x = append(x, ...) is deferred to the sorted-after check.
-	if call, ok := rhs.(*ast.CallExpr); ok && tok == token.ASSIGN && isBuiltin(p, call.Fun, "append") {
+	if call, ok := rhs.(*ast.CallExpr); ok && stmt.Tok == token.ASSIGN && isBuiltin(p, call.Fun, "append") {
 		*appends = append(*appends, pendingAppend{obj, stmt, exprString(lhs)})
 		return nil
 	}
@@ -185,73 +158,24 @@ func checkWrite(p *Package, rs *ast.RangeStmt, stmt *ast.AssignStmt, lhs, rhs as
 		}
 	}
 
-	switch tok {
-	case token.ASSIGN:
-		if rhs != nil {
-			tv := p.Info.Types[rhs]
-			if tv.Value != nil || tv.IsNil() {
-				return nil // assigning a constant: any order wins the same value
-			}
-			if call, ok := rhs.(*ast.CallExpr); ok && (isBuiltin(p, call.Fun, "max") || isBuiltin(p, call.Fun, "min")) && callMentions(p, call, obj) {
-				return nil // best = max(best, v): commutative reduction
-			}
-		}
-		if reductions[stmt] {
-			return nil // if v > best { best = v }
-		}
+	switch {
+	case stmt.Tok == token.ASSIGN:
 		return []Finding{finding(p, "maporder", stmt,
 			"assignment to %s inside map iteration: the surviving value depends on map order; iterate over sorted keys", exprString(lhs))}
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-		if isFloatExpr(p, lhs) {
-			return []Finding{finding(p, "maporder", stmt,
-				"floating-point accumulation into %s inside map iteration: summation order changes the result bits; iterate over sorted keys", exprString(lhs))}
-		}
-		if isStringExpr(p, lhs) {
-			return []Finding{finding(p, "maporder", stmt,
-				"string concatenation into %s inside map iteration emits elements in map order; iterate over sorted keys", exprString(lhs))}
-		}
-		return nil // integer accumulation commutes
-	default:
+	case isFloatExpr(p, lhs):
 		return []Finding{finding(p, "maporder", stmt,
-			"non-commutative update (%s) of %s inside map iteration depends on map order; iterate over sorted keys", tok, exprString(lhs))}
+			"floating-point accumulation into %s inside map iteration: summation order changes the result bits; iterate over sorted keys", exprString(lhs))}
+	case isStringExpr(p, lhs):
+		return []Finding{finding(p, "maporder", stmt,
+			"string concatenation into %s inside map iteration emits elements in map order; iterate over sorted keys", exprString(lhs))}
+	default:
+		return []Finding{finding(p, "maporder", stmt, updateMsg, stmt.Tok, exprString(lhs))}
 	}
 }
 
-// monotoneReductions finds `if x CMP y { v = ... }` bodies whose single
-// assignment writes a variable used in the comparison — the min/max
-// idiom, which is order-independent.
-func monotoneReductions(p *Package, body *ast.BlockStmt) map[*ast.AssignStmt]bool {
-	out := make(map[*ast.AssignStmt]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || ifs.Else != nil || len(ifs.Body.List) != 1 {
-			return true
-		}
-		cond, ok := ifs.Cond.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch cond.Op {
-		case token.LSS, token.GTR, token.LEQ, token.GEQ:
-		default:
-			return true
-		}
-		asg, ok := ifs.Body.List[0].(*ast.AssignStmt)
-		if !ok || asg.Tok != token.ASSIGN || len(asg.Lhs) != 1 {
-			return true
-		}
-		lhsObj := rootObj(p, asg.Lhs[0])
-		if lhsObj == nil {
-			return true
-		}
-		if exprMentions(p, cond.X, lhsObj) || exprMentions(p, cond.Y, lhsObj) {
-			out[asg] = true
-		}
-		return true
-	})
-	return out
-}
+// updateMsg reports an in-place update (x op= v, x++) inside a map
+// range: the order-free ones (an integer sum) are not told apart.
+const updateMsg = "update (%s) of %s inside map iteration: only key-indexed assignments and append-then-sort are order-free here; iterate over sorted keys"
 
 // sortedAfter reports whether fnBody sorts the slice held by obj at a
 // position after the range statement.
@@ -366,33 +290,8 @@ func isBuiltin(p *Package, fun ast.Expr, name string) bool {
 	return isB
 }
 
-// callMentions reports whether any argument of call refers to obj.
-func callMentions(p *Package, call *ast.CallExpr, obj types.Object) bool {
-	for _, a := range call.Args {
-		if exprMentions(p, a, obj) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprMentions reports whether e contains an identifier bound to obj.
-func exprMentions(p *Package, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// refersTo reports whether node mentions obj anywhere.
-func refersTo(p *Package, node ast.Node, obj types.Object) bool {
+// mentions reports whether node contains an identifier bound to obj.
+func mentions(p *Package, node ast.Node, obj types.Object) bool {
 	if obj == nil {
 		return false
 	}

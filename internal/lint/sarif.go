@@ -76,14 +76,14 @@ type sarifRegion struct {
 // are made relative to root (the module root) so the upload annotates
 // the right blobs regardless of the runner's checkout directory. The
 // pseudo-analyzer "lint" (malformed or unused suppressions) is always
-// included as a rule, since RunWorkers can emit it for any analyzer set.
-func WriteSARIF(w io.Writer, findings []Finding, analyzers []Analyzer, root string) error {
+// included as a rule, since Run can emit it for any package.
+func WriteSARIF(w io.Writer, findings []Finding, root string) error {
 	rules := []sarifRule{{
 		ID:               "lint",
 		ShortDescription: sarifText{Text: "suppression directives must name a real analyzer, carry a reason, and still be needed"},
 	}}
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name(), ShortDescription: sarifText{Text: a.Doc()}})
+	for _, a := range Analyzers {
+		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
 
 	results := make([]sarifResult, 0, len(findings))

@@ -13,7 +13,7 @@ func violations() {
 	_ = time.Now()              // want "detsource: use of time.Now"
 	_ = time.Since(time.Time{}) // want "detsource: use of time.Since"
 	_ = os.Getenv("FSOI_SEED")  // want "detsource: use of os.Getenv"
-	_ = rand.Intn(4)            // want "detsource: use of math/rand.Intn" "rngstream: use of math/rand.Intn"
+	_ = rand.Intn(4)            // want "rngstream: use of math/rand.Intn"
 	go violations()             // want "detsource: goroutine launched"
 	ch := make(chan int)
 	select { // want "detsource: select statement"

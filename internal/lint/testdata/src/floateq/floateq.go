@@ -13,7 +13,7 @@ func compare(a, b float64, i, j int) bool {
 	if i == j { // integers: not a finding
 		return true
 	}
-	if a != a { // the NaN probe: not a finding
+	if a != a { // want "floateq: floating-point != comparison"
 		return false
 	}
 	return 1.5 == 1.5 // both constant, folds at compile time: not a finding

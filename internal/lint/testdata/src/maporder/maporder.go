@@ -1,5 +1,5 @@
-// Package mapfix seeds map-iteration-order hazards and the
-// order-independent idioms the maporder analyzer must accept. Linted
+// Package mapfix seeds map-iteration-order hazards and the two idioms
+// (key-indexed assignment, append-then-sort) maporder accepts. Linted
 // under the virtual import path fsoi/internal/stats.
 package mapfix
 
@@ -37,7 +37,7 @@ func floatAccum(m map[string]float64) float64 {
 func intAccum(m map[string]int64) int64 {
 	var total int64
 	for _, v := range m {
-		total += v // integer addition commutes: not a finding
+		total += v // want "maporder: update .* of total inside map iteration"
 	}
 	return total
 }
@@ -60,7 +60,7 @@ func constFlag(m map[string]int64) bool {
 	found := false
 	for _, v := range m {
 		if v > 10 {
-			found = true // constant assignment: not a finding
+			found = true // want "maporder: assignment to found inside map iteration"
 		}
 	}
 	return found
@@ -70,7 +70,7 @@ func pureMax(m map[string]int64) int64 {
 	var best int64
 	for _, v := range m {
 		if v > best {
-			best = v // monotone reduction: not a finding
+			best = v // want "maporder: assignment to best inside map iteration"
 		}
 	}
 	return best
@@ -79,7 +79,7 @@ func pureMax(m map[string]int64) int64 {
 func builtinMax(m map[string]int64) int64 {
 	var best int64
 	for _, v := range m {
-		best = max(best, v) // commutative reduction: not a finding
+		best = max(best, v) // want "maporder: assignment to best inside map iteration"
 	}
 	return best
 }
@@ -99,7 +99,7 @@ func argMax(m map[string]int64) (string, int64) {
 func rngDraw(m map[string]int64, rng *sim.RNG) int64 {
 	var total int64
 	for range m {
-		total += int64(rng.Intn(4)) // want "maporder: random draw inside map iteration"
+		total += int64(rng.Intn(4)) // want "maporder: random draw inside map iteration" "maporder: update .* of total"
 	}
 	return total
 }
@@ -123,4 +123,12 @@ func publish(m map[string]int64, ch chan string) {
 	for k := range m {
 		ch <- k // want "maporder: channel send inside map iteration"
 	}
+}
+
+func countKeys(m map[string]int64) int {
+	n := 0
+	for range m {
+		n++ // want "maporder: update .* of n inside map iteration"
+	}
+	return n
 }

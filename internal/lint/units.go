@@ -8,12 +8,13 @@ import (
 	"strings"
 )
 
-// Units enforces the physical-unit discipline of the photonics stack.
-// internal/optics defines DB, DBm, Watts, Joules, and Seconds as
-// distinct types, and internal/sim defines Cycle; Go's type checker
-// already rejects arithmetic across *different* underlying-float64
-// definitions, so what is left for analysis is exactly the holes a
-// conversion or a same-type operation can punch through that wall:
+// checkUnits is the units analyzer. It enforces the physical-unit
+// discipline of the photonics stack. internal/optics defines DB, DBm,
+// Watts, Joules, and Seconds as distinct types, and internal/sim
+// defines Cycle; Go's type checker already rejects arithmetic across
+// *different* underlying-float64 definitions, so what is left for
+// analysis is exactly the holes a conversion or a same-type operation
+// can punch through that wall:
 //
 //   - Unit(expr) where expr already carries a different unit relabels a
 //     quantity without physics (DBm(loss) turns a loss into a level);
@@ -34,14 +35,26 @@ import (
 // rendering) strip units at the presentation boundary by design.
 // Files named units.go are exempt — the conversion methods themselves
 // must strip and tag to exist at all.
-type Units struct{}
-
-// Name implements Analyzer.
-func (Units) Name() string { return "units" }
-
-// Doc implements Analyzer.
-func (Units) Doc() string {
-	return "physical quantities keep their unit types; conversions and same-unit products that fake physics are flagged"
+func checkUnits(p *Package) []Finding {
+	if !inUnitsScope(p.ModuleRel) {
+		return nil
+	}
+	var out []Finding
+	for _, f := range p.Files {
+		if filepath.Base(p.Fset.Position(f.Pos()).Filename) == "units.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.CallExpr:
+				out = append(out, checkConversion(p, v)...)
+			case *ast.BinaryExpr:
+				out = append(out, checkArithmetic(p, v)...)
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // unitsScope lists the module-relative roots where the unit discipline
@@ -81,31 +94,8 @@ func unitName(t types.Type) string {
 	return ""
 }
 
-// Check implements Analyzer.
-func (u Units) Check(p *Package) []Finding {
-	if !inUnitsScope(p.ModuleRel) {
-		return nil
-	}
-	var out []Finding
-	for _, f := range p.Files {
-		if filepath.Base(p.Fset.Position(f.Pos()).Filename) == "units.go" {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.CallExpr:
-				out = append(out, u.checkConversion(p, v)...)
-			case *ast.BinaryExpr:
-				out = append(out, u.checkArithmetic(p, v)...)
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // checkConversion flags unit-relabeling and unit-stripping conversions.
-func (Units) checkConversion(p *Package, call *ast.CallExpr) []Finding {
+func checkConversion(p *Package, call *ast.CallExpr) []Finding {
 	tv, ok := p.Info.Types[call.Fun]
 	if !ok || !tv.IsType() || len(call.Args) != 1 {
 		return nil
@@ -135,7 +125,7 @@ func (Units) checkConversion(p *Package, call *ast.CallExpr) []Finding {
 
 // checkArithmetic flags same-type operations that fake physics: the
 // type checker cannot help when both operands share the unit.
-func (Units) checkArithmetic(p *Package, be *ast.BinaryExpr) []Finding {
+func checkArithmetic(p *Package, be *ast.BinaryExpr) []Finding {
 	xt, yt := p.Info.Types[be.X], p.Info.Types[be.Y]
 	if xt.Value != nil || yt.Value != nil {
 		return nil // a constant operand is a tag or a scale, not a quantity
