@@ -293,19 +293,15 @@ func measureScale() *scaleBench {
 	}
 }
 
-// timeLint measures one fsoilint pass over the module the snapshot is
-// taken in: it walks up from the cwd to the enclosing go.mod like the
-// fsoilint binary does.
+// timeLint measures one fsoilint ./... pass from the cwd, the module
+// root when benchtrend runs there: load (go list, parse and type-check)
+// and analysis (Run) separately.
 func timeLint() (*lintBench, error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	loader, err := lint.NewLoader(wd)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
+	loader, err := lint.NewLoader(".", "./...")
+	if err != nil {
+		return nil, err
+	}
 	pkgs, err := loader.LoadAll()
 	if err != nil {
 		return nil, err

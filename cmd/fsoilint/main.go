@@ -8,6 +8,10 @@
 //	fsoilint -sarif out.sarif ./...# SARIF 2.1.0 for code-scanning upload
 //	fsoilint -list                 # describe the analyzers
 //
+// Patterns go to `go list` unchanged, so they mean what they mean to
+// `go build` run in the working directory: from a subdirectory, ./...
+// is that subtree.
+//
 // Suppress a finding on one line with a mandatory justification:
 //
 //	total := a + b //lint:allow floateq comparing against an exact sentinel
@@ -23,107 +27,110 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"fsoi/internal/lint"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	budgetPath := flag.String("budget", "", "check //lint:allow counts against this committed budget file")
-	writeBudget := flag.String("writebudget", "", "regenerate this budget file from the current suppressions and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind a testable seam: it lints the
+// packages the arguments name, from the working directory, and returns
+// the exit code instead of calling os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsoilint", flag.ContinueOnError)
+	// A bad flag is one fail line like any other bad input; only -h
+	// prints the usage.
+	fs.SetOutput(io.Discard)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
+	budgetPath := fs.String("budget", "", "check //lint:allow counts against this committed budget file")
+	writeBudget := fs.String("writebudget", "", "regenerate this budget file from the current suppressions and exit")
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fsoilint:", err)
+		return 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		return fail(err)
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	wd, err := os.Getwd()
+	loader, err := lint.NewLoader(".", patterns...)
 	if err != nil {
-		fatal(err)
-	}
-	loader, err := lint.NewLoader(wd)
-	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	pkgs, err := loader.LoadAll()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	selected := pkgs[:0]
-	for _, p := range pkgs {
-		if matchesAny(loader, p, patterns, wd) {
-			selected = append(selected, p)
-		}
-	}
-	if len(selected) == 0 {
-		fatal(fmt.Errorf("fsoilint: no packages match %v", patterns))
-	}
-
-	findings := lint.Run(selected)
+	findings := lint.Run(pkgs)
 
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		if err := lint.WriteSARIF(f, findings, loader.Root); err != nil {
-			fatal(err)
+		err = lint.WriteSARIF(f, findings, loader.Root)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err != nil {
+			return fail(err)
 		}
 	}
 
+	code := 0
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "fsoilint: %d finding(s)\n", len(findings))
+		fmt.Fprintf(stderr, "fsoilint: %d finding(s)\n", len(findings))
+		code = 1
 	}
-
-	failed := len(findings) > 0
 
 	if *writeBudget != "" {
-		if err := regenerateBudget(*writeBudget, selected, loader.Root); err != nil {
-			fatal(err)
+		if err := regenerateBudget(*writeBudget, pkgs, loader.Root, stderr); err != nil {
+			return fail(err)
 		}
 	} else if *budgetPath != "" {
-		ok, err := checkBudget(*budgetPath, selected, loader.Root)
+		ok, err := checkBudget(*budgetPath, pkgs, loader.Root, stderr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if !ok {
-			failed = true
+			code = 1
 		}
 	}
-
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }
 
 // checkBudget enforces the suppression ratchet: every //lint:allow in
-// the selected packages must fit inside the committed entitlement.
-func checkBudget(path string, pkgs []*lint.Package, root string) (ok bool, err error) {
+// the linted packages must fit inside the committed entitlement.
+func checkBudget(path string, pkgs []*lint.Package, root string, stderr io.Writer) (ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, fmt.Errorf("fsoilint: reading budget: %w", err)
+		return false, fmt.Errorf("reading budget: %w", err)
 	}
 	budget, err := lint.ParseBudget(data)
 	if err != nil {
@@ -132,19 +139,19 @@ func checkBudget(path string, pkgs []*lint.Package, root string) (ok bool, err e
 	sups := lint.Suppressions(pkgs)
 	violations, notes := lint.CheckBudget(budget, sups, root)
 	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "fsoilint: budget: %s\n", v)
+		fmt.Fprintf(stderr, "fsoilint: budget: %s\n", v)
 	}
 	for _, n := range notes {
-		fmt.Fprintf(os.Stderr, "fsoilint: budget note: %s\n", n)
+		fmt.Fprintf(stderr, "fsoilint: budget note: %s\n", n)
 	}
-	fmt.Fprintf(os.Stderr, "fsoilint: budget: %d suppression(s) across %d budgeted key(s)\n",
+	fmt.Fprintf(stderr, "fsoilint: budget: %d suppression(s) across %d budgeted key(s)\n",
 		len(sups), len(budget.Entries))
 	return len(violations) == 0, nil
 }
 
 // regenerateBudget rewrites the budget file from the current
 // suppression set, preserving the grant date of keys that survive.
-func regenerateBudget(path string, pkgs []*lint.Package, root string) error {
+func regenerateBudget(path string, pkgs []*lint.Package, root string, stderr io.Writer) error {
 	prev := lint.Budget{}
 	if data, err := os.ReadFile(path); err == nil {
 		if prev, err = lint.ParseBudget(data); err != nil {
@@ -160,53 +167,6 @@ func regenerateBudget(path string, pkgs []*lint.Package, root string) error {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "fsoilint: wrote %s (%d suppression(s))\n", path, len(sups))
+	fmt.Fprintf(stderr, "fsoilint: wrote %s (%d suppression(s))\n", path, len(sups))
 	return nil
-}
-
-// matchesAny reports whether package p matches one of the argument
-// patterns: "./..." (everything), a "dir/..." subtree, a relative
-// directory, or a plain import path.
-func matchesAny(l *lint.Loader, p *lint.Package, patterns []string, wd string) bool {
-	for _, pat := range patterns {
-		if pat == "./..." || pat == "..." {
-			return true
-		}
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			if under(l, p, rest, wd) || relOf(l, rest, wd) == p.ModuleRel {
-				return true
-			}
-			continue
-		}
-		if relOf(l, pat, wd) == p.ModuleRel || pat == p.ImportPath {
-			return true
-		}
-	}
-	return false
-}
-
-// relOf normalizes a pattern to a module-relative path.
-func relOf(l *lint.Loader, pat, wd string) string {
-	pat = strings.TrimPrefix(pat, "./")
-	if strings.HasPrefix(pat, l.ModPath+"/") {
-		return strings.TrimPrefix(pat, l.ModPath+"/")
-	}
-	abs := filepath.Join(wd, filepath.FromSlash(pat))
-	rel, err := filepath.Rel(l.Root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return pat
-	}
-	return filepath.ToSlash(rel)
-}
-
-// under reports whether p sits inside the subtree named by pattern
-// prefix.
-func under(l *lint.Loader, p *lint.Package, prefix, wd string) bool {
-	rel := relOf(l, prefix, wd)
-	return rel == "." || rel == "" || strings.HasPrefix(p.ModuleRel, rel+"/")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

@@ -619,7 +619,7 @@ func TestSyncManagerLockProtocol(t *testing.T) {
 	if len(r.bits) != 3 || r.bits[2].dst != 2 {
 		t.Fatalf("release must push to the subscriber: %+v", r.bits)
 	}
-	if !d.Sync().LockHeld(5) == true && d.Sync().LockHeld(5) {
+	if d.LockHeld(5) {
 		t.Fatal("lock must be free after release")
 	}
 	d.Handle(Msg{Type: SyncReq, Op: SyncAcquire, SyncID: 5, From: 2, To: 0}, 3)
@@ -632,7 +632,7 @@ func TestSyncManagerBarrier(t *testing.T) {
 	r := newRig(t, 3)
 	r.boolean = true
 	d := r.dir
-	d.Sync().SetBarrierTarget(0, 3)
+	d.SetBarrierTarget(0, 3)
 	d.Handle(Msg{Type: SyncReq, Op: SyncArrive, SyncID: 0, From: 0, To: 0}, 0)
 	d.Handle(Msg{Type: SyncReq, Op: SyncArrive, SyncID: 0, From: 1, To: 0}, 1)
 	if len(r.bits) != 2 {
@@ -755,12 +755,12 @@ func TestLazyTablesFirstUse(t *testing.T) {
 	}
 
 	// LockHeld makes the lock it asks about, so it too writes the table.
-	if r.dir.Sync().LockHeld(9) {
+	if r.dir.LockHeld(9) {
 		t.Fatal("an unknown lock reads as held")
 	}
 	r.dir.Handle(Msg{Type: SyncReq, Op: SyncAcquire, SyncID: 5, From: 1, To: 0}, 0)
-	if len(sm.locks) != 2 || !r.dir.Sync().LockHeld(5) || !r.bits[0].value {
-		t.Fatalf("first acquire: %d locks, held %v, replies %+v", len(sm.locks), r.dir.Sync().LockHeld(5), r.bits)
+	if len(sm.locks) != 2 || !r.dir.LockHeld(5) || !r.bits[0].value {
+		t.Fatalf("first acquire: %d locks, held %v, replies %+v", len(sm.locks), r.dir.LockHeld(5), r.bits)
 	}
 	if sm.barriers != nil {
 		t.Fatal("a lock made the barrier table")

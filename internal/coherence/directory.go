@@ -240,8 +240,8 @@ func NewDirectory(id int, cfg DirConfig, engine *sim.Engine, tr Transport, memNo
 // Stats exposes the directory counters.
 func (d *Directory) Stats() *DirStats { return &d.stats }
 
-// Sync exposes the synchronization manager (system wiring).
-func (d *Directory) Sync() *SyncAPI { return &SyncAPI{m: d.sync} }
+// SetBarrierTarget declares the arrival count that releases barrier id.
+func (d *Directory) SetBarrierTarget(id, target int) { d.sync.barrier(id).target = target }
 
 // send queues a message with backpressure via the outbox.
 func (d *Directory) send(m Msg) {

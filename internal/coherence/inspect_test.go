@@ -10,8 +10,8 @@ func (d *Directory) Sharers(addr cache.LineAddr) (sharers uint64, owner int) {
 	return 0, -1
 }
 
-// LockHeld reports lock state.
-func (a *SyncAPI) LockHeld(id int) bool { return a.m.lock(id).held }
+// LockHeld reports whether lock id is held.
+func (d *Directory) LockHeld(id int) bool { return d.sync.lock(id).held }
 
 // DecodeTag splits a confirmation-lane tag.
 func DecodeTag(tag uint64) (id int, barrier, update bool) {

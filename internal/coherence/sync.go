@@ -139,12 +139,3 @@ func (s *syncManager) push(subs uint64, tag uint64, value bool) {
 		}
 	}
 }
-
-// SyncAPI is the system-facing configuration surface of a directory's
-// synchronization manager.
-type SyncAPI struct{ m *syncManager }
-
-// SetBarrierTarget declares the arrival count that releases barrier id.
-func (a *SyncAPI) SetBarrierTarget(id, target int) {
-	a.m.barrier(id).target = target
-}

@@ -402,7 +402,7 @@ func (n *Network) LatencyStats() *noc.LatencyStats {
 }
 
 // Lookahead is the finish-notice delay the system layer uses on FSOI
-// (noc.Lookaheader): the fixed confirmation delay (+2 cycles in the
+// (noc.Network): the fixed confirmation delay (+2 cycles in the
 // paper), the least delay of any cross-node event the network
 // schedules — a slot arrival (one slot length, ≥ ConfirmDelay at paper
 // widths), a failure handback or confirmation (exactly ConfirmDelay).

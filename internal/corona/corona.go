@@ -153,7 +153,7 @@ func New(cfg Config, engine *sim.Engine) *Network {
 func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 
 // Lookahead is the finish-notice delay the system layer uses on the
-// crossbars (noc.Lookaheader): a delivery is never sooner than the
+// crossbars (noc.Network): a delivery is never sooner than the
 // shortest serialization plus ring flight.
 func (n *Network) Lookahead() sim.Cycle {
 	la := sim.Cycle(n.cfg.MetaCycles + n.cfg.FlightCycles)

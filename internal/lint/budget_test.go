@@ -81,19 +81,12 @@ func TestRepositoryBudgetCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is not short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := loadModule(t)
 	data, err := readBudgetFile(loader.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget, err := ParseBudget(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +169,7 @@ func TestWriteSARIF(t *testing.T) {
 }
 
 func TestSuppressionsCollectsFixtureAllows(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := NewLoader(".", "fsoi/...")
 	if err != nil {
 		t.Fatal(err)
 	}

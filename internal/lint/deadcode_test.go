@@ -294,14 +294,7 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 	if len(keepUnused) > maxKeepUnused {
 		t.Fatalf("keep list has %d entries, at most %d allowed", len(keepUnused), maxKeepUnused)
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := loadModule(t)
 
 	kept := make(map[string]bool)
 	for _, d := range deadDecls(pkgs, loader.Root) {
@@ -329,7 +322,7 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 // TestDeadCodeFixture runs the rule over testdata/src/deadcode, whose
 // "// want" comments mark the declarations it must report.
 func TestDeadCodeFixture(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := NewLoader(".", "fsoi/...")
 	if err != nil {
 		t.Fatal(err)
 	}

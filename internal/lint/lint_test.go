@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,14 +30,47 @@ var fixtureVirtualPaths = map[string]string{
 	"units":       "fsoi/internal/power",
 }
 
-// LoadDir type-checks the non-test .go files in dir as one package that
+// LoadDir type-checks the .go files in dir as one package that
 // pretends to live at virtualPath inside the module. Fixture files use
 // this to exercise package-scoped analyzers: a fixture granted the
 // virtual path "fsoi/internal/core" is linted under simulation-package
 // rules even though it lives in testdata.
 func (l *Loader) LoadDir(dir, virtualPath string) (*Package, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(virtualPath, l.ModPath), "/")
-	return l.check(dir, virtualPath, rel)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(paths))
+	for i, path := range paths {
+		names[i] = filepath.Base(path)
+	}
+	return l.check(virtualPath, dir, names)
+}
+
+// module is the whole module, loaded once per test binary by
+// loadModule.
+var module struct {
+	once   sync.Once
+	loader *Loader
+	pkgs   []*Package
+	err    error
+}
+
+// loadModule returns the loader of the module and every package in it.
+// The analyzers only read packages, so the tests that check the whole
+// module share one load.
+func loadModule(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	module.once.Do(func() {
+		module.loader, module.err = NewLoader(".", "fsoi/...")
+		if module.err == nil {
+			module.pkgs, module.err = module.loader.LoadAll()
+		}
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.loader, module.pkgs
 }
 
 // want is one expectation parsed from a fixture comment.
@@ -103,7 +137,7 @@ func parseWants(t *testing.T, dir string) []*want {
 }
 
 func TestAnalyzersOnFixtures(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := NewLoader(".", "fsoi/...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +193,7 @@ func TestRepositoryLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is not short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loader found only %d packages; module discovery is broken", len(pkgs))
 	}
@@ -179,7 +206,7 @@ func TestRepositoryLintClean(t *testing.T) {
 // fixture violation per analyzer, so findings point at the offending
 // expression rather than the enclosing statement or file.
 func TestAnalyzerPositions(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := NewLoader(".", "fsoi/...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -24,186 +27,142 @@ type Package struct {
 	// ModuleRel is ImportPath relative to the module path
 	// ("internal/core"), or "" for the module root package.
 	ModuleRel string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
 	Info      *types.Info
 }
 
-// Loader parses and type-checks packages of a single module using only
-// the standard library: go/parser for syntax and go/types with a source
-// importer for semantics. Test files (_test.go) and testdata directories
-// are excluded; the simulator's determinism invariants concern shipped
-// code, and test files are free to use wall-clock timeouts.
+// Loader parses and type-checks the packages of one module that a set
+// of go-tool patterns matches. The go tool finds the packages and
+// compiles export data for their dependencies; the loader parses the
+// matched packages with go/parser and checks them with go/types. Test
+// files (_test.go) and testdata directories are excluded, as they are
+// from `go build`: the simulator's determinism invariants concern
+// shipped code, and test files are free to use wall-clock timeouts.
 type Loader struct {
 	Root    string // absolute module root (directory holding go.mod)
 	ModPath string // module path from go.mod
 
-	fset     *token.FileSet
-	std      types.ImporterFrom
-	checked  map[string]*types.Package // import path -> type-checked package
-	pkgs     map[string]*Package       // import path -> full package record
-	checking map[string]bool           // import cycle detection
+	dir     string
+	fset    *token.FileSet
+	listed  []listedPackage           // the module's packages, dependencies first
+	exports map[string]string         // import path -> export data file
+	gc      types.Importer            // reads export data through lookup
+	checked map[string]*types.Package // import path -> package checked from source
 }
 
-// NewLoader locates the enclosing module of dir and returns a loader
-// for it.
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
+// listedPackage is the part of one `go list -json` record the loader
+// reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
+	Module     *struct {
+		Path, Dir string
+		Main      bool
+	}
+}
+
+// NewLoader lists patterns, and every package they depend on, with
+// `go list` run in dir. The patterns mean what they mean to `go build`
+// run there; no pattern is the package in dir.
+func NewLoader(dir string, patterns ...string) (*Loader, error) {
+	l := &Loader{
+		dir:     dir,
+		fset:    token.NewFileSet(),
+		exports: make(map[string]string),
+		checked: make(map[string]*types.Package),
+	}
+	l.gc = importer.ForCompiler(l.fset, "gc", l.lookup)
+	pkgs, err := l.list(patterns)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not support ImportFrom")
+	// A dependency inside the module is checked from source too, so
+	// that every package sees one *types.Package per module path.
+	for _, p := range pkgs {
+		if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
+			continue
+		}
+		l.listed = append(l.listed, p)
+		if !p.DepOnly {
+			l.Root, l.ModPath = p.Module.Dir, p.Module.Path
+		}
 	}
-	return &Loader{
-		Root:     root,
-		ModPath:  modPath,
-		fset:     fset,
-		std:      std,
-		checked:  make(map[string]*types.Package),
-		pkgs:     make(map[string]*Package),
-		checking: make(map[string]bool),
-	}, nil
+	if l.Root == "" {
+		return nil, fmt.Errorf("lint: no package of the main module matches %v", patterns)
+	}
+	return l, nil
 }
 
-// findModule walks up from dir to the nearest go.mod and reads the
-// module path from its first "module" directive.
-func findModule(dir string) (root, modPath string, err error) {
-	abs, err := filepath.Abs(dir)
+// list runs `go list -deps -export -json` on patterns and records the
+// export data file of every package it names.
+func (l *Loader) list(patterns []string) ([]listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Module"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", "", err
+		// One line, however many go list printed.
+		return nil, fmt.Errorf("lint: go list: %v: %s", err, strings.ReplaceAll(strings.TrimSpace(stderr.String()), "\n", "; "))
 	}
-	for d := abs; ; {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module"); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
 		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod above %s", abs)
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
 		}
-		d = parent
+		pkgs = append(pkgs, p)
 	}
+	return pkgs, nil
 }
 
-// LoadAll parses and type-checks every non-test package in the module,
-// in deterministic (import path) order.
+// lookup opens the export data of path for the gc importer. A package
+// no listed package imports (a fixture's, say) is listed on demand.
+func (l *Loader) lookup(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		if _, err := l.list([]string{path}); err != nil {
+			return nil, err
+		}
+	}
+	return os.Open(l.exports[path])
+}
+
+// LoadAll parses and type-checks the matched packages, in go list's
+// order: each after the packages it imports.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	var rels []string
-	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoSources(path) {
-			rel, err := filepath.Rel(l.Root, path)
-			if err != nil {
-				return err
-			}
-			rels = append(rels, filepath.ToSlash(rel))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(rels)
 	var out []*Package
-	for _, rel := range rels {
-		p, err := l.loadModulePackage(rel)
+	for _, lp := range l.listed {
+		p, err := l.check(lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		l.checked[lp.ImportPath] = p.Types
+		if !lp.DepOnly {
+			out = append(out, p)
+		}
 	}
 	return out, nil
 }
 
-// hasGoSources reports whether dir directly contains at least one
-// non-test .go file.
-func hasGoSources(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && isSourceName(e.Name()) {
-			return true
-		}
-	}
-	return false
-}
-
-func isSourceName(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-}
-
-// importPathFor maps a module-relative directory to its import path.
-func (l *Loader) importPathFor(rel string) string {
-	if rel == "" || rel == "." {
-		return l.ModPath
-	}
-	return l.ModPath + "/" + rel
-}
-
-// loadModulePackage loads the package in the module-relative directory
-// rel, type-checking its in-module dependencies first (lazily, through
-// the importer). Results are memoized per loader.
-func (l *Loader) loadModulePackage(rel string) (*Package, error) {
-	path := l.importPathFor(rel)
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-
-	p, err := l.check(filepath.Join(l.Root, filepath.FromSlash(rel)), path, rel)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path] = p
-	l.checked[path] = p.Types
-	return p, nil
-}
-
-// check parses and type-checks one directory's sources.
-func (l *Loader) check(dir, importPath, rel string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+// check parses and type-checks the named source files in dir as one
+// package.
+func (l *Loader) check(importPath, dir string, names []string) (*Package, error) {
 	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go sources in %s", dir)
 	}
 
 	info := &types.Info{
@@ -214,23 +173,16 @@ func (l *Loader) check(dir, importPath, rel string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(importPath, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		msgs := make([]string, 0, len(typeErrs))
-		for _, e := range typeErrs {
-			msgs = append(msgs, e.Error())
-		}
-		return nil, fmt.Errorf("lint: type errors in %s:\n  %s", importPath, strings.Join(msgs, "\n  "))
+	// go list has compiled every listed package, so only a fixture
+	// can fail here.
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(importPath, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %s: %w", importPath, err)
 	}
 	return &Package{
 		ImportPath: importPath,
-		ModuleRel:  rel,
-		Dir:        dir,
+		ModuleRel:  strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModPath), "/"),
 		Fset:       l.fset,
 		Files:      files,
 		Types:      tpkg,
@@ -238,25 +190,13 @@ func (l *Loader) check(dir, importPath, rel string) (*Package, error) {
 	}, nil
 }
 
-// Import implements types.Importer.
+// Import implements types.Importer: a package the loader checked from
+// source is that package, any other comes from go list's export data.
+// An in-module package read from export data would be a second
+// *types.Package, and objects would differ between its importers.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-// ImportFrom resolves in-module imports against the loader's own
-// type-checked results (loading them on demand) and everything else
-// through the standard library's source importer.
-func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if p, ok := l.checked[path]; ok {
 		return p, nil
 	}
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-		p, err := l.loadModulePackage(rel)
-		if err != nil {
-			return nil, err
-		}
-		return p.Types, nil
-	}
-	return l.std.ImportFrom(path, dir, mode)
+	return l.gc.Import(path)
 }

@@ -90,7 +90,7 @@ func NewLr(dim, routerCycles int, engine *sim.Engine, donor ...*Ideal) *Ideal {
 func (n *Ideal) LatencyStats() *noc.LatencyStats { return &n.lat }
 
 // Lookahead is the finish-notice delay the system layer uses on the
-// ideal networks (noc.Lookaheader): delivery is never sooner than the
+// ideal networks (noc.Network): delivery is never sooner than the
 // one-cycle serialization of the first flit.
 func (n *Ideal) Lookahead() sim.Cycle { return 1 }
 

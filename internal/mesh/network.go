@@ -156,7 +156,7 @@ func (n *Network) reset(engine *sim.Engine) {
 func (n *Network) LatencyStats() *noc.LatencyStats { return &n.lat }
 
 // Lookahead is the finish-notice delay the system layer uses on the
-// mesh (noc.Lookaheader): a flit takes at least one link cycle between
+// mesh (noc.Network): a flit takes at least one link cycle between
 // adjacent routers, so no cross-node interaction lands sooner.
 func (n *Network) Lookahead() sim.Cycle { return n.hop }
 

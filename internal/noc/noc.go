@@ -106,15 +106,12 @@ type Network interface {
 	Tick(now sim.Cycle)
 	// LatencyStats exposes the accumulated per-packet measurements.
 	LatencyStats() *LatencyStats
-}
-
-// Lookaheader is optionally implemented by networks that bound how soon
-// a cross-node interaction lands: at least Lookahead cycles ahead. The
-// system layer sends each core's finish notice to node 0 that far
-// ahead, and nothing else reads it. FSOI declares min(ConfirmDelay, slot
-// lengths), corona its minimum transfer (3 cycles); the mesh its link
-// traversal and the ideal networks 1.
-type Lookaheader interface {
+	// Lookahead bounds how soon a cross-node interaction lands: at
+	// least Lookahead cycles ahead. The system layer sends each core's
+	// finish notice to node 0 that far ahead (at least 1 cycle), and
+	// nothing else reads it. FSOI declares min(ConfirmDelay, slot
+	// lengths), corona its minimum transfer (3 cycles); the mesh its
+	// link traversal and the ideal networks 1.
 	Lookahead() sim.Cycle
 }
 

@@ -231,9 +231,6 @@ func (w *Windows) AssignNodes(nodes int) {
 // window for correctness, so handoffs under it panic.
 func (w *Windows) SetLookahead(la sim.Cycle) { w.la = la }
 
-// Lookahead reports the declared window.
-func (w *Windows) Lookahead() sim.Cycle { return w.la }
-
 // Now reports the engine clock: the start of the next window. Inside a
 // window, components read their shard-local clock through their proxy.
 func (w *Windows) Now() sim.Cycle { return w.now }

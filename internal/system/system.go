@@ -444,7 +444,7 @@ func build(cfg Config, donor *System) *System {
 		// The detector consumes the lifecycle-event record.
 		cfg.Observe = true
 	}
-	s := &System{cfg: cfg, la: 1}
+	s := &System{cfg: cfg}
 	var spentNet noc.Network
 	if donor == nil {
 		s.engine = sim.NewEngine()
@@ -493,9 +493,7 @@ func build(cfg Config, donor *System) *System {
 	case *mesh.Ideal:
 		s.ideal = n
 	}
-	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
-		s.la = la.Lookahead()
-	}
+	s.la = max(s.net.Lookahead(), 1)
 	// Per-node per-cycle work is registered once, not once per node: a
 	// sweep over the busy nodes in id order. The FSOI sweep and the ideal
 	// networks' tick sleep until their work wakes them; the mesh ticks
@@ -753,7 +751,7 @@ func (s *System) start(app workload.App) {
 	}
 	honest := s.cfg.Nodes - len(advBy)
 	for _, d := range s.dirs {
-		d.Sync().SetBarrierTarget(0, honest)
+		d.SetBarrierTarget(0, honest)
 	}
 	s.sync.setBarrierTarget(0, honest)
 
@@ -919,7 +917,7 @@ func (s *System) Diagnose() string {
 func (s *System) Engine() *sim.Engine { return s.engine }
 
 // Lookahead reports the delay of each core's finish notice to node 0:
-// the network's declared lookahead (noc.Lookaheader), floor 1.
+// the network's declared lookahead (noc.Network), floor 1.
 func (s *System) Lookahead() sim.Cycle { return s.la }
 
 // WindowEngine returns nil: no run is on the windowed engine (DESIGN
