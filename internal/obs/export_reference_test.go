@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 
 	"fsoi/internal/sim"
@@ -223,6 +224,7 @@ func FuzzExportMatchesReference(f *testing.F) {
 		{At: 2, Kind: KindDeliver, ID: 1, Aux: math.MaxInt64},
 		{At: 3, Kind: KindCollision, Lane: -128, Attempt: -1},
 	}))
+	f.Add(uint8(0), encodeEvents(digitEdges()))
 	f.Fuzz(func(t *testing.T, limit uint8, data []byte) {
 		r := NewRecorder(int(limit))
 		for _, e := range decodeEvents(data) {
@@ -230,6 +232,25 @@ func FuzzExportMatchesReference(f *testing.F) {
 		}
 		exportsMatchReference(t, r)
 	})
+}
+
+// digitEdges puts every integer field of an event on each side of the
+// decimal appender's length steps (9/10, 99/100, 9999/10000,
+// 99999999/100000000) and on the ends of its type, negated too, in the
+// kinds both exports write: a deliver that keeps its id (decodeEvents
+// keeps the id of every fourth event only), a collision instant and an
+// inject/deliver pair whose span lasts the value's cycles.
+func digitEdges() []Event {
+	clamp := func(v int64) int32 { return int32(min(max(v, math.MinInt32), math.MaxInt32)) }
+	var events []Event
+	for _, v := range []int64{9, 10, 99, 100, 9999, 10000, 99999999, 100000000, math.MaxInt64, math.MinInt64} {
+		events = append(events,
+			Event{Kind: KindDeliver, At: sim.Cycle(v), ID: uint64(v), Aux: v, Src: clamp(v), Dst: clamp(v), Attempt: clamp(v)},
+			Event{Kind: KindCollision, At: sim.Cycle(v), Aux: -v, Src: clamp(-v), Dst: clamp(-v), Attempt: clamp(-v)},
+			Event{Kind: KindInject, At: sim.Cycle(-v), ID: 1},
+			Event{Kind: KindDeliver, At: sim.Cycle(v), ID: 1, Aux: v})
+	}
+	return append(events, Event{Kind: KindDeliver, ID: math.MaxUint64, At: math.MaxInt64, Aux: math.MaxInt64})
 }
 
 // manyEvents records n events of the mix a run produces (the bench
@@ -324,5 +345,54 @@ func TestWriteJSONLAllocsIndependentOfEvents(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 4 {
 		t.Fatalf("WriteJSONL allocations: %v at 1k events, %v at 100k; want equal and at most 4", allocs[0], allocs[1])
+	}
+}
+
+// TestAppendIntMatchesStrconv holds the decimal appender to strconv on
+// each side of every power of ten an int64 or uint64 holds, negated too,
+// and on the ends of both types.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	values := []uint64{0, math.MaxInt64, 1 << 63, math.MaxUint64}
+	for p := uint64(1); p <= math.MaxUint64/10; p *= 10 {
+		values = append(values, p-1, p, p+1, 10*p-1, 10*p)
+	}
+	for _, u := range values {
+		if got, want := string(appendUint([]byte("x"), u)), strconv.AppendUint([]byte("x"), u, 10); got != string(want) {
+			t.Fatalf("appendUint(%d) = %q, want %q", u, got, want)
+		}
+		for _, v := range []int64{int64(u), -int64(u)} {
+			if got, want := string(appendInt([]byte("x"), v)), strconv.AppendInt([]byte("x"), v, 10); got != string(want) {
+				t.Fatalf("appendInt(%d) = %q, want %q", v, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkAppendInt prices the decimal appender against strconv on the
+// integer fields of every tenth event of a run-sized log: cycles up to
+// 70,000, packet ids up to 17,500, nodes, attempts and latencies.
+func BenchmarkAppendInt(b *testing.B) {
+	var values []int64
+	events := manyEvents(70000).Events()
+	for i := 0; i < len(events); i += 10 {
+		e := events[i]
+		values = append(values, int64(e.At), int64(e.ID), int64(e.Src), int64(e.Dst), int64(e.Attempt), e.Aux)
+	}
+	buf := make([]byte, 0, 32<<10)
+	for _, enc := range []struct {
+		name   string
+		append func([]byte, int64) []byte
+	}{
+		{"appendInt", appendInt},
+		{"strconv", func(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) }},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			for b.Loop() {
+				buf = buf[:0]
+				for _, v := range values {
+					buf = enc.append(buf, v)
+				}
+			}
+		})
 	}
 }

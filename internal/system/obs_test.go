@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"fsoi/internal/adversary"
 	"fsoi/internal/coherence"
+	"fsoi/internal/fault"
 	"fsoi/internal/noc"
 	"fsoi/internal/obs"
+	"fsoi/internal/sim"
+	"fsoi/internal/workload"
 )
 
 // TestObserveDoesNotPerturbMetrics: the observability layer must be a
@@ -181,6 +185,105 @@ func TestEveryNetworkRecordsInCycleOrder(t *testing.T) {
 			if events[i].At < events[i-1].At {
 				t.Fatalf("%s: event %d at cycle %d follows one at cycle %d", name, i, events[i].At, events[i-1].At)
 			}
+		}
+	}
+}
+
+// TestFoldsSideBySideMatchSerial: collect folds the registry and the
+// detector over the finished log side by side; each must equal the same
+// fold taken serially afterwards. The observed golden run and a
+// jammer/spoofer roster that the detector flags both count.
+func TestFoldsSideBySideMatchSerial(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		nodes int
+		app   string
+		scale float64
+		setup func(*Config)
+	}{
+		{"fsoi-64-faulty", 64, "mp3d", 0.01, faultyRoster},
+		{"jammer-spoofer-16", 16, "jacobi", 0.1, func(c *Config) {
+			c.Detect = true
+			c.Adversaries = append(jammerRoster(adversary.RoleJammer, 16, 0.9),
+				adversary.Spec{Role: adversary.RoleSpoofer, Node: 13, Victims: []int{1}, Intensity: 0.5})
+		}},
+	} {
+		app, ok := workload.ByName(c.app, c.scale)
+		if !ok {
+			t.Fatalf("unknown app %s", c.app)
+		}
+		cfg := Default(c.nodes, NetFSOI)
+		cfg.MaxCycles = 3_000_000
+		c.setup(&cfg)
+		_, m := mustRun(t, cfg, app)
+		if got, want := m.ObsRegistry.String(), m.Obs.Registry().String(); got != want {
+			t.Fatalf("%s: the registry collect folded differs from a serial fold\n got:\n%s\nwant:\n%s", c.name, got, want)
+		}
+		serial := m.Obs.Detect(obs.DetectorConfig{WindowCycles: cfg.DetectWindow})
+		if got, want := m.Detection.Table(), serial.Table(); got != want {
+			t.Fatalf("%s: the detection collect folded differs from a serial fold\n got:\n%s\nwant:\n%s", c.name, got, want)
+		}
+		if len(m.Detection.Flagged) == 0 {
+			t.Fatalf("%s: the roster flags no link, so the verdicts compared are empty", c.name)
+		}
+	}
+}
+
+// TestEveryNetworkKeepsPacketInvariants folds each network's log into a
+// per-packet record: every packet id is injected exactly once and
+// delivered at most once, never before it was injected, and a deliver's
+// Aux (the packet's end-to-end latency) is its cycle less its inject's.
+// FSOI runs a second time with corrupted packets and dropped
+// confirmations, whose retransmissions land payloads twice.
+func TestEveryNetworkKeepsPacketInvariants(t *testing.T) {
+	type run struct {
+		name  string
+		fault fault.Config
+	}
+	var runs []run
+	for _, name := range Networks() {
+		runs = append(runs, run{name: name})
+	}
+	runs = append(runs, run{string(NetFSOI), fault.Config{MarginPenaltyDB: 3, ConfirmDropProb: 0.05}})
+	for _, r := range runs {
+		name := r.name
+		m := runTiny(t, "mp3d", NetworkKind(name), 16, func(c *Config) {
+			c.Observe = true
+			c.Fault = r.fault
+		})
+		type life struct {
+			injectAt  sim.Cycle
+			delivered bool
+		}
+		packets := make(map[uint64]*life)
+		delivered := 0
+		for i, e := range m.Obs.Events() {
+			p := packets[e.ID]
+			switch e.Kind {
+			case obs.KindInject:
+				if p != nil {
+					t.Fatalf("%s: event %d %+v injects packet %d a second time (first at cycle %d)", name, i, e, e.ID, p.injectAt)
+				}
+				packets[e.ID] = &life{injectAt: e.At}
+			case obs.KindDeliver:
+				switch {
+				case p == nil:
+					t.Fatalf("%s: event %d %+v delivers packet %d, never injected", name, i, e, e.ID)
+				case p.delivered:
+					t.Fatalf("%s: event %d %+v delivers packet %d a second time", name, i, e, e.ID)
+				case e.Aux != int64(e.At-p.injectAt):
+					t.Fatalf("%s: event %d %+v: latency %d, but injected at cycle %d, %d cycles before",
+						name, i, e, e.Aux, p.injectAt, e.At-p.injectAt)
+				}
+				p.delivered = true
+				delivered++
+			}
+		}
+		if delivered == 0 {
+			t.Fatalf("%s: the log delivers no packet", name)
+		}
+		if r.fault.Enabled() && m.FaultCounters.Get("duplicate_deliveries") == 0 {
+			t.Fatalf("%s with faults: no payload landed twice, so no duplicate was tried", name)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fsoi/internal/noc"
 	"fsoi/internal/obs"
 	"fsoi/internal/optics"
+	"fsoi/internal/parallel"
 	"fsoi/internal/power"
 	"fsoi/internal/sim"
 	"fsoi/internal/sim/shard" // WindowEngine's signature only
@@ -794,6 +795,25 @@ func (s *System) notice(sim.Cycle) {
 	}
 }
 
+// foldLog folds the finished log into its registry and, with Detect, the
+// detector's report. Each is a pure fold over the log that writes only
+// its own result, so the two run side by side, on one goroutine when
+// there is one fold or one CPU.
+func (s *System) foldLog() (reg *obs.Registry, det *obs.Report) {
+	folds := 1
+	if s.cfg.Detect {
+		folds = 2
+	}
+	parallel.DoWorker(folds, parallel.Workers(0), func(_, fold int) {
+		if fold == 0 {
+			reg = s.obsRec.Registry()
+		} else {
+			det = s.obsRec.Detect(obs.DetectorConfig{WindowCycles: s.cfg.DetectWindow})
+		}
+	})
+	return reg, det
+}
+
 // collect assembles the metrics of a finished run.
 func (s *System) collect(app string) Metrics {
 	m := Metrics{
@@ -809,7 +829,10 @@ func (s *System) collect(app string) Metrics {
 	if s.fsoi != nil {
 		m.FSOI = s.fsoi.Stats()
 	}
-	m.Obs, m.ObsRegistry = s.obsRec, s.obsRec.Registry()
+	m.Obs = s.obsRec
+	if m.Obs != nil {
+		m.ObsRegistry, m.Detection = s.foldLog()
+	}
 	if len(s.cfg.Adversaries) > 0 {
 		m.AdversaryNodes = len(s.cfg.Adversaries)
 		hostile := make(map[int]bool, m.AdversaryNodes)
@@ -821,9 +844,6 @@ func (s *System) collect(app string) Metrics {
 				m.HonestFinish = f
 			}
 		}
-	}
-	if s.cfg.Detect {
-		m.Detection = m.Obs.Detect(obs.DetectorConfig{WindowCycles: s.cfg.DetectWindow})
 	}
 	if s.injector != nil {
 		m.FaultCounters = s.injector.Counters()
