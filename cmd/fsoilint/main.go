@@ -5,7 +5,6 @@
 //
 //	fsoilint ./...                 # whole module
 //	fsoilint ./internal/core       # one package
-//	fsoilint -sarif out.sarif ./...# SARIF 2.1.0 for code-scanning upload
 //	fsoilint -list                 # describe the analyzers
 //
 // Patterns go to `go list` unchanged, so they mean what they mean to
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// prints the usage.
 	fs.SetOutput(io.Discard)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	budgetPath := fs.String("budget", "", "check //lint:allow counts against this committed budget file")
 	writeBudget := fs.String("writebudget", "", "regenerate this budget file from the current suppressions and exit")
 	fail := func(err error) int {
@@ -85,21 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := lint.Run(pkgs)
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			return fail(err)
-		}
-		err = lint.WriteSARIF(f, findings, loader.Root)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-
 	code := 0
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)

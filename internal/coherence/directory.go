@@ -106,12 +106,8 @@ type DirStats struct {
 	Requests      int64
 	Nacks         int64
 	MemReads      int64
-	MemWrites     int64
 	InvSent       int64
-	DwgSent       int64
 	Evictions     int64
-	SyncOps       int64
-	BitPushes     int64
 	MaxStallDepth int // most requests stalled on one line at once
 }
 
@@ -433,7 +429,6 @@ func (d *Directory) maybeEvict(exclude cache.LineAddr) {
 // evictFinish completes an L2 eviction: dirty data goes to memory.
 func (d *Directory) evictFinish(e rec) {
 	if e.flags&fDirty != 0 {
-		d.stats.MemWrites++
 		d.send(Msg{Type: MemWrite, Addr: e.addr, From: d.id, To: d.memNode(d.id), HasData: true})
 	}
 	d.remove(e)
@@ -700,7 +695,6 @@ func (d *Directory) handleRequest(e rec, m Msg, now sim.Cycle) {
 		e.requester = int32(m.From)
 		if req == ReqSh {
 			e.state = tDMDSD
-			d.stats.DwgSent++
 			d.sendAfter(d.cfg.TagCycles, Msg{Type: Dwg, Addr: e.addr, From: d.id, To: int(e.owner), Requester: m.From})
 		} else {
 			e.state = tDMDMD

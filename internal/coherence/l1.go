@@ -81,10 +81,7 @@ func PaperL1() L1Config {
 // L1Stats counts controller activity.
 type L1Stats struct {
 	Hits, Misses  int64
-	WriteMisses   int64
-	Upgrades      int64
 	Invalidations int64
-	Downgrades    int64
 	Writebacks    int64
 	Nacks         int64
 	ElidedAcks    int64
@@ -242,9 +239,6 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 		return false
 	}
 	l.stats.Misses++
-	if write {
-		l.stats.WriteMisses++
-	}
 	var p *l1Pending
 	if k := len(l.free); k > 0 {
 		p, l.free = l.free[k-1], l.free[:k-1]
@@ -259,7 +253,6 @@ func (l *L1) Access(addr cache.LineAddr, write bool, done func(now sim.Cycle)) b
 		// S + write: upgrade.
 		p.state = tSMA
 		req = ReqUpg
-		l.stats.Upgrades++
 	case write:
 		p.state = tIMD
 		req = ReqEx
@@ -433,7 +426,6 @@ func (l *L1) onInv(m Msg, now sim.Cycle) {
 
 // onDwg implements the Dwg column.
 func (l *L1) onDwg(m Msg, now sim.Cycle) {
-	l.stats.Downgrades++
 	ack := Msg{Type: DwgAck, Addr: m.Addr, From: l.id, To: m.From, Requester: m.Requester}
 	if line := l.array.Peek(m.Addr); line != nil {
 		switch line.State {

@@ -27,9 +27,8 @@ func BarrierTag(id int, update bool) uint64 {
 // lockVar is directory-side lock state: the boolean "line" of §5.1 whose
 // single-bit value rides reserved confirmation mini-cycles.
 type lockVar struct {
-	held   bool
-	holder int
-	subs   uint64 // subscriber bitset awaiting an update push
+	held bool
+	subs uint64 // subscriber bitset awaiting an update push
 }
 
 // barrierVar is directory-side barrier state.
@@ -60,7 +59,7 @@ func (s *syncManager) lock(id int) *lockVar {
 		if s.locks == nil {
 			s.locks = make(map[int]*lockVar)
 		}
-		l = &lockVar{holder: -1}
+		l = &lockVar{}
 		s.locks[id] = l
 	}
 	return l
@@ -81,7 +80,6 @@ func (s *syncManager) barrier(id int) *barrierVar {
 // reply sends a single-bit response: over the confirmation lane when the
 // transport supports it, as a meta packet otherwise.
 func (s *syncManager) reply(to int, tag uint64, value bool) {
-	s.d.stats.BitPushes++
 	if s.d.tr.BooleanSubscription() {
 		s.d.tr.SendBit(s.d.id, to, tag, value)
 		return
@@ -91,13 +89,11 @@ func (s *syncManager) reply(to int, tag uint64, value bool) {
 
 // handle processes one SyncReq.
 func (s *syncManager) handle(m Msg, now sim.Cycle) {
-	s.d.stats.SyncOps++
 	switch m.Op {
 	case SyncAcquire:
 		l := s.lock(m.SyncID)
 		if !l.held {
 			l.held = true
-			l.holder = m.From
 			s.reply(m.From, LockTag(m.SyncID, false), true)
 			return
 		}
@@ -106,7 +102,6 @@ func (s *syncManager) handle(m Msg, now sim.Cycle) {
 	case SyncRelease:
 		l := s.lock(m.SyncID)
 		l.held = false
-		l.holder = -1
 		subs := l.subs
 		l.subs = 0
 		s.push(subs, LockTag(m.SyncID, true), false)

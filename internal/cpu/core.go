@@ -66,7 +66,6 @@ type Stats struct {
 	Stores       int64
 	ComputeCyc   int64
 	LockAcquires int64
-	Barriers     int64
 	StallLoad    int64 // cycles blocked on loads
 	StallStore   int64
 	StallSync    int64
@@ -172,7 +171,6 @@ func (c *Core) step(now sim.Cycle) {
 			c.sync.Release(c.id, op.ID, c.stepFn)
 		})
 	case OpBarrier:
-		c.stats.Barriers++
 		c.drainThen(now, func(at sim.Cycle) {
 			start := at
 			c.sync.Barrier(c.id, op.ID, func(end sim.Cycle) {

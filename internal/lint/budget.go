@@ -3,7 +3,9 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // The suppression budget is the ratchet that keeps //lint:allow from
@@ -42,6 +44,19 @@ func ParseBudget(data []byte) (Budget, error) {
 // module-relative so the budget is stable across checkout locations.
 func budgetKey(s Suppression, root string) string {
 	return s.Analyzer + " " + relURI(s.File, root)
+}
+
+// relURI converts an absolute path to a slash-separated path relative
+// to root; paths outside root pass through unchanged.
+func relURI(path, root string) string {
+	if root == "" {
+		return filepath.ToSlash(path)
+	}
+	rel, err := filepath.Rel(root, path)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(path)
+	}
+	return filepath.ToSlash(rel)
 }
 
 // groupSuppressions counts current suppressions per budget key.

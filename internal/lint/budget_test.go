@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,71 +100,6 @@ func TestRepositoryBudgetCurrent(t *testing.T) {
 
 func readBudgetFile(root string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(root, ".lint-budget.json"))
-}
-
-func TestWriteSARIF(t *testing.T) {
-	findings := []Finding{{
-		Analyzer: "units",
-		File:     "/mod/internal/power/power.go",
-		Line:     12,
-		Col:      9,
-		Message:  "strips the Watts unit",
-	}}
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, findings, "/mod"); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q", log.Version)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "fsoilint" {
-		t.Fatalf("want one run with driver fsoilint, got %+v", log.Runs)
-	}
-	// One rule per analyzer plus the "lint" pseudo-analyzer.
-	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(Analyzers)+1; got != want {
-		t.Errorf("rules = %d, want %d", got, want)
-	}
-	res := log.Runs[0].Results
-	if len(res) != 1 || res[0].RuleID != "units" || res[0].Level != "error" {
-		t.Fatalf("results = %+v", res)
-	}
-	loc := res[0].Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/power/power.go" {
-		t.Errorf("uri = %q, want module-relative path", loc.ArtifactLocation.URI)
-	}
-	if loc.Region.StartLine != 12 {
-		t.Errorf("startLine = %d", loc.Region.StartLine)
-	}
 }
 
 func TestSuppressionsCollectsFixtureAllows(t *testing.T) {

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -26,25 +29,34 @@ var keepUnused = map[string]string{
 const maxKeepUnused = 5
 
 // decl is one package-level declaration: a func, a method, or one
-// name of a type, const or var spec.
+// name of a type, const or var spec; or one field of a struct type
+// written in such a declaration.
 type decl struct {
 	obj  types.Object
-	name string // import path qualified: "fsoi/internal/core.(*Network).Tick"
+	name string // import path qualified: "fsoi/internal/core.(*Network).Tick", "fsoi/internal/cpu.Stats.Ops"
 	file string // relative to the module root
 	line int
 }
 
 // deadDecls reports every package-level declaration in pkgs that no
-// other declaration names through Info.Uses or Info.Selections. A
-// declaration's use of itself (recursion, a method calling itself)
-// does not count. Exempt by construction are main and init, String
-// and Error (fmt calls them), methods that implement an interface
-// appearing anywhere in the packages' type information, and every
-// declaration of a non-main package that no package in pkgs imports
-// (test support such as internal/noc/noctest). pkgs must exclude
-// _test.go files, so a use only tests make is no use. The result is
-// sorted by position.
-func deadDecls(pkgs []*Package, root string) []decl {
+// other declaration names through Info.Uses or Info.Selections, and
+// every struct field that nothing reads. A declaration's use of itself
+// (recursion, a method calling itself) does not count. Exempt by
+// construction are main and init, String and Error (fmt calls them),
+// the methods that convertedMethods finds reached through an
+// interface, and every declaration of a non-main package that no
+// package in pkgs imports (test support such as
+// internal/noc/noctest). pkgs must exclude _test.go files, so a use
+// only tests make is no use.
+//
+// A field is read by any selector of it that is not the left side of
+// an assignment or the operand of ++ or --; a composite-literal key
+// writes it. A field whose name is a selector in testSelectors (the
+// names _test.go files select) is not reported, nor one with a struct
+// tag, which an encoder reads, nor an embedded field, which lends its
+// methods to the outer type without a selector. The result is sorted
+// by position.
+func deadDecls(pkgs []*Package, root string, testSelectors map[string]bool) []decl {
 	imported := make(map[string]bool)
 	for _, p := range pkgs {
 		for _, imp := range p.Types.Imports() {
@@ -54,8 +66,13 @@ func deadDecls(pkgs []*Package, root string) []decl {
 
 	var decls []decl
 	used := make(map[types.Object]bool)
+	read := make(map[types.Object]bool)
 	for _, p := range pkgs {
 		checked := p.Types.Name() == "main" || imported[p.ImportPath]
+		add := func(obj types.Object, id *ast.Ident, name string) {
+			pos := p.Fset.Position(id.Pos())
+			decls = append(decls, decl{obj: obj, name: name, file: relPath(pos.Filename, root), line: pos.Line})
+		}
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				for _, unit := range declUnits(d) {
@@ -64,11 +81,11 @@ func deadDecls(pkgs []*Package, root string) []decl {
 						if obj := p.Info.Defs[id]; obj != nil && id.Name != "_" {
 							self[obj] = true
 							if checked {
-								pos := p.Fset.Position(id.Pos())
-								decls = append(decls, decl{obj: obj, name: qualifiedName(obj), file: relPath(pos.Filename, root), line: pos.Line})
+								add(obj, id, qualifiedName(obj))
 							}
 						}
 					}
+					written := make(map[ast.Expr]bool)
 					ast.Inspect(unit.node, func(n ast.Node) bool {
 						var obj types.Object
 						switch n := n.(type) {
@@ -77,6 +94,29 @@ func deadDecls(pkgs []*Package, root string) []decl {
 						case *ast.SelectorExpr:
 							if sel, ok := p.Info.Selections[n]; ok {
 								obj = sel.Obj()
+								if sel.Kind() == types.FieldVal && !written[n] {
+									read[origin(obj)] = true
+								}
+							}
+						case *ast.AssignStmt:
+							for _, lhs := range n.Lhs {
+								written[ast.Unparen(lhs)] = true
+							}
+						case *ast.IncDecStmt:
+							written[ast.Unparen(n.X)] = true
+						case *ast.StructType:
+							if !checked {
+								break
+							}
+							for _, field := range n.Fields.List {
+								if field.Tag != nil {
+									continue
+								}
+								for _, id := range field.Names {
+									if id.Name != "_" {
+										add(p.Info.Defs[id], id, qualifiedName(p.Info.Defs[unit.names[0]])+"."+id.Name)
+									}
+								}
 							}
 						}
 						if obj = origin(obj); obj != nil && !self[obj] {
@@ -89,10 +129,14 @@ func deadDecls(pkgs []*Package, root string) []decl {
 		}
 	}
 
-	exempt := interfaceMethods(pkgs)
+	exempt := convertedMethods(pkgs)
 	var out []decl
 	for _, d := range decls {
-		if used[d.obj] || exempt[d.obj] || exemptByName(d.obj) {
+		if v, ok := d.obj.(*types.Var); ok && v.IsField() {
+			if read[v] || testSelectors[v.Name()] {
+				continue
+			}
+		} else if used[d.obj] || exempt[d.obj] || exemptByName(d.obj) {
 			continue
 		}
 		out = append(out, d)
@@ -135,8 +179,8 @@ func declUnits(d ast.Decl) []declUnit {
 	return nil
 }
 
-// origin maps a use of an instantiated generic func or method back to
-// the declared object.
+// origin maps a use of an instantiated generic func, method or field
+// back to the declared object.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
 	case *types.Func:
@@ -160,91 +204,181 @@ func exemptByName(obj types.Object) bool {
 	return fn.Name() == "init" || fn.Name() == "main" && fn.Pkg().Name() == "main"
 }
 
-// interfaceMethods returns the methods of the packages' named types
-// that implement an interface named anywhere in their type
-// information: the type of any expression or of any object defined or
-// used, including anonymous interfaces in a type assertion and the
-// parameter types of library funcs such as io.Copy.
-func interfaceMethods(pkgs []*Package) map[types.Object]bool {
-	seen := make(map[types.Type]bool)
-	var ifaces []*types.Interface
-	var visit func(t types.Type)
-	visit = func(t types.Type) {
-		if t == nil || seen[t] {
+// convertedMethods returns the methods that a call through an
+// interface can reach. A value of a concrete type becomes an interface
+// by assignment, call argument, return, composite-literal element,
+// conversion or send, as in `var _ I = (*T)(nil)`; the type's methods
+// that the interface declares are then reached. A type assertion or
+// type switch to an interface reaches the methods it declares on every
+// type that has become some interface, as
+// `x.(interface{ SetObserver(*obs.Recorder) })` does.
+func convertedMethods(pkgs []*Package) map[types.Object]bool {
+	type conversion struct {
+		from types.Type
+		to   *types.Interface
+	}
+	convs := make(map[conversion]bool)
+	var asserted []*types.Interface
+	// note records a value of type from that becomes type to.
+	note := func(to, from types.Type) {
+		if to == nil || from == nil || types.IsInterface(from) {
 			return
 		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Named:
-			if args := t.TypeArgs(); args != nil {
-				for i := 0; i < args.Len(); i++ {
-					visit(args.At(i))
-				}
-			}
-			visit(t.Underlying())
-		case *types.Interface:
-			if t.NumMethods() > 0 {
-				ifaces = append(ifaces, t)
-			}
-		case *types.Pointer:
-			visit(t.Elem())
-		case *types.Slice:
-			visit(t.Elem())
-		case *types.Array:
-			visit(t.Elem())
-		case *types.Chan:
-			visit(t.Elem())
-		case *types.Map:
-			visit(t.Key())
-			visit(t.Elem())
-		case *types.Signature:
-			visit(t.Params())
-			visit(t.Results())
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				visit(t.At(i).Type())
-			}
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				visit(t.Field(i).Type())
-			}
+		if _, basic := from.(*types.Basic); basic {
+			return
+		}
+		if iface, ok := to.Underlying().(*types.Interface); ok {
+			convs[conversion{from, iface}] = true
 		}
 	}
-	var named []*types.Named
-	for _, p := range pkgs {
-		for _, tv := range p.Info.Types {
-			visit(tv.Type)
+	// assert records an assertion to type t.
+	assert := func(t types.Type) {
+		if t == nil {
+			return
 		}
-		for _, obj := range p.Info.Defs {
-			if obj == nil {
-				continue
-			}
-			visit(obj.Type())
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && obj.Parent() == p.Types.Scope() {
-				if n, ok := tn.Type().(*types.Named); ok {
-					named = append(named, n)
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			asserted = append(asserted, iface)
+		}
+	}
+	for _, p := range pkgs {
+		info := p.Info
+		// noteAll records exprs, or the results of the one multi-value
+		// call among them, becoming the types at(i).
+		noteAll := func(exprs []ast.Expr, at func(i int) types.Type) {
+			if len(exprs) == 1 {
+				if tuple, ok := info.TypeOf(exprs[0]).(*types.Tuple); ok {
+					for i := 0; i < tuple.Len(); i++ {
+						note(at(i), tuple.At(i).Type())
+					}
+					return
 				}
 			}
+			for i, e := range exprs {
+				note(at(i), info.TypeOf(e))
+			}
 		}
-		for _, obj := range p.Info.Uses {
-			visit(obj.Type())
+		tupleAt := func(t *types.Tuple) func(int) types.Type {
+			return func(i int) types.Type {
+				if i < t.Len() {
+					return t.At(i).Type()
+				}
+				return nil
+			}
+		}
+		// walk visits root, whose return statements return results of
+		// sig; each nested function is walked with its own.
+		var walk func(root ast.Node, sig *types.Signature)
+		walk = func(root ast.Node, sig *types.Signature) {
+			ast.Inspect(root, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n != root {
+						walk(n, info.Defs[n.Name].Type().(*types.Signature))
+						return false
+					}
+				case *ast.FuncLit:
+					if n != root {
+						walk(n, info.TypeOf(n).(*types.Signature))
+						return false
+					}
+				case *ast.ReturnStmt:
+					noteAll(n.Results, tupleAt(sig.Results()))
+				case *ast.AssignStmt:
+					noteAll(n.Rhs, func(i int) types.Type {
+						if i < len(n.Lhs) {
+							return info.TypeOf(n.Lhs[i])
+						}
+						return nil
+					})
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						to := info.TypeOf(n.Type)
+						noteAll(n.Values, func(int) types.Type { return to })
+					}
+				case *ast.CallExpr:
+					if tv := info.Types[n.Fun]; tv.IsType() {
+						noteAll(n.Args, func(int) types.Type { return tv.Type })
+					} else if sig, ok := info.TypeOf(n.Fun).(*types.Signature); ok {
+						params := sig.Params()
+						noteAll(n.Args, func(i int) types.Type {
+							if last := params.Len() - 1; sig.Variadic() && i >= last {
+								if s, ok := params.At(last).Type().Underlying().(*types.Slice); ok && !n.Ellipsis.IsValid() {
+									return s.Elem()
+								}
+								return nil
+							}
+							return tupleAt(params)(i)
+						})
+					}
+				case *ast.CompositeLit:
+					t := info.TypeOf(n)
+					if ptr, ok := t.Underlying().(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					var key, elem types.Type
+					var st *types.Struct
+					switch u := t.Underlying().(type) {
+					case *types.Struct:
+						st = u
+					case *types.Slice:
+						elem = u.Elem()
+					case *types.Array:
+						elem = u.Elem()
+					case *types.Map:
+						key, elem = u.Key(), u.Elem()
+					}
+					for i, e := range n.Elts {
+						to := elem
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if st != nil {
+								to = info.TypeOf(kv.Key)
+							} else {
+								note(key, info.TypeOf(kv.Key))
+							}
+							e = kv.Value
+						} else if st != nil {
+							to = st.Field(i).Type()
+						}
+						note(to, info.TypeOf(e))
+					}
+				case *ast.SendStmt:
+					if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+						note(ch.Elem(), info.TypeOf(n.Value))
+					}
+				case *ast.TypeAssertExpr:
+					if n.Type != nil {
+						assert(info.TypeOf(n.Type))
+					}
+				case *ast.TypeSwitchStmt:
+					for _, c := range n.Body.List {
+						for _, e := range c.(*ast.CaseClause).List {
+							assert(info.TypeOf(e))
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range p.Files {
+			walk(f, nil)
 		}
 	}
 
 	out := make(map[types.Object]bool)
-	for _, n := range named {
-		for _, t := range []types.Type{n, types.NewPointer(n)} {
-			for _, iface := range ifaces {
-				if !types.Implements(t, iface) {
-					continue
-				}
-				for i := 0; i < iface.NumMethods(); i++ {
-					m := iface.Method(i)
-					obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
-					if obj != nil {
-						out[origin(obj)] = true
-					}
-				}
+	reach := func(t types.Type, iface *types.Interface) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			m := iface.Method(i)
+			obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
+			if fn, ok := obj.(*types.Func); ok {
+				out[origin(fn)] = true
+			}
+		}
+	}
+	for c := range convs {
+		reach(c.from, c.to)
+		for _, iface := range asserted {
+			if types.Implements(c.from, iface) {
+				reach(c.from, iface)
 			}
 		}
 	}
@@ -278,6 +412,39 @@ func qualifiedName(obj types.Object) string {
 	return prefix + name + "." + obj.Name()
 }
 
+// selectorNames returns the name of every selector in the _test.go
+// files under dir, testdata and dot directories left out.
+func selectorNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != dir && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				names[sel.Sel.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 func relPath(file, root string) string {
 	if rel, err := filepath.Rel(root, file); err == nil {
 		return filepath.ToSlash(rel)
@@ -297,7 +464,7 @@ func TestEveryDeclarationHasANonTestUse(t *testing.T) {
 	loader, pkgs := loadModule(t)
 
 	kept := make(map[string]bool)
-	for _, d := range deadDecls(pkgs, loader.Root) {
+	for _, d := range deadDecls(pkgs, loader.Root, selectorNames(t, loader.Root)) {
 		if reason, ok := keepUnused[d.name]; ok {
 			if reason == "" {
 				t.Errorf("keep list entry %s has no reason", d.name)
@@ -332,7 +499,7 @@ func TestDeadCodeFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	var findings []Finding
-	for _, d := range deadDecls([]*Package{p}, loader.Root) {
+	for _, d := range deadDecls([]*Package{p}, loader.Root, selectorNames(t, dir)) {
 		findings = append(findings, Finding{Analyzer: "deadcode", File: d.file, Line: d.line, Message: d.name})
 	}
 	matchWants(t, dir, findings)

@@ -30,19 +30,21 @@ var fixtureVirtualPaths = map[string]string{
 	"units":       "fsoi/internal/power",
 }
 
-// LoadDir type-checks the .go files in dir as one package that
-// pretends to live at virtualPath inside the module. Fixture files use
-// this to exercise package-scoped analyzers: a fixture granted the
-// virtual path "fsoi/internal/core" is linted under simulation-package
-// rules even though it lives in testdata.
+// LoadDir type-checks the .go files in dir, _test.go files left out,
+// as one package that pretends to live at virtualPath inside the
+// module. Fixture files use this to exercise package-scoped analyzers:
+// a fixture granted the virtual path "fsoi/internal/core" is linted
+// under simulation-package rules even though it lives in testdata.
 func (l *Loader) LoadDir(dir, virtualPath string) (*Package, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(paths))
-	for i, path := range paths {
-		names[i] = filepath.Base(path)
+	var names []string
+	for _, path := range paths {
+		if !strings.HasSuffix(path, "_test.go") {
+			names = append(names, filepath.Base(path))
+		}
 	}
 	return l.check(virtualPath, dir, names)
 }

@@ -19,12 +19,11 @@ type Config struct {
 	TotalGBps     float64 // aggregate bandwidth (8.8 default, 52.8 in Table 4)
 	CoreGHz       float64 // for bandwidth->cycles conversion (3.3)
 	LatencyCycles int     // access latency (200)
-	QueueDepth    int     // per-channel request queue
 }
 
 // PaperMemory returns the default evaluation configuration.
 func PaperMemory(channels int) Config {
-	return Config{Channels: channels, TotalGBps: 8.8, CoreGHz: 3.3, LatencyCycles: 200, QueueDepth: 64}
+	return Config{Channels: channels, TotalGBps: 8.8, CoreGHz: 3.3, LatencyCycles: 200}
 }
 
 // LineOccupancyCycles returns how many cycles one 64-byte line transfer

@@ -7,17 +7,14 @@ const ElectronCharge = 1.602176634e-19
 
 // VCSEL models a vertical-cavity surface-emitting laser as used for the
 // transmit side of every lane: a threshold current, a slope efficiency
-// converting above-threshold current to optical power, electrical
-// parasitics, and a bias/modulation operating point.
+// converting above-threshold current to optical power, and a
+// bias/modulation operating point.
 type VCSEL struct {
 	ThresholdCurrent float64 // A (paper: 0.14 mA)
 	SlopeEfficiency  float64 // W/A above threshold
-	ParasiticR       float64 // ohm (paper: 235)
-	ParasiticC       float64 // F (paper: 90 fF)
 	ForwardVoltage   float64 // V at the operating point (paper: ~2 V)
 	ExtinctionRatio  float64 // P1/P0 (paper: 11)
 	BiasCurrent      float64 // A average drive current when transmitting (paper: 0.48 mA)
-	RelaxationFreq   float64 // Hz small-signal relaxation-oscillation frequency at bias
 }
 
 // PaperVCSEL returns the device point used throughout the evaluation.
@@ -25,12 +22,9 @@ func PaperVCSEL() VCSEL {
 	return VCSEL{
 		ThresholdCurrent: 0.14e-3,
 		SlopeEfficiency:  0.35,
-		ParasiticR:       235,
-		ParasiticC:       90e-15,
 		ForwardVoltage:   2.0,
 		ExtinctionRatio:  11,
 		BiasCurrent:      0.48e-3,
-		RelaxationFreq:   30e9,
 	}
 }
 
@@ -62,13 +56,12 @@ func (v VCSEL) ElectricalPower() Watts {
 // Photodetector models the resonant-cavity photodiode on the receive side.
 type Photodetector struct {
 	Responsivity float64 // A/W (paper: 0.5)
-	Capacitance  float64 // F (paper: 100 fF)
 	DarkCurrent  float64 // A
 }
 
 // PaperPhotodetector returns the evaluation device point.
 func PaperPhotodetector() Photodetector {
-	return Photodetector{Responsivity: 0.5, Capacitance: 100e-15, DarkCurrent: 5e-9}
+	return Photodetector{Responsivity: 0.5, DarkCurrent: 5e-9}
 }
 
 // Photocurrent converts incident optical power to current. The
@@ -80,21 +73,17 @@ func (p Photodetector) Photocurrent(power Watts) float64 {
 
 // TIA models the transimpedance amplifier plus limiting amplifier chain.
 type TIA struct {
-	Bandwidth        float64 // Hz (paper: 36 GHz)
-	Transimpedance   float64 // V/A (paper: 15000)
-	InputNoiseAmps   float64 // A/sqrt(Hz) input-referred current noise density
-	SupplyPower      Watts   // for the full receive chain (paper: 4.2 mW)
-	TemperatureKelvn float64 // for shot/thermal accounting
+	Bandwidth      float64 // Hz (paper: 36 GHz)
+	InputNoiseAmps float64 // A/sqrt(Hz) input-referred current noise density
+	SupplyPower    Watts   // for the full receive chain (paper: 4.2 mW)
 }
 
 // PaperTIA returns the evaluation receiver chain.
 func PaperTIA() TIA {
 	return TIA{
-		Bandwidth:        36e9,
-		Transimpedance:   15000,
-		InputNoiseAmps:   22e-12,
-		SupplyPower:      4.2e-3,
-		TemperatureKelvn: 350,
+		Bandwidth:      36e9,
+		InputNoiseAmps: 22e-12,
+		SupplyPower:    4.2e-3,
 	}
 }
 

@@ -15,7 +15,6 @@ type LayoutConfig struct {
 	DataVCSELs   int // per data lane
 	PhaseArray   bool
 	PhaseElems   int     // emitters per steerable array
-	VCSELEdge    float64 // device edge length, m (paper: ~20 um)
 	VCSELSpacing float64 // center-to-center pitch, m (paper assumes 30 um)
 	Receivers    int     // receivers per lane per node
 	PDEdge       float64 // photodetector + lens footprint edge, m
@@ -30,7 +29,6 @@ func PaperLayout(nodes int) LayoutConfig {
 		DataVCSELs:   6,
 		PhaseArray:   nodes > 16,
 		PhaseElems:   16,
-		VCSELEdge:    20e-6,
 		VCSELSpacing: 30e-6,
 		Receivers:    2,
 		PDEdge:       190e-6, // dominated by the receive micro-lens

@@ -133,19 +133,16 @@ func (r LinkReport) String() string {
 
 // PhaseArray models the beam-steering transmitter used at 64 nodes: k
 // emitters acting as a single steerable source. Steering to a new target
-// costs SetupCycles (re-loading the phase controller register) and an
-// off-axis pointing loss that grows with steering angle.
+// costs an off-axis pointing loss that grows with steering angle; the
+// phase-register reload delay is core.Config.PhaseSetup.
 type PhaseArray struct {
-	Elements    int     // emitters in the array
-	Pitch       float64 // emitter spacing, m
 	Wavelength  float64 // m
-	SetupCycles int     // phase-register reload delay (paper: 1 cycle)
 	MaxSteerRad float64 // usable steering half-angle
 }
 
 // PaperPhaseArray returns the 64-node transmitter.
 func PaperPhaseArray() PhaseArray {
-	return PhaseArray{Elements: 16, Pitch: 10e-6, Wavelength: 980e-9, SetupCycles: 1, MaxSteerRad: 0.35}
+	return PhaseArray{Wavelength: 980e-9, MaxSteerRad: 0.35}
 }
 
 // SteeringLossDB returns the scan loss at the given off-axis angle,

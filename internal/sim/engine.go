@@ -301,9 +301,6 @@ func (e *Engine) After(delay Cycle, fn func(now Cycle)) {
 // Stop requests that Run return at the end of the current cycle.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Step advances one cycle: fires due events, then runs the tickers due.
 func (e *Engine) Step() {
 	for len(e.far.a) > 0 && e.far.a[0].at <= e.now {

@@ -38,7 +38,6 @@ type Scheduler interface {
 	After(delay sim.Cycle, fn func(now sim.Cycle))
 	Register(t sim.Ticker)
 	Stop()
-	Stopped() bool
 }
 
 // Driver extends Scheduler with the run loop and the engine counters.
@@ -257,9 +256,6 @@ func (e *Engine) After(delay sim.Cycle, fn func(now sim.Cycle)) {
 
 // Stop requests that Run return at the end of the current cycle.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step advances one cycle: fires due events across all shards in
 // global (at, seq) order via the cached top-heap merge, then ticks

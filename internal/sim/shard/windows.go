@@ -268,9 +268,6 @@ func (w *Windows) Register(sim.Ticker) {
 // Stop requests that Run return at the next window barrier.
 func (w *Windows) Stop() { w.stopped = true }
 
-// Stopped reports whether a stop has been committed at a barrier.
-func (w *Windows) Stopped() bool { return w.stopped }
-
 // window executes one window [now, end): all shards on the pool, then
 // the barrier commit.
 func (w *Windows) window(end sim.Cycle) {
@@ -459,9 +456,3 @@ func (p *NodeProxy) Stop() {
 		p.w.stopped = true
 	}
 }
-
-// Stopped reports the barrier-committed stop flag. Shard-local
-// requests are invisible here: exposing them would leak the
-// partitioning (whether a requester shares your shard) into model
-// behaviour.
-func (p *NodeProxy) Stopped() bool { return p.w.stopped }

@@ -171,7 +171,7 @@ func TestWindowsStopAtBarrier(t *testing.T) {
 		if ran != 12 {
 			t.Fatalf("workers=%d: ran %d cycles, want stop committed at the cycle-12 barrier", workers, ran)
 		}
-		if !w.Stopped() {
+		if !w.stopped {
 			t.Fatalf("workers=%d: stop not committed", workers)
 		}
 	}

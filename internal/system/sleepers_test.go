@@ -76,7 +76,7 @@ func TestNoSleeperSleepsPastItsWork(t *testing.T) {
 		}
 		s.start(app)
 		seen := map[string]bool{}
-		for !s.engine.Stopped() && s.engine.Now() < cfg.MaxCycles {
+		for s.finished < s.cfg.Nodes && s.engine.Now() < cfg.MaxCycles {
 			s.engine.Step()
 			s.checkSleepers(t, seen)
 		}

@@ -33,18 +33,8 @@ type subscriptionSync struct {
 	waiting []map[uint64]func(value bool, now sim.Cycle)
 }
 
-// newSubscriptionSync builds the fabric, or resets and returns a spent
-// one, keeping its emptied tables.
-func newSubscriptionSync(s *System, tr transport, spent *subscriptionSync) *subscriptionSync {
-	f := spent
-	if f == nil {
-		f = &subscriptionSync{waiting: make([]map[uint64]func(bool, sim.Cycle), s.cfg.Nodes)}
-	}
-	for _, m := range f.waiting {
-		clear(m)
-	}
-	*f = subscriptionSync{s: s, tr: tr, waiting: f.waiting}
-	return f
+func newSubscriptionSync(s *System, tr transport) *subscriptionSync {
+	return &subscriptionSync{s: s, tr: tr, waiting: make([]map[uint64]func(bool, sim.Cycle), s.cfg.Nodes)}
 }
 
 // wait registers fn as core's one-shot continuation for tag.
@@ -143,11 +133,6 @@ func barrierLine(id int) cache.LineAddr {
 }
 func flagLine(id int) cache.LineAddr { return barrierLine(id) + 1 }
 
-type coherentLock struct {
-	held   bool
-	holder int
-}
-
 type coherentBarrier struct {
 	count  int
 	target int
@@ -156,30 +141,12 @@ type coherentBarrier struct {
 
 type coherentSync struct {
 	s        *System
-	locks    map[int]*coherentLock
+	held     map[int]bool // lock id -> held
 	barriers map[int]*coherentBarrier
 }
 
-// newCoherentSync builds the fabric, or resets and returns a spent one,
-// keeping its emptied tables.
-func newCoherentSync(s *System, spent *coherentSync) *coherentSync {
-	f := spent
-	if f == nil {
-		f = &coherentSync{locks: make(map[int]*coherentLock), barriers: make(map[int]*coherentBarrier)}
-	}
-	clear(f.locks)
-	clear(f.barriers)
-	*f = coherentSync{s: s, locks: f.locks, barriers: f.barriers}
-	return f
-}
-
-func (f *coherentSync) lock(id int) *coherentLock {
-	l := f.locks[id]
-	if l == nil {
-		l = &coherentLock{holder: -1}
-		f.locks[id] = l
-	}
-	return l
+func newCoherentSync(s *System) *coherentSync {
+	return &coherentSync{s: s, held: make(map[int]bool), barriers: make(map[int]*coherentBarrier)}
 }
 
 func (f *coherentSync) barrier(id int) *coherentBarrier {
@@ -216,20 +183,18 @@ func (f *coherentSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 	}
 	attempt = func(now sim.Cycle) {
 		l1.AccessRetry(addr, false, func(at sim.Cycle) {
-			if f.lock(id).held {
+			if f.held[id] {
 				waitInv(at)
 				return
 			}
 			// Looks free: take it with an exclusive access (ll/sc pair).
 			l1.AccessRetry(addr, true, func(end sim.Cycle) {
-				lk := f.lock(id)
-				if lk.held {
+				if f.held[id] {
 					// sc failed: someone else won the race.
 					waitInv(end)
 					return
 				}
-				lk.held = true
-				lk.holder = core
+				f.held[id] = true
 				done(end)
 			})
 		})
@@ -241,9 +206,7 @@ func (f *coherentSync) Acquire(core int, id int, done func(now sim.Cycle)) {
 func (f *coherentSync) Release(core int, id int, done func(now sim.Cycle)) {
 	l1 := f.s.l1s[core]
 	l1.AccessRetry(lockLine(id), true, func(at sim.Cycle) {
-		lk := f.lock(id)
-		lk.held = false
-		lk.holder = -1
+		f.held[id] = false
 		done(at)
 	})
 }

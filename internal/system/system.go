@@ -428,7 +428,7 @@ func (r *Runner) Run(cfg Config, app workload.App) Metrics {
 //   - the workload streams and the Zipf table (workload.NewStreams, in
 //     start);
 //   - the transport's retired wire packets, ordered streams and packet
-//     counters, and the sync fabric's tables when it is of the same kind;
+//     counters;
 //   - the network, when the kind's constructor accepts it: a mesh of the
 //     same configuration, an ideal network (L0, Lr1 or Lr2) of any,
 //     FSOI with as many receivers per node; never a crossbar.
@@ -581,16 +581,10 @@ func build(cfg Config, donor *System) *System {
 		s.fsoi.SetBitDelivery(s.onBit)
 	}
 
-	var spentSync syncFabric
-	if donor != nil {
-		spentSync = donor.sync
-	}
 	if tr.BooleanSubscription() {
-		spent, _ := spentSync.(*subscriptionSync)
-		s.sync = newSubscriptionSync(s, tr, spent)
+		s.sync = newSubscriptionSync(s, tr)
 	} else {
-		spent, _ := spentSync.(*coherentSync)
-		s.sync = newCoherentSync(s, spent)
+		s.sync = newCoherentSync(s)
 	}
 	return s
 }

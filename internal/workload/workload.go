@@ -121,15 +121,14 @@ func ByName(name string, scale float64) (App, bool) {
 // generators and its Zipf sampler live inside it, so a stream is one
 // allocation, and none when NewStreams is given the one it replaces.
 type Stream struct {
-	app     App
-	node    int
-	nodes   int
-	rng     *sim.RNG // &rngs[0]
-	zipf    *sim.Zipf
-	step    int
-	barrier int
-	queue   []cpu.Op // ops emitted ahead (critical sections); refilled only when consumed
-	head    int      // next unconsumed op in queue
+	app   App
+	node  int
+	nodes int
+	rng   *sim.RNG // &rngs[0]
+	zipf  *sim.Zipf
+	step  int
+	queue []cpu.Op // ops emitted ahead (critical sections); refilled only when consumed
+	head  int      // next unconsumed op in queue
 
 	rngs    [2]sim.RNG // the thread's generator and its Zipf sampler's
 	sampler sim.Zipf   // *zipf when the app is skewed
@@ -295,7 +294,6 @@ func (s *Stream) Next() (cpu.Op, bool) {
 	s.queue = s.queue[:0] // every op was consumed: the array is reused
 	// Barriers fire at identical step counts on every thread.
 	if s.app.BarrierEvery > 0 && s.step%s.app.BarrierEvery == 0 {
-		s.barrier++
 		s.push(cpu.Op{Kind: cpu.OpBarrier, ID: 0})
 	}
 	// Critical sections: acquire, a few accesses to lock-protected
