@@ -15,13 +15,13 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -34,9 +34,9 @@ import (
 // fileSink streams every simulated run's lifecycle recording to one
 // JSONL file. Runs are separated by {"run":...} header lines; the exp
 // package feeds sinks strictly in job order after each grid's barrier,
-// so the file bytes are identical at every -j setting.
+// so the file bytes are identical at every -j setting. It writes to the
+// file unbuffered: obs.WriteJSONL already writes whole blocks of its own.
 type fileSink struct {
-	w   *bufio.Writer
 	f   *os.File
 	err error
 }
@@ -46,24 +46,20 @@ func newFileSink(path string) (*fileSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fileSink{w: bufio.NewWriter(f), f: f}, nil
+	return &fileSink{f: f}, nil
 }
 
 func (s *fileSink) WriteRun(label string, rec *obs.Recorder) {
 	if s.err != nil {
 		return
 	}
-	if _, err := fmt.Fprintf(s.w, "{\"run\":%q}\n", label); err != nil {
-		s.err = err
-		return
+	header := append(strconv.AppendQuote([]byte(`{"run":`), label), "}\n"...)
+	if _, s.err = s.f.Write(header); s.err == nil {
+		s.err = obs.WriteJSONL(s.f, rec)
 	}
-	s.err = obs.WriteJSONL(s.w, rec)
 }
 
 func (s *fileSink) Close() error {
-	if err := s.w.Flush(); s.err == nil {
-		s.err = err
-	}
 	if err := s.f.Close(); s.err == nil {
 		s.err = err
 	}

@@ -12,9 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"runtime/pprof"
-	"strings"
 
 	"fsoi/internal/config"
 	"fsoi/internal/core"
@@ -37,20 +37,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A bad flag is one fail line like any other bad input; only -h
 	// prints the usage.
 	fs.SetOutput(io.Discard)
-	appName := fs.String("app", "jacobi", "application (see -listapps)")
-	netName := fs.String("net", "fsoi", "interconnect: "+strings.Join(system.Networks(), " | "))
-	nodes := fs.Int("nodes", 16, "node count (a perfect square)")
-	scale := fs.Float64("scale", 0.5, "workload scale factor")
-	seed := fs.Uint64("seed", 1, "random seed")
-	memGBps := fs.Float64("membw", 8.8, "total memory bandwidth, GB/s")
-	noOpt := fs.Bool("no-opt", false, "disable all §5 FSOI optimizations")
-	trace := fs.Int("trace", 0, "dump the last N terminated packets")
+	spec := config.Flags(fs)
 	traceFile := fs.String("tracefile", "", "record packet-lifecycle events and write them as JSON Lines (read with cmd/fsoitrace)")
 	chromeTrace := fs.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
 	profilePath := fs.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
-	detect := fs.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
 	canonicalPath := fs.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
-	configPath := fs.String("config", "", "JSON spec read before the flags (see internal/config); every flag given beside it overrides the spec's field")
+	configPath := fs.String("config", "", "JSON spec read before the flags (see internal/config); a flag given beside it replaces its key")
 	listApps := fs.Bool("listapps", false, "list applications and exit")
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "fsoisim:", err)
@@ -72,67 +64,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// One input path: the spec file (if any) first, then every flag the
-	// user actually set on top of it. Flags left alone keep the spec's
-	// value, and a spec's zero fields are the flags' defaults.
-	var spec config.Spec
+	// One input path: every flag given is its key's value, laid over
+	// the spec file.
 	if *configPath != "" {
-		var err error
-		if spec, err = config.Load(*configPath); err != nil {
+		file, err := config.Load(*configPath)
+		if err != nil {
 			return fail(2, err)
 		}
+		maps.Copy(file, spec)
+		spec = file
 	}
-	// Because a zero field means the default, a flag set to zero would
-	// silently run the default; it is refused instead.
-	var zeroErr error
-	fs.Visit(func(f *flag.Flag) {
-		zero := false
-		switch f.Name {
-		case "app":
-			spec.App = *appName
-		case "net":
-			spec.Network = *netName
-		case "nodes":
-			spec.Nodes, zero = *nodes, *nodes == 0
-		case "scale":
-			spec.Scale, zero = *scale, *scale == 0
-		case "seed":
-			spec.Seed, zero = *seed, *seed == 0
-		case "membw":
-			spec.MemoryGBps, zero = *memGBps, *memGBps == 0
-		case "no-opt":
-			if *noOpt {
-				spec.Optimizations = &config.OptSpec{}
-			}
-		case "trace":
-			spec.TracePackets = *trace
-		case "detect":
-			if *detect {
-				spec.Detect = true
-			}
-		}
-		if zero && zeroErr == nil {
-			zeroErr = fmt.Errorf("-%s 0 would run the default %s; give the value to use", f.Name, f.DefValue)
-		}
-	})
-	if zeroErr != nil {
-		return fail(2, zeroErr)
-	}
-	cfg, err := spec.Build()
+	r, err := spec.Build()
 	if err != nil {
 		return fail(2, err)
 	}
-	name, sc := spec.AppAndScale()
-	app, ok := workload.ByName(name, sc)
+	app, ok := workload.ByName(r.App, r.Scale)
 	if !ok {
-		return fail(2, fmt.Errorf("unknown app %q (use -listapps)", name))
+		return fail(2, fmt.Errorf("unknown app %q (use -listapps)", r.App))
 	}
 	if *traceFile != "" || *chromeTrace != "" {
-		cfg.Observe = true // recording is an output choice, so it has no spec field
+		r.Observe = true // recording is an output choice, so it has no spec key
 	}
-	adjust(&cfg)
+	adjust(&r.Config)
 
-	s := system.New(cfg)
+	s := system.New(r.Config)
 	if *profilePath != "" {
 		f, err := os.Create(*profilePath)
 		if err != nil {
@@ -146,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	m := s.Run(app)
 
-	fmt.Fprintf(stdout, "app=%s net=%s nodes=%d scale=%.2f\n", app.Name, m.Net, m.Nodes, sc)
+	fmt.Fprintf(stdout, "app=%s net=%s nodes=%d scale=%.2f\n", app.Name, m.Net, m.Nodes, r.Scale)
 	fmt.Fprintf(stdout, "run time            %d cycles (finished=%v)\n", m.Cycles, m.Finished)
 	q, sched, nw, res := m.Latency.Breakdown()
 	fmt.Fprintf(stdout, "packet latency      %.2f cycles = queuing %.2f + scheduling %.2f + network %.2f + resolution %.2f\n",
@@ -180,8 +135,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "adversaries         %d hostile nodes (%d spoofed headers, %d starved confirms), honest cores finished at cycle %d\n",
 			m.AdversaryNodes, m.FSOI.SpoofedHeaders, m.FSOI.StarvedConfirms, m.HonestFinish)
 	}
-	if cfg.TracePackets > 0 {
-		fmt.Fprintf(stdout, "\nlast %d packets:\n%s", cfg.TracePackets, s.Trace().String())
+	if r.TracePackets > 0 {
+		fmt.Fprintf(stdout, "\nlast %d packets:\n%s", r.TracePackets, s.Trace().String())
 	}
 	if rec := s.Obs(); rec != nil {
 		fmt.Fprintf(stdout, "\nlifecycle events    %d recorded", rec.Len())
@@ -223,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exit status says so.
 	if !m.Finished {
 		fmt.Fprintf(stdout, "\nstuck at cycle %d:\n%s", m.Cycles, s.Diagnose())
-		fmt.Fprintf(stderr, "fsoisim: run did not finish: stopped at cycle %d of MaxCycles %d; its metrics are not a result\n", m.Cycles, cfg.MaxCycles)
+		fmt.Fprintf(stderr, "fsoisim: run did not finish: stopped at cycle %d of MaxCycles %d; its metrics are not a result\n", m.Cycles, r.MaxCycles)
 		return 1
 	}
 	return 0

@@ -81,12 +81,16 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-scale", "-1"},
 		{"-membw", "-5"},
 		{"-trace", "-3"},
-		// A spec's zero field means the default, so zero flags used to
-		// run the default.
+		// A numeric key written as 0 is refused, from a flag or a spec:
+		// it used to run the default.
 		{"-scale", "0"},
 		{"-seed", "0"},
 		{"-nodes", "0"},
 		{"-membw", "0"},
+		{"-trace", "0"},
+		{"-config", writeSpec(t, `{"seed": 0}`)},
+		{"-config", writeSpec(t, `{"receivers": 0}`)},
+		{"-config", writeSpec(t, `{"scale": 0}`)},
 		{"-config", writeSpec(t, `{"receivers": -2}`)},
 		// A node's arrival mask is one word.
 		{"-config", writeSpec(t, `{"receivers": 65}`)},

@@ -1,15 +1,21 @@
-// Package config provides the JSON configuration surface of the
-// simulator: a flat, documented schema that deserializes into a
-// system.Config, so parameter studies can be scripted without
-// recompiling (fsoisim -config study.json).
+// Package config is the input surface of the simulator: a JSON spec
+// whose top-level keys, and the fsoisim flags that set the same keys,
+// decode through one table (knobs) into a Run, so parameter studies can
+// be scripted without recompiling (fsoisim -config study.json).
 package config
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 
 	"fsoi/internal/adversary"
@@ -20,54 +26,236 @@ import (
 	"fsoi/internal/thermal"
 )
 
-// Spec is the serializable view of a simulation configuration. Zero
-// fields inherit the paper defaults for the chosen node count and
-// network, so a spec needs to mention only what it changes.
-type Spec struct {
-	Nodes   int     `json:"nodes"`           // 16 or 64
-	Network string  `json:"network"`         // any system.Networks() name
-	App     string  `json:"app,omitempty"`   // workload name
-	Scale   float64 `json:"scale,omitempty"` // workload scale factor
-	Seed    uint64  `json:"seed,omitempty"`
-
-	// FSOI knobs (ignored on other networks).
-	MetaVCSELs          int      `json:"meta_vcsels,omitempty"`
-	DataVCSELs          int      `json:"data_vcsels,omitempty"`
-	Receivers           int      `json:"receivers,omitempty"`
-	WindowW             float64  `json:"window_w,omitempty"`
-	BackoffB            float64  `json:"backoff_b,omitempty"`
-	OutQueue            int      `json:"out_queue,omitempty"`
-	MaxBackoffSlots     float64  `json:"max_backoff_slots,omitempty"`
-	ConfirmTimeoutSlots int      `json:"confirm_timeout_slots,omitempty"`
-	Optimizations       *OptSpec `json:"optimizations,omitempty"`
-
-	// Faults switches on physical-fault injection (FSOI only); nil
-	// injects nothing and keeps runs bit-identical to fault-free builds.
-	Faults *FaultSpec `json:"faults,omitempty"`
-
-	// Adversaries assigns hostile workload streams to nodes (FSOI only);
-	// an empty list keeps runs bit-identical to adversary-free builds.
-	Adversaries []AdversarySpec `json:"adversaries,omitempty"`
-
-	// Detect switches on the windowed contention detector (implies
-	// observation); DetectWindow overrides its window length in cycles.
-	Detect       bool  `json:"detect,omitempty"`
-	DetectWindow int64 `json:"detect_window,omitempty"`
-
-	// Memory system.
-	MemoryGBps float64 `json:"memory_gbps,omitempty"`
-	Channels   int     `json:"memory_channels,omitempty"`
-
-	// Mesh.
-	RouterCycles      int     `json:"router_cycles,omitempty"`
-	MeshBandwidthFrac float64 `json:"mesh_bandwidth_frac,omitempty"`
-
-	// Diagnostics.
-	TracePackets int `json:"trace_packets,omitempty"`
+// Run is what a spec selects: the system configuration and the
+// workload to run on it.
+type Run struct {
+	system.Config
+	App   string
+	Scale float64
 }
 
-// OptSpec toggles the §5 optimizations; nil means all on (the paper
-// default), a present struct specifies each explicitly.
+// Spec is a parsed JSON spec: the raw value of each top-level key
+// written, every key one of the knobs. A key left out keeps the
+// default Build applies; a numeric key written as 0 or less is refused.
+type Spec map[string]json.RawMessage
+
+// knob is one top-level key of the spec.
+type knob struct {
+	key, flag, usage string // flag is fsoisim's for the key, if it has one
+	// on is the JSON value a boolean flag lays over the key; a flag
+	// without it lays its own text, as a JSON string unless the key is
+	// a number.
+	on       string
+	positive bool // a number: 0 and below are refused
+	set      func(r *Run, raw []byte) error
+	get      func(r *Run) any // the value set writes, for the flag's default
+}
+
+// field is the knob whose JSON value decodes straight into one field
+// of the run.
+func field[T any](key, flag, usage string, at func(*Run) *T) knob {
+	k := knob{key: key, flag: flag, usage: usage,
+		set: func(r *Run, raw []byte) error { return decode(raw, at(r)) },
+		get: func(r *Run) any { return *at(r) },
+	}
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Bool:
+		k.on = "true"
+	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		k.positive = true
+	}
+	return k
+}
+
+// shapeKeys counts the knobs system.Default takes: nodes and network,
+// the first two.
+const shapeKeys = 2
+
+// knobs is the schema: one row per top-level key, in the order Build
+// applies them.
+var knobs = []knob{
+	field("nodes", "nodes", "node count (a perfect square)", func(r *Run) *int { return &r.Nodes }),
+	field("network", "net", "interconnect: "+strings.Join(system.Networks(), " | "), func(r *Run) *system.NetworkKind { return &r.Net }),
+	field("app", "app", "application (see -listapps)", func(r *Run) *string { return &r.App }),
+	field("scale", "scale", "workload scale factor", func(r *Run) *float64 { return &r.Scale }),
+	field("seed", "seed", "random seed", func(r *Run) *uint64 { return &r.Seed }),
+	field("meta_vcsels", "", "transmit VCSELs in the FSOI meta lane (Table 3)", func(r *Run) *int { return &r.FSOI.MetaVCSELs }),
+	field("data_vcsels", "", "transmit VCSELs in the FSOI data lane (Table 3)", func(r *Run) *int { return &r.FSOI.DataVCSELs }),
+	field("receivers", "", "FSOI receivers per lane per node, at most 64 (Table 3)", func(r *Run) *int { return &r.FSOI.Receivers }),
+	field("window_w", "", "FSOI backoff window W, slots (§4.3)", func(r *Run) *float64 { return &r.FSOI.WindowW }),
+	field("backoff_b", "", "FSOI backoff base B (§4.3)", func(r *Run) *float64 { return &r.FSOI.BackoffB }),
+	field("out_queue", "", "FSOI outgoing queue, packets", func(r *Run) *int { return &r.FSOI.OutQueue }),
+	field("max_backoff_slots", "", "cap on the FSOI backoff window, slots, above 1", func(r *Run) *float64 { return &r.FSOI.MaxBackoffSlots }),
+	field("confirm_timeout_slots", "", "FSOI confirmation timeout, slots", func(r *Run) *int { return &r.FSOI.ConfirmTimeoutSlots }),
+	{key: "optimizations", flag: "no-opt", usage: "disable all §5 FSOI optimizations", on: "{}",
+		set: func(r *Run, raw []byte) error {
+			var o OptSpec
+			err := decode(raw, &o)
+			r.FSOI.Opt = core.Optimizations(o)
+			return err
+		}},
+	{key: "faults", usage: "physical-fault injection, FSOI only (FaultSpec)",
+		set: func(r *Run, raw []byte) error {
+			var f FaultSpec
+			err := decode(raw, &f)
+			if err == nil {
+				r.Fault, err = f.Build()
+			}
+			return err
+		}},
+	{key: "adversaries", usage: "hostile nodes, FSOI only (AdversarySpec)",
+		set: func(r *Run, raw []byte) error {
+			var as []AdversarySpec
+			if err := decode(raw, &as); err != nil {
+				return err
+			}
+			for _, a := range as {
+				sp, err := a.build()
+				if err != nil {
+					return err
+				}
+				r.Adversaries = append(r.Adversaries, sp)
+			}
+			return nil
+		}},
+	field("detect", "detect", "run the windowed contention detector and print its report (implies observation)", func(r *Run) *bool { return &r.Detect }),
+	field("detect_window", "", "the detector's window, cycles", func(r *Run) *int64 { return &r.DetectWindow }),
+	field("memory_gbps", "membw", "total memory bandwidth, GB/s", func(r *Run) *float64 { return &r.Memory.TotalGBps }),
+	field("memory_channels", "", "memory controllers, each on its own node", func(r *Run) *int { return &r.Memory.Channels }),
+	field("router_cycles", "", "mesh router pipeline depth, cycles", func(r *Run) *int { return &r.MeshRouterCycles }),
+	field("mesh_bandwidth_frac", "", "mesh injection bandwidth, a fraction in (0, 1] (Figure 11)", func(r *Run) *float64 { return &r.MeshBandwidthFrac }),
+	field("trace_packets", "trace", "dump the last N terminated packets", func(r *Run) *int { return &r.TracePackets }),
+}
+
+// decode is the one decoder of a key's JSON value, from a spec or a
+// flag: one value, no unknown field in a nested section.
+func decode(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("more than one JSON value")
+	}
+	return err
+}
+
+// apply decodes raw, the knob's JSON value, into r.
+func (k *knob) apply(r *Run, raw []byte) error {
+	if k.positive {
+		var v float64
+		if json.Unmarshal(raw, &v) == nil && !(v > 0) {
+			return fmt.Errorf("config: %s is %s; want a number above 0", k.key, raw)
+		}
+	}
+	if err := k.set(r, raw); err != nil {
+		return fmt.Errorf("config: %s: %w", k.key, err)
+	}
+	return nil
+}
+
+// Load reads a Spec from a JSON file.
+func Load(path string) (Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	return Parse(data)
+}
+
+// Parse decodes a Spec from a JSON object, rejecting unknown keys so
+// typos fail loudly. The result is never nil.
+func Parse(data []byte) (Spec, error) {
+	var s Spec
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	rest := maps.Clone(s)
+	for _, k := range knobs {
+		delete(rest, k.key)
+	}
+	var unknown []string
+	for key := range rest {
+		unknown = append(unknown, key)
+	}
+	if slices.Sort(unknown); len(unknown) > 0 {
+		return nil, fmt.Errorf("config: unknown field %q", unknown[0])
+	}
+	if s == nil {
+		s = Spec{}
+	}
+	return s, nil
+}
+
+// Build decodes the spec into a validated run: nodes and network first,
+// then system.Default for those two, then every other key written, in
+// table order.
+func (s Spec) Build() (Run, error) {
+	r := Run{Config: system.Config{Nodes: 16, Net: system.NetFSOI}, App: "jacobi", Scale: 0.5}
+	for i := range knobs {
+		if i == shapeKeys {
+			r.Config = system.Default(r.Nodes, r.Net)
+		}
+		if raw, ok := s[knobs[i].key]; ok {
+			if err := knobs[i].apply(&r, raw); err != nil {
+				return Run{}, err
+			}
+		}
+	}
+	if err := r.FSOI.Validate(); r.Net == system.NetFSOI && err != nil {
+		return Run{}, err
+	}
+	if err := r.Validate(); err != nil {
+		return Run{}, err
+	}
+	return r, nil
+}
+
+// Flags declares on fs the flag of every knob that has one and returns
+// the spec the flags given fill, to lay over a spec file. A flag's text
+// is its key's JSON value, a string's without its quotes; it is checked
+// as the key is, so its error names the flag. Its default is what Build
+// applies when the key is left out.
+func Flags(fs *flag.FlagSet) Spec {
+	given := Spec{}
+	def, _ := Spec{}.Build() // the empty spec always builds (TestParseDefaults)
+	for i := range knobs {
+		k := &knobs[i]
+		if k.flag == "" {
+			continue
+		}
+		set := func(text string) error {
+			raw := []byte(text)
+			if k.on != "" {
+				on, err := strconv.ParseBool(text)
+				if err != nil || !on {
+					delete(given, k.key)
+					return err
+				}
+				raw = []byte(k.on)
+			} else if !k.positive {
+				raw, _ = json.Marshal(text) // a string always marshals
+			}
+			err := k.apply(&Run{}, raw)
+			if err == nil {
+				given[k.key] = raw
+			}
+			return err
+		}
+		usage := k.usage
+		if k.get != nil && !reflect.ValueOf(k.get(&def)).IsZero() {
+			usage += fmt.Sprintf(" (default %v)", k.get(&def))
+		}
+		if k.on != "" {
+			fs.BoolFunc(k.flag, usage, set)
+		} else {
+			fs.Func(k.flag, usage, set)
+		}
+	}
+	return given
+}
+
+// OptSpec toggles the §5 optimizations; left out, all are on (the paper
+// default), and a section written names each one that stays on.
 type OptSpec struct {
 	AckElision          bool `json:"ack_elision"`
 	BooleanSubscription bool `json:"boolean_subscription"`
@@ -107,7 +295,7 @@ type AdversarySpec struct {
 func (a AdversarySpec) build() (adversary.Spec, error) {
 	role, ok := adversary.ParseRole(a.Role)
 	if !ok {
-		return adversary.Spec{}, fmt.Errorf("config: unknown adversary role %q", a.Role)
+		return adversary.Spec{}, fmt.Errorf("unknown adversary role %q", a.Role)
 	}
 	return adversary.Spec{
 		Role:      role,
@@ -140,7 +328,7 @@ func (f FaultSpec) Build() (fault.Config, error) {
 		if f.ThermalCooling != "" {
 			c, ok := coolings[f.ThermalCooling]
 			if !ok {
-				return fault.Config{}, fmt.Errorf("config: unknown cooling %q", f.ThermalCooling)
+				return fault.Config{}, fmt.Errorf("unknown cooling %q", f.ThermalCooling)
 			}
 			cooling = c
 		}
@@ -158,166 +346,12 @@ func (f FaultSpec) Build() (fault.Config, error) {
 			cfg.Thermal.TauCycles = 100000 // package thermal time constant
 		}
 	} else if f.ThermalCooling != "" || !isUnset(f.ThermalPowerW) || !isUnset(f.ThermalTauCycles) {
-		return fault.Config{}, fmt.Errorf("config: thermal fields need droop_db_per_k > 0")
+		return fault.Config{}, errors.New("thermal fields need droop_db_per_k > 0")
 	}
 	if err := cfg.Validate(); err != nil {
 		return fault.Config{}, err
 	}
 	return cfg, nil
-}
-
-// Load reads a Spec from a JSON file.
-func Load(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("config: %w", err)
-	}
-	return Parse(data)
-}
-
-// Parse decodes a Spec from JSON bytes, rejecting unknown fields so
-// typos fail loudly.
-func Parse(data []byte) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("config: %w", err)
-	}
-	return s, nil
-}
-
-// checkSigns rejects a negative (or NaN) number in any top-level field,
-// naming its JSON key: zero means "default" throughout the spec, and a
-// negative value used to run the default without a word.
-func (s Spec) checkSigns() error {
-	v := reflect.ValueOf(s)
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		ok := true
-		switch f.Kind() {
-		case reflect.Int, reflect.Int64:
-			ok = f.Int() >= 0
-		case reflect.Float64:
-			ok = f.Float() >= 0
-		}
-		if !ok {
-			key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
-			return fmt.Errorf("config: %s is %v; want a number >= 0 (0 = default)", key, f)
-		}
-	}
-	return nil
-}
-
-// Build converts the spec into a runnable system configuration.
-func (s Spec) Build() (system.Config, error) {
-	if err := s.checkSigns(); err != nil {
-		return system.Config{}, err
-	}
-	nodes := s.Nodes
-	if nodes == 0 {
-		nodes = 16
-	}
-	netName := s.Network
-	if netName == "" {
-		netName = "fsoi"
-	}
-	kind, err := system.ParseNetwork(netName)
-	if err != nil {
-		return system.Config{}, fmt.Errorf("config: %w", err)
-	}
-	cfg := system.Default(nodes, kind)
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
-	if s.MetaVCSELs > 0 {
-		cfg.FSOI.MetaVCSELs = s.MetaVCSELs
-	}
-	if s.DataVCSELs > 0 {
-		cfg.FSOI.DataVCSELs = s.DataVCSELs
-	}
-	if s.Receivers > 0 {
-		cfg.FSOI.Receivers = s.Receivers
-	}
-	if s.WindowW > 0 {
-		cfg.FSOI.WindowW = s.WindowW
-	}
-	if s.BackoffB > 0 {
-		cfg.FSOI.BackoffB = s.BackoffB
-	}
-	if s.OutQueue > 0 {
-		cfg.FSOI.OutQueue = s.OutQueue
-	}
-	if s.MaxBackoffSlots > 0 {
-		cfg.FSOI.MaxBackoffSlots = s.MaxBackoffSlots
-	}
-	if s.ConfirmTimeoutSlots > 0 {
-		cfg.FSOI.ConfirmTimeoutSlots = s.ConfirmTimeoutSlots
-	}
-	if s.Faults != nil {
-		fc, err := s.Faults.Build()
-		if err != nil {
-			return system.Config{}, err
-		}
-		cfg.Fault = fc
-	}
-	for _, a := range s.Adversaries {
-		sp, err := a.build()
-		if err != nil {
-			return system.Config{}, err
-		}
-		cfg.Adversaries = append(cfg.Adversaries, sp)
-	}
-	if s.Detect {
-		cfg.Detect = true
-	}
-	if s.DetectWindow > 0 {
-		cfg.DetectWindow = s.DetectWindow
-	}
-	if s.Optimizations != nil {
-		o := s.Optimizations
-		cfg.FSOI.Opt = core.Optimizations{
-			AckElision:          o.AckElision,
-			BooleanSubscription: o.BooleanSubscription,
-			ReceiverScheduling:  o.ReceiverScheduling,
-			WritebackSplit:      o.WritebackSplit,
-			RetransmitHints:     o.RetransmitHints,
-		}
-	}
-	if s.MemoryGBps > 0 {
-		cfg.Memory.TotalGBps = s.MemoryGBps
-	}
-	if s.Channels > 0 {
-		cfg.Memory.Channels = s.Channels
-	}
-	// Zero is "unset" for both, which is what Default leaves; anything
-	// out of range goes through for Validate below to name.
-	cfg.MeshBandwidthFrac = s.MeshBandwidthFrac
-	cfg.MeshRouterCycles = s.RouterCycles
-	if s.TracePackets > 0 {
-		cfg.TracePackets = s.TracePackets
-	}
-	if err := cfg.FSOI.Validate(); kind == system.NetFSOI && err != nil {
-		return system.Config{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return system.Config{}, err
-	}
-	return cfg, nil
-}
-
-// AppAndScale returns the workload selection with defaults applied; a
-// negative scale is Build's error.
-func (s Spec) AppAndScale() (string, float64) {
-	app := s.App
-	if app == "" {
-		app = "jacobi"
-	}
-	scale := s.Scale
-	if isUnset(scale) {
-		scale = 0.5
-	}
-	return app, scale
 }
 
 // isUnset reports whether a float spec field was left out: such values

@@ -1,6 +1,10 @@
 package config
 
 import (
+	"encoding/json"
+	"flag"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,21 +14,28 @@ import (
 	"fsoi/internal/thermal"
 )
 
+// build parses and builds one JSON spec.
+func build(t *testing.T, js string) (Run, error) {
+	t.Helper()
+	s, err := Parse([]byte(js))
+	if err != nil {
+		t.Fatalf("%s: %v", js, err)
+	}
+	return s.Build()
+}
+
 func TestParseDefaults(t *testing.T) {
-	s, err := Parse([]byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Nodes != 16 || cfg.Net != system.NetFSOI {
-		t.Fatalf("defaults wrong: nodes=%d net=%v", cfg.Nodes, cfg.Net)
-	}
-	app, scale := s.AppAndScale()
-	if app != "jacobi" || scale != 0.5 {
-		t.Fatalf("workload defaults: %s %g", app, scale)
+	for _, js := range []string{`{}`, `null`} {
+		r, err := build(t, js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Nodes != 16 || r.Net != system.NetFSOI || r.App != "jacobi" || r.Scale != 0.5 {
+			t.Fatalf("%s: defaults wrong: nodes=%d net=%v app=%s scale=%g", js, r.Nodes, r.Net, r.App, r.Scale)
+		}
+		if want := system.Default(16, system.NetFSOI); r.Seed != want.Seed || r.Memory != want.Memory || r.FSOI != want.FSOI {
+			t.Fatalf("%s: not system.Default(16, fsoi) where no key is written", js)
+		}
 	}
 }
 
@@ -41,24 +52,80 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsNegativeNumbers: zero is "default" in every numeric
-// field, and a negative one used to run the default (or, for scale,
-// a negative workload) without a word. Each is one line naming its key.
+// TestBuildRejectsNegativeNumbers: a numeric key written as 0 or less
+// used to run the default (or, for a negative scale, a negative
+// workload) without a word. Each is one line naming its key, and none
+// tells the user to write 0.
 func TestBuildRejectsNegativeNumbers(t *testing.T) {
-	for _, js := range []string{
-		`{"nodes": -16}`, `{"scale": -1}`, `{"meta_vcsels": -1}`, `{"data_vcsels": -1}`,
-		`{"receivers": -2}`, `{"window_w": -2.7}`, `{"backoff_b": -1.1}`, `{"out_queue": -8}`,
-		`{"max_backoff_slots": -1}`, `{"confirm_timeout_slots": -1}`, `{"detect_window": -5}`,
-		`{"memory_gbps": -5}`, `{"memory_channels": -4}`, `{"router_cycles": -1}`,
-		`{"mesh_bandwidth_frac": -0.5}`, `{"trace_packets": -3}`,
-	} {
-		s, err := Parse([]byte(js))
-		if err != nil {
-			t.Fatalf("%s: %v", js, err)
+	keys := []string{
+		"nodes", "scale", "seed", "meta_vcsels", "data_vcsels", "receivers", "window_w",
+		"backoff_b", "out_queue", "max_backoff_slots", "confirm_timeout_slots", "detect_window",
+		"memory_gbps", "memory_channels", "router_cycles", "mesh_bandwidth_frac", "trace_packets",
+	}
+	numeric := 0
+	for _, k := range knobs {
+		if k.positive {
+			numeric++
 		}
-		key, _, _ := strings.Cut(js[2:], `"`)
-		if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), key+" is -") || strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s: Build() = %v, want one line naming %q", js, err, key)
+	}
+	if numeric != len(keys) {
+		t.Fatalf("the table has %d numeric keys, the test %d", numeric, len(keys))
+	}
+	for _, key := range keys {
+		for _, v := range []string{"0", "-1", "-0.5", "0.0"} {
+			js := `{"` + key + `": ` + v + `}`
+			_, err := build(t, js)
+			if err == nil || !strings.Contains(err.Error(), key+" is "+v+";") || strings.Contains(err.Error(), "\n") ||
+				strings.Contains(err.Error(), "0 =") {
+				t.Errorf("%s: Build() = %v, want one line naming %q", js, err, key)
+			}
+		}
+	}
+}
+
+// TestFlagIsItsKey: a flag given is its key's JSON value, checked as
+// the key is, with an error that names the flag; -h's defaults are what
+// Build applies.
+func TestFlagIsItsKey(t *testing.T) {
+	parse := func(args ...string) (Spec, error) {
+		fs := flag.NewFlagSet("fsoisim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		given := Flags(fs)
+		return given, fs.Parse(args)
+	}
+	given, err := parse("-nodes", "64", "-net", "mesh", "-app", "fft", "-scale", "0.02", "-seed", "7",
+		"-membw", "52.8", "-trace", "5", "-detect", "-no-opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Spec{"nodes": []byte(`64`), "network": []byte(`"mesh"`), "app": []byte(`"fft"`), "scale": []byte(`0.02`),
+		"seed": []byte(`7`), "memory_gbps": []byte(`52.8`), "trace_packets": []byte(`5`), "detect": []byte(`true`),
+		"optimizations": []byte(`{}`)}
+	if !maps.EqualFunc(given, want, func(a, b json.RawMessage) bool { return string(a) == string(b) }) {
+		t.Fatalf("flags gave %q, want %q", given, want)
+	}
+	// A boolean flag set false lays nothing: the spec's value stands.
+	if given, err := parse("-detect", "-detect=false", "-no-opt=false"); err != nil || len(given) != 0 {
+		t.Fatalf("-detect=false -no-opt=false gave %q, %v; want nothing", given, err)
+	}
+	for _, args := range [][]string{{"-trace", "-3"}, {"-seed", "0"}, {"-scale", "x"}, {"-nodes", "16 17"}} {
+		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "flag "+args[0]+":") {
+			t.Errorf("%v: %v, want an error naming the flag", args, err)
+		}
+	}
+	if _, err := build(t, `{"trace_packets": -3}`); err == nil || !strings.Contains(err.Error(), "config: trace_packets is -3;") {
+		t.Errorf(`{"trace_packets": -3}: %v, want an error naming the key`, err)
+	}
+
+	fs := flag.NewFlagSet("fsoisim", flag.ContinueOnError)
+	Flags(fs)
+	for name, def := range map[string]string{
+		"nodes": "16", "net": "fsoi", "app": "jacobi", "scale": "0.5", "seed": "1", "membw": "8.8",
+		"trace": "", "detect": "", "no-opt": "",
+	} {
+		f := fs.Lookup(name)
+		if _, got, _ := strings.Cut(f.Usage, " (default "); got != "" && got != def+")" || got == "" && def != "" {
+			t.Errorf("-%s: usage %q, want default %q", name, f.Usage, def)
 		}
 	}
 }
@@ -139,15 +206,13 @@ func TestBuildOverrides(t *testing.T) {
 	if !cfg.FSOI.Opt.AckElision || cfg.FSOI.Opt.RetransmitHints {
 		t.Fatal("explicit optimizations must replace the default set")
 	}
-	app, scale := s.AppAndScale()
-	if app != "mp3d" || scale != 0.25 {
+	if cfg.App != "mp3d" || cfg.Scale != 0.25 {
 		t.Fatal("workload overrides lost")
 	}
 }
 
 func TestBuildRejectsBadNetwork(t *testing.T) {
-	s := Spec{Network: "hypercube"}
-	if _, err := s.Build(); err == nil {
+	if _, err := build(t, `{"network": "hypercube"}`); err == nil {
 		t.Fatal("unknown network must error")
 	}
 }
@@ -156,24 +221,23 @@ func TestBuildRejectsBadNetwork(t *testing.T) {
 // non-positive mesh option on the floor; what is out of range is an
 // error, and what is in range arrives.
 func TestBuildHandsMeshOptionsToValidate(t *testing.T) {
-	cfg, err := Spec{Network: "mesh", MeshBandwidthFrac: 0.75, RouterCycles: 2}.Build()
+	cfg, err := build(t, `{"network": "mesh", "mesh_bandwidth_frac": 0.75, "router_cycles": 2}`)
 	if err != nil || cfg.MeshBandwidthFrac != 0.75 || cfg.MeshRouterCycles != 2 {
 		t.Fatalf("Build() = frac %v cycles %d, %v", cfg.MeshBandwidthFrac, cfg.MeshRouterCycles, err)
 	}
-	for _, s := range []Spec{
-		{Network: "mesh", MeshBandwidthFrac: 1.5},
-		{Network: "mesh", MeshBandwidthFrac: -0.5},
-		{Network: "mesh", RouterCycles: -1},
+	for _, js := range []string{
+		`{"network": "mesh", "mesh_bandwidth_frac": 1.5}`,
+		`{"network": "mesh", "mesh_bandwidth_frac": -0.5}`,
+		`{"network": "mesh", "router_cycles": -1}`,
 	} {
-		if _, err := s.Build(); err == nil {
-			t.Errorf("%+v must error", s)
+		if _, err := build(t, js); err == nil {
+			t.Errorf("%s must error", js)
 		}
 	}
 }
 
 func TestBuildValidatesFSOI(t *testing.T) {
-	s := Spec{Network: "fsoi", WindowW: 0.1} // below one slot
-	if _, err := s.Build(); err == nil {
+	if _, err := build(t, `{"network": "fsoi", "window_w": 0.1}`); err == nil { // below one slot
 		t.Fatal("invalid FSOI config must error")
 	}
 }
@@ -269,45 +333,55 @@ func TestBuildFaultRejectsBadSections(t *testing.T) {
 	}
 }
 
-// FuzzSpecBuild pins the CLI contract: no JSON spec panics Parse or
-// Build, and a spec Build accepts is one system.New accepts too — what
-// a user can get wrong is an error, never a stack trace. Seeds are the
-// five specs that used to panic in New plus the specs CI runs; those
-// with "par_workers" are Parse errors since the key was withdrawn.
+// FuzzSpecBuild pins the CLI contract: no JSON spec, with one flag laid
+// over it, panics Parse, Flags or Build, and a run Build accepts is one
+// system.New accepts too — what a user can get wrong is an error, never a
+// stack trace. Seeds are the five specs that used to panic in New plus
+// the specs CI runs; those with "par_workers" are Parse errors since the
+// key was withdrawn.
 func FuzzSpecBuild(f *testing.F) {
-	for _, seed := range []string{
-		`{}`,
-		`{"network":"mesh","par_workers":2}`,
-		`{"nodes":20}`,
-		`{"network":"mesh","adversaries":[{"role":"jammer","node":15,"victims":[0],"intensity":0.9}]}`,
-		`{"network":"fsoi","par_workers":2,"optimizations":{"ack_elision":true}}`,
-		`{"network":"Mesh"}`,
-		`{"nodes":64,"network":"matrix"}`,
-		`{"scale":-1}`, `{"memory_gbps":-5}`, `{"trace_packets":-3}`, `{"par_workers":-1}`,
-		`{"nodes":16,"network":"fsoi","app":"mp3d","scale":0.05,"trace_packets":16,
-		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
-		`{"nodes":64,"network":"fsoi","app":"fft","scale":0.01,"trace_packets":16,"par_workers":2,
-		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`,
-		`{"nodes":16,"network":"fsoi","app":"jacobi","scale":0.1,"detect":true,"adversaries":[
+	for _, seed := range []struct{ spec, flag, value string }{
+		{`{}`, "nodes", "64"},
+		{`{"network":"mesh","par_workers":2}`, "net", "fsoi"},
+		{`{"nodes":20}`, "nodes", "16"},
+		{`{"network":"mesh","adversaries":[{"role":"jammer","node":15,"victims":[0],"intensity":0.9}]}`, "net", "fsoi"},
+		{`{"network":"fsoi","par_workers":2,"optimizations":{"ack_elision":true}}`, "no-opt", "true"},
+		{`{"network":"Mesh"}`, "net", "Mesh"},
+		{`{"nodes":64,"network":"matrix"}`, "trace", "0"},
+		{`{"scale":-1}`, "scale", "0.02"}, {`{"memory_gbps":-5}`, "membw", "-5"},
+		{`{"trace_packets":-3}`, "trace", "-3"}, {`{"par_workers":-1}`, "seed", "0"},
+		{`{"seed":0,"receivers":0,"window_w":0}`, "detect", "false"},
+		{`{"nodes":16,"network":"fsoi","app":"mp3d","scale":0.05,"trace_packets":16,
+		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`, "trace", "5"},
+		{`{"nodes":64,"network":"fsoi","app":"fft","scale":0.01,"trace_packets":16,"par_workers":2,
+		  "faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.05,"confirm_drop_prob":0.05}}`, "membw", "52.8"},
+		{`{"nodes":16,"network":"fsoi","app":"jacobi","scale":0.1,"detect":true,"adversaries":[
 		  {"role":"jammer","node":15,"victims":[0],"intensity":0.9},
-		  {"role":"jammer","node":14,"victims":[0],"intensity":0.9}]}`,
+		  {"role":"jammer","node":14,"victims":[0],"intensity":0.9}]}`, "detect", "true"},
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed.spec), seed.flag, seed.value)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, name, value string) {
 		spec, err := Parse(data)
 		if err != nil {
 			return
 		}
-		cfg, err := spec.Build()
+		fs := flag.NewFlagSet("fsoisim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		given := Flags(fs)
+		if fs.Parse([]string{"-" + name + "=" + value}) != nil {
+			return
+		}
+		maps.Copy(spec, given)
+		r, err := spec.Build()
 		if err != nil {
 			return
 		}
 		// Keep assembly cheap: these sizes cost memory,
 		// not correctness.
-		if cfg.Nodes > 64 || cfg.Memory.Channels > 64 || cfg.TracePackets > 1024 {
+		if r.Nodes > 64 || r.Memory.Channels > 64 || r.TracePackets > 1024 {
 			return
 		}
-		system.New(cfg)
+		system.New(r.Config)
 	})
 }

@@ -169,7 +169,7 @@ func (c Config) Validate() error {
 		// A retry waits ceil(u*w) slots for u in (0, 1]: with w <= 1 that
 		// is always 1, so two senders that collide from the same retry
 		// base collide again on every retry.
-		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want 0 (the %d-slot default) or more than 1", c.MaxBackoffSlots, defaultMaxBackoffSlots)
+		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want more than 1 (the default is %d)", c.MaxBackoffSlots, defaultMaxBackoffSlots)
 	case c.ConfirmTimeoutSlots < 0:
 		return fmt.Errorf("core: negative confirmation timeout")
 	}

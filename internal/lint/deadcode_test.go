@@ -29,8 +29,8 @@ var keepUnused = map[string]string{
 const maxKeepUnused = 5
 
 // decl is one package-level declaration: a func, a method, or one
-// name of a type, const or var spec; or one field of a struct type
-// written in such a declaration.
+// name of a type, const or var spec; or one field of a struct type, or
+// one method of an interface type, written in such a declaration.
 type decl struct {
 	obj  types.Object
 	name string // import path qualified: "fsoi/internal/core.(*Network).Tick", "fsoi/internal/cpu.Stats.Ops"
@@ -48,6 +48,10 @@ type decl struct {
 // package in pkgs imports (test support such as
 // internal/noc/noctest). pkgs must exclude _test.go files, so a use
 // only tests make is no use.
+//
+// A method a declared interface lists is a candidate too, used only
+// where a selection names it (a call or method value through the
+// interface): an implementation satisfying it is no use of it.
 //
 // A field is read by any selector of it that is not the left side of
 // an assignment or the operand of ++ or --; a composite-literal key
@@ -104,6 +108,17 @@ func deadDecls(pkgs []*Package, root string, testSelectors map[string]bool) []de
 							}
 						case *ast.IncDecStmt:
 							written[ast.Unparen(n.X)] = true
+						case *ast.InterfaceType:
+							// A method of a declared interface is used
+							// only where a selection names it.
+							if !checked || n != unit.typ() {
+								break
+							}
+							for _, field := range n.Methods.List {
+								for _, id := range field.Names {
+									add(p.Info.Defs[id], id, qualifiedName(p.Info.Defs[unit.names[0]])+"."+id.Name)
+								}
+							}
 						case *ast.StructType:
 							if !checked {
 								break
@@ -154,6 +169,14 @@ func deadDecls(pkgs []*Package, root string, testSelectors map[string]bool) []de
 type declUnit struct {
 	node  ast.Node
 	names []*ast.Ident
+}
+
+// typ returns the type a type spec declares, or nil for any other unit.
+func (u declUnit) typ() ast.Expr {
+	if ts, ok := u.node.(*ast.TypeSpec); ok {
+		return ts.Type
+	}
+	return nil
 }
 
 // declUnits splits a top-level declaration into its units: a func

@@ -54,6 +54,19 @@ func newSizer() sizer { return fromReturn{} }
 
 func measure(s sizer) int { return s.size() }
 
+// A method of a declared interface is used only where a selection
+// names it: main calls area through a shape, and nothing calls corners,
+// though box implements both and becomes a shape.
+type shape interface {
+	area() int
+	corners() int // want "deadcode: fsoi/cmd/deadcode.shape.corners$"
+}
+
+type box struct{ w, h int }
+
+func (b box) area() int    { return b.w * b.h }
+func (b box) corners() int { return 4 }
+
 // probe's SetObserver is reached through the type assertion in main,
 // because a *probe has become an interface there.
 type probe struct{ seen int }
@@ -84,4 +97,6 @@ func main() {
 	_ = never{}
 	fmt.Println(square{side: 3}, p.seen, newSizer().size()+measure(fromArg{}))
 	_ = count(2)
+	var sh shape = box{w: 2, h: 3}
+	fmt.Println(sh.area())
 }

@@ -193,10 +193,9 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			case KindInject:
 				*injectAt.Put(ev.ID) = int64(ev.At)
 			case KindDeliver:
-				start := int64(ev.At)
-				if at := injectAt.Ref(ev.ID); at != nil {
-					start = *at
-					injectAt.Delete(ev.ID)
+				start, ok := injectAt.Delete(ev.ID)
+				if !ok {
+					start = int64(ev.At)
 				}
 				if b, err = nextRecord(w, b, wrote); err != nil {
 					return err

@@ -29,27 +29,6 @@ import (
 	"fsoi/internal/sim"
 )
 
-// Scheduler is the scheduling surface the engines here share with the
-// serial *sim.Engine: the current cycle, timed callbacks, per-cycle
-// tickers, and the stop request.
-type Scheduler interface {
-	Now() sim.Cycle
-	At(at sim.Cycle, fn func(now sim.Cycle))
-	After(delay sim.Cycle, fn func(now sim.Cycle))
-	Register(t sim.Ticker)
-	Stop()
-}
-
-// Driver extends Scheduler with the run loop and the engine counters.
-type Driver interface {
-	Scheduler
-	Step()
-	Run(maxCycles sim.Cycle) sim.Cycle
-	Pending() int
-	EventsFired() uint64
-	MaxQueueDepth() int
-}
-
 // tickerEntry pins a registered ticker to the shard that was current at
 // registration time, so shard accounting survives the ticker sweep.
 type tickerEntry struct {
@@ -57,9 +36,9 @@ type tickerEntry struct {
 	t     sim.Ticker
 }
 
-// Engine is the exact sharded engine. It implements Driver with K
-// per-shard event queues and pops them through a k-way merge on the
-// global (at, seq) order, which makes its event execution — and hence
+// Engine is the exact sharded engine. It keeps K per-shard event
+// queues and pops them through a k-way merge on the global (at, seq)
+// order, which makes its event execution — and hence
 // every RNG draw and stat update made from event callbacks —
 // byte-identical to the serial sim.Engine's.
 //
@@ -68,7 +47,7 @@ type tickerEntry struct {
 // bookkeeping, not a correctness boundary — exact mode would execute
 // identically under any placement.
 type Engine struct {
-	shards    []sim.Queue
+	shards    []wQueue // node 0 in every key: the order is (at, seq)
 	tickers   []tickerEntry
 	nodeShard []int
 	now       sim.Cycle
@@ -76,8 +55,6 @@ type Engine struct {
 	cur       int
 	stopped   bool
 	fired     uint64
-	pending   int
-	maxDepth  int
 
 	// tops is an index-heap over the non-empty shards, ordered by each
 	// shard's head event under the global (at, seq) order; topPos maps a
@@ -88,9 +65,6 @@ type Engine struct {
 	topPos []int
 }
 
-// Engine is a drop-in Driver.
-var _ Driver = (*Engine)(nil)
-
 // New returns an exact sharded engine with k per-shard queues, at cycle
 // 0 with shard 0 current.
 func New(k int) *Engine {
@@ -98,7 +72,7 @@ func New(k int) *Engine {
 		panic("shard: engine needs at least one shard")
 	}
 	e := &Engine{
-		shards: make([]sim.Queue, k),
+		shards: make([]wQueue, k),
 		topPos: make([]int, k),
 	}
 	for i := range e.topPos {
@@ -137,27 +111,15 @@ func (e *Engine) NodeShard(node int) int {
 	return e.nodeShard[node]
 }
 
-// push assigns the next global sequence number and enqueues on shard k.
-func (e *Engine) push(k int, at sim.Cycle, fn func(now sim.Cycle)) {
-	e.seq++
-	e.shards[k].Push(at, e.seq, fn)
-	e.pending++
-	if e.pending > e.maxDepth {
-		e.maxDepth = e.pending
-	}
-	e.topPushed(k)
-}
-
 // topLess orders two shards by their head events under the global
 // (at, seq) order. Both shards must be non-empty (they are in the
 // heap).
 func (e *Engine) topLess(a, b int) bool {
-	aAt, aSeq, _ := e.shards[a].Top()
-	bAt, bSeq, _ := e.shards[b].Top()
-	if aAt != bAt {
-		return aAt < bAt
+	x, y := &e.shards[a].a[0], &e.shards[b].a[0]
+	if x.at != y.at {
+		return x.at < y.at
 	}
-	return aSeq < bSeq
+	return x.seq < y.seq
 }
 
 // topSwap exchanges two heap slots, keeping topPos consistent.
@@ -200,22 +162,11 @@ func (e *Engine) topDown(i int) {
 	}
 }
 
-// topPushed restores shard k's heap position after a push onto its
-// queue: an absent shard is inserted; an existing one can only have
-// moved earlier, so a sift toward the root suffices.
-func (e *Engine) topPushed(k int) {
-	if e.topPos[k] < 0 {
-		e.tops = append(e.tops, k)
-		e.topPos[k] = len(e.tops) - 1
-	}
-	e.topUp(e.topPos[k])
-}
-
 // topPopped restores the heap after shard k's head was popped: the new
 // head is later (sift down) or the queue emptied (remove the shard).
 func (e *Engine) topPopped(k int) {
 	i := e.topPos[k]
-	if e.shards[k].Len() == 0 {
+	if len(e.shards[k].a) == 0 {
 		last := len(e.tops) - 1
 		e.topSwap(i, last)
 		e.tops = e.tops[:last]
@@ -228,34 +179,11 @@ func (e *Engine) topPopped(k int) {
 	e.topDown(i)
 }
 
-// Now reports the current cycle.
-func (e *Engine) Now() sim.Cycle { return e.now }
-
 // Register adds a ticker on the current shard. The sweep order is
 // global registration order, same as the serial engine.
 func (e *Engine) Register(t sim.Ticker) {
 	e.tickers = append(e.tickers, tickerEntry{shard: e.cur, t: t})
 }
-
-// At schedules fn at cycle at on the current shard's queue. Past
-// scheduling panics, mirroring the serial engine.
-func (e *Engine) At(at sim.Cycle, fn func(now sim.Cycle)) {
-	if at < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.push(e.cur, at, fn)
-}
-
-// After schedules fn delay cycles from now on the current shard.
-func (e *Engine) After(delay sim.Cycle, fn func(now sim.Cycle)) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	e.At(e.now+delay, fn)
-}
-
-// Stop requests that Run return at the end of the current cycle.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step advances one cycle: fires due events across all shards in
 // global (at, seq) order via the cached top-heap merge, then ticks
@@ -264,16 +192,14 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Step() {
 	for len(e.tops) > 0 {
 		k := e.tops[0]
-		at, _, _ := e.shards[k].Top()
-		if at > e.now {
+		if e.shards[k].a[0].at > e.now {
 			break
 		}
 		e.cur = k
-		_, fn := e.shards[k].Pop()
+		ev := e.shards[k].pop()
 		e.topPopped(k)
-		e.pending--
 		e.fired++
-		fn(e.now)
+		ev.fn(e.now)
 	}
 	for _, te := range e.tickers {
 		e.cur = te.shard
@@ -291,12 +217,3 @@ func (e *Engine) Run(maxCycles sim.Cycle) sim.Cycle {
 	}
 	return e.now - start
 }
-
-// Pending reports the number of unfired events across all shards.
-func (e *Engine) Pending() int { return e.pending }
-
-// EventsFired reports how many scheduled events have executed.
-func (e *Engine) EventsFired() uint64 { return e.fired }
-
-// MaxQueueDepth reports the high-water mark of total pending events.
-func (e *Engine) MaxQueueDepth() int { return e.maxDepth }

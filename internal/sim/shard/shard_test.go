@@ -7,6 +7,56 @@ import (
 	"fsoi/internal/sim"
 )
 
+// Driver is the scheduling surface chaosWorkload drives, which the
+// serial *sim.Engine and the exact *Engine share.
+type Driver interface {
+	At(at sim.Cycle, fn func(now sim.Cycle))
+	After(delay sim.Cycle, fn func(now sim.Cycle))
+	Register(t sim.Ticker)
+	Stop()
+}
+
+// push assigns the next global sequence number and enqueues on shard k.
+func (e *Engine) push(k int, at sim.Cycle, fn func(now sim.Cycle)) {
+	e.seq++
+	e.shards[k].push(wEvent{at: at, seq: e.seq, fn: fn})
+	e.topPushed(k)
+}
+
+// topPushed restores shard k's heap position after a push onto its
+// queue: an absent shard is inserted; an existing one can only have
+// moved earlier, so a sift toward the root suffices.
+func (e *Engine) topPushed(k int) {
+	if e.topPos[k] < 0 {
+		e.tops = append(e.tops, k)
+		e.topPos[k] = len(e.tops) - 1
+	}
+	e.topUp(e.topPos[k])
+}
+
+// At schedules fn at cycle at on the current shard's queue. Past
+// scheduling panics, mirroring the serial engine.
+func (e *Engine) At(at sim.Cycle, fn func(now sim.Cycle)) {
+	if at < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.push(e.cur, at, fn)
+}
+
+// After schedules fn delay cycles from now on the current shard.
+func (e *Engine) After(delay sim.Cycle, fn func(now sim.Cycle)) {
+	if delay < 0 {
+		panic("sim: negative delay")
+	}
+	e.At(e.now+delay, fn)
+}
+
+// Stop requests that Run return at the end of the current cycle.
+func (e *Engine) Stop() { e.stopped = true }
+
+// EventsFired reports how many scheduled events have executed.
+func (e *Engine) EventsFired() uint64 { return e.fired }
+
 // chaosWorkload drives a Driver with a randomized but deterministic
 // event storm: tickers that schedule events, events that schedule more
 // events (including zero-delay follow-ups and, on the sharded engine,

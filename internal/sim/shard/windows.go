@@ -36,8 +36,7 @@ import (
 // wEvent is one scheduled callback. The (at, node, seq) triple is the
 // canonical key: node is the *scheduling node's index* and seq counts
 // that node's own schedules, so the ordering is identical at every
-// shard count. Global (setup-time) events use node -1 and a dedicated
-// counter.
+// shard count.
 type wEvent struct {
 	at   sim.Cycle
 	node int32
@@ -133,19 +132,8 @@ type wShard struct {
 	stop    bool
 
 	fired    uint64
-	pending  int
-	maxDepth int
 	handoffs uint64 // cross-shard handoffs buffered by this shard
 	tight    uint64 // handoffs landing exactly on the window barrier
-}
-
-// push enqueues locally and tracks the depth high-water mark.
-func (s *wShard) push(e wEvent) {
-	s.q.push(e)
-	s.pending++
-	if s.pending > s.maxDepth {
-		s.maxDepth = s.pending
-	}
 }
 
 // run advances the shard from cycle `from` up to (not including) `to`:
@@ -156,7 +144,6 @@ func (s *wShard) run(from, to sim.Cycle) {
 		s.now = c
 		for len(s.q.a) > 0 && s.q.a[0].at <= c {
 			ev := s.q.pop()
-			s.pending--
 			s.fired++
 			ev.fn(c)
 		}
@@ -169,16 +156,14 @@ func (s *wShard) run(from, to sim.Cycle) {
 
 // Windows is the conservative parallel engine. Construct with
 // NewWindows, assign the node→shard map with AssignNodes and declare
-// the topology's lookahead with SetLookahead. The engine itself
-// implements Driver, but its At/After/Register are setup-time only:
-// once Run starts, all scheduling flows through the node proxies.
+// the topology's lookahead with SetLookahead. All scheduling flows
+// through the node proxies.
 type Windows struct {
 	shards    []*wShard
 	pool      *parallel.Pool
 	nodeShard []int
 	proxies   []NodeProxy
 	seqs      []uint64 // per-node schedule counters (the canonical key's seq)
-	gseq      uint64   // setup-time global events (node -1)
 	la        sim.Cycle
 	now       sim.Cycle
 	windowEnd sim.Cycle
@@ -186,9 +171,6 @@ type Windows struct {
 	stopped   bool
 	windows   uint64
 }
-
-// Windows is a Driver with a per-node scheduling surface.
-var _ Driver = (*Windows)(nil)
 
 // NewWindows returns a windowed engine with k shards executed by up to
 // `workers` pool goroutines per window. workers <= 1 builds a serial
@@ -231,43 +213,6 @@ func (w *Windows) AssignNodes(nodes int) {
 // window for correctness, so handoffs under it panic.
 func (w *Windows) SetLookahead(la sim.Cycle) { w.la = la }
 
-// Now reports the engine clock: the start of the next window. Inside a
-// window, components read their shard-local clock through their proxy.
-func (w *Windows) Now() sim.Cycle { return w.now }
-
-// At schedules a setup-time global event on shard 0 (node -1 in the
-// canonical order). Once a window is running, all scheduling must flow
-// through node proxies; a bare At would have no owning node and no
-// race-free queue to land on, so it panics.
-func (w *Windows) At(at sim.Cycle, fn func(now sim.Cycle)) {
-	if w.running {
-		panic("shard: Windows.At during a window; schedule through node proxies")
-	}
-	if at < w.now {
-		panic("sim: event scheduled in the past")
-	}
-	w.gseq++
-	w.shards[0].push(wEvent{at: at, node: -1, seq: w.gseq, fn: fn})
-}
-
-// After schedules a setup-time global event delay cycles from now.
-func (w *Windows) After(delay sim.Cycle, fn func(now sim.Cycle)) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	w.At(w.now+delay, fn)
-}
-
-// Register would add a global ticker swept over every shard — exactly
-// the shared mutation the windowed engine exists to eliminate — so it
-// panics. Register per-node tickers through the node proxies instead.
-func (w *Windows) Register(sim.Ticker) {
-	panic("shard: Windows has no global tickers; register per node through node proxies")
-}
-
-// Stop requests that Run return at the next window barrier.
-func (w *Windows) Stop() { w.stopped = true }
-
 // window executes one window [now, end): all shards on the pool, then
 // the barrier commit.
 func (w *Windows) window(end sim.Cycle) {
@@ -301,22 +246,11 @@ func (w *Windows) commit() {
 			}
 			dst := w.shards[d]
 			for _, ev := range buf {
-				dst.push(ev)
+				dst.q.push(ev)
 			}
 			src.out[d] = buf[:0]
 		}
 	}
-}
-
-// Step advances one window (Driver's single-step, at window
-// granularity: a smaller step cannot exist without violating the
-// barrier discipline that makes the run partition-invariant).
-func (w *Windows) Step() {
-	la := w.la
-	if la < 1 {
-		la = 1
-	}
-	w.window(w.now + la)
 }
 
 // Run executes up to maxCycles cycles in lookahead-wide windows,
@@ -339,36 +273,6 @@ func (w *Windows) Run(maxCycles sim.Cycle) sim.Cycle {
 		w.window(we)
 	}
 	return w.now - start
-}
-
-// Pending reports unfired events across all shards (buffered handoffs
-// excluded; between windows the buffers are always empty).
-func (w *Windows) Pending() int {
-	n := 0
-	for _, s := range w.shards {
-		n += s.pending
-	}
-	return n
-}
-
-// EventsFired reports how many events have executed across all shards.
-func (w *Windows) EventsFired() uint64 {
-	n := uint64(0)
-	for _, s := range w.shards {
-		n += s.fired
-	}
-	return n
-}
-
-// MaxQueueDepth reports the sum of per-shard queue high-water marks —
-// an upper bound on the true global high-water, kept per shard so the
-// meter needs no synchronization.
-func (w *Windows) MaxQueueDepth() int {
-	n := 0
-	for _, s := range w.shards {
-		n += s.maxDepth
-	}
-	return n
 }
 
 // Handoffs reports how many cross-shard handoffs were buffered over
@@ -398,7 +302,7 @@ func (w *Windows) TightHandoffs() uint64 {
 func (w *Windows) WindowCount() uint64 { return w.windows }
 
 // NodeProxy is one node's scheduling surface on the windowed engine:
-// a Scheduler whose events land on the node's home shard keyed by
+// its events land on the node's home shard keyed by
 // the node's own sequence counter. Use it only from the node's own
 // execution context (its events and its ticks) — that discipline is
 // what makes the per-node sequence counters race-free.
@@ -406,53 +310,4 @@ type NodeProxy struct {
 	w     *Windows
 	node  int32
 	shard int
-}
-
-// NodeProxy is what code on Windows schedules through.
-var _ Scheduler = (*NodeProxy)(nil)
-
-// Now reports the node's shard-local clock: the executing cycle inside
-// a window, the window floor at the barrier, the global clock at setup.
-func (p *NodeProxy) Now() sim.Cycle { return p.w.shards[p.shard].now }
-
-// At schedules fn on the node's home shard at cycle at.
-func (p *NodeProxy) At(at sim.Cycle, fn func(now sim.Cycle)) {
-	s := p.w.shards[p.shard]
-	if at < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	p.w.seqs[p.node]++
-	s.push(wEvent{at: at, node: p.node, seq: p.w.seqs[p.node], fn: fn})
-}
-
-// After schedules fn delay cycles from the node's shard-local clock.
-func (p *NodeProxy) After(delay sim.Cycle, fn func(now sim.Cycle)) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	p.At(p.w.shards[p.shard].now+delay, fn)
-}
-
-// Register adds a per-node ticker to the node's home shard sweep.
-// Registration is setup-time only; the sweep order is registration
-// order restricted to the shard, so each node's tickers keep their
-// relative order at every shard count.
-func (p *NodeProxy) Register(t sim.Ticker) {
-	if p.w.running {
-		panic("shard: ticker registered during a window")
-	}
-	s := p.w.shards[p.shard]
-	s.tickers = append(s.tickers, wTicker{node: p.node, t: t})
-}
-
-// Stop requests a stop at the next window barrier. The request is
-// shard-local until the barrier commits it, so other shards never
-// observe it mid-window — which is what keeps the final cycle count
-// partition-invariant.
-func (p *NodeProxy) Stop() {
-	s := p.w.shards[p.shard]
-	s.stop = true
-	if !p.w.running {
-		p.w.stopped = true
-	}
 }

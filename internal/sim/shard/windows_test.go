@@ -8,6 +8,64 @@ import (
 	"fsoi/internal/sim"
 )
 
+// Now reports the engine clock: the start of the next window. Inside a
+// window, components read their shard-local clock through their proxy.
+func (w *Windows) Now() sim.Cycle { return w.now }
+
+// Stop requests that Run return at the next window barrier.
+func (w *Windows) Stop() { w.stopped = true }
+
+// EventsFired reports how many events have executed across all shards.
+func (w *Windows) EventsFired() uint64 {
+	n := uint64(0)
+	for _, s := range w.shards {
+		n += s.fired
+	}
+	return n
+}
+
+// At schedules fn on the node's home shard at cycle at.
+func (p *NodeProxy) At(at sim.Cycle, fn func(now sim.Cycle)) {
+	s := p.w.shards[p.shard]
+	if at < s.now {
+		panic("sim: event scheduled in the past")
+	}
+	p.w.seqs[p.node]++
+	s.q.push(wEvent{at: at, node: p.node, seq: p.w.seqs[p.node], fn: fn})
+}
+
+// After schedules fn delay cycles from the node's shard-local clock.
+func (p *NodeProxy) After(delay sim.Cycle, fn func(now sim.Cycle)) {
+	if delay < 0 {
+		panic("sim: negative delay")
+	}
+	p.At(p.w.shards[p.shard].now+delay, fn)
+}
+
+// Register adds a per-node ticker to the node's home shard sweep.
+// Registration is setup-time only; the sweep order is registration
+// order restricted to the shard, so each node's tickers keep their
+// relative order at every shard count.
+func (p *NodeProxy) Register(t sim.Ticker) {
+	if p.w.running {
+		panic("shard: ticker registered during a window")
+	}
+	s := p.w.shards[p.shard]
+	s.tickers = append(s.tickers, wTicker{node: p.node, t: t})
+}
+
+// Stop requests a stop at the next window barrier. The request is
+// shard-local until the barrier commits it, so other shards never
+// observe it mid-window — which is what keeps the final cycle count
+// partition-invariant.
+func (p *NodeProxy) Stop() {
+	s := p.w.shards[p.shard]
+	s.stop = true
+	if !p.w.running {
+		p.w.stopped = true
+	}
+}
+
 // ForNode returns the scheduling surface for one node.
 func (w *Windows) ForNode(node int) *NodeProxy {
 	if node < 0 || node >= len(w.proxies) {
@@ -37,7 +95,7 @@ func (p *NodeProxy) Handoff(dst int, at sim.Cycle, fn func(now sim.Cycle)) {
 		if at < w.now {
 			panic("shard: handoff scheduled in the past")
 		}
-		w.shards[shard].push(ev)
+		w.shards[shard].q.push(ev)
 		return
 	}
 	if at < w.windowEnd {

@@ -3,6 +3,7 @@ package system
 import (
 	"fsoi/internal/cache"
 	"fsoi/internal/coherence"
+	"fsoi/internal/cpu"
 	"fsoi/internal/sim"
 )
 
@@ -10,9 +11,7 @@ import (
 // the cores; it extends cpu.SyncFabric with the delivery hooks the system
 // routes into it.
 type syncFabric interface {
-	Acquire(core int, id int, done func(now sim.Cycle))
-	Release(core int, id int, done func(now sim.Cycle))
-	Barrier(core int, id int, done func(now sim.Cycle))
+	cpu.SyncFabric
 	onBit(node int, tag uint64, value bool, now sim.Cycle)
 	onSyncResp(m coherence.Msg, now sim.Cycle)
 	setBarrierTarget(id, target int)

@@ -377,10 +377,10 @@ func (cfg Config) Validate() error {
 		}
 	}
 	if f := cfg.MeshBandwidthFrac; !(f >= 0 && f <= 1) {
-		return fmt.Errorf("system: MeshBandwidthFrac %v is not a fraction in (0, 1] (0 = unset, full rate)", f)
+		return fmt.Errorf("system: MeshBandwidthFrac %v is not a fraction in (0, 1]", f)
 	}
 	if cfg.MeshRouterCycles < 0 {
-		return fmt.Errorf("system: MeshRouterCycles %d is negative (0 = unset, the 4-stage router)", cfg.MeshRouterCycles)
+		return fmt.Errorf("system: MeshRouterCycles %d is negative", cfg.MeshRouterCycles)
 	}
 	if most := memory.MaxChannels(dimOf(cfg.Nodes)); cfg.Memory.Channels < 1 || cfg.Memory.Channels > most {
 		return fmt.Errorf("system: %d memory channels: a %d-node system attaches 1 to %d, each on its own node", cfg.Memory.Channels, cfg.Nodes, most)

@@ -136,12 +136,14 @@ func (t *Table[V]) grow() {
 	}
 }
 
-// Delete removes key and reports whether it was present.
-func (t *Table[V]) Delete(key uint64) bool {
+// Delete removes key, returning its value and whether it was present.
+func (t *Table[V]) Delete(key uint64) (V, bool) {
+	var zero V
 	i := t.find(key)
 	if i < 0 {
-		return false
+		return zero, false
 	}
+	v := t.vals[i]
 	// Backward shift: an entry further along the run moves into the gap
 	// unless that would put it ahead of its home slot.
 	mask := len(t.keys) - 1
@@ -151,9 +153,8 @@ func (t *Table[V]) Delete(key uint64) bool {
 			i = j
 		}
 	}
-	var zero V
 	t.keys[i], t.vals[i] = 0, zero
 	t.used[i>>6] &^= 1 << uint(i&63)
 	t.n--
-	return true
+	return v, true
 }

@@ -99,7 +99,7 @@ func runScript(t *testing.T, script []byte) {
 	keys := scriptKeys()
 	var tab Table[int]
 	ref := map[uint64]int{}
-	if tab.Len() != 0 || tab.Ref(7) != nil || tab.Delete(7) {
+	if _, had := tab.Delete(7); tab.Len() != 0 || tab.Ref(7) != nil || had {
 		t.Fatal("the zero Table is not empty")
 	}
 	for step := 0; step+1 < len(script); step += 2 {
@@ -116,9 +116,9 @@ func runScript(t *testing.T, script []byte) {
 			*p = step + 1
 			ref[key] = step + 1
 		case 2:
-			_, had := ref[key]
-			if tab.Delete(key) != had {
-				t.Fatalf("step %d: Delete(%#x) = %v, map had it: %v", step, key, !had, had)
+			want, had := ref[key]
+			if got, ok := tab.Delete(key); got != want || ok != had {
+				t.Fatalf("step %d: Delete(%#x) = %d, %v; map says %d, %v", step, key, got, ok, want, had)
 			}
 			delete(ref, key)
 		case 3:
