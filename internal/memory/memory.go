@@ -6,6 +6,8 @@
 package memory
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"fsoi/internal/cache"
@@ -28,10 +30,27 @@ func PaperMemory(channels int) Config {
 
 // LineOccupancyCycles returns how many cycles one 64-byte line transfer
 // occupies a single channel.
-func (c Config) LineOccupancyCycles() sim.Cycle {
+func (c Config) LineOccupancyCycles() sim.Cycle { return sim.Cycle(c.lineOccupancy()) }
+
+// lineOccupancy is LineOccupancyCycles before the conversion to a cycle
+// count: rounded half up, and past any cycle count (or +Inf) for a
+// bandwidth that vanishes.
+func (c Config) lineOccupancy() float64 {
 	perChannel := c.TotalGBps / float64(c.Channels) // GB/s
 	bytesPerCycle := perChannel / c.CoreGHz         // bytes per core cycle
-	return sim.Cycle(float64(cache.LineSize)/bytesPerCycle + 0.5)
+	return math.Floor(float64(cache.LineSize)/bytesPerCycle + 0.5)
+}
+
+// Validate reports a bandwidth a run cannot use: one whose line transfer
+// is not a finite, non-negative cycle count of at most maxCycles. It
+// checks before the conversion to sim.Cycle, which a float past the
+// int64 range would wrap to a negative delay.
+func (c Config) Validate(maxCycles sim.Cycle) error {
+	if occ := c.lineOccupancy(); !(occ >= 0 && occ <= float64(maxCycles)) {
+		return fmt.Errorf("memory: %v GB/s over %d channels holds a channel %.3g cycles per %d-byte line, not a cycle count in [0, %d]",
+			c.TotalGBps, c.Channels, occ, cache.LineSize, maxCycles)
+	}
+	return nil
 }
 
 // AttachNodes returns the mesh nodes hosting the controllers for a

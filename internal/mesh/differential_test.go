@@ -146,10 +146,10 @@ func TestMatchesReferenceModel(t *testing.T) {
 }
 
 // TestMatchesReferenceAcrossBusyWords covers what no 8x8 run can: with
-// more than 64 routers the busy set spans two words, so a router that a
-// forward adds to the later word is reached by the very walk that added
-// it, and must be passed over (its flit is still on the link), a
-// zero-stage pipeline and zero-cycle links included.
+// more than 64 routers each calendar bucket spans two words, and a
+// forward from a router in the first word into the second must land in
+// a later bucket, not in the one being walked (its flit is still on the
+// link), a zero-stage pipeline and zero-cycle links included.
 func TestMatchesReferenceAcrossBusyWords(t *testing.T) {
 	for _, tc := range []struct{ rc, link int }{{0, 0}, {0, 1}, {4, 1}, {1, 3}} {
 		tr := traffic{seed: 4, cfg: PaperMesh(9), rate: 0.05, cycles: 300}
@@ -165,9 +165,11 @@ func FuzzMatchesReferenceModel(f *testing.F) {
 	f.Add(uint64(7), uint8(8), uint8(2), uint8(2), uint8(3), uint8(2), uint8(42), uint8(40), true)
 	f.Add(uint64(9), uint8(3), uint8(1), uint8(12), uint8(1), uint8(3), uint8(75), uint8(90), false)
 	f.Add(uint64(11), uint8(5), uint8(0), uint8(1), uint8(5), uint8(0), uint8(25), uint8(25), true)
+	f.Add(uint64(13), uint8(4), uint8(60), uint8(4), uint8(12), uint8(3), uint8(75), uint8(60), true) // a 64-slot calendar, full
+	f.Add(uint64(17), uint8(6), uint8(64), uint8(2), uint8(4), uint8(1), uint8(60), uint8(30), false) // MaxRouterCycles
 	f.Fuzz(func(t *testing.T, seed uint64, dim, routerCycles, vcs, depth, linkCycles, bwPct, ratePct uint8, hotspot bool) {
 		cfg := PaperMesh(2 + int(dim)%7)
-		cfg.RouterCycles = int(routerCycles) % 5
+		cfg.RouterCycles = int(routerCycles) % (MaxRouterCycles + 1)
 		cfg.VCs = 1 + int(vcs)%(maskBits/numPorts)
 		cfg.BufferFlits = 1 + int(depth)%12
 		cfg.LinkCycles = int(linkCycles) % 4

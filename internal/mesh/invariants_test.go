@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 )
 
 // checkInvariants verifies, between cycle now and the next, that the
-// occupancy state the tick relies on agrees with the FIFOs, that credits
+// occupancy state the tick relies on agrees with the FIFOs, that a
+// router sits in the wake calendar's bucket for its wake, and in no
+// other, iff it buffers a flit, that credits
 // account for every buffer slot (a flit still on a link already fills
 // its slot downstream), that no flit has been lost or duplicated, that
 // every FIFO is in arrival order with no stamp further ahead than a link
@@ -22,6 +25,7 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 	vcs, depth := n.cfg.VCs, n.cfg.BufferFlits
 	pipeline := sim.Cycle(n.cfg.RouterCycles)
 	buffered := 0
+	calendar := make([]uint64, len(n.due)) // the buckets the routers' wakes say
 	for _, r := range n.routers {
 		sum := 0
 		var want [numPorts]uint64
@@ -63,11 +67,8 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 		if want != r.want {
 			t.Fatalf("router %d: want masks %x, VC routes say %x", r.id, r.want, want)
 		}
-		if r.buffered != sum {
-			t.Fatalf("router %d: buffered = %d, FIFOs hold %d", r.id, r.buffered, sum)
-		}
-		if got := n.busyRouters.has(r.id); got != (sum > 0) {
-			t.Fatalf("router %d: busy bit %v with %d flits buffered", r.id, got, sum)
+		if sum > 0 {
+			calendar[int(r.wake&n.dueMask)*n.dueWords+r.id>>6] |= 1 << (r.id & 63)
 		}
 		// Wake honesty: the router ticks again no later than the first
 		// cycle a front flit is out of the pipeline. And no sooner: a
@@ -76,6 +77,8 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 			t.Fatalf("router %d: sleeps until cycle %d with a front flit ready at %d", r.id, r.wake, due)
 		} else if sum > 0 && r.wake < due {
 			t.Fatalf("router %d: wakes at cycle %d with no front flit ready before %d", r.id, r.wake, due)
+		} else if sum > 0 && r.wake > now+n.dueMask {
+			t.Fatalf("router %d: wakes at cycle %d, past the calendar's %d cycles from %d", r.id, r.wake, n.dueMask+1, now)
 		}
 		buffered += sum
 		for v := 0; v < vcs; v++ {
@@ -91,13 +94,20 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 				}
 				down := 0
 				if next := r.neighbor[p]; next != nil {
-					down = next.inputs[r.reverse[p]*vcs+v].fifo.n
+					down = next.inputs[reversePort[p]*vcs+v].fifo.n
 				}
 				if out.credits[v]+down != depth {
 					t.Fatalf("router %d out %d vc %d: %d credits + %d buffered downstream, want %d",
 						r.id, p, v, out.credits[v], down, depth)
 				}
 			}
+		}
+	}
+	for w, want := range calendar {
+		if diff := n.due[w] ^ want; diff != 0 {
+			id := w%n.dueWords<<6 + bits.TrailingZeros64(diff)
+			t.Fatalf("router %d: in calendar bucket %d = %v with %d flits buffered and wake %d",
+				id, w/n.dueWords, n.due[w]&diff&-diff != 0, n.routers[id].flits(), n.routers[id].wake)
 		}
 	}
 	if n.flitsIn != n.flitsOut+int64(buffered) {
@@ -118,6 +128,14 @@ func (n *Network) checkInvariants(t testing.TB, now sim.Cycle) (forwarded int) {
 func stress(t *testing.T, n *Network, engine *sim.Engine, tr traffic) {
 	t.Helper()
 	tr.drive(t, engine, n, func() { n.checkInvariants(t, engine.Now()-1) })
+}
+
+// flits returns how many flits the router buffers.
+func (r *router) flits() (sum int) {
+	for i := range r.inputs {
+		sum += r.inputs[i].fifo.n
+	}
+	return sum
 }
 
 // at returns the i-th oldest element.
@@ -162,16 +180,16 @@ func TestLocalFlitLowersWakeSetByLinkFlit(t *testing.T) {
 	n, engine, delivered := testMesh(t, cfg)
 	n.Send(&noc.Packet{ID: 1, Src: 0, Dst: 2, Type: noc.Meta})
 	r := n.routers[1]
-	for r.buffered == 0 {
+	for r.flits() == 0 {
 		engine.Run(1)
 	}
 	linkWake := r.wake // the flit router 0 forwarded is all router 1 holds
 	n.Send(&noc.Packet{ID: 2, Src: 1, Dst: 1, Type: noc.Meta})
 	engine.Run(1)
 	n.checkInvariants(t, engine.Now()-1)
-	if r.buffered != 2 || r.wake >= linkWake {
+	if r.flits() != 2 || r.wake >= linkWake {
 		t.Fatalf("router 1 holds %d flits and wakes at cycle %d, want 2 flits and a wake before the link flit's %d",
-			r.buffered, r.wake, linkWake)
+			r.flits(), r.wake, linkWake)
 	}
 	engine.Run(50)
 	if len(*delivered) != 2 || (*delivered)[0].ID != 2 {
@@ -189,6 +207,30 @@ func TestNewRejectsVCsWiderThanMask(t *testing.T) {
 		}
 	}()
 	New(cfg, sim.NewEngine())
+}
+
+// TestNewRejectsRouterCyclesOffTheCalendar: the wake calendar is sized
+// from RouterCycles, so New refuses a depth it would have to allocate
+// without bound for, and a negative one that would stamp a flit ready
+// before it arrived.
+func TestNewRejectsRouterCyclesOffTheCalendar(t *testing.T) {
+	cfg := PaperMesh(4)
+	cfg.RouterCycles = MaxRouterCycles
+	if n := New(cfg, sim.NewEngine()); len(n.due) != 128*n.dueWords {
+		t.Fatalf("a %d-cycle router has %d calendar words, want 128 buckets of %d", MaxRouterCycles, len(n.due), n.dueWords)
+	}
+	for _, rc := range []int{-1, MaxRouterCycles + 1, 1 << 30} {
+		cfg.RouterCycles = rc
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "RouterCycles") {
+					t.Errorf("New(RouterCycles %d) = %q, want a panic naming RouterCycles", rc, msg)
+				}
+			}()
+			New(cfg, sim.NewEngine())
+		}()
+	}
 }
 
 // TestNewRejectsBandwidthFracOutsideUnitInterval: New no longer clamps a

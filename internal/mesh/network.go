@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
@@ -20,6 +21,11 @@ type Config struct {
 	// inject flits at a fractional rate.
 	BandwidthFrac float64
 }
+
+// MaxRouterCycles is the deepest router pipeline New accepts: the wake
+// calendar has a bucket per cycle a wake can lie ahead. The paper uses
+// 4, 2 and 1.
+const MaxRouterCycles = 64
 
 // PaperMesh returns the baseline configuration of Table 3.
 func PaperMesh(dim int) Config {
@@ -47,10 +53,22 @@ type Network struct {
 	// downstream before the next.
 	hop sim.Cycle
 
-	// Tick visits only these: NICs with a packet queued or mid-injection
-	// (or a token bank still filling), and routers buffering a flit.
-	busyNICs    bitset
-	busyRouters bitset
+	// busyNICs holds the NICs with a packet queued or mid-injection (or
+	// a token bank still filling); Tick visits only those.
+	busyNICs bitset
+	// due is the routers' wake calendar: bucket c&dueMask, words
+	// [(c&dueMask)*dueWords, +dueWords), is the bitset of the routers
+	// that buffer a flit and wake at cycle c. A wake lies at most
+	// hop+RouterCycles ahead, so the buckets never alias a live cycle.
+	due      []uint64
+	dueMask  sim.Cycle
+	dueWords int
+
+	// inPort and inLane map an input VC index to its (port, lane), and
+	// coords a node to its column and row: a flit-hop divides by
+	// nothing.
+	inPort, inLane [maskBits]uint8
+	coords         []xy
 
 	flitsIn, flitsOut int64 // flits injected at / ejected through local ports
 }
@@ -58,6 +76,9 @@ type Network struct {
 // FlitHops reports accumulated flit-hop activity (router traversals
 // including the ejection hop).
 func (n *Network) FlitHops() int64 { return n.flitHops }
+
+// xy is a node's column and row.
+type xy struct{ x, y int32 }
 
 // injection tracks a packet mid-serialization into the local port; pkt
 // is nil while the NIC is between packets.
@@ -76,6 +97,9 @@ func New(cfg Config, engine *sim.Engine, donor ...*Network) *Network {
 		panic(fmt.Sprintf("mesh: %d ports x %d VCs = %d input VCs per router exceed the %d-bit occupancy mask (at most %d VCs)",
 			numPorts, cfg.VCs, numPorts*cfg.VCs, maskBits, maskBits/numPorts))
 	}
+	if cfg.RouterCycles < 0 || cfg.RouterCycles > MaxRouterCycles {
+		panic(fmt.Sprintf("mesh: RouterCycles %d is outside [0, %d]", cfg.RouterCycles, MaxRouterCycles))
+	}
 	if f := cfg.BandwidthFrac; !(f >= 0 && f <= 1) {
 		panic(fmt.Sprintf("mesh: BandwidthFrac %v is not a fraction in (0, 1] (0 = unset, full rate)", f))
 	}
@@ -89,9 +113,28 @@ func New(cfg Config, engine *sim.Engine, donor ...*Network) *Network {
 	}
 	n := &Network{cfg: cfg, hop: sim.Cycle(max(cfg.LinkCycles, 1))}
 	count := cfg.Dim * cfg.Dim
+	for p, idx := 0, 0; p < numPorts; p++ {
+		for v := 0; v < cfg.VCs; v, idx = v+1, idx+1 {
+			n.inPort[idx], n.inLane[idx] = uint8(p), uint8(v)
+		}
+	}
+	n.coords = make([]xy, count)
+	for y, node := 0, 0; y < cfg.Dim; y++ {
+		for x := 0; x < cfg.Dim; x, node = x+1, node+1 {
+			n.coords[node] = xy{int32(x), int32(y)}
+		}
+	}
+	slots := sim.Cycle(1)
+	for slots <= n.hop+sim.Cycle(cfg.RouterCycles) {
+		slots <<= 1
+	}
+	n.dueMask, n.dueWords = slots-1, (count+63)/64
+	n.due = make([]uint64, int(slots)*n.dueWords)
 	n.routers = make([]*router, count)
+	k := numPorts * cfg.VCs
+	inputs, credits := make([]vc, count*k), make([]int, count*k)
 	for i := range n.routers {
-		n.routers[i] = newRouter(i, cfg, n)
+		n.routers[i] = newRouter(i, n, inputs[i*k:(i+1)*k:(i+1)*k], credits[i*k:(i+1)*k:(i+1)*k])
 	}
 	dim := cfg.Dim
 	for _, r := range n.routers {
@@ -101,19 +144,13 @@ func New(cfg Config, engine *sim.Engine, donor ...*Network) *Network {
 			}
 			r.neighbor[port] = n.routers[ny*dim+nx]
 		}
-		connect(portEast, r.x+1, r.y)
-		connect(portWest, r.x-1, r.y)
-		connect(portSouth, r.x, r.y+1)
-		connect(portNorth, r.x, r.y-1)
-		// reverse port mapping: east<->west, north<->south.
-		r.reverse[portEast] = portWest
-		r.reverse[portWest] = portEast
-		r.reverse[portNorth] = portSouth
-		r.reverse[portSouth] = portNorth
-		r.reverse[portLocal] = portLocal
+		x, y := int(n.coords[r.id].x), int(n.coords[r.id].y)
+		connect(portEast, x+1, y)
+		connect(portWest, x-1, y)
+		connect(portSouth, x, y+1)
+		connect(portNorth, x, y-1)
 	}
 	n.busyNICs = newBitset(count)
-	n.busyRouters = newBitset(count)
 	n.bwTokens = make([]float64, count)
 	n.queues = make([]ring[*noc.Packet], count)
 	n.inflight = make([]injection, count)
@@ -134,7 +171,7 @@ func (n *Network) reset(engine *sim.Engine) {
 	n.lat = noc.LatencyStats{}
 	n.flitHops, n.flitsIn, n.flitsOut = 0, 0, 0
 	clear(n.busyNICs)
-	clear(n.busyRouters)
+	clear(n.due)
 	clear(n.bwTokens)
 	clear(n.inflight)
 	for i := range n.queues {
@@ -178,18 +215,25 @@ func (n *Network) Send(p *noc.Packet) bool {
 // Tick advances the injection machinery and every router one cycle.
 // Idle NICs, empty routers and routers whose front flits are all still
 // in the pipeline or on a link are skipped, which is exact: their tick
-// would change nothing. The busy ones run in ascending id order.
+// would change nothing. The routers that wake now run in ascending id
+// order.
 func (n *Network) Tick(now sim.Cycle) {
 	n.busyNICs.each(func(node int) { n.injectTick(node, now) })
-	// A router's tick can empty only itself, and can fill a neighbour
-	// with a flit that arrives after now. If that adds the neighbour to
-	// the set mid-walk, its wake is that flit's readyAt, in the future,
-	// so it is passed over whether or not the walk reaches it.
-	n.busyRouters.each(func(id int) {
-		if r := n.routers[id]; r.wake <= now {
-			r.tick(now)
+	// A router's tick moves only itself out of this bucket, and a flit
+	// it forwards is ready after now, so no router joins the bucket
+	// mid-walk: each word read once is the word's whole walk.
+	bucket := n.bucket(now)
+	for w := range bucket {
+		for word := bucket[w]; word != 0; word &= word - 1 {
+			n.routers[w<<6+bits.TrailingZeros64(word)].tick(now)
 		}
-	})
+	}
+}
+
+// bucket returns the calendar's bitset of the routers that wake at c.
+func (n *Network) bucket(c sim.Cycle) []uint64 {
+	base := int(c&n.dueMask) * n.dueWords
+	return n.due[base : base+n.dueWords]
 }
 
 // injectTick gives node's NIC its cycle: at most one flit, and under a
@@ -275,9 +319,8 @@ func (n *Network) injectCredit(node, v int) {
 // deliver completes a packet at its destination.
 func (n *Network) deliver(p *noc.Packet, now sim.Cycle) {
 	p.NetworkDelay = int64(now-p.Created) - p.QueuingDelay
-	dim := n.cfg.Dim
-	dx := p.Src%dim - p.Dst%dim
-	dy := p.Src/dim - p.Dst/dim
+	src, dst := n.coords[p.Src], n.coords[p.Dst]
+	dx, dy := int(src.x-dst.x), int(src.y-dst.y)
 	if dx < 0 {
 		dx = -dx
 	}

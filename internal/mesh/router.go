@@ -22,6 +22,12 @@ const (
 	numPorts
 )
 
+// reversePort[p] is the port a router is on as seen by its neighbour on
+// port p: east<->west, north<->south.
+var reversePort = [numPorts]int{
+	portLocal: portLocal, portNorth: portSouth, portSouth: portNorth, portEast: portWest, portWest: portEast,
+}
+
 // maskBits is the width of the occupancy words: a router's numPorts*VCs
 // input VCs must fit one.
 const maskBits = 64
@@ -63,37 +69,33 @@ type outputState struct {
 // order allocation has always scanned in.
 type router struct {
 	id      int
-	x, y    int
-	cfg     Config
 	inputs  []vc
 	outputs [numPorts]outputState
-	// occupied has bit i set iff inputs[i] buffers a flit; buffered is
-	// the flit total. A router with buffered == 0 has nothing to
-	// allocate and is not ticked.
+	// occupied has bit i set iff inputs[i] buffers a flit. A router
+	// with occupied == 0 has nothing to allocate and is not ticked.
 	occupied uint64
-	buffered int
 	// wake is the earliest cycle a tick can change anything while the
 	// router buffers a flit: no front flit is out of the pipeline before
-	// it, and neither stage touches one that is not. Stale when
-	// buffered == 0; acceptFlit sets it afresh, and lowers it for a flit
+	// it, and neither stage touches one that is not. The router sits in
+	// the network's calendar bucket for wake, and in no other. Stale when
+	// occupied == 0; acceptFlit sets it afresh, and lowers it for a flit
 	// ready sooner than the ones already here.
 	wake sim.Cycle
 	// want[p] has bit i set iff inputs[i] is routed to output p.
 	want [numPorts]uint64
 	// neighbor[p] is the router on port p, nil at mesh edges / local.
 	neighbor [numPorts]*router
-	// reverse[p] is the port index of this router as seen by neighbor[p].
-	reverse [numPorts]int
-	net     *Network
+	net      *Network
 }
 
-// newRouter allocates a router's storage; reset gives it its state.
-func newRouter(id int, cfg Config, net *Network) *router {
-	r := &router{id: id, x: id % cfg.Dim, y: id / cfg.Dim, cfg: cfg, net: net}
-	r.inputs = make([]vc, numPorts*cfg.VCs)
-	credits := make([]int, numPorts*cfg.VCs)
+// newRouter builds a router over its numPorts*VCs input VCs and output
+// credits, storage New takes for all routers at once; reset gives it
+// its state.
+func newRouter(id int, net *Network, inputs []vc, credits []int) *router {
+	r := &router{id: id, inputs: inputs, net: net}
+	vcs := net.cfg.VCs
 	for p := range r.outputs {
-		r.outputs[p].credits = credits[p*cfg.VCs : (p+1)*cfg.VCs]
+		r.outputs[p].credits = credits[p*vcs : (p+1)*vcs]
 	}
 	return r
 }
@@ -109,25 +111,25 @@ func (r *router) reset() {
 	for p := range r.outputs {
 		out := &r.outputs[p]
 		for v := range out.credits {
-			out.credits[v] = r.cfg.BufferFlits
+			out.credits[v] = r.net.cfg.BufferFlits
 		}
 		out.held, out.lastVC, out.lastInput = 0, 0, 0
 	}
-	r.occupied, r.buffered, r.wake = 0, 0, 0
+	r.occupied, r.wake = 0, 0
 	r.want = [numPorts]uint64{}
 }
 
 // xyRoute computes the output port for dst under dimension-order routing.
 func (r *router) xyRoute(dst int) int {
-	dX, dY := dst%r.cfg.Dim, dst/r.cfg.Dim
+	at, to := r.net.coords[r.id], r.net.coords[dst]
 	switch {
-	case dX > r.x:
+	case to.x > at.x:
 		return portEast
-	case dX < r.x:
+	case to.x < at.x:
 		return portWest
-	case dY > r.y:
+	case to.y > at.y:
 		return portSouth
-	case dY < r.y:
+	case to.y < at.y:
 		return portNorth
 	default:
 		return portLocal
@@ -140,16 +142,28 @@ func (r *router) xyRoute(dst int) int {
 // earliest flit: a local flit can be ready before one already stamped
 // from a link of two or more cycles.
 func (r *router) acceptFlit(p, v int, f flit, arrival sim.Cycle) {
-	f.readyAt = arrival + sim.Cycle(r.cfg.RouterCycles)
-	idx := p*r.cfg.VCs + v
-	r.inputs[idx].fifo.push(f, r.cfg.BufferFlits)
+	f.readyAt = arrival + sim.Cycle(r.net.cfg.RouterCycles)
+	idx := p*r.net.cfg.VCs + v
+	r.inputs[idx].fifo.push(f, r.net.cfg.BufferFlits)
+	idle := r.occupied == 0
 	r.occupied |= 1 << idx
-	if r.buffered++; r.buffered == 1 {
-		r.net.busyRouters.set(r.id)
-		r.wake = f.readyAt
+	if idle {
+		r.schedule(f.readyAt)
 	} else if f.readyAt < r.wake {
-		r.wake = f.readyAt
+		r.unschedule()
+		r.schedule(f.readyAt)
 	}
+}
+
+// schedule puts the router in the calendar bucket for cycle wake.
+func (r *router) schedule(wake sim.Cycle) {
+	r.wake = wake
+	r.net.bucket(wake)[r.id>>6] |= 1 << (r.id & 63)
+}
+
+// unschedule takes the router out of the calendar bucket for its wake.
+func (r *router) unschedule() {
+	r.net.bucket(r.wake)[r.id>>6] &^= 1 << (r.id & 63)
 }
 
 // pop removes the front flit of input VC idx, returns its buffer slot
@@ -159,71 +173,79 @@ func (r *router) pop(idx int, tail bool) {
 	if in.fifo.pop(); in.fifo.n == 0 {
 		r.occupied &^= 1 << idx
 	}
-	if r.buffered--; r.buffered == 0 {
-		r.net.busyRouters.clear(r.id)
-	}
 	if tail {
 		r.want[in.outPort] &^= 1 << idx
 		in.outPort, in.outVC = -1, -1
 	}
-	r.returnCredit(idx/r.cfg.VCs, idx%r.cfg.VCs)
+	r.returnCredit(int(r.net.inPort[idx]), int(r.net.inLane[idx]))
 }
 
 // tick performs one cycle of allocation and traversal. Determinism comes
 // from fixed iteration order with rotating round-robin pointers. Only
 // occupied VCs are visited: an empty VC takes no part in either stage,
 // and no round-robin pointer moves without a grant. Network.Tick calls
-// it only from cycle wake on: before that every front flit is still in
-// the pipeline and both stages would pass over all of them.
+// it only at cycle wake: before that every front flit is still in the
+// pipeline and both stages would pass over all of them.
 func (r *router) tick(now sim.Cycle) {
 	// Stage 1: route computation + VC allocation for head flits at the
-	// front of each input VC.
+	// front of each input VC. Only an unrouted VC's front needs a look:
+	// a routed one's packet had its head ready at routing, and that head
+	// stays in front until its VC allocation lets it go. Stage 1 also
+	// collects the output ports an occupied input is routed to, the only
+	// ones stage 2 can grant.
+	var routed uint
 	for m := r.occupied; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
 		in := &r.inputs[idx]
-		f := in.fifo.front()
-		if !f.head || f.readyAt > now {
-			continue
-		}
 		if in.outPort < 0 {
+			f := in.fifo.front()
+			if !f.head || f.readyAt > now {
+				continue
+			}
 			in.outPort = r.xyRoute(f.pkt.Dst)
 			r.want[in.outPort] |= 1 << idx
 		}
 		if in.outVC < 0 && in.outPort != portLocal {
 			out := &r.outputs[in.outPort]
-			if free := ^out.held & (1<<r.cfg.VCs - 1); free != 0 {
+			if free := ^out.held & (1<<r.net.cfg.VCs - 1); free != 0 {
 				cand := firstFrom(free, out.lastVC+1)
 				out.held |= 1 << cand
 				out.lastVC = cand
 				in.outVC = cand
 			}
 		}
+		routed |= 1 << in.outPort
 	}
 
 	// Stage 2: switch allocation + traversal. Each output accepts at most
 	// one flit per cycle; each input VC sends at most one flit per cycle.
-	for outPort := range r.outputs {
+	// A grant pops only an input routed to its own output, so no grant
+	// changes another output's candidates.
+	for ; routed != 0; routed &= routed - 1 {
+		outPort := bits.TrailingZeros(routed)
 		cand := r.want[outPort] & r.occupied
-		if cand == 0 {
-			continue
-		}
-		out := &r.outputs[outPort]
 		// Round-robin from lastInput+1: the bits at or above it, then
 		// the wrap-around below it.
-		below := uint64(1)<<(out.lastInput+1) - 1
-		if !r.grant(outPort, cand&^below, now) {
-			r.grant(outPort, cand&below, now)
+		below := uint64(1)<<(r.outputs[outPort].lastInput+1) - 1
+		if hi := cand &^ below; hi == 0 || !r.grant(outPort, hi, now) {
+			if lo := cand & below; lo != 0 {
+				r.grant(outPort, lo, now)
+			}
 		}
 	}
 
 	// The next tick that can matter: the cycle the earliest front flit
 	// leaves the pipeline, or the next one when a flit is ready now and
 	// blocked (on a VC, a credit or the switch), which retries per cycle.
+	r.unschedule()
+	if r.occupied == 0 {
+		return
+	}
 	wake := sim.Cycle(math.MaxInt64)
 	for m := r.occupied; m != 0 && wake > now+1; m &= m - 1 {
 		wake = min(wake, r.inputs[bits.TrailingZeros64(m)].fifo.front().readyAt)
 	}
-	r.wake = max(wake, now+1)
+	r.schedule(max(wake, now+1))
 }
 
 // grant sends the front flit of the lowest-indexed input VC in cand that
@@ -272,7 +294,7 @@ func (r *router) forward(idx int, f flit, outPort int, now sim.Cycle) {
 		r.outputs[outPort].held &^= 1 << dstVC
 	}
 	r.pop(idx, f.tail)
-	r.neighbor[outPort].acceptFlit(r.reverse[outPort], dstVC, f, now+r.net.hop)
+	r.neighbor[outPort].acceptFlit(reversePort[outPort], dstVC, f, now+r.net.hop)
 }
 
 // returnCredit gives a buffer slot back to the upstream router. It never
@@ -287,7 +309,7 @@ func (r *router) returnCredit(p, v int) {
 	if up == nil {
 		return
 	}
-	up.outputs[r.reverse[p]].credits[v]++
+	up.outputs[reversePort[p]].credits[v]++
 }
 
 // firstFrom returns the lowest set bit of m at or above start, wrapping

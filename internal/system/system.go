@@ -379,11 +379,14 @@ func (cfg Config) Validate() error {
 	if f := cfg.MeshBandwidthFrac; !(f >= 0 && f <= 1) {
 		return fmt.Errorf("system: MeshBandwidthFrac %v is not a fraction in (0, 1]", f)
 	}
-	if cfg.MeshRouterCycles < 0 {
-		return fmt.Errorf("system: MeshRouterCycles %d is negative", cfg.MeshRouterCycles)
+	if cfg.MeshRouterCycles < 0 || cfg.MeshRouterCycles > mesh.MaxRouterCycles {
+		return fmt.Errorf("system: MeshRouterCycles %d is outside [0, %d]", cfg.MeshRouterCycles, mesh.MaxRouterCycles)
 	}
 	if most := memory.MaxChannels(dimOf(cfg.Nodes)); cfg.Memory.Channels < 1 || cfg.Memory.Channels > most {
 		return fmt.Errorf("system: %d memory channels: a %d-node system attaches 1 to %d, each on its own node", cfg.Memory.Channels, cfg.Nodes, most)
+	}
+	if err := cfg.Memory.Validate(cfg.MaxCycles); err != nil {
+		return fmt.Errorf("system: %w", err)
 	}
 	return nil
 }

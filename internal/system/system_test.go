@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"fsoi/internal/memory"
+	"fsoi/internal/mesh"
+	"fsoi/internal/sim"
 	"fsoi/internal/workload"
 )
 
@@ -294,12 +296,44 @@ func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
 		{-0.5, 0, "MeshBandwidthFrac -0.5"},
 		{math.NaN(), 0, "MeshBandwidthFrac NaN"},
 		{0, -1, "MeshRouterCycles -1"},
+		{0, mesh.MaxRouterCycles, ""},
+		{0, mesh.MaxRouterCycles + 1, "MeshRouterCycles 65 is outside [0, 64]"},
+		{0, 1_000_000_000, "MeshRouterCycles 1000000000"}, // the wake calendar would be gigabytes
 	} {
 		cfg := Default(16, NetMesh)
 		cfg.MeshBandwidthFrac, cfg.MeshRouterCycles = c.frac, c.cycles
 		err := cfg.Validate()
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
 			t.Errorf("frac %v, cycles %d: Validate() = %v, want one line containing %q", c.frac, c.cycles, err, c.want)
+		}
+	}
+}
+
+// TestValidateRejectsUnrunnableMemoryBandwidth: a bandwidth so small
+// that a line transfer outlasts MaxCycles, or overflows the cycle count
+// into a negative delay (1e-300 GB/s used to panic in the engine with
+// an event scheduled in the past), is refused; every bandwidth whose
+// transfer fits still runs, a zero-cycle one included.
+func TestValidateRejectsUnrunnableMemoryBandwidth(t *testing.T) {
+	for _, c := range []struct {
+		gbps      float64
+		maxCycles sim.Cycle
+		want      string // "" = valid
+	}{
+		{8.8, 40_000_000, ""},
+		{52.8, 40_000_000, ""},
+		{1e300, 40_000_000, ""}, // a line in 0 cycles
+		{0.8448, 1000, ""},      // 16 nodes, 4 channels: 1000 cycles a line
+		{0.8448, 999, "1e+03 cycles per 64-byte line, not a cycle count in [0, 999]"},
+		{1e-300, 40_000_000, "1e-300 GB/s over 4 channels"},
+		{-1, 40_000_000, "-1 GB/s"},
+		{0, 40_000_000, "+Inf cycles"},
+	} {
+		cfg := Default(16, NetFSOI)
+		cfg.Memory.TotalGBps, cfg.MaxCycles = c.gbps, c.maxCycles
+		err := cfg.Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
+			t.Errorf("%v GB/s, MaxCycles %d: Validate() = %v, want one line containing %q", c.gbps, c.maxCycles, err, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -255,18 +256,25 @@ func TestGrowsFromEmptyByDoubling(t *testing.T) {
 // pads to 16 bytes, ~65.5 KB.
 func TestSlotBytes(t *testing.T) {
 	const keys, budget = 1000, 51 << 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var tab Table[int32]
-	for k := uint64(0); k < keys; k++ {
-		*tab.Put(k*64 + 17) = int32(k)
+	// TotalAlloc is process-wide: another goroutine's allocations can
+	// only add to a fill's count, so the least of three fresh fills is
+	// the one nearest the table's own bytes.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var tab Table[int32]
+		for k := uint64(0); k < keys; k++ {
+			*tab.Put(k*64 + 17) = int32(k)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if tab.Len() != keys || len(tab.keys) != 2048 {
+			t.Fatalf("%d keys in %d slots, want %d in 2048", tab.Len(), len(tab.keys), keys)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-		t.Fatalf("a %d-key Table[int32] allocated %d bytes, budget %d", keys, got, budget)
-	}
-	if tab.Len() != keys || len(tab.keys) != 2048 {
-		t.Fatalf("%d keys in %d slots, want %d in 2048", tab.Len(), len(tab.keys), keys)
+	if least > budget {
+		t.Fatalf("a %d-key Table[int32] allocated %d bytes, budget %d", keys, least, budget)
 	}
 }
 
