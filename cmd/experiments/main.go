@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"fsoi/internal/config"
 	"fsoi/internal/exp"
 	"fsoi/internal/obs"
 	"fsoi/internal/parallel"
@@ -139,8 +140,11 @@ func parse(args []string, stderr io.Writer) (*invocation, int) {
 	if *trials < 1 {
 		return fail("-trials %d: a Monte Carlo estimate needs at least one trial", *trials)
 	}
-	if !(*scale > 0) {
-		return fail("-scale %v: a workload needs a positive scale factor", *scale)
+	if err := config.Check("seed", float64(*seed)); err != nil {
+		return fail("-seed %d: %v", *seed, err)
+	}
+	if err := config.Check("scale", *scale); err != nil {
+		return fail("-scale %v: %v", *scale, err)
 	}
 	if *jobs < 0 {
 		return fail("-j %d: the worker count is 0 (one per CPU) or positive", *jobs)

@@ -27,6 +27,8 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"intensity outside (0,1)", "-run resilience -intensities 0.5,1.5", "bad -intensities"},
 		{"unknown role", "-run resilience -roles jammer,troll", `unknown role "troll"`},
 		{"non-square node count", "-run resilience -nodes 20", "bad -nodes"},
+		{"one node (fsoisim's nodes row)", "-run resilience -nodes 16,1", "nodes is 1; want [4, 15360]"},
+		{"past the address layout", "-run resilience -nodes 15376", "nodes is 15376; want [4, 15360]"},
 		{"unknown cooling", "-run faults -droop 0.03 -cooling lava", `unknown cooling "lava"`},
 		{"thermal flag without -droop", "-run faults -cooling air", "droop"},
 		{"probability out of range", "-run faults -confirm-drop 1.5", "-run faults"},
@@ -37,6 +39,7 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"negative trials", "-run fig3 -trials -5", "-trials -5"},
 		{"negative scale (used to exit 0)", "-run table1 -scale -1", "-scale -1"},
 		{"zero scale (used to exit 0)", "-run table1 -scale 0", "-scale 0"},
+		{"zero seed (fsoisim refused it; used to exit 0)", "-run fig3 -trials 10 -seed 0", "seed is 0; want [1, +Inf)"},
 		{"negative workers (used to run one per CPU)", "-run table1 -j -1", "-j -1"},
 		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
 		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},

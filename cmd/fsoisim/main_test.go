@@ -96,6 +96,12 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-config", writeSpec(t, `{"receivers": 65}`)},
 		// A one-slot backoff cap retries colliding senders in lockstep.
 		{"-config", writeSpec(t, `{"max_backoff_slots": 1}`)},
+		// Past a range's upper end: these passed Build, then exhausted
+		// memory or reached a constructor's panic.
+		{"-trace", "2000000000"},
+		{"-nodes", "15376"},
+		{"-config", writeSpec(t, `{"network": "mesh", "nodes": 1}`)},
+		{"-config", writeSpec(t, `{"window_w": 0.5}`)},
 		// The sharded engines are withdrawn, and their knobs with them.
 		{"-shards", "2"},
 		{"-config", writeSpec(t, `{"shards": 4}`)},

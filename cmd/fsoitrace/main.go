@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 
+	"fsoi/internal/config"
 	"fsoi/internal/obs"
 	"fsoi/internal/sim"
 	"fsoi/internal/stats"
@@ -265,7 +266,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(io.Discard)
 	top := fs.Int("top", 16, "rows in the busiest-links and busiest-pairs tables (<= 0: all)")
 	detect := fs.Bool("detect", false, "run the windowed contention detector over the trace (single-run traces only)")
-	window := fs.Int64("window", 0, "detector window length in cycles (0 = default; needs -detect)")
+	window := fs.Int64("window", obs.DefaultWindowCycles, "detector window length in cycles (needs -detect)")
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "fsoitrace:", err)
 		return code
@@ -282,11 +283,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// flag no selected experiment owns.
 	windowSet := false
 	fs.Visit(func(f *flag.Flag) { windowSet = windowSet || f.Name == "window" })
-	switch {
-	case *window < 0:
-		return fail(2, fmt.Errorf("-window %d: want a window length in cycles, or 0 for the default", *window))
-	case windowSet && !*detect:
+	if windowSet && !*detect {
 		return fail(2, errors.New("-window sets the detector's window: it needs -detect"))
+	}
+	// The window is fsoisim's detect_window, checked by its row.
+	if err := config.Check("detect_window", float64(*window)); err != nil {
+		return fail(2, fmt.Errorf("-window: %w", err))
 	}
 
 	in := stdin

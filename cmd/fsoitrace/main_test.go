@@ -158,9 +158,10 @@ func TestAnalyzeRejectsNodeIDsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitTwoWithOneLine: a window the detector cannot use, or
-// one given without -detect (where it would change nothing), is refused
-// before any input is read, with one line on stderr.
+// TestBadFlagsExitTwoWithOneLine: a window the detector cannot use (0
+// no longer stands for the default), or one given without -detect
+// (where it would change nothing), is refused before any input is read,
+// with one line on stderr. The default is the detector's own window.
 func TestBadFlagsExitTwoWithOneLine(t *testing.T) {
 	trace := `{"at":1,"ev":"deliver","id":1,"src":0,"dst":1,"class":"meta","lane":"meta","attempt":0,"aux":4}` + "\n"
 	for _, c := range []struct {
@@ -170,6 +171,7 @@ func TestBadFlagsExitTwoWithOneLine(t *testing.T) {
 		{[]string{"-detect", "-window", "-5"}, 2},
 		{[]string{"-window", "100"}, 2},
 		{[]string{"-window", "0"}, 2},
+		{[]string{"-detect", "-window", "0"}, 2},
 		{[]string{"-nosuch"}, 2},
 		{[]string{"-detect", "-window", "100"}, 0},
 		{[]string{"-detect"}, 0},
@@ -185,6 +187,11 @@ func TestBadFlagsExitTwoWithOneLine(t *testing.T) {
 		if c.code == 0 && !strings.Contains(stdout.String(), "contention anomaly detection") {
 			t.Errorf("fsoitrace %v: no detector report in %q", c.args, stdout.String())
 		}
+	}
+	var stdout, stderr bytes.Buffer
+	run([]string{"-h"}, strings.NewReader(""), &stdout, &stderr)
+	if want := fmt.Sprintf("(default %d)", obs.DefaultWindowCycles); !strings.Contains(stderr.String(), want) {
+		t.Errorf("fsoitrace -h: %q, want -window's %s", stderr.String(), want)
 	}
 }
 

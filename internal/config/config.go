@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"reflect"
 	"slices"
@@ -21,9 +22,12 @@ import (
 	"fsoi/internal/adversary"
 	"fsoi/internal/core"
 	"fsoi/internal/fault"
+	"fsoi/internal/mesh"
+	"fsoi/internal/noc"
 	"fsoi/internal/sim"
 	"fsoi/internal/system"
 	"fsoi/internal/thermal"
+	"fsoi/internal/workload"
 )
 
 // Run is what a spec selects: the system configuration and the
@@ -36,7 +40,7 @@ type Run struct {
 
 // Spec is a parsed JSON spec: the raw value of each top-level key
 // written, every key one of the knobs. A key left out keeps the
-// default Build applies; a numeric key written as 0 or less is refused.
+// default Build applies; a number outside its key's range is refused.
 type Spec map[string]json.RawMessage
 
 // knob is one top-level key of the spec.
@@ -45,10 +49,40 @@ type knob struct {
 	// on is the JSON value a boolean flag lays over the key; a flag
 	// without it lays its own text, as a JSON string unless the key is
 	// a number.
-	on       string
-	positive bool // a number: 0 and below are refused
-	set      func(r *Run, raw []byte) error
-	get      func(r *Run) any // the value set writes, for the flag's default
+	on  string
+	in  *span // a number's range; nil for any other key
+	set func(r *Run, raw []byte) error
+	get func(r *Run) any // the value set writes, for the flag's default
+}
+
+// span is a number's range [lo, hi], open at lo when openLo; an
+// infinite hi is open.
+type span struct {
+	lo, hi float64
+	openLo bool
+}
+
+var inf = math.Inf(1)
+
+// from is the range [lo, hi]; over is (lo, hi].
+func from(lo, hi float64) span { return span{lo: lo, hi: hi} }
+func over(lo, hi float64) span { return span{lo: lo, hi: hi, openLo: true} }
+
+// holds reports whether v lies in the range; NaN never does.
+func (s span) holds(v float64) bool {
+	return (v > s.lo || !s.openLo && v >= s.lo) && v <= s.hi
+}
+
+// String writes the range in interval notation: [1, 64], (0, +Inf).
+func (s span) String() string {
+	lo, hi := "[", "]"
+	if s.openLo {
+		lo = "("
+	}
+	if math.IsInf(s.hi, 1) {
+		hi = ")"
+	}
+	return lo + strconv.FormatFloat(s.lo, 'f', -1, 64) + ", " + strconv.FormatFloat(s.hi, 'f', -1, 64) + hi
 }
 
 // field is the knob whose JSON value decodes straight into one field
@@ -58,12 +92,16 @@ func field[T any](key, flag, usage string, at func(*Run) *T) knob {
 		set: func(r *Run, raw []byte) error { return decode(raw, at(r)) },
 		get: func(r *Run) any { return *at(r) },
 	}
-	switch reflect.TypeFor[T]().Kind() {
-	case reflect.Bool:
+	if _, ok := any(*new(T)).(bool); ok {
 		k.on = "true"
-	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
-		k.positive = true
 	}
+	return k
+}
+
+// number is the field of a number, which must lie in its range.
+func number[T int | int64 | uint64 | float64](key, flag, usage string, in span, at func(*Run) *T) knob {
+	k := field(key, flag, usage, at)
+	k.in = &in
 	return k
 }
 
@@ -74,19 +112,19 @@ const shapeKeys = 2
 // knobs is the schema: one row per top-level key, in the order Build
 // applies them.
 var knobs = []knob{
-	field("nodes", "nodes", "node count (a perfect square)", func(r *Run) *int { return &r.Nodes }),
+	number("nodes", "nodes", "node count (a perfect square)", from(4, float64(workload.MaxNodes)), func(r *Run) *int { return &r.Nodes }),
 	field("network", "net", "interconnect: "+strings.Join(system.Networks(), " | "), func(r *Run) *system.NetworkKind { return &r.Net }),
 	field("app", "app", "application (see -listapps)", func(r *Run) *string { return &r.App }),
-	field("scale", "scale", "workload scale factor", func(r *Run) *float64 { return &r.Scale }),
-	field("seed", "seed", "random seed", func(r *Run) *uint64 { return &r.Seed }),
-	field("meta_vcsels", "", "transmit VCSELs in the FSOI meta lane (Table 3)", func(r *Run) *int { return &r.FSOI.MetaVCSELs }),
-	field("data_vcsels", "", "transmit VCSELs in the FSOI data lane (Table 3)", func(r *Run) *int { return &r.FSOI.DataVCSELs }),
-	field("receivers", "", "FSOI receivers per lane per node, at most 64 (Table 3)", func(r *Run) *int { return &r.FSOI.Receivers }),
-	field("window_w", "", "FSOI backoff window W, slots (§4.3)", func(r *Run) *float64 { return &r.FSOI.WindowW }),
-	field("backoff_b", "", "FSOI backoff base B (§4.3)", func(r *Run) *float64 { return &r.FSOI.BackoffB }),
-	field("out_queue", "", "FSOI outgoing queue, packets", func(r *Run) *int { return &r.FSOI.OutQueue }),
-	field("max_backoff_slots", "", "cap on the FSOI backoff window, slots, above 1", func(r *Run) *float64 { return &r.FSOI.MaxBackoffSlots }),
-	field("confirm_timeout_slots", "", "FSOI confirmation timeout, slots", func(r *Run) *int { return &r.FSOI.ConfirmTimeoutSlots }),
+	number("scale", "scale", "workload scale factor", over(0, inf), func(r *Run) *float64 { return &r.Scale }),
+	number("seed", "seed", "random seed", from(1, inf), func(r *Run) *uint64 { return &r.Seed }),
+	number("meta_vcsels", "", "transmit VCSELs in the FSOI meta lane (Table 3)", from(1, core.MetaBits), func(r *Run) *int { return &r.FSOI.MetaVCSELs }),
+	number("data_vcsels", "", "transmit VCSELs in the FSOI data lane (Table 3)", from(1, core.DataBits), func(r *Run) *int { return &r.FSOI.DataVCSELs }),
+	number("receivers", "", "FSOI receivers per lane per node (Table 3)", from(1, core.MaxReceivers), func(r *Run) *int { return &r.FSOI.Receivers }),
+	number("window_w", "", "FSOI backoff window W, slots (§4.3)", from(1, inf), func(r *Run) *float64 { return &r.FSOI.WindowW }),
+	number("backoff_b", "", "FSOI backoff base B (§4.3)", from(1, inf), func(r *Run) *float64 { return &r.FSOI.BackoffB }),
+	number("out_queue", "", "FSOI outgoing queue, packets", from(1, inf), func(r *Run) *int { return &r.FSOI.OutQueue }),
+	number("max_backoff_slots", "", "cap on the FSOI backoff window, slots", over(core.LockstepBackoffSlots, core.MaxWaitSlots), func(r *Run) *float64 { return &r.FSOI.MaxBackoffSlots }),
+	number("confirm_timeout_slots", "", "FSOI confirmation timeout, slots", from(1, core.MaxWaitSlots), func(r *Run) *int { return &r.FSOI.ConfirmTimeoutSlots }),
 	{key: "optimizations", flag: "no-opt", usage: "disable all §5 FSOI optimizations", on: "{}",
 		set: func(r *Run, raw []byte) error {
 			var o OptSpec
@@ -119,12 +157,12 @@ var knobs = []knob{
 			return nil
 		}},
 	field("detect", "detect", "run the windowed contention detector and print its report (implies observation)", func(r *Run) *bool { return &r.Detect }),
-	field("detect_window", "", "the detector's window, cycles", func(r *Run) *int64 { return &r.DetectWindow }),
-	field("memory_gbps", "membw", "total memory bandwidth, GB/s", func(r *Run) *float64 { return &r.Memory.TotalGBps }),
-	field("memory_channels", "", "memory controllers, each on its own node", func(r *Run) *int { return &r.Memory.Channels }),
-	field("router_cycles", "", "mesh router pipeline depth, cycles", func(r *Run) *int { return &r.MeshRouterCycles }),
-	field("mesh_bandwidth_frac", "", "mesh injection bandwidth, a fraction in (0, 1] (Figure 11)", func(r *Run) *float64 { return &r.MeshBandwidthFrac }),
-	field("trace_packets", "trace", "dump the last N terminated packets", func(r *Run) *int { return &r.TracePackets }),
+	number("detect_window", "", "the detector's window, cycles", from(1, inf), func(r *Run) *int64 { return &r.DetectWindow }),
+	number("memory_gbps", "membw", "total memory bandwidth, GB/s", over(0, inf), func(r *Run) *float64 { return &r.Memory.TotalGBps }),
+	number("memory_channels", "", "memory controllers, each on its own node (8 above 16 nodes)", from(1, inf), func(r *Run) *int { return &r.Memory.Channels }),
+	number("router_cycles", "", "mesh router pipeline depth, cycles", from(1, mesh.MaxRouterCycles), func(r *Run) *int { return &r.MeshRouterCycles }),
+	number("mesh_bandwidth_frac", "", "mesh injection bandwidth, a fraction of full rate (Figure 11)", over(0, 1), func(r *Run) *float64 { return &r.MeshBandwidthFrac }),
+	number("trace_packets", "trace", "dump the last N terminated packets", from(1, noc.MaxTraceEntries), func(r *Run) *int { return &r.TracePackets }),
 }
 
 // decode is the one decoder of a key's JSON value, from a spec or a
@@ -141,16 +179,26 @@ func decode(raw []byte, v any) error {
 
 // apply decodes raw, the knob's JSON value, into r.
 func (k *knob) apply(r *Run, raw []byte) error {
-	if k.positive {
-		var v float64
-		if json.Unmarshal(raw, &v) == nil && !(v > 0) {
-			return fmt.Errorf("config: %s is %s; want a number above 0", k.key, raw)
-		}
+	var v float64
+	if k.in != nil && json.Unmarshal(raw, &v) == nil && !k.in.holds(v) {
+		return fmt.Errorf("config: %s is %s; want %s", k.key, raw, k.in)
 	}
 	if err := k.set(r, raw); err != nil {
 		return fmt.Errorf("config: %s: %w", k.key, err)
 	}
 	return nil
+}
+
+// Check checks v as Build checks the numeric key's value: the one rule
+// for a quantity another command takes too (experiments -seed, -scale
+// and resilience's -nodes, fsoitrace -window).
+func Check(key string, v float64) error {
+	for i := range knobs {
+		if knobs[i].key == key && knobs[i].in != nil {
+			return knobs[i].apply(&Run{}, strconv.AppendFloat(nil, v, 'f', -1, 64))
+		}
+	}
+	return fmt.Errorf("config: no numeric key %q", key)
 }
 
 // Load reads a Spec from a JSON file.
@@ -201,9 +249,6 @@ func (s Spec) Build() (Run, error) {
 			}
 		}
 	}
-	if err := r.FSOI.Validate(); r.Net == system.NetFSOI && err != nil {
-		return Run{}, err
-	}
 	if err := r.Validate(); err != nil {
 		return Run{}, err
 	}
@@ -232,7 +277,7 @@ func Flags(fs *flag.FlagSet) Spec {
 					return err
 				}
 				raw = []byte(k.on)
-			} else if !k.positive {
+			} else if k.in == nil {
 				raw, _ = json.Marshal(text) // a string always marshals
 			}
 			err := k.apply(&Run{}, raw)
@@ -242,6 +287,9 @@ func Flags(fs *flag.FlagSet) Spec {
 			return err
 		}
 		usage := k.usage
+		if k.in != nil {
+			usage += ", in " + k.in.String()
+		}
 		if k.get != nil && !reflect.ValueOf(k.get(&def)).IsZero() {
 			usage += fmt.Sprintf(" (default %v)", k.get(&def))
 		}

@@ -3,15 +3,20 @@ package config
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"fsoi/internal/system"
 	"fsoi/internal/thermal"
+	"fsoi/internal/workload"
 )
 
 // build parses and builds one JSON spec.
@@ -54,8 +59,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 
 // TestBuildRejectsNegativeNumbers: a numeric key written as 0 or less
 // used to run the default (or, for a negative scale, a negative
-// workload) without a word. Each is one line naming its key, and none
-// tells the user to write 0.
+// workload) without a word. Every range starts above 0, so each is one
+// line naming its key, and none tells the user to write 0.
 func TestBuildRejectsNegativeNumbers(t *testing.T) {
 	keys := []string{
 		"nodes", "scale", "seed", "meta_vcsels", "data_vcsels", "receivers", "window_w",
@@ -64,7 +69,7 @@ func TestBuildRejectsNegativeNumbers(t *testing.T) {
 	}
 	numeric := 0
 	for _, k := range knobs {
-		if k.positive {
+		if k.in != nil {
 			numeric++
 		}
 	}
@@ -79,6 +84,74 @@ func TestBuildRejectsNegativeNumbers(t *testing.T) {
 				strings.Contains(err.Error(), "0 =") {
 				t.Errorf("%s: Build() = %v, want one line naming %q", js, err, key)
 			}
+		}
+	}
+}
+
+// TestEveryRangeHoldsItsEndsOnly: each numeric key's range holds its
+// closed ends and refuses what lies past either end, from a spec (as
+// one line naming the key and the range) and through Check alike.
+func TestEveryRangeHoldsItsEndsOnly(t *testing.T) {
+	for _, k := range knobs {
+		if k.in == nil {
+			continue
+		}
+		lo, hi := k.in.lo, k.in.hi
+		if err := Check(k.key, hi); (err == nil) == math.IsInf(hi, 1) {
+			t.Errorf("%s: Check(%v) = %v on %v", k.key, hi, err, k.in)
+		}
+		if err := Check(k.key, lo); (err == nil) == k.in.openLo {
+			t.Errorf("%s: Check(%v) = %v on %v", k.key, lo, err, k.in)
+		}
+		if err := Check(k.key, math.NaN()); err == nil {
+			t.Errorf("%s: Check(NaN) accepted", k.key)
+		}
+		past := []float64{lo - 1, math.Nextafter(lo, -inf)}
+		if !math.IsInf(hi, 1) {
+			past = append(past, hi+1, math.Nextafter(hi, inf))
+		}
+		for _, v := range past {
+			text := strconv.FormatFloat(v, 'f', -1, 64)
+			want := "config: " + k.key + " is " + text + "; want " + k.in.String()
+			if _, err := build(t, `{"`+k.key+`": `+text+`}`); err == nil || err.Error() != want {
+				t.Errorf("%s %s: Build() = %v, want %q", k.key, text, err, want)
+			}
+			if err := Check(k.key, v); err == nil || err.Error() != want {
+				t.Errorf("%s %s: Check() = %v, want %q", k.key, text, err, want)
+			}
+		}
+	}
+	if err := Check("network", 1); err == nil {
+		t.Error(`Check("network") accepted a number`)
+	}
+	for s, want := range map[span]string{from(4, 15360): "[4, 15360]", over(0, 1): "(0, 1]", from(1, inf): "[1, +Inf)",
+		over(1, 1<<32): "(1, 4294967296]", over(0, inf): "(0, +Inf)"} {
+		if got := s.String(); got != want {
+			t.Errorf("%#v prints %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestBuildNamesTheKeyOutOfRange: values that used to pass Build and then
+// exhaust memory or panic in a constructor, and values whose error
+// named a Go field or no key at all, are one line naming the key.
+func TestBuildNamesTheKeyOutOfRange(t *testing.T) {
+	for js, want := range map[string]string{
+		`{"trace_packets": 2000000000}`:         "config: trace_packets is 2000000000; want [1, 65536]",
+		`{"nodes": 15376}`:                      "config: nodes is 15376; want [4, 15360]",
+		`{"window_w": 0.5}`:                     "config: window_w is 0.5; want [1, +Inf)",
+		`{"mesh_bandwidth_frac": 1.5}`:          "config: mesh_bandwidth_frac is 1.5; want (0, 1]",
+		`{"network": "mesh", "nodes": 1}`:       "config: nodes is 1; want [4, 15360]",
+		`{"nodes": 15}`:                         "system: nodes is 15, not a perfect square",
+		`{"nodes": 64, "memory_channels": 12}`:  "system: memory_channels is 12; a 64-node system attaches 1 to 8, each on its own node",
+		`{"meta_vcsels": 73}`:                   "config: meta_vcsels is 73; want [1, 72]",
+		`{"confirm_timeout_slots": 1e10}`:       "config: confirm_timeout_slots is 1e10; want [1, 4294967296]",
+		`{"router_cycles": 65}`:                 "config: router_cycles is 65; want [1, 64]",
+		`{"max_backoff_slots": 1}`:              "config: max_backoff_slots is 1; want (1, 4294967296]",
+		`{"memory_channels": 0, "nodes": 1024}`: "config: memory_channels is 0; want [1, +Inf)",
+	} {
+		if _, err := build(t, js); err == nil || err.Error() != want {
+			t.Errorf("%s: Build() = %v, want %q", js, err, want)
 		}
 	}
 }
@@ -379,9 +452,100 @@ func FuzzSpecBuild(f *testing.F) {
 		}
 		// Keep assembly cheap: these sizes cost memory,
 		// not correctness.
-		if r.Nodes > 64 || r.Memory.Channels > 64 || r.TracePackets > 1024 {
+		if r.Nodes > 64 {
 			return
 		}
 		system.New(r.Config)
 	})
+}
+
+// FuzzSpecRun: every spec Build accepts runs to an end, at a tiny scale
+// under a small cycle cap, without a panic or a fatal error. Hitting the
+// cap is not a failure here: whether a run is wedged is the watchdog's
+// question, not the input surface's. Runs above 64 nodes are skipped for
+// their cost. A number laid over one key of the spec reaches every
+// range without a valid JSON text to mutate; seeds reach every range's
+// ends and every section.
+func FuzzSpecRun(f *testing.F) {
+	for _, k := range knobs {
+		if k.in != nil {
+			f.Add([]byte(`{}`), k.key, k.in.lo)
+			f.Add([]byte(`{"network":"mesh"}`), k.key, min(k.in.hi, 1e300))
+		}
+	}
+	for _, seed := range []string{
+		`{}`,
+		`{"network":"mesh","nodes":4,"mesh_bandwidth_frac":0.25,"router_cycles":64}`,
+		`{"network":"mesh","router_cycles":1,"trace_packets":1}`,
+		`{"nodes":4,"memory_channels":1,"receivers":64,"meta_vcsels":72,"data_vcsels":360,"out_queue":1}`,
+		`{"meta_vcsels":1,"data_vcsels":1,"receivers":1,"window_w":1,"backoff_b":1,"max_backoff_slots":1.0001}`,
+		`{"window_w":1e300,"backoff_b":1e300,"max_backoff_slots":4294967296,"confirm_timeout_slots":4294967296}`,
+		`{"detect":true,"detect_window":1,"trace_packets":65536,"seed":18446744073709551615}`,
+		`{"memory_gbps":1e300,"scale":1e300,"app":"mp3d"}`,
+		`{"optimizations":{},"faults":{"margin_penalty_db":2.5,"vcsel_fail_prob":0.5,"confirm_drop_prob":0.5,"droop_db_per_k":0.03}}`,
+		`{"nodes":64,"adversaries":[{"role":"spoofer","node":3,"victims":[0,1],"intensity":0.9,"ops":1},
+		  {"role":"starver","node":4,"victims":[0],"intensity":0.5,"start":1,"stop":2},
+		  {"role":"jammer","node":63,"victims":[0],"intensity":0.99}]}`,
+		`{"network":"corona","nodes":4}`, `{"network":"L0","memory_gbps":1}`,
+	} {
+		f.Add([]byte(seed), "", 0.0)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, key string, value float64) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if raw, err := json.Marshal(value); err == nil && key != "" {
+			spec[key] = raw
+		}
+		r, err := spec.Build()
+		if err != nil || r.Nodes > 64 {
+			return
+		}
+		app, ok := workload.ByName(r.App, 0.001)
+		if !ok {
+			return // fsoisim refuses it as an unknown app
+		}
+		// A lower cap can refuse a memory slower than a line per cap.
+		if r.MaxCycles = 20_000; r.Validate() != nil {
+			return
+		}
+		system.New(r.Config).Run(app)
+	})
+}
+
+// TestREADMEKeyTable: README's table of spec keys is rendered from the
+// knobs table, one row per key, and fails when the two differ. To
+// refresh it, paste the block this test prints.
+func TestREADMEKeyTable(t *testing.T) {
+	const begin, end = "<!-- knobs: generated from internal/config's knobs table (TestREADMEKeyTable) -->\n", "<!-- /knobs -->\n"
+	def, err := Spec{}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(begin + "| key | flag | default | range | usage |\n|---|---|---|---|---|\n")
+	for _, k := range knobs {
+		var flag, value, in string
+		if k.flag != "" {
+			flag = "`-" + k.flag + "`"
+		}
+		if k.get != nil && !reflect.ValueOf(k.get(&def)).IsZero() {
+			value = fmt.Sprint(k.get(&def))
+		}
+		if k.in != nil {
+			in = k.in.String()
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", k.key, flag, value, in, strings.ReplaceAll(k.usage, "|", `\|`))
+	}
+	b.WriteString(end)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(readme), begin)
+	block, _, closed := strings.Cut(rest, end)
+	if want := b.String(); !ok || !closed || begin+block+end != want {
+		t.Errorf("README's key table differs from the knobs table; want:\n%s", want)
+	}
 }

@@ -16,9 +16,12 @@ type hotspot struct {
 	confirmed int
 }
 
-func newHotspot() *hotspot {
+func newHotspot() *hotspot { return hotspotOf(PaperConfig(64)) }
+
+// hotspotOf is the hotspot on a network of cfg, 64 nodes or more.
+func hotspotOf(cfg Config) *hotspot {
 	h := &hotspot{engine: sim.NewEngine()}
-	h.n = New(PaperConfig(64), h.engine, sim.NewRNG(1))
+	h.n = New(cfg, h.engine, sim.NewRNG(1))
 	h.n.SetConfirmDelivery(func(*noc.Packet, sim.Cycle) { h.confirmed++ })
 	h.n.RegisterSweep()
 	return h

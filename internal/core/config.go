@@ -11,8 +11,6 @@
 // retransmission winner hints).
 package core
 
-import "fmt"
-
 // Lane indexes the two slotted traffic lanes.
 type Lane int
 
@@ -88,22 +86,26 @@ type Config struct {
 	// then believes it won (§7.3 measures 2.3%).
 	WrongWinner float64
 	// MaxBackoffSlots caps the exponential backoff window W*B^(r-1) (the
-	// DESIGN.md §5 guard rail). Zero means defaultMaxBackoffSlots, so
-	// hand-built configs keep working; a cap in (0, 1] is refused (see
-	// Validate).
+	// DESIGN.md §5 guard rail), above LockstepBackoffSlots.
 	MaxBackoffSlots float64
 	// ConfirmTimeoutSlots is how many lane slots a sender waits for a
 	// missing confirmation before retransmitting (the fault-injection
 	// recovery path; only exercised when a FaultModel drops
-	// confirmations). Zero means defaultConfirmTimeoutSlots.
+	// confirmations).
 	ConfirmTimeoutSlots int
 }
 
-// The backoff cap and confirmation timeout PaperConfig sets, and the
-// values a zero Config field stands for.
+// Bounds on a configuration. New refuses more receivers than a node's
+// one-word arrival mask holds (nodeState.arrMask), and a backoff cap at
+// or below LockstepBackoffSlots: a retry waits ceil(u*w) slots for u in
+// (0, 1], so collided senders would retry in lockstep forever. A spec
+// also bounds both waits by MaxWaitSlots, far past any MaxCycles and far
+// from overflow, and a lane's VCSELs by its packet's bits.
 const (
-	defaultMaxBackoffSlots     = 256
-	defaultConfirmTimeoutSlots = 4
+	MaxReceivers         = 64
+	LockstepBackoffSlots = 1
+	MaxWaitSlots         = 1 << 32
+	MetaBits, DataBits   = 72, 360
 )
 
 // PaperConfig returns the evaluation configuration for the given node
@@ -125,53 +127,18 @@ func PaperConfig(nodes int) Config {
 		HintAccuracy: 0.94,
 		WrongWinner:  0.023,
 
-		MaxBackoffSlots:     defaultMaxBackoffSlots,
-		ConfirmTimeoutSlots: defaultConfirmTimeoutSlots,
+		MaxBackoffSlots:     256,
+		ConfirmTimeoutSlots: 4,
 	}
 }
 
 // SlotCycles returns the slot length of a lane in core cycles: the
 // serialization time of its packet at the configured lane width.
 func (c Config) SlotCycles(l Lane) int {
-	bits, vcsels := 72, c.MetaVCSELs
+	bits, vcsels := MetaBits, c.MetaVCSELs
 	if l == LaneData {
-		bits, vcsels = 360, c.DataVCSELs
+		bits, vcsels = DataBits, c.DataVCSELs
 	}
 	perCycle := vcsels * c.BitsPerCycle
 	return (bits + perCycle - 1) / perCycle
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Nodes < 2:
-		return fmt.Errorf("core: need at least 2 nodes, have %d", c.Nodes)
-	case c.MetaVCSELs < 1 || c.DataVCSELs < 1:
-		return fmt.Errorf("core: lanes need at least one VCSEL")
-	case c.BitsPerCycle < 1:
-		return fmt.Errorf("core: BitsPerCycle must be positive")
-	case c.Receivers < 1:
-		return fmt.Errorf("core: need at least one receiver per lane")
-	case c.Receivers > 64:
-		// A node keeps one bit per receiver in a word (nodeState.arrMask).
-		return fmt.Errorf("core: Receivers (receivers) %d is more than 64 per lane, the most a node's arrival mask holds", c.Receivers)
-	case c.ConfirmDelay < 1:
-		return fmt.Errorf("core: the confirmation must take at least one cycle")
-	case c.WindowW < 1:
-		return fmt.Errorf("core: backoff window below one slot")
-	case c.BackoffB < 1:
-		return fmt.Errorf("core: backoff base must be >= 1")
-	case c.OutQueue < 1:
-		return fmt.Errorf("core: outgoing queue must hold at least one packet")
-	case c.MaxBackoffSlots < 0:
-		return fmt.Errorf("core: negative backoff window cap")
-	case c.MaxBackoffSlots > 0 && c.MaxBackoffSlots <= 1:
-		// A retry waits ceil(u*w) slots for u in (0, 1]: with w <= 1 that
-		// is always 1, so two senders that collide from the same retry
-		// base collide again on every retry.
-		return fmt.Errorf("core: MaxBackoffSlots (max_backoff_slots) %v caps the backoff window at one slot, where senders that collided once collide in lockstep forever; want more than 1 (the default is %d)", c.MaxBackoffSlots, defaultMaxBackoffSlots)
-	case c.ConfirmTimeoutSlots < 0:
-		return fmt.Errorf("core: negative confirmation timeout")
-	}
-	return nil
 }

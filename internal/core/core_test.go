@@ -37,32 +37,6 @@ func TestConfigSlotLengths(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	good := PaperConfig(16)
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{Nodes: 1},
-		func() Config { c := PaperConfig(16); c.MetaVCSELs = 0; return c }(),
-		func() Config { c := PaperConfig(16); c.WindowW = 0.5; return c }(),
-		func() Config { c := PaperConfig(16); c.BackoffB = 0.9; return c }(),
-		func() Config { c := PaperConfig(16); c.OutQueue = 0; return c }(),
-		func() Config { c := PaperConfig(16); c.ConfirmDelay = 0; return c }(),
-		func() Config { c := PaperConfig(16); c.Receivers = 65; return c }(), // past one word of arrival mask
-	}
-	for i, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("config %d should fail validation", i)
-		}
-	}
-	most := PaperConfig(16)
-	most.Receivers = 64
-	if err := most.Validate(); err != nil {
-		t.Errorf("64 receivers: %v", err)
-	}
-}
-
 func TestSingleMetaDelivery(t *testing.T) {
 	n, engine, delivered, confirmed := testNet(t, basicConfig())
 	p := &noc.Packet{Src: 1, Dst: 2, Type: noc.Meta}

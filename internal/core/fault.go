@@ -33,19 +33,3 @@ func (n *Network) SetFaultModel(fm FaultModel) { n.fault = fm }
 // in the payload pass the header check and are caught by the modelled
 // CRC instead.
 const pidHeaderBits = 72
-
-// backoffCap returns the effective backoff-window cap in slots.
-func (n *Network) backoffCap() float64 {
-	if n.cfg.MaxBackoffSlots > 0 {
-		return n.cfg.MaxBackoffSlots
-	}
-	return defaultMaxBackoffSlots
-}
-
-// confirmTimeoutSlots returns the effective confirmation timeout.
-func (n *Network) confirmTimeoutSlots() int64 {
-	if n.cfg.ConfirmTimeoutSlots > 0 {
-		return int64(n.cfg.ConfirmTimeoutSlots)
-	}
-	return defaultConfirmTimeoutSlots
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsoi/internal/noc"
+	"fsoi/internal/obs"
 	"fsoi/internal/sim"
 )
 
@@ -147,45 +148,70 @@ func TestDataCorruptionSplitsHeaderAndPayload(t *testing.T) {
 	}
 }
 
+// TestBackoffCapAndTimeoutDefaults: PaperConfig states the backoff cap
+// and the confirmation timeout, a network waits by the fields as they
+// are (no zero stands for a default), and New refuses a cap at which
+// colliding senders retry in lockstep.
 func TestBackoffCapAndTimeoutDefaults(t *testing.T) {
-	zero := basicConfig()
-	zero.MaxBackoffSlots = 0
-	zero.ConfirmTimeoutSlots = 0
-	n, _, _, _ := testNet(t, zero)
-	if n.backoffCap() != 256 {
-		t.Fatalf("zero config backoff cap = %g, want historical 256", n.backoffCap())
+	if p := PaperConfig(16); p.MaxBackoffSlots != 256 || p.ConfirmTimeoutSlots != 4 {
+		t.Fatalf("PaperConfig sets cap %g and timeout %d, want 256 and 4", p.MaxBackoffSlots, p.ConfirmTimeoutSlots)
 	}
-	if n.confirmTimeoutSlots() != 4 {
-		t.Fatalf("zero config confirm timeout = %d, want 4", n.confirmTimeoutSlots())
-	}
-	if p := PaperConfig(16); p.MaxBackoffSlots != n.backoffCap() || int64(p.ConfirmTimeoutSlots) != n.confirmTimeoutSlots() {
-		t.Fatalf("PaperConfig sets cap %g and timeout %d; a zero config falls back to %g and %d",
-			p.MaxBackoffSlots, p.ConfirmTimeoutSlots, n.backoffCap(), n.confirmTimeoutSlots())
-	}
-	custom := basicConfig()
-	custom.MaxBackoffSlots = 64
-	custom.ConfirmTimeoutSlots = 9
-	n2, _, _, _ := testNet(t, custom)
-	if n2.backoffCap() != 64 || n2.confirmTimeoutSlots() != 9 {
-		t.Fatalf("custom caps not honored: %g, %d", n2.backoffCap(), n2.confirmTimeoutSlots())
-	}
-	for _, bad := range []Config{
-		func() Config { c := basicConfig(); c.MaxBackoffSlots = -1; return c }(),
-		func() Config { c := basicConfig(); c.ConfirmTimeoutSlots = -1; return c }(),
-	} {
-		if bad.Validate() == nil {
-			t.Fatal("negative cap/timeout must fail validation")
+	// With W far above either cap, a retry waits up to the cap: never
+	// more than 8 slots (plus the two-slot handback) under a cap of 8,
+	// and more than that under 256.
+	for _, cap := range []float64{8, 256} {
+		cfg := PaperConfig(64)
+		cfg.WindowW, cfg.MaxBackoffSlots = 300, cap
+		h := hotspotOf(cfg)
+		rec := obs.NewRecorder(0)
+		h.n.SetObserver(rec)
+		h.run(256)
+		longest := int64(0)
+		for _, e := range rec.Events() {
+			if e.Kind == obs.KindBackoff {
+				longest = max(longest, e.Aux-int64(e.At)/int64(cfg.SlotCycles(Lane(e.Lane))))
+			}
 		}
+		if capped := longest <= 8+3; capped != (cap == 8) {
+			t.Errorf("cap %g: the longest wait is %d slots", cap, longest)
+		}
+	}
+	// A dropped confirmation is retried the timeout's slots later.
+	retry := map[int]int64{}
+	for _, timeout := range []int{4, 9} {
+		cfg := basicConfig()
+		cfg.ConfirmTimeoutSlots = timeout
+		n, engine, _, _ := testNet(t, cfg)
+		n.SetFaultModel(&stubFault{dropLeft: 1})
+		rec := obs.NewRecorder(0)
+		n.SetObserver(rec)
+		if !n.Send(&noc.Packet{Src: 1, Dst: 2, Type: noc.Meta}) {
+			t.Fatal("send rejected")
+		}
+		engine.Run(200)
+		for _, e := range rec.Events() {
+			if e.Kind == obs.KindConfirmDrop {
+				retry[timeout] = e.Aux
+			}
+		}
+	}
+	if retry[9]-retry[4] != 5 || retry[4] == 0 {
+		t.Errorf("a drop retries at slot %d under a 4-slot timeout and %d under 9", retry[4], retry[9])
 	}
 	// A cap of at most one slot makes every retry wait exactly one slot:
 	// refused. Just above one is legal (whether it wedges depends on the
 	// workload, and an unfinished run says so).
-	for _, limit := range []float64{0.5, 1, 1.0001, 2} {
+	for _, limit := range []float64{-1, 0, 0.5, 1, 1.0001, 2} {
 		c := basicConfig()
 		c.MaxBackoffSlots = limit
-		if err := c.Validate(); (err != nil) != (limit <= 1) {
-			t.Errorf("MaxBackoffSlots %v: Validate() = %v", limit, err)
-		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (limit <= LockstepBackoffSlots) {
+					t.Errorf("MaxBackoffSlots %v: New panicked with %v", limit, r)
+				}
+			}()
+			New(c, sim.NewEngine(), sim.NewRNG(1))
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -156,8 +157,8 @@ type nodeState struct {
 	// arr accumulates the transmissions that landed on each of this
 	// node's receivers during the slot ending now; the node's own tick
 	// resolves and clears each group at the slot boundary. arrMask has
-	// bit r set exactly when arr[l][r] is non-empty (Config.Validate
-	// keeps Receivers within one word).
+	// bit r set exactly when arr[l][r] is non-empty (New keeps
+	// Receivers within one word, MaxReceivers).
 	arr     [numLanes][][]*transmission
 	arrMask [numLanes]uint64
 
@@ -320,16 +321,20 @@ type Network struct {
 	adv       AdversaryModel // nil unless an attack roster is attached
 }
 
-// New builds an FSOI network over the engine; it panics on an invalid
-// configuration (configs are produced by code, not user input). Given the
+// New builds an FSOI network over the engine; it panics on a
+// configuration past the bounds of its own structure (a spec's rows keep
+// user input inside them; every other value is the caller's). Given the
 // network of a finished simulation with as many nodes and receivers,
 // which no one uses any more, it resets and returns that one for cfg: its
 // node states, transmission and writeback records, reservation and
 // reply-timing tables and per-node generators keep their storage. Another
 // donor is ignored.
 func New(cfg Config, engine *sim.Engine, rng *sim.RNG, donor ...*Network) *Network {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
+	if cfg.Receivers > MaxReceivers || !(cfg.MaxBackoffSlots > LockstepBackoffSlots) || cfg.ConfirmDelay < 1 {
+		// A writeback grant finds its packet still queued only when the
+		// confirmation takes a cycle (DESIGN §8, "Holds live on the queue entry").
+		panic(fmt.Sprintf("core: want at most %d receivers, a backoff cap above %d slots and a confirmation of a cycle or more; have %d, %v and %d",
+			MaxReceivers, LockstepBackoffSlots, cfg.Receivers, cfg.MaxBackoffSlots, cfg.ConfirmDelay))
 	}
 	var n *Network
 	if len(donor) > 0 && donor[0] != nil && donor[0].cfg.Nodes == cfg.Nodes && donor[0].cfg.Receivers == cfg.Receivers {
@@ -950,14 +955,11 @@ func (tx *transmission) backoff(now sim.Cycle) {
 		return
 	}
 	w := n.window(tx.attempt)
-	if w < 1 {
-		w = 1
-	}
 	// Guard rail: past ~60 retries the exponential window would dwarf any
-	// useful timescale; saturating it (at MaxBackoffSlots, default 256)
+	// useful timescale; saturating it (at MaxBackoffSlots, 256 in PaperConfig)
 	// keeps worst-case delay bounded without affecting the common case
 	// the paper optimizes.
-	if cap := n.backoffCap(); w > cap {
+	if cap := n.cfg.MaxBackoffSlots; w > cap {
 		w = cap
 	}
 	d := int64(math.Ceil(n.nrng[tx.src].Float64() * w))
@@ -977,7 +979,7 @@ func (tx *transmission) backoff(now sim.Cycle) {
 }
 
 // window returns the exponential backoff window W*B^(attempt-1) in slots,
-// before the floor of one slot and the cap: read from the table New built
+// before the cap (a draw below one slot waits one): read from the table New built
 // while it reaches, computed the same way past its end, so every window
 // has the bits math.Pow gives it. The table is never written after New.
 func (n *Network) window(attempt int) float64 {
@@ -1063,7 +1065,7 @@ func (n *Network) deliverClean(dst int, tx *transmission, l Lane, slot int64, no
 		tx.attempt++
 		p.Retries++
 		tx.winner = false
-		tx.retrySlot = slot + n.confirmTimeoutSlots()
+		tx.retrySlot = slot + int64(n.cfg.ConfirmTimeoutSlots)
 		if n.obs != nil {
 			n.observe(obs.KindConfirmDrop, tx, l, now, tx.retrySlot)
 		}

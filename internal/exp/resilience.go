@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"fsoi/internal/adversary"
+	"fsoi/internal/config"
 	"fsoi/internal/obs"
 	"fsoi/internal/stats"
 	"fsoi/internal/system"
@@ -80,8 +81,8 @@ func resilienceFlags(fs *flag.FlagSet) func() (Runner, error) {
 		}
 		ns, err := parseList(*nodes, func(f string) (int, error) {
 			v, err := strconv.Atoi(f)
-			if err == nil && v < 4 {
-				err = fmt.Errorf("node count %d too small", v)
+			if err == nil {
+				err = config.Check("nodes", float64(v))
 			}
 			if err == nil {
 				_, err = system.MeshDim(v)

@@ -232,24 +232,3 @@ func TestNewRejectsRouterCyclesOffTheCalendar(t *testing.T) {
 		}()
 	}
 }
-
-// TestNewRejectsBandwidthFracOutsideUnitInterval: New no longer clamps a
-// fraction it cannot mean to full rate; zero stays "unset, full rate".
-func TestNewRejectsBandwidthFracOutsideUnitInterval(t *testing.T) {
-	cfg := PaperMesh(4)
-	if n := New(cfg, sim.NewEngine()); n.cfg.BandwidthFrac != 1 {
-		t.Fatalf("an unset BandwidthFrac became %v, want 1", n.cfg.BandwidthFrac)
-	}
-	for _, frac := range []float64{1.5, -0.5, math.NaN()} {
-		cfg.BandwidthFrac = frac
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "BandwidthFrac") {
-					t.Errorf("New(BandwidthFrac %v) = %q, want a panic naming BandwidthFrac", frac, msg)
-				}
-			}()
-			New(cfg, sim.NewEngine())
-		}()
-	}
-}

@@ -16,9 +16,9 @@ type Config struct {
 	RouterCycles int // router pipeline depth (baseline: 4)
 	LinkCycles   int // link traversal (1)
 	InjectQueue  int // packets buffered at the source NIC
-	// BandwidthFrac (0 < f <= 1; 0 is unset and means 1) throttles
-	// injection to model the Figure 11 bandwidth sweep: narrower channels
-	// inject flits at a fractional rate.
+	// BandwidthFrac (0 < f <= 1) throttles injection to model the
+	// Figure 11 bandwidth sweep: narrower channels inject flits at a
+	// fractional rate.
 	BandwidthFrac float64
 }
 
@@ -29,7 +29,7 @@ const MaxRouterCycles = 64
 
 // PaperMesh returns the baseline configuration of Table 3.
 func PaperMesh(dim int) Config {
-	return Config{Dim: dim, VCs: 4, BufferFlits: 12, RouterCycles: 4, LinkCycles: 1, InjectQueue: 16}
+	return Config{Dim: dim, VCs: 4, BufferFlits: 12, RouterCycles: 4, LinkCycles: 1, InjectQueue: 16, BandwidthFrac: 1}
 }
 
 // Network is a full contention-modeled 2-D mesh.
@@ -99,12 +99,6 @@ func New(cfg Config, engine *sim.Engine, donor ...*Network) *Network {
 	}
 	if cfg.RouterCycles < 0 || cfg.RouterCycles > MaxRouterCycles {
 		panic(fmt.Sprintf("mesh: RouterCycles %d is outside [0, %d]", cfg.RouterCycles, MaxRouterCycles))
-	}
-	if f := cfg.BandwidthFrac; !(f >= 0 && f <= 1) {
-		panic(fmt.Sprintf("mesh: BandwidthFrac %v is not a fraction in (0, 1] (0 = unset, full rate)", f))
-	}
-	if cfg.BandwidthFrac <= 0 { // unset
-		cfg.BandwidthFrac = 1
 	}
 	if len(donor) > 0 && donor[0] != nil && donor[0].cfg == cfg {
 		n := donor[0]

@@ -73,9 +73,6 @@ func TestTracerPartial(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 9 || got[0].At != 4 {
 		t.Fatalf("partial ring: %v", got)
 	}
-	if NewTracer(0).ring == nil {
-		t.Fatal("default size must apply")
-	}
 }
 
 func stringsContains(s, sub string) bool {

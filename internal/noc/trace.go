@@ -31,11 +31,11 @@ type TraceEntry struct {
 	Retries int
 }
 
-// NewTracer builds a tracer holding up to n entries.
+// MaxTraceEntries is the largest tracer a spec may ask for, allocated whole.
+const MaxTraceEntries = 1 << 16
+
+// NewTracer builds a tracer holding up to n entries, n at least 1.
 func NewTracer(n int) *Tracer {
-	if n <= 0 {
-		n = 64
-	}
 	return &Tracer{ring: make([]TraceEntry, n)}
 }
 

@@ -9,9 +9,11 @@ import (
 	"fsoi/internal/stats"
 )
 
-// Detector configuration defaults; see DetectorConfig.
+// DefaultWindowCycles is the counting window DetectorConfig defaults to.
+const DefaultWindowCycles = 2048
+
+// The other detector configuration defaults; see DetectorConfig.
 const (
-	defaultWindowCycles        = 2048
 	defaultWarmupWindows       = 2
 	defaultQuantile            = 0.75
 	defaultFloodFactor         = 6.0
@@ -81,7 +83,7 @@ type DetectorConfig struct {
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.WindowCycles <= 0 {
-		c.WindowCycles = defaultWindowCycles
+		c.WindowCycles = DefaultWindowCycles
 	}
 	if c.WarmupWindows == 0 {
 		c.WarmupWindows = defaultWarmupWindows

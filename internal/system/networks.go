@@ -93,10 +93,7 @@ var Interconnects = []Interconnect{
 	},
 	{Kind: NetMesh, build: func(cfg Config, engine *sim.Engine, _ *sim.RNG, donor noc.Network) noc.Network {
 		mc := mesh.PaperMesh(dimOf(cfg.Nodes))
-		mc.BandwidthFrac = cfg.MeshBandwidthFrac
-		if cfg.MeshRouterCycles > 0 {
-			mc.RouterCycles = cfg.MeshRouterCycles
-		}
+		mc.BandwidthFrac, mc.RouterCycles = cfg.MeshBandwidthFrac, cfg.MeshRouterCycles
 		d, _ := donor.(*mesh.Network)
 		return mesh.New(mc, engine, d)
 	}},

@@ -45,13 +45,12 @@ type Config struct {
 	// and stay only because the benchmark's workloads still set them.
 	Shards, ParWorkers int
 	// MeshBandwidthFrac throttles mesh injection bandwidth (Figure 11):
-	// a fraction in (0, 1], or 0 for unset, which is full rate.
+	// a fraction in (0, 1], 1 being full rate.
 	MeshBandwidthFrac float64
-	// MeshRouterCycles overrides the 4-stage router depth when positive;
-	// 0 is unset.
+	// MeshRouterCycles is the mesh router's pipeline depth.
 	MeshRouterCycles int
 	// TracePackets, when positive, keeps the last N delivered packets in
-	// a ring buffer exposed through Trace().
+	// a ring buffer exposed through Trace(); 0 keeps none.
 	TracePackets int
 	// Observe attaches the packet-lifecycle observability layer
 	// (internal/obs): every packet's inject/deliver events plus, on FSOI,
@@ -77,29 +76,32 @@ type Config struct {
 	// lifecycle events at collect time, exporting the verdict through
 	// Metrics.Detection and the canonical form. Implies Observe.
 	Detect bool
-	// DetectWindow overrides the detector's collision-counting window in
-	// cycles; 0 selects the default.
+	// DetectWindow is the detector's collision-counting window, cycles.
 	DetectWindow int64
 }
 
 // Default returns the paper configuration for the given node count and
-// network.
+// network: every field a spec key sets holds its paper value.
 func Default(nodes int, net NetworkKind) Config {
 	channels := 4
 	if nodes > 16 {
 		channels = 8
 	}
+	paperMesh := mesh.PaperMesh(0) // its router does not depend on the edge
 	return Config{
-		Nodes:     nodes,
-		Net:       net,
-		FSOI:      core.PaperConfig(nodes),
-		Memory:    memory.PaperMemory(channels),
-		L1:        coherence.PaperL1(),
-		Dir:       coherence.PaperDir(),
-		Core:      cpu.PaperCore(),
-		Power:     power.PaperPower(),
-		Seed:      1,
-		MaxCycles: 40_000_000,
+		Nodes:             nodes,
+		Net:               net,
+		FSOI:              core.PaperConfig(nodes),
+		Memory:            memory.PaperMemory(channels),
+		L1:                coherence.PaperL1(),
+		Dir:               coherence.PaperDir(),
+		Core:              cpu.PaperCore(),
+		Power:             power.PaperPower(),
+		Seed:              1,
+		MaxCycles:         40_000_000,
+		MeshBandwidthFrac: paperMesh.BandwidthFrac,
+		MeshRouterCycles:  paperMesh.RouterCycles,
+		DetectWindow:      obs.DefaultWindowCycles,
 	}
 }
 
@@ -355,15 +357,15 @@ func (t transport) SendBit(from, to int, tag uint64, value bool) {
 	t.s.fsoi.SendConfirmBit(from, to, tag, value)
 }
 
-// Validate reports why New would refuse the configuration: everything
-// a flag or a JSON spec can get wrong, as an error the CLIs print
-// instead of the stack trace New's panic would give.
+// Validate reports why New would refuse the configuration: the network
+// name and the rules that tie one spec key to another, which no key's
+// range (package config) states, as an error instead of New's panic.
 func (cfg Config) Validate() error {
 	if _, err := ParseNetwork(string(cfg.Net)); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
 	if _, err := MeshDim(cfg.Nodes); err != nil {
-		return fmt.Errorf("system: %w", err)
+		return fmt.Errorf("system: nodes is %d, not a perfect square", cfg.Nodes)
 	}
 	if len(cfg.Adversaries) > 0 {
 		if cfg.Net != NetFSOI {
@@ -376,14 +378,8 @@ func (cfg Config) Validate() error {
 			return errors.New("system: at least one honest node is required")
 		}
 	}
-	if f := cfg.MeshBandwidthFrac; !(f >= 0 && f <= 1) {
-		return fmt.Errorf("system: MeshBandwidthFrac %v is not a fraction in (0, 1]", f)
-	}
-	if cfg.MeshRouterCycles < 0 || cfg.MeshRouterCycles > mesh.MaxRouterCycles {
-		return fmt.Errorf("system: MeshRouterCycles %d is outside [0, %d]", cfg.MeshRouterCycles, mesh.MaxRouterCycles)
-	}
 	if most := memory.MaxChannels(dimOf(cfg.Nodes)); cfg.Memory.Channels < 1 || cfg.Memory.Channels > most {
-		return fmt.Errorf("system: %d memory channels: a %d-node system attaches 1 to %d, each on its own node", cfg.Memory.Channels, cfg.Nodes, most)
+		return fmt.Errorf("system: memory_channels is %d; a %d-node system attaches 1 to %d, each on its own node", cfg.Memory.Channels, cfg.Nodes, most)
 	}
 	if err := cfg.Memory.Validate(cfg.MaxCycles); err != nil {
 		return fmt.Errorf("system: %w", err)

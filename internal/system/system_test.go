@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fsoi/internal/memory"
-	"fsoi/internal/mesh"
 	"fsoi/internal/sim"
 	"fsoi/internal/workload"
 )
@@ -280,35 +279,6 @@ func TestEveryNetworkByName(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsOutOfRangeMeshOptions: a bandwidth fraction outside
-// (0, 1] or a negative router depth used to run silently at the paper's
-// full-rate 4-stage mesh; zero stays "unset".
-func TestValidateRejectsOutOfRangeMeshOptions(t *testing.T) {
-	for _, c := range []struct {
-		frac   float64
-		cycles int
-		want   string // "" = valid
-	}{
-		{0, 0, ""},
-		{0.5, 2, ""},
-		{1, 4, ""},
-		{1.5, 0, "MeshBandwidthFrac 1.5"},
-		{-0.5, 0, "MeshBandwidthFrac -0.5"},
-		{math.NaN(), 0, "MeshBandwidthFrac NaN"},
-		{0, -1, "MeshRouterCycles -1"},
-		{0, mesh.MaxRouterCycles, ""},
-		{0, mesh.MaxRouterCycles + 1, "MeshRouterCycles 65 is outside [0, 64]"},
-		{0, 1_000_000_000, "MeshRouterCycles 1000000000"}, // the wake calendar would be gigabytes
-	} {
-		cfg := Default(16, NetMesh)
-		cfg.MeshBandwidthFrac, cfg.MeshRouterCycles = c.frac, c.cycles
-		err := cfg.Validate()
-		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n")) {
-			t.Errorf("frac %v, cycles %d: Validate() = %v, want one line containing %q", c.frac, c.cycles, err, c.want)
-		}
-	}
-}
-
 // TestValidateRejectsUnrunnableMemoryBandwidth: a bandwidth so small
 // that a line transfer outlasts MaxCycles, or overflows the cycle count
 // into a negative delay (1e-300 GB/s used to panic in the engine with
@@ -349,12 +319,12 @@ func TestValidateRejectsSharedMemoryAttachNodes(t *testing.T) {
 		want            string // "" = valid
 	}{
 		{4, 4, ""},
-		{4, 5, "5 memory channels: a 4-node system attaches 1 to 4"},
+		{4, 5, "memory_channels is 5; a 4-node system attaches 1 to 4"},
 		{16, 8, ""},
-		{16, 9, "9 memory channels: a 16-node system attaches 1 to 8"},
+		{16, 9, "memory_channels is 9; a 16-node system attaches 1 to 8"},
 		{64, 8, ""},
-		{64, 12, "12 memory channels: a 64-node system attaches 1 to 8"},
-		{64, 0, "0 memory channels"},
+		{64, 12, "memory_channels is 12; a 64-node system attaches 1 to 8"},
+		{64, 0, "memory_channels is 0"},
 	} {
 		cfg := Default(c.nodes, NetFSOI)
 		cfg.Memory.Channels = c.channels

@@ -23,11 +23,13 @@ const (
 	SharedBase  cache.LineAddr = 1 << 24
 	// privateStrideBits sizes each thread's private region: 1024 lines,
 	// comfortably above the suite's largest PrivateLines (512). The full
-	// span PrivateBase + nodes<<privateStrideBits stays below SharedBase
-	// for every supported node count (up to 15360 nodes); NewStream
-	// asserts both bounds so a layout regression fails loudly instead of
-	// silently turning private misses into phantom coherence traffic.
+	// span PrivateBase + nodes<<privateStrideBits stays at or below
+	// SharedBase for up to MaxNodes nodes; NewStream asserts both bounds
+	// so a layout regression fails loudly instead of silently turning
+	// private misses into phantom coherence traffic.
 	privateStrideBits = 10
+	// MaxNodes is the most nodes the layout holds (15360 regions).
+	MaxNodes = int(SharedBase-PrivateBase) >> privateStrideBits
 )
 
 // Pattern selects the sharing behaviour of an application.
