@@ -5,6 +5,7 @@
 //	experiments -run fig6           # one experiment
 //	experiments -run all            # everything, paper order
 //	experiments -scale 0.25 -run fig7
+//	experiments -run table1 -distance 0.03 -rate 50e9
 //	experiments -run faults -penalties 0,1.5,3 -droop 0.03 -cooling air
 //	experiments -run resilience -roles jammer -intensities 0.9 -nodes 64
 //	experiments -list

@@ -41,6 +41,14 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"zero scale (used to exit 0)", "-run table1 -scale 0", "-scale 0"},
 		{"zero seed (fsoisim refused it; used to exit 0)", "-run fig3 -trials 10 -seed 0", "seed is 0; want [1, +Inf)"},
 		{"negative workers (used to run one per CPU)", "-run table1 -j -1", "-j -1"},
+		{"scale past the workload's end (used to run 64 steps a thread)", "-run fig6 -scale 1e300", "want (0, 2000]"},
+		{"negative route (linkbudget printed a -1000 mm budget)", "-run table1 -distance -1", "-distance is -1; want (0, 1]"},
+		{"zero rate (linkbudget ran it)", "-run table1 -rate 0", "-rate is 0; want (0, 1e+12]"},
+		{"bias below the lasing threshold", "-run table1 -bias 0.0001", "-bias is 0.0001"},
+		{"lens wider than a node", "-run table1 -rxlens 0.01", "-rxlens is 0.01"},
+		{"closed lens", "-run table1 -txlens 0", "-txlens is 0"},
+		{"negative mirrors", "-run table1 -mirrors -1", "-mirrors is -1; want [0, 64]"},
+		{"table1 flag without table1", "-run fig3 -distance 0.03", `-distance is an input of "table1"`},
 		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
 		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},
 		{"empty app name", "-run fig6 -apps jacobi,", `unknown app ""`},

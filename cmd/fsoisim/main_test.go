@@ -102,6 +102,9 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{"-nodes", "15376"},
 		{"-config", writeSpec(t, `{"network": "mesh", "nodes": 1}`)},
 		{"-config", writeSpec(t, `{"window_w": 0.5}`)},
+		// A scale past workload.MaxScale used to wrap to 64 steps a thread.
+		{"-scale", "1e300"},
+		{"-config", writeSpec(t, `{"scale": 2001}`)},
 		// The sharded engines are withdrawn, and their knobs with them.
 		{"-shards", "2"},
 		{"-config", writeSpec(t, `{"shards": 4}`)},

@@ -18,7 +18,7 @@ import (
 // that can cause secondary collisions and inject new contenders.
 type BackoffModel struct {
 	W          float64 // starting window, in slots (may be fractional, e.g. 2.7)
-	B          float64 // exponential base (>= 1; the paper argues B=1.1 over the classic 2)
+	B          float64 // exponential base (>= 1; the paper argues for a gentle base over the classic 2)
 	G          float64 // background transmission probability per slot on this receiver
 	SlotCycles int     // processor cycles per slot (2 for meta packets)
 	DetectSlot int     // slots from end of a collided slot until the sender learns of it
@@ -291,7 +291,7 @@ func ResolutionDelaySurface(ws, bs []float64, g float64, rng *sim.RNG, trials, w
 
 // OptimalWB scans a grid and returns the (W, B) with the lowest mean
 // resolution delay; with the paper's parameters the optimum falls near
-// W=2.7, B=1.1.
+// the paper's own choice (claims fig4.w and fig4.b in internal/exp).
 func OptimalWB(ws, bs []float64, g float64, rng *sim.RNG, trials, workers int) (bestW, bestB, bestDelay float64) {
 	surface := ResolutionDelaySurface(ws, bs, g, rng, trials, workers)
 	bestDelay = math.Inf(1)

@@ -115,7 +115,7 @@ var knobs = []knob{
 	number("nodes", "nodes", "node count (a perfect square)", from(4, float64(workload.MaxNodes)), func(r *Run) *int { return &r.Nodes }),
 	field("network", "net", "interconnect: "+strings.Join(system.Networks(), " | "), func(r *Run) *system.NetworkKind { return &r.Net }),
 	field("app", "app", "application (see -listapps)", func(r *Run) *string { return &r.App }),
-	number("scale", "scale", "workload scale factor", over(0, inf), func(r *Run) *float64 { return &r.Scale }),
+	number("scale", "scale", "workload scale factor", over(0, workload.MaxScale), func(r *Run) *float64 { return &r.Scale }),
 	number("seed", "seed", "random seed", from(1, inf), func(r *Run) *uint64 { return &r.Seed }),
 	number("meta_vcsels", "", "transmit VCSELs in the FSOI meta lane (Table 3)", from(1, core.MetaBits), func(r *Run) *int { return &r.FSOI.MetaVCSELs }),
 	number("data_vcsels", "", "transmit VCSELs in the FSOI data lane (Table 3)", from(1, core.DataBits), func(r *Run) *int { return &r.FSOI.DataVCSELs }),

@@ -149,10 +149,24 @@ func TestBuildNamesTheKeyOutOfRange(t *testing.T) {
 		`{"router_cycles": 65}`:                 "config: router_cycles is 65; want [1, 64]",
 		`{"max_backoff_slots": 1}`:              "config: max_backoff_slots is 1; want (1, 4294967296]",
 		`{"memory_channels": 0, "nodes": 1024}`: "config: memory_channels is 0; want [1, +Inf)",
+		`{"scale": 1e300}`:                      "config: scale is 1e300; want (0, 2000]",
 	} {
 		if _, err := build(t, js); err == nil || err.Error() != want {
 			t.Errorf("%s: Build() = %v, want %q", js, err, want)
 		}
+	}
+}
+
+// TestMaxScaleIsWhereNoRunCanFinish: the scale row ends where the
+// longest app's threads take as many steps as system.Default allows
+// cycles; a step costs at least one, so past it no run can finish.
+func TestMaxScaleIsWhereNoRunCanFinish(t *testing.T) {
+	longest := 0
+	for _, a := range workload.Suite(workload.MaxScale) {
+		longest = max(longest, a.Steps)
+	}
+	if limit := system.Default(16, system.NetFSOI).MaxCycles; int64(longest) != int64(limit) {
+		t.Fatalf("at scale %v the longest app takes %d steps a thread; MaxCycles is %d", float64(workload.MaxScale), longest, limit)
 	}
 }
 

@@ -80,10 +80,12 @@ type Config struct {
 	Opt          Optimizations
 	// HintAccuracy is the probability that a receiver correctly
 	// identifies one colliding sender from the corrupted PID pattern and
-	// its outstanding-request knowledge (§7.3 measures 94%).
+	// its outstanding-request knowledge. PaperConfig sets it to what §7.3
+	// measures (claim hints.accuracy in internal/exp).
 	HintAccuracy float64
 	// WrongWinner is the probability a hint wrongly selects a node that
-	// then believes it won (§7.3 measures 2.3%).
+	// then believes it won; PaperConfig sets it to what §7.3 measures
+	// (claim hints.wrong).
 	WrongWinner float64
 	// MaxBackoffSlots caps the exponential backoff window W*B^(r-1) (the
 	// DESIGN.md §5 guard rail), above LockstepBackoffSlots.

@@ -20,8 +20,8 @@
 //     serialize regardless of destination. The price is the 1:n
 //     broadcast split loss in the physical layer.
 //
-// The paper reports FSOI about 1.06x faster than a corona-style design
-// in the 64-way system; the token model captures the arbitration
+// The paper reports FSOI faster than a corona-style design in the
+// 64-way system (claim corona.ratio in internal/exp); the token model captures the arbitration
 // latency that drives the gap, and the WDM variants bound it from the
 // contention-free side.
 package corona

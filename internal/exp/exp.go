@@ -78,7 +78,6 @@ func (o Options) suite() []workload.App {
 
 // Result is one experiment's output.
 type Result struct {
-	ID     string
 	Title  string
 	Text   string             // formatted table(s)
 	Values map[string]float64 // key metrics for tests/EXPERIMENTS.md
@@ -106,7 +105,7 @@ type Entry struct {
 // Registry maps experiment ids to runners: the paper's tables and
 // figures in paper order, then the extensions.
 var Registry = []Entry{
-	{ID: "table1", Runner: Table1},
+	{ID: "table1", Runner: Table1, Flags: table1Flags},
 	{ID: "fig3", Runner: Fig3},
 	{ID: "fig4", Runner: Fig4},
 	{ID: "fig5", Runner: Fig5},
@@ -164,17 +163,65 @@ func Lookup(id string) (Runner, bool) {
 	return nil, false
 }
 
-// Table1 regenerates the optical-link parameter table from device first
-// principles.
-func Table1(o Options) Result {
-	r := optics.PaperLink().Budget()
+// Table1 is the registered "table1" experiment: the optical-link
+// parameters from device first principles, at the paper's device
+// constants. It is table1Flags' runner with no flag set.
+func Table1(o Options) Result { return runAtDefaults(table1Flags, o) }
+
+// table1Flags is the "table1" entry's Flags: the device constants a
+// what-if study moves (experiments -run table1 -distance 0.03 -rate
+// 50e9). Each range is the model's domain: no light below the lasing
+// threshold or through a closed lens, no lens wider than its node's tile
+// on the paper's 4x4 die; the upper ends of the route, the rate and the
+// bias are far past any chip and keep every figure finite.
+func table1Flags(fs *flag.FlagSet) func() (Runner, error) {
+	link := optics.PaperLink()
+	tile := optics.PaperChip(4).DieEdge / 4
+	ranged := []struct {
+		name, usage string
+		v           *float64
+		lo, hi      float64 // the range is (lo, hi]
+	}{
+		{"distance", "optical path length, m", &link.Path.Distance, 0, 1},
+		{"rate", "target data rate, bit/s", &link.DataRate, 0, 1e12},
+		{"bias", "VCSEL bias current, A", &link.VCSEL.BiasCurrent, link.VCSEL.ThresholdCurrent, 10e-3},
+		{"txlens", "transmit micro-lens aperture, m", &link.Path.TxLensAperture, 0, tile},
+		{"rxlens", "receive micro-lens aperture, m", &link.Path.RxLensAperture, 0, tile},
+	}
+	for _, f := range ranged {
+		fs.Float64Var(f.v, f.name, *f.v, fmt.Sprintf("table1: %s, in (%g, %g]", f.usage, f.lo, f.hi))
+	}
+	const maxMirrors = 64 // at 0.98 each, 64 reflections keep a quarter of the light; Figure 1a's route takes 2
+	fs.IntVar(&link.Path.MirrorCount, "mirrors", link.Path.MirrorCount, fmt.Sprintf("table1: micro-mirror reflections on the route, in [0, %d]", maxMirrors))
+	return func() (Runner, error) {
+		for _, f := range ranged {
+			if !(*f.v > f.lo && *f.v <= f.hi) {
+				return nil, fmt.Errorf("-%s is %g; want (%g, %g]", f.name, *f.v, f.lo, f.hi)
+			}
+		}
+		if m := link.Path.MirrorCount; m < 0 || m > maxMirrors {
+			return nil, fmt.Errorf("-mirrors is %d; want [0, %d]", m, maxMirrors)
+		}
+		cfg := link
+		return func(Options) Result { return table1(cfg) }, nil
+	}
+}
+
+// table1 renders the link budget of cfg, and the flight time and skew
+// padding of the paper's 4x4 chip at cfg's clock and rate.
+func table1(cfg optics.LinkConfig) Result {
+	r := cfg.Budget()
 	chip := optics.PaperChip(4)
+	worst := chip.WorstCasePath()
 	var b strings.Builder
-	fmt.Fprintf(&b, "Worst-case route: %.1f mm (die %v mm, folded through the mirror layer)\n\n",
-		chip.WorstCasePath()*1e3, chip.DieEdge*1e3)
+	fmt.Fprintf(&b, "Worst-case route: %.1f mm (die %v mm, folded through the mirror layer)\n", worst*1e3, chip.DieEdge*1e3)
+	fmt.Fprintf(&b, "Link budget: %.1f mm route at %.0f Gbps\n\n", cfg.Path.Distance*1e3, cfg.DataRate/1e9)
 	b.WriteString(r.String())
+	fmt.Fprintf(&b, "Timing\n  Flight time              %.3f core cycles at %.1f GHz over the worst-case route\n",
+		optics.FlightCycles(worst, cfg.CoreHz), cfg.CoreHz/1e9)
+	fmt.Fprintf(&b, "  Skew padding             %d line bits for the shortest route\n",
+		optics.SkewPaddingBits(chip.PathLength(0, 1), worst, cfg.DataRate))
 	return Result{
-		ID:    "table1",
 		Title: "Table 1: optical link parameters",
 		Text:  b.String(),
 		Values: map[string]float64{
@@ -210,7 +257,6 @@ func Fig3(o Options) Result {
 		t.AddRow(row...)
 	}
 	return Result{
-		ID:     "fig3",
 		Title:  "Figure 3: collision probability vs transmission probability",
 		Text:   t.String(),
 		Values: vals,
@@ -239,20 +285,22 @@ func Fig4(o Options) Result {
 		b.WriteString(t.String())
 		b.WriteString("\n")
 		wOpt, bOpt, dOpt := analytic.OptimalWB(ws, bs, g, rng.NewStream("opt"+fmt.Sprint(g)), o.Trials, o.Workers)
-		fmt.Fprintf(&b, "optimum: W=%.1f B=%.2f delay=%.2f cycles (paper: W=2.7 B=1.1, 7.26 cycles)\n\n", wOpt, bOpt, dOpt)
+		fmt.Fprintf(&b, "optimum: W=%.1f B=%.2f delay=%.2f cycles (paper: W=%s B=%s, %s cycles)\n\n",
+			wOpt, bOpt, dOpt, paper("fig4.w"), paper("fig4.b"), paper("fig4.delay"))
 		vals[fmt.Sprintf("opt_w_g%.0f", g*100)] = wOpt
 		vals[fmt.Sprintf("opt_b_g%.0f", g*100)] = bOpt
 		vals[fmt.Sprintf("opt_delay_g%.0f", g*100)] = dOpt
 	}
 	// Pathological case (§4.3.2): 64-node all-to-one burst.
-	patho := analytic.PaperBackoff(0).Pathological(rng.NewStream("patho"), 64, 2, o.Trials/100+10, 1<<17, o.Workers)
-	classic := analytic.BackoffModel{W: 2.7, B: 2, SlotCycles: 2}
+	gentle := analytic.PaperBackoff(0)
+	patho := gentle.Pathological(rng.NewStream("patho"), 64, 2, o.Trials/100+10, 1<<17, o.Workers)
+	classic := analytic.BackoffModel{W: gentle.W, B: 2, SlotCycles: 2}
 	pClassic := classic.Pathological(rng.NewStream("classic"), 64, 2, o.Trials/100+10, 1<<17, o.Workers)
-	fmt.Fprintf(&b, "pathological 64->1 burst: B=1.1 first success after %.0f retries (%.0f cycles); B=2 after %.0f retries (%.0f cycles)\n",
-		patho.MeanRetriesFirst, patho.MeanCyclesFirst, pClassic.MeanRetriesFirst, pClassic.MeanCyclesFirst)
+	fmt.Fprintf(&b, "pathological 64->1 burst: B=%g first success after %.0f retries (%.0f cycles); B=%g after %.0f retries (%.0f cycles)\n",
+		gentle.B, patho.MeanRetriesFirst, patho.MeanCyclesFirst, classic.B, pClassic.MeanRetriesFirst, pClassic.MeanCyclesFirst)
 	vals["patho_retries_b11"] = patho.MeanRetriesFirst
 	vals["patho_cycles_b11"] = patho.MeanCyclesFirst
-	return Result{ID: "fig4", Title: "Figure 4: backoff tuning surface", Text: b.String(), Values: vals}
+	return Result{Title: "Figure 4: backoff tuning surface", Text: b.String(), Values: vals}
 }
 
 func fmtFloats(fs []float64) []string {
@@ -326,10 +374,9 @@ func Fig5(o Options) Result {
 	t.AddRow(">300", fmt.Sprintf("%.1f", float64(hist.Overflow())/float64(hist.Total())*100))
 	b.WriteString(t.String())
 	bucket, frac := hist.ModeFraction()
-	fmt.Fprintf(&b, "\nmodal bin %d-%d cycles holds %.0f%% of requests (paper: 41%% concentration)\n",
-		bucket*5, bucket*5+4, frac*100)
+	fmt.Fprintf(&b, "\nmodal bin %d-%d cycles holds %.0f%% of requests (paper: %s concentration)\n",
+		bucket*5, bucket*5+4, frac*100, paper("fig5.mode"))
 	return Result{
-		ID:    "fig5",
 		Title: "Figure 5: distribution of read-miss reply latency (FSOI, 16 nodes)",
 		Text:  b.String(),
 		Values: map[string]float64{
@@ -368,11 +415,13 @@ func speedupStudy(o Options, nodes int) Result {
 		speed[k] = speedups(col, mesh)
 	}
 	t := stats.NewTable("app", "mesh lat", "fsoi lat", "queue", "sched", "net", "resolve", "fsoi", "L0", "Lr1", "Lr2")
+	var lat []float64 // FSOI's mean packet latency, per app
 	for a, app := range apps {
+		lat = append(lat, fsoi[a].Latency.MeanTotal())
 		q, sc, nw, res := fsoi[a].Latency.Breakdown()
 		cells := []string{app.Name,
 			fmt.Sprintf("%.1f", mesh[a].Latency.MeanTotal()),
-			fmt.Sprintf("%.1f", fsoi[a].Latency.MeanTotal()),
+			fmt.Sprintf("%.1f", lat[a]),
 			fmt.Sprintf("%.1f", q), fmt.Sprintf("%.1f", sc), fmt.Sprintf("%.1f", nw), fmt.Sprintf("%.1f", res),
 		}
 		for _, sp := range speed {
@@ -384,7 +433,7 @@ func speedupStudy(o Options, nodes int) Result {
 	b.WriteString(t.String())
 	b.WriteString("\ngeometric means: ")
 	chart := stats.NewBarChart("\nspeedup over mesh (geomean)", 40)
-	vals := map[string]float64{}
+	vals := map[string]float64{"latency_fsoi": mean(lat)}
 	for k, kind := range vsMesh[1:] {
 		g := stats.GeoMean(speed[k])
 		vals["geomean_"+string(kind)] = g
@@ -393,12 +442,11 @@ func speedupStudy(o Options, nodes int) Result {
 	}
 	b.WriteString("\n")
 	b.WriteString(chart.String())
-	id := "fig6"
 	title := "Figure 6: 16-node latency and speedups"
 	if nodes == 64 {
-		id, title = "fig7", "Figure 7: 64-node latency and speedups"
+		title = "Figure 7: 64-node latency and speedups"
 	}
-	return Result{ID: id, Title: title, Text: b.String(), Values: vals, Unfinished: wedged}
+	return Result{Title: title, Text: b.String(), Values: vals, Unfinished: wedged}
 }
 
 // Fig6 is the 16-node performance study.
@@ -447,7 +495,7 @@ func Table4(o Options) Result {
 			t.AddRow(cells...)
 		}
 	}
-	return Result{ID: "table4", Title: "Table 4: memory-bandwidth sensitivity", Text: t.String(), Values: vals, Unfinished: wedged}
+	return Result{Title: "Table 4: memory-bandwidth sensitivity", Text: t.String(), Values: vals, Unfinished: wedged}
 }
 
 // Fig8 compares energy relative to the mesh baseline.
@@ -477,11 +525,11 @@ func Fig8(o Options) Result {
 	b.WriteString(t.String())
 	avgSaving := 1 - relSum/float64(len(apps))
 	netRatio := netRatioSum / float64(len(apps))
-	fmt.Fprintf(&b, "\naverage energy saving %.1f%% (paper: 40.6%%); network energy ratio mesh/FSOI %.1fx (paper: ~20x)\n",
-		avgSaving*100, netRatio)
+	fmt.Fprintf(&b, "\naverage energy saving %.1f%% (paper: %s); network energy ratio mesh/FSOI %.1fx (paper: %s)\n",
+		avgSaving*100, paper("fig8.saving"), netRatio, paper("fig8.net_ratio"))
 	vals["avg_saving"] = avgSaving
 	vals["net_ratio"] = netRatio
-	return Result{ID: "fig8", Title: "Figure 8: energy relative to mesh baseline", Text: b.String(), Values: vals, Unfinished: wedged}
+	return Result{Title: "Figure 8: energy relative to mesh baseline", Text: b.String(), Values: vals, Unfinished: wedged}
 }
 
 // Fig9 shows the meta-lane collision rate vs transmission probability
@@ -511,9 +559,9 @@ func Fig9(o Options) Result {
 	b.WriteString(t.String())
 	trafficCut := 1 - metaOpt/metaBase
 	collCut := 1 - collOpt/collBase
-	fmt.Fprintf(&b, "\nack elision cuts meta traffic by %.1f%% and meta collisions by %.1f%% (paper: 5.1%% traffic, 31.5%% collisions)\n",
-		trafficCut*100, collCut*100)
-	return Result{ID: "fig9", Title: "Figure 9: meta collision rate vs transmission probability",
+	fmt.Fprintf(&b, "\nack elision cuts meta traffic by %.1f%% and meta collisions by %.1f%% (paper: %s traffic, %s collisions)\n",
+		trafficCut*100, collCut*100, paper("fig9.traffic_cut"), paper("fig9.collision_cut"))
+	return Result{Title: "Figure 9: meta collision rate vs transmission probability",
 		Text: b.String(), Values: map[string]float64{"traffic_cut": trafficCut, "collision_cut": collCut}, Unfinished: wedged}
 }
 
@@ -551,9 +599,9 @@ func Fig10(o Options) Result {
 	var b strings.Builder
 	b.WriteString(t.String())
 	avoided := 1 - rateOn/rateOff
-	fmt.Fprintf(&b, "\ndata collision rate %.2f%% -> %.2f%%: %.0f%% of collisions avoided (paper: 9.4%% -> 5.8%%, ~38%% avoided)\n",
-		rateOff*100, rateOn*100, avoided*100)
-	return Result{ID: "fig10", Title: "Figure 10: data-lane collision breakdown",
+	fmt.Fprintf(&b, "\ndata collision rate %.2f%% -> %.2f%%: %.0f%% of collisions avoided (paper: %s -> %s, %s avoided)\n",
+		rateOff*100, rateOn*100, avoided*100, paper("fig10.rate_off"), paper("fig10.rate_on"), paper("fig10.avoided"))
+	return Result{Title: "Figure 10: data-lane collision breakdown",
 		Text: b.String(), Values: map[string]float64{"rate_off": rateOff, "rate_on": rateOn, "avoided": avoided}, Unfinished: wedged}
 }
 
@@ -622,7 +670,7 @@ func Fig11(o Options) Result {
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\nat %.0f%% bandwidth FSOI keeps %.3f and the mesh %.3f of their full-bandwidth performance: %s is less sensitive (paper Figure 11: FSOI is)\n",
 		points[len(points)-1].frac*100, fRel, mRel, less)
-	return Result{ID: "fig11", Title: "Figure 11: performance vs relative bandwidth", Text: b.String(), Values: vals, Unfinished: wedged}
+	return Result{Title: "Figure 11: performance vs relative bandwidth", Text: b.String(), Values: vals, Unfinished: wedged}
 }
 
 // Hints measures the §5.2 retransmission-hint effectiveness. The paper's
@@ -650,29 +698,23 @@ func Hints(o Options) Result {
 		nWithout += off.Latency.CollidedData
 		delayWithout += off.Latency.CollidedDataDelay
 	}
-	acc := float64(correct) / float64(max64(issued, 1))
-	wrongFrac := float64(wrong) / float64(max64(issued, 1))
-	dataWith := float64(delayWith) / float64(max64(nWith, 1))
-	dataWithout := float64(delayWithout) / float64(max64(nWithout, 1))
+	acc := float64(correct) / float64(max(issued, 1))
+	wrongFrac := float64(wrong) / float64(max(issued, 1))
+	dataWith := float64(delayWith) / float64(max(nWith, 1))
+	dataWithout := float64(delayWithout) / float64(max(nWithout, 1))
 	text := fmt.Sprintf(
-		"hint accuracy: %.1f%% (paper: 94%%); wrong-winner rate: %.1f%% (paper: 2.3%%)\n"+
-			"mean data resolution delay with hints %.1f vs without %.1f cycles (paper: 29 vs 41), over the %d vs %d data packets that collided\n"+
+		"hint accuracy: %.1f%% (paper: %s); wrong-winner rate: %.1f%% (paper: %s)\n"+
+			"mean data resolution delay with hints %.1f vs without %.1f cycles (paper: %s vs %s), over the %d vs %d data packets that collided\n"+
 			"mean resolution delay over every delivered packet, both lanes, mean of the apps' means: with hints %.1f vs without %.1f cycles\n",
-		acc*100, wrongFrac*100, dataWith, dataWithout, nWith, nWithout, mean(resWith), mean(resWithout))
-	return Result{ID: "hints", Title: "§7.3: retransmission hint effectiveness", Text: text,
+		acc*100, paper("hints.accuracy"), wrongFrac*100, paper("hints.wrong"),
+		dataWith, dataWithout, paper("hints.delay_with"), paper("hints.delay_without"), nWith, nWithout, mean(resWith), mean(resWithout))
+	return Result{Title: "§7.3: retransmission hint effectiveness", Text: text,
 		Values: map[string]float64{
 			"accuracy": acc, "wrong": wrongFrac, "res_with": mean(resWith), "res_without": mean(resWithout),
 			"res_data_with": dataWith, "res_data_without": dataWithout,
 			"res_data_n_with": float64(nWith), "res_data_n_without": float64(nWithout),
 		},
 		Unfinished: wedged}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LLSC measures the boolean-subscription synchronization optimization on
@@ -702,9 +744,9 @@ func LLSC(o Options) Result {
 	}
 	var b strings.Builder
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\ngeomean speedup %.3f (paper: 1.07); meta packets cut %.1f%% (paper: 11%%), data cut %.1f%% (paper: 8%%)\n",
-		stats.GeoMean(speeds), mean(metaCut)*100, mean(dataCut)*100)
-	return Result{ID: "llsc", Title: "§7.3: ll/sc over the confirmation channel", Text: b.String(),
+	fmt.Fprintf(&b, "\ngeomean speedup %.3f (paper: %s); meta packets cut %.1f%% (paper: %s), data cut %.1f%% (paper: %s)\n",
+		stats.GeoMean(speeds), paper("llsc.speedup"), mean(metaCut)*100, paper("llsc.meta_cut"), mean(dataCut)*100, paper("llsc.data_cut"))
+	return Result{Title: "§7.3: ll/sc over the confirmation channel", Text: b.String(),
 		Values: map[string]float64{"speedup": stats.GeoMean(speeds), "meta_cut": mean(metaCut), "data_cut": mean(dataCut)}, Unfinished: wedged}
 }
 
@@ -742,8 +784,8 @@ func Corona(o Options) Result {
 	}
 	var b strings.Builder
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\ngeomean: FSOI is %.3fx the corona-style design (paper: 1.06x)\n", stats.GeoMean(ratios))
-	return Result{ID: "corona", Title: "§7.1: FSOI vs corona-style crossbar (64 nodes)", Text: b.String(),
+	fmt.Fprintf(&b, "\ngeomean: FSOI is %.3fx the corona-style design (paper: %s)\n", stats.GeoMean(ratios), paper("corona.ratio"))
+	return Result{Title: "§7.1: FSOI vs corona-style crossbar (64 nodes)", Text: b.String(),
 		Values: map[string]float64{"ratio": stats.GeoMean(ratios)}, Unfinished: wedged}
 }
 

@@ -237,10 +237,18 @@ func TestFaultsSweepDegradesMonotonically(t *testing.T) {
 // parallel-vs-serial contract: every registered experiment renders the
 // same Text, Values and Unfinished at Workers=1 and Workers=4, because
 // results land at their (configuration, app) cell and every report is
-// made in job order after the barrier.
+// made in job order after the barrier. Each experiment also reports the
+// Key of every claim that names it.
 func TestRegistryWorkerEquivalence(t *testing.T) {
 	for _, e := range Registry {
-		t.Run(e.ID, func(t *testing.T) { sameAcrossWorkers(t, e.Runner) })
+		t.Run(e.ID, func(t *testing.T) {
+			res := sameAcrossWorkers(t, e.Runner)
+			for _, c := range Claims {
+				if _, ok := res.Values[c.Key]; c.Exp == e.ID && !ok {
+					t.Errorf("claim %s: %s reports no %q", c.ID, e.ID, c.Key)
+				}
+			}
+		})
 	}
 }
 
@@ -250,9 +258,9 @@ func TestRegistryWorkerEquivalence(t *testing.T) {
 func TestFig8WorkerEquivalence(t *testing.T)     { sameAcrossWorkers(t, Fig8) }
 func TestFrontierWorkerEquivalence(t *testing.T) { sameAcrossWorkers(t, Frontier) }
 
-// sameAcrossWorkers runs r at tiny() with Workers 1 and 4 and requires
-// equal Text, Values and Unfinished.
-func sameAcrossWorkers(t *testing.T, r Runner) {
+// sameAcrossWorkers runs r at tiny() with Workers 1 and 4, requires
+// equal Text, Values and Unfinished, and returns the serial result.
+func sameAcrossWorkers(t *testing.T, r Runner) Result {
 	t.Helper()
 	run := func(workers int) Result {
 		o := tiny()
@@ -271,6 +279,7 @@ func sameAcrossWorkers(t *testing.T, r Runner) {
 	if !slices.Equal(serial.Unfinished, par.Unfinished) {
 		t.Fatalf("unfinished diverges: %q vs %q", serial.Unfinished, par.Unfinished)
 	}
+	return serial
 }
 
 // TestFrontierShape checks the frontier sweep's physical narrative: the

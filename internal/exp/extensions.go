@@ -20,13 +20,16 @@ func Layout(o Options) Result {
 		cfg := optics.PaperLayout(nodes)
 		r := cfg.Layout()
 		fmt.Fprintf(&b, "%d nodes (%s):\n", nodes, map[bool]string{false: "dedicated arrays", true: "phase arrays"}[cfg.PhaseArray])
-		b.WriteString(r.String())
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "TX VCSELs        %d per node, %d total\n", r.TxVCSELsPerNode, r.TxVCSELsTotal)
+		fmt.Fprintf(&b, "VCSEL area       %.2f mm^2 (paper estimates %s mm^2 at 16 nodes)\n", r.VCSELAreaTotal*1e6, paper("layout.area"))
+		fmt.Fprintf(&b, "Photodetectors   %d per node, %.2f mm^2 total\n", r.PDsPerNode, r.PDAreaTotal*1e6)
+		fmt.Fprintf(&b, "Fixed mirrors    %d\n", r.MirrorCount)
+		fmt.Fprintf(&b, "Photonic share   %.1f%% of die area\n\n", r.PhotonicAreaFrac*100)
 		vals[fmt.Sprintf("vcsels_%d", nodes)] = float64(r.TxVCSELsTotal)
 		vals[fmt.Sprintf("area_mm2_%d", nodes)] = r.VCSELAreaTotal * 1e6
 	}
-	b.WriteString("paper §4.1: N=16, k=9 needs ~2000 VCSELs occupying ~5 mm² at 30 um spacing\n")
-	return Result{ID: "layout", Title: "§4.1: photonic-layer scale", Text: b.String(), Values: vals}
+	fmt.Fprintf(&b, "paper §4.1: N=16, k=9 needs %s VCSELs occupying %s mm² at 30 um spacing\n", paper("layout.vcsels"), paper("layout.area"))
+	return Result{Title: "§4.1: photonic-layer scale", Text: b.String(), Values: vals}
 }
 
 // Thermal evaluates the §3.3 cooling alternatives under the power map of
@@ -57,5 +60,5 @@ func Thermal(o Options) Result {
 	fmt.Fprintf(&b, "power map from %s on 16-node FSOI: %.1f W total\n\n", apps[0].Name, m.AvgPowerW)
 	b.WriteString(t.String())
 	b.WriteString("\nliquid cooling keeps the stack viable under the free-space layer (§3.3)\n")
-	return Result{ID: "thermal", Title: "§3.3: cooling alternatives for the 3-D stack", Text: b.String(), Values: vals, Unfinished: wedged}
+	return Result{Title: "§3.3: cooling alternatives for the 3-D stack", Text: b.String(), Values: vals, Unfinished: wedged}
 }

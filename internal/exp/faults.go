@@ -121,9 +121,9 @@ func faultSweep(o Options, penalties []float64, base fault.Config) Result {
 	b.WriteString(t.String())
 	b.WriteString("\nmesh baseline is immune: electrical wires lose no optical margin.\n")
 	b.WriteString("header errors surface as misdetected collisions (PID/~PID), payload errors\n")
-	b.WriteString("as CRC-caught silent retransmissions; both ride the W=2.7/B=1.1 backoff.\n")
+	fsoi := o.config(system.NetFSOI, 16).FSOI
+	fmt.Fprintf(&b, "as CRC-caught silent retransmissions; both ride the W=%g/B=%g backoff.\n", fsoi.WindowW, fsoi.BackoffB)
 	return Result{
-		ID:         "faults",
 		Title:      "Fault injection: performance vs eroded link margin",
 		Text:       b.String(),
 		Values:     vals,

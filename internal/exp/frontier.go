@@ -26,7 +26,8 @@ import (
 //     own evaluation.
 //
 // The 64-node FSOI-vs-token-crossbar run-time ratio reproduces the
-// paper's §7.1 Corona comparison (~1.06x) from inside the sweep.
+// paper's §7.1 Corona comparison (claim corona.ratio) from inside the
+// sweep.
 func Frontier(o Options) Result {
 	var optical []system.Interconnect
 	for _, n := range system.Interconnects {
@@ -123,12 +124,11 @@ func Frontier(o Options) Result {
 	refNodes := simNodes[len(simNodes)-1]
 	ratio := cyc[fmt.Sprintf("corona_%d", refNodes)] / cyc[fmt.Sprintf("fsoi_%d", refNodes)]
 	vals[fmt.Sprintf("fsoi_vs_corona_%d", refNodes)] = ratio
-	fmt.Fprintf(&b, "\nFSOI runs %.3fx the token crossbar at %d nodes (paper §7.1: ~1.06x at 64),\n"+
+	fmt.Fprintf(&b, "\nFSOI runs %.3fx the token crossbar at %d nodes (paper §7.1: ~%s at 64),\n"+
 		"and its worst-case loss stays flat in radix while every waveguide crossbar's grows\n",
-		ratio, refNodes)
+		ratio, refNodes, paper("corona.ratio"))
 
 	return Result{
-		ID:         "frontier",
 		Title:      "Frontier: optical-topology loss/energy/latency sweep",
 		Text:       b.String(),
 		Values:     vals,

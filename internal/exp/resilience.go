@@ -193,7 +193,6 @@ func resilienceSweep(o Options, roles []adversary.Role, intensities []float64, n
 	b.WriteString("honest slowdown = honest finish cycle / attack-free run length; detect@ is the\n")
 	b.WriteString("first cycle a true-positive link crossed a detection threshold (- = missed).\n")
 	return Result{
-		ID:         "resilience",
 		Title:      "Resilience: honest-traffic degradation and attack detection",
 		Text:       b.String(),
 		Values:     vals,

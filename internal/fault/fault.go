@@ -1,8 +1,8 @@
 // Package fault implements deterministic physical-fault injection for
 // the FSOI network. The paper's Table 1 link budget leaves a finite
-// margin (SNR 7.5 dB for BER 1e-10); this package models what happens
-// when that margin erodes and which protocol mechanisms absorb the
-// damage. Four fault models are provided:
+// margin (claims table1.snr and table1.ber in internal/exp); this
+// package models what happens when that margin erodes and which
+// protocol mechanisms absorb the damage. Four fault models are provided:
 //
 //  1. BER-derived bit errors: a configurable link-margin penalty (dB) is
 //     subtracted from the Table 1 Q factor and the resulting bit-error

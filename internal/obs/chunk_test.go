@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -126,19 +127,26 @@ func TestEmitAllocatesOneChunkPerChunkEvents(t *testing.T) {
 // spills into the next class.
 func TestChunkFitsItsSizeClass(t *testing.T) {
 	const n = 512 // 5 MB: the 8 bytes each chunk has to spare absorb 4 KB allocated elsewhere meanwhile
-	chunks := make([]*chunk, n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range chunks {
-		chunks[i] = new(chunk)
+	// TotalAlloc is process-wide: another goroutine's allocations can
+	// only add to a fill's count, so the least of three fresh fills is
+	// the one nearest the chunks' own bytes.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		chunks := make([]*chunk, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range chunks {
+			chunks[i] = new(chunk)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(chunks)
 	}
-	runtime.ReadMemStats(&after)
 	size, event := uint64(unsafe.Sizeof(chunk{})), uint64(unsafe.Sizeof(Event{}))
-	if charged := (after.TotalAlloc - before.TotalAlloc) / n; charged < size || charged-size >= event {
+	if charged := least / n; charged < size || charged-size >= event {
 		t.Fatalf("a %d-byte chunk of %d events is charged %d bytes; want less than one %d-byte event more",
 			size, chunkEvents, charged, event)
 	}
-	runtime.KeepAlive(chunks)
 }
 
 // TestObserveLimitBoundsHeldEvents: a limit bounds what a log holds, not

@@ -1,10 +1,6 @@
 package optics
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // LayoutConfig sizes the photonic layer of §4.1: per-node VCSEL arrays
 // (Figure 1c puts the transmit arrays at the node center and the
@@ -75,15 +71,4 @@ func (c LayoutConfig) Layout() LayoutReport {
 	die := c.Chip.DieEdge * c.Chip.DieEdge
 	r.PhotonicAreaFrac = (r.VCSELAreaTotal + r.PDAreaTotal) / die
 	return r
-}
-
-// String renders the report.
-func (r LayoutReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "TX VCSELs        %d per node, %d total\n", r.TxVCSELsPerNode, r.TxVCSELsTotal)
-	fmt.Fprintf(&b, "VCSEL area       %.2f mm^2 (paper estimates ~5 mm^2 at 16 nodes)\n", r.VCSELAreaTotal*1e6)
-	fmt.Fprintf(&b, "Photodetectors   %d per node, %.2f mm^2 total\n", r.PDsPerNode, r.PDAreaTotal*1e6)
-	fmt.Fprintf(&b, "Fixed mirrors    %d\n", r.MirrorCount)
-	fmt.Fprintf(&b, "Photonic share   %.1f%% of die area\n", r.PhotonicAreaFrac*100)
-	return b.String()
 }

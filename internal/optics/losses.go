@@ -1,10 +1,6 @@
 package optics
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // This file holds the worst-case insertion-loss models behind the
 // optical-topology frontier sweep (system.Interconnects, exp "frontier").
@@ -208,28 +204,4 @@ func (d WaveguideDevices) FSOILoss(nodes int, link LinkConfig, array PhaseArray,
 	r.LineRate = d.LineRate
 	r.LaserEfficiency = d.LaserEfficiency
 	return closeBudget(r)
-}
-
-// String renders the budget in the shape of LinkReport.String.
-func (r LossReport) String() string {
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("%s @ %d nodes — worst-case insertion loss", r.Topology, r.Nodes)
-	w("  route length             %.2f cm (%.2f dB propagation)", r.PathLengthCm, r.PropagationDB)
-	w("  crossings                %d (%.2f dB)", r.Crossings, r.CrossingDB)
-	w("  rings                    %d through + %d drop (%.2f dB)", r.ThroughRings, r.DropRings, r.RingDB)
-	w("  bends                    %d (%.2f dB)", r.Bends, r.BendDB)
-	w("  coupler                  %.2f dB", r.CouplerDB)
-	if r.SplitterDB > 0 {
-		w("  broadcast/steering       %.2f dB", r.SplitterDB)
-	}
-	w("  margin                   %.2f dB", r.MarginDB)
-	w("  worst-case loss          %.2f dB", r.WorstCaseDB)
-	w("Laser budget (sensitivity %.0f dBm, %.0f%% wall-plug, %.0f Gbps/λ)",
-		r.SensitivityDBm, r.LaserEfficiency*100, r.LineRate/1e9)
-	w("  launch power per λ       %.3f mW (%.1f dBm)", r.LaserPowerMW, r.LaserPowerDBm)
-	w("  channels lit             %d", r.Channels)
-	w("  total laser (electrical) %.3f W", r.TotalLaserW)
-	w("  energy per bit           %.3f pJ", r.EnergyPerBitJ*1e12)
-	return b.String()
 }

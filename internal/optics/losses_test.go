@@ -2,7 +2,6 @@ package optics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -98,14 +97,5 @@ func TestSnakeSplitterIsLogarithmic(t *testing.T) {
 	}
 	if growth := float64(s256.SplitterDB - s64.SplitterDB); math.Abs(growth-10*math.Log10(4)) > 1e-9 {
 		t.Fatalf("snake splitter growth %.2f dB for 4x radix, want %.2f", growth, 10*math.Log10(4))
-	}
-}
-
-func TestLossReportString(t *testing.T) {
-	s := reports(64)[1].String()
-	for _, want := range []string{"matrix @ 64 nodes", "worst-case loss", "energy per bit", "channels lit"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report rendering missing %q:\n%s", want, s)
-		}
 	}
 }

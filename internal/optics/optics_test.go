@@ -270,7 +270,4 @@ func TestLayoutPhaseArrayScaling(t *testing.T) {
 		t.Fatalf("phase array per-node count %d should be far below dedicated %d",
 			phased.TxVCSELsPerNode, dedicated64.Layout().TxVCSELsPerNode)
 	}
-	if s := PaperLayout(16).Layout().String(); len(s) == 0 {
-		t.Fatal("report must render")
-	}
 }

@@ -32,6 +32,12 @@ const (
 	MaxNodes = int(SharedBase-PrivateBase) >> privateStrideBits
 )
 
+// MaxScale is the largest scale Suite takes. The longest apps take
+// 20,000 steps a thread at scale 1 and a step costs at least a cycle,
+// so past it their threads need more than system.Default's 40M
+// MaxCycles and no run can finish; far past it a step count wraps.
+const MaxScale = 2000
+
 // Pattern selects the sharing behaviour of an application.
 type Pattern int
 
