@@ -1,4 +1,5 @@
-// Command experiments regenerates the paper's tables and figures.
+// Command experiments regenerates the paper's tables and figures and runs
+// the sweeps beyond them: every entry of exp.Registry.
 //
 // Usage:
 //
@@ -94,7 +95,9 @@ type invocation struct {
 // cannot on stderr and returns nil with the exit code.
 func parse(args []string, stderr io.Writer) (*invocation, int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	// A bad flag is one fail line like any other bad input; only -h
+	// prints the usage.
+	fs.SetOutput(io.Discard)
 
 	// Experiments with inputs of their own register them first, while
 	// every flag on fs is some experiment's: owner remembers whose.
@@ -127,9 +130,11 @@ func parse(args []string, stderr io.Writer) (*invocation, int) {
 	}
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
 			return nil, 0
 		}
-		return nil, 2 // the flag package has printed the error and usage
+		return fail("%v", err)
 	}
 
 	inv := &invocation{

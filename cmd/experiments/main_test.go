@@ -52,6 +52,8 @@ func TestBadInvocationsExitTwoWithOneLine(t *testing.T) {
 		{"unknown app (used to print NaN)", "-run fig5 -apps nosuch", `unknown app "nosuch"`},
 		{"unknown app lists the valid ones", "-run fig6 -apps jacobi,ftt", "valid: barnes, cholesky, fmm, fft,"},
 		{"empty app name", "-run fig6 -apps jacobi,", `unknown app ""`},
+		{"unknown flag (used to print the whole usage)", "-nosuch", "flag provided but not defined: -nosuch"},
+		{"seed past uint64 (used to print the whole usage)", "-seed 1e30", `invalid value "1e30" for flag -seed`},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

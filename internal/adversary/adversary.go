@@ -1,10 +1,10 @@
-// Package adversary models hostile traffic on the FSOI shared medium
-// (ROADMAP item 4, after arXiv:2303.01550's gain-competition attacks on
-// optical NoCs). An adversary is a compromised node running a hostile
-// operation stream (built by internal/workload) plus, for the roles that
-// tamper with the optical layer itself, a Model the network consults on
-// the paths an attacker can reach: PID/~PID header spoofing on arrival
-// resolution and confirmation-beam starvation on clean delivery.
+// Package adversary models hostile traffic on the FSOI shared medium,
+// after arXiv:2303.01550's gain-competition attacks on optical NoCs. An
+// adversary is a compromised node running a hostile operation stream
+// (built by internal/workload) plus, for the roles that tamper with the
+// optical layer itself, a Model the network consults on the paths an
+// attacker can reach: PID/~PID header spoofing on arrival resolution and
+// confirmation-beam starvation on clean delivery.
 //
 // Everything is deterministic under the repository's named-RNG-stream
 // discipline: the model draws only from the per-node streams the network

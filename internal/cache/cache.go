@@ -1,8 +1,9 @@
-// Package cache provides the set-associative cache arrays used by the L1
-// controllers; misses are tracked by the controller's own transaction
-// table. Lines are tracked at 64-byte granularity (the paper's L2 line
-// size; the 32-byte L1 lines of Table 3 are unified to 64 bytes here to
-// avoid sub-line coherence — recorded as a substitution in DESIGN.md).
+// Package cache provides the set-associative cache arrays, with LRU
+// replacement, used by the L1 controllers; misses are tracked by the
+// controller's own transaction table. Lines are tracked at 64-byte
+// granularity (the paper's L2 line size; the 32-byte L1 lines of Table 3
+// are unified to 64 bytes here to avoid sub-line coherence — recorded as
+// a substitution in DESIGN.md).
 package cache
 
 import (

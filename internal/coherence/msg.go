@@ -6,6 +6,10 @@
 // NACK-based fetch-deadlock avoidance, and the §5.1 optimizations that
 // exploit the FSOI confirmation channel (invalidation-ack elision and
 // boolean subscription for synchronization variables).
+//
+// A NACKed L1 retries after 8-31 cycles, and the delay doubles with each
+// NACK the same transaction takes, up to 64x; a fixed window livelocked
+// 64-node jacobi on L0.
 package coherence
 
 import (

@@ -1,7 +1,9 @@
 // Package config is the input surface of the simulator: a JSON spec
 // whose top-level keys, and the fsoisim flags that set the same keys,
 // decode through one table (knobs) into a Run, so parameter studies can
-// be scripted without recompiling (fsoisim -config study.json).
+// be scripted without recompiling (fsoisim -config study.json). The
+// nested sections have types of their own: FaultSpec, OptSpec and
+// AdversarySpec.
 package config
 
 import (
@@ -191,11 +193,16 @@ func (k *knob) apply(r *Run, raw []byte) error {
 
 // Check checks v as Build checks the numeric key's value: the one rule
 // for a quantity another command takes too (experiments -seed, -scale
-// and resilience's -nodes, fsoitrace -window).
+// and resilience's -nodes, fsoitrace -window). v is written as JSON
+// writes it, so an integer key decodes it and 1e300 stays short.
 func Check(key string, v float64) error {
 	for i := range knobs {
-		if knobs[i].key == key && knobs[i].in != nil {
-			return knobs[i].apply(&Run{}, strconv.AppendFloat(nil, v, 'f', -1, 64))
+		if k := &knobs[i]; k.key == key && k.in != nil {
+			raw, err := json.Marshal(v)
+			if err != nil { // NaN or an infinity, which JSON cannot write
+				return fmt.Errorf("config: %s is %v; want %s", key, v, k.in)
+			}
+			return k.apply(&Run{}, raw)
 		}
 	}
 	return fmt.Errorf("config: no numeric key %q", key)

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -108,10 +107,11 @@ func TestEveryRangeHoldsItsEndsOnly(t *testing.T) {
 		}
 		past := []float64{lo - 1, math.Nextafter(lo, -inf)}
 		if !math.IsInf(hi, 1) {
-			past = append(past, hi+1, math.Nextafter(hi, inf))
+			past = append(past, hi+1, math.Nextafter(hi, inf), 1e300)
 		}
 		for _, v := range past {
-			text := strconv.FormatFloat(v, 'f', -1, 64)
+			raw, _ := json.Marshal(v)
+			text := string(raw)
 			want := "config: " + k.key + " is " + text + "; want " + k.in.String()
 			if _, err := build(t, `{"`+k.key+`": `+text+`}`); err == nil || err.Error() != want {
 				t.Errorf("%s %s: Build() = %v, want %q", k.key, text, err, want)

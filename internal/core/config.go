@@ -9,6 +9,15 @@
 // acknowledges clean receipt two cycles after delivery and carries the
 // §5 protocol optimizations (ack elision, boolean subscription,
 // retransmission winner hints).
+//
+// A node has two slotted lanes: meta packets of 72 bits on 3 VCSELs
+// take 2-cycle slots, data packets of 360 bits on 6 VCSELs take 5-cycle
+// slots. Senders are sharded across a destination's 2 receivers per
+// lane. A phase array spends one extra cycle re-steering. The §5.2
+// optimizations beside hints are receiver scheduling (requests spaced so
+// that their replies land in unreserved slots) and split writebacks
+// (announced, so their data arrives in a scheduled slot). Each one is a
+// switch of Optimizations.
 package core
 
 // Lane indexes the two slotted traffic lanes.

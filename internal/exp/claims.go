@@ -68,9 +68,9 @@ var Claims = []Claim{
 	{ID: "fig10.avoided", Exp: "fig10", Key: "avoided", Source: "Fig 10", Quantity: "data-lane collisions the §5.2 optimizations avoid",
 		Population: "16 nodes; the paper does not say how the apps combine", Paper: 0.38, Stated: "~38%"},
 	{ID: "hints.accuracy", Exp: "hints", Key: "accuracy", Source: "§7.3", Quantity: "retransmission hints that name the winner",
-		Population: "the paper does not say at which node count or how the apps combine", Paper: 0.94, Stated: "94%"},
+		Population: "an input, not a measurement: core.PaperConfig draws each hint right with HintAccuracy 0.94, so the repo echoes it", Paper: 0.94, Stated: "94%"},
 	{ID: "hints.wrong", Exp: "hints", Key: "wrong", Source: "§7.3", Quantity: "retransmission hints that name a wrong winner",
-		Population: "the paper does not say at which node count or how the apps combine", Paper: 0.023, Stated: "2.3%"},
+		Population: "an input, not a measurement: core.PaperConfig draws a wrong winner with WrongWinner 0.023, so the repo echoes it", Paper: 0.023, Stated: "2.3%"},
 	{ID: "hints.delay_with", Exp: "hints", Key: "res_data_with", Source: "§7.3", Quantity: "resolution delay with hints, cycles",
 		Population: "the data packets that collided; the paper does not say how the apps combine", Paper: 29, Stated: "29"},
 	{ID: "hints.delay_without", Exp: "hints", Key: "res_data_without", Source: "§7.3", Quantity: "resolution delay without hints, cycles",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,5 +109,41 @@ func TestDESIGNClaimsBlock(t *testing.T) {
 	block, _, closed := strings.Cut(rest, end)
 	if want := b.String(); !ok || !closed || begin+block+end != want {
 		t.Errorf("DESIGN's claims block differs from the Claims table; want:\n%s", want)
+	}
+}
+
+// TestDESIGNExperimentIndex: DESIGN §4's experiment index names every
+// Registry id exactly once, in its last column ("exp `fig6`"), and no id
+// the Registry lacks.
+func TestDESIGNExperimentIndex(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(design), "\n| ID | What the paper shows |")
+	if !ok {
+		t.Fatal("DESIGN has no experiment index")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := strings.Split(table, "\n")[2:] // past the header's rest and the rule
+	id := regexp.MustCompile("`([a-z][a-z0-9]*)`")
+	named := map[string]int{}
+	for _, row := range rows {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 {
+			t.Fatalf("index row %q has no last column", row)
+		}
+		for _, m := range id.FindAllStringSubmatch(cells[len(cells)-2], -1) {
+			named[m[1]]++
+		}
+	}
+	for _, e := range Registry {
+		if named[e.ID] != 1 {
+			t.Errorf("the index names %s %d times, want once", e.ID, named[e.ID])
+		}
+		delete(named, e.ID)
+	}
+	for id := range named {
+		t.Errorf("the index names %s, which is no Registry id", id)
 	}
 }

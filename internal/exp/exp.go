@@ -1,8 +1,10 @@
 // Package exp contains one runner per table and figure of the paper's
-// evaluation (§6-§7). Each runner takes a Scale knob so the same code
-// serves the full-size cmd/experiments binary and the scaled-down
-// bench_test.go harness, and returns both a formatted table and the raw
-// series for programmatic checks.
+// evaluation (§6-§7), listed in Registry. Each runner takes Options,
+// whose Scale lets the same code serve the full-size cmd/experiments
+// binary and the scaled-down bench_test.go harness, and returns both a
+// formatted table and the raw series for programmatic checks. Claims
+// holds the paper's numbers, one row each; the runners print their
+// "(paper: …)" text from it.
 package exp
 
 import (

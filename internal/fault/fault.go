@@ -24,6 +24,8 @@
 // injector stream, preserving the repository's bit-identical-rerun
 // discipline. A zero Config reports Enabled() == false and must not be
 // attached at all: fault injection is strictly pay-for-what-you-use.
+// An Injector attaches to internal/core through its FaultModel
+// interface.
 package fault
 
 import (

@@ -2,6 +2,9 @@
 // canonical 4-stage virtual-channel wormhole routers with credit-based
 // flow control and XY routing (the "MESH" configuration of Figures 6/7),
 // and the idealized L0 / Lr1 / Lr2 networks used as loose upper bounds.
+// A router has 4 VCs per input port (Table 3) and a pipeline of
+// RouterCycles stages; Lr1 and Lr2 charge 1 or 2 router cycles per hop
+// with no contention inside the network.
 package mesh
 
 import (

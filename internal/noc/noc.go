@@ -1,8 +1,10 @@
 // Package noc defines the abstractions shared by every interconnect
 // implementation in this repository (the FSOI network, the electrical
-// mesh baselines, the corona-style ring, and the ideal networks): packets,
-// lanes, the Network interface the coherence substrate talks to, and the
-// per-packet latency breakdown reported in the paper's Figures 6 and 7.
+// mesh baselines, the optical crossbars, and the ideal networks): packets,
+// lanes, flit sizing, the Network interface the coherence substrate talks
+// to, and the per-packet latency breakdown reported in the paper's
+// Figures 6 and 7. Package noctest is the conformance harness every
+// implementation passes.
 package noc
 
 import (

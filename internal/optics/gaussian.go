@@ -3,7 +3,10 @@
 // micro-mirror path, VCSEL and photodetector device behaviour, receiver
 // noise, and the end-to-end link budget that Table 1 of the paper
 // summarizes. All quantities are SI (meters, watts, amperes, hertz)
-// unless a name says otherwise.
+// unless a name says otherwise. It also holds the §4.1 layout arithmetic
+// (VCSEL counts and area, dedicated arrays or steerable phase arrays)
+// and the worst-case insertion loss of each topology in the network
+// table.
 package optics
 
 import "math"

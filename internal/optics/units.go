@@ -23,6 +23,7 @@
 // replaced, never a re-association, so adopting the types keeps all
 // experiment outputs byte-identical (IEEE-754 * and + commute exactly
 // but do not associate).
+
 package optics
 
 import (

@@ -1,8 +1,9 @@
-// Package power models the energy accounting behind Figure 8: Wattch-
-// style core and cache event energies, Orion-style mesh router energies,
-// the optical signaling-chain energies of Table 1, and a temperature-
-// scaled leakage term. The absolute constants target 45 nm at 3.3 GHz;
-// Figure 8 depends on the ratios, which these constants preserve.
+// Package power models the energy accounting behind Figure 8:
+// Wattch-style core and cache event energies, Orion-style mesh router
+// energies, the optical signaling-chain energies of Table 1, and a
+// temperature-scaled leakage term. The absolute constants target 45 nm
+// at 3.3 GHz; Figure 8 depends on the ratios, which these constants
+// preserve.
 //
 // All energies and powers carry the optics unit types (Joules, Watts,
 // Seconds), so the fsoilint units pass rejects W+J and cycles/Hz

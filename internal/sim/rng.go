@@ -5,7 +5,14 @@
 // Determinism is a first-class requirement. Every source of randomness is
 // an *RNG derived from a seed and a name, so that a simulation configured
 // identically always produces bit-identical results, independent of
-// iteration order elsewhere in the program.
+// iteration order elsewhere in the program. An RNG is a xoshiro256**
+// stream seeded through splitmix64.
+//
+// The Engine's event queue is a calendar wheel: one FIFO bucket per
+// cycle for the next 1,024 cycles, threaded through one slab, with a
+// value-typed 4-ary heap for events a revolution or more out. It
+// allocates nothing at steady state. A BusySet is the set of nodes with
+// work pending, so a network ticks only those.
 package sim
 
 import "math"

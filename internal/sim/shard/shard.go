@@ -1,6 +1,8 @@
-// Package shard implements sharded variants of the simulation engine:
-// per-node-group event queues, with cross-shard work handed off at
-// least one lookahead window ahead of the receiving shard's clock.
+// Package shard holds two sharded variants of the simulation engine,
+// withdrawn from the simulator (DESIGN §11, §12) and kept compiled only
+// for the benchmark's engine drivers. Each keeps per-node-group event
+// queues, with cross-shard work handed off at least one lookahead window
+// ahead of the receiving shard's clock.
 //
 // Two engines live here, with different contracts:
 //

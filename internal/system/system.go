@@ -2,6 +2,11 @@
 // the distributed L2/directory slices, memory controllers, and one of
 // the interconnects (Interconnects), then runs a workload and reports
 // the paper's metrics.
+//
+// Interconnects is the one network table: it names and builds every
+// interconnect, gives the optical ones their loss model, and is what
+// the conformance suite runs over. The transport keeps at most one
+// message per (source, destination, line) in flight (§4.4).
 package system
 
 import (

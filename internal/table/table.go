@@ -1,6 +1,9 @@
 // Package table provides the one hash table the simulator's per-packet
 // paths use where the key space is not bounded by a handful of live items:
-// open addressing over integer keys, sized by what is stored.
+// open addressing over integer keys, sized by what is stored. It holds
+// the directory's line index, the FSOI reply log's per-responder lists
+// and, in the observation layer, the per-link index and the inject cycle
+// of each packet an export pairs.
 //
 // A Go map would do the same job; this is here because those paths run a
 // lookup per packet and the built-in pays for generality they do not need

@@ -5,6 +5,7 @@
 // spec, the seed, and the node's own simulated clock — and emit no
 // barriers or locks, so the honest threads synchronize among themselves
 // while the attacker free-runs.
+
 package workload
 
 import (
